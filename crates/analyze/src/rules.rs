@@ -10,7 +10,6 @@
 //! | determinism | `det-thread-spawn` | no ad-hoc `thread::spawn`/`thread::scope`/`thread::Builder`: fanout must go through the `planned_threads` policy with a chunk-order-invariance argument, written down in a `ctk-allow` reason |
 //! | determinism | `det-available-parallelism` | `available_parallelism` only inside the blessed cached accessor (`ctk_prob::compare::available_cores`) |
 //! | determinism | `det-wall-clock` | no `Instant::now`/`SystemTime::now` outside metrics code: wall-clock reads in result paths make replays diverge |
-//! | determinism | `det-channel` | no ad-hoc `mpsc::channel`/`mpsc::sync_channel`: receive order across channels is arrival order, i.e. scheduling-dependent — every channel needs a `ctk-allow` stating the discipline that keeps cross-thread effects in deterministic order (e.g. a coordinator draining per-shard streams in shard order) |
 //! | float | `float-eq` | no `==`/`!=` against float values: exact equality is not total and rarely means what it says; compare via `total_cmp`, explicit tolerances, or allowlist exact-sentinel checks |
 //! | float | `float-partial-cmp-unwrap` | no `partial_cmp(..).unwrap()`/`.expect(..)`: use the total-order comparator `f64::total_cmp` |
 //! | float | `float-stable-sort` | stable `sort`/`sort_by`/`sort_by_key` flagged in result-affecting code: stability launders whatever pre-sort order the input had (often a hash map's); sort with `sort_unstable_*` over a *total* key instead |
@@ -68,13 +67,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "det-wall-clock",
         family: "determinism",
         summary: "Instant::now/SystemTime::now outside metrics code",
-    },
-    RuleInfo {
-        id: "det-channel",
-        family: "determinism",
-        summary: "mpsc::channel/sync_channel without a written ordering discipline \
-                  (receive order is arrival order — allowlist requires the argument \
-                  that keeps cross-thread effects deterministically ordered)",
     },
     RuleInfo {
         id: "float-eq",
@@ -160,7 +152,6 @@ pub fn scan(file: &SourceFile, rules: RuleSet) -> Vec<Finding> {
     if rules.determinism {
         scan_hash_collections(file, &mut findings);
         scan_thread_spawn(file, &mut findings);
-        scan_channels(file, &mut findings);
         if !rules.bless_parallelism {
             scan_token_rule(
                 file,
@@ -514,33 +505,6 @@ fn scan_thread_spawn(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// `mpsc` channel construction sites. A channel by itself is fine for
-/// moving data, but *receive order across senders is arrival order* —
-/// scheduling-dependent — so any channel feeding result-affecting state
-/// must carry a written discipline for how deterministic ordering is
-/// restored (the serving layer's: one coordinator drains per-shard
-/// request streams to completion in shard order).
-fn scan_channels(file: &SourceFile, findings: &mut Vec<Finding>) {
-    for tok in ["mpsc::channel", "mpsc::sync_channel"] {
-        for at in find_tokens(&file.code, tok) {
-            let line = file.line_of(at);
-            if file.is_test_line(line) {
-                continue;
-            }
-            push(
-                findings,
-                "det-channel",
-                line,
-                format!(
-                    "`{tok}` in result-affecting code: cross-channel receive order is \
-                     arrival order (scheduling-dependent) — ctk-allow with the ordering \
-                     discipline that keeps downstream effects deterministic"
-                ),
-            );
-        }
-    }
-}
-
 fn scan_token_rule(
     file: &SourceFile,
     token: &str,
@@ -668,22 +632,6 @@ mod tests {
             )),
             vec!["det-thread-spawn"]
         );
-    }
-
-    #[test]
-    fn channel_construction_flagged() {
-        assert_eq!(
-            rules_of(&scan_all(
-                "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u32>(); }\n"
-            )),
-            vec!["det-channel"]
-        );
-        assert_eq!(
-            rules_of(&scan_all("fn f() { let p = mpsc::sync_channel(4); }\n")),
-            vec!["det-channel"]
-        );
-        // Receiving and sending are not construction sites.
-        assert!(scan_all("fn f(rx: &Receiver<u32>) { let _ = rx.recv(); }\n").is_empty());
     }
 
     #[test]

@@ -31,7 +31,6 @@ fn determinism_fixture_trips_every_determinism_rule() {
         "det-thread-spawn",
         "det-available-parallelism",
         "det-wall-clock",
-        "det-channel",
     ] {
         assert!(hit.contains(rule), "expected {rule} to fire, got {hit:?}");
     }

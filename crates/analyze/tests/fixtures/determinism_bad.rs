@@ -22,11 +22,3 @@ pub fn reads_the_clock() -> bool {
     let t = Instant::now();
     t.elapsed().as_nanos() % 2 == 0
 }
-
-pub fn undisciplined_channel(n: u32) -> u32 {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let (btx, _brx) = std::sync::mpsc::sync_channel(4);
-    let _ = btx.send(n);
-    let _ = tx.send(n);
-    rx.recv().unwrap_or(0)
-}

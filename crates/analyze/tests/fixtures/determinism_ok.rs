@@ -14,7 +14,7 @@ pub fn ordered_iteration(xs: &[u32]) -> Vec<u32> {
 }
 
 pub fn describe() -> &'static str {
-    "no HashMap here, no thread::spawn, no Instant::now, no mpsc::channel"
+    "no HashMap here, no thread::spawn, no Instant::now"
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use ctk_core::session::{Algorithm, SessionConfig, UrReport};
 use ctk_crowd::{CrowdSimulator, GroundTruth, PerfectWorker, VotePolicy};
 use ctk_datagen::{generate, DatasetSpec};
 use ctk_prob::UncertainTable;
-use ctk_service::{RunMode, SessionSpec, TopKService};
+use ctk_service::{SessionSpec, TopKService};
 use ctk_tpo::build::{Engine, McConfig};
 use std::time::Instant;
 
@@ -92,13 +92,9 @@ fn run_cell(
 ) -> (Cell, Vec<UrReport>) {
     let crowd = CrowdSimulator::new(truth.clone(), PerfectWorker, VotePolicy::Single, 1_000_000)
         .expect("valid vote policy");
-    // Pinned to tick mode on one shard: the shard-owned core's
-    // bit-compatible configuration, so these numbers stay comparable
-    // across the PR 9 refactor (the shards x mode grid lives in
-    // `bench_pr9`).
-    let mut service = TopKService::new(crowd)
-        .with_run_mode(RunMode::Tick)
-        .with_threads(threads);
+    // One shard, so these numbers stay comparable with the pre-shard
+    // serving loop.
+    let mut service = TopKService::new(crowd).with_threads(threads);
     let ids: Vec<_> = (0..tenants)
         .map(|t| {
             service

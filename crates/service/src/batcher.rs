@@ -1,6 +1,7 @@
 //! Cross-session question batching: one service round's worth of
 //! questions from many sessions, deduplicated through an answer cache
-//! before any crowd budget is spent.
+//! before any crowd budget is spent, through the service's single
+//! purchase loop, [`resolve_pending`].
 //!
 //! Two tenants asking about the same pair of objects is the common case a
 //! serving layer exists to exploit: the crowd's answer to `t_i ?≺ t_j` is
@@ -14,10 +15,13 @@
 //! positively correlated noise (the economics the paper's §III-C majority
 //! analysis prices). With reliable workers (accuracy 1) the cache is
 //! lossless.
+//!
+//! The purchase loop is also the crowd boundary: an answer is validated
+//! before it is cached or delivered, so a backend that reports a NaN
+//! accuracy or answers a different pair than the one asked cannot poison
+//! the shared cache or any session's belief.
 
 use crate::metrics::ServiceMetrics;
-use crate::registry::SessionId;
-use crate::shard::ShardLedger;
 use ctk_crowd::{Answer, Crowd, Question, RouteHint};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -97,28 +101,6 @@ impl AnswerCache {
     }
 }
 
-/// Anything that can memoize crowd verdicts for the batcher: the plain
-/// [`AnswerCache`] or the question-hash-partitioned
-/// [`ShardedAnswerCache`]. The batcher resolves against the trait so the
-/// tick and event loops share one cache-first purchase path at any shard
-/// count.
-pub trait AnswerStore {
-    /// Looks up the answer for `q`, re-oriented to `q`'s orientation,
-    /// with the accuracy it was bought at.
-    fn lookup(&mut self, q: Question) -> Option<(Answer, f64)>;
-    /// Stores a freshly bought answer (canonicalized).
-    fn store(&mut self, answer: Answer, accuracy: f64);
-}
-
-impl AnswerStore for AnswerCache {
-    fn lookup(&mut self, q: Question) -> Option<(Answer, f64)> {
-        self.get(q)
-    }
-    fn store(&mut self, answer: Answer, accuracy: f64) {
-        self.insert(answer, accuracy)
-    }
-}
-
 /// An [`AnswerCache`] partitioned by question hash: both orientations of
 /// a pair land in the same partition (the hash is over the canonical
 /// orientation), so re-orientation semantics are exactly the single
@@ -177,14 +159,16 @@ impl ShardedAnswerCache {
     pub fn lookups(&self) -> u64 {
         self.shards.iter().map(AnswerCache::lookups).sum()
     }
-}
 
-impl AnswerStore for ShardedAnswerCache {
-    fn lookup(&mut self, q: Question) -> Option<(Answer, f64)> {
+    /// Looks up the answer for `q` in its partition, re-oriented to `q`'s
+    /// orientation, with the accuracy it was bought at.
+    pub fn get(&mut self, q: Question) -> Option<(Answer, f64)> {
         let s = self.shard_of(q);
         self.shards[s].get(q)
     }
-    fn store(&mut self, answer: Answer, accuracy: f64) {
+
+    /// Stores a freshly bought answer (canonicalized) in its partition.
+    pub fn insert(&mut self, answer: Answer, accuracy: f64) {
         let s = self.shard_of(answer.question);
         self.shards[s].insert(answer, accuracy)
     }
@@ -203,75 +187,42 @@ pub struct ServedAnswer {
     pub cached: bool,
 }
 
-/// Answers delivered to one session in a round.
-#[derive(Debug, Clone)]
-pub struct SessionAnswers {
-    /// The session the answers belong to.
-    pub id: SessionId,
-    /// Answers, in the order the session's questions were posed. May be a
-    /// prefix of the request when the crowd ran out of budget.
-    pub answers: Vec<ServedAnswer>,
-    /// How many questions the session posed this round.
-    pub requested: usize,
-    /// How many of the delivered answers came from the cache.
-    pub cache_hits: usize,
-}
-
-impl SessionAnswers {
-    /// True when the crowd could not serve the whole request.
-    pub fn starved(&self) -> bool {
-        self.answers.len() < self.requested
-    }
-}
-
-/// How one session's pending batch ended at the purchase path.
+/// How one session's pending batch ended at the purchase loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Disposition {
     /// Every pending question was answered (cache or live).
     Resolved,
-    /// Gated resolution hit a cache miss with no grant available: the
-    /// session parks `AwaitingBudget` with its remaining questions.
+    /// A cache miss met a crowd with no budget left: the session parks
+    /// `AwaitingBudget`, `pending` holding the unresolved tail.
     Parked,
-    /// The crowd could not answer a live question: the batch is
-    /// decisively cut to the prefix that was served (the driver reads the
-    /// partial set as "wind down", exactly like tick mode).
+    /// The crowd refused a live question, or its answer failed
+    /// validation: the batch is cut to the prefix that was served (the
+    /// driver reads the partial set as "wind down").
     Starved,
 }
 
-/// Result of resolving one session's pending batch: the answers in
-/// request order, how many came from the cache, and how it ended.
-#[derive(Debug, Clone)]
-pub(crate) struct Resolution {
-    pub(crate) served: Vec<ServedAnswer>,
-    pub(crate) cache_hits: u64,
-    pub(crate) disposition: Disposition,
-}
-
-/// The event loops' purchase loop, shared verbatim by the in-place
-/// sweeps (`TopKService::resolve_session`) and the threaded topology's
-/// coordinator — one implementation is what makes the two modes
-/// equivalent by construction rather than by parallel maintenance.
+/// The service's purchase loop: resolves `pending` front to back,
+/// cache-first, crowd-second, appending each answer to `served`.
 ///
-/// Resolves `pending` front-to-back, cache-first, crowd-second. Gated,
-/// a cache miss with no grant unit available returns
-/// [`Disposition::Parked`] with `pending` holding the unresolved tail;
-/// ungated (tick-style resume), live asks are accounted via
-/// [`ShardLedger::note_spend`]. Counts cache hits, live purchases and
-/// routing splits on `metrics`.
-pub(crate) fn resolve_pending<C: Crowd, S: AnswerStore>(
+/// Before a live ask it checks `crowd.remaining()`; at zero the session
+/// parks ([`Disposition::Parked`]) so a budget top-up can still resume
+/// it. A refused ask, or an answer whose pair is not the asked one or
+/// whose accuracy is not finite, starves the batch: the rest of
+/// `pending` is dropped and an invalid answer is neither cached nor
+/// delivered (counted in `invalid_answers`). Accuracies below 0.5 pass —
+/// adversarial workers legitimately report them, and the noisy belief
+/// update clamps them. Counts cache hits, live asks and routing splits
+/// on `metrics`.
+pub(crate) fn resolve_pending<C: Crowd>(
     pending: &mut VecDeque<(Question, RouteHint)>,
-    gated: bool,
-    ledger: &mut ShardLedger,
-    cache: &mut S,
+    served: &mut Vec<ServedAnswer>,
+    cache: &mut ShardedAnswerCache,
     crowd: &mut C,
     metrics: &mut ServiceMetrics,
-) -> Resolution {
-    let mut served = Vec::new();
-    let mut cache_hits = 0u64;
+) -> Disposition {
     while let Some(&(q, hint)) = pending.front() {
-        if let Some((answer, accuracy)) = cache.lookup(q) {
+        if let Some((answer, accuracy)) = cache.get(q) {
             pending.pop_front();
-            cache_hits += 1;
             metrics.cache_hits += 1;
             served.push(ServedAnswer {
                 answer,
@@ -280,142 +231,34 @@ pub(crate) fn resolve_pending<C: Crowd, S: AnswerStore>(
             });
             continue;
         }
-        if gated && ledger.available() == 0 {
-            return Resolution {
-                served,
-                cache_hits,
-                disposition: Disposition::Parked,
-            };
+        if crowd.remaining() == 0 {
+            return Disposition::Parked;
         }
         let Some(answer) = crowd.ask_routed(q, hint) else {
             pending.clear();
-            return Resolution {
-                served,
-                cache_hits,
-                disposition: Disposition::Starved,
-            };
+            return Disposition::Starved;
         };
-        pending.pop_front();
-        if gated {
-            ledger.spend_one();
-        } else {
-            ledger.note_spend(1);
-        }
-        let accuracy = crowd.answer_accuracy();
-        cache.store(answer, accuracy);
         metrics.crowd_questions += 1;
         match hint {
             RouteHint::Expert => metrics.routed_expert += 1,
             RouteHint::Cheap => metrics.routed_cheap += 1,
             RouteHint::Any => {}
         }
+        let accuracy = crowd.answer_accuracy();
+        if answer.question.canonical() != q.canonical() || !accuracy.is_finite() {
+            metrics.invalid_answers += 1;
+            pending.clear();
+            return Disposition::Starved;
+        }
+        pending.pop_front();
+        cache.insert(answer, accuracy);
         served.push(ServedAnswer {
             answer,
             accuracy,
             cached: false,
         });
     }
-    Resolution {
-        served,
-        cache_hits,
-        disposition: Disposition::Resolved,
-    }
-}
-
-/// Aggregate accounting of one resolved round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Answers delivered across all sessions.
-    pub answers_served: u64,
-    /// Questions actually posed to the crowd backend.
-    pub crowd_questions: u64,
-    /// Answers served from the cache (dedup across and within sessions).
-    pub cache_hits: u64,
-    /// Questions that could not be served (crowd exhausted, no cache).
-    pub unanswered: u64,
-    /// Live questions routed to expert panels (narrow belief margin).
-    pub routed_expert: u64,
-    /// Live questions routed to cheap panels (wide belief margin).
-    pub routed_cheap: u64,
-}
-
-/// Resolves one round of batched questions against the cache first and
-/// the crowd second.
-///
-/// Per session, answers are delivered in request order and stop at the
-/// first unanswerable question (the session driver treats a partial
-/// answer set as "crowd exhausted" and winds down, mirroring the
-/// standalone loop). Cache hits never spend crowd budget; a live answer
-/// is cached immediately, so identical questions later in the same round
-/// — from any session — are already hits.
-pub fn resolve_round<C: Crowd, S: AnswerStore>(
-    requests: &[(SessionId, Vec<Question>)],
-    crowd: &mut C,
-    cache: &mut S,
-) -> (Vec<SessionAnswers>, RoundStats) {
-    let routed: Vec<(SessionId, Vec<(Question, RouteHint)>)> = requests
-        .iter()
-        .map(|(id, qs)| (*id, qs.iter().map(|q| (*q, RouteHint::Any)).collect()))
-        .collect();
-    resolve_round_routed(&routed, crowd, cache)
-}
-
-/// Like [`resolve_round`] but with a per-question [`RouteHint`] attached
-/// by the caller's routing policy (see `QuestionRouter` in
-/// `ctk-quality`). Hints only reach the crowd on live purchases — a
-/// cache hit costs nothing regardless of routing — and hint-blind
-/// backends fall back to plain [`Crowd::ask`] via the trait default, so
-/// an all-`Any` request list is exactly [`resolve_round`].
-pub fn resolve_round_routed<C: Crowd, S: AnswerStore>(
-    requests: &[(SessionId, Vec<(Question, RouteHint)>)],
-    crowd: &mut C,
-    cache: &mut S,
-) -> (Vec<SessionAnswers>, RoundStats) {
-    let mut out = Vec::with_capacity(requests.len());
-    let mut stats = RoundStats::default();
-    for (id, questions) in requests {
-        let mut answers = Vec::with_capacity(questions.len());
-        let mut hits = 0;
-        for (q, hint) in questions {
-            if let Some((ans, accuracy)) = cache.lookup(*q) {
-                hits += 1;
-                answers.push(ServedAnswer {
-                    answer: ans,
-                    accuracy,
-                    cached: true,
-                });
-            } else if let Some(ans) = crowd.ask_routed(*q, *hint) {
-                stats.crowd_questions += 1;
-                match hint {
-                    RouteHint::Expert => stats.routed_expert += 1,
-                    RouteHint::Cheap => stats.routed_cheap += 1,
-                    RouteHint::Any => {}
-                }
-                let accuracy = crowd.answer_accuracy();
-                cache.store(ans, accuracy);
-                answers.push(ServedAnswer {
-                    answer: ans,
-                    accuracy,
-                    cached: false,
-                });
-            } else {
-                // Crowd exhausted and nothing cached: this session gets a
-                // prefix; later questions of *other* sessions may still be
-                // cache hits, so keep resolving.
-                break;
-            }
-        }
-        stats.answers_served += answers.len() as u64;
-        stats.cache_hits += hits as u64;
-        stats.unanswered += (questions.len() - answers.len()) as u64;
-        out.push(SessionAnswers {
-            id: *id,
-            answers,
-            requested: questions.len(),
-            cache_hits: hits,
-        });
-    }
-    (out, stats)
+    Disposition::Resolved
 }
 
 #[cfg(test)]
@@ -456,24 +299,30 @@ mod tests {
         assert_eq!(cache.lookups(), 3);
     }
 
+    fn pending(qs: &[(u32, u32)]) -> VecDeque<(Question, RouteHint)> {
+        qs.iter()
+            .map(|&(i, j)| (Question::new(i, j), RouteHint::Any))
+            .collect()
+    }
+
     #[test]
     fn duplicate_questions_cost_one_crowd_ask() {
         let mut c = crowd(10);
-        let mut cache = AnswerCache::new();
-        let requests = vec![
-            (SessionId(0), vec![Question::new(1, 0), Question::new(2, 1)]),
-            (SessionId(1), vec![Question::new(0, 1), Question::new(2, 1)]),
-        ];
-        let (served, stats) = resolve_round(&requests, &mut c, &mut cache);
-        assert_eq!(stats.answers_served, 4);
-        assert_eq!(stats.crowd_questions, 2, "two distinct pairs");
-        assert_eq!(stats.cache_hits, 2, "second session fully deduped");
-        assert_eq!(stats.unanswered, 0);
+        let mut cache = ShardedAnswerCache::new(1);
+        let mut metrics = ServiceMetrics::default();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        let mut qa = pending(&[(1, 0), (2, 1)]);
+        let mut qb = pending(&[(0, 1), (2, 1)]);
+        let da = resolve_pending(&mut qa, &mut a, &mut cache, &mut c, &mut metrics);
+        let db = resolve_pending(&mut qb, &mut b, &mut cache, &mut c, &mut metrics);
+        assert_eq!((da, db), (Disposition::Resolved, Disposition::Resolved));
+        assert_eq!(metrics.crowd_questions, 2, "two distinct pairs");
+        assert_eq!(metrics.cache_hits, 2, "second session fully deduped");
         // Both sessions got consistent verdicts, with provenance.
-        assert!(served[0].answers[0].answer.yes); // 1 above 0
-        assert!(!served[1].answers[0].answer.yes); // 0 NOT above 1
-        assert!(served[0].answers[1].answer.yes && served[1].answers[1].answer.yes);
-        assert!(!served[0].answers[0].cached && served[1].answers[0].cached);
+        assert!(a[0].answer.yes); // 1 above 0
+        assert!(!b[0].answer.yes); // 0 NOT above 1
+        assert!(a[1].answer.yes && b[1].answer.yes);
+        assert!(!a[0].cached && b[0].cached);
         assert_eq!(c.remaining(), 8);
     }
 
@@ -492,12 +341,12 @@ mod tests {
                     yes: n % 2 == 0,
                 };
                 single.insert(ans, 0.9);
-                sharded.store(ans, 0.9);
+                sharded.insert(ans, 0.9);
             }
             for &(i, j) in &pairs {
                 for q in [Question::new(i, j), Question::new(j, i)] {
                     let a = single.get(q);
-                    let b = sharded.lookup(q);
+                    let b = sharded.get(q);
                     match (a, b) {
                         (Some((x, xa)), Some((y, ya))) => {
                             assert_eq!(x.yes, y.yes, "{q:?} at {shards} shards");
@@ -518,20 +367,69 @@ mod tests {
     #[test]
     fn exhausted_crowd_yields_prefixes_but_serves_cache() {
         let mut c = crowd(1);
-        let mut cache = AnswerCache::new();
-        let requests = vec![
-            (SessionId(0), vec![Question::new(1, 0), Question::new(2, 1)]),
-            (SessionId(1), vec![Question::new(1, 0)]),
-        ];
-        let (served, stats) = resolve_round(&requests, &mut c, &mut cache);
-        // Session 0: first answered live, second unanswerable.
-        assert_eq!(served[0].answers.len(), 1);
-        assert!(served[0].starved());
+        let mut cache = ShardedAnswerCache::new(1);
+        let mut metrics = ServiceMetrics::default();
+        // Session 0: first answered live, then the crowd is empty — it
+        // parks with its prefix served and the tail still pending.
+        let (mut q0, mut s0) = (pending(&[(1, 0), (2, 1)]), Vec::new());
+        let d0 = resolve_pending(&mut q0, &mut s0, &mut cache, &mut c, &mut metrics);
+        assert_eq!(d0, Disposition::Parked);
+        assert_eq!(s0.len(), 1);
+        assert_eq!(q0.len(), 1, "the unresolved tail is kept for a resume");
         // Session 1: crowd is spent but the answer is cached.
-        assert_eq!(served[1].answers.len(), 1);
-        assert!(!served[1].starved());
-        assert_eq!(served[1].cache_hits, 1);
-        assert_eq!(stats.unanswered, 1);
-        assert_eq!(stats.crowd_questions, 1);
+        let (mut q1, mut s1) = (pending(&[(1, 0)]), Vec::new());
+        let d1 = resolve_pending(&mut q1, &mut s1, &mut cache, &mut c, &mut metrics);
+        assert_eq!(d1, Disposition::Resolved);
+        assert!(s1[0].cached);
+        assert_eq!(metrics.crowd_questions, 1);
+        assert_eq!(metrics.cache_hits, 1);
+    }
+
+    /// A crowd that always claims budget, refuses `(0, 2)`, answers
+    /// `(1, 2)` with a NaN accuracy and `(0, 1)` about the wrong pair.
+    struct Faulty(CrowdSimulator<PerfectWorker>);
+
+    impl Crowd for Faulty {
+        fn ask(&mut self, q: Question) -> Option<Answer> {
+            if q.canonical() == Question::new(0, 2).canonical() {
+                return None;
+            }
+            let answer = self.0.ask(q)?;
+            if q.canonical() == Question::new(0, 1).canonical() {
+                return Some(Answer {
+                    question: Question::new(1, 2),
+                    ..answer
+                });
+            }
+            Some(answer)
+        }
+        fn remaining(&self) -> usize {
+            usize::MAX
+        }
+        fn answer_accuracy(&self) -> f64 {
+            match self.0.history().last() {
+                Some(a) if a.question.canonical() == Question::new(1, 2).canonical() => f64::NAN,
+                _ => 1.0,
+            }
+        }
+        fn history(&self) -> &[Answer] {
+            self.0.history()
+        }
+    }
+
+    #[test]
+    fn refusals_and_invalid_answers_cut_the_batch_uncached() {
+        let mut c = Faulty(crowd(10));
+        let mut cache = ShardedAnswerCache::new(2);
+        let mut metrics = ServiceMetrics::default();
+        for (bad, invalid) in [((0, 2), 0), ((1, 2), 1), ((0, 1), 2)] {
+            let mut q = pending(&[bad, (2, 0)]);
+            let mut served = Vec::new();
+            let d = resolve_pending(&mut q, &mut served, &mut cache, &mut c, &mut metrics);
+            assert_eq!(d, Disposition::Starved, "{bad:?}");
+            assert!(served.is_empty() && q.is_empty(), "{bad:?}");
+            assert_eq!(metrics.invalid_answers, invalid, "{bad:?}");
+        }
+        assert!(cache.is_empty(), "nothing invalid may be cached");
     }
 }

@@ -12,15 +12,14 @@
 //! The layer is built on the sans-IO [`ctk_core::driver::SessionDriver`]:
 //! each session is a state machine that emits question batches and absorbs
 //! answers, and this crate owns the dispatch over a **shard-owned core**
-//! (DESIGN.md §14):
+//! driven by one run loop (DESIGN.md §14):
 //!
 //! * [`shard`] — the shard structs: each shard owns its sessions end to
-//!   end (registry, scheduler queues, budget-grant ledger, event
-//!   ready-queue); budget is reconciled against the crowd through
-//!   explicit [`ShardLedger`] grants;
+//!   end (registry, scheduler queues, the list of sessions parked on crowd
+//!   budget), plus [`Quiescence`], why a run stopped;
 //! * [`registry`] — shard-aware session registry: per-session budgets,
 //!   lifecycle states (queued / awaiting-answers / awaiting-budget /
-//!   done / failed), and disjoint `&mut` entry access for the sharded
+//!   done / failed), and disjoint `&mut` entry access for the parallel
 //!   round phases;
 //! * [`scheduler`] — strict priority between classes, deficit round-robin
 //!   within a class (persistent per-class service queues), bounded
@@ -30,33 +29,25 @@
 //!   ([`AnswerCache`], partitioned by question hash as
 //!   [`ShardedAnswerCache`]): identical pairwise questions from different
 //!   tenants are answered once, then served from memory, before any
-//!   crowd budget is spent;
-//! * [`service`] — [`TopKService`] in three run modes: [`RunMode::Tick`]
-//!   barrier rounds (gather/purchase/feed, bit-identical to the
-//!   pre-shard loop at one shard), [`RunMode::Event`] sweeps draining
-//!   typed per-shard [`Event`] queues, with [`Quiescence`] telling
-//!   blocked-on-crowd apart from idle, and [`RunMode::EventThreaded`] —
-//!   the same event sweeps with every shard owned by a dedicated worker
-//!   thread;
-//! * [`topology`] — the threaded topology's coordinator/worker split:
-//!   per-shard threads run all shard-local phases, the coordinator
-//!   serves purchases and grants at a shard-order `mpsc` barrier
-//!   (DESIGN.md §15), keeping reports `same_outcome` with the
-//!   single-threaded event loop;
+//!   crowd budget is spent. Its purchase loop is also the crowd boundary
+//!   that rejects NaN accuracies and answers to the wrong pair;
+//! * [`service`] — [`TopKService`] and its one phase-structured round,
+//!   [`TopKService::tick`]: resume parked sessions, plan, gather in
+//!   parallel, purchase sequentially in shard-major order, feed in
+//!   parallel. [`TopKService::run_until_quiescent`] tells
+//!   blocked-on-crowd apart from idle;
 //! * [`error`] — typed [`ServiceError`] for API misuse (topology changes
 //!   after the first submit), honoring the workspace panic-freedom rule;
 //! * [`metrics`] — throughput / latency-histogram / cache-hit /
-//!   shard-imbalance accounting, plus the threaded topology's
-//!   coordinator-stall, channel and per-shard sweep-time gauges.
+//!   invalid-answer / shard-imbalance accounting.
 //!
 //! With reliable (accuracy-1) workers the multiplexing is *lossless*:
 //! every session's final report equals the one the standalone blocking
 //! [`ctk_core::session::UrSession::run`] produces under the same seed —
-//! the integration suite pins this for 36 concurrent tenants, pins that
-//! per-tenant reports are bit-identical at 1/2/4 worker threads, and pins
-//! that all run modes agree at 1/2/4 shards (the threaded topology across
-//! 1/2/4 worker threads as well). See DESIGN.md §7, §9, §14 and §15 for
-//! the architecture discussion.
+//! the integration suite pins this for 36 concurrent tenants, and pins
+//! that per-tenant reports are bit-identical at 1/2/4 worker threads and
+//! 1/2/4 shards. See DESIGN.md §7, §9 and §14 for the architecture
+//! discussion.
 
 pub mod batcher;
 pub mod error;
@@ -65,16 +56,13 @@ pub mod registry;
 pub mod scheduler;
 pub mod service;
 pub mod shard;
-pub mod topology;
 
-pub use batcher::{
-    AnswerCache, AnswerStore, RoundStats, ServedAnswer, SessionAnswers, ShardedAnswerCache,
-};
+pub use batcher::{AnswerCache, ServedAnswer, ShardedAnswerCache};
 pub use ctk_quality::QuestionRouter;
 pub use ctk_tpo::{PrecisionTarget, StopReason};
 pub use error::ServiceError;
 pub use metrics::ServiceMetrics;
 pub use registry::{Registry, SessionId, SessionSpec, SessionState};
 pub use scheduler::Scheduler;
-pub use service::{RegistryView, RoundOutcome, RunMode, TopKService};
-pub use shard::{Event, Quiescence, ShardLedger};
+pub use service::{RegistryView, RoundOutcome, TopKService};
+pub use shard::Quiescence;

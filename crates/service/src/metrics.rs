@@ -2,7 +2,7 @@
 //!
 //! Latency is tracked in a deterministic fixed-bucket histogram (bucket
 //! `i` holds latencies below `2^i` µs), so `latency_p50/p95/p99` report a
-//! bucket upper bound — coarse but allocation-free, mergeable, and stable
+//! bucket upper bound — coarse but allocation-free and stable
 //! across runs with the same bucket layout. Per-shard counters feed
 //! [`ServiceMetrics::shard_imbalance`], the load-skew signal of the
 //! shard-owned serving core (DESIGN.md §14).
@@ -25,8 +25,7 @@ pub struct ServiceMetrics {
     /// Sessions whose round was cut short by an exhausted crowd at least
     /// once (they still complete, with fewer questions than budgeted).
     pub starved: u64,
-    /// Scheduling rounds executed (tick mode: ticks; event mode: pump
-    /// sweeps that made progress).
+    /// Scheduling rounds that made progress.
     pub rounds: u64,
     /// Worker threads the round loop shards gather/feed work over (1 =
     /// the sequential loop; reports are identical at every setting).
@@ -37,6 +36,10 @@ pub struct ServiceMetrics {
     pub crowd_questions: u64,
     /// Answers served from the cross-session answer cache.
     pub cache_hits: u64,
+    /// Live answers rejected at the crowd boundary — a non-finite
+    /// accuracy or an answer about a different pair than the one asked.
+    /// Never cached or delivered; each one cut its session's batch.
+    pub invalid_answers: u64,
     /// Live questions hinted to expert panels (narrow belief margin;
     /// stays 0 without a configured `QuestionRouter`).
     pub routed_expert: u64,
@@ -50,50 +53,18 @@ pub struct ServiceMetrics {
     /// ordered prefix before sampling — decided without any crowd
     /// questions or worlds.
     pub certain_early_stops: u64,
-    /// Events drained from the shards' ready-queues (lifecycle markers
-    /// only in tick mode; the full event taxonomy in event mode).
-    pub events_processed: u64,
-    /// Budget-grant units the reconciler issued to shards (0 until a
-    /// session parks on an exhausted grant; tick mode grants implicitly
-    /// at purchase time, counted in the shard ledgers instead).
-    pub budget_granted: u64,
     /// Wall time spent inside the run loop (selection, crowd calls,
     /// updates).
     pub serving_time: Duration,
     /// Wall time spent resolving questions against cache + crowd — the
-    /// purchase phase the sharded refactor exists to unblock, broken out
-    /// so benches can compare it against the PR 4 baseline.
+    /// run loop's sequential purchase phase.
     pub purchase_time: Duration,
-    /// Threaded topology only: wall time the coordinator spent blocked on
-    /// an empty request channel — waiting for some worker to either reach
-    /// its next purchase or finish its sweep. High stall with low
-    /// purchase time means the workers, not the barrier, are the
-    /// bottleneck (the healthy shape).
-    pub coordinator_stall: Duration,
-    /// Threaded topology only: messages the coordinator exchanged with
-    /// the shard workers (requests received + resolutions replied).
-    pub channel_messages: u64,
-    /// Threaded topology only: most requests drained from one shard's
-    /// channel without blocking — a lower-bound depth gauge for the
-    /// request queues (how far workers ran ahead of the barrier).
-    pub channel_backlog_max: u64,
     latency_sum: Duration,
     latency_max: Duration,
     latency_count: u64,
     latency_hist: Vec<u64>,
     shard_answers: Vec<u64>,
     shard_completed: Vec<u64>,
-    shard_sweep_time: Vec<Duration>,
-}
-
-/// Adds `other` into `mine` element-wise, growing `mine` if needed.
-fn merge_counts(mine: &mut Vec<u64>, other: &[u64]) {
-    if mine.len() < other.len() {
-        mine.resize(other.len(), 0);
-    }
-    for (m, o) in mine.iter_mut().zip(other) {
-        *m += o;
-    }
 }
 
 /// The histogram bucket `latency` falls into.
@@ -108,7 +79,6 @@ impl ServiceMetrics {
     pub(crate) fn init_shards(&mut self, shards: usize) {
         self.shard_answers = vec![0; shards];
         self.shard_completed = vec![0; shards];
-        self.shard_sweep_time = vec![Duration::ZERO; shards];
     }
 
     /// Credits `n` delivered answers to `shard`.
@@ -122,64 +92,6 @@ impl ServiceMetrics {
     pub(crate) fn record_shard_completed(&mut self, shard: usize) {
         if let Some(slot) = self.shard_completed.get_mut(shard) {
             *slot += 1;
-        }
-    }
-
-    /// Credits one sweep's wall time to `shard` (threaded topology).
-    pub(crate) fn record_shard_sweep(&mut self, shard: usize, took: Duration) {
-        if let Some(slot) = self.shard_sweep_time.get_mut(shard) {
-            *slot += took;
-        }
-    }
-
-    /// Folds another accumulation into this one — the threaded
-    /// coordinator merges each worker's shard-local deltas in shard
-    /// order. Counters and durations add, maxima take the max, per-shard
-    /// vectors add element-wise (sized to the longer side), and
-    /// `worker_threads` (a configuration echo, not a counter) is kept.
-    pub(crate) fn merge(&mut self, other: &ServiceMetrics) {
-        self.submitted += other.submitted;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.starved += other.starved;
-        self.rounds += other.rounds;
-        self.answers_served += other.answers_served;
-        self.crowd_questions += other.crowd_questions;
-        self.cache_hits += other.cache_hits;
-        self.routed_expert += other.routed_expert;
-        self.routed_cheap += other.routed_cheap;
-        self.worlds_drawn += other.worlds_drawn;
-        self.certain_early_stops += other.certain_early_stops;
-        self.events_processed += other.events_processed;
-        self.budget_granted += other.budget_granted;
-        self.serving_time += other.serving_time;
-        self.purchase_time += other.purchase_time;
-        self.coordinator_stall += other.coordinator_stall;
-        self.channel_messages += other.channel_messages;
-        self.channel_backlog_max = self.channel_backlog_max.max(other.channel_backlog_max);
-        self.latency_sum += other.latency_sum;
-        self.latency_max = self.latency_max.max(other.latency_max);
-        self.latency_count += other.latency_count;
-        if !other.latency_hist.is_empty() {
-            if self.latency_hist.is_empty() {
-                self.latency_hist = vec![0; LATENCY_BUCKETS];
-            }
-            for (mine, theirs) in self.latency_hist.iter_mut().zip(&other.latency_hist) {
-                *mine += theirs;
-            }
-        }
-        merge_counts(&mut self.shard_answers, &other.shard_answers);
-        merge_counts(&mut self.shard_completed, &other.shard_completed);
-        if self.shard_sweep_time.len() < other.shard_sweep_time.len() {
-            self.shard_sweep_time
-                .resize(other.shard_sweep_time.len(), Duration::ZERO);
-        }
-        for (mine, theirs) in self
-            .shard_sweep_time
-            .iter_mut()
-            .zip(&other.shard_sweep_time)
-        {
-            *mine += *theirs;
         }
     }
 
@@ -202,12 +114,6 @@ impl ServiceMetrics {
     /// Sessions completed per shard.
     pub fn shard_completed(&self) -> &[u64] {
         &self.shard_completed
-    }
-
-    /// Cumulative sweep wall time per shard (all zero outside the
-    /// threaded topology, where sweeps have no per-shard boundary).
-    pub fn shard_sweep_time(&self) -> &[Duration] {
-        &self.shard_sweep_time
     }
 
     /// Load skew across shards: busiest shard's delivered answers over
@@ -306,14 +212,12 @@ impl ServiceMetrics {
         format!(
             "sessions: {} submitted, {} completed, {} failed, {} starved | \
              rounds: {} ({} worker threads, {} shards, imbalance {:.2}) | \
-             answers: {} served ({} live, {} cached, {:.1}% hit rate) | \
+             answers: {} served ({} live, {} cached, {:.1}% hit rate, {} invalid) | \
              routing: {} expert, {} cheap | \
              precision: {} worlds drawn, {} certain early stops | \
-             events: {} drained, {} budget units granted | \
              throughput: {:.0} answers/s, {:.1} sessions/s | \
              latency avg {:?} p50 {:?} p95 {:?} p99 {:?} max {:?} | \
-             purchase {:?} of {:?} serving | \
-             barrier: stall {:?}, {} messages, backlog {}, busiest sweep {:?}",
+             purchase {:?} of {:?} serving",
             self.submitted,
             self.completed,
             self.failed,
@@ -326,12 +230,11 @@ impl ServiceMetrics {
             self.crowd_questions,
             self.cache_hits,
             100.0 * self.cache_hit_rate(),
+            self.invalid_answers,
             self.routed_expert,
             self.routed_cheap,
             self.worlds_drawn,
             self.certain_early_stops,
-            self.events_processed,
-            self.budget_granted,
             self.answers_per_sec(),
             self.sessions_per_sec(),
             self.avg_latency().unwrap_or_default(),
@@ -341,14 +244,6 @@ impl ServiceMetrics {
             self.max_latency().unwrap_or_default(),
             self.purchase_time,
             self.serving_time,
-            self.coordinator_stall,
-            self.channel_messages,
-            self.channel_backlog_max,
-            self.shard_sweep_time
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or_default(),
         )
     }
 }
@@ -429,60 +324,6 @@ mod tests {
         m.record_shard_answers(99, 1);
         m.record_shard_completed(99);
         assert_eq!(m.shard_completed(), &[0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn merge_adds_counters_and_respects_maxima() {
-        let mut a = ServiceMetrics {
-            completed: 2,
-            answers_served: 10,
-            cache_hits: 3,
-            channel_messages: 5,
-            channel_backlog_max: 4,
-            serving_time: Duration::from_millis(10),
-            ..ServiceMetrics::default()
-        };
-        a.init_shards(2);
-        a.record_shard_answers(0, 7);
-        a.record_latency(Duration::from_millis(2));
-        a.record_shard_sweep(1, Duration::from_millis(5));
-        let mut b = ServiceMetrics {
-            completed: 1,
-            answers_served: 4,
-            channel_backlog_max: 2,
-            ..ServiceMetrics::default()
-        };
-        b.init_shards(2);
-        b.record_shard_answers(1, 4);
-        b.record_latency(Duration::from_millis(8));
-        b.record_shard_sweep(1, Duration::from_millis(1));
-        a.merge(&b);
-        assert_eq!(a.completed, 3);
-        assert_eq!(a.answers_served, 14);
-        assert_eq!(a.cache_hits, 3);
-        assert_eq!(a.channel_messages, 5);
-        assert_eq!(a.channel_backlog_max, 4, "backlog merges by max");
-        assert_eq!(a.shard_answers(), &[7, 4]);
-        assert_eq!(
-            a.shard_sweep_time(),
-            &[Duration::ZERO, Duration::from_millis(6)]
-        );
-        assert_eq!(a.max_latency(), Some(Duration::from_millis(8)));
-        assert_eq!(a.avg_latency(), Some(Duration::from_millis(5)));
-        // Percentiles see both recordings after the histogram merge.
-        assert!(a.latency_p99().unwrap() >= Duration::from_millis(8));
-    }
-
-    #[test]
-    fn merge_into_default_adopts_the_other_side() {
-        let mut base = ServiceMetrics::default();
-        let mut delta = ServiceMetrics::default();
-        delta.init_shards(3);
-        delta.record_shard_answers(2, 9);
-        delta.record_latency(Duration::from_millis(1));
-        base.merge(&delta);
-        assert_eq!(base.shard_answers(), &[0, 0, 9]);
-        assert_eq!(base.latency_p50(), delta.latency_p50());
     }
 
     #[test]

@@ -38,10 +38,12 @@ pub enum SessionState {
     /// Questions are on the wire; the session waits for crowd answers
     /// (transient within one service round).
     AwaitingAnswers,
-    /// Event mode only: the session has unresolved questions its shard
-    /// holds no budget grant for — parked until the reconciler issues a
-    /// [`crate::shard::Event::BudgetGranted`] or the service force-starves
-    /// it at quiescence. Blocked on external input, not on computation.
+    /// The crowd reported no budget left before one of the session's
+    /// live asks: it keeps its served prefix and its unresolved tail, and
+    /// every round's resume phase retries it — finishing the batch if the
+    /// crowd was topped up, or staying parked. Named by
+    /// [`crate::Quiescence::BlockedOnCrowd`]; `run_to_completion`
+    /// force-starves it. Blocked on external input, not on computation.
     AwaitingBudget,
     /// Finished; the report is available.
     Done,
@@ -104,31 +106,26 @@ pub(crate) struct SessionEntry {
     pub(crate) error: Option<CoreError>,
     pub(crate) submitted_at: Instant,
     pub(crate) latency: Option<Duration>,
-    /// Event mode: hinted questions of the current batch not yet resolved
-    /// (front = next to serve). Non-empty only while `AwaitingAnswers`
-    /// (mid-resolve) or `AwaitingBudget` (parked on a grant).
+    /// Hinted questions of the current batch not yet resolved (front =
+    /// next to serve). Non-empty only mid-purchase or while
+    /// `AwaitingBudget`.
     pub(crate) pending: VecDeque<(Question, RouteHint)>,
-    /// Event mode: answers resolved so far for the current batch, in
-    /// request order — the session's mailbox, delivered on
-    /// [`crate::shard::Event::AnswersReady`].
+    /// Answers resolved so far for the current batch, in request order —
+    /// the session's mailbox, emptied by the feed phase.
     pub(crate) served: Vec<ServedAnswer>,
-    /// Event mode: how many questions the current batch posed.
+    /// How many questions the current batch posed.
     pub(crate) requested: usize,
-    /// Event mode: how many of `served` came from the cache.
-    pub(crate) batch_hits: usize,
 }
 
 impl SessionEntry {
-    /// Arms the entry for one event-mode batch: the hinted questions
-    /// become the pending queue, the mailbox empties, and the session
-    /// moves to `AwaitingAnswers` (shared by the in-place sweep and the
-    /// threaded workers, so both arm identically).
+    /// Arms the entry for one batch: the hinted questions become the
+    /// pending queue, the mailbox empties, and the session moves to
+    /// `AwaitingAnswers`.
     pub(crate) fn begin_batch(&mut self, hinted: Vec<(Question, RouteHint)>) {
         self.state = SessionState::AwaitingAnswers;
         self.requested = hinted.len();
-        self.pending = hinted.into_iter().collect();
+        self.pending = VecDeque::from(hinted);
         self.served.clear();
-        self.batch_hits = 0;
     }
 }
 
@@ -171,7 +168,6 @@ impl Registry {
             pending: VecDeque::new(),
             served: Vec::new(),
             requested: 0,
-            batch_hits: 0,
         });
     }
 
@@ -247,25 +243,6 @@ impl Registry {
                 )
             })
             .count()
-    }
-
-    /// Sessions parked on a budget grant (event mode), in id order.
-    pub(crate) fn parked(&self) -> Vec<SessionId> {
-        self.entries
-            .iter()
-            .filter(|e| e.state == SessionState::AwaitingBudget)
-            .map(|e| e.id)
-            .collect()
-    }
-
-    /// Unresolved questions across parked sessions — the shard's budget
-    /// demand the reconciler grants against.
-    pub(crate) fn parked_demand(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.state == SessionState::AwaitingBudget)
-            .map(|e| e.pending.len())
-            .sum()
     }
 
     /// Lifecycle state of a session.

@@ -1,57 +1,44 @@
 //! The serving loop: multiplexes many [`SessionDriver`]s over one shared
-//! crowd backend, in one of two run modes over a shard-owned core
-//! (DESIGN.md §14).
+//! crowd backend through one phase-structured round,
+//! [`TopKService::tick`] (DESIGN.md §14).
 //!
 //! Sessions are strided across [`Shard`]s by id; each shard owns its
-//! registry, scheduler queues, budget-grant ledger and an event
-//! ready-queue end to end. The answer cache shards separately, by
-//! question hash, because an answer is a fact about a pair of objects,
-//! not about the session that asked.
+//! registry, scheduler queues and list of parked sessions. The answer
+//! cache shards separately, by question hash, because an answer is a
+//! fact about a pair of objects, not about the session that asked. The
+//! crowd and the cache are the only state that needs global arbitration,
+//! and only the sequential purchase phase touches them.
 //!
-//! **Tick mode** ([`RunMode::Tick`], the default) preserves the classic
-//! barrier round bit-exactly: the **gather** phase (sharded across
-//! `std::thread::scope` worker chunks) asks every scheduled driver for
-//! its next question batch; the **purchase** phase (sequential, single
-//! crowd) funnels the merged demand through the cache-first batcher so
-//! budget accounting and cache semantics are identical to the
-//! single-threaded loop; the **feed** phase (sharded again) applies the
-//! answers to each session's belief. At one shard this *is* the
-//! pre-refactor loop — pinned by the `many_tenants` suite.
+//! One round runs five phases:
 //!
-//! **Event mode** ([`RunMode::Event`]) replaces the barrier with
-//! [`TopKService::pump`] sweeps that drain each shard's typed ready-queue
-//! ([`Event`]): sessions resolve their batches independently, spend crowd
-//! budget only through grants the reconciler issues against parked
-//! demand, and a sweep that neither schedules, drains, nor grants is
-//! decisively *not* progress — which is how
-//! [`TopKService::run_until_quiescent`] tells "blocked on the crowd"
-//! ([`Quiescence::BlockedOnCrowd`]) apart from a livelock.
-//!
-//! **Threaded event mode** ([`RunMode::EventThreaded`], DESIGN.md §15)
-//! runs the same event sweeps with each shard owned end to end by a
-//! dedicated worker thread, the calling thread coordinating the two
-//! global phases — the cache-first purchase merge and the grant
-//! reconciler — over `mpsc` channels at an explicit shard-order barrier
-//! (see the `topology` module). Reports are `same_outcome` with
-//! single-threaded event mode at every (shards, threads) combination,
-//! because both modes drive one shared purchase-loop implementation
-//! through the identical global operation order.
+//! 1. **resume** — take every shard's parked list: sessions that met an
+//!    empty crowd in an earlier round retry their unresolved tail;
+//! 2. **plan** — each shard's scheduler picks from its runnable list;
+//! 3. **gather** (parallel over `std::thread::scope` worker chunks) —
+//!    every planned driver emits its next question batch;
+//! 4. **purchase** (sequential) — one walk in shard-major order, resumed
+//!    sessions first and planned ones second, through the single
+//!    cache-first purchase loop ([`crate::batcher::resolve_pending`]). A
+//!    cache miss on a crowd with no budget left parks the session
+//!    `AwaitingBudget`; a refused or invalid answer cuts its batch;
+//! 5. **feed** (parallel) — each resolved session's mailbox goes to its
+//!    driver.
 //!
 //! Drivers are independent state machines (`SessionDriver: Send`,
 //! disjoint `&mut` borrows via the shard-aware registry); every
 //! cross-session effect — scheduling order, crowd spending, cache
 //! population, metrics — happens sequentially in shard-index order, so
 //! per-tenant reports are deterministic at any worker thread count and
-//! any fixed shard count.
+//! any fixed shard count. [`TopKService::run_until_quiescent`] ticks
+//! while rounds make progress, then tells "blocked on the crowd"
+//! ([`Quiescence::BlockedOnCrowd`]) apart from done.
 
-use crate::batcher::{
-    resolve_pending, resolve_round_routed, Disposition, SessionAnswers, ShardedAnswerCache,
-};
+use crate::batcher::{resolve_pending, Disposition, ShardedAnswerCache};
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
 use crate::registry::{Registry, SessionEntry, SessionId, SessionSpec, SessionState};
 use crate::scheduler::Scheduler;
-use crate::shard::{Event, Quiescence, Shard, ShardLedger};
+use crate::shard::{Quiescence, Shard};
 use ctk_core::driver::{DriverStatus, SessionDriver};
 use ctk_core::session::UrReport;
 use ctk_core::{CoreError, Result};
@@ -64,28 +51,7 @@ use ctk_tpo::build::Engine;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How the service advances its sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunMode {
-    /// Classic barrier rounds: every [`TopKService::tick`] plans,
-    /// gathers, purchases and feeds in lock-step. At one shard this is
-    /// the pre-shard loop, preserved bit-exactly.
-    #[default]
-    Tick,
-    /// Event-driven sweeps: [`TopKService::pump`] drains each shard's
-    /// ready-queue and resolves sessions independently, spending crowd
-    /// budget only through reconciled grants. Blocked-on-crowd is
-    /// distinguishable from idle (see [`Quiescence`]).
-    Event,
-    /// Event sweeps on the threaded topology: one worker thread per
-    /// shard, the calling thread coordinating purchases and grants at a
-    /// shard-order barrier (DESIGN.md §15). Per-tenant reports are
-    /// `same_outcome` with [`RunMode::Event`] at any (shards, threads)
-    /// combination; the threads only buy wall clock.
-    EventThreaded,
-}
-
-/// What one scheduling round (tick) or sweep (pump) did.
+/// What one scheduling round did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundOutcome {
     /// Sessions the scheduler picked.
@@ -96,34 +62,15 @@ pub struct RoundOutcome {
     pub cache_hits: u64,
     /// Sessions that reached `Done` or `Failed`.
     pub finished: usize,
-    /// Events drained from shard ready-queues (lifecycle markers, answer
-    /// deliveries, budget grants being consumed).
-    pub events: u64,
-    /// Budget-grant units the reconciler issued this sweep (event mode).
-    pub budget_granted: u64,
 }
 
 impl RoundOutcome {
-    /// True when the round moved any session forward — or issued a grant
-    /// that will. A sweep that neither schedules, drains, finishes, nor
-    /// grants cannot unblock anything by being repeated.
+    /// True when the round moved any session forward. A round that
+    /// neither schedules, delivers nor finishes — every runnable session
+    /// done, every parked one still facing an empty crowd — cannot
+    /// unblock anything by being repeated.
     pub fn progressed(&self) -> bool {
-        self.scheduled > 0
-            || self.finished > 0
-            || self.answers_served > 0
-            || self.events > 0
-            || self.budget_granted > 0
-    }
-
-    /// Folds a sub-outcome in (the threaded coordinator merges worker
-    /// sweep outcomes in shard order).
-    pub(crate) fn merge(&mut self, other: &RoundOutcome) {
-        self.scheduled += other.scheduled;
-        self.answers_served += other.answers_served;
-        self.cache_hits += other.cache_hits;
-        self.finished += other.finished;
-        self.events += other.events;
-        self.budget_granted += other.budget_granted;
+        self.scheduled > 0 || self.finished > 0 || self.answers_served > 0
     }
 }
 
@@ -245,15 +192,8 @@ pub struct TopKService<C: Crowd> {
     crowd: C,
     cache: ShardedAnswerCache,
     shards: Vec<Shard>,
-    /// Per-shard budget-grant ledgers, indexed like `shards`. Kept beside
-    /// the crowd (not inside [`Shard`]) because grants are coordinator
-    /// state: in the threaded topology the workers own the shards while
-    /// the coordinator owns crowd + cache + ledgers, and every spend goes
-    /// through the sequential purchase path.
-    ledgers: Vec<ShardLedger>,
     /// Global id counter; ids stride across shards (`shard = id mod n`).
     next_id: u64,
-    run_mode: RunMode,
     metrics: ServiceMetrics,
     /// Worker threads the gather/feed phases shard over (>= 1; 1 runs the
     /// classic sequential loop, any value produces bit-identical reports).
@@ -280,8 +220,8 @@ pub struct TopKService<C: Crowd> {
 }
 
 impl<C: Crowd> TopKService<C> {
-    /// A service over `crowd` with one shard, unbounded per-round fanout,
-    /// tick run mode, sharding round work over all available cores.
+    /// A service over `crowd` with one shard and unbounded per-round
+    /// fanout, sharding round work over all available cores.
     pub fn new(crowd: C) -> Self {
         let threads = default_threads();
         let mut metrics = ServiceMetrics::default();
@@ -291,9 +231,7 @@ impl<C: Crowd> TopKService<C> {
             crowd,
             cache: ShardedAnswerCache::new(1),
             shards: vec![Shard::new(None)],
-            ledgers: vec![ShardLedger::default()],
             next_id: 0,
-            run_mode: RunMode::default(),
             metrics,
             threads,
             fanout: None,
@@ -305,7 +243,7 @@ impl<C: Crowd> TopKService<C> {
     /// Partitions the serving core into `shards` shards (builder style;
     /// clamped to >= 1). Sessions stride across shards by id, the answer
     /// cache partitions by question hash, and each shard gets its own
-    /// scheduler queues and budget ledger.
+    /// scheduler queues and parked list.
     ///
     /// # Errors
     ///
@@ -320,7 +258,6 @@ impl<C: Crowd> TopKService<C> {
         }
         let n = shards.max(1);
         self.shards = (0..n).map(|_| Shard::new(self.fanout)).collect();
-        self.ledgers = vec![ShardLedger::default(); n];
         self.cache = ShardedAnswerCache::new(n);
         self.metrics.init_shards(n);
         Ok(self)
@@ -333,14 +270,6 @@ impl<C: Crowd> TopKService<C> {
         for shard in &mut self.shards {
             shard.scheduler = Scheduler::with_fanout(fanout);
         }
-        self
-    }
-
-    /// Selects the run mode (builder style): barrier ticks or
-    /// event-driven sweeps. Both modes produce equal per-tenant reports
-    /// on reliable crowds with sufficient budget (pinned by tests).
-    pub fn with_run_mode(mut self, mode: RunMode) -> Self {
-        self.run_mode = mode;
         self
     }
 
@@ -366,17 +295,6 @@ impl<C: Crowd> TopKService<C> {
     /// Number of shards the serving core is partitioned into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The configured run mode.
-    pub fn run_mode(&self) -> RunMode {
-        self.run_mode
-    }
-
-    /// Budget-grant ledger of one shard (observability): lifetime grants,
-    /// spends and reclaims, plus what is currently available.
-    pub fn shard_ledger(&self, shard: usize) -> Option<&ShardLedger> {
-        self.ledgers.get(shard)
     }
 
     /// Routes live questions by belief margin (builder style): questions
@@ -418,7 +336,6 @@ impl<C: Crowd> TopKService<C> {
         self.next_id += 1;
         let s = self.shard_of(id);
         self.shards[s].registry.insert(id, driver, spec.priority);
-        self.shards[s].ready.push_back(Event::Submitted(id));
         self.metrics.submitted += 1;
         Ok(id)
     }
@@ -493,52 +410,32 @@ impl<C: Crowd> TopKService<C> {
         (id.0 % self.shards.len() as u64) as usize
     }
 
-    /// Sessions not yet done or failed, across all shards.
-    fn active(&self) -> usize {
-        self.shards.iter().map(|sh| sh.registry.active()).sum()
-    }
-
-    /// Runs one barrier scheduling round. Returns what happened; a round
-    /// over an idle service is a no-op.
+    /// Runs one round: resume, plan, gather, purchase, feed (see the
+    /// module docs). Returns what happened; a round over an idle service
+    /// is a no-op.
     ///
-    /// The round is three phases: gather (sharded), purchase
-    /// (sequential), feed (sharded) — see the module docs. All lifecycle
-    /// transitions and metrics happen in the sequential merge steps, in
-    /// shard-major plan order, so the outcome is independent of the
-    /// thread count, and at one shard bit-identical to the pre-shard
-    /// loop.
+    /// All lifecycle transitions and metrics happen in the sequential
+    /// steps, in shard-major order, so the outcome is independent of the
+    /// thread count.
     pub fn tick(&mut self) -> RoundOutcome {
         // ctk-allow(det-wall-clock): round-duration metric only; never feeds a decision
         let t0 = Instant::now();
         let mut outcome = RoundOutcome::default();
-        for s in 0..self.shards.len() {
-            self.drain_ready(s, &mut outcome);
-        }
-        // Mixed-mode safety: sessions parked by event pumping resume here
-        // ungated (tick spends at purchase time, not through grants).
-        let parked: Vec<(usize, SessionId)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .flat_map(|(s, sh)| sh.registry.parked().into_iter().map(move |id| (s, id)))
-            .collect();
-        if !parked.is_empty() {
-            for (s, id) in parked {
-                self.resolve_session(s, id, false, &mut outcome);
-            }
-            for s in 0..self.shards.len() {
-                self.drain_ready(s, &mut outcome);
-            }
-        }
 
-        if self
+        // Resume: sessions parked on an empty crowd retry before anything
+        // new is planned, in shard order then id order.
+        let resumed: Vec<(usize, SessionId)> = self
             .shards
-            .iter()
-            .all(|sh| sh.registry.runnable().is_empty())
-        {
-            return outcome;
-        }
-        self.metrics.rounds += 1;
+            .iter_mut()
+            .enumerate()
+            .flat_map(|(s, sh)| {
+                let mut ids = std::mem::take(&mut sh.parked);
+                ids.sort_unstable();
+                ids.into_iter().map(move |id| (s, id))
+            })
+            .collect();
+
+        // Plan: each shard's runnable list, built once per round.
         let plans: Vec<Vec<SessionId>> = self
             .shards
             .iter_mut()
@@ -547,19 +444,17 @@ impl<C: Crowd> TopKService<C> {
                 sh.scheduler.plan_round(&runnable)
             })
             .collect();
-        let planned: Vec<(usize, SessionId)> = plans
-            .iter()
-            .enumerate()
-            .flat_map(|(s, plan)| plan.iter().map(move |&id| (s, id)))
-            .collect();
-        outcome.scheduled = planned.len();
+        outcome.scheduled = plans.iter().map(Vec::len).sum();
+        if outcome.scheduled == 0 && resumed.is_empty() {
+            return outcome;
+        }
 
-        // Gather phase (sharded): every scheduled driver computes its
-        // next batch. The allowance is the *session's* remaining budget
-        // only — the shared crowd's budget deliberately does not gate
-        // emission, because the answer cache can serve a question at zero
-        // crowd cost; only questions that actually need a live answer
-        // starve (per-question, in the batcher below).
+        // Gather phase (parallel): every planned driver computes its next
+        // batch. The allowance is the *session's* remaining budget only —
+        // the shared crowd's budget deliberately does not gate emission,
+        // because the answer cache can serve a question at zero crowd
+        // cost; only questions that actually need a live answer park or
+        // starve (per question, in the purchase loop).
         let gathered = {
             let mut entries: Vec<&mut SessionEntry> = self
                 .shards
@@ -575,16 +470,17 @@ impl<C: Crowd> TopKService<C> {
             })
         };
 
-        // Merge: per-shard question demand funnels into one request list
-        // in shard-major plan order; lifecycle transitions happen here,
-        // sequentially. When a router is configured, each question is
+        // Lifecycle transitions happen here, sequentially, in shard-major
+        // plan order. When a router is configured, each question is
         // tagged with the hint its session's *current* belief margin
-        // implies — computed here, before any of this round's answers
-        // move the belief.
+        // implies — before any of this round's answers move the belief.
         let router = self.router;
-        let mut requests: Vec<(SessionId, Vec<(Question, RouteHint)>)> =
-            Vec::with_capacity(planned.len());
-        for (&(s, id), batch) in planned.iter().zip(gathered) {
+        let mut batched: Vec<(usize, SessionId)> = Vec::with_capacity(outcome.scheduled);
+        let planned = plans
+            .iter()
+            .enumerate()
+            .flat_map(|(s, plan)| plan.iter().map(move |&id| (s, id)));
+        for ((s, id), batch) in planned.zip(gathered) {
             match batch {
                 Ok(batch) if batch.is_empty() => {
                     self.finalize(id);
@@ -595,8 +491,9 @@ impl<C: Crowd> TopKService<C> {
                         .registry
                         .get_mut(id)
                         .expect("scheduled id exists"); // ctk-allow(panic-unwrap): plan ids come from this shard's registry this round
-                    entry.state = SessionState::AwaitingAnswers;
-                    requests.push((id, hint_batch(router.as_ref(), entry, batch)));
+                    let hinted = hint_batch(router.as_ref(), entry, batch);
+                    entry.begin_batch(hinted);
+                    batched.push((s, id));
                 }
                 Err(err) => {
                     self.fail(id, err);
@@ -605,144 +502,91 @@ impl<C: Crowd> TopKService<C> {
             }
         }
 
-        // Purchase phase (sequential): resolve the cross-session batch
-        // cache-first, crowd-second. The single crowd walk in plan order
-        // keeps budget accounting and cache population identical to the
-        // sequential loop regardless of how the other phases shard.
+        // Purchase phase (sequential): one crowd walk, resumed sessions
+        // first, keeps budget accounting and cache population independent
+        // of how the other phases are spread over threads and shards.
         // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
         let p0 = Instant::now();
-        let (served, stats) = resolve_round_routed(&requests, &mut self.crowd, &mut self.cache);
-        self.metrics.purchase_time += p0.elapsed();
-        for sa in &served {
-            let s = self.shard_of(sa.id);
-            let live = sa.answers.iter().filter(|a| !a.cached).count() as u64;
-            self.ledgers[s].note_spend(live);
-            self.metrics
-                .record_shard_answers(s, sa.answers.len() as u64);
-        }
-
-        // Feed phase (sharded): apply each session's answers, each with
-        // the accuracy it was actually bought at (a cached answer keeps
-        // its purchase-time accuracy even if the backend's policy drifted
-        // since). Ledger votes count *live* crowd interactions; cache
-        // hits consume session budget but no crowd budget.
-        let fed = {
-            let mut by_shard: Vec<Vec<SessionId>> = vec![Vec::new(); self.shards.len()];
-            for sa in &served {
-                by_shard[self.shard_of(sa.id)].push(sa.id);
+        let hits_before = self.metrics.cache_hits;
+        let mut to_feed: Vec<Vec<SessionId>> = vec![Vec::new(); self.shards.len()];
+        for (s, id) in resumed.into_iter().chain(batched) {
+            let Self {
+                crowd,
+                cache,
+                shards,
+                metrics,
+                ..
+            } = self;
+            let shard = &mut shards[s];
+            // ctk-allow(panic-unwrap): purchase ids come from this shard's plan or parked list
+            let entry = shard.registry.get_mut(id).expect("purchased id exists");
+            match resolve_pending(&mut entry.pending, &mut entry.served, cache, crowd, metrics) {
+                Disposition::Parked => {
+                    entry.state = SessionState::AwaitingBudget;
+                    shard.parked.push(id);
+                }
+                Disposition::Resolved | Disposition::Starved => {
+                    entry.state = SessionState::AwaitingAnswers;
+                    to_feed[s].push(id);
+                }
             }
-            // `served` is in shard-major plan order, so the per-shard
-            // concatenation below aligns positionally with it.
-            let entries: Vec<&mut SessionEntry> = self
+        }
+        outcome.cache_hits = self.metrics.cache_hits - hits_before;
+        self.metrics.purchase_time += p0.elapsed();
+
+        // Feed phase (parallel): apply each session's mailbox, each answer
+        // with the accuracy it was actually bought at (a cached answer
+        // keeps its purchase-time accuracy even if the backend's policy
+        // drifted since). Ledger votes count *live* crowd interactions;
+        // cache hits consume session budget but no crowd budget.
+        let fed = {
+            let mut entries: Vec<&mut SessionEntry> = self
                 .shards
                 .iter_mut()
-                .zip(&by_shard)
+                .zip(&to_feed)
                 .flat_map(|(sh, ids)| sh.registry.entries_mut_in_order(ids))
                 .collect();
-            let mut work: Vec<(&mut SessionEntry, &SessionAnswers)> =
-                entries.into_iter().zip(served.iter()).collect();
-            run_sharded(&mut work, self.threads, |(entry, sa)| {
-                for ans in &sa.answers {
+            run_sharded(&mut entries, self.threads, |entry| {
+                let served = std::mem::take(&mut entry.served);
+                for ans in &served {
                     entry.ledger.record(ans.answer, usize::from(!ans.cached));
                 }
-                let graded: Vec<_> = sa.answers.iter().map(|a| (a.answer, a.accuracy)).collect();
+                let graded: Vec<_> = served.iter().map(|a| (a.answer, a.accuracy)).collect();
                 // ctk-allow(panic-unwrap): awaiting entries always hold a driver; loud failure beats misattribution
                 let driver = entry.driver.as_mut().expect("awaiting session has driver");
-                driver.feed_graded(&graded)
+                (served.len(), entry.requested, driver.feed_graded(&graded))
             })
         };
-        for (sa, status) in served.iter().zip(fed) {
-            if sa.starved() {
+        let fed_ids = to_feed
+            .iter()
+            .enumerate()
+            .flat_map(|(s, ids)| ids.iter().map(move |&id| (s, id)));
+        for ((s, id), (served, requested, status)) in fed_ids.zip(fed) {
+            self.metrics.answers_served += served as u64;
+            self.metrics.record_shard_answers(s, served as u64);
+            outcome.answers_served += served as u64;
+            if served < requested {
                 self.metrics.starved += 1;
             }
             match status {
                 Ok(DriverStatus::Done) => {
-                    self.finalize(sa.id);
+                    self.finalize(id);
                     outcome.finished += 1;
                 }
                 Ok(DriverStatus::Active) => {
-                    let s = self.shard_of(sa.id);
                     self.shards[s]
                         .registry
-                        .get_mut(sa.id)
-                        .expect("served id exists") // ctk-allow(panic-unwrap): served ids come from this round's plan
+                        .get_mut(id)
+                        .expect("fed id exists") // ctk-allow(panic-unwrap): fed ids come from this round's purchase walk
                         .state = SessionState::Queued;
                 }
                 Err(err) => {
-                    self.fail(sa.id, err);
+                    self.fail(id, err);
                     outcome.finished += 1;
                 }
             }
         }
 
-        outcome.answers_served += stats.answers_served;
-        outcome.cache_hits += stats.cache_hits;
-        self.metrics.answers_served += stats.answers_served;
-        self.metrics.crowd_questions += stats.crowd_questions;
-        self.metrics.cache_hits += stats.cache_hits;
-        self.metrics.routed_expert += stats.routed_expert;
-        self.metrics.routed_cheap += stats.routed_cheap;
-        self.metrics.serving_time += t0.elapsed();
-        outcome
-    }
-
-    /// Runs one event-driven sweep: per shard in index order, drain the
-    /// ready-queue, schedule and gather runnable sessions, resolve each
-    /// batch against cache and grants, drain again so same-sweep
-    /// deliveries complete, then reconcile budget grants against parked
-    /// demand. Deterministic at any fixed shard count. (Calling this
-    /// directly on an [`RunMode::EventThreaded`] service runs the
-    /// identical sweep in place — manual pumping is single-threaded; the
-    /// worker topology exists only inside
-    /// [`TopKService::run_until_quiescent`], and produces the same
-    /// reports.)
-    pub fn pump(&mut self) -> RoundOutcome {
-        // ctk-allow(det-wall-clock): sweep-duration metric only; never feeds a decision
-        let t0 = Instant::now();
-        let mut outcome = RoundOutcome::default();
-        let router = self.router;
-        for s in 0..self.shards.len() {
-            self.drain_ready(s, &mut outcome);
-            let plan = {
-                let sh = &mut self.shards[s];
-                let runnable = sh.registry.runnable();
-                sh.scheduler.plan_round(&runnable)
-            };
-            outcome.scheduled += plan.len();
-            let gathered = {
-                let sh = &mut self.shards[s];
-                let mut entries = sh.registry.entries_mut_in_order(&plan);
-                run_sharded(&mut entries, self.threads, |entry| {
-                    let allowance = entry.ledger.remaining();
-                    // ctk-allow(panic-unwrap): queued entries always hold a driver; a silent skip would misattribute answers
-                    let driver = entry.driver.as_mut().expect("queued session has driver");
-                    driver.next_batch(allowance)
-                })
-            };
-            for (id, batch) in plan.iter().copied().zip(gathered) {
-                match batch {
-                    Ok(batch) if batch.is_empty() => {
-                        self.finalize(id);
-                        outcome.finished += 1;
-                    }
-                    Ok(batch) => {
-                        let entry = self.shards[s]
-                            .registry
-                            .get_mut(id)
-                            .expect("scheduled id exists"); // ctk-allow(panic-unwrap): plan ids come from this shard's registry this sweep
-                        let hinted = hint_batch(router.as_ref(), entry, batch);
-                        entry.begin_batch(hinted);
-                        self.resolve_session(s, id, true, &mut outcome);
-                    }
-                    Err(err) => {
-                        self.fail(id, err);
-                        outcome.finished += 1;
-                    }
-                }
-            }
-            self.drain_ready(s, &mut outcome);
-        }
-        self.reconcile_budget(&mut outcome);
         if outcome.progressed() {
             self.metrics.rounds += 1;
         }
@@ -750,184 +594,37 @@ impl<C: Crowd> TopKService<C> {
         outcome
     }
 
-    /// Drains one shard's ready-queue: delivers resolved batches, resumes
-    /// granted sessions, and counts lifecycle markers. Events pushed
-    /// while draining (e.g. `AnswersReady` from a resumed session) are
-    /// drained in the same call.
-    fn drain_ready(&mut self, s: usize, outcome: &mut RoundOutcome) {
-        while let Some(event) = self.shards[s].ready.pop_front() {
-            self.metrics.events_processed += 1;
-            outcome.events += 1;
-            match event {
-                Event::Submitted(_) | Event::Finished(_) => {}
-                Event::AnswersReady(id) => self.deliver(s, id, outcome),
-                Event::BudgetGranted { .. } => {
-                    // Resume every parked session in id order; those the
-                    // grant cannot reach serve their cache hits and park
-                    // again.
-                    for id in self.shards[s].registry.parked() {
-                        self.resolve_session(s, id, true, outcome);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resolves a session's pending questions cache-first, crowd-second,
-    /// through the shared purchase loop
-    /// ([`crate::batcher::resolve_pending`] — the same implementation the
-    /// threaded coordinator drives). Gated (event mode), a cache miss
-    /// with no grant available parks the session `AwaitingBudget`;
-    /// ungated (tick-style), live asks spend crowd budget directly. A
-    /// crowd that cannot answer decisively starves the batch (prefix-cut,
-    /// exactly the tick batcher's semantics). A fully resolved or starved
-    /// batch posts [`Event::AnswersReady`].
-    fn resolve_session(
-        &mut self,
-        s: usize,
-        id: SessionId,
-        gated: bool,
-        outcome: &mut RoundOutcome,
-    ) {
-        // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
-        let p0 = Instant::now();
-        let Self {
-            crowd,
-            cache,
-            shards,
-            ledgers,
-            metrics,
-            ..
-        } = self;
-        let Shard {
-            registry, ready, ..
-        } = &mut shards[s];
-        // ctk-allow(panic-unwrap): resolve targets come from this shard's registry
-        let entry = registry.get_mut(id).expect("resolved id exists");
-        let resolution = resolve_pending(
-            &mut entry.pending,
-            gated,
-            &mut ledgers[s],
-            cache,
-            crowd,
-            metrics,
-        );
-        outcome.cache_hits += resolution.cache_hits;
-        entry.batch_hits += resolution.cache_hits as usize;
-        entry.served.extend(resolution.served);
-        match resolution.disposition {
-            Disposition::Parked => {
-                // No grant to spend: park and let the reconciler decide.
-                entry.state = SessionState::AwaitingBudget;
-            }
-            Disposition::Resolved | Disposition::Starved => {
-                entry.state = SessionState::AwaitingAnswers;
-                ready.push_back(Event::AnswersReady(id));
-            }
-        }
-        metrics.purchase_time += p0.elapsed();
-    }
-
-    /// Delivers a resolved batch from the session's mailbox to its
-    /// driver, then advances the lifecycle (requeue, finalize or fail).
-    /// Delegates to the shard-local [`Shard::deliver`] the threaded
-    /// workers share.
-    fn deliver(&mut self, s: usize, id: SessionId, outcome: &mut RoundOutcome) {
-        self.shards[s].deliver(s, id, &mut self.metrics, outcome);
-    }
-
-    /// Reconciles budget grants against parked demand: reclaim every
-    /// shard's unspent grant, then re-grant from the crowd's *current*
-    /// remaining budget in shard order. The reclaim-first discipline
-    /// keeps the sum of outstanding grants within what the crowd can
-    /// serve; issuing zero grants is not progress, which is what lets
-    /// quiescence detection distinguish blocked-on-crowd from livelock.
-    fn reconcile_budget(&mut self, outcome: &mut RoundOutcome) {
-        for ledger in &mut self.ledgers {
-            ledger.reclaim();
-        }
-        let mut pool = self.crowd.remaining();
-        for (shard, ledger) in self.shards.iter_mut().zip(&mut self.ledgers) {
-            if pool == 0 {
-                break;
-            }
-            let want = shard.registry.parked_demand();
-            let granted = want.min(pool);
-            if granted > 0 {
-                pool -= granted;
-                ledger.grant(granted);
-                shard.ready.push_back(Event::BudgetGranted { granted });
-                self.metrics.budget_granted += granted as u64;
-                outcome.budget_granted += granted as u64;
-            }
-        }
-    }
-
-    /// Runs rounds/sweeps until no further progress is possible by
-    /// computation alone. In tick mode this is completion (tick's
-    /// purchase phase starves sessions decisively, so nothing parks); in
-    /// event mode it is either completion ([`Quiescence::Idle`]) or a set
-    /// of sessions parked on crowd budget that does not exist
+    /// Ticks while rounds make progress. Stops either with every session
+    /// done or failed ([`Quiescence::Idle`]) or with a set of sessions
+    /// parked on crowd budget that does not exist
     /// ([`Quiescence::BlockedOnCrowd`]) — the caller decides whether to
-    /// wait for external budget or force-starve
+    /// top the crowd up and keep ticking, or force-starve
     /// ([`TopKService::run_to_completion`]).
     pub fn run_until_quiescent(&mut self) -> Quiescence {
-        match self.run_mode {
-            RunMode::Tick => {
-                while self.active() > 0 {
-                    if !self.tick().progressed() {
-                        break;
-                    }
-                }
-                Quiescence::Idle
-            }
-            RunMode::Event => {
-                while self.pump().progressed() {}
-                let sessions: Vec<SessionId> = self
-                    .shards
-                    .iter()
-                    .flat_map(|sh| sh.registry.parked())
-                    .collect();
-                if sessions.is_empty() {
-                    Quiescence::Idle
-                } else {
-                    Quiescence::BlockedOnCrowd { sessions }
-                }
-            }
-            RunMode::EventThreaded => {
-                let Self {
-                    crowd,
-                    cache,
-                    shards,
-                    ledgers,
-                    metrics,
-                    router,
-                    threads,
-                    ..
-                } = self;
-                crate::topology::run_threaded(
-                    crowd, cache, shards, ledgers, metrics, *router, *threads,
-                )
-            }
+        while self.tick().progressed() {}
+        let mut sessions = Vec::new();
+        for sh in &self.shards {
+            let start = sessions.len();
+            sessions.extend_from_slice(&sh.parked);
+            sessions[start..].sort_unstable();
+        }
+        if sessions.is_empty() {
+            Quiescence::Idle
+        } else {
+            Quiescence::BlockedOnCrowd { sessions }
         }
     }
 
-    /// Runs until every session is done or failed. When event-mode
-    /// quiescence reports sessions blocked on crowd budget, they are
-    /// force-starved: each parked session is delivered the prefix it did
-    /// resolve — exactly what tick mode's exhausted-crowd path does — so
+    /// Runs until every session is done or failed. Sessions still blocked
+    /// on crowd budget at quiescence are force-starved: each is delivered
+    /// the prefix it did resolve — exactly what a crowd refusal does — so
     /// its driver winds down and finishes. Returns the accumulated
     /// metrics.
     pub fn run_to_completion(&mut self) -> &ServiceMetrics {
-        loop {
-            match self.run_until_quiescent() {
-                Quiescence::Idle => break,
-                Quiescence::BlockedOnCrowd { sessions } => {
-                    for id in sessions {
-                        let s = self.shard_of(id);
-                        self.shards[s].force_starve(id);
-                    }
-                }
+        while let Quiescence::BlockedOnCrowd { sessions } = self.run_until_quiescent() {
+            for id in sessions {
+                let s = self.shard_of(id);
+                self.shards[s].force_starve(id);
             }
         }
         &self.metrics
@@ -984,7 +681,7 @@ impl<C: Crowd> TopKService<C> {
 /// Attaches a [`RouteHint`] to every question of a batch: the hint the
 /// session's *current* belief margin implies when a router is
 /// configured, [`RouteHint::Any`] otherwise.
-pub(crate) fn hint_batch(
+fn hint_batch(
     router: Option<&QuestionRouter>,
     entry: &SessionEntry,
     batch: Vec<Question>,
@@ -1023,7 +720,7 @@ const PARALLEL_SESSIONS_MIN: usize = 3;
 /// are reassembled by chunk order (= item order). The sequential path is
 /// the `threads == 1` special case of the same code shape, so any thread
 /// count computes the identical result vector.
-pub(crate) fn run_sharded<T: Send, R: Send>(
+fn run_sharded<T: Send, R: Send>(
     items: &mut [T],
     threads: usize,
     work: impl Fn(&mut T) -> R + Sync,
@@ -1332,13 +1029,10 @@ mod tests {
         assert_send::<TopKService<CrowdSimulator<PerfectWorker>>>();
     }
 
-    #[test]
-    fn reports_bit_identical_across_worker_threads() {
-        // The sharded round loop must be invisible in the results: the
-        // same mixed-tenant workload (bounded fanout, mixed priorities,
-        // every algorithm family) produces bit-identical per-tenant
-        // reports at 1, 2 and 4 worker threads.
-        let algorithms = [
+    /// One tenant per algorithm family, repeated so some tenants collide
+    /// on the answer cache.
+    fn mixed_algorithms() -> [Algorithm; 8] {
+        [
             Algorithm::T1On,
             Algorithm::TbOff,
             Algorithm::Random,
@@ -1349,7 +1043,16 @@ mod tests {
             Algorithm::Naive,
             Algorithm::T1On,
             Algorithm::TbOff,
-        ];
+        ]
+    }
+
+    #[test]
+    fn reports_bit_identical_across_worker_threads() {
+        // The sharded round loop must be invisible in the results: the
+        // same mixed-tenant workload (bounded fanout, mixed priorities,
+        // every algorithm family) produces bit-identical per-tenant
+        // reports at 1, 2 and 4 worker threads.
+        let algorithms = mixed_algorithms();
         let run = |threads: usize| {
             let mut svc = service(1000).with_fanout(3).with_threads(threads);
             let ids: Vec<_> = algorithms
@@ -1381,28 +1084,16 @@ mod tests {
 
     #[test]
     fn event_mode_matches_tick_mode_at_shard_counts() {
-        // The run mode and the shard count must both be invisible in the
-        // results: a mixed workload on a reliable, amply-budgeted crowd
-        // produces per-tenant reports equal to the classic single-shard
-        // tick loop in every (mode, shards) combination.
-        let algorithms = [
-            Algorithm::T1On,
-            Algorithm::TbOff,
-            Algorithm::Random,
-            Algorithm::COff,
-            Algorithm::Incr {
-                questions_per_round: 2,
-            },
-            Algorithm::Naive,
-            Algorithm::T1On,
-            Algorithm::TbOff,
-        ];
-        let run = |mode: RunMode, shards: usize, threads: usize| {
+        // The shard count must be invisible in the results: a mixed
+        // workload on a reliable, amply-budgeted crowd produces per-tenant
+        // reports equal to the single-shard, single-thread run at every
+        // (shards, threads) combination of the one run loop.
+        let algorithms = mixed_algorithms();
+        let run = |shards: usize, threads: usize| {
             let mut svc = service(1000)
                 .with_shards(shards)
                 .expect("configured before submit")
                 .with_fanout(3)
-                .with_run_mode(mode)
                 .with_threads(threads);
             let ids: Vec<_> = algorithms
                 .iter()
@@ -1419,26 +1110,14 @@ mod tests {
                 .map(|id| svc.report(id).unwrap().clone())
                 .collect::<Vec<_>>()
         };
-        let reference = run(RunMode::Tick, 1, 1);
+        let reference = run(1, 1);
         for shards in [1usize, 2, 4] {
-            for mode in [RunMode::Tick, RunMode::Event] {
-                let got = run(mode, shards, 1);
-                for (tenant, (a, b)) in reference.iter().zip(&got).enumerate() {
-                    assert!(
-                        a.same_outcome(b),
-                        "tenant {tenant} diverged in {mode:?} mode at {shards} shards"
-                    );
-                }
-            }
-            // The threaded topology must agree at every (shards, threads)
-            // combination — the tentpole's acceptance matrix.
             for threads in [1usize, 2, 4] {
-                let got = run(RunMode::EventThreaded, shards, threads);
+                let got = run(shards, threads);
                 for (tenant, (a, b)) in reference.iter().zip(&got).enumerate() {
                     assert!(
                         a.same_outcome(b),
-                        "tenant {tenant} diverged in threaded event mode at \
-                         {shards} shards / {threads} threads"
+                        "tenant {tenant} diverged at {shards} shards / {threads} threads"
                     );
                 }
             }
@@ -1447,16 +1126,12 @@ mod tests {
 
     #[test]
     fn starved_event_service_blocks_then_completes() {
-        // Event-mode counterpart of `starved_sessions_still_complete`,
-        // and the livelock regression: with the crowd able to afford 3 of
-        // the ~12 demanded questions, quiescence must report the parked
-        // sessions as blocked on the crowd — and pumping a blocked
-        // service must NOT count as progress (zero grants are not
-        // progress). run_to_completion then force-starves them to Done.
-        let mut svc = service(3)
-            .with_shards(2)
-            .expect("configured before submit")
-            .with_run_mode(RunMode::Event);
+        // The livelock regression: with the crowd able to afford 3 of the
+        // ~12 demanded questions, quiescence must report the parked
+        // sessions as blocked on the crowd — and ticking a blocked
+        // service must NOT count as progress. run_to_completion then
+        // force-starves them to Done.
+        let mut svc = service(3).with_shards(2).expect("configured before submit");
         let a = svc
             .submit(&table(), SessionSpec::new(config(Algorithm::T1On, 0)))
             .unwrap();
@@ -1472,8 +1147,8 @@ mod tests {
             }
             Quiescence::Idle => panic!("a starved crowd must block, not idle"),
         }
-        assert!(!svc.pump().progressed(), "blocked sweeps must not spin");
-        assert!(!svc.pump().progressed(), "…no matter how often pumped");
+        assert!(!svc.tick().progressed(), "blocked rounds must not spin");
+        assert!(!svc.tick().progressed(), "…no matter how often ticked");
         svc.run_to_completion();
         assert_eq!(svc.state(a), Some(SessionState::Done));
         assert_eq!(svc.state(b), Some(SessionState::Done));
@@ -1486,14 +1161,55 @@ mod tests {
     }
 
     #[test]
-    fn event_mode_lifecycle_grants_and_accounts_per_shard() {
-        // Every live question in event mode is bought through an explicit
-        // grant, and the per-shard ledgers must reconcile exactly with
-        // the global metrics.
+    fn threaded_starvation_blocks_the_same_sessions_as_event() {
+        // Crowd starvation across worker threads: the 2-thread run must
+        // diagnose BlockedOnCrowd with exactly the session set the
+        // 1-thread run reports, and force-starved completion must agree.
+        let run = |threads: usize| {
+            let mut svc = service(3)
+                .with_shards(2)
+                .expect("configured before submit")
+                .with_threads(threads);
+            let ids: Vec<_> = (0..4)
+                .map(|t| {
+                    svc.submit(&table(), SessionSpec::new(config(Algorithm::Random, t)))
+                        .unwrap()
+                })
+                .collect();
+            let blocked = match svc.run_until_quiescent() {
+                Quiescence::BlockedOnCrowd { mut sessions } => {
+                    sessions.sort_unstable();
+                    sessions
+                }
+                Quiescence::Idle => panic!("a starved crowd must block, not idle"),
+            };
+            svc.run_to_completion();
+            let reports: Vec<_> = ids.iter().map(|id| svc.report(*id).cloned()).collect();
+            (blocked, reports, svc.metrics().starved)
+        };
+        let (blocked_1, reports_1, starved_1) = run(1);
+        let (blocked_2, reports_2, starved_2) = run(2);
+        assert!(!blocked_1.is_empty(), "someone must be parked");
+        assert_eq!(blocked_1, blocked_2, "blocked session sets must agree");
+        assert_eq!(starved_1, starved_2);
+        for (tenant, (a, b)) in reports_1.iter().zip(&reports_2).enumerate() {
+            match (a, b) {
+                (Some(a), Some(b)) => assert!(
+                    a.same_outcome(b),
+                    "tenant {tenant} diverged between 1 and 2 worker threads"
+                ),
+                _ => panic!("tenant {tenant} missing a report"),
+            }
+        }
+    }
+
+    #[test]
+    fn per_shard_accounting_adds_up() {
+        // Per-shard attribution must reconcile exactly with the global
+        // metrics and with the crowd's own ledger.
         let mut svc = service(1000)
             .with_shards(4)
-            .expect("configured before submit")
-            .with_run_mode(RunMode::Event);
+            .expect("configured before submit");
         let ids: Vec<_> = (0..6)
             .map(|t| {
                 svc.submit(&table(), SessionSpec::new(config(Algorithm::T1On, t)))
@@ -1506,18 +1222,9 @@ mod tests {
         }
         let m = svc.metrics().clone();
         assert_eq!(m.completed, 6);
-        assert!(m.budget_granted > 0, "live asks require grants");
-        assert!(m.events_processed > 0);
-        let granted: u64 = (0..svc.shard_count())
-            .map(|s| svc.shard_ledger(s).unwrap().total_granted())
-            .sum();
-        let spent: u64 = (0..svc.shard_count())
-            .map(|s| svc.shard_ledger(s).unwrap().total_spent())
-            .sum();
-        assert_eq!(granted, m.budget_granted);
-        assert_eq!(spent, m.crowd_questions);
-        // Per-shard attribution adds up exactly, and sessions actually
-        // spread over more than one shard.
+        assert_eq!(m.crowd_questions, svc.crowd().ledger().asked() as u64);
+        assert_eq!(m.crowd_questions + m.cache_hits, m.answers_served);
+        // Sessions actually spread over more than one shard.
         assert_eq!(m.shard_answers().iter().sum::<u64>(), m.answers_served);
         assert_eq!(m.shard_completed().iter().sum::<u64>(), m.completed);
         assert!(m.shard_completed().iter().filter(|&&c| c > 0).count() > 1);
@@ -1533,8 +1240,7 @@ mod tests {
         // one-answer tenants spread over the rest.
         let mut svc = service(1000)
             .with_shards(4)
-            .expect("configured before submit")
-            .with_run_mode(RunMode::Event);
+            .expect("configured before submit");
         for t in 0..8u64 {
             let mut cfg = config(Algorithm::T1On, t);
             cfg.budget = if t % 4 == 0 { 6 } else { 1 };
@@ -1555,48 +1261,84 @@ mod tests {
         );
     }
 
-    #[test]
-    fn threaded_starvation_blocks_the_same_sessions_as_event() {
-        // Crowd starvation under the threaded topology: the coordinator's
-        // zero-grant reconcile must diagnose BlockedOnCrowd with exactly
-        // the session set the single-threaded event loop reports, and
-        // force-starved completion must agree too.
-        let run = |mode: RunMode| {
-            let mut svc = service(3)
-                .with_shards(2)
-                .expect("configured before submit")
-                .with_run_mode(mode)
-                .with_threads(2);
-            let ids: Vec<_> = (0..4)
-                .map(|t| {
-                    svc.submit(&table(), SessionSpec::new(config(Algorithm::Random, t)))
-                        .unwrap()
-                })
-                .collect();
-            let blocked = match svc.run_until_quiescent() {
-                Quiescence::BlockedOnCrowd { mut sessions } => {
-                    sessions.sort_unstable();
-                    sessions
-                }
-                Quiescence::Idle => panic!("a starved crowd must block, not idle"),
-            };
-            svc.run_to_completion();
-            let reports: Vec<_> = ids.iter().map(|id| svc.report(*id).cloned()).collect();
-            (blocked, reports, svc.metrics().starved)
-        };
-        let (blocked_e, reports_e, starved_e) = run(RunMode::Event);
-        let (blocked_t, reports_t, starved_t) = run(RunMode::EventThreaded);
-        assert!(!blocked_e.is_empty(), "someone must be parked");
-        assert_eq!(blocked_e, blocked_t, "blocked session sets must agree");
-        assert_eq!(starved_e, starved_t);
-        for (tenant, (a, b)) in reports_e.iter().zip(&reports_t).enumerate() {
-            match (a, b) {
-                (Some(a), Some(b)) => assert!(
-                    a.same_outcome(b),
-                    "tenant {tenant} diverged between event and threaded event"
-                ),
-                _ => panic!("tenant {tenant} missing a report"),
+    /// A crowd that lies about one pair: the first pair it is asked, and
+    /// every later ask of it, comes back with a NaN accuracy or as an
+    /// answer about a different pair. Every other ask is honest.
+    struct LyingCrowd {
+        inner: CrowdSimulator<PerfectWorker>,
+        wrong_pair: bool,
+        bad: Option<ctk_crowd::Question>,
+        lying: bool,
+    }
+
+    impl Crowd for LyingCrowd {
+        fn ask(&mut self, q: ctk_crowd::Question) -> Option<ctk_crowd::Answer> {
+            let bad = *self.bad.get_or_insert(q.canonical());
+            let ans = self.inner.ask(q)?;
+            self.lying = q.canonical() == bad;
+            if self.lying && self.wrong_pair {
+                let decoy = [(5, 6), (4, 6)]
+                    .map(|(i, j)| ctk_crowd::Question::new(i, j))
+                    .into_iter()
+                    .find(|d| d.canonical() != bad)
+                    .expect("two distinct decoys");
+                return Some(ctk_crowd::Answer {
+                    question: decoy,
+                    ..ans
+                });
             }
+            Some(ans)
+        }
+        fn remaining(&self) -> usize {
+            self.inner.remaining()
+        }
+        fn answer_accuracy(&self) -> f64 {
+            if self.lying && !self.wrong_pair {
+                f64::NAN
+            } else {
+                1.0
+            }
+        }
+        fn history(&self) -> &[ctk_crowd::Answer] {
+            self.inner.history()
+        }
+    }
+
+    #[test]
+    fn invalid_answers_are_neither_cached_nor_served() {
+        for wrong_pair in [false, true] {
+            let truth = GroundTruth::sample(&table(), 99);
+            let crowd = LyingCrowd {
+                inner: CrowdSimulator::new(truth, PerfectWorker, VotePolicy::Single, 1000)
+                    .expect("valid vote policy"),
+                wrong_pair,
+                bad: None,
+                lying: false,
+            };
+            // Fanout 1 serializes two identical tenants: the second asks
+            // the poisoned pair only after the first was refused it.
+            let mut svc = TopKService::new(crowd).with_fanout(1);
+            let cfg = config(Algorithm::TbOff, 1);
+            let a = svc.submit(&table(), SessionSpec::new(cfg.clone())).unwrap();
+            let b = svc.submit(&table(), SessionSpec::new(cfg)).unwrap();
+            svc.run_to_completion();
+            let bad = svc.crowd().bad.expect("the crowd was asked");
+            assert!(
+                svc.cache().clone().get(bad).is_none(),
+                "the poisoned pair must not be cached (wrong_pair = {wrong_pair})"
+            );
+            for id in [a, b] {
+                assert_eq!(svc.state(id), Some(SessionState::Done));
+                let report = svc.report(id).unwrap();
+                assert!(
+                    report.steps.iter().all(|st| st.question.canonical() != bad),
+                    "no tenant may be served the poisoned pair"
+                );
+            }
+            let m = svc.metrics();
+            assert_eq!(m.invalid_answers, 2, "each tenant asked it live once");
+            assert_eq!(m.starved, 2, "each invalid answer cut a batch");
+            assert!(m.summary().contains("2 invalid"));
         }
     }
 

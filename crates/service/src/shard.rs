@@ -1,132 +1,30 @@
 //! Shard-owned serving state: each shard owns its sessions end to end —
-//! registry, scheduler queues and an event ready-queue — so nothing a
-//! shard does to its own sessions contends with another shard
-//! (DESIGN.md §14). Under the threaded topology (§15) a whole [`Shard`]
-//! moves onto a dedicated worker thread.
+//! registry, scheduler queues and the list of sessions parked on crowd
+//! budget (DESIGN.md §14).
 //!
 //! Sessions are strided across shards by id (`shard = id mod shards`);
 //! the answer cache shards separately by question hash (see
 //! `ShardedAnswerCache`), because an answer is a fact about a pair of
-//! objects, not about the session that asked.
-//!
-//! Budget is reconciled, not shared: the crowd's remaining budget is the
-//! single source of truth, and shards spend it only through explicit
-//! [`ShardLedger`] grants issued by the service's reconciler in shard
-//! order. The ledgers live beside the crowd on the coordinator side (the
-//! service in the in-place modes, the coordinator thread in the threaded
-//! topology) — a shard never spends crowd budget except through the
-//! sequential purchase path. Every reconcile first reclaims all unspent
-//! grants and then re-grants against current demand, so the sum of
-//! outstanding grants never exceeds what the crowd can actually serve —
-//! and a zero-grant reconcile is *not* progress, which is what lets the
-//! event loop tell "blocked on the crowd" apart from livelock.
+//! objects, not about the session that asked. The crowd and the cache
+//! are the only cross-shard state, and only the service's sequential
+//! purchase phase touches them.
 
 use crate::metrics::ServiceMetrics;
 use crate::registry::{Registry, SessionId, SessionState};
 use crate::scheduler::Scheduler;
-use crate::service::RoundOutcome;
-use ctk_core::driver::DriverStatus;
 use ctk_core::CoreError;
-use std::collections::VecDeque;
-
-/// One unit of work the event loop drains from a shard's ready-queue.
-///
-/// Events are the only cross-phase signal in event mode: a slow session
-/// parks itself (leaving an event trail) instead of stalling a barrier
-/// everyone else waits on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A session was submitted to this shard (observability; the
-    /// scheduler picks it up from the registry's runnable set).
-    Submitted(SessionId),
-    /// A session's current batch is fully resolved (or decisively
-    /// starved): its mailbox holds the answers, ready to feed.
-    AnswersReady(SessionId),
-    /// The reconciler issued this shard budget to spend on live crowd
-    /// questions; parked sessions may resume.
-    BudgetGranted {
-        /// Grant units added to the shard's ledger (always > 0).
-        granted: usize,
-    },
-    /// A session reached `Done` or `Failed` (observability).
-    Finished(SessionId),
-}
-
-/// Per-shard budget grants: the admission-control layer between a shard's
-/// live crowd asks and the crowd's own budget.
-#[derive(Debug, Clone, Default)]
-pub struct ShardLedger {
-    /// Grant units currently available to spend.
-    available: usize,
-    /// Lifetime units granted by the reconciler.
-    total_granted: u64,
-    /// Lifetime live questions spent against grants (in tick mode, live
-    /// questions attributed to this shard's sessions — tick's sequential
-    /// purchase phase grants and spends in the same step).
-    total_spent: u64,
-    /// Lifetime units reclaimed unspent at reconcile time.
-    reclaimed: u64,
-}
-
-impl ShardLedger {
-    /// Grant units currently available.
-    pub fn available(&self) -> usize {
-        self.available
-    }
-
-    /// Lifetime units granted.
-    pub fn total_granted(&self) -> u64 {
-        self.total_granted
-    }
-
-    /// Lifetime live questions spent.
-    pub fn total_spent(&self) -> u64 {
-        self.total_spent
-    }
-
-    /// Lifetime units reclaimed unspent.
-    pub fn reclaimed(&self) -> u64 {
-        self.reclaimed
-    }
-
-    /// Adds `n` grant units (reconciler only).
-    pub(crate) fn grant(&mut self, n: usize) {
-        self.available += n;
-        self.total_granted += n as u64;
-    }
-
-    /// Spends one grant unit on a live crowd question.
-    pub(crate) fn spend_one(&mut self) {
-        debug_assert!(self.available > 0, "spend without a grant");
-        self.available = self.available.saturating_sub(1);
-        self.total_spent += 1;
-    }
-
-    /// Tick mode: account a live purchase made in the sequential phase
-    /// (grant-and-spend in one step, so `available` stays 0).
-    pub(crate) fn note_spend(&mut self, n: u64) {
-        self.total_granted += n;
-        self.total_spent += n;
-    }
-
-    /// Takes back every unspent unit; returns how many were reclaimed.
-    pub(crate) fn reclaim(&mut self) -> usize {
-        let unspent = self.available;
-        self.available = 0;
-        self.reclaimed += unspent as u64;
-        unspent
-    }
-}
 
 /// One shard of the serving core: the sessions it owns, their scheduler,
-/// and the event queue the run loop drains. Shards are processed in
-/// index order everywhere — in-place sweeps iterate them, the threaded
-/// coordinator serves their purchase requests — which is what makes the
-/// event loop deterministic at any fixed shard count.
+/// and the sessions parked `AwaitingBudget`. Shards are processed in
+/// index order in every sequential step, which is what makes the run
+/// loop deterministic at any fixed shard count.
 pub(crate) struct Shard {
     pub(crate) registry: Registry,
     pub(crate) scheduler: Scheduler,
-    pub(crate) ready: VecDeque<Event>,
+    /// Sessions parked on an empty crowd, retried by the next round's
+    /// resume phase (maintained by the run loop, never rescanned from
+    /// the registry).
+    pub(crate) parked: Vec<SessionId>,
 }
 
 impl Shard {
@@ -137,14 +35,13 @@ impl Shard {
                 Some(f) => Scheduler::with_fanout(f),
                 None => Scheduler::new(),
             },
-            ready: VecDeque::new(),
+            parked: Vec::new(),
         }
     }
 
     /// Finishes a `Done`/about-to-be-`Done` session: takes the driver,
     /// produces the report, and records completion metrics against shard
-    /// index `s`. Purely shard-local — shared by the in-place loops and
-    /// the per-shard worker threads.
+    /// index `s`.
     pub(crate) fn finalize_session(
         &mut self,
         s: usize,
@@ -171,10 +68,9 @@ impl Shard {
                 metrics.failed += 1;
             }
         }
-        self.ready.push_back(Event::Finished(id));
     }
 
-    /// Marks a session `Failed` with `err` (driver dropped). Shard-local.
+    /// Marks a session `Failed` with `err` (driver dropped).
     pub(crate) fn fail_session(
         &mut self,
         id: SessionId,
@@ -186,109 +82,28 @@ impl Shard {
         entry.error = Some(err);
         entry.state = SessionState::Failed;
         metrics.failed += 1;
-        self.ready.push_back(Event::Finished(id));
-    }
-
-    /// Delivers a resolved batch from the session's mailbox to its
-    /// driver, then advances the lifecycle (requeue, finalize or fail).
-    /// Purely shard-local: the answers were already bought through the
-    /// sequential purchase path.
-    pub(crate) fn deliver(
-        &mut self,
-        s: usize,
-        id: SessionId,
-        metrics: &mut ServiceMetrics,
-        outcome: &mut RoundOutcome,
-    ) {
-        let (served_n, requested, status) = {
-            let entry = self.registry.get_mut(id).expect("delivered id exists"); // ctk-allow(panic-unwrap): AnswersReady events name ids of this shard's registry
-            let served = std::mem::take(&mut entry.served);
-            let requested = std::mem::replace(&mut entry.requested, 0);
-            entry.pending.clear();
-            entry.batch_hits = 0;
-            for sa in &served {
-                entry.ledger.record(sa.answer, usize::from(!sa.cached));
-            }
-            let graded: Vec<_> = served.iter().map(|a| (a.answer, a.accuracy)).collect();
-            // ctk-allow(panic-unwrap): awaiting entries always hold a driver; loud failure beats misattribution
-            let driver = entry.driver.as_mut().expect("awaiting session has driver");
-            (served.len(), requested, driver.feed_graded(&graded))
-        };
-        metrics.answers_served += served_n as u64;
-        metrics.record_shard_answers(s, served_n as u64);
-        outcome.answers_served += served_n as u64;
-        if served_n < requested {
-            metrics.starved += 1;
-        }
-        match status {
-            Ok(DriverStatus::Done) => {
-                self.finalize_session(s, id, metrics);
-                outcome.finished += 1;
-            }
-            Ok(DriverStatus::Active) => {
-                self.registry
-                    .get_mut(id)
-                    .expect("delivered id exists") // ctk-allow(panic-unwrap): same id as above
-                    .state = SessionState::Queued;
-            }
-            Err(err) => {
-                self.fail_session(id, err, metrics);
-                outcome.finished += 1;
-            }
-        }
     }
 
     /// Force-starves a parked session: its unresolved questions are
-    /// dropped and the prefix it did resolve is queued for delivery —
-    /// exactly what tick mode's exhausted-crowd path does.
+    /// dropped, so the next round's resume phase delivers the prefix it
+    /// did resolve — exactly what a crowd refusal does mid-batch.
     pub(crate) fn force_starve(&mut self, id: SessionId) {
-        let entry = self.registry.get_mut(id).expect("parked id exists"); // ctk-allow(panic-unwrap): quiescence lists ids from this registry
+        let entry = self.registry.get_mut(id).expect("parked id exists"); // ctk-allow(panic-unwrap): quiescence lists ids from this shard's parked list
         entry.pending.clear();
-        entry.state = SessionState::AwaitingAnswers;
-        self.ready.push_back(Event::AnswersReady(id));
     }
 }
 
-/// Why [`crate::TopKService::run_until_quiescent`] stopped pumping.
+/// Why [`crate::TopKService::run_until_quiescent`] stopped ticking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Quiescence {
     /// Nothing left to do: every session is `Done` or `Failed`.
     Idle,
-    /// No sweep can make progress *by computation alone*: these sessions
+    /// No round can make progress *by computation alone*: these sessions
     /// hold unresolved questions the crowd has no budget for. The caller
-    /// decides — wait for external budget, or force-starve (what
-    /// `run_to_completion` does, matching tick-mode semantics).
+    /// decides — top the crowd up and keep ticking, or force-starve
+    /// (what `run_to_completion` does).
     BlockedOnCrowd {
         /// The parked sessions, in shard order then id order.
         sessions: Vec<SessionId>,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ledger_grant_spend_reclaim_accounting() {
-        let mut l = ShardLedger::default();
-        l.grant(5);
-        assert_eq!(l.available(), 5);
-        l.spend_one();
-        l.spend_one();
-        assert_eq!(l.available(), 3);
-        assert_eq!(l.reclaim(), 3);
-        assert_eq!(l.available(), 0);
-        assert_eq!(l.total_granted(), 5);
-        assert_eq!(l.total_spent(), 2);
-        assert_eq!(l.reclaimed(), 3);
-    }
-
-    #[test]
-    fn tick_spend_keeps_available_at_zero() {
-        let mut l = ShardLedger::default();
-        l.note_spend(7);
-        assert_eq!(l.available(), 0);
-        assert_eq!(l.total_granted(), 7);
-        assert_eq!(l.total_spent(), 7);
-    }
 }

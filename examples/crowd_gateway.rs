@@ -13,9 +13,9 @@
 //! The example runs the same eight tenants twice:
 //!
 //! * **in-process reference** — `TopKService` over the crowd directly,
-//!   tick mode, one shard;
-//! * **wire path** — `TopKService` over the `WireCrowd` proxy, the
-//!   event-driven run mode, two shards.
+//!   one shard;
+//! * **wire path** — `TopKService` over the `WireCrowd` proxy, two
+//!   shards.
 //!
 //! It then asserts every tenant's [`UrReport`] is outcome-identical
 //! across the two paths, and ships each final report as a
@@ -28,7 +28,6 @@ use crowd_topk::core::session::{Algorithm, SessionConfig};
 use crowd_topk::crowd::{Answer, Crowd, Question, RouteHint};
 use crowd_topk::datagen::{generate, DatasetSpec};
 use crowd_topk::prelude::*;
-use crowd_topk::service::RunMode;
 use crowd_topk::tpo::build::{Engine, McConfig};
 use crowd_topk::wire::{
     decode_frame_exact, encode_frame, AnswerBatch, Frame, GradedAnswer, QuestionBatch,
@@ -228,20 +227,19 @@ fn main() {
     local.run_to_completion();
 
     // Wire path: same tenants, but every crowd interaction crosses the
-    // codec — and the service runs the event-driven mode over two shards
-    // to show the wire proxy composes with the sharded core.
+    // codec — and the service runs over two shards to show the wire proxy
+    // composes with the sharded core.
     let gateway = Gateway::new(crowd());
     let mut remote = TopKService::new(WireCrowd::new(gateway, 1.0))
         .with_shards(2)
         .expect("topology set before any submit")
-        .with_run_mode(RunMode::Event)
         .with_fanout(4);
     let remote_ids = submit_all(&mut remote, &table, &top);
     remote.run_to_completion();
 
     println!(
-        "Served {TENANTS} tenants twice: in-process (tick, 1 shard) and \
-         over the wire (event, 2 shards).\n"
+        "Served {TENANTS} tenants twice: in-process (1 shard) and \
+         over the wire (2 shards).\n"
     );
 
     // Per-tenant outcome equality across the two paths, then a report

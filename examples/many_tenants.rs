@@ -3,22 +3,19 @@
 //! deduplication and a sharded round loop.
 //!
 //! Run with:
-//! `cargo run --release --example many_tenants [-- --threads N] [--shards N] [--mode tick|event|threaded] [--digest]`
+//! `cargo run --release --example many_tenants [-- --threads N] [--shards N] [--digest]`
 //!
 //! `--threads N` pins the worker thread count (default: all cores).
 //! `--shards N` partitions the sessions across N shard-owned registries
-//! (default 1); `--mode` picks the barrier tick loop, the event-driven
-//! sweep, or the threaded topology with one worker thread per shard
-//! (default tick). `--digest` prints only a timing-free per-tenant
-//! outcome digest — CI runs the example across thread counts, shard
-//! counts and all run modes and diffs the digests to smoke-check that
-//! the serving topology is invisible in the results.
+//! (default 1). `--digest` prints only a timing-free per-tenant outcome
+//! digest — CI runs the example across thread and shard counts and diffs
+//! the digests to smoke-check that the serving topology is invisible in
+//! the results.
 
 use crowd_topk::core::measures::MeasureKind;
 use crowd_topk::core::session::{Algorithm, SessionConfig, UrSession};
 use crowd_topk::datagen::{generate, DatasetSpec};
 use crowd_topk::prelude::*;
-use crowd_topk::service::RunMode;
 use crowd_topk::tpo::build::{Engine, McConfig};
 
 const TENANTS: usize = 32;
@@ -61,12 +58,6 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(1)
         .max(1);
-    let mode = match flag("--mode").map(String::as_str) {
-        Some("event") => RunMode::Event,
-        Some("threaded") => RunMode::EventThreaded,
-        Some("tick") | None => RunMode::Tick,
-        Some(other) => panic!("unknown --mode {other:?} (expected tick, event or threaded)"),
-    };
 
     // One shared object universe: ten items with overlapping uncertain
     // scores, one hidden reality, one crowd that knows it.
@@ -82,7 +73,6 @@ fn main() {
     let mut service = TopKService::new(crowd)
         .with_shards(shards)
         .expect("topology set before any submit")
-        .with_run_mode(mode)
         .with_fanout(8)
         .with_threads(threads);
     let ids: Vec<_> = (0..TENANTS)
@@ -122,10 +112,9 @@ fn main() {
 
     println!(
         "Serving {TENANTS} concurrent sessions over one crowd \
-         ({} worker threads, {} shard(s), {:?} mode)...\n",
+         ({} worker threads, {} shard(s))...\n",
         service.threads(),
         service.shard_count(),
-        service.run_mode(),
     );
     let metrics = service.run_to_completion().clone();
 
