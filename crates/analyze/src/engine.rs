@@ -293,12 +293,11 @@ mod tests {
         assert!(rule_set_for("crates/prob/src/compare.rs").bless_parallelism);
         assert!(rule_set_for("crates/service/src/metrics.rs").bless_wall_clock);
         assert!(!rule_set_for("crates/prob/src/grid.rs").bless_parallelism);
-        // The run loop and the typed service error are result-affecting
-        // library code: full determinism + panic scope.
+        // The run loop is result-affecting library code: full
+        // determinism + panic scope.
         assert!(rule_set_for("crates/service/src/service.rs").determinism);
         assert!(rule_set_for("crates/service/src/service.rs").panic);
         assert!(!rule_set_for("crates/service/src/service.rs").bless_wall_clock);
-        assert!(rule_set_for("crates/service/src/error.rs").panic);
     }
 
     #[test]

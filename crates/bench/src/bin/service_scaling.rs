@@ -92,8 +92,6 @@ fn run_cell(
 ) -> (Cell, Vec<UrReport>) {
     let crowd = CrowdSimulator::new(truth.clone(), PerfectWorker, VotePolicy::Single, 1_000_000)
         .expect("valid vote policy");
-    // One shard, so these numbers stay comparable with the pre-shard
-    // serving loop.
     let mut service = TopKService::new(crowd).with_threads(threads);
     let ids: Vec<_> = (0..tenants)
         .map(|t| {

@@ -388,6 +388,12 @@ impl SessionDriver {
     /// as the legacy loop stopped on the first unanswered question).
     /// `accuracy` is the nominal accuracy of one aggregated answer,
     /// consumed by the Bayesian update when below [`RELIABLE_ACCURACY`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Driver`] for an unsolicited answer, an answer to a
+    /// different pair than the outstanding question, or a non-finite
+    /// accuracy (which would otherwise poison every world weight).
     pub fn feed(&mut self, answers: &[Answer], accuracy: f64) -> Result<DriverStatus> {
         self.feed_each(answers.len(), answers.iter().map(|a| (*a, accuracy)))
     }
@@ -407,6 +413,12 @@ impl SessionDriver {
     ) -> Result<DriverStatus> {
         let expected = self.outstanding.len();
         for (ans, accuracy) in answers {
+            if !accuracy.is_finite() {
+                return Err(CoreError::Driver(format!(
+                    "answer to {} carries non-finite accuracy {accuracy}",
+                    ans.question
+                )));
+            }
             let Some(q) = self.outstanding.pop_front() else {
                 return Err(CoreError::Driver(format!(
                     "unsolicited answer to {}",

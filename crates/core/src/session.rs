@@ -403,6 +403,49 @@ mod tests {
         assert!(r.resolved || r.final_orderings() <= 2);
     }
 
+    /// A perfect crowd that reports a NaN accuracy for every answer.
+    struct NanAccuracy(CrowdSimulator<PerfectWorker>);
+
+    impl Crowd for NanAccuracy {
+        fn ask(&mut self, q: Question) -> Option<ctk_crowd::Answer> {
+            self.0.ask(q)
+        }
+        fn remaining(&self) -> usize {
+            self.0.remaining()
+        }
+        fn answer_accuracy(&self) -> f64 {
+            f64::NAN
+        }
+        fn history(&self) -> &[ctk_crowd::Answer] {
+            self.0.history()
+        }
+    }
+
+    #[test]
+    fn nan_accuracy_is_a_driver_error() {
+        let table = table();
+        for alg in [
+            Algorithm::T1On,
+            Algorithm::Incr {
+                questions_per_round: 3,
+            },
+        ] {
+            let name = alg.name();
+            let truth = GroundTruth::sample(&table, 99);
+            let mut crowd = NanAccuracy(
+                CrowdSimulator::new(truth, PerfectWorker, VotePolicy::Single, 6)
+                    .expect("valid vote policy"),
+            );
+            let result = UrSession::new(config(alg, 6))
+                .unwrap()
+                .run(&table, &mut crowd);
+            assert!(
+                matches!(result, Err(CoreError::Driver(_))),
+                "{name}: a NaN accuracy must fail the session, got {result:?}"
+            );
+        }
+    }
+
     #[test]
     fn incr_validates_round_size() {
         assert!(UrSession::new(config(

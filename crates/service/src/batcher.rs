@@ -101,79 +101,6 @@ impl AnswerCache {
     }
 }
 
-/// An [`AnswerCache`] partitioned by question hash: both orientations of
-/// a pair land in the same partition (the hash is over the canonical
-/// orientation), so re-orientation semantics are exactly the single
-/// cache's. With one partition this *is* the single cache; partitioning
-/// only changes which map a question lives in, never what it answers —
-/// lookups and economics are identical at any shard count.
-#[derive(Debug, Clone)]
-pub struct ShardedAnswerCache {
-    shards: Vec<AnswerCache>,
-}
-
-impl ShardedAnswerCache {
-    /// A cache over `shards` partitions (clamped to >= 1).
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards.max(1)).map(|_| AnswerCache::new()).collect(),
-        }
-    }
-
-    /// Which partition owns `q` — a deterministic multiplicative hash of
-    /// the canonical orientation, so `(i, j)` and `(j, i)` always agree.
-    fn shard_of(&self, q: Question) -> usize {
-        let c = q.canonical();
-        let h = u64::from(c.i).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ u64::from(c.j).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        (h % self.shards.len() as u64) as usize
-    }
-
-    /// Number of partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Distinct questions remembered in partition `i` (observability for
-    /// the imbalance metric), `None` past the last partition.
-    pub fn shard_len(&self, i: usize) -> Option<usize> {
-        self.shards.get(i).map(AnswerCache::len)
-    }
-
-    /// Distinct questions remembered across all partitions.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(AnswerCache::len).sum()
-    }
-
-    /// True when no answer was cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(AnswerCache::is_empty)
-    }
-
-    /// Lookups served from the cache, across partitions.
-    pub fn hits(&self) -> u64 {
-        self.shards.iter().map(AnswerCache::hits).sum()
-    }
-
-    /// Total lookups, across partitions.
-    pub fn lookups(&self) -> u64 {
-        self.shards.iter().map(AnswerCache::lookups).sum()
-    }
-
-    /// Looks up the answer for `q` in its partition, re-oriented to `q`'s
-    /// orientation, with the accuracy it was bought at.
-    pub fn get(&mut self, q: Question) -> Option<(Answer, f64)> {
-        let s = self.shard_of(q);
-        self.shards[s].get(q)
-    }
-
-    /// Stores a freshly bought answer (canonicalized) in its partition.
-    pub fn insert(&mut self, answer: Answer, accuracy: f64) {
-        let s = self.shard_of(answer.question);
-        self.shards[s].insert(answer, accuracy)
-    }
-}
-
 /// One delivered answer with its provenance.
 #[derive(Debug, Clone, Copy)]
 pub struct ServedAnswer {
@@ -216,7 +143,7 @@ pub(crate) enum Disposition {
 pub(crate) fn resolve_pending<C: Crowd>(
     pending: &mut VecDeque<(Question, RouteHint)>,
     served: &mut Vec<ServedAnswer>,
-    cache: &mut ShardedAnswerCache,
+    cache: &mut AnswerCache,
     crowd: &mut C,
     metrics: &mut ServiceMetrics,
 ) -> Disposition {
@@ -308,7 +235,7 @@ mod tests {
     #[test]
     fn duplicate_questions_cost_one_crowd_ask() {
         let mut c = crowd(10);
-        let mut cache = ShardedAnswerCache::new(1);
+        let mut cache = AnswerCache::new();
         let mut metrics = ServiceMetrics::default();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let mut qa = pending(&[(1, 0), (2, 1)]);
@@ -327,47 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_agrees_with_the_single_cache() {
-        // The same insert/lookup trace against 1, 2, 3 and 4 partitions
-        // must answer exactly like the plain cache — partitioning decides
-        // where a fact lives, never what it says.
-        let pairs = [(2u32, 0u32), (1, 0), (2, 1), (0, 2), (1, 2)];
-        for shards in 1..=4 {
-            let mut single = AnswerCache::new();
-            let mut sharded = ShardedAnswerCache::new(shards);
-            for (n, &(i, j)) in pairs.iter().enumerate() {
-                let ans = Answer {
-                    question: Question::new(i, j),
-                    yes: n % 2 == 0,
-                };
-                single.insert(ans, 0.9);
-                sharded.insert(ans, 0.9);
-            }
-            for &(i, j) in &pairs {
-                for q in [Question::new(i, j), Question::new(j, i)] {
-                    let a = single.get(q);
-                    let b = sharded.get(q);
-                    match (a, b) {
-                        (Some((x, xa)), Some((y, ya))) => {
-                            assert_eq!(x.yes, y.yes, "{q:?} at {shards} shards");
-                            assert_eq!(x.question, y.question);
-                            assert_eq!(xa.to_bits(), ya.to_bits());
-                        }
-                        (None, None) => {}
-                        other => panic!("presence diverged for {q:?}: {other:?}"),
-                    }
-                }
-            }
-            assert_eq!(single.len(), sharded.len());
-            assert_eq!(single.hits(), sharded.hits());
-            assert_eq!(single.lookups(), sharded.lookups());
-        }
-    }
-
-    #[test]
     fn exhausted_crowd_yields_prefixes_but_serves_cache() {
         let mut c = crowd(1);
-        let mut cache = ShardedAnswerCache::new(1);
+        let mut cache = AnswerCache::new();
         let mut metrics = ServiceMetrics::default();
         // Session 0: first answered live, then the crowd is empty — it
         // parks with its prefix served and the tail still pending.
@@ -420,7 +309,7 @@ mod tests {
     #[test]
     fn refusals_and_invalid_answers_cut_the_batch_uncached() {
         let mut c = Faulty(crowd(10));
-        let mut cache = ShardedAnswerCache::new(2);
+        let mut cache = AnswerCache::new();
         let mut metrics = ServiceMetrics::default();
         for (bad, invalid) in [((0, 2), 0), ((1, 2), 1), ((0, 1), 2)] {
             let mut q = pending(&[bad, (2, 0)]);

@@ -11,58 +11,47 @@
 //!
 //! The layer is built on the sans-IO [`ctk_core::driver::SessionDriver`]:
 //! each session is a state machine that emits question batches and absorbs
-//! answers, and this crate owns the dispatch over a **shard-owned core**
+//! answers, and this crate owns the dispatch over **one session table**
 //! driven by one run loop (DESIGN.md §14):
 //!
-//! * [`shard`] — the shard structs: each shard owns its sessions end to
-//!   end (registry, scheduler queues, the list of sessions parked on crowd
-//!   budget), plus [`Quiescence`], why a run stopped;
-//! * [`registry`] — shard-aware session registry: per-session budgets,
-//!   lifecycle states (queued / awaiting-answers / awaiting-budget /
-//!   done / failed), and disjoint `&mut` entry access for the parallel
-//!   round phases;
+//! * [`registry`] — the session table: a session's id is its slot, so
+//!   lookups are an index; per-session budgets, lifecycle states (queued /
+//!   awaiting-answers / awaiting-budget / done / failed), and disjoint
+//!   `&mut` entry access for the parallel round phases;
 //! * [`scheduler`] — strict priority between classes, deficit round-robin
 //!   within a class (persistent per-class service queues), bounded
 //!   fanout: every session of the top nonempty class is served within
-//!   `ceil(n / fanout)` rounds, churn-proof; one instance per shard;
-//! * [`batcher`] — cross-session question batching with an answer cache
-//!   ([`AnswerCache`], partitioned by question hash as
-//!   [`ShardedAnswerCache`]): identical pairwise questions from different
-//!   tenants are answered once, then served from memory, before any
-//!   crowd budget is spent. Its purchase loop is also the crowd boundary
-//!   that rejects NaN accuracies and answers to the wrong pair;
+//!   `ceil(n / fanout)` rounds, churn-proof;
+//! * [`batcher`] — cross-session question batching with an
+//!   [`AnswerCache`]: identical pairwise questions from different tenants
+//!   are answered once, then served from memory, before any crowd budget
+//!   is spent. Its purchase loop is also the crowd boundary that rejects
+//!   NaN accuracies and answers to the wrong pair;
 //! * [`service`] — [`TopKService`] and its one phase-structured round,
 //!   [`TopKService::tick`]: resume parked sessions, plan, gather in
-//!   parallel, purchase sequentially in shard-major order, feed in
-//!   parallel. [`TopKService::run_until_quiescent`] tells
-//!   blocked-on-crowd apart from idle;
-//! * [`error`] — typed [`ServiceError`] for API misuse (topology changes
-//!   after the first submit), honoring the workspace panic-freedom rule;
+//!   parallel, purchase sequentially, feed in parallel.
+//!   [`TopKService::run_until_quiescent`] tells blocked-on-crowd
+//!   ([`Quiescence`]) apart from idle;
 //! * [`metrics`] — throughput / latency-histogram / cache-hit /
-//!   invalid-answer / shard-imbalance accounting.
+//!   invalid-answer accounting.
 //!
 //! With reliable (accuracy-1) workers the multiplexing is *lossless*:
 //! every session's final report equals the one the standalone blocking
 //! [`ctk_core::session::UrSession::run`] produces under the same seed —
 //! the integration suite pins this for 36 concurrent tenants, and pins
-//! that per-tenant reports are bit-identical at 1/2/4 worker threads and
-//! 1/2/4 shards. See DESIGN.md §7, §9 and §14 for the architecture
-//! discussion.
+//! that per-tenant reports are bit-identical at 1/2/4 worker threads. See
+//! DESIGN.md §7, §9 and §14 for the architecture discussion.
 
 pub mod batcher;
-pub mod error;
 pub mod metrics;
 pub mod registry;
 pub mod scheduler;
 pub mod service;
-pub mod shard;
 
-pub use batcher::{AnswerCache, ServedAnswer, ShardedAnswerCache};
+pub use batcher::{AnswerCache, ServedAnswer};
 pub use ctk_quality::QuestionRouter;
 pub use ctk_tpo::{PrecisionTarget, StopReason};
-pub use error::ServiceError;
 pub use metrics::ServiceMetrics;
 pub use registry::{Registry, SessionId, SessionSpec, SessionState};
 pub use scheduler::Scheduler;
-pub use service::{RegistryView, RoundOutcome, TopKService};
-pub use shard::Quiescence;
+pub use service::{Quiescence, RoundOutcome, TopKService};

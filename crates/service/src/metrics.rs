@@ -3,9 +3,7 @@
 //! Latency is tracked in a deterministic fixed-bucket histogram (bucket
 //! `i` holds latencies below `2^i` µs), so `latency_p50/p95/p99` report a
 //! bucket upper bound — coarse but allocation-free and stable
-//! across runs with the same bucket layout. Per-shard counters feed
-//! [`ServiceMetrics::shard_imbalance`], the load-skew signal of the
-//! shard-owned serving core (DESIGN.md §14).
+//! across runs with the same bucket layout.
 
 use std::time::Duration;
 
@@ -27,7 +25,7 @@ pub struct ServiceMetrics {
     pub starved: u64,
     /// Scheduling rounds that made progress.
     pub rounds: u64,
-    /// Worker threads the round loop shards gather/feed work over (1 =
+    /// Worker threads the round loop splits gather/feed work over (1 =
     /// the sequential loop; reports are identical at every setting).
     pub worker_threads: usize,
     /// Answers delivered to sessions (cached + live).
@@ -63,8 +61,6 @@ pub struct ServiceMetrics {
     latency_max: Duration,
     latency_count: u64,
     latency_hist: Vec<u64>,
-    shard_answers: Vec<u64>,
-    shard_completed: Vec<u64>,
 }
 
 /// The histogram bucket `latency` falls into.
@@ -75,26 +71,6 @@ fn bucket_index(latency: Duration) -> usize {
 }
 
 impl ServiceMetrics {
-    /// Sizes the per-shard counters (service construction time).
-    pub(crate) fn init_shards(&mut self, shards: usize) {
-        self.shard_answers = vec![0; shards];
-        self.shard_completed = vec![0; shards];
-    }
-
-    /// Credits `n` delivered answers to `shard`.
-    pub(crate) fn record_shard_answers(&mut self, shard: usize, n: u64) {
-        if let Some(slot) = self.shard_answers.get_mut(shard) {
-            *slot += n;
-        }
-    }
-
-    /// Credits one completed session to `shard`.
-    pub(crate) fn record_shard_completed(&mut self, shard: usize) {
-        if let Some(slot) = self.shard_completed.get_mut(shard) {
-            *slot += 1;
-        }
-    }
-
     /// Records one finished session's enqueue-to-done latency.
     pub(crate) fn record_latency(&mut self, latency: Duration) {
         self.latency_sum += latency;
@@ -104,30 +80,6 @@ impl ServiceMetrics {
             self.latency_hist = vec![0; LATENCY_BUCKETS];
         }
         self.latency_hist[bucket_index(latency)] += 1;
-    }
-
-    /// Answers delivered per shard (empty before the first submit).
-    pub fn shard_answers(&self) -> &[u64] {
-        &self.shard_answers
-    }
-
-    /// Sessions completed per shard.
-    pub fn shard_completed(&self) -> &[u64] {
-        &self.shard_completed
-    }
-
-    /// Load skew across shards: busiest shard's delivered answers over
-    /// the per-shard mean. `1.0` is perfectly balanced; `n` means one
-    /// shard did the work of `n`. Degenerate cases (≤ 1 shard, nothing
-    /// served) report `1.0`.
-    pub fn shard_imbalance(&self) -> f64 {
-        let total: u64 = self.shard_answers.iter().sum();
-        let n = self.shard_answers.len();
-        if n <= 1 || total == 0 {
-            return 1.0;
-        }
-        let busiest = self.shard_answers.iter().copied().max().unwrap_or(0);
-        busiest as f64 * n as f64 / total as f64
     }
 
     /// The latency below which `p` of finished sessions completed, as the
@@ -211,7 +163,7 @@ impl ServiceMetrics {
     pub fn summary(&self) -> String {
         format!(
             "sessions: {} submitted, {} completed, {} failed, {} starved | \
-             rounds: {} ({} worker threads, {} shards, imbalance {:.2}) | \
+             rounds: {} ({} worker threads) | \
              answers: {} served ({} live, {} cached, {:.1}% hit rate, {} invalid) | \
              routing: {} expert, {} cheap | \
              precision: {} worlds drawn, {} certain early stops | \
@@ -224,8 +176,6 @@ impl ServiceMetrics {
             self.starved,
             self.rounds,
             self.worker_threads.max(1),
-            self.shard_answers.len().max(1),
-            self.shard_imbalance(),
             self.answers_served,
             self.crowd_questions,
             self.cache_hits,
@@ -262,7 +212,6 @@ mod tests {
         assert!(m.max_latency().is_none());
         assert!(m.latency_p50().is_none());
         assert!(m.latency_p99().is_none());
-        assert_eq!(m.shard_imbalance(), 1.0);
     }
 
     #[test]
@@ -308,25 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_imbalance_reads_the_skew() {
-        let mut m = ServiceMetrics::default();
-        m.init_shards(4);
-        assert_eq!(m.shard_imbalance(), 1.0, "nothing served yet");
-        for shard in 0..4 {
-            m.record_shard_answers(shard, 10);
-        }
-        assert_eq!(m.shard_imbalance(), 1.0, "perfectly balanced");
-        m.record_shard_answers(0, 40);
-        // Shard 0 served 50 of 80: busiest/mean = 50 / 20 = 2.5.
-        assert!((m.shard_imbalance() - 2.5).abs() < 1e-12);
-        assert_eq!(m.shard_answers(), &[50, 10, 10, 10]);
-        // Out-of-range shards are ignored, not a panic.
-        m.record_shard_answers(99, 1);
-        m.record_shard_completed(99);
-        assert_eq!(m.shard_completed(), &[0, 0, 0, 0]);
-    }
-
-    #[test]
     fn summary_mentions_the_headline_numbers() {
         let mut m = ServiceMetrics {
             submitted: 32,
@@ -341,6 +271,6 @@ mod tests {
         assert!(s.contains("32 submitted"));
         assert!(s.contains("40.0% hit rate"));
         assert!(s.contains("p95"));
-        assert!(s.contains("imbalance"));
+        assert!(s.contains("worker threads"));
     }
 }

@@ -1,10 +1,9 @@
 //! The session registry: who is being served, with what allowance, and
 //! where each session stands in its lifecycle.
 //!
-//! Since the shard-owned refactor (DESIGN.md §14) a service holds one
-//! registry **per shard**: ids are assigned globally and strided across
-//! shards (`shard = id mod shards`), so each registry stores a strictly
-//! increasing id subsequence and resolves lookups by binary search.
+//! A service holds one registry (DESIGN.md §14), and a session's id *is*
+//! its slot: [`Registry::insert`] mints `SessionId(n)` for the `n`-th
+//! submit, so lookups are a bounds-checked index and need no search.
 //! [`Registry::entries_mut_in_order`] hands out disjoint `&mut` entries
 //! for a planned id set in plan order, which is what lets the service fan
 //! a round's driver work out over scoped worker threads without interior
@@ -91,7 +90,6 @@ impl SessionSpec {
 
 /// One registered session.
 pub(crate) struct SessionEntry {
-    pub(crate) id: SessionId,
     pub(crate) priority: u8,
     /// Per-session budget accounting: every answer delivered to the
     /// session (cached or live) consumes one unit, exactly as a question
@@ -141,21 +139,12 @@ impl Registry {
         Self::default()
     }
 
-    /// Registers a new session in the `Queued` state under a
-    /// caller-assigned id. Ids are handed out by the service's global
-    /// counter and strided across shards, so within one registry they
-    /// arrive strictly increasing — the invariant binary-search lookups
-    /// rely on (checked here).
-    pub(crate) fn insert(&mut self, id: SessionId, driver: SessionDriver, priority: u8) {
-        if let Some(last) = self.entries.last() {
-            assert!(
-                last.id < id,
-                "session ids must be inserted in increasing order"
-            );
-        }
+    /// Registers a new session in the `Queued` state and mints its id:
+    /// the next free slot.
+    pub(crate) fn insert(&mut self, driver: SessionDriver, priority: u8) -> SessionId {
+        let id = SessionId(self.entries.len() as u64);
         let budget = driver.config().budget;
         self.entries.push(SessionEntry {
-            id,
             priority,
             ledger: BudgetLedger::new(budget),
             state: SessionState::Queued,
@@ -169,54 +158,51 @@ impl Registry {
             served: Vec::new(),
             requested: 0,
         });
+        id
     }
 
-    fn position(&self, id: SessionId) -> Option<usize> {
-        self.entries.binary_search_by_key(&id, |e| e.id).ok()
-    }
-
-    pub(crate) fn get(&self, id: SessionId) -> Option<&SessionEntry> {
-        self.position(id).map(|i| &self.entries[i])
-    }
-
-    pub(crate) fn get_mut(&mut self, id: SessionId) -> Option<&mut SessionEntry> {
-        self.position(id).map(|i| &mut self.entries[i])
+    fn get(&self, id: SessionId) -> Option<&SessionEntry> {
+        usize::try_from(id.0)
+            .ok()
+            .and_then(|slot| self.entries.get(slot))
     }
 
     /// Disjoint `&mut` borrows of the entries named by `ids`, returned in
-    /// the order `ids` lists them — the shard set of one service round.
+    /// the order `ids` lists them — the session set of one service round.
     /// `ids` must be duplicate-free and every id must exist (invariants
-    /// of the scheduler's plan). Violations panic in release builds too:
-    /// the caller pairs this result with `ids` positionally, so a
-    /// silently dropped id would misattribute every later session's
-    /// answers to the wrong tenant — a loud failure is the only safe
-    /// degradation, and the check costs one hash probe per id.
+    /// of the scheduler's plan and the parked list). Violations panic in
+    /// release builds too: the caller pairs this result with `ids`
+    /// positionally, so a silently dropped id would misattribute every
+    /// later session's answers to the wrong tenant — a loud failure is the
+    /// only safe degradation.
+    ///
+    /// O(|ids| log |ids|): the ids are visited in slot order, each one a
+    /// constant-time skip of the slice iterator past the slots between.
     pub(crate) fn entries_mut_in_order(&mut self, ids: &[SessionId]) -> Vec<&mut SessionEntry> {
-        let mut rank: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
-        for (i, id) in ids.iter().enumerate() {
-            let previous = rank.insert(id.0, i);
-            assert!(previous.is_none(), "duplicate {id} in shard set");
+        let mut by_slot: Vec<(SessionId, usize)> = ids.iter().copied().zip(0..).collect();
+        by_slot.sort_unstable();
+        let mut picked = Vec::with_capacity(ids.len());
+        let mut rest = self.entries.iter_mut();
+        let mut next = 0u64; // the slot `rest` yields next
+        for (id, pos) in by_slot {
+            assert!(id.0 >= next, "duplicate {id} in session set");
+            let gap = usize::try_from(id.0 - next).unwrap_or(usize::MAX);
+            if let Some(entry) = rest.nth(gap) {
+                picked.push((pos, entry));
+            }
+            next = id.0 + 1;
         }
-        let mut picked: Vec<(usize, &mut SessionEntry)> = self
-            .entries
-            .iter_mut()
-            .filter_map(|e| rank.remove(&e.id.0).map(|i| (i, e)))
-            .collect();
-        assert!(
-            rank.is_empty(),
-            "unknown session id(s) in shard set: {:?}",
-            rank.keys().collect::<Vec<_>>()
-        );
-        picked.sort_unstable_by_key(|p| p.0);
-        picked.into_iter().map(|(_, e)| e).collect()
+        assert_eq!(picked.len(), ids.len(), "unknown session id in session set");
+        picked.sort_unstable_by_key(|&(pos, _)| pos);
+        picked.into_iter().map(|(_, entry)| entry).collect()
     }
 
     /// Sessions the scheduler may serve this round, with their priority.
     pub(crate) fn runnable(&self) -> Vec<(SessionId, u8)> {
-        self.entries
-            .iter()
-            .filter(|e| e.state == SessionState::Queued)
-            .map(|e| (e.id, e.priority))
+        self.ids()
+            .zip(&self.entries)
+            .filter(|(_, e)| e.state == SessionState::Queued)
+            .map(|(id, e)| (id, e.priority))
             .collect()
     }
 
@@ -271,7 +257,71 @@ impl Registry {
     }
 
     /// All session ids in submission order.
-    pub fn ids(&self) -> impl Iterator<Item = SessionId> + '_ {
-        self.entries.iter().map(|e| e.id)
+    pub fn ids(&self) -> impl Iterator<Item = SessionId> {
+        (0..self.entries.len() as u64).map(SessionId)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctk_core::measures::MeasureKind;
+    use ctk_core::session::Algorithm;
+    use ctk_prob::{ScoreDist, UncertainTable};
+    use ctk_tpo::build::{Engine, McConfig};
+
+    /// A registry of `n` sessions; session `i` has priority `i`, so an
+    /// entry's priority names its slot.
+    fn registry(n: u8) -> Registry {
+        let table = UncertainTable::new(
+            (0..4)
+                .map(|i| ScoreDist::uniform_centered(f64::from(i) * 0.2, 0.5).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let config = SessionConfig {
+            k: 2,
+            budget: 3,
+            measure: MeasureKind::WeightedEntropy,
+            algorithm: Algorithm::T1On,
+            engine: Engine::MonteCarlo(McConfig::fixed(64, 1)),
+            seed: 0,
+            uncertainty_target: None,
+        };
+        let mut reg = Registry::new();
+        for priority in 0..n {
+            let driver = SessionDriver::new(config.clone(), &table, None).unwrap();
+            assert_eq!(reg.insert(driver, priority), SessionId(u64::from(priority)));
+        }
+        reg
+    }
+
+    #[test]
+    fn entries_come_back_in_the_requested_order() {
+        let mut reg = registry(4);
+        let ids = [SessionId(3), SessionId(0), SessionId(2)];
+        let slots: Vec<u8> = reg
+            .entries_mut_in_order(&ids)
+            .iter()
+            .map(|e| e.priority)
+            .collect();
+        assert_eq!(slots, [3, 0, 2]);
+        assert!(reg.entries_mut_in_order(&[]).is_empty());
+        assert_eq!(
+            reg.ids().collect::<Vec<_>>(),
+            (0..4).map(SessionId).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate s2")]
+    fn duplicate_ids_panic() {
+        registry(4).entries_mut_in_order(&[SessionId(2), SessionId(0), SessionId(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown session id")]
+    fn unknown_ids_panic() {
+        registry(2).entries_mut_in_order(&[SessionId(0), SessionId(5)]);
     }
 }

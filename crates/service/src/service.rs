@@ -2,22 +2,21 @@
 //! crowd backend through one phase-structured round,
 //! [`TopKService::tick`] (DESIGN.md §14).
 //!
-//! Sessions are strided across [`Shard`]s by id; each shard owns its
-//! registry, scheduler queues and list of parked sessions. The answer
-//! cache shards separately, by question hash, because an answer is a
-//! fact about a pair of objects, not about the session that asked. The
-//! crowd and the cache are the only state that needs global arbitration,
-//! and only the sequential purchase phase touches them.
+//! The service owns one session table ([`Registry`], where a session's id
+//! is its slot), one [`Scheduler`], the list of sessions parked on crowd
+//! budget, and one [`AnswerCache`]. The crowd and the cache are the only
+//! state shared across sessions, and only the sequential purchase phase
+//! touches them.
 //!
 //! One round runs five phases:
 //!
-//! 1. **resume** — take every shard's parked list: sessions that met an
-//!    empty crowd in an earlier round retry their unresolved tail;
-//! 2. **plan** — each shard's scheduler picks from its runnable list;
+//! 1. **resume** — take the parked list: sessions that met an empty crowd
+//!    in an earlier round retry their unresolved tail;
+//! 2. **plan** — the scheduler picks from the runnable list;
 //! 3. **gather** (parallel over `std::thread::scope` worker chunks) —
 //!    every planned driver emits its next question batch;
-//! 4. **purchase** (sequential) — one walk in shard-major order, resumed
-//!    sessions first and planned ones second, through the single
+//! 4. **purchase** (sequential) — one walk, resumed sessions first (in id
+//!    order) and planned ones second (in plan order), through the single
 //!    cache-first purchase loop ([`crate::batcher::resolve_pending`]). A
 //!    cache miss on a crowd with no budget left parks the session
 //!    `AwaitingBudget`; a refused or invalid answer cuts its batch;
@@ -25,20 +24,18 @@
 //!    driver.
 //!
 //! Drivers are independent state machines (`SessionDriver: Send`,
-//! disjoint `&mut` borrows via the shard-aware registry); every
+//! disjoint `&mut` borrows via [`Registry::entries_mut_in_order`]); every
 //! cross-session effect — scheduling order, crowd spending, cache
-//! population, metrics — happens sequentially in shard-index order, so
-//! per-tenant reports are deterministic at any worker thread count and
-//! any fixed shard count. [`TopKService::run_until_quiescent`] ticks
-//! while rounds make progress, then tells "blocked on the crowd"
-//! ([`Quiescence::BlockedOnCrowd`]) apart from done.
+//! population, metrics — happens sequentially, so per-tenant reports are
+//! deterministic at any worker thread count.
+//! [`TopKService::run_until_quiescent`] ticks while rounds make progress,
+//! then tells "blocked on the crowd" ([`Quiescence::BlockedOnCrowd`])
+//! apart from done.
 
-use crate::batcher::{resolve_pending, Disposition, ShardedAnswerCache};
-use crate::error::ServiceError;
+use crate::batcher::{resolve_pending, AnswerCache, Disposition};
 use crate::metrics::ServiceMetrics;
 use crate::registry::{Registry, SessionEntry, SessionId, SessionSpec, SessionState};
 use crate::scheduler::Scheduler;
-use crate::shard::{Quiescence, Shard};
 use ctk_core::driver::{DriverStatus, SessionDriver};
 use ctk_core::session::UrReport;
 use ctk_core::{CoreError, Result};
@@ -74,75 +71,27 @@ impl RoundOutcome {
     }
 }
 
+/// Why [`TopKService::run_until_quiescent`] stopped ticking.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Quiescence {
+    /// Nothing left to do: every session is `Done` or `Failed`.
+    Idle,
+    /// No round can make progress *by computation alone*: these sessions
+    /// hold unresolved questions the crowd has no budget for. The caller
+    /// decides — top the crowd up and keep ticking, or force-starve
+    /// (what `run_to_completion` does).
+    BlockedOnCrowd {
+        /// The parked sessions, in id order.
+        sessions: Vec<SessionId>,
+    },
+}
+
 /// One served table's shared derived state: the pairwise matrix plus the
 /// certain/possible top-K bounds per query depth seen so far.
 struct TableCacheEntry {
     table: UncertainTable,
     pairwise: Arc<PairwiseMatrix>,
     bounds: Vec<(usize, Arc<TopKBounds>)>,
-}
-
-/// Read-only view over every shard's registry, presented as one logical
-/// session table (what [`TopKService::registry`] hands out).
-pub struct RegistryView<'a> {
-    shards: &'a [Shard],
-}
-
-impl RegistryView<'_> {
-    fn registry_of(&self, id: SessionId) -> &Registry {
-        &self.shards[(id.0 % self.shards.len() as u64) as usize].registry
-    }
-
-    /// Total registered sessions.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|sh| sh.registry.len()).sum()
-    }
-
-    /// True when nothing was ever submitted.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|sh| sh.registry.is_empty())
-    }
-
-    /// Sessions not yet done or failed.
-    pub fn active(&self) -> usize {
-        self.shards.iter().map(|sh| sh.registry.active()).sum()
-    }
-
-    /// Lifecycle state of a session.
-    pub fn state(&self, id: SessionId) -> Option<SessionState> {
-        self.registry_of(id).state(id)
-    }
-
-    /// Final report of a `Done` session.
-    pub fn report(&self, id: SessionId) -> Option<&UrReport> {
-        self.registry_of(id).report(id)
-    }
-
-    /// Error of a `Failed` session.
-    pub fn error(&self, id: SessionId) -> Option<&CoreError> {
-        self.registry_of(id).error(id)
-    }
-
-    /// Questions answered for a session so far (cached + live).
-    pub fn questions_served(&self, id: SessionId) -> Option<usize> {
-        self.registry_of(id).questions_served(id)
-    }
-
-    /// Enqueue-to-done latency of a finished session.
-    pub fn latency(&self, id: SessionId) -> Option<std::time::Duration> {
-        self.registry_of(id).latency(id)
-    }
-
-    /// All session ids in submission order.
-    pub fn ids(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self
-            .shards
-            .iter()
-            .flat_map(|sh| sh.registry.ids())
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
 }
 
 /// A multi-tenant top-K query service over one crowd backend.
@@ -190,16 +139,17 @@ impl RegistryView<'_> {
 /// ```
 pub struct TopKService<C: Crowd> {
     crowd: C,
-    cache: ShardedAnswerCache,
-    shards: Vec<Shard>,
-    /// Global id counter; ids stride across shards (`shard = id mod n`).
-    next_id: u64,
+    cache: AnswerCache,
+    registry: Registry,
+    scheduler: Scheduler,
+    /// Sessions parked on an empty crowd, retried by the next round's
+    /// resume phase (maintained by the purchase phase, never rescanned
+    /// from the registry).
+    parked: Vec<SessionId>,
     metrics: ServiceMetrics,
-    /// Worker threads the gather/feed phases shard over (>= 1; 1 runs the
+    /// Worker threads the gather/feed phases split over (>= 1; 1 runs the
     /// classic sequential loop, any value produces bit-identical reports).
     threads: usize,
-    /// Per-shard scheduler fanout, remembered so `with_shards` can rebuild.
-    fanout: Option<usize>,
     /// One pairwise matrix per distinct table served: the n² comparisons
     /// dominate session setup, and tenants querying the same relation
     /// share a single `Arc` instead of recomputing per submit. Cache
@@ -220,60 +170,32 @@ pub struct TopKService<C: Crowd> {
 }
 
 impl<C: Crowd> TopKService<C> {
-    /// A service over `crowd` with one shard and unbounded per-round
-    /// fanout, sharding round work over all available cores.
+    /// A service over `crowd` with unbounded per-round fanout, splitting
+    /// round work over all available cores.
     pub fn new(crowd: C) -> Self {
         let threads = default_threads();
         let mut metrics = ServiceMetrics::default();
         metrics.worker_threads = threads;
-        metrics.init_shards(1);
         Self {
             crowd,
-            cache: ShardedAnswerCache::new(1),
-            shards: vec![Shard::new(None)],
-            next_id: 0,
+            cache: AnswerCache::new(),
+            registry: Registry::new(),
+            scheduler: Scheduler::new(),
+            parked: Vec::new(),
             metrics,
             threads,
-            fanout: None,
             pairwise_cache: Vec::new(),
             router: None,
         }
     }
 
-    /// Partitions the serving core into `shards` shards (builder style;
-    /// clamped to >= 1). Sessions stride across shards by id, the answer
-    /// cache partitions by question hash, and each shard gets its own
-    /// scheduler queues and parked list.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::TopologyAfterSubmit`] when sessions were already
-    /// submitted — resharding would re-home live sessions
-    /// (`shard = id mod shards`) and orphan their registries.
-    pub fn with_shards(mut self, shards: usize) -> std::result::Result<Self, ServiceError> {
-        if self.next_id != 0 {
-            return Err(ServiceError::TopologyAfterSubmit {
-                submitted: self.next_id,
-            });
-        }
-        let n = shards.max(1);
-        self.shards = (0..n).map(|_| Shard::new(self.fanout)).collect();
-        self.cache = ShardedAnswerCache::new(n);
-        self.metrics.init_shards(n);
-        Ok(self)
-    }
-
-    /// Bounds how many sessions are served per round *per shard*
-    /// (builder style).
+    /// Bounds how many sessions are served per round (builder style).
     pub fn with_fanout(mut self, fanout: usize) -> Self {
-        self.fanout = Some(fanout);
-        for shard in &mut self.shards {
-            shard.scheduler = Scheduler::with_fanout(fanout);
-        }
+        self.scheduler = Scheduler::with_fanout(fanout);
         self
     }
 
-    /// Sets how many worker threads the round loop shards session work
+    /// Sets how many worker threads the round loop splits session work
     /// over (builder style). `0` means all available cores; `1` runs the
     /// sequential loop. Reports are bit-identical at every setting — the
     /// knob only trades wall clock.
@@ -287,14 +209,9 @@ impl<C: Crowd> TopKService<C> {
         self
     }
 
-    /// Worker threads the round loop shards over.
+    /// Worker threads the round loop splits over.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Number of shards the serving core is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Routes live questions by belief margin (builder style): questions
@@ -332,10 +249,7 @@ impl<C: Crowd> TopKService<C> {
         }
         let (pairwise, bounds) = self.table_entry_for(table, config.k);
         let driver = SessionDriver::new_shared(config, table, truth, pairwise, bounds)?;
-        let id = SessionId(self.next_id);
-        self.next_id += 1;
-        let s = self.shard_of(id);
-        self.shards[s].registry.insert(id, driver, spec.priority);
+        let id = self.registry.insert(driver, spec.priority);
         self.metrics.submitted += 1;
         Ok(id)
     }
@@ -405,49 +319,45 @@ impl<C: Crowd> TopKService<C> {
         self.pairwise_cache.iter().map(|e| e.bounds.len()).sum()
     }
 
-    /// The shard owning `id` (ids stride: `shard = id mod shards`).
-    fn shard_of(&self, id: SessionId) -> usize {
-        (id.0 % self.shards.len() as u64) as usize
-    }
-
     /// Runs one round: resume, plan, gather, purchase, feed (see the
     /// module docs). Returns what happened; a round over an idle service
     /// is a no-op.
     ///
     /// All lifecycle transitions and metrics happen in the sequential
-    /// steps, in shard-major order, so the outcome is independent of the
-    /// thread count.
+    /// steps, on the entries borrowed once for the round, so the outcome
+    /// is independent of the thread count.
     pub fn tick(&mut self) -> RoundOutcome {
         // ctk-allow(det-wall-clock): round-duration metric only; never feeds a decision
         let t0 = Instant::now();
         let mut outcome = RoundOutcome::default();
+        let Self {
+            crowd,
+            cache,
+            registry,
+            scheduler,
+            parked,
+            metrics,
+            threads,
+            router,
+            ..
+        } = self;
 
         // Resume: sessions parked on an empty crowd retry before anything
-        // new is planned, in shard order then id order.
-        let resumed: Vec<(usize, SessionId)> = self
-            .shards
-            .iter_mut()
-            .enumerate()
-            .flat_map(|(s, sh)| {
-                let mut ids = std::mem::take(&mut sh.parked);
-                ids.sort_unstable();
-                ids.into_iter().map(move |id| (s, id))
-            })
-            .collect();
+        // new is planned, in id order.
+        let mut resumed = std::mem::take(parked);
+        resumed.sort_unstable();
 
-        // Plan: each shard's runnable list, built once per round.
-        let plans: Vec<Vec<SessionId>> = self
-            .shards
-            .iter_mut()
-            .map(|sh| {
-                let runnable = sh.registry.runnable();
-                sh.scheduler.plan_round(&runnable)
-            })
-            .collect();
-        outcome.scheduled = plans.iter().map(Vec::len).sum();
-        if outcome.scheduled == 0 && resumed.is_empty() {
+        // Plan: the runnable list, built once per round. Parked sessions
+        // are `AwaitingBudget`, never runnable, so the two sets are
+        // disjoint and one borrow covers both.
+        let plan = scheduler.plan_round(&registry.runnable());
+        outcome.scheduled = plan.len();
+        if plan.is_empty() && resumed.is_empty() {
             return outcome;
         }
+        let ids: Vec<SessionId> = resumed.iter().chain(&plan).copied().collect();
+        let mut resumed_entries = registry.entries_mut_in_order(&ids);
+        let mut planned_entries = resumed_entries.split_off(resumed.len());
 
         // Gather phase (parallel): every planned driver computes its next
         // batch. The allowance is the *session's* remaining budget only —
@@ -455,48 +365,32 @@ impl<C: Crowd> TopKService<C> {
         // because the answer cache can serve a question at zero crowd
         // cost; only questions that actually need a live answer park or
         // starve (per question, in the purchase loop).
-        let gathered = {
-            let mut entries: Vec<&mut SessionEntry> = self
-                .shards
-                .iter_mut()
-                .zip(&plans)
-                .flat_map(|(sh, plan)| sh.registry.entries_mut_in_order(plan))
-                .collect();
-            run_sharded(&mut entries, self.threads, |entry| {
-                let allowance = entry.ledger.remaining();
-                // ctk-allow(panic-unwrap): queued entries always hold a driver; a silent skip would misattribute answers
-                let driver = entry.driver.as_mut().expect("queued session has driver");
-                driver.next_batch(allowance)
-            })
-        };
+        let gathered = run_sharded(&mut planned_entries, *threads, |entry| {
+            let allowance = entry.ledger.remaining();
+            // ctk-allow(panic-unwrap): queued entries always hold a driver; a silent skip would misattribute answers
+            let driver = entry.driver.as_mut().expect("queued session has driver");
+            driver.next_batch(allowance)
+        });
 
-        // Lifecycle transitions happen here, sequentially, in shard-major
-        // plan order. When a router is configured, each question is
-        // tagged with the hint its session's *current* belief margin
-        // implies — before any of this round's answers move the belief.
-        let router = self.router;
-        let mut batched: Vec<(usize, SessionId)> = Vec::with_capacity(outcome.scheduled);
-        let planned = plans
-            .iter()
-            .enumerate()
-            .flat_map(|(s, plan)| plan.iter().map(move |&id| (s, id)));
-        for ((s, id), batch) in planned.zip(gathered) {
+        // Lifecycle transitions happen here, sequentially, in plan order.
+        // When a router is configured, each question is tagged with the
+        // hint its session's *current* belief margin implies — before any
+        // of this round's answers move the belief.
+        let mut to_buy: Vec<(SessionId, &mut SessionEntry)> =
+            resumed.into_iter().zip(resumed_entries).collect();
+        for ((id, entry), batch) in plan.into_iter().zip(planned_entries).zip(gathered) {
             match batch {
                 Ok(batch) if batch.is_empty() => {
-                    self.finalize(id);
+                    finalize(entry, metrics);
                     outcome.finished += 1;
                 }
                 Ok(batch) => {
-                    let entry = self.shards[s]
-                        .registry
-                        .get_mut(id)
-                        .expect("scheduled id exists"); // ctk-allow(panic-unwrap): plan ids come from this shard's registry this round
                     let hinted = hint_batch(router.as_ref(), entry, batch);
                     entry.begin_batch(hinted);
-                    batched.push((s, id));
+                    to_buy.push((id, entry));
                 }
                 Err(err) => {
-                    self.fail(id, err);
+                    fail(entry, err, metrics);
                     outcome.finished += 1;
                 }
             }
@@ -504,93 +398,64 @@ impl<C: Crowd> TopKService<C> {
 
         // Purchase phase (sequential): one crowd walk, resumed sessions
         // first, keeps budget accounting and cache population independent
-        // of how the other phases are spread over threads and shards.
+        // of how the other phases are spread over threads.
         // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
         let p0 = Instant::now();
-        let hits_before = self.metrics.cache_hits;
-        let mut to_feed: Vec<Vec<SessionId>> = vec![Vec::new(); self.shards.len()];
-        for (s, id) in resumed.into_iter().chain(batched) {
-            let Self {
-                crowd,
-                cache,
-                shards,
-                metrics,
-                ..
-            } = self;
-            let shard = &mut shards[s];
-            // ctk-allow(panic-unwrap): purchase ids come from this shard's plan or parked list
-            let entry = shard.registry.get_mut(id).expect("purchased id exists");
+        let hits_before = metrics.cache_hits;
+        let mut to_feed: Vec<&mut SessionEntry> = Vec::with_capacity(to_buy.len());
+        for (id, entry) in to_buy {
             match resolve_pending(&mut entry.pending, &mut entry.served, cache, crowd, metrics) {
                 Disposition::Parked => {
                     entry.state = SessionState::AwaitingBudget;
-                    shard.parked.push(id);
+                    parked.push(id);
                 }
                 Disposition::Resolved | Disposition::Starved => {
                     entry.state = SessionState::AwaitingAnswers;
-                    to_feed[s].push(id);
+                    to_feed.push(entry);
                 }
             }
         }
-        outcome.cache_hits = self.metrics.cache_hits - hits_before;
-        self.metrics.purchase_time += p0.elapsed();
+        outcome.cache_hits = metrics.cache_hits - hits_before;
+        metrics.purchase_time += p0.elapsed();
 
         // Feed phase (parallel): apply each session's mailbox, each answer
         // with the accuracy it was actually bought at (a cached answer
         // keeps its purchase-time accuracy even if the backend's policy
         // drifted since). Ledger votes count *live* crowd interactions;
         // cache hits consume session budget but no crowd budget.
-        let fed = {
-            let mut entries: Vec<&mut SessionEntry> = self
-                .shards
-                .iter_mut()
-                .zip(&to_feed)
-                .flat_map(|(sh, ids)| sh.registry.entries_mut_in_order(ids))
-                .collect();
-            run_sharded(&mut entries, self.threads, |entry| {
-                let served = std::mem::take(&mut entry.served);
-                for ans in &served {
-                    entry.ledger.record(ans.answer, usize::from(!ans.cached));
-                }
-                let graded: Vec<_> = served.iter().map(|a| (a.answer, a.accuracy)).collect();
-                // ctk-allow(panic-unwrap): awaiting entries always hold a driver; loud failure beats misattribution
-                let driver = entry.driver.as_mut().expect("awaiting session has driver");
-                (served.len(), entry.requested, driver.feed_graded(&graded))
-            })
-        };
-        let fed_ids = to_feed
-            .iter()
-            .enumerate()
-            .flat_map(|(s, ids)| ids.iter().map(move |&id| (s, id)));
-        for ((s, id), (served, requested, status)) in fed_ids.zip(fed) {
-            self.metrics.answers_served += served as u64;
-            self.metrics.record_shard_answers(s, served as u64);
+        let fed = run_sharded(&mut to_feed, *threads, |entry| {
+            let served = std::mem::take(&mut entry.served);
+            for ans in &served {
+                entry.ledger.record(ans.answer, usize::from(!ans.cached));
+            }
+            let graded: Vec<_> = served.iter().map(|a| (a.answer, a.accuracy)).collect();
+            // ctk-allow(panic-unwrap): awaiting entries always hold a driver; loud failure beats misattribution
+            let driver = entry.driver.as_mut().expect("awaiting session has driver");
+            (served.len(), entry.requested, driver.feed_graded(&graded))
+        });
+        for (entry, (served, requested, status)) in to_feed.into_iter().zip(fed) {
+            metrics.answers_served += served as u64;
             outcome.answers_served += served as u64;
             if served < requested {
-                self.metrics.starved += 1;
+                metrics.starved += 1;
             }
             match status {
                 Ok(DriverStatus::Done) => {
-                    self.finalize(id);
+                    finalize(entry, metrics);
                     outcome.finished += 1;
                 }
-                Ok(DriverStatus::Active) => {
-                    self.shards[s]
-                        .registry
-                        .get_mut(id)
-                        .expect("fed id exists") // ctk-allow(panic-unwrap): fed ids come from this round's purchase walk
-                        .state = SessionState::Queued;
-                }
+                Ok(DriverStatus::Active) => entry.state = SessionState::Queued,
                 Err(err) => {
-                    self.fail(id, err);
+                    fail(entry, err, metrics);
                     outcome.finished += 1;
                 }
             }
         }
 
         if outcome.progressed() {
-            self.metrics.rounds += 1;
+            metrics.rounds += 1;
         }
-        self.metrics.serving_time += t0.elapsed();
+        metrics.serving_time += t0.elapsed();
         outcome
     }
 
@@ -602,29 +467,26 @@ impl<C: Crowd> TopKService<C> {
     /// ([`TopKService::run_to_completion`]).
     pub fn run_until_quiescent(&mut self) -> Quiescence {
         while self.tick().progressed() {}
-        let mut sessions = Vec::new();
-        for sh in &self.shards {
-            let start = sessions.len();
-            sessions.extend_from_slice(&sh.parked);
-            sessions[start..].sort_unstable();
-        }
-        if sessions.is_empty() {
+        if self.parked.is_empty() {
             Quiescence::Idle
         } else {
-            Quiescence::BlockedOnCrowd { sessions }
+            self.parked.sort_unstable();
+            Quiescence::BlockedOnCrowd {
+                sessions: self.parked.clone(),
+            }
         }
     }
 
     /// Runs until every session is done or failed. Sessions still blocked
-    /// on crowd budget at quiescence are force-starved: each is delivered
-    /// the prefix it did resolve — exactly what a crowd refusal does — so
-    /// its driver winds down and finishes. Returns the accumulated
-    /// metrics.
+    /// on crowd budget at quiescence are force-starved: each one's
+    /// unresolved questions are dropped, so the next round's resume phase
+    /// delivers the prefix it did resolve — exactly what a crowd refusal
+    /// does mid-batch — and its driver winds down and finishes. Returns
+    /// the accumulated metrics.
     pub fn run_to_completion(&mut self) -> &ServiceMetrics {
         while let Quiescence::BlockedOnCrowd { sessions } = self.run_until_quiescent() {
-            for id in sessions {
-                let s = self.shard_of(id);
-                self.shards[s].force_starve(id);
+            for entry in self.registry.entries_mut_in_order(&sessions) {
+                entry.pending.clear();
             }
         }
         &self.metrics
@@ -632,17 +494,17 @@ impl<C: Crowd> TopKService<C> {
 
     /// Lifecycle state of a session.
     pub fn state(&self, id: SessionId) -> Option<SessionState> {
-        self.shards[self.shard_of(id)].registry.state(id)
+        self.registry.state(id)
     }
 
     /// Final report of a `Done` session.
     pub fn report(&self, id: SessionId) -> Option<&UrReport> {
-        self.shards[self.shard_of(id)].registry.report(id)
+        self.registry.report(id)
     }
 
     /// Error of a `Failed` session.
     pub fn error(&self, id: SessionId) -> Option<&CoreError> {
-        self.shards[self.shard_of(id)].registry.error(id)
+        self.registry.error(id)
     }
 
     /// Accumulated service metrics.
@@ -650,11 +512,9 @@ impl<C: Crowd> TopKService<C> {
         &self.metrics
     }
 
-    /// Read-only view over all shards' session registries.
-    pub fn registry(&self) -> RegistryView<'_> {
-        RegistryView {
-            shards: &self.shards,
-        }
+    /// Read-only view of the session table.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// The shared crowd backend.
@@ -662,20 +522,38 @@ impl<C: Crowd> TopKService<C> {
         &self.crowd
     }
 
-    /// The shared (question-hash-partitioned) answer cache.
-    pub fn cache(&self) -> &ShardedAnswerCache {
+    /// The shared answer cache.
+    pub fn cache(&self) -> &AnswerCache {
         &self.cache
     }
+}
 
-    fn finalize(&mut self, id: SessionId) {
-        let s = self.shard_of(id);
-        self.shards[s].finalize_session(s, id, &mut self.metrics);
+/// Finishes a session whose driver reported done: takes the driver,
+/// stores the report (or the error `finish` returned), and records
+/// completion metrics.
+fn finalize(entry: &mut SessionEntry, metrics: &mut ServiceMetrics) {
+    let driver = entry.driver.take().expect("finalize once"); // ctk-allow(panic-unwrap): state machine guarantees a live driver here
+    match driver.finish() {
+        Ok(report) => {
+            metrics.worlds_drawn += report.worlds_drawn as u64;
+            metrics.certain_early_stops += u64::from(report.certain_early_stop);
+            entry.report = Some(report);
+            entry.state = SessionState::Done;
+            let latency = entry.submitted_at.elapsed();
+            entry.latency = Some(latency);
+            metrics.completed += 1;
+            metrics.record_latency(latency);
+        }
+        Err(err) => fail(entry, err, metrics),
     }
+}
 
-    fn fail(&mut self, id: SessionId, err: CoreError) {
-        let s = self.shard_of(id);
-        self.shards[s].fail_session(id, err, &mut self.metrics);
-    }
+/// Marks a session `Failed` with `err` (driver dropped).
+fn fail(entry: &mut SessionEntry, err: CoreError, metrics: &mut ServiceMetrics) {
+    entry.driver = None;
+    entry.error = Some(err);
+    entry.state = SessionState::Failed;
+    metrics.failed += 1;
 }
 
 /// Attaches a [`RouteHint`] to every question of a batch: the hint the
@@ -708,7 +586,7 @@ fn default_threads() -> usize {
     ctk_prob::compare::available_cores()
 }
 
-/// Below this many sessions a sharded phase runs inline: spawning scoped
+/// Below this many sessions a parallel phase runs inline: spawning scoped
 /// threads costs more than the work they would split.
 const PARALLEL_SESSIONS_MIN: usize = 3;
 
@@ -732,7 +610,7 @@ fn run_sharded<T: Send, R: Send>(
     }
     let chunk = n.div_ceil(threads);
     let work = &work;
-    // ctk-allow(det-thread-spawn): disjoint pre-chunked shards; merge happens sequentially in plan order
+    // ctk-allow(det-thread-spawn): disjoint pre-chunked slices; merge happens sequentially in plan order
     std::thread::scope(|s| {
         let handles: Vec<_> = items
             .chunks_mut(chunk)
@@ -1022,7 +900,7 @@ mod tests {
 
     #[test]
     fn services_are_send() {
-        // Benches run whole services on spawned threads; the shard phases
+        // Benches run whole services on spawned threads; the parallel phases
         // move `&mut SessionEntry`s into scoped workers. Both require the
         // service (and thus crowd + drivers) to be `Send` at compile time.
         fn assert_send<T: Send>() {}
@@ -1048,7 +926,7 @@ mod tests {
 
     #[test]
     fn reports_bit_identical_across_worker_threads() {
-        // The sharded round loop must be invisible in the results: the
+        // The worker thread count must be invisible in the results: the
         // same mixed-tenant workload (bounded fanout, mixed priorities,
         // every algorithm family) produces bit-identical per-tenant
         // reports at 1, 2 and 4 worker threads.
@@ -1072,54 +950,12 @@ mod tests {
         };
         let sequential = run(1);
         for threads in [2usize, 4] {
-            let sharded = run(threads);
-            for (tenant, (a, b)) in sequential.iter().zip(&sharded).enumerate() {
+            let parallel = run(threads);
+            for (tenant, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
                 assert!(
                     a.same_outcome(b),
                     "tenant {tenant} diverged between 1 and {threads} worker threads"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn event_mode_matches_tick_mode_at_shard_counts() {
-        // The shard count must be invisible in the results: a mixed
-        // workload on a reliable, amply-budgeted crowd produces per-tenant
-        // reports equal to the single-shard, single-thread run at every
-        // (shards, threads) combination of the one run loop.
-        let algorithms = mixed_algorithms();
-        let run = |shards: usize, threads: usize| {
-            let mut svc = service(1000)
-                .with_shards(shards)
-                .expect("configured before submit")
-                .with_fanout(3)
-                .with_threads(threads);
-            let ids: Vec<_> = algorithms
-                .iter()
-                .enumerate()
-                .map(|(t, alg)| {
-                    let spec = SessionSpec::new(config(alg.clone(), t as u64))
-                        .with_priority((t % 3) as u8);
-                    svc.submit(&table(), spec).unwrap()
-                })
-                .collect();
-            svc.run_to_completion();
-            assert_eq!(svc.metrics().completed as usize, algorithms.len());
-            ids.into_iter()
-                .map(|id| svc.report(id).unwrap().clone())
-                .collect::<Vec<_>>()
-        };
-        let reference = run(1, 1);
-        for shards in [1usize, 2, 4] {
-            for threads in [1usize, 2, 4] {
-                let got = run(shards, threads);
-                for (tenant, (a, b)) in reference.iter().zip(&got).enumerate() {
-                    assert!(
-                        a.same_outcome(b),
-                        "tenant {tenant} diverged at {shards} shards / {threads} threads"
-                    );
-                }
             }
         }
     }
@@ -1131,7 +967,7 @@ mod tests {
         // sessions as blocked on the crowd — and ticking a blocked
         // service must NOT count as progress. run_to_completion then
         // force-starves them to Done.
-        let mut svc = service(3).with_shards(2).expect("configured before submit");
+        let mut svc = service(3);
         let a = svc
             .submit(&table(), SessionSpec::new(config(Algorithm::T1On, 0)))
             .unwrap();
@@ -1166,10 +1002,7 @@ mod tests {
         // diagnose BlockedOnCrowd with exactly the session set the
         // 1-thread run reports, and force-starved completion must agree.
         let run = |threads: usize| {
-            let mut svc = service(3)
-                .with_shards(2)
-                .expect("configured before submit")
-                .with_threads(threads);
+            let mut svc = service(3).with_threads(threads);
             let ids: Vec<_> = (0..4)
                 .map(|t| {
                     svc.submit(&table(), SessionSpec::new(config(Algorithm::Random, t)))
@@ -1204,12 +1037,10 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_accounting_adds_up() {
-        // Per-shard attribution must reconcile exactly with the global
-        // metrics and with the crowd's own ledger.
-        let mut svc = service(1000)
-            .with_shards(4)
-            .expect("configured before submit");
+    fn accounting_reconciles_with_the_crowd_ledger() {
+        // The service's counters must reconcile exactly with each other
+        // and with the crowd's own ledger.
+        let mut svc = service(1000);
         let ids: Vec<_> = (0..6)
             .map(|t| {
                 svc.submit(&table(), SessionSpec::new(config(Algorithm::T1On, t)))
@@ -1220,45 +1051,40 @@ mod tests {
         for id in &ids {
             assert_eq!(svc.state(*id), Some(SessionState::Done));
         }
-        let m = svc.metrics().clone();
+        let m = svc.metrics();
         assert_eq!(m.completed, 6);
         assert_eq!(m.crowd_questions, svc.crowd().ledger().asked() as u64);
         assert_eq!(m.crowd_questions + m.cache_hits, m.answers_served);
-        // Sessions actually spread over more than one shard.
-        assert_eq!(m.shard_answers().iter().sum::<u64>(), m.answers_served);
-        assert_eq!(m.shard_completed().iter().sum::<u64>(), m.completed);
-        assert!(m.shard_completed().iter().filter(|&&c| c > 0).count() > 1);
-        assert!(m.shard_imbalance() >= 1.0);
     }
 
     #[test]
-    fn shard_imbalance_moves_off_one_under_skew() {
-        // BENCH_PR9 reported `shard_imbalance == 1.000` in every cell —
-        // correct for its uniform per-tenant budgets, but that never
-        // exercised the metric's skew arm. Heavy-tailed workload: both
-        // big-budget tenants land on shard 0 (`shard = id % 4`), the six
-        // one-answer tenants spread over the rest.
-        let mut svc = service(1000)
-            .with_shards(4)
-            .expect("configured before submit");
-        for t in 0..8u64 {
-            let mut cfg = config(Algorithm::T1On, t);
-            cfg.budget = if t % 4 == 0 { 6 } else { 1 };
-            svc.submit(&table(), SessionSpec::new(cfg)).unwrap();
-        }
-        svc.run_to_completion();
-        let m = svc.metrics().clone();
-        assert_eq!(m.completed, 8);
-        // Light tenants deliver exactly 1 answer; the two heavy ones at
-        // least 2 each (a 1-question budget cannot certify a top-3 over
-        // these overlapping distributions). Worst case: shard 0 serves 4
-        // of 10 answers -> imbalance = 4 * 4 / 10 = 1.6.
-        assert!(
-            m.shard_imbalance() > 1.5,
-            "heavy-tailed workload must skew the imbalance gauge, got {:.3} over {:?}",
-            m.shard_imbalance(),
-            m.shard_answers()
-        );
+    fn foreign_ids_look_up_nothing() {
+        // Ids are slots: an id minted by a larger service names no
+        // session here, and every public lookup says so.
+        let mut big = service(10);
+        let foreign = (0..3)
+            .map(|t| {
+                big.submit(&table(), SessionSpec::new(config(Algorithm::T1On, t)))
+                    .unwrap()
+            })
+            .last()
+            .unwrap();
+        let mut small = service(10);
+        let own = small
+            .submit(&table(), SessionSpec::new(config(Algorithm::T1On, 0)))
+            .unwrap();
+        small.run_to_completion();
+        assert!(small.report(own).is_some());
+        assert_eq!(small.state(foreign), None);
+        assert!(small.report(foreign).is_none());
+        assert!(small.error(foreign).is_none());
+        let registry = small.registry();
+        assert_eq!(registry.len(), 1);
+        assert_eq!(registry.state(foreign), None);
+        assert!(registry.report(foreign).is_none());
+        assert!(registry.error(foreign).is_none());
+        assert_eq!(registry.questions_served(foreign), None);
+        assert_eq!(registry.latency(foreign), None);
     }
 
     /// A crowd that lies about one pair: the first pair it is asked, and
@@ -1340,24 +1166,6 @@ mod tests {
             assert_eq!(m.starved, 2, "each invalid answer cut a batch");
             assert!(m.summary().contains("2 invalid"));
         }
-    }
-
-    #[test]
-    fn shards_cannot_be_reconfigured_after_submit() {
-        // Workspace panic-freedom rule: topology misuse is a typed error
-        // the caller can match on, not an assert.
-        let mut svc = service(10);
-        svc.submit(&table(), SessionSpec::new(config(Algorithm::T1On, 0)))
-            .unwrap();
-        match svc.with_shards(2) {
-            Err(ServiceError::TopologyAfterSubmit { submitted }) => {
-                assert_eq!(submitted, 1);
-            }
-            Ok(_) => panic!("resharding after submit must be rejected"),
-        }
-        // Before any submit the same call succeeds (and clamps to >= 1).
-        let svc = service(10).with_shards(0).expect("no sessions yet");
-        assert_eq!(svc.shard_count(), 1);
     }
 
     /// A crowd whose answer accuracy drifts between rounds — the scenario

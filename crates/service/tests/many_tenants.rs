@@ -176,7 +176,7 @@ fn mixed_priorities_with_bounded_fanout_complete_all_tenants() {
     }
 }
 
-/// The sharded round loop is invisible in the results: the full 36-tenant
+/// The thread count is invisible in the results: the full 36-tenant
 /// workload produces bit-identical per-tenant reports at 1, 2 and 4
 /// worker threads (the determinism half of the PR 4 acceptance bar).
 #[test]
@@ -207,8 +207,8 @@ fn per_tenant_reports_identical_across_thread_counts() {
     };
     let (sequential, base_metrics) = run(1);
     for threads in [2usize, 4] {
-        let (sharded, metrics) = run(threads);
-        for (tenant, (a, b)) in sequential.iter().zip(&sharded).enumerate() {
+        let (parallel, metrics) = run(threads);
+        for (tenant, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
             assert!(
                 a.same_outcome(b),
                 "tenant {tenant} diverged between 1 and {threads} worker threads"

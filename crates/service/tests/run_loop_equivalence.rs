@@ -1,21 +1,20 @@
-//! Property: the one run loop's threads are *invisible in the results*,
-//! and its shards are invisible whenever the crowd can pay for everything.
+//! Property: the one run loop's threads are *invisible in the results*.
 //!
-//! For randomized tenant mixes, shard counts, worker-thread counts and
-//! crowd budgets (including starvation-tight ones):
+//! For randomized tenant mixes, worker-thread counts and crowd budgets
+//! (including starvation-tight ones):
 //!
-//! * at a fixed shard count, 1 and N worker threads agree on the
-//!   quiescence diagnosis (`BlockedOnCrowd` with the *same* blocked set,
-//!   or `Idle`), on every per-tenant report after `run_to_completion`,
-//!   and on the cross-session economics;
-//! * with an ample budget, every tenant's report equals the 1-shard run;
+//! * 1 and N worker threads agree on the quiescence diagnosis
+//!   (`BlockedOnCrowd` with the *same* blocked set, or `Idle`), on every
+//!   per-tenant report after `run_to_completion`, and on the
+//!   cross-session economics;
+//! * with an ample budget, nothing blocks;
 //! * with a tight budget, every session is `Done`, `Failed`, or named in
 //!   `BlockedOnCrowd` and parked `AwaitingBudget`;
 //! * the crowd is never overspent, and a round after `BlockedOnCrowd`
 //!   makes no progress.
 //!
 //! This is the randomized counterpart of the fixed 8-algorithm matrix in
-//! `service.rs` — the matrix pins the (shards × threads) grid, this pins
+//! `service.rs` — the matrix pins the thread counts, this pins
 //! the long tail of odd tenant mixes and tight budgets (DESIGN.md §14).
 
 use ctk_core::measures::MeasureKind;
@@ -87,17 +86,12 @@ fn serve(
     table: &UncertainTable,
     tenants: &[Tenant],
     crowd_budget: usize,
-    shards: usize,
     threads: usize,
 ) -> Served {
     let truth = GroundTruth::sample(table, 77);
     let crowd = CrowdSimulator::new(truth, PerfectWorker, VotePolicy::Single, crowd_budget)
         .expect("valid vote policy");
-    let mut svc = TopKService::new(crowd)
-        .with_shards(shards)
-        .expect("topology set before any submit")
-        .with_threads(threads)
-        .with_fanout(3);
+    let mut svc = TopKService::new(crowd).with_threads(threads).with_fanout(3);
     let ids: Vec<_> = tenants
         .iter()
         .map(|t| {
@@ -156,15 +150,14 @@ proptest! {
     #[test]
     fn thread_count_is_invisible_in_the_results(
         tenants in proptest::collection::vec(tenant_strategy(), 3..=8),
-        shards in 1usize..=4,
         threads in 1usize..=3,
         // Tight budgets starve (BlockedOnCrowd must agree on the parked
         // set); the ample arm exercises full completion.
         crowd_budget in prop_oneof![3usize..=10, Just(100_000usize)],
     ) {
         let table = table();
-        let one = serve(&table, &tenants, crowd_budget, shards, 1);
-        let many = serve(&table, &tenants, crowd_budget, shards, threads);
+        let one = serve(&table, &tenants, crowd_budget, 1);
+        let many = serve(&table, &tenants, crowd_budget, threads);
         prop_assert_eq!(
             &one.blocked, &many.blocked,
             "quiescence diagnosis diverged (1 thread {:?} vs {} threads {:?})",
@@ -174,20 +167,12 @@ proptest! {
         for (tenant, (a, b)) in one.reports.iter().zip(&many.reports).enumerate() {
             prop_assert!(
                 a.same_outcome(b),
-                "tenant {} diverged at {} shards / {} threads",
-                tenant, shards, threads
+                "tenant {} diverged at {} threads",
+                tenant, threads
             );
         }
         if crowd_budget == 100_000 {
             prop_assert!(one.blocked.is_none(), "an ample crowd never blocks");
-            let single = serve(&table, &tenants, crowd_budget, 1, 1);
-            for (tenant, (a, b)) in single.reports.iter().zip(&one.reports).enumerate() {
-                prop_assert!(
-                    a.same_outcome(b),
-                    "tenant {} diverged between 1 and {} shards",
-                    tenant, shards
-                );
-            }
         }
     }
 }
@@ -234,48 +219,43 @@ fn topped_up_crowd_resumes_parked_sessions_unstarved() {
             priority: t % 2,
         })
         .collect();
-    for shards in [1usize, 2] {
-        let ample = serve(&table, &tenants, 100_000, shards, 1);
-        let budget = Arc::new(AtomicUsize::new(3));
-        let crowd = ToppedUp {
-            inner: CrowdSimulator::new(
-                GroundTruth::sample(&table, 77),
-                PerfectWorker,
-                VotePolicy::Single,
-                100_000,
+    let ample = serve(&table, &tenants, 100_000, 1);
+    let budget = Arc::new(AtomicUsize::new(3));
+    let crowd = ToppedUp {
+        inner: CrowdSimulator::new(
+            GroundTruth::sample(&table, 77),
+            PerfectWorker,
+            VotePolicy::Single,
+            100_000,
+        )
+        .expect("valid vote policy"),
+        budget: Arc::clone(&budget),
+    };
+    let mut svc = TopKService::new(crowd).with_fanout(3);
+    let ids: Vec<_> = tenants
+        .iter()
+        .map(|t| {
+            svc.submit(
+                &table,
+                SessionSpec::new(tenant_config(t)).with_priority(t.priority),
             )
-            .expect("valid vote policy"),
-            budget: Arc::clone(&budget),
-        };
-        let mut svc = TopKService::new(crowd)
-            .with_shards(shards)
-            .expect("topology set before any submit")
-            .with_fanout(3);
-        let ids: Vec<_> = tenants
-            .iter()
-            .map(|t| {
-                svc.submit(
-                    &table,
-                    SessionSpec::new(tenant_config(t)).with_priority(t.priority),
-                )
-                .expect("valid tenant config")
-            })
-            .collect();
-        let Quiescence::BlockedOnCrowd { sessions } = svc.run_until_quiescent() else {
-            panic!("3 questions cannot serve six tenants");
-        };
-        assert!(!sessions.is_empty());
-        budget.store(100_000, Ordering::SeqCst);
-        assert_eq!(svc.run_until_quiescent(), Quiescence::Idle);
-        assert_eq!(svc.metrics().starved, 0, "nobody may be starved");
-        for (tenant, id) in ids.iter().enumerate() {
-            assert_eq!(svc.state(*id), Some(SessionState::Done));
-            assert!(
-                svc.report(*id)
-                    .expect("done")
-                    .same_outcome(&ample.reports[tenant]),
-                "tenant {tenant} at {shards} shards diverged from the ample run"
-            );
-        }
+            .expect("valid tenant config")
+        })
+        .collect();
+    let Quiescence::BlockedOnCrowd { sessions } = svc.run_until_quiescent() else {
+        panic!("3 questions cannot serve six tenants");
+    };
+    assert!(!sessions.is_empty());
+    budget.store(100_000, Ordering::SeqCst);
+    assert_eq!(svc.run_until_quiescent(), Quiescence::Idle);
+    assert_eq!(svc.metrics().starved, 0, "nobody may be starved");
+    for (tenant, id) in ids.iter().enumerate() {
+        assert_eq!(svc.state(*id), Some(SessionState::Done));
+        assert!(
+            svc.report(*id)
+                .expect("done")
+                .same_outcome(&ample.reports[tenant]),
+            "tenant {tenant} diverged from the ample run"
+        );
     }
 }

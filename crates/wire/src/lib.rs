@@ -21,7 +21,7 @@
 //!
 //! * **Deterministic** — encoding is a pure function of the value: no
 //!   maps, no pointers, no timestamps. `encode(x)` is byte-identical
-//!   across runs, machines and shard counts, so frames can be hashed,
+//!   across runs, machines and thread counts, so frames can be hashed,
 //!   diffed and replayed.
 //! * **Versioned** — every frame leads with [`WIRE_VERSION`]; a decoder
 //!   rejects frames from a different version with

@@ -12,10 +12,8 @@
 //!
 //! The example runs the same eight tenants twice:
 //!
-//! * **in-process reference** — `TopKService` over the crowd directly,
-//!   one shard;
-//! * **wire path** — `TopKService` over the `WireCrowd` proxy, two
-//!   shards.
+//! * **in-process reference** — `TopKService` over the crowd directly;
+//! * **wire path** — `TopKService` over the `WireCrowd` proxy.
 //!
 //! It then asserts every tenant's [`UrReport`] is outcome-identical
 //! across the two paths, and ships each final report as a
@@ -227,20 +225,13 @@ fn main() {
     local.run_to_completion();
 
     // Wire path: same tenants, but every crowd interaction crosses the
-    // codec — and the service runs over two shards to show the wire proxy
-    // composes with the sharded core.
+    // codec.
     let gateway = Gateway::new(crowd());
-    let mut remote = TopKService::new(WireCrowd::new(gateway, 1.0))
-        .with_shards(2)
-        .expect("topology set before any submit")
-        .with_fanout(4);
+    let mut remote = TopKService::new(WireCrowd::new(gateway, 1.0)).with_fanout(4);
     let remote_ids = submit_all(&mut remote, &table, &top);
     remote.run_to_completion();
 
-    println!(
-        "Served {TENANTS} tenants twice: in-process (1 shard) and \
-         over the wire (2 shards).\n"
-    );
+    println!("Served {TENANTS} tenants twice: in-process and over the wire.\n");
 
     // Per-tenant outcome equality across the two paths, then a report
     // frame round-trip: encode the wire-path report, decode it, and

@@ -1,16 +1,14 @@
 //! Many tenants, one crowd: 32 concurrent top-K sessions multiplexed over
 //! a single simulated crowd backend, with cross-session question
-//! deduplication and a sharded round loop.
+//! deduplication and a multi-threaded round loop.
 //!
 //! Run with:
-//! `cargo run --release --example many_tenants [-- --threads N] [--shards N] [--digest]`
+//! `cargo run --release --example many_tenants [-- --threads N] [--digest]`
 //!
 //! `--threads N` pins the worker thread count (default: all cores).
-//! `--shards N` partitions the sessions across N shard-owned registries
-//! (default 1). `--digest` prints only a timing-free per-tenant outcome
-//! digest — CI runs the example across thread and shard counts and diffs
-//! the digests to smoke-check that the serving topology is invisible in
-//! the results.
+//! `--digest` prints only a timing-free per-tenant outcome digest — CI
+//! runs the example at two thread counts and diffs the digests to
+//! smoke-check that the thread count is invisible in the results.
 
 use crowd_topk::core::measures::MeasureKind;
 use crowd_topk::core::session::{Algorithm, SessionConfig, UrSession};
@@ -54,10 +52,6 @@ fn main() {
     let threads = flag("--threads")
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(0); // 0 = all cores
-    let shards = flag("--shards")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1);
 
     // One shared object universe: ten items with overlapping uncertain
     // scores, one hidden reality, one crowd that knows it.
@@ -69,12 +63,8 @@ fn main() {
 
     // A service with a bounded per-round fanout (a tight worker pool):
     // at most 8 tenants are served per scheduling round, their driver
-    // work sharded across the configured worker threads.
-    let mut service = TopKService::new(crowd)
-        .with_shards(shards)
-        .expect("topology set before any submit")
-        .with_fanout(8)
-        .with_threads(threads);
+    // work split across the configured worker threads.
+    let mut service = TopKService::new(crowd).with_fanout(8).with_threads(threads);
     let ids: Vec<_> = (0..TENANTS)
         .map(|t| {
             service
@@ -90,7 +80,7 @@ fn main() {
     if digest {
         service.run_to_completion();
         // Timing-free, thread-count-independent outcome digest: one line
-        // per tenant. Diffing two runs pins the sharding determinism.
+        // per tenant. Diffing two runs pins the threading determinism.
         for (tenant, id) in ids.iter().enumerate() {
             let r = service.report(*id).expect("tenant completed");
             let last_uncertainty = r
@@ -112,9 +102,8 @@ fn main() {
 
     println!(
         "Serving {TENANTS} concurrent sessions over one crowd \
-         ({} worker threads, {} shard(s))...\n",
+         ({} worker threads)...\n",
         service.threads(),
-        service.shard_count(),
     );
     let metrics = service.run_to_completion().clone();
 

@@ -18,7 +18,7 @@
 //! | [`quality`] | per-worker accuracy estimation (Beta posteriors, Dawid–Skene EM), spammer gates, accuracy-weighted vote fusion, margin-aware question routing |
 //! | [`datagen`] | synthetic datasets, the paper's experiment scenarios, and crowd roster presets |
 //! | [`core`] | uncertainty measures, expected residual uncertainty, question-selection strategies, the sans-IO session driver, the UR session |
-//! | [`service`] | multi-session serving: shard-owned registry/cache/ledgers, tick and event-driven run loops, cross-session question batching with an answer cache, belief-margin routing |
+//! | [`service`] | multi-session serving: one index-addressed session table, one phase-structured run loop (resume, plan, gather, purchase, feed), cross-session question batching with an answer cache, belief-margin routing |
 //! | [`wire`] | versioned, length-prefixed byte codec for question batches, graded answers, route hints and report summaries — lets the serving stack talk to a crowd across a process boundary |
 //!
 //! ## Quick start
@@ -64,6 +64,6 @@ pub mod prelude {
     pub use ctk_prob::{ScoreDist, TupleId, UncertainTable};
     pub use ctk_quality::{QualityConfig, QualityCrowd, QuestionRouter, WorkerSpec};
     pub use ctk_rank::RankList;
-    pub use ctk_service::{ServiceError, SessionSpec, SessionState, TopKService};
+    pub use ctk_service::{SessionSpec, SessionState, TopKService};
     pub use ctk_tpo::{PathSet, Tpo};
 }
