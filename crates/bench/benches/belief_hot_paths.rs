@@ -1,13 +1,13 @@
-//! Belief-state hot paths (PR 3): the indexed/cached/interned
-//! implementations against the pre-rewrite reference code paths.
+//! Belief-state hot paths: the indexed/cached implementations against
+//! the pre-rewrite reference code paths.
 //!
 //! * `pr_precedes` — O(1) position-index lookups vs the O(n) ranking scan;
 //! * `apply_answer_noisy` — indexed reweight vs the scan-based reweight;
 //! * `path_set` — incremental prefix-group cache vs fresh hash-map
 //!   grouping;
 //! * `pairwise` / `build_mc` — chunked parallel builders vs sequential;
-//! * `residual` — interned + scratch partition evaluation vs fresh
-//!   `PathSet` per class.
+//! * `residual` — prefix-index partition evaluation vs a fresh `PathSet`
+//!   per class.
 //!
 //! The `bench_pr3` binary runs the same comparisons at the acceptance
 //! sizes (M = 10k worlds, n = 200) and emits `BENCH_PR3.json`.
@@ -123,7 +123,7 @@ fn bench_residual(c: &mut Criterion) {
     let qs: Vec<_> = relevant_questions(&ps, &ctx).into_iter().take(3).collect();
 
     let mut g = c.benchmark_group("residual_partition");
-    g.bench_function("interned_scratch", |b| {
+    g.bench_function("prefix_index", |b| {
         b.iter(|| {
             let mut part = AnswerPartition::root(&ps);
             for q in &qs {

@@ -3,6 +3,7 @@
 //! its leaves”.
 
 use super::UncertaintyMeasure;
+use crate::residual::ClassEval;
 use ctk_tpo::PathSet;
 
 /// Shannon entropy (nats) of the leaf distribution.
@@ -16,6 +17,16 @@ impl UncertaintyMeasure for Entropy {
 
     fn uncertainty(&self, ps: &PathSet) -> f64 {
         ps.entropy()
+    }
+
+    fn class_uncertainty(&self, class: &mut ClassEval<'_>) -> f64 {
+        // `PathSet::entropy`'s expression over the same values in the same
+        // order.
+        -class
+            .probs()
+            .filter(|&p| p > 0.0)
+            .map(|p| p * p.ln())
+            .sum::<f64>()
     }
 
     fn per_question_reduction_bound(&self) -> Option<f64> {

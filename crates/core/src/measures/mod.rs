@@ -27,6 +27,7 @@ pub use mpo::MpoDistance;
 pub use ora::OraDistance;
 pub use weighted_entropy::WeightedEntropy;
 
+use crate::residual::ClassEval;
 use ctk_tpo::PathSet;
 
 /// An uncertainty measure `U(T_K)` over a distribution of orderings.
@@ -41,6 +42,15 @@ pub trait UncertaintyMeasure: Send {
     /// The uncertainty of the given (normalized) path set. Zero iff the
     /// result is certain (single ordering).
     fn uncertainty(&self, ps: &PathSet) -> f64;
+
+    /// The uncertainty of one class of a residual partition — the inner
+    /// loop of question selection. Must equal
+    /// `uncertainty(&class.path_set()?)` bit for bit; the default does
+    /// exactly that, and the entropy measures override it to read the
+    /// partition's prefix index instead of building the `PathSet`.
+    fn class_uncertainty(&self, class: &mut ClassEval<'_>) -> f64 {
+        class.path_set().map_or(0.0, |ps| self.uncertainty(&ps))
+    }
 
     /// An upper bound on how much one binary answer can reduce the
     /// *expected* value of this measure, if a sound one is known.

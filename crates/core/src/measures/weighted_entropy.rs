@@ -4,6 +4,7 @@
 //! than uncertainty at the bottom.
 
 use super::UncertaintyMeasure;
+use crate::residual::ClassEval;
 use ctk_tpo::stats::level_distributions;
 use ctk_tpo::PathSet;
 
@@ -25,19 +26,23 @@ impl WeightedEntropy {
         }
     }
 
-    fn level_weights(&self, depth: usize) -> Vec<f64> {
-        let raw: Vec<f64> = match &self.weights {
-            Some(w) => (0..depth)
-                .map(|l| w.get(l).copied().unwrap_or(0.0).max(0.0))
-                .collect(),
-            None => (0..depth).map(|l| (depth - l) as f64).collect(),
+    /// The normalized weight of 0-based level `l` in a depth-`depth`
+    /// tree. The normalizing total is summed once per call, in level
+    /// order; nothing is allocated.
+    fn level_weights(&self, depth: usize) -> impl Fn(usize) -> f64 + '_ {
+        let raw = move |l: usize| match &self.weights {
+            Some(w) => w.get(l).copied().unwrap_or(0.0).max(0.0),
+            None => (depth - l) as f64,
         };
-        let total: f64 = raw.iter().sum();
-        if total <= 0.0 {
-            // Degenerate explicit weights: fall back to uniform.
-            return vec![1.0 / depth as f64; depth];
+        let total: f64 = (0..depth).map(raw).sum();
+        move |l| {
+            if total <= 0.0 {
+                // Degenerate explicit weights: fall back to uniform.
+                1.0 / depth as f64
+            } else {
+                raw(l) / total
+            }
         }
-        raw.into_iter().map(|w| w / total).collect()
     }
 }
 
@@ -51,12 +56,24 @@ impl UncertaintyMeasure for WeightedEntropy {
         if levels.is_empty() {
             return 0.0;
         }
-        let weights = self.level_weights(levels.len());
+        let weight = self.level_weights(levels.len());
         levels
             .iter()
-            .zip(&weights)
-            .map(|(probs, w)| w * shannon(probs))
+            .enumerate()
+            .map(|(l, probs)| weight(l) * shannon(probs))
             .sum()
+    }
+
+    fn class_uncertainty(&self, class: &mut ClassEval<'_>) -> f64 {
+        let depth = class.depth();
+        if depth == 0 {
+            return 0.0;
+        }
+        let weight = self.level_weights(depth);
+        // `Iterator::sum` over the levels, unrolled: it folds from -0.0.
+        let mut acc = -0.0;
+        class.for_each_level(|l, probs| acc += weight(l) * shannon(probs));
+        acc
     }
 
     fn per_question_reduction_bound(&self) -> Option<f64> {

@@ -27,23 +27,29 @@
 //!
 //! ## Hot-path representation
 //!
-//! This module is the inner loop of every greedy/`C-off` selection, so
-//! the partition avoids the two allocation storms the naive layout pays
-//! (DESIGN.md §8): path items are interned behind `Arc<[u32]>` — a class
-//! split clones reference-counted pointers, never the item vectors — and
-//! class uncertainties are evaluated through a scratch buffer that
-//! recycles one `Vec<Path>` (items included) across every candidate of
-//! every round, plus a per-class memo so unsplit classes are never
-//! re-evaluated. All of it is bit-identical to the naive evaluation
-//! (pinned by proptests against
+//! This module is the inner loop of every `TB-off`/`T1-on`/`C-off`/`A*`
+//! selection (DESIGN.md §8). The root path set is indexed once
+//! (`PrefixIndex`: items flattened, each path's rank in items order, and a
+//! dense prefix-group id per path and level), and a class is a list of
+//! `(root position, scaled probability)` members — a split copies
+//! indices, never item vectors. The entropy measures score a class
+//! straight from the index through [`ClassEval`]: a counting sort into
+//! items order for the normalizing total, one sort by probability, and
+//! dense per-level group sums — the float operations of building the
+//! class's `PathSet`, in the same order. The other measures materialize
+//! the class. Class uncertainties are memoized, so unsplit classes are
+//! never re-evaluated. All of it is bit-identical to the materializing
+//! evaluation (pinned by proptests against
 //! [`AnswerPartition::expected_uncertainty_reference`]).
 
 use crate::measures::UncertaintyMeasure;
 use ctk_crowd::Question;
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_tpo::answers::{implication, Implication};
+use ctk_tpo::stats::PrefixGroups;
 use ctk_tpo::{Path, PathSet};
 use std::cell::Cell;
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// Minimum class mass worth tracking (classes below this carry no
@@ -84,19 +90,61 @@ pub fn answer_probability(ps: &PathSet, q: &Question, ctx: &ResidualCtx<'_>) -> 
         .sum()
 }
 
-/// One weighted ordering with interned items: splits clone the `Arc`, not
-/// the vector.
-#[derive(Debug, Clone)]
-struct IPath {
-    items: Arc<[u32]>,
+/// The root path set of a partition, addressed by position: flattened
+/// items plus the prefix groups every class evaluation reads. Built once
+/// per partition and shared by its clones.
+#[derive(Debug)]
+struct PrefixIndex {
+    k: usize,
+    /// Path `p`'s items are `items[starts[p]..starts[p + 1]]`.
+    items: Vec<u32>,
+    starts: Vec<usize>,
+    groups: PrefixGroups,
+}
+
+impl PrefixIndex {
+    fn new(ps: &PathSet) -> Self {
+        let mut items = Vec::with_capacity(ps.len() * ps.k());
+        let mut starts = Vec::with_capacity(ps.len() + 1);
+        starts.push(0);
+        for p in ps.paths() {
+            items.extend_from_slice(&p.items);
+            starts.push(items.len());
+        }
+        Self {
+            k: ps.k(),
+            items,
+            starts,
+            groups: PrefixGroups::new(ps.paths()),
+        }
+    }
+
+    /// Number of root paths.
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    #[inline]
+    fn items(&self, p: u32) -> &[u32] {
+        let p = p as usize;
+        &self.items[self.starts[p]..self.starts[p + 1]]
+    }
+}
+
+/// One path of a class: its position in the root path set and its scaled
+/// (unnormalized) probability.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    path: u32,
     prob: f64,
 }
 
 /// One answer-signature class: a set of weighted paths consistent with one
 /// joint answer outcome (mass = outcome probability; paths unnormalized).
+/// Members keep the root path set's order.
 #[derive(Debug, Clone)]
 struct Class {
-    paths: Vec<IPath>,
+    members: Vec<Member>,
     mass: f64,
     /// Lazily memoized `U(class)`; classes are immutable once built, so
     /// the memo stays valid for the class's lifetime.
@@ -104,117 +152,259 @@ struct Class {
 }
 
 impl Class {
-    fn new(paths: Vec<IPath>, mass: f64) -> Self {
+    fn new(members: Vec<Member>, mass: f64) -> Self {
         Self {
-            paths,
+            members,
             mass,
             memo: Cell::new(None),
         }
     }
 
+    /// Resolved (single-ordering) and massless classes carry zero
+    /// uncertainty under every measure.
+    fn is_trivial(&self) -> bool {
+        self.members.len() <= 1 || self.mass <= MASS_EPS
+    }
+
     fn uncertainty(
         &self,
         measure: &dyn UncertaintyMeasure,
-        k: usize,
-        scratch: &mut EvalScratch,
+        index: &PrefixIndex,
+        buffers: &mut EvalBuffers,
     ) -> f64 {
-        if self.paths.len() <= 1 || self.mass <= MASS_EPS {
+        if self.is_trivial() {
             return 0.0;
         }
         if let Some(u) = self.memo.get() {
             return u;
         }
-        let u = scratch.eval(measure, k, &self.paths);
+        let u = measure.class_uncertainty(&mut ClassEval {
+            index,
+            members: &self.members,
+            buffers,
+        });
         self.memo.set(Some(u));
         u
     }
 
-    /// The naive evaluation (fresh `PathSet` with deep-cloned items) —
-    /// the reference the scratch path must match bit for bit.
-    fn uncertainty_reference(&self, measure: &dyn UncertaintyMeasure, k: usize) -> f64 {
-        if self.paths.len() <= 1 || self.mass <= MASS_EPS {
+    /// The materializing evaluation (fresh `PathSet` with copied items, no
+    /// memo) — the reference the index kernel must match bit for bit.
+    fn uncertainty_reference(&self, measure: &dyn UncertaintyMeasure, index: &PrefixIndex) -> f64 {
+        if self.is_trivial() {
             return 0.0;
         }
-        let set = PathSet::from_weighted(
-            k,
-            self.paths
-                .iter()
-                .map(|p| (p.items.to_vec(), p.prob))
-                .collect(),
-        )
-        .expect("positive-mass class"); // ctk-allow(panic-unwrap): class mass was checked > 0 before grouping
+        let set = materialize(index, &self.members).expect("positive-mass class"); // ctk-allow(panic-unwrap): is_trivial() checked the class mass > 0
         measure.uncertainty(&set)
     }
 }
 
-/// Reusable evaluation buffer: one `Vec<Path>` whose item vectors are
-/// recycled across class evaluations, so scoring a candidate allocates
-/// nothing once warm.
-#[derive(Debug, Default)]
-struct EvalScratch {
-    buf: Vec<Path>,
+/// The class as a fresh `PathSet` (normalized and sorted by
+/// [`PathSet::from_weighted`]).
+fn materialize(index: &PrefixIndex, members: &[Member]) -> ctk_tpo::Result<PathSet> {
+    PathSet::from_weighted(
+        index.k,
+        members
+            .iter()
+            .map(|m| (index.items(m.path).to_vec(), m.prob))
+            .collect(),
+    )
 }
 
-impl EvalScratch {
-    /// Evaluates `measure` on the normalized path set of `paths`,
-    /// reproducing [`PathSet::from_weighted`]'s exact float operations
-    /// (filter, canonical sort, one summation order, one division per
-    /// path) so the result is bit-identical to the reference evaluation.
-    fn eval(&mut self, measure: &dyn UncertaintyMeasure, k: usize, paths: &[IPath]) -> f64 {
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.truncate(paths.len());
-        let reused = buf.len();
-        for (slot, p) in buf.iter_mut().zip(paths) {
-            slot.items.clear();
-            slot.items.extend_from_slice(&p.items);
-            slot.prob = p.prob;
+/// Buffers reused by every class evaluation of a partition.
+#[derive(Debug, Default)]
+struct EvalBuffers {
+    /// `(root position, prob)` of the class being evaluated, normalized
+    /// and in descending probability.
+    sorted: Vec<(u32, f64)>,
+    /// Member probabilities by items rank, and a bitset of the ranks
+    /// present (all clear between evaluations): a counting sort into
+    /// items order.
+    by_rank: Vec<f64>,
+    present: Vec<u64>,
+    /// Per-group sums of one level, indexed by group id; all zero between
+    /// levels.
+    sums: Vec<f64>,
+    /// Whether a group has been touched at the current level; all false
+    /// between levels.
+    seen: Vec<bool>,
+    /// Group ids touched at the current level, in first-touch order.
+    touched: Vec<u32>,
+    /// The current level's distribution.
+    level: Vec<f64>,
+}
+
+/// One class of an [`AnswerPartition`], as an uncertainty measure sees it
+/// (see [`UncertaintyMeasure::class_uncertainty`]).
+///
+/// Every view reproduces what building the class's `PathSet` would
+/// produce, float operation for float operation: drop zero weights, sum
+/// the rest in items order, divide each by that total, and order the
+/// result by descending probability.
+pub struct ClassEval<'a> {
+    index: &'a PrefixIndex,
+    members: &'a [Member],
+    buffers: &'a mut EvalBuffers,
+}
+
+impl ClassEval<'_> {
+    /// The class as a normalized `PathSet` — the fallback for measures
+    /// without an index kernel. Errs only on a class without mass, which
+    /// partitions never evaluate.
+    pub fn path_set(&self) -> ctk_tpo::Result<PathSet> {
+        materialize(self.index, self.members)
+    }
+
+    /// Length of the class's longest ordering (its tree depth).
+    pub fn depth(&self) -> usize {
+        self.members
+            .iter()
+            .filter(|m| m.prob > 0.0)
+            .map(|m| self.index.items(m.path).len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Normalizes the class into `buffers.sorted`.
+    fn normalize(&mut self) {
+        let groups = &self.index.groups;
+        let EvalBuffers {
+            sorted,
+            by_rank,
+            present,
+            ..
+        } = &mut *self.buffers;
+        let n = self.index.len();
+        if by_rank.len() < n {
+            by_rank.resize(n, 0.0);
+            present.resize(n.div_ceil(64), 0);
         }
-        for p in &paths[reused..] {
-            buf.push(Path {
-                items: p.items.to_vec(),
-                prob: p.prob,
-            });
+        sorted.clear();
+        for m in self.members.iter().filter(|m| m.prob > 0.0) {
+            let r = groups.rank(m.path as usize);
+            by_rank[r as usize] = m.prob;
+            present[r as usize / 64] |= 1 << (r % 64);
+            sorted.push((m.path, m.prob));
         }
-        // ctk-allow(panic-unwrap): callers pass a non-empty positive-mass path class
-        let set = PathSet::from_paths(k, buf).expect("positive-mass class");
-        let u = measure.uncertainty(&set);
-        self.buf = set.into_paths();
-        u
+        // The total in items order: walk the present ranks upwards. Folding
+        // from -0.0 is `Iterator::sum`.
+        let mut total = -0.0;
+        for (w, word) in present.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                total += by_rank[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+            }
+        }
+        for e in sorted.iter_mut() {
+            e.1 /= total;
+        }
+        // Descending; on non-negative floats comparing bits is `total_cmp`.
+        // `PathSet` breaks ties by items, but tied paths contribute equal
+        // terms to every sum the measures take, so their order cannot
+        // change a bit.
+        sorted.sort_unstable_by_key(|e| Reverse(e.1.to_bits()));
+    }
+
+    /// The normalized ordering probabilities, in `PathSet::paths()` order.
+    pub fn probs(&mut self) -> impl Iterator<Item = f64> + '_ {
+        self.normalize();
+        self.buffers.sorted.iter().map(|e| e.1)
+    }
+
+    /// Calls `f(level, probs)` for each 0-based level below
+    /// [`ClassEval::depth`], with the level's prefix distribution sorted
+    /// descending — the values `ctk_tpo::stats::level_distributions`
+    /// returns for the class's `PathSet`.
+    pub fn for_each_level(&mut self, mut f: impl FnMut(usize, &[f64])) {
+        let depth = self.depth();
+        self.normalize();
+        let groups = &self.index.groups;
+        let EvalBuffers {
+            sorted,
+            sums,
+            seen,
+            touched,
+            level,
+            ..
+        } = &mut *self.buffers;
+        for l in 0..depth {
+            level.clear();
+            if groups.count(l) == self.index.len() {
+                // Every root path is alone at this level, so the groups are
+                // the paths and `sorted` is already in descending order.
+                level.extend(sorted.iter().map(|e| e.1));
+                f(l, level);
+                continue;
+            }
+            if sums.len() < groups.count(l) {
+                sums.resize(groups.count(l), 0.0);
+                seen.resize(groups.count(l), false);
+            }
+            touched.clear();
+            // Accumulate in path order, as a prefix-keyed map would.
+            for &(p, prob) in sorted.iter() {
+                let g = groups.id(p as usize, l);
+                if !std::mem::replace(&mut seen[g], true) {
+                    touched.push(g as u32);
+                }
+                sums[g] += prob;
+            }
+            level.extend(touched.iter().map(|&g| {
+                seen[g as usize] = false;
+                std::mem::take(&mut sums[g as usize])
+            }));
+            level.sort_unstable_by_key(|p| Reverse(p.to_bits()));
+            f(l, level);
+        }
     }
 }
 
 /// The joint-answer partition of a path set after conditioning on a
 /// sequence of questions.
+///
+/// Cloning shares the root's prefix index, so a search can branch one
+/// root into many refinements without re-indexing.
 pub struct AnswerPartition {
-    k: usize,
+    index: Arc<PrefixIndex>,
     /// Unresolved classes only (resolved single-ordering classes carry zero
     /// uncertainty under every measure and are dropped eagerly).
     classes: Vec<Class>,
-    scratch: EvalScratch,
+    buffers: EvalBuffers,
+}
+
+impl Clone for AnswerPartition {
+    fn clone(&self) -> Self {
+        Self {
+            index: Arc::clone(&self.index),
+            classes: self.classes.clone(),
+            buffers: EvalBuffers::default(),
+        }
+    }
 }
 
 impl AnswerPartition {
-    /// The trivial partition: one class holding the whole path set. Items
-    /// are interned here, once; every later split shares them.
+    /// The trivial partition: one class holding the whole path set. The
+    /// path set is indexed here, once; every later split shares it.
     pub fn root(ps: &PathSet) -> Self {
         let mass: f64 = ps.paths().iter().map(|p| p.prob).sum();
-        let paths: Vec<IPath> = ps
-            .paths()
-            .iter()
-            .map(|p| IPath {
-                items: Arc::from(p.items.as_slice()),
-                prob: p.prob,
-            })
-            .collect();
-        let classes = if paths.len() <= 1 {
+        let classes = if ps.len() <= 1 {
             Vec::new()
         } else {
-            vec![Class::new(paths, mass)]
+            let members = ps
+                .paths()
+                .iter()
+                .enumerate()
+                .map(|(p, path)| Member {
+                    path: p as u32,
+                    prob: path.prob,
+                })
+                .collect();
+            vec![Class::new(members, mass)]
         };
         Self {
-            k: ps.k(),
+            index: Arc::new(PrefixIndex::new(ps)),
             classes,
-            scratch: EvalScratch::default(),
+            buffers: EvalBuffers::default(),
         }
     }
 
@@ -229,46 +419,50 @@ impl AnswerPartition {
         // `.sum()` (not a hand-rolled accumulator): f64's `Sum` folds from
         // -0.0, and bit-identity with the pre-rewrite implementation
         // includes the sign of zero on fully resolved partitions.
-        let k = self.k;
-        let (classes, scratch) = (&self.classes, &mut self.scratch);
+        let Self {
+            index,
+            classes,
+            buffers,
+        } = self;
         classes
             .iter()
-            .map(|c| c.mass * c.uncertainty(measure, k, scratch))
+            .map(|c| c.mass * c.uncertainty(measure, index, buffers))
             .sum()
     }
 
-    /// The pre-rewrite evaluation path (fresh `PathSet` per class, deep
-    /// item clones, no memo). Kept as the reference that equivalence
-    /// tests and the `belief_hot_paths` bench compare against.
+    /// The materializing evaluation (fresh `PathSet` per class, copied
+    /// items, no memo). Kept as the reference that equivalence tests and
+    /// the `belief_hot_paths` bench compare against.
     #[doc(hidden)]
     pub fn expected_uncertainty_reference(&self, measure: &dyn UncertaintyMeasure) -> f64 {
         self.classes
             .iter()
-            .map(|c| c.mass * c.uncertainty_reference(measure, self.k))
+            .map(|c| c.mass * c.uncertainty_reference(measure, &self.index))
             .sum()
     }
 
     /// Expected uncertainty after additionally asking `q` (one-step
     /// lookahead; the partition's classes are not modified — only the
-    /// per-class memo and the scratch buffer, which is why this takes
+    /// per-class memo and the evaluation buffers, which is why this takes
     /// `&mut self`).
     pub fn expected_with_question(&mut self, q: &Question, ctx: &ResidualCtx<'_>) -> f64 {
-        let prior = ctx.prior(q.i, q.j);
-        let mut acc = 0.0;
-        for class in &self.classes {
-            let (yes, no, split) = split_class(class, q, prior);
-            if !split {
-                acc += class.mass * class.uncertainty(ctx.measure, self.k, &mut self.scratch);
-                continue;
-            }
-            if let Some(c) = yes {
-                acc += c.mass * c.uncertainty(ctx.measure, self.k, &mut self.scratch);
-            }
-            if let Some(c) = no {
-                acc += c.mass * c.uncertainty(ctx.measure, self.k, &mut self.scratch);
-            }
-        }
-        acc
+        let Self {
+            index,
+            classes,
+            buffers,
+        } = self;
+        lookahead(index, classes, q, ctx, |c| {
+            c.uncertainty(ctx.measure, index, buffers)
+        })
+    }
+
+    /// [`AnswerPartition::expected_with_question`] through the
+    /// materializing evaluation — the reference for selector tests.
+    #[doc(hidden)]
+    pub fn expected_with_question_reference(&self, q: &Question, ctx: &ResidualCtx<'_>) -> f64 {
+        lookahead(&self.index, &self.classes, q, ctx, |c| {
+            c.uncertainty_reference(ctx.measure, &self.index)
+        })
     }
 
     /// Conditions the partition on `q` (splits every class by the answer).
@@ -276,68 +470,93 @@ impl AnswerPartition {
         let prior = ctx.prior(q.i, q.j);
         let mut next = Vec::with_capacity(self.classes.len() + 4);
         for class in self.classes.drain(..) {
-            let (yes, no, split) = split_class(&class, q, prior);
+            let (yes, no, split) = split_class(&self.index, &class, q, prior);
             if !split {
                 next.push(class);
                 continue;
             }
-            if let Some(c) = yes {
-                if c.paths.len() > 1 {
-                    next.push(c);
-                }
-            }
-            if let Some(c) = no {
-                if c.paths.len() > 1 {
-                    next.push(c);
-                }
-            }
+            next.extend(
+                [yes, no]
+                    .into_iter()
+                    .flatten()
+                    .filter(|c| c.members.len() > 1),
+            );
         }
         self.classes = next;
     }
 }
 
+/// `Σ_class P(class) · U(class)` after splitting every class by `q`, with
+/// `eval` scoring one class.
+fn lookahead(
+    index: &PrefixIndex,
+    classes: &[Class],
+    q: &Question,
+    ctx: &ResidualCtx<'_>,
+    mut eval: impl FnMut(&Class) -> f64,
+) -> f64 {
+    let prior = ctx.prior(q.i, q.j);
+    let mut acc = 0.0;
+    for class in classes {
+        let (yes, no, split) = split_class(index, class, q, prior);
+        if !split {
+            acc += class.mass * eval(class);
+            continue;
+        }
+        for c in [yes, no].iter().flatten() {
+            acc += c.mass * eval(c);
+        }
+    }
+    acc
+}
+
 /// Splits a class by a question. Returns `(yes, no, split)`; `split` is
 /// false when the question does not determine any path of the class (the
 /// class would just be scaled into two copies — a no-op for the
-/// expectation). Path items are shared with the parent class via `Arc`.
-fn split_class(class: &Class, q: &Question, prior: f64) -> (Option<Class>, Option<Class>, bool) {
-    let mut any_determined = false;
-    for p in &class.paths {
-        if implication(&p.items, q.i, q.j) != Implication::Undetermined {
-            any_determined = true;
-            break;
-        }
-    }
-    if !any_determined {
-        return (None, None, false);
-    }
-    let mut yes_paths = Vec::new();
-    let mut no_paths = Vec::new();
-    for p in &class.paths {
-        match implication(&p.items, q.i, q.j) {
-            Implication::Yes => yes_paths.push(p.clone()),
-            Implication::No => no_paths.push(p.clone()),
+/// expectation). Members keep the parent's order.
+fn split_class(
+    index: &PrefixIndex,
+    class: &Class,
+    q: &Question,
+    prior: f64,
+) -> (Option<Class>, Option<Class>, bool) {
+    let mut determined = false;
+    let mut yes = Vec::with_capacity(class.members.len());
+    let mut no = Vec::with_capacity(class.members.len());
+    for m in &class.members {
+        match implication(index.items(m.path), q.i, q.j) {
+            Implication::Yes => {
+                determined = true;
+                yes.push(*m);
+            }
+            Implication::No => {
+                determined = true;
+                no.push(*m);
+            }
             Implication::Undetermined => {
                 if prior > 0.0 {
-                    yes_paths.push(IPath {
-                        items: Arc::clone(&p.items),
-                        prob: p.prob * prior,
+                    yes.push(Member {
+                        prob: m.prob * prior,
+                        ..*m
                     });
                 }
                 if prior < 1.0 {
-                    no_paths.push(IPath {
-                        items: Arc::clone(&p.items),
-                        prob: p.prob * (1.0 - prior),
+                    no.push(Member {
+                        prob: m.prob * (1.0 - prior),
+                        ..*m
                     });
                 }
             }
         }
     }
-    let wrap = |paths: Vec<IPath>| -> Option<Class> {
-        let mass: f64 = paths.iter().map(|p| p.prob).sum();
-        (mass > MASS_EPS).then_some(Class::new(paths, mass))
+    if !determined {
+        return (None, None, false);
+    }
+    let wrap = |members: Vec<Member>| -> Option<Class> {
+        let mass: f64 = members.iter().map(|m| m.prob).sum();
+        (mass > MASS_EPS).then_some(Class::new(members, mass))
     };
-    (wrap(yes_paths), wrap(no_paths), true)
+    (wrap(yes), wrap(no), true)
 }
 
 /// Expected residual uncertainty after asking a single question.

@@ -17,9 +17,12 @@
 //! An optional expansion cap bounds the work; when it trips, the best
 //! complete set found so far is returned and the result is flagged
 //! non-optimal.
+//!
+//! Both searches index the path set once: every evaluated set refines a
+//! clone of one root [`AnswerPartition`], which shares its prefix index.
 
 use super::{relevant_questions, OfflineSelector, OnlineSelector};
-use crate::residual::{expected_residual_set, ResidualCtx};
+use crate::residual::{AnswerPartition, ResidualCtx};
 use ctk_crowd::Question;
 use ctk_tpo::PathSet;
 use std::cmp::Ordering;
@@ -90,6 +93,7 @@ impl AStarOff {
         bound: f64,
     ) -> AStarOutcome {
         let root_g = ctx.measure.uncertainty(ps);
+        let root = AnswerPartition::root(ps);
         let mut heap: BinaryHeap<HeapNode> = BinaryHeap::new();
         heap.push(HeapNode {
             f: (root_g - budget as f64 * bound).max(0.0),
@@ -97,7 +101,6 @@ impl AStarOff {
         });
         let mut expansions = 0usize;
         let mut best_complete: Option<(f64, Vec<u16>)> = None;
-        let mut scratch: Vec<Question> = Vec::with_capacity(budget);
 
         while let Some(node) = heap.pop() {
             if node.set.len() == budget {
@@ -120,9 +123,11 @@ impl AStarOff {
             for qi in start..=last_start {
                 let mut set = node.set.clone();
                 set.push(qi as u16);
-                scratch.clear();
-                scratch.extend(set.iter().map(|&x| pool[x as usize]));
-                let g = expected_residual_set(ps, &scratch, ctx);
+                let mut part = root.clone();
+                for &x in &set {
+                    part.refine(&pool[x as usize], ctx);
+                }
+                let g = part.expected_uncertainty(ctx.measure);
                 let remaining = budget - set.len();
                 let f = (g - remaining as f64 * bound).max(0.0);
                 if set.len() == budget {
@@ -161,21 +166,21 @@ impl AStarOff {
         let mut evals = 0usize;
         let mut capped = false;
         let mut stack: Vec<u16> = Vec::with_capacity(budget);
-        let mut scratch: Vec<Question> = Vec::with_capacity(budget);
 
+        /// Depth-first over the sets extending `stack`; `part` is the
+        /// root refined by `stack`'s questions, in order.
         #[allow(clippy::too_many_arguments)]
         fn rec(
             start: usize,
             stack: &mut Vec<u16>,
             budget: usize,
             pool: &[Question],
-            ps: &PathSet,
+            part: &mut AnswerPartition,
             ctx: &ResidualCtx<'_>,
             best: &mut Option<(f64, Vec<u16>)>,
             evals: &mut usize,
             cap: Option<usize>,
             capped: &mut bool,
-            scratch: &mut Vec<Question>,
         ) {
             if *capped {
                 return;
@@ -188,9 +193,7 @@ impl AStarOff {
                     }
                 }
                 *evals += 1;
-                scratch.clear();
-                scratch.extend(stack.iter().map(|&x| pool[x as usize]));
-                let g = expected_residual_set(ps, scratch, ctx);
+                let g = part.expected_uncertainty(ctx.measure);
                 let better = best.as_ref().map(|(bg, _)| g < *bg).unwrap_or(true);
                 if better {
                     *best = Some((g, stack.clone()));
@@ -200,18 +203,19 @@ impl AStarOff {
             let slots_left = budget - stack.len();
             for qi in start..=(pool.len() - slots_left) {
                 stack.push(qi as u16);
+                let mut child = part.clone();
+                child.refine(&pool[qi], ctx);
                 rec(
                     qi + 1,
                     stack,
                     budget,
                     pool,
-                    ps,
+                    &mut child,
                     ctx,
                     best,
                     evals,
                     cap,
                     capped,
-                    scratch,
                 );
                 stack.pop();
                 // Early exit: nothing beats zero residual.
@@ -231,13 +235,12 @@ impl AStarOff {
             &mut stack,
             budget,
             pool,
-            ps,
+            &mut AnswerPartition::root(ps),
             ctx,
             &mut best,
             &mut evals,
             self.max_expansions,
             &mut capped,
-            &mut scratch,
         );
         let (g_questions, had_best) = match best {
             Some((_, set)) => (to_questions(&set, pool), true),

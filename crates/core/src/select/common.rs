@@ -2,7 +2,6 @@
 
 use crate::residual::ResidualCtx;
 use ctk_crowd::Question;
-use ctk_tpo::stats::precedence_probability;
 use ctk_tpo::PathSet;
 
 /// Probability band outside of which an order is considered certain.
@@ -12,18 +11,60 @@ const CERTAIN_EPS: f64 = 1e-9;
 /// order is uncertain under the current belief (asking anything else cannot
 /// prune the tree). Returned canonically ordered (i < j) and sorted, so
 /// selection is deterministic.
+///
+/// Every pair's precedence probability comes from one pass over the
+/// paths: each path's position map answers every pair in O(1), and each
+/// pair still sums its terms in path order, exactly as
+/// `ctk_tpo::stats::precedence_probability` does.
 pub fn relevant_questions(ps: &PathSet, ctx: &ResidualCtx<'_>) -> Vec<Question> {
     let tuples = ps.tuples();
-    let mut out = Vec::new();
-    for (a, &i) in tuples.iter().enumerate() {
-        for &j in &tuples[a + 1..] {
-            let p = precedence_probability(ps, i, j, ctx.prior(i, j));
-            if p > CERTAIN_EPS && p < 1.0 - CERTAIN_EPS {
-                out.push(Question::new(i, j));
-            }
+    let m = tuples.len();
+    let pairs: Vec<(usize, usize)> = (0..m)
+        .flat_map(|a| (a + 1..m).map(move |b| (a, b)))
+        .collect();
+    let priors: Vec<f64> = pairs
+        .iter()
+        .map(|&(a, b)| ctx.prior(tuples[a], tuples[b]))
+        .collect();
+    // `slot[t]`: index of tuple id `t` in `tuples`.
+    let mut slot = vec![0usize; tuples.last().map_or(0, |&t| t as usize + 1)];
+    for (a, &t) in tuples.iter().enumerate() {
+        slot[t as usize] = a;
+    }
+    // `pos[a]`: rank of `tuples[a]` on the current path; absent tuples
+    // rank below every present one, which is the membership semantics of
+    // `ctk_tpo::answers::implication`.
+    const ABSENT: usize = usize::MAX;
+    let mut pos = vec![ABSENT; m];
+    let mut acc = vec![0.0f64; pairs.len()];
+    for path in ps.paths() {
+        for (r, &t) in path.items.iter().enumerate() {
+            pos[slot[t as usize]] = r;
+        }
+        for ((&(a, b), &prior), p) in pairs.iter().zip(&priors).zip(acc.iter_mut()) {
+            let (ra, rb) = (pos[a], pos[b]);
+            *p += path.prob
+                * if ra == rb {
+                    prior // both absent: undetermined
+                } else if ra < rb {
+                    1.0
+                } else {
+                    0.0
+                };
+        }
+        for &t in &path.items {
+            pos[slot[t as usize]] = ABSENT;
         }
     }
-    out
+    pairs
+        .iter()
+        .zip(acc)
+        .filter(|&(_, p)| {
+            let p = p.clamp(0.0, 1.0);
+            p > CERTAIN_EPS && p < 1.0 - CERTAIN_EPS
+        })
+        .map(|(&(a, b), _)| Question::new(tuples[a], tuples[b]))
+        .collect()
 }
 
 /// All pairwise comparisons among tuples appearing in `T_K`, including

@@ -5,7 +5,7 @@
 //! `|Q*| < B`.”
 
 use super::{relevant_questions, OnlineSelector};
-use crate::residual::{expected_residual_single, ResidualCtx};
+use crate::residual::{AnswerPartition, ResidualCtx};
 use ctk_crowd::Question;
 use ctk_tpo::PathSet;
 
@@ -28,8 +28,10 @@ impl OnlineSelector for T1On {
             return None;
         }
         let pool = relevant_questions(ps, ctx);
+        // One root (and one prefix index) scores every candidate.
+        let mut root = AnswerPartition::root(ps);
         pool.into_iter()
-            .map(|q| (expected_residual_single(ps, &q, ctx), q))
+            .map(|q| (root.expected_with_question(&q, ctx), q))
             .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
             .map(|(_, q)| q)
     }
@@ -40,6 +42,7 @@ mod tests {
     use super::super::test_util::fixture;
     use super::*;
     use crate::measures::Entropy;
+    use crate::residual::expected_residual_single;
     use ctk_tpo::prune::prune;
 
     #[test]

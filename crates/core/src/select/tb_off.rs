@@ -12,7 +12,7 @@
 //! about the same ambiguous region.
 
 use super::{relevant_questions, OfflineSelector};
-use crate::residual::{expected_residual_single, ResidualCtx};
+use crate::residual::{AnswerPartition, ResidualCtx};
 use ctk_crowd::Question;
 use ctk_tpo::PathSet;
 
@@ -27,9 +27,11 @@ impl OfflineSelector for TbOff {
 
     fn select(&mut self, ps: &PathSet, budget: usize, ctx: &ResidualCtx<'_>) -> Vec<Question> {
         let pool = relevant_questions(ps, ctx);
+        // One root (and one prefix index) scores every candidate.
+        let mut root = AnswerPartition::root(ps);
         let mut scored: Vec<(f64, Question)> = pool
             .into_iter()
-            .map(|q| (expected_residual_single(ps, &q, ctx), q))
+            .map(|q| (root.expected_with_question(&q, ctx), q))
             .collect();
         // Ascending residual = descending reduction; ties broken by the
         // canonical question order for determinism.
@@ -44,6 +46,7 @@ mod tests {
     use super::super::test_util::{assert_valid_selection, fixture, residual_of};
     use super::*;
     use crate::measures::{Entropy, WeightedEntropy};
+    use crate::residual::expected_residual_single;
     use crate::select::{NaiveSelector, RandomSelector};
 
     #[test]

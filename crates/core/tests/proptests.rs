@@ -7,12 +7,14 @@ use ctk_core::residual::{
 };
 use ctk_core::select::OnlineSelector;
 use ctk_core::select::{
-    relevant_questions, AStarOff, COff, NaiveSelector, OfflineSelector, RandomSelector, T1On, TbOff,
+    all_tree_pairs, relevant_questions, AStarOff, COff, NaiveSelector, OfflineSelector,
+    RandomSelector, T1On, TbOff,
 };
 use ctk_crowd::Question;
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{ScoreDist, UncertainTable};
 use ctk_tpo::build::{build_mc, McConfig};
+use ctk_tpo::stats::precedence_probability;
 use ctk_tpo::PathSet;
 use proptest::prelude::*;
 
@@ -37,8 +39,167 @@ fn fixture(n: usize) -> impl Strategy<Value = (UncertainTable, PairwiseMatrix, P
         })
 }
 
+/// Degenerate inputs: one tuple, `k = n`, identical distributions (many
+/// equal path probabilities, so tie order decides every summation order),
+/// point-mass ties, and an exactly uniform set over all orderings.
+fn degenerate() -> impl Strategy<Value = (PairwiseMatrix, PathSet)> {
+    (0usize..5, 2usize..6, any::<u64>()).prop_map(|(case, n, seed)| {
+        let (dists, k) = match case {
+            0 => (vec![ScoreDist::uniform(0.0, 1.0).unwrap()], 1),
+            1 => (
+                (0..n)
+                    .map(|t| ScoreDist::uniform_centered(0.1 * t as f64, 0.5).unwrap())
+                    .collect(),
+                n,
+            ),
+            2 | 4 => (vec![ScoreDist::uniform(0.0, 1.0).unwrap(); n], 3.min(n)),
+            _ => (
+                (0..n)
+                    .map(|t| {
+                        if t % 2 == 0 {
+                            ScoreDist::point(0.5)
+                        } else {
+                            ScoreDist::discrete(&[(0.5, 1.0), (0.8, 1.0)]).unwrap()
+                        }
+                    })
+                    .collect(),
+                3.min(n),
+            ),
+        };
+        let table = UncertainTable::new(dists).unwrap();
+        let pw = PairwiseMatrix::compute(&table);
+        let mut ps = build_mc(&table, k, &McConfig::fixed(400, seed)).unwrap();
+        if case == 4 {
+            // Every ordering the sample found, with exactly equal weight.
+            let uniform = ps.paths().iter().map(|p| (p.items.clone(), 1.0)).collect();
+            ps = PathSet::from_weighted(k, uniform).unwrap();
+        }
+        (pw, ps)
+    })
+}
+
+/// `TB-off`, `C-off` and `T1-on` re-implemented over the materializing
+/// reference evaluation: the selectors must pick exactly these questions.
+mod reference_selector {
+    use super::*;
+
+    fn scored(ps: &PathSet, ctx: &ResidualCtx<'_>) -> Vec<(f64, Question)> {
+        let root = AnswerPartition::root(ps);
+        relevant_questions(ps, ctx)
+            .into_iter()
+            .map(|q| (root.expected_with_question_reference(&q, ctx), q))
+            .collect()
+    }
+
+    pub fn tb_off(ps: &PathSet, budget: usize, ctx: &ResidualCtx<'_>) -> Vec<Question> {
+        let mut scored = scored(ps, ctx);
+        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        scored.into_iter().take(budget).map(|(_, q)| q).collect()
+    }
+
+    pub fn t1_on(ps: &PathSet, ctx: &ResidualCtx<'_>) -> Option<Question> {
+        if ps.is_resolved() {
+            return None;
+        }
+        scored(ps, ctx)
+            .into_iter()
+            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+            .map(|(_, q)| q)
+    }
+
+    pub fn c_off(ps: &PathSet, budget: usize, ctx: &ResidualCtx<'_>) -> Vec<Question> {
+        let pool = relevant_questions(ps, ctx);
+        let mut chosen: Vec<Question> = Vec::new();
+        let mut partition = AnswerPartition::root(ps);
+        while chosen.len() < budget.min(pool.len()) {
+            let mut best: Option<(f64, Question)> = None;
+            for &q in pool.iter().filter(|q| !chosen.contains(q)) {
+                let r = partition.expected_with_question_reference(&q, ctx);
+                let better = match &best {
+                    None => true,
+                    Some((br, bq)) => r < *br - 1e-15 || ((r - *br).abs() <= 1e-15 && q < *bq),
+                };
+                if better {
+                    best = Some((r, q));
+                }
+            }
+            let Some((_, q)) = best else { break };
+            partition.refine(&q, ctx);
+            chosen.push(q);
+        }
+        chosen
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn kernel_is_bit_identical_on_degenerate_inputs(
+        (pw, ps) in degenerate(),
+        picks in proptest::collection::vec(any::<u64>(), 0..4),
+    ) {
+        // Every measure, after a random refine sequence over all tree
+        // pairs (informative or not): the index kernel reproduces the
+        // materializing evaluation bit for bit, sign of zero included.
+        for kind in MeasureKind::all() {
+            let m = kind.build();
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            let pool = all_tree_pairs(&ps);
+            let mut part = AnswerPartition::root(&ps);
+            for step in 0..=picks.len() {
+                let reference = part.expected_uncertainty_reference(ctx.measure);
+                prop_assert_eq!(part.expected_uncertainty(ctx.measure).to_bits(),
+                    reference.to_bits(), "{} at step {}", kind.name(), step);
+                for q in &pool {
+                    let reference = part.expected_with_question_reference(q, &ctx);
+                    prop_assert_eq!(part.expected_with_question(q, &ctx).to_bits(),
+                        reference.to_bits(), "{} with {} at step {}", kind.name(), q, step);
+                }
+                if let Some(&pick) = picks.get(step) {
+                    if !pool.is_empty() {
+                        part.refine(&pool[pick as usize % pool.len()], &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relevant_questions_match_the_per_pair_scan(
+        (pw, ps) in prop_oneof![degenerate(), fixture(6).prop_map(|(_, pw, ps)| (pw, ps))],
+    ) {
+        let m = MeasureKind::Entropy.build();
+        let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+        let tuples = ps.tuples();
+        let mut expected = Vec::new();
+        for (a, &i) in tuples.iter().enumerate() {
+            for &j in &tuples[a + 1..] {
+                let p = precedence_probability(&ps, i, j, ctx.prior(i, j));
+                if p > 1e-9 && p < 1.0 - 1e-9 {
+                    expected.push(Question::new(i, j));
+                }
+            }
+        }
+        prop_assert_eq!(relevant_questions(&ps, &ctx), expected);
+    }
+
+    #[test]
+    fn selectors_match_reference_scoring(
+        (pw, ps) in prop_oneof![degenerate(), fixture(5).prop_map(|(_, pw, ps)| (pw, ps))],
+        budget in 1usize..4,
+    ) {
+        for kind in MeasureKind::all() {
+            let m = kind.build();
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            prop_assert_eq!(TbOff.select(&ps, budget, &ctx),
+                reference_selector::tb_off(&ps, budget, &ctx), "TB-off, {}", kind.name());
+            prop_assert_eq!(COff.select(&ps, budget, &ctx),
+                reference_selector::c_off(&ps, budget, &ctx), "C-off, {}", kind.name());
+            prop_assert_eq!(T1On.next_question(&ps, budget, &ctx),
+                reference_selector::t1_on(&ps, &ctx), "T1-on, {}", kind.name());
+        }
+    }
 
     #[test]
     fn measures_are_nonnegative_and_zero_on_resolved((_, _pw, ps) in fixture(5)) {
@@ -92,7 +253,7 @@ proptest! {
 
     #[test]
     fn interned_partition_is_bit_identical_to_reference((_, pw, ps) in fixture(5)) {
-        // The scratch/memo evaluation path of the interned partition must
+        // The index-kernel/memo evaluation path of the partition must
         // reproduce the naive fresh-PathSet-per-class evaluation bit for
         // bit, for every measure, through an arbitrary refine sequence.
         for kind in MeasureKind::all() {

@@ -52,24 +52,14 @@ impl PathSet {
     /// deterministically sorted (descending probability, then
     /// lexicographic). Fails if nothing remains.
     pub fn from_weighted(k: usize, weighted: Vec<(Vec<u32>, f64)>) -> Result<Self> {
-        Self::from_paths(
-            k,
-            weighted
-                .into_iter()
-                .map(|(items, prob)| Path { items, prob })
-                .collect(),
-        )
-    }
-
-    /// Like [`PathSet::from_weighted`], but consumes an existing `Vec<Path>`
-    /// so callers evaluating many candidate sets (e.g. the residual
-    /// partition's per-class scoring) can recycle the path/item allocations
-    /// via [`PathSet::into_paths`] instead of deep-cloning per evaluation.
-    pub fn from_paths(k: usize, mut paths: Vec<Path>) -> Result<Self> {
-        paths.retain(|p| {
-            debug_assert!(p.items.len() <= k, "path longer than depth k");
-            p.prob > 0.0
-        });
+        let mut paths: Vec<Path> = weighted
+            .into_iter()
+            .filter(|(items, prob)| {
+                debug_assert!(items.len() <= k, "path longer than depth k");
+                *prob > 0.0
+            })
+            .map(|(items, prob)| Path { items, prob })
+            .collect();
         if paths.is_empty() {
             return Err(TpoError::EmptyPathSet);
         }
@@ -86,12 +76,6 @@ impl PathSet {
         }
         sort_paths(&mut paths);
         Ok(Self { k, paths })
-    }
-
-    /// Consumes the set, returning its paths (allocation reuse partner of
-    /// [`PathSet::from_paths`]).
-    pub fn into_paths(self) -> Vec<Path> {
-        self.paths
     }
 
     /// Target depth `K` of the underlying query.

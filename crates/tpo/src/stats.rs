@@ -3,28 +3,106 @@
 //! question selection), and assorted summaries.
 
 use crate::answers::{implication, Implication};
-use crate::path::PathSet;
-use std::collections::BTreeMap;
+use crate::path::{Path, PathSet};
+
+/// Dense prefix-group ids of a slice of paths, level by level.
+///
+/// Paths are ranked by their items (lexicographic, a prefix before its
+/// extensions). At level `ℓ` a path's key is `items[..min(ℓ, len)]`, and
+/// paths sharing a key sit next to each other in items order, so numbering
+/// the runs of equal keys gives every distinct prefix a dense id. Ids
+/// ascend in key order — the iteration order of a map keyed by prefix.
+#[derive(Debug, Clone)]
+pub struct PrefixGroups {
+    depth: usize,
+    /// `rank[p]`: position of path `p` in items order (ties by index).
+    rank: Vec<u32>,
+    /// `ids[p · depth + ℓ]`: group of path `p` at level `ℓ + 1`.
+    ids: Vec<u32>,
+    /// Number of distinct prefixes at each level.
+    counts: Vec<usize>,
+}
+
+impl PrefixGroups {
+    /// Groups `paths` (one sort by items, then one pass per level).
+    pub fn new(paths: &[Path]) -> Self {
+        let depth = paths.iter().map(|p| p.items.len()).max().unwrap_or(0);
+        let n = paths.len();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            paths[a as usize]
+                .items
+                .cmp(&paths[b as usize].items)
+                .then(a.cmp(&b))
+        });
+        let mut rank = vec![0u32; n];
+        for (r, &p) in order.iter().enumerate() {
+            rank[p as usize] = r as u32;
+        }
+        let mut ids = vec![0u32; n * depth];
+        let mut counts = vec![0usize; depth];
+        for (l, count) in counts.iter_mut().enumerate() {
+            let mut prev: Option<&[u32]> = None;
+            for &p in &order {
+                let items = &paths[p as usize].items;
+                let key = &items[..(l + 1).min(items.len())];
+                if prev != Some(key) {
+                    prev = Some(key);
+                    *count += 1;
+                }
+                ids[p as usize * depth + l] = (*count - 1) as u32;
+            }
+        }
+        Self {
+            depth,
+            rank,
+            ids,
+            counts,
+        }
+    }
+
+    /// Number of levels (the longest path's length).
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Position of path `p` in items order.
+    #[inline]
+    pub fn rank(&self, p: usize) -> u32 {
+        self.rank[p]
+    }
+
+    /// Group id of path `p`'s prefix at 0-based level `l`.
+    #[inline]
+    pub fn id(&self, p: usize, l: usize) -> usize {
+        self.ids[p * self.depth + l] as usize
+    }
+
+    /// Number of distinct prefixes at 0-based level `l`.
+    pub fn count(&self, l: usize) -> usize {
+        self.counts[l]
+    }
+}
 
 /// For each level `ℓ = 1..=depth`, the probability distribution over the
 /// distinct length-`ℓ` prefixes of the path set (each inner vector sums to
 /// ~1). Level `ℓ`'s entropy is the paper's `H(T_K, ℓ)` ingredient of
 /// `U_Hw`.
+///
+/// Group sums accumulate in path-set order, and each level is sorted
+/// descending, so the entropy summation order is reproducible.
 pub fn level_distributions(ps: &PathSet) -> Vec<Vec<f64>> {
-    let depth = ps.paths().iter().map(|p| p.items.len()).max().unwrap_or(0);
-    let mut out = Vec::with_capacity(depth);
-    for l in 1..=depth {
-        let mut groups: BTreeMap<&[u32], f64> = BTreeMap::new();
-        for p in ps.paths() {
-            let pre = &p.items[..l.min(p.items.len())];
-            *groups.entry(pre).or_insert(0.0) += p.prob;
-        }
-        let mut probs: Vec<f64> = groups.into_values().collect();
-        // Deterministic order for reproducible entropy summation.
-        probs.sort_unstable_by(|a, b| b.total_cmp(a));
-        out.push(probs);
-    }
-    out
+    let groups = PrefixGroups::new(ps.paths());
+    (0..groups.depth())
+        .map(|l| {
+            let mut probs = vec![0.0; groups.count(l)];
+            for (p, path) in ps.paths().iter().enumerate() {
+                probs[groups.id(p, l)] += path.prob;
+            }
+            probs.sort_unstable_by(|a, b| b.total_cmp(a));
+            probs
+        })
+        .collect()
 }
 
 /// Probability that tuple `i` ranks above tuple `j` under the path

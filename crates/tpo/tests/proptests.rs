@@ -259,6 +259,45 @@ proptest! {
     }
 
     #[test]
+    fn level_distributions_match_a_prefix_map(
+        (table, seed, k, cut) in (uniform_table(6), any::<u64>(), 1usize..5, 0usize..40),
+    ) {
+        // The dense prefix groups reproduce a prefix-keyed map's sums bit
+        // for bit: same groups, same path-order accumulation. Truncating
+        // some paths mixes prefix lengths, as partially built trees do.
+        let full = build_mc(&table, k, &McConfig::fixed(500, seed)).unwrap();
+        let ps = ctk_tpo::PathSet::from_weighted(
+            k,
+            full.paths()
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let len = if i < cut { p.items.len() - 1 } else { p.items.len() };
+                    (p.items[..len].to_vec(), p.prob)
+                })
+                .filter(|(items, _)| !items.is_empty())
+                .collect(),
+        );
+        let Ok(ps) = ps else { return Ok(()) };
+        let depth = ps.paths().iter().map(|p| p.items.len()).max().unwrap_or(0);
+        let mut reference = Vec::new();
+        for l in 1..=depth {
+            let mut groups: std::collections::BTreeMap<&[u32], f64> = Default::default();
+            for p in ps.paths() {
+                *groups.entry(&p.items[..l.min(p.items.len())]).or_insert(0.0) += p.prob;
+            }
+            let mut probs: Vec<f64> = groups.into_values().collect();
+            probs.sort_unstable_by(|a, b| b.total_cmp(a));
+            reference.push(probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>());
+        }
+        let dense: Vec<Vec<u64>> = level_distributions(&ps)
+            .iter()
+            .map(|l| l.iter().map(|p| p.to_bits()).collect())
+            .collect();
+        prop_assert_eq!(dense, reference);
+    }
+
+    #[test]
     fn bounds_bracket_the_converged_topk(
         (table, seed) in (uniform_table(6), any::<u64>()),
     ) {

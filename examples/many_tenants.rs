@@ -7,8 +7,9 @@
 //!
 //! `--threads N` pins the worker thread count (default: all cores).
 //! `--digest` prints only a timing-free per-tenant outcome digest — CI
-//! runs the example at two thread counts and diffs the digests to
-//! smoke-check that the thread count is invisible in the results.
+//! runs the example at two thread counts and diffs both digests against
+//! the committed `tests/golden/many_tenants.digest`, so neither the thread
+//! count nor a change to the selection code may alter a result.
 
 use crowd_topk::core::measures::MeasureKind;
 use crowd_topk::core::session::{Algorithm, SessionConfig, UrSession};
