@@ -9,8 +9,8 @@
 //! * `residual` — prefix-index partition evaluation vs a fresh `PathSet`
 //!   per class.
 //!
-//! The `bench_pr3` binary runs the same comparisons at the acceptance
-//! sizes (M = 10k worlds, n = 200) and emits `BENCH_PR3.json`.
+//! The sizes (M = 10k worlds, n = 200) match the history in
+//! `docs/bench-history/BENCH_PR3.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ctk_bench::reference::{apply_noisy_scan, pr_precedes_scan};

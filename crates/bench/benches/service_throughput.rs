@@ -6,8 +6,9 @@
 //! pairwise question exactly once; the standalone side re-buys it per
 //! session. The gap is the batching economics the serving layer exists
 //! for. A second group sweeps the round loop's worker thread count at a
-//! fixed tenant count (reports are bit-identical at every setting; see
-//! the `service_scaling` bin for the committed grid numbers).
+//! fixed tenant count (reports are bit-identical at every setting, as
+//! `reports_bit_identical_across_worker_threads` pins; the historical
+//! grid numbers are in `docs/bench-history/BENCH_PR4.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctk_core::measures::MeasureKind;
@@ -103,7 +104,7 @@ fn bench_service_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded_round_loop(c: &mut Criterion) {
+fn bench_round_loop_threads(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_round_loop_threads");
     group
         .sample_size(10)
@@ -145,5 +146,5 @@ fn bench_sharded_round_loop(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_service_throughput, bench_sharded_round_loop);
+criterion_group!(benches, bench_service_throughput, bench_round_loop_threads);
 criterion_main!(benches);

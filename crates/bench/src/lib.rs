@@ -153,10 +153,10 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Pre-rewrite (PR 3) reference implementations of the `WorldModel` hot
-/// paths: ranking scans instead of the position index. Shared by the
-/// `belief_hot_paths` bench and the `bench_pr3` bin so both measure the
-/// same baseline.
+/// Pre-rewrite reference implementations of the `WorldModel` hot paths:
+/// ranking scans instead of the position index. The `belief_hot_paths`
+/// bench times them as the baseline of its `pr_precedes` and
+/// `apply_answer_noisy` groups.
 pub mod reference {
     use ctk_tpo::WorldModel;
 
@@ -205,21 +205,6 @@ pub mod reference {
             }
             let agrees = scan_prefers(wm.ranking(w), i, j) == yes;
             *weight *= if agrees { eta } else { disagree };
-        }
-    }
-
-    /// Scan-based hard filter over an external weight vector, mirroring
-    /// the pre-index `apply_answer_hard` (survivor check, then zeroing).
-    pub fn apply_hard_scan(wm: &WorldModel, weights: &mut [f64], i: u32, j: u32, yes: bool) {
-        let any_survivor = (0..wm.num_worlds())
-            .any(|w| weights[w] > 0.0 && scan_prefers(wm.ranking(w), i, j) == yes);
-        if !any_survivor {
-            return;
-        }
-        for (w, weight) in weights.iter_mut().enumerate() {
-            if *weight > 0.0 && scan_prefers(wm.ranking(w), i, j) != yes {
-                *weight = 0.0;
-            }
         }
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! Drivers are `Send` (pinned by a compile-time assertion in the tests):
 //! calls on *distinct* drivers touch disjoint state, so a serving layer
-//! may shard a round's `next_batch`/`feed` work across threads —
+//! may split a round's `next_batch`/`feed` work across threads —
 //! `ctk-service` does, with bit-identical per-session reports at any
 //! thread count.
 
@@ -948,7 +948,7 @@ mod tests {
 
     #[test]
     fn drivers_are_send() {
-        // The sharded service round loop moves `&mut SessionDriver`s to
+        // The parallel service round loop moves `&mut SessionDriver`s to
         // scoped worker threads; keep that a compile-time guarantee.
         fn assert_send<T: Send>() {}
         assert_send::<SessionDriver>();

@@ -33,7 +33,7 @@ use ctk_tpo::PathSet;
 /// An uncertainty measure `U(T_K)` over a distribution of orderings.
 ///
 /// `Send` is a supertrait so a boxed measure (and the `SessionDriver`
-/// holding it) can migrate between the worker threads of a sharded
+/// holding it) can migrate between the worker threads of a parallel
 /// serving loop.
 pub trait UncertaintyMeasure: Send {
     /// Short identifier used in reports and harness output.

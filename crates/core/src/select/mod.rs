@@ -39,7 +39,7 @@ use ctk_tpo::PathSet;
 ///
 /// `Send` is a supertrait (as on [`OnlineSelector`]) so boxed strategies —
 /// and the `SessionDriver`s holding them — can migrate between the worker
-/// threads of a sharded serving loop.
+/// threads of a parallel serving loop.
 pub trait OfflineSelector: Send {
     /// Paper name of the strategy.
     fn name(&self) -> &'static str;

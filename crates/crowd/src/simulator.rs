@@ -44,7 +44,7 @@ pub struct AttributedAnswer {
 /// What the selection engine may do with a crowd.
 ///
 /// `Send` is a supertrait so a crowd (and any service built over one) can
-/// be moved to, or mutated from, worker threads — the sharded
+/// be moved to, or mutated from, worker threads — the parallel
 /// `ctk-service` round loop and multi-service benches rely on it.
 pub trait Crowd: Send {
     /// Asks one question; returns `None` if the remaining budget cannot

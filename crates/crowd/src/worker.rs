@@ -46,7 +46,7 @@ pub struct Vote {
 /// response.
 ///
 /// `Send` is a supertrait so crowds built over any worker model can cross
-/// thread boundaries (see the `Crowd` trait and the sharded service round
+/// thread boundaries (see the `Crowd` trait and the parallel service round
 /// loop in `ctk-service`).
 pub trait AnswerModel: Send {
     /// Produces the worker's answer given the correct one.

@@ -6,8 +6,8 @@
 //! the `ctk-quality` experiments need the populations that break the
 //! assumption — spammer-contaminated pools, churning rosters, and
 //! gold-calibrated setups. These presets are the single source of those
-//! rosters for `bench_pr7`, the `adversarial_crowd` example and the
-//! integration tests, so every harness argues about the same crowds.
+//! rosters for the `adversarial_crowd` example and the integration
+//! tests, so every harness argues about the same crowds.
 
 use ctk_crowd::Question;
 use ctk_quality::WorkerSpec;

@@ -519,9 +519,10 @@ impl PairwiseMatrix {
     }
 
     /// The pre-PR 5 matrix: every pair through the generic grid-quadrature
-    /// [`pr_greater_reference`], sequentially. Kept as the benchmark and
-    /// drift-gate baseline (BENCH_PR5, `bench_pr5 --small` in CI).
-    pub fn compute_reference(table: &UncertainTable) -> Self {
+    /// [`pr_greater_reference`], sequentially. Test-only: the oracle of
+    /// `reference_matrix_stays_close_to_fast_matrix`.
+    #[cfg(test)]
+    fn compute_reference(table: &UncertainTable) -> Self {
         let n = table.len();
         let mut p = vec![0.5; n * n];
         for i in 0..n {

@@ -9,8 +9,9 @@
 //! votes using the *estimated* accuracies, never the hidden ones. In
 //! [`Grading::Nominal`] + [`Calibration::Frozen`] mode it degrades
 //! exactly to the plain majority simulator (bit-identical answers and
-//! grades over the same seeds), which is how the uniform-pool arm of
-//! `bench_pr7` keeps the legacy baseline honest.
+//! grades over the same seeds), which is how the
+//! `majority_compat_replays_the_plain_pool_session` integration test
+//! keeps the legacy baseline honest.
 
 use crate::error::QualityError;
 use crate::estimator::{dawid_skene, PanelRecord, VoteLog};

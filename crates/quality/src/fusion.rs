@@ -11,7 +11,8 @@
 //!
 //! With equal weights `w > 0` the score reduces to `w · (#yes − #no)`,
 //! whose sign is the plain majority — weighted fusion strictly
-//! generalizes `majority_vote`, and the uniform-pool arm of `bench_pr7`
+//! generalizes `majority_vote`, and the
+//! `majority_compat_replays_the_plain_pool_session` integration test
 //! checks the reduction is bit-identical end to end.
 
 /// A fused verdict with its evidence mass.

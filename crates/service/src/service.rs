@@ -365,7 +365,7 @@ impl<C: Crowd> TopKService<C> {
         // because the answer cache can serve a question at zero crowd
         // cost; only questions that actually need a live answer park or
         // starve (per question, in the purchase loop).
-        let gathered = run_sharded(&mut planned_entries, *threads, |entry| {
+        let gathered = run_parallel(&mut planned_entries, *threads, |entry| {
             let allowance = entry.ledger.remaining();
             // ctk-allow(panic-unwrap): queued entries always hold a driver; a silent skip would misattribute answers
             let driver = entry.driver.as_mut().expect("queued session has driver");
@@ -423,7 +423,7 @@ impl<C: Crowd> TopKService<C> {
         // keeps its purchase-time accuracy even if the backend's policy
         // drifted since). Ledger votes count *live* crowd interactions;
         // cache hits consume session budget but no crowd budget.
-        let fed = run_sharded(&mut to_feed, *threads, |entry| {
+        let fed = run_parallel(&mut to_feed, *threads, |entry| {
             let served = std::mem::take(&mut entry.served);
             for ans in &served {
                 entry.ledger.record(ans.answer, usize::from(!ans.cached));
@@ -598,7 +598,7 @@ const PARALLEL_SESSIONS_MIN: usize = 3;
 /// are reassembled by chunk order (= item order). The sequential path is
 /// the `threads == 1` special case of the same code shape, so any thread
 /// count computes the identical result vector.
-fn run_sharded<T: Send, R: Send>(
+fn run_parallel<T: Send, R: Send>(
     items: &mut [T],
     threads: usize,
     work: impl Fn(&mut T) -> R + Sync,

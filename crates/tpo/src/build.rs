@@ -502,6 +502,7 @@ pub fn build_exact(table: &UncertainTable, k: usize, cfg: &ExactConfig) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctk_rank::topk::topk_distance;
 
     fn table(n: usize, width: f64) -> UncertainTable {
         UncertainTable::new(
@@ -732,6 +733,35 @@ mod tests {
                 p.prob
             );
         }
+
+        // A mostly-decided 15-item staircase (slivers of neighbour
+        // overlap), with bounds supplied as the service does: drawing
+        // fewer worlds than the fixed default must not cost quality. The
+        // adaptive answer's top-K distance to a converged reference is no
+        // worse than that of the fixed `DEFAULT_WORLDS` build.
+        let stairs = UncertainTable::new(
+            (0..15)
+                .map(|i| ScoreDist::uniform_centered(i as f64, 1.05).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let k = 4;
+        let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&stairs), k).unwrap();
+        let fixed_cfg = McConfig::fixed(crate::precision::DEFAULT_WORLDS, 7);
+        let (fixed, _) = build_mc_bounded(&stairs, k, &fixed_cfg, Some(&bounds)).unwrap();
+        let adaptive_cfg = McConfig::adaptive(0.02, 0.05, 7);
+        let (adaptive, report) =
+            build_mc_bounded(&stairs, k, &adaptive_cfg, Some(&bounds)).unwrap();
+        assert!(report.worlds_drawn < crate::precision::DEFAULT_WORLDS);
+        let reference = build_mc_reference(&stairs, k, 30_000, 7 ^ 0xC0FFEE).unwrap();
+        let top = reference.most_probable().rank_list();
+        let distance = |ps: &PathSet| topk_distance(&ps.most_probable().rank_list(), &top);
+        assert!(
+            distance(&adaptive) <= distance(&fixed),
+            "adaptive top-K distance {} regressed past the fixed build's {}",
+            distance(&adaptive),
+            distance(&fixed)
+        );
     }
 
     #[test]

@@ -1,9 +1,16 @@
 //! §III-C / §IV: the system keeps working under noisy crowds — Bayesian
-//! updates degrade gracefully with worker accuracy, and majority voting
-//! buys accuracy back.
+//! updates degrade gracefully with worker accuracy, majority voting buys
+//! accuracy back, and the quality layer's weighted fusion beats plain
+//! majority on a spammer-contaminated roster without costing anything
+//! when its features are off.
 
-use crowd_topk::datagen::scenarios;
+use crowd_topk::datagen::{generate, gold_questions, scenarios, spammer_pool, DatasetSpec};
 use crowd_topk::prelude::*;
+use crowd_topk::rank::topk::topk_distance;
+use crowd_topk::tpo::build::{Engine, McConfig};
+
+/// Votes per question in both arms of the quality-layer comparisons.
+const PANEL: usize = 3;
 
 fn avg_final_distance(accuracy: f64, policy: VotePolicy, runs: u64, budget: usize) -> f64 {
     let mut total = 0.0;
@@ -108,4 +115,113 @@ fn heterogeneous_pools_work() {
         .unwrap();
     assert!(r.questions_asked() > 0);
     assert!(r.final_distance().unwrap() <= r.initial_distance.unwrap() + 0.05);
+}
+
+/// One full T1-on top-K session over `crowd` at the quality-layer
+/// comparison sizes (n=10, K=4, 14 questions, 2000 fixed worlds).
+fn quality_session<C: Crowd>(table: &UncertainTable, crowd: &mut C, seed: u64) -> UrReport {
+    let config = SessionConfig {
+        k: 4,
+        budget: 14,
+        measure: MeasureKind::WeightedEntropy,
+        algorithm: Algorithm::T1On,
+        engine: Engine::MonteCarlo(McConfig::fixed(2000, 7)),
+        seed,
+        uncertainty_target: None,
+    };
+    UrSession::new(config).unwrap().run(table, crowd).unwrap()
+}
+
+/// The legacy unweighted pool over the same accuracies and worker seeds
+/// a `QualityCrowd` built from `specs` and `seed` uses.
+fn majority_pool(
+    truth: GroundTruth,
+    specs: &[WorkerSpec],
+    seed: u64,
+    vote_budget: usize,
+) -> CrowdSimulator<WorkerPool> {
+    let workers: Vec<NoisyWorker> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| NoisyWorker::adversarial(s.accuracy(), seed.wrapping_add(i as u64)))
+        .collect();
+    let pool = WorkerPool::from_workers(workers).expect("non-empty roster");
+    CrowdSimulator::new(truth, pool, VotePolicy::Majority(PANEL), vote_budget)
+        .expect("valid vote policy")
+}
+
+#[test]
+fn weighted_fusion_beats_majority_at_equal_vote_budget() {
+    // A 9-worker roster with a third spammers. Every worker costs one
+    // vote in both arms, so the same vote budget buys the same number
+    // of questions; only the fusion and grading differ.
+    const REPS: u64 = 6;
+    let vote_budget = PANEL * 14;
+    let (mut majority_sum, mut weighted_sum) = (0.0, 0.0);
+    for rep in 0..REPS {
+        let table = generate(&DatasetSpec::paper_default(10, 0.4, 100 + rep)).unwrap();
+        let truth = GroundTruth::sample(&table, 1000 + rep);
+        let top = truth.top_k(4);
+        // Unit prices: the roster's accuracies without its expert premium.
+        let specs: Vec<WorkerSpec> = spammer_pool(9, 1.0 / 3.0, 7000 + rep)
+            .iter()
+            .map(|s| WorkerSpec::new(s.accuracy()))
+            .collect();
+        let seed = 0xA5EED ^ rep;
+        let distance =
+            |r: &UrReport| topk_distance(&RankList::new_unchecked(r.final_topk.clone()), &top);
+
+        let mut majority = majority_pool(truth.clone(), &specs, seed, vote_budget);
+        majority_sum += distance(&quality_session(&table, &mut majority, rep));
+
+        let mut quality = QualityCrowd::new(
+            truth,
+            &specs,
+            QualityConfig::weighted(PANEL),
+            vote_budget,
+            seed,
+        )
+        .unwrap();
+        quality.calibrate_gold(&gold_questions(10, 1));
+        weighted_sum += distance(&quality_session(&table, &mut quality, rep));
+    }
+    let (majority_mean, weighted_mean) = (majority_sum / REPS as f64, weighted_sum / REPS as f64);
+    assert!(
+        weighted_mean < majority_mean,
+        "weighted fusion must beat Majority({PANEL}) at equal vote budget: \
+         weighted {weighted_mean:.4} vs majority {majority_mean:.4}"
+    );
+}
+
+#[test]
+fn majority_compat_replays_the_plain_pool_session() {
+    // With its features off, the quality layer must cost nothing: a
+    // uniform roster behind `majority_compat` replays the plain
+    // `CrowdSimulator<WorkerPool>` session bit for bit.
+    let table = generate(&DatasetSpec::paper_default(10, 0.4, 42)).unwrap();
+    let truth = GroundTruth::sample(&table, 4242);
+    let specs: Vec<WorkerSpec> = [0.9, 0.8, 0.85, 0.75, 0.95]
+        .into_iter()
+        .map(WorkerSpec::new)
+        .collect();
+    let seed: u64 = 0xB17;
+    let vote_budget = PANEL * 14;
+
+    let mut plain = majority_pool(truth.clone(), &specs, seed, vote_budget);
+    let reference = quality_session(&table, &mut plain, 0);
+
+    let mut compat = QualityCrowd::new(
+        truth,
+        &specs,
+        QualityConfig::majority_compat(PANEL),
+        vote_budget,
+        seed,
+    )
+    .unwrap();
+    let replayed = quality_session(&table, &mut compat, 0);
+    assert!(reference.questions_asked() > 0);
+    assert!(
+        reference.same_outcome(&replayed),
+        "majority_compat diverged from the plain majority pool"
+    );
 }
