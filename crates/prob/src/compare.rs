@@ -27,7 +27,7 @@
 //! a sweep-line over the supports sorted by lower endpoint, so pairs with
 //! strictly disjoint supports resolve to 0/1 without touching the
 //! evaluator, and a per-distribution cache of the piecewise CDF tables
-//! ([`DistCache`]) reused across all `n−1` comparisons of a tuple.
+//! (`DistCache`) reused across all `n−1` comparisons of a tuple.
 
 use crate::bounds::certainly_greater;
 use crate::dist::ScoreDist;

@@ -121,7 +121,7 @@ impl BetaPosterior {
 }
 
 /// `ln(p / (1 - p))` with `p` clamped away from {0, 1} (see
-/// [`LOG_ODDS_CLAMP`]) so the weight stays finite and bounded.
+/// `LOG_ODDS_CLAMP`) so the weight stays finite and bounded.
 pub fn log_odds(p: f64) -> f64 {
     let p = p.clamp(LOG_ODDS_CLAMP, 1.0 - LOG_ODDS_CLAMP);
     (p / (1.0 - p)).ln()

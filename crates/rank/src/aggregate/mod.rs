@@ -6,7 +6,7 @@
 //! minimum weighted feedback-arc-set ordering. Kemeny aggregation is NP-hard
 //! in general, so this module offers:
 //!
-//! * [`exact`] — Held-Karp style bitmask DP, `O(2^n · n^2)`, exact for
+//! * `exact` — Held-Karp style bitmask DP, `O(2^n · n^2)`, exact for
 //!   `n ≤ ~18` candidates (a TPO at the paper's `K = 5…10` rarely mentions
 //!   more);
 //! * [`borda`], [`copeland`], [`kwiksort`] — classic constant-factor

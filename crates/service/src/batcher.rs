@@ -1,7 +1,7 @@
 //! Cross-session question batching: one service round's worth of
 //! questions from many sessions, deduplicated through an answer cache
 //! before any crowd budget is spent, through the service's single
-//! purchase loop, [`resolve_pending`].
+//! purchase loop, `resolve_pending`.
 //!
 //! Two tenants asking about the same pair of objects is the common case a
 //! serving layer exists to exploit: the crowd's answer to `t_i ?≺ t_j` is

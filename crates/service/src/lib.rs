@@ -14,14 +14,15 @@
 //! answers, and this crate owns the dispatch over **one session table**
 //! driven by one run loop (DESIGN.md §14):
 //!
-//! * [`registry`] — the session table: a session's id is its slot, so
-//!   lookups are an index; per-session budgets, lifecycle states (queued /
-//!   awaiting-answers / awaiting-budget / done / failed), and disjoint
-//!   `&mut` entry access for the parallel round phases;
-//! * [`scheduler`] — strict priority between classes, deficit round-robin
-//!   within a class (persistent per-class service queues), bounded
-//!   fanout: every session of the top nonempty class is served within
-//!   `ceil(n / fanout)` rounds, churn-proof;
+//! * [`registry`] — the session table: a session's id is its slot, and
+//!   its entry is its lifecycle ([`SessionState`]): live (queued or
+//!   awaiting budget, with driver, ledger and batch buffers), done (report
+//!   and latency only) or failed (error only);
+//! * `scheduler` — strict priority between classes, deficit round-robin
+//!   within per-class queues that sessions join and leave on their own
+//!   transitions, bounded fanout: every session of the top nonempty class
+//!   is served within `ceil(n / fanout)` rounds, churn-proof, and a plan
+//!   costs O(fanout + departures), not O(sessions queued);
 //! * [`batcher`] — cross-session question batching with an
 //!   [`AnswerCache`]: identical pairwise questions from different tenants
 //!   are answered once, then served from memory, before any crowd budget
@@ -29,7 +30,7 @@
 //!   NaN accuracies and answers to the wrong pair;
 //! * [`service`] — [`TopKService`] and its one phase-structured round,
 //!   [`TopKService::tick`]: resume parked sessions, plan, gather in
-//!   parallel, purchase sequentially, feed in parallel.
+//!   parallel, purchase sequentially, feed in parallel, retire.
 //!   [`TopKService::run_until_quiescent`] tells blocked-on-crowd
 //!   ([`Quiescence`]) apart from idle;
 //! * [`metrics`] — throughput / latency-histogram / cache-hit /
@@ -45,13 +46,12 @@
 pub mod batcher;
 pub mod metrics;
 pub mod registry;
-pub mod scheduler;
+mod scheduler;
 pub mod service;
 
 pub use batcher::{AnswerCache, ServedAnswer};
 pub use ctk_quality::QuestionRouter;
 pub use ctk_tpo::{PrecisionTarget, StopReason};
 pub use metrics::ServiceMetrics;
-pub use registry::{Registry, SessionId, SessionSpec, SessionState};
-pub use scheduler::Scheduler;
+pub use registry::{SessionId, SessionSpec, SessionState};
 pub use service::{Quiescence, RoundOutcome, TopKService};

@@ -2,9 +2,11 @@
 //! where each session stands in its lifecycle.
 //!
 //! A service holds one registry (DESIGN.md §14), and a session's id *is*
-//! its slot: [`Registry::insert`] mints `SessionId(n)` for the `n`-th
-//! submit, so lookups are a bounds-checked index and need no search.
-//! [`Registry::entries_mut_in_order`] hands out disjoint `&mut` entries
+//! its slot: `Registry::insert` mints `SessionId(n)` for the `n`-th
+//! submit, so lookups are a bounds-checked index and need no search. An
+//! entry's variant is its lifecycle — live, done or failed — so a
+//! finished session holds its outcome and nothing else.
+//! `Registry::live_mut_in_order` hands out disjoint `&mut` live sessions
 //! for a planned id set in plan order, which is what lets the service fan
 //! a round's driver work out over scoped worker threads without interior
 //! mutability or locking.
@@ -34,9 +36,6 @@ impl fmt::Display for SessionId {
 pub enum SessionState {
     /// Registered and runnable: the scheduler may request its next batch.
     Queued,
-    /// Questions are on the wire; the session waits for crowd answers
-    /// (transient within one service round).
-    AwaitingAnswers,
     /// The crowd reported no budget left before one of the session's
     /// live asks: it keeps its served prefix and its unresolved tail, and
     /// every round's resume phase retries it — finishing the batch if the
@@ -88,9 +87,9 @@ impl SessionSpec {
     }
 }
 
-/// One registered session.
-pub(crate) struct SessionEntry {
-    pub(crate) priority: u8,
+/// A session still being served.
+pub(crate) struct LiveSession {
+    pub(crate) driver: SessionDriver,
     /// Per-session budget accounting: every answer delivered to the
     /// session (cached or live) consumes one unit, exactly as a question
     /// consumes a standalone crowd's budget. Its `votes()` counts *live
@@ -98,87 +97,110 @@ pub(crate) struct SessionEntry {
     /// under majority policies are visible only to the crowd backend's
     /// own ledger.
     pub(crate) ledger: BudgetLedger,
-    pub(crate) state: SessionState,
-    pub(crate) driver: Option<SessionDriver>,
-    pub(crate) report: Option<UrReport>,
-    pub(crate) error: Option<CoreError>,
-    pub(crate) submitted_at: Instant,
-    pub(crate) latency: Option<Duration>,
     /// Hinted questions of the current batch not yet resolved (front =
-    /// next to serve). Non-empty only mid-purchase or while
-    /// `AwaitingBudget`.
+    /// next to serve). Non-empty only mid-purchase or while parked.
     pub(crate) pending: VecDeque<(Question, RouteHint)>,
     /// Answers resolved so far for the current batch, in request order —
     /// the session's mailbox, emptied by the feed phase.
     pub(crate) served: Vec<ServedAnswer>,
     /// How many questions the current batch posed.
     pub(crate) requested: usize,
+    pub(crate) priority: u8,
+    pub(crate) submitted_at: Instant,
+    /// True while the session waits in the service's parked list for
+    /// crowd budget (`AwaitingBudget`); false while it is a member of its
+    /// scheduler class (`Queued`).
+    pub(crate) parked: bool,
 }
 
-impl SessionEntry {
-    /// Arms the entry for one batch: the hinted questions become the
-    /// pending queue, the mailbox empties, and the session moves to
-    /// `AwaitingAnswers`.
+impl LiveSession {
+    /// Arms the session for one batch: the hinted questions become the
+    /// pending queue and the mailbox empties.
     pub(crate) fn begin_batch(&mut self, hinted: Vec<(Question, RouteHint)>) {
-        self.state = SessionState::AwaitingAnswers;
         self.requested = hinted.len();
         self.pending = VecDeque::from(hinted);
         self.served.clear();
     }
 }
 
+/// One registered session: its lifecycle is the variant. A finished
+/// session keeps only its outcome — no driver, ledger or batch buffers —
+/// and the live state is boxed, so a finished slot is no larger than that.
+pub(crate) enum SessionEntry {
+    Live(Box<LiveSession>),
+    Done { report: UrReport, latency: Duration },
+    Failed(CoreError),
+}
+
+impl SessionEntry {
+    pub(crate) fn state(&self) -> SessionState {
+        match self {
+            SessionEntry::Live(session) if session.parked => SessionState::AwaitingBudget,
+            SessionEntry::Live(_) => SessionState::Queued,
+            SessionEntry::Done { .. } => SessionState::Done,
+            SessionEntry::Failed(_) => SessionState::Failed,
+        }
+    }
+}
+
 /// The set of sessions a service instance is responsible for.
 #[derive(Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     entries: Vec<SessionEntry>,
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a new session in the `Queued` state and mints its id:
-    /// the next free slot.
+    /// Registers a new live session and mints its id: the next free slot.
     pub(crate) fn insert(&mut self, driver: SessionDriver, priority: u8) -> SessionId {
         let id = SessionId(self.entries.len() as u64);
         let budget = driver.config().budget;
-        self.entries.push(SessionEntry {
-            priority,
+        self.entries.push(SessionEntry::Live(Box::new(LiveSession {
+            driver,
             ledger: BudgetLedger::new(budget),
-            state: SessionState::Queued,
-            driver: Some(driver),
-            report: None,
-            error: None,
-            // ctk-allow(det-wall-clock): wall-clock latency metric only; never feeds scheduling or results
-            submitted_at: Instant::now(),
-            latency: None,
             pending: VecDeque::new(),
             served: Vec::new(),
             requested: 0,
-        });
+            priority,
+            // ctk-allow(det-wall-clock): wall-clock latency metric only; never feeds scheduling or results
+            submitted_at: Instant::now(),
+            parked: false,
+        })));
         id
     }
 
-    fn get(&self, id: SessionId) -> Option<&SessionEntry> {
-        usize::try_from(id.0)
-            .ok()
-            .and_then(|slot| self.entries.get(slot))
+    pub(crate) fn get(&self, id: SessionId) -> Option<&SessionEntry> {
+        self.entries.get(usize::try_from(id.0).ok()?)
     }
 
-    /// Disjoint `&mut` borrows of the entries named by `ids`, returned in
-    /// the order `ids` lists them — the session set of one service round.
-    /// `ids` must be duplicate-free and every id must exist (invariants
-    /// of the scheduler's plan and the parked list). Violations panic in
-    /// release builds too: the caller pairs this result with `ids`
-    /// positionally, so a silently dropped id would misattribute every
-    /// later session's answers to the wrong tenant — a loud failure is the
-    /// only safe degradation.
+    /// Replaces a live entry with what `f` makes of its session; other
+    /// entries are left as they are.
+    pub(crate) fn settle(&mut self, id: SessionId, f: impl FnOnce(LiveSession) -> SessionEntry) {
+        let Some(entry) = self
+            .entries
+            .get_mut(usize::try_from(id.0).unwrap_or(usize::MAX))
+        else {
+            return;
+        };
+        // The stand-in is overwritten before this returns.
+        let stand_in = SessionEntry::Failed(CoreError::Driver(String::new()));
+        *entry = match std::mem::replace(entry, stand_in) {
+            SessionEntry::Live(session) => f(*session),
+            finished => finished,
+        };
+    }
+
+    /// Disjoint `&mut` borrows of the live sessions named by `ids`,
+    /// returned in the order `ids` lists them — the session set of one
+    /// service round. `ids` must be duplicate-free and name only live
+    /// sessions (invariants of the scheduler's plan and the parked list).
+    /// Violations panic in release builds too: the caller pairs this
+    /// result with `ids` positionally, so a silently dropped id would
+    /// misattribute every later session's answers to the wrong tenant — a
+    /// loud failure is the only safe degradation.
     ///
     /// O(|ids| log |ids|): the ids are visited in slot order, each one a
     /// constant-time skip of the slice iterator past the slots between.
-    pub(crate) fn entries_mut_in_order(&mut self, ids: &[SessionId]) -> Vec<&mut SessionEntry> {
+    pub(crate) fn live_mut_in_order(&mut self, ids: &[SessionId]) -> Vec<&mut LiveSession> {
         let mut by_slot: Vec<(SessionId, usize)> = ids.iter().copied().zip(0..).collect();
         by_slot.sort_unstable();
         let mut picked = Vec::with_capacity(ids.len());
@@ -187,78 +209,14 @@ impl Registry {
         for (id, pos) in by_slot {
             assert!(id.0 >= next, "duplicate {id} in session set");
             let gap = usize::try_from(id.0 - next).unwrap_or(usize::MAX);
-            if let Some(entry) = rest.nth(gap) {
-                picked.push((pos, entry));
+            if let Some(SessionEntry::Live(session)) = rest.nth(gap) {
+                picked.push((pos, &mut **session));
             }
             next = id.0 + 1;
         }
-        assert_eq!(picked.len(), ids.len(), "unknown session id in session set");
+        assert_eq!(picked.len(), ids.len(), "unknown or finished session id");
         picked.sort_unstable_by_key(|&(pos, _)| pos);
-        picked.into_iter().map(|(_, entry)| entry).collect()
-    }
-
-    /// Sessions the scheduler may serve this round, with their priority.
-    pub(crate) fn runnable(&self) -> Vec<(SessionId, u8)> {
-        self.ids()
-            .zip(&self.entries)
-            .filter(|(_, e)| e.state == SessionState::Queued)
-            .map(|(id, e)| (id, e.priority))
-            .collect()
-    }
-
-    /// Total registered sessions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing was ever submitted.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Sessions not yet done or failed.
-    pub fn active(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.state,
-                    SessionState::Queued
-                        | SessionState::AwaitingAnswers
-                        | SessionState::AwaitingBudget
-                )
-            })
-            .count()
-    }
-
-    /// Lifecycle state of a session.
-    pub fn state(&self, id: SessionId) -> Option<SessionState> {
-        self.get(id).map(|e| e.state)
-    }
-
-    /// Final report of a `Done` session.
-    pub fn report(&self, id: SessionId) -> Option<&UrReport> {
-        self.get(id).and_then(|e| e.report.as_ref())
-    }
-
-    /// Error of a `Failed` session.
-    pub fn error(&self, id: SessionId) -> Option<&CoreError> {
-        self.get(id).and_then(|e| e.error.as_ref())
-    }
-
-    /// Questions answered for a session so far (cached + live).
-    pub fn questions_served(&self, id: SessionId) -> Option<usize> {
-        self.get(id).map(|e| e.ledger.asked())
-    }
-
-    /// Enqueue-to-done latency of a finished session.
-    pub fn latency(&self, id: SessionId) -> Option<Duration> {
-        self.get(id).and_then(|e| e.latency)
-    }
-
-    /// All session ids in submission order.
-    pub fn ids(&self) -> impl Iterator<Item = SessionId> {
-        (0..self.entries.len() as u64).map(SessionId)
+        picked.into_iter().map(|(_, session)| session).collect()
     }
 }
 
@@ -270,8 +228,8 @@ mod tests {
     use ctk_prob::{ScoreDist, UncertainTable};
     use ctk_tpo::build::{Engine, McConfig};
 
-    /// A registry of `n` sessions; session `i` has priority `i`, so an
-    /// entry's priority names its slot.
+    /// A registry of `n` sessions; session `i` has priority `i`, so a
+    /// session's priority names its slot.
     fn registry(n: u8) -> Registry {
         let table = UncertainTable::new(
             (0..4)
@@ -288,7 +246,7 @@ mod tests {
             seed: 0,
             uncertainty_target: None,
         };
-        let mut reg = Registry::new();
+        let mut reg = Registry::default();
         for priority in 0..n {
             let driver = SessionDriver::new(config.clone(), &table, None).unwrap();
             assert_eq!(reg.insert(driver, priority), SessionId(u64::from(priority)));
@@ -301,27 +259,42 @@ mod tests {
         let mut reg = registry(4);
         let ids = [SessionId(3), SessionId(0), SessionId(2)];
         let slots: Vec<u8> = reg
-            .entries_mut_in_order(&ids)
+            .live_mut_in_order(&ids)
             .iter()
-            .map(|e| e.priority)
+            .map(|s| s.priority)
             .collect();
         assert_eq!(slots, [3, 0, 2]);
-        assert!(reg.entries_mut_in_order(&[]).is_empty());
-        assert_eq!(
-            reg.ids().collect::<Vec<_>>(),
-            (0..4).map(SessionId).collect::<Vec<_>>()
-        );
+        assert!(reg.live_mut_in_order(&[]).is_empty());
+        for slot in 0..4 {
+            let state = reg.get(SessionId(slot)).map(SessionEntry::state);
+            assert_eq!(state, Some(SessionState::Queued));
+        }
+        assert!(reg.get(SessionId(4)).is_none());
     }
 
     #[test]
     #[should_panic(expected = "duplicate s2")]
     fn duplicate_ids_panic() {
-        registry(4).entries_mut_in_order(&[SessionId(2), SessionId(0), SessionId(2)]);
+        registry(4).live_mut_in_order(&[SessionId(2), SessionId(0), SessionId(2)]);
     }
 
     #[test]
-    #[should_panic(expected = "unknown session id")]
+    #[should_panic(expected = "unknown or finished session id")]
     fn unknown_ids_panic() {
-        registry(2).entries_mut_in_order(&[SessionId(0), SessionId(5)]);
+        registry(2).live_mut_in_order(&[SessionId(0), SessionId(5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown or finished session id")]
+    fn finished_ids_panic() {
+        let mut reg = registry(2);
+        reg.settle(SessionId(1), |_| {
+            SessionEntry::Failed(CoreError::Driver("test".into()))
+        });
+        assert_eq!(
+            reg.get(SessionId(1)).map(SessionEntry::state),
+            Some(SessionState::Failed)
+        );
+        reg.live_mut_in_order(&[SessionId(0), SessionId(1)]);
     }
 }

@@ -2,39 +2,42 @@
 //! crowd backend through one phase-structured round,
 //! [`TopKService::tick`] (DESIGN.md §14).
 //!
-//! The service owns one session table ([`Registry`], where a session's id
-//! is its slot), one [`Scheduler`], the list of sessions parked on crowd
-//! budget, and one [`AnswerCache`]. The crowd and the cache are the only
-//! state shared across sessions, and only the sequential purchase phase
-//! touches them.
+//! The service owns one session table (the registry, where a session's id
+//! is its slot and its entry is `Live`, `Done` or `Failed`), one
+//! scheduler, the list of sessions parked on crowd budget, and one
+//! [`AnswerCache`]. The crowd and the cache are the only state shared
+//! across sessions, and only the sequential purchase phase touches them.
 //!
-//! One round runs five phases:
+//! One round runs six phases:
 //!
 //! 1. **resume** — take the parked list: sessions that met an empty crowd
 //!    in an earlier round retry their unresolved tail;
-//! 2. **plan** — the scheduler picks from the runnable list;
+//! 2. **plan** — the scheduler picks from its per-class queues, which
+//!    sessions join and leave on their own transitions;
 //! 3. **gather** (parallel over `std::thread::scope` worker chunks) —
 //!    every planned driver emits its next question batch;
 //! 4. **purchase** (sequential) — one walk, resumed sessions first (in id
 //!    order) and planned ones second (in plan order), through the single
-//!    cache-first purchase loop ([`crate::batcher::resolve_pending`]). A
-//!    cache miss on a crowd with no budget left parks the session
-//!    `AwaitingBudget`; a refused or invalid answer cuts its batch;
+//!    cache-first purchase loop (`resolve_pending`). A cache miss on a
+//!    crowd with no budget left parks the session `AwaitingBudget`; a
+//!    refused or invalid answer cuts its batch;
 //! 5. **feed** (parallel) — each resolved session's mailbox goes to its
-//!    driver.
+//!    driver;
+//! 6. **retire** (sequential) — sessions that finished or failed this
+//!    round give up their driver and keep only their outcome.
 //!
 //! Drivers are independent state machines (`SessionDriver: Send`,
-//! disjoint `&mut` borrows via [`Registry::entries_mut_in_order`]); every
-//! cross-session effect — scheduling order, crowd spending, cache
-//! population, metrics — happens sequentially, so per-tenant reports are
-//! deterministic at any worker thread count.
+//! disjoint `&mut` borrows of the live sessions); every cross-session
+//! effect — scheduling order, crowd spending, cache population, metrics —
+//! happens sequentially, so per-tenant reports are deterministic at any
+//! worker thread count.
 //! [`TopKService::run_until_quiescent`] ticks while rounds make progress,
 //! then tells "blocked on the crowd" ([`Quiescence::BlockedOnCrowd`])
 //! apart from done.
 
 use crate::batcher::{resolve_pending, AnswerCache, Disposition};
 use crate::metrics::ServiceMetrics;
-use crate::registry::{Registry, SessionEntry, SessionId, SessionSpec, SessionState};
+use crate::registry::{LiveSession, Registry, SessionEntry, SessionId, SessionSpec, SessionState};
 use crate::scheduler::Scheduler;
 use ctk_core::driver::{DriverStatus, SessionDriver};
 use ctk_core::session::UrReport;
@@ -46,7 +49,7 @@ use ctk_quality::QuestionRouter;
 use ctk_rank::RankList;
 use ctk_tpo::build::Engine;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What one scheduling round did.
 #[derive(Debug, Clone, Copy, Default)]
@@ -179,8 +182,8 @@ impl<C: Crowd> TopKService<C> {
         Self {
             crowd,
             cache: AnswerCache::new(),
-            registry: Registry::new(),
-            scheduler: Scheduler::new(),
+            registry: Registry::default(),
+            scheduler: Scheduler::default(),
             parked: Vec::new(),
             metrics,
             threads,
@@ -250,6 +253,7 @@ impl<C: Crowd> TopKService<C> {
         let (pairwise, bounds) = self.table_entry_for(table, config.k);
         let driver = SessionDriver::new_shared(config, table, truth, pairwise, bounds)?;
         let id = self.registry.insert(driver, spec.priority);
+        self.scheduler.join(id, spec.priority);
         self.metrics.submitted += 1;
         Ok(id)
     }
@@ -319,13 +323,13 @@ impl<C: Crowd> TopKService<C> {
         self.pairwise_cache.iter().map(|e| e.bounds.len()).sum()
     }
 
-    /// Runs one round: resume, plan, gather, purchase, feed (see the
-    /// module docs). Returns what happened; a round over an idle service
-    /// is a no-op.
+    /// Runs one round: resume, plan, gather, purchase, feed, retire (see
+    /// the module docs). Returns what happened; a round over an idle
+    /// service is a no-op.
     ///
     /// All lifecycle transitions and metrics happen in the sequential
-    /// steps, on the entries borrowed once for the round, so the outcome
-    /// is independent of the thread count.
+    /// steps, on the live sessions borrowed once for the round, so the
+    /// outcome is independent of the thread count.
     pub fn tick(&mut self) -> RoundOutcome {
         // ctk-allow(det-wall-clock): round-duration metric only; never feeds a decision
         let t0 = Instant::now();
@@ -347,17 +351,16 @@ impl<C: Crowd> TopKService<C> {
         let mut resumed = std::mem::take(parked);
         resumed.sort_unstable();
 
-        // Plan: the runnable list, built once per round. Parked sessions
-        // are `AwaitingBudget`, never runnable, so the two sets are
+        // Plan: parked sessions left the scheduler, so the two sets are
         // disjoint and one borrow covers both.
-        let plan = scheduler.plan_round(&registry.runnable());
+        let plan = scheduler.plan_round();
         outcome.scheduled = plan.len();
         if plan.is_empty() && resumed.is_empty() {
             return outcome;
         }
         let ids: Vec<SessionId> = resumed.iter().chain(&plan).copied().collect();
-        let mut resumed_entries = registry.entries_mut_in_order(&ids);
-        let mut planned_entries = resumed_entries.split_off(resumed.len());
+        let mut resumed_live = registry.live_mut_in_order(&ids);
+        let mut planned_live = resumed_live.split_off(resumed.len());
 
         // Gather phase (parallel): every planned driver computes its next
         // batch. The allowance is the *session's* remaining budget only —
@@ -365,54 +368,48 @@ impl<C: Crowd> TopKService<C> {
         // because the answer cache can serve a question at zero crowd
         // cost; only questions that actually need a live answer park or
         // starve (per question, in the purchase loop).
-        let gathered = run_parallel(&mut planned_entries, *threads, |entry| {
-            let allowance = entry.ledger.remaining();
-            // ctk-allow(panic-unwrap): queued entries always hold a driver; a silent skip would misattribute answers
-            let driver = entry.driver.as_mut().expect("queued session has driver");
-            driver.next_batch(allowance)
+        let gathered = run_parallel(&mut planned_live, *threads, |live| {
+            let allowance = live.ledger.remaining();
+            live.driver.next_batch(allowance)
         });
 
         // Lifecycle transitions happen here, sequentially, in plan order.
         // When a router is configured, each question is tagged with the
         // hint its session's *current* belief margin implies — before any
         // of this round's answers move the belief.
-        let mut to_buy: Vec<(SessionId, &mut SessionEntry)> =
-            resumed.into_iter().zip(resumed_entries).collect();
-        for ((id, entry), batch) in plan.into_iter().zip(planned_entries).zip(gathered) {
+        let mut ended: Vec<(SessionId, Result<()>)> = Vec::new();
+        let mut to_buy: Vec<(SessionId, &mut LiveSession)> =
+            resumed.into_iter().zip(resumed_live).collect();
+        for ((id, live), batch) in plan.into_iter().zip(planned_live).zip(gathered) {
             match batch {
-                Ok(batch) if batch.is_empty() => {
-                    finalize(entry, metrics);
-                    outcome.finished += 1;
-                }
+                Ok(batch) if batch.is_empty() => ended.push((id, Ok(()))),
                 Ok(batch) => {
-                    let hinted = hint_batch(router.as_ref(), entry, batch);
-                    entry.begin_batch(hinted);
-                    to_buy.push((id, entry));
+                    let hinted = hint_batch(router.as_ref(), &live.driver, batch);
+                    live.begin_batch(hinted);
+                    to_buy.push((id, live));
                 }
-                Err(err) => {
-                    fail(entry, err, metrics);
-                    outcome.finished += 1;
-                }
+                Err(err) => ended.push((id, Err(err))),
             }
         }
 
         // Purchase phase (sequential): one crowd walk, resumed sessions
         // first, keeps budget accounting and cache population independent
-        // of how the other phases are spread over threads.
+        // of how the other phases are spread over threads. Parking leaves
+        // the scheduler (a resumed session already left).
         // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
         let p0 = Instant::now();
         let hits_before = metrics.cache_hits;
-        let mut to_feed: Vec<&mut SessionEntry> = Vec::with_capacity(to_buy.len());
-        for (id, entry) in to_buy {
-            match resolve_pending(&mut entry.pending, &mut entry.served, cache, crowd, metrics) {
+        let mut to_feed: Vec<(SessionId, &mut LiveSession)> = Vec::with_capacity(to_buy.len());
+        for (id, live) in to_buy {
+            match resolve_pending(&mut live.pending, &mut live.served, cache, crowd, metrics) {
                 Disposition::Parked => {
-                    entry.state = SessionState::AwaitingBudget;
+                    if !live.parked {
+                        scheduler.leave(id, live.priority);
+                        live.parked = true;
+                    }
                     parked.push(id);
                 }
-                Disposition::Resolved | Disposition::Starved => {
-                    entry.state = SessionState::AwaitingAnswers;
-                    to_feed.push(entry);
-                }
+                Disposition::Resolved | Disposition::Starved => to_feed.push((id, live)),
             }
         }
         outcome.cache_hits = metrics.cache_hits - hits_before;
@@ -423,33 +420,38 @@ impl<C: Crowd> TopKService<C> {
         // keeps its purchase-time accuracy even if the backend's policy
         // drifted since). Ledger votes count *live* crowd interactions;
         // cache hits consume session budget but no crowd budget.
-        let fed = run_parallel(&mut to_feed, *threads, |entry| {
-            let served = std::mem::take(&mut entry.served);
+        let fed = run_parallel(&mut to_feed, *threads, |(_, live)| {
+            let served = std::mem::take(&mut live.served);
             for ans in &served {
-                entry.ledger.record(ans.answer, usize::from(!ans.cached));
+                live.ledger.record(ans.answer, usize::from(!ans.cached));
             }
             let graded: Vec<_> = served.iter().map(|a| (a.answer, a.accuracy)).collect();
-            // ctk-allow(panic-unwrap): awaiting entries always hold a driver; loud failure beats misattribution
-            let driver = entry.driver.as_mut().expect("awaiting session has driver");
-            (served.len(), entry.requested, driver.feed_graded(&graded))
+            let status = live.driver.feed_graded(&graded);
+            (served.len(), live.requested, status)
         });
-        for (entry, (served, requested, status)) in to_feed.into_iter().zip(fed) {
+        for ((id, live), (served, requested, status)) in to_feed.into_iter().zip(fed) {
             metrics.answers_served += served as u64;
             outcome.answers_served += served as u64;
             if served < requested {
                 metrics.starved += 1;
             }
             match status {
-                Ok(DriverStatus::Done) => {
-                    finalize(entry, metrics);
-                    outcome.finished += 1;
+                Ok(DriverStatus::Done) => ended.push((id, Ok(()))),
+                // A resumed session that stays active rejoins its class.
+                Ok(DriverStatus::Active) => {
+                    if live.parked {
+                        live.parked = false;
+                        scheduler.join(id, live.priority);
+                    }
                 }
-                Ok(DriverStatus::Active) => entry.state = SessionState::Queued,
-                Err(err) => {
-                    fail(entry, err, metrics);
-                    outcome.finished += 1;
-                }
+                Err(err) => ended.push((id, Err(err))),
             }
+        }
+
+        // Retire (sequential), once the round's borrows are released.
+        outcome.finished = ended.len();
+        for (id, result) in ended {
+            registry.settle(id, |live| retire(id, live, result, scheduler, metrics));
         }
 
         if outcome.progressed() {
@@ -485,8 +487,8 @@ impl<C: Crowd> TopKService<C> {
     /// the accumulated metrics.
     pub fn run_to_completion(&mut self) -> &ServiceMetrics {
         while let Quiescence::BlockedOnCrowd { sessions } = self.run_until_quiescent() {
-            for entry in self.registry.entries_mut_in_order(&sessions) {
-                entry.pending.clear();
+            for session in self.registry.live_mut_in_order(&sessions) {
+                session.pending.clear();
             }
         }
         &self.metrics
@@ -494,27 +496,36 @@ impl<C: Crowd> TopKService<C> {
 
     /// Lifecycle state of a session.
     pub fn state(&self, id: SessionId) -> Option<SessionState> {
-        self.registry.state(id)
+        self.registry.get(id).map(SessionEntry::state)
     }
 
     /// Final report of a `Done` session.
     pub fn report(&self, id: SessionId) -> Option<&UrReport> {
-        self.registry.report(id)
+        match self.registry.get(id)? {
+            SessionEntry::Done { report, .. } => Some(report),
+            _ => None,
+        }
     }
 
     /// Error of a `Failed` session.
     pub fn error(&self, id: SessionId) -> Option<&CoreError> {
-        self.registry.error(id)
+        match self.registry.get(id)? {
+            SessionEntry::Failed(err) => Some(err),
+            _ => None,
+        }
+    }
+
+    /// Submit-to-done latency of a `Done` session.
+    pub fn latency(&self, id: SessionId) -> Option<Duration> {
+        match self.registry.get(id)? {
+            SessionEntry::Done { latency, .. } => Some(*latency),
+            _ => None,
+        }
     }
 
     /// Accumulated service metrics.
     pub fn metrics(&self) -> &ServiceMetrics {
         &self.metrics
-    }
-
-    /// Read-only view of the session table.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// The shared crowd backend.
@@ -528,32 +539,33 @@ impl<C: Crowd> TopKService<C> {
     }
 }
 
-/// Finishes a session whose driver reported done: takes the driver,
-/// stores the report (or the error `finish` returned), and records
-/// completion metrics.
-fn finalize(entry: &mut SessionEntry, metrics: &mut ServiceMetrics) {
-    let driver = entry.driver.take().expect("finalize once"); // ctk-allow(panic-unwrap): state machine guarantees a live driver here
-    match driver.finish() {
+/// The entry a session that ended this round settles into: its report
+/// when the driver finished cleanly and `finish` succeeds, its error
+/// otherwise. A session still in its scheduler class leaves it.
+fn retire(
+    id: SessionId,
+    session: LiveSession,
+    result: Result<()>,
+    scheduler: &mut Scheduler,
+    metrics: &mut ServiceMetrics,
+) -> SessionEntry {
+    if !session.parked {
+        scheduler.leave(id, session.priority);
+    }
+    match result.and_then(|()| session.driver.finish()) {
         Ok(report) => {
             metrics.worlds_drawn += report.worlds_drawn as u64;
             metrics.certain_early_stops += u64::from(report.certain_early_stop);
-            entry.report = Some(report);
-            entry.state = SessionState::Done;
-            let latency = entry.submitted_at.elapsed();
-            entry.latency = Some(latency);
+            let latency = session.submitted_at.elapsed();
             metrics.completed += 1;
             metrics.record_latency(latency);
+            SessionEntry::Done { report, latency }
         }
-        Err(err) => fail(entry, err, metrics),
+        Err(err) => {
+            metrics.failed += 1;
+            SessionEntry::Failed(err)
+        }
     }
-}
-
-/// Marks a session `Failed` with `err` (driver dropped).
-fn fail(entry: &mut SessionEntry, err: CoreError, metrics: &mut ServiceMetrics) {
-    entry.driver = None;
-    entry.error = Some(err);
-    entry.state = SessionState::Failed;
-    metrics.failed += 1;
 }
 
 /// Attaches a [`RouteHint`] to every question of a batch: the hint the
@@ -561,21 +573,17 @@ fn fail(entry: &mut SessionEntry, err: CoreError, metrics: &mut ServiceMetrics) 
 /// configured, [`RouteHint::Any`] otherwise.
 fn hint_batch(
     router: Option<&QuestionRouter>,
-    entry: &SessionEntry,
+    driver: &SessionDriver,
     batch: Vec<Question>,
 ) -> Vec<(Question, RouteHint)> {
     match router {
-        Some(r) => {
-            // ctk-allow(panic-unwrap): awaiting entries always hold a driver
-            let driver = entry.driver.as_ref().expect("awaiting session has driver");
-            batch
-                .into_iter()
-                .map(|q| {
-                    let hint = r.hint(driver.question_margin(&q));
-                    (q, hint)
-                })
-                .collect()
-        }
+        Some(r) => batch
+            .into_iter()
+            .map(|q| {
+                let hint = r.hint(driver.question_margin(&q));
+                (q, hint)
+            })
+            .collect(),
         None => batch.into_iter().map(|q| (q, RouteHint::Any)).collect(),
     }
 }
@@ -678,7 +686,13 @@ mod tests {
         assert!(report.questions_asked() > 0);
         assert_eq!(svc.metrics().completed, 1);
         assert_eq!(svc.metrics().failed, 0);
-        assert!(svc.registry().latency(id).is_some());
+        assert!(svc.latency(id).is_some());
+        assert!(svc.parked.is_empty());
+        assert_eq!(
+            svc.scheduler.entries(),
+            0,
+            "a finished session leaves no entry"
+        );
     }
 
     #[test]
@@ -725,11 +739,14 @@ mod tests {
             .iter()
             .map(|id| svc.report(*id).unwrap().questions_asked())
             .sum();
-        // Cache hits can stretch 3 crowd questions further, but live asks
-        // cannot exceed the crowd budget.
-        assert!(svc.metrics().crowd_questions <= 3);
-        assert!(asked >= 3usize.min(asked), "sessions still made progress");
+        // Every answer served reached a report, and the crowd was spent to
+        // its last unit: live asks can neither exceed nor strand the
+        // budget while sessions still want answers.
+        assert_eq!(asked as u64, svc.metrics().answers_served);
+        assert_eq!(svc.metrics().crowd_questions, 3);
         assert_eq!(svc.metrics().completed, 2);
+        assert!(svc.parked.is_empty());
+        assert_eq!(svc.scheduler.entries(), 0);
     }
 
     #[test]
@@ -994,6 +1011,8 @@ mod tests {
             "the cut batches count as starved"
         );
         assert_eq!(svc.metrics().completed, 2);
+        assert!(svc.parked.is_empty(), "force-starved sessions unpark");
+        assert_eq!(svc.scheduler.entries(), 0, "and leave no queue entry");
     }
 
     #[test]
@@ -1078,13 +1097,7 @@ mod tests {
         assert_eq!(small.state(foreign), None);
         assert!(small.report(foreign).is_none());
         assert!(small.error(foreign).is_none());
-        let registry = small.registry();
-        assert_eq!(registry.len(), 1);
-        assert_eq!(registry.state(foreign), None);
-        assert!(registry.report(foreign).is_none());
-        assert!(registry.error(foreign).is_none());
-        assert_eq!(registry.questions_served(foreign), None);
-        assert_eq!(registry.latency(foreign), None);
+        assert_eq!(small.latency(foreign), None);
     }
 
     /// A crowd that lies about one pair: the first pair it is asked, and

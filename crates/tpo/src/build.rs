@@ -217,12 +217,12 @@ pub enum AdaptiveSample {
 }
 
 /// Grows a world sample until the empirical-Bernstein sequential bound
-/// ([`crate::precision::eb_half_width`]) certifies every depth-`k` path
+/// (`crate::precision::eb_half_width`) certifies every depth-`k` path
 /// probability within `epsilon` at confidence `1 − delta` — or returns
 /// immediately, with zero worlds, when the decided pairwise structure
 /// already pins the ordered prefix.
 ///
-/// Batches double from [`ADAPTIVE_INITIAL_BATCH`] up to
+/// Batches double from `ADAPTIVE_INITIAL_BATCH` up to
 /// [`ADAPTIVE_MAX_WORLDS`]; all draws continue one seeded PRNG stream, so
 /// the grown model is bit-identical to a one-shot sample of the same
 /// total size (pinned by tests). `bounds` as in [`build_mc_bounded`].
