@@ -131,29 +131,15 @@ impl SessionDriver {
         truth: Option<&RankList>,
     ) -> Result<Self> {
         let pairwise = Arc::new(PairwiseMatrix::compute(table));
-        Self::new_with_pairwise(config, table, truth, pairwise)
-    }
-
-    /// Like [`SessionDriver::new`] but reusing a precomputed pairwise
-    /// matrix for `table` — the n² comparison quadratures are by far the
-    /// most expensive part of session setup, and a serving layer
-    /// multiplexing many sessions over one table should pay them once
-    /// (see `ctk-service`).
-    pub fn new_with_pairwise(
-        config: SessionConfig,
-        table: &UncertainTable,
-        truth: Option<&RankList>,
-        pairwise: Arc<PairwiseMatrix>,
-    ) -> Result<Self> {
         Self::new_shared(config, table, truth, pairwise, None)
     }
 
-    /// Like [`SessionDriver::new_with_pairwise`] but additionally reusing
-    /// precomputed certain/possible top-K bounds for `(table, k)` — a
-    /// serving layer caches them beside the pairwise matrix so repeat
-    /// tenants skip the O(n²) dominance scan. Bounds whose table size or
-    /// depth do not match this session are ignored (recomputed), never
-    /// trusted.
+    /// Like [`SessionDriver::new`] but reusing a precomputed pairwise
+    /// matrix for `table` and, when given, certain/possible top-K bounds
+    /// for `(table, k)`. A serving layer computes both once per table and
+    /// shares them, so repeat tenants skip the n² comparisons and the
+    /// O(n²) dominance scan. Bounds whose table size or depth do not
+    /// match this session are ignored (recomputed), never trusted.
     pub fn new_shared(
         config: SessionConfig,
         table: &UncertainTable,
@@ -168,25 +154,13 @@ impl SessionDriver {
                 table.len()
             )));
         }
-        if config.k == 0 {
-            return Err(CoreError::InvalidConfig("k must be at least 1".into()));
-        }
+        config.validate()?;
         if config.k > table.len() {
             return Err(CoreError::InvalidConfig(format!(
                 "k = {} exceeds table size {}",
                 config.k,
                 table.len()
             )));
-        }
-        if let Algorithm::Incr {
-            questions_per_round,
-        } = config.algorithm
-        {
-            if questions_per_round == 0 {
-                return Err(CoreError::InvalidConfig(
-                    "incr needs questions_per_round >= 1".into(),
-                ));
-            }
         }
         let measure = config.measure.build();
         let started = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
@@ -328,6 +302,12 @@ impl SessionDriver {
         self.outstanding.len()
     }
 
+    /// The emitted questions not yet answered, in emission order — the
+    /// order [`SessionDriver::feed`] expects their answers in.
+    pub fn outstanding_questions(&self) -> impl Iterator<Item = Question> + '_ {
+        self.outstanding.iter().copied()
+    }
+
     /// Questions answered so far.
     pub fn questions_asked(&self) -> usize {
         self.report.steps.len()
@@ -348,10 +328,12 @@ impl SessionDriver {
     }
 
     /// Returns the next questions to pose to the crowd. `crowd_remaining`
-    /// is how many more answers the caller can deliver (for a standalone
+    /// is how many more answers the caller can deliver: for a standalone
     /// session, the crowd's remaining budget; for a multiplexed session,
-    /// the session's remaining allowance — an answer cache may serve
-    /// questions the shared crowd can no longer afford). An empty batch
+    /// `usize::MAX`, because an answer cache may serve questions the
+    /// shared crowd can no longer afford. The driver plans over the
+    /// smaller of that and its own unspent budget, so a crowd holding
+    /// more than the session's budget changes nothing. An empty batch
     /// with no outstanding answers means the session is done; an empty
     /// batch *with* outstanding answers means the caller must `feed`
     /// first.
@@ -364,14 +346,13 @@ impl SessionDriver {
             return Ok(Vec::new());
         }
         if self.pending.is_empty() {
-            if self.report.steps.len() >= self.config.budget
-                || crowd_remaining == 0
-                || target_reached(&self.config, self.report.final_uncertainty())
-            {
+            let allowance =
+                crowd_remaining.min(self.config.budget.saturating_sub(self.questions_asked()));
+            if allowance == 0 || target_reached(&self.config, self.report.final_uncertainty()) {
                 self.done = true;
                 return Ok(Vec::new());
             }
-            self.select_more(crowd_remaining)?;
+            self.select_more(allowance)?;
             if self.pending.is_empty() {
                 // No informative question remains (early termination,
                 // §III-B) or the offline plan is spent.
@@ -494,8 +475,9 @@ impl SessionDriver {
         Ok(self.report)
     }
 
-    /// Refills `pending` according to the strategy (runs the selector).
-    fn select_more(&mut self, crowd_remaining: usize) -> Result<()> {
+    /// Refills `pending` according to the strategy (runs the selector),
+    /// planning over at most `allowance` more answers.
+    fn select_more(&mut self, allowance: usize) -> Result<()> {
         let ctx = ResidualCtx {
             measure: self.measure.as_ref(),
             pairwise: &self.pairwise,
@@ -504,7 +486,7 @@ impl SessionDriver {
             Mode::Tree { ps, sel } => match sel {
                 TreeSel::Online(s) => {
                     let t = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
-                    let q = s.next_question(ps, crowd_remaining, &ctx);
+                    let q = s.next_question(ps, allowance, &ctx);
                     self.selection_time += t.elapsed();
                     self.pending.extend(q);
                 }
@@ -522,7 +504,7 @@ impl SessionDriver {
                             other => unreachable!("{} is not an offline strategy", other.name()),
                         };
                         let t = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
-                        let batch = s.select(ps, self.config.budget.min(crowd_remaining), &ctx);
+                        let batch = s.select(ps, allowance, &ctx);
                         self.selection_time += t.elapsed();
                         self.pending.extend(batch);
                     }
@@ -538,9 +520,7 @@ impl SessionDriver {
                 // questions to ask.” — where "enough" is the *effective*
                 // round size: the last round of a nearly spent budget must
                 // not force deep tree construction it can never use.
-                let cap = (*n_per_round)
-                    .min(crowd_remaining)
-                    .min(self.config.budget - self.report.steps.len());
+                let cap = (*n_per_round).min(allowance);
                 let t = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
                 let mut ps = wm.path_set_cached(*depth)?;
                 let mut pool = crate::select::relevant_questions(&ps, &ctx);
@@ -909,11 +889,12 @@ mod tests {
             let mut crowd_b = CrowdSimulator::new(truth, PerfectWorker, VotePolicy::Single, 8)
                 .expect("valid vote policy");
             let fresh = drive(config(alg.clone(), 8), &table, &mut crowd_a);
-            let mut driver = SessionDriver::new_with_pairwise(
+            let mut driver = SessionDriver::new_shared(
                 config(alg, 8),
                 &table,
                 Some(&top),
                 Arc::clone(&shared),
+                None,
             )
             .unwrap();
             loop {
@@ -941,7 +922,7 @@ mod tests {
         .unwrap();
         let wrong = Arc::new(PairwiseMatrix::compute(&small));
         assert!(matches!(
-            SessionDriver::new_with_pairwise(config(Algorithm::T1On, 4), &table, None, wrong),
+            SessionDriver::new_shared(config(Algorithm::T1On, 4), &table, None, wrong, None),
             Err(CoreError::InvalidConfig(_))
         ));
     }

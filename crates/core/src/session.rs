@@ -99,6 +99,30 @@ pub struct SessionConfig {
     pub uncertainty_target: Option<f64>,
 }
 
+impl SessionConfig {
+    /// Checks what a configuration must satisfy before any table is seen:
+    /// a query depth of at least 1 and, for `incr`, at least one question
+    /// per round.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] naming the violated bound.
+    pub fn validate(&self) -> Result<()> {
+        if self.k == 0 {
+            return Err(CoreError::InvalidConfig("k must be at least 1".into()));
+        }
+        if let Algorithm::Incr {
+            questions_per_round: 0,
+        } = self.algorithm
+        {
+            return Err(CoreError::InvalidConfig(
+                "incr needs questions_per_round >= 1".into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl Default for SessionConfig {
     fn default() -> Self {
         Self {
@@ -259,19 +283,7 @@ pub struct UrSession {
 impl UrSession {
     /// Validates and wraps a configuration.
     pub fn new(config: SessionConfig) -> Result<Self> {
-        if config.k == 0 {
-            return Err(CoreError::InvalidConfig("k must be at least 1".into()));
-        }
-        if let Algorithm::Incr {
-            questions_per_round,
-        } = config.algorithm
-        {
-            if questions_per_round == 0 {
-                return Err(CoreError::InvalidConfig(
-                    "incr needs questions_per_round >= 1".into(),
-                ));
-            }
-        }
+        config.validate()?;
         Ok(Self { config })
     }
 

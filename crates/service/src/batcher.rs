@@ -23,7 +23,7 @@
 
 use crate::metrics::ServiceMetrics;
 use ctk_crowd::{Answer, Crowd, Question, RouteHint};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// One remembered crowd verdict.
 #[derive(Debug, Clone, Copy)]
@@ -101,26 +101,13 @@ impl AnswerCache {
     }
 }
 
-/// One delivered answer with its provenance.
-#[derive(Debug, Clone, Copy)]
-pub struct ServedAnswer {
-    /// The answer, oriented to the question as the session posed it.
-    pub answer: Answer,
-    /// Nominal accuracy of the answer — the accuracy at *purchase* time
-    /// for cached answers, which may differ from the crowd's current one
-    /// if the backend's policy drifted.
-    pub accuracy: f64,
-    /// True when served from the cache (no crowd budget spent).
-    pub cached: bool,
-}
-
-/// How one session's pending batch ended at the purchase loop.
+/// How one session's batch ended at the purchase loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Disposition {
-    /// Every pending question was answered (cache or live).
+    /// Every outstanding question was answered (cache or live).
     Resolved,
     /// A cache miss met a crowd with no budget left: the session parks
-    /// `AwaitingBudget`, `pending` holding the unresolved tail.
+    /// `AwaitingBudget`, its mailbox holding the served prefix.
     Parked,
     /// The crowd refused a live question, or its answer failed
     /// validation: the batch is cut to the prefix that was served (the
@@ -128,41 +115,40 @@ pub(crate) enum Disposition {
     Starved,
 }
 
-/// The service's purchase loop: resolves `pending` front to back,
-/// cache-first, crowd-second, appending each answer to `served`.
+/// The service's purchase loop: resolves `tail` — a session's
+/// outstanding questions past the `served` prefix — front to back,
+/// cache-first, crowd-second, appending each answer with its accuracy to
+/// `served`.
 ///
 /// Before a live ask it checks `crowd.remaining()`; at zero the session
 /// parks ([`Disposition::Parked`]) so a budget top-up can still resume
-/// it. A refused ask, or an answer whose pair is not the asked one or
-/// whose accuracy is not finite, starves the batch: the rest of
-/// `pending` is dropped and an invalid answer is neither cached nor
-/// delivered (counted in `invalid_answers`). Accuracies below 0.5 pass —
-/// adversarial workers legitimately report them, and the noisy belief
-/// update clamps them. Counts cache hits, live asks and routing splits
-/// on `metrics`.
+/// it. A live ask carries the hint `route` gives its question,
+/// computed just before the ask; cache hits cost nothing and need none.
+/// A refused ask, or an answer whose pair is not the asked one or whose
+/// accuracy is not finite, starves the batch: an invalid answer is
+/// neither cached nor delivered (counted in `invalid_answers`).
+/// Accuracies below 0.5 pass — adversarial workers legitimately report
+/// them, and the noisy belief update clamps them. Counts cache hits,
+/// live asks and routing splits on `metrics`.
 pub(crate) fn resolve_pending<C: Crowd>(
-    pending: &mut VecDeque<(Question, RouteHint)>,
-    served: &mut Vec<ServedAnswer>,
+    tail: impl Iterator<Item = Question>,
+    route: impl Fn(&Question) -> RouteHint,
+    served: &mut Vec<(Answer, f64)>,
     cache: &mut AnswerCache,
     crowd: &mut C,
     metrics: &mut ServiceMetrics,
 ) -> Disposition {
-    while let Some(&(q, hint)) = pending.front() {
-        if let Some((answer, accuracy)) = cache.get(q) {
-            pending.pop_front();
+    for q in tail {
+        if let Some(hit) = cache.get(q) {
             metrics.cache_hits += 1;
-            served.push(ServedAnswer {
-                answer,
-                accuracy,
-                cached: true,
-            });
+            served.push(hit);
             continue;
         }
         if crowd.remaining() == 0 {
             return Disposition::Parked;
         }
+        let hint = route(&q);
         let Some(answer) = crowd.ask_routed(q, hint) else {
-            pending.clear();
             return Disposition::Starved;
         };
         metrics.crowd_questions += 1;
@@ -174,16 +160,10 @@ pub(crate) fn resolve_pending<C: Crowd>(
         let accuracy = crowd.answer_accuracy();
         if answer.question.canonical() != q.canonical() || !accuracy.is_finite() {
             metrics.invalid_answers += 1;
-            pending.clear();
             return Disposition::Starved;
         }
-        pending.pop_front();
         cache.insert(answer, accuracy);
-        served.push(ServedAnswer {
-            answer,
-            accuracy,
-            cached: false,
-        });
+        served.push((answer, accuracy));
     }
     Disposition::Resolved
 }
@@ -226,10 +206,20 @@ mod tests {
         assert_eq!(cache.lookups(), 3);
     }
 
-    fn pending(qs: &[(u32, u32)]) -> VecDeque<(Question, RouteHint)> {
-        qs.iter()
-            .map(|&(i, j)| (Question::new(i, j), RouteHint::Any))
-            .collect()
+    /// Resolves the questions of `batch` past the `served` prefix, as the
+    /// service does for a session's outstanding batch, unrouted.
+    fn resolve<C: Crowd>(
+        batch: &[(u32, u32)],
+        served: &mut Vec<(Answer, f64)>,
+        cache: &mut AnswerCache,
+        crowd: &mut C,
+        metrics: &mut ServiceMetrics,
+    ) -> Disposition {
+        let tail = batch
+            .iter()
+            .skip(served.len())
+            .map(|&(i, j)| Question::new(i, j));
+        resolve_pending(tail, |_| RouteHint::Any, served, cache, crowd, metrics)
     }
 
     #[test]
@@ -238,18 +228,16 @@ mod tests {
         let mut cache = AnswerCache::new();
         let mut metrics = ServiceMetrics::default();
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut qa = pending(&[(1, 0), (2, 1)]);
-        let mut qb = pending(&[(0, 1), (2, 1)]);
-        let da = resolve_pending(&mut qa, &mut a, &mut cache, &mut c, &mut metrics);
-        let db = resolve_pending(&mut qb, &mut b, &mut cache, &mut c, &mut metrics);
+        let da = resolve(&[(1, 0), (2, 1)], &mut a, &mut cache, &mut c, &mut metrics);
+        let db = resolve(&[(0, 1), (2, 1)], &mut b, &mut cache, &mut c, &mut metrics);
         assert_eq!((da, db), (Disposition::Resolved, Disposition::Resolved));
         assert_eq!(metrics.crowd_questions, 2, "two distinct pairs");
         assert_eq!(metrics.cache_hits, 2, "second session fully deduped");
-        // Both sessions got consistent verdicts, with provenance.
-        assert!(a[0].answer.yes); // 1 above 0
-        assert!(!b[0].answer.yes); // 0 NOT above 1
-        assert!(a[1].answer.yes && b[1].answer.yes);
-        assert!(!a[0].cached && b[0].cached);
+        // Both sessions got consistent verdicts, each with its accuracy.
+        assert!(a[0].0.yes); // 1 above 0
+        assert!(!b[0].0.yes); // 0 NOT above 1
+        assert!(a[1].0.yes && b[1].0.yes);
+        assert_eq!(a[0].1, 1.0);
         assert_eq!(c.remaining(), 8);
     }
 
@@ -259,17 +247,19 @@ mod tests {
         let mut cache = AnswerCache::new();
         let mut metrics = ServiceMetrics::default();
         // Session 0: first answered live, then the crowd is empty — it
-        // parks with its prefix served and the tail still pending.
-        let (mut q0, mut s0) = (pending(&[(1, 0), (2, 1)]), Vec::new());
-        let d0 = resolve_pending(&mut q0, &mut s0, &mut cache, &mut c, &mut metrics);
+        // parks with its prefix served; the tail is the rest of the batch.
+        let (batch0, mut s0) = ([(1, 0), (2, 1)], Vec::new());
+        let d0 = resolve(&batch0, &mut s0, &mut cache, &mut c, &mut metrics);
         assert_eq!(d0, Disposition::Parked);
         assert_eq!(s0.len(), 1);
-        assert_eq!(q0.len(), 1, "the unresolved tail is kept for a resume");
+        // A resume retries only the tail, and parks again on the empty crowd.
+        let d0 = resolve(&batch0, &mut s0, &mut cache, &mut c, &mut metrics);
+        assert_eq!((d0, s0.len()), (Disposition::Parked, 1));
         // Session 1: crowd is spent but the answer is cached.
-        let (mut q1, mut s1) = (pending(&[(1, 0)]), Vec::new());
-        let d1 = resolve_pending(&mut q1, &mut s1, &mut cache, &mut c, &mut metrics);
+        let mut s1 = Vec::new();
+        let d1 = resolve(&[(1, 0)], &mut s1, &mut cache, &mut c, &mut metrics);
         assert_eq!(d1, Disposition::Resolved);
-        assert!(s1[0].cached);
+        assert_eq!(s1.len(), 1);
         assert_eq!(metrics.crowd_questions, 1);
         assert_eq!(metrics.cache_hits, 1);
     }
@@ -312,11 +302,16 @@ mod tests {
         let mut cache = AnswerCache::new();
         let mut metrics = ServiceMetrics::default();
         for (bad, invalid) in [((0, 2), 0), ((1, 2), 1), ((0, 1), 2)] {
-            let mut q = pending(&[bad, (2, 0)]);
             let mut served = Vec::new();
-            let d = resolve_pending(&mut q, &mut served, &mut cache, &mut c, &mut metrics);
+            let d = resolve(
+                &[bad, (2, 0)],
+                &mut served,
+                &mut cache,
+                &mut c,
+                &mut metrics,
+            );
             assert_eq!(d, Disposition::Starved, "{bad:?}");
-            assert!(served.is_empty() && q.is_empty(), "{bad:?}");
+            assert!(served.is_empty(), "{bad:?}");
             assert_eq!(metrics.invalid_answers, invalid, "{bad:?}");
         }
         assert!(cache.is_empty(), "nothing invalid may be cached");

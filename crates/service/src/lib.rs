@@ -16,7 +16,7 @@
 //!
 //! * [`registry`] — the session table: a session's id is its slot, and
 //!   its entry is its lifecycle ([`SessionState`]): live (queued or
-//!   awaiting budget, with driver, ledger and batch buffers), done (report
+//!   awaiting budget, with its driver and answer mailbox), done (report
 //!   and latency only) or failed (error only);
 //! * `scheduler` — strict priority between classes, deficit round-robin
 //!   within per-class queues that sessions join and leave on their own
@@ -49,7 +49,7 @@ pub mod registry;
 mod scheduler;
 pub mod service;
 
-pub use batcher::{AnswerCache, ServedAnswer};
+pub use batcher::AnswerCache;
 pub use ctk_quality::QuestionRouter;
 pub use ctk_tpo::{PrecisionTarget, StopReason};
 pub use metrics::ServiceMetrics;

@@ -1,5 +1,5 @@
-//! The session registry: who is being served, with what allowance, and
-//! where each session stands in its lifecycle.
+//! The session registry: who is being served and where each session
+//! stands in its lifecycle.
 //!
 //! A service holds one registry (DESIGN.md §14), and a session's id *is*
 //! its slot: `Registry::insert` mints `SessionId(n)` for the `n`-th
@@ -11,13 +11,10 @@
 //! a round's driver work out over scoped worker threads without interior
 //! mutability or locking.
 
-use crate::batcher::ServedAnswer;
 use ctk_core::driver::SessionDriver;
 use ctk_core::session::{SessionConfig, UrReport};
 use ctk_core::CoreError;
-use ctk_crowd::{BudgetLedger, Question, RouteHint};
-use ctk_tpo::PrecisionTarget;
-use std::collections::VecDeque;
+use ctk_crowd::Answer;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -57,11 +54,6 @@ pub struct SessionSpec {
     pub config: SessionConfig,
     /// Scheduling priority; higher is more urgent. Default 0.
     pub priority: u8,
-    /// Optional per-tenant precision override for the Monte-Carlo engine:
-    /// when set, it replaces the engine's own [`PrecisionTarget`] at
-    /// submit time (a tenant on an exact engine is unaffected). `None`
-    /// keeps whatever the config's engine specifies.
-    pub precision: Option<PrecisionTarget>,
 }
 
 impl SessionSpec {
@@ -70,7 +62,6 @@ impl SessionSpec {
         Self {
             config,
             priority: 0,
-            precision: None,
         }
     }
 
@@ -79,32 +70,19 @@ impl SessionSpec {
         self.priority = priority;
         self
     }
-
-    /// Overrides the Monte-Carlo precision target for this tenant.
-    pub fn with_precision(mut self, precision: PrecisionTarget) -> Self {
-        self.precision = Some(precision);
-        self
-    }
 }
 
-/// A session still being served.
+/// A session still being served. The driver owns every fact about the
+/// session's progress — its spend is its step count, its current batch
+/// its outstanding questions — so the service keeps only the answers
+/// resolved for that batch and its own scheduling state.
 pub(crate) struct LiveSession {
     pub(crate) driver: SessionDriver,
-    /// Per-session budget accounting: every answer delivered to the
-    /// session (cached or live) consumes one unit, exactly as a question
-    /// consumes a standalone crowd's budget. Its `votes()` counts *live
-    /// crowd interactions* (0 for cache hits) — worker-level vote counts
-    /// under majority policies are visible only to the crowd backend's
-    /// own ledger.
-    pub(crate) ledger: BudgetLedger,
-    /// Hinted questions of the current batch not yet resolved (front =
-    /// next to serve). Non-empty only mid-purchase or while parked.
-    pub(crate) pending: VecDeque<(Question, RouteHint)>,
-    /// Answers resolved so far for the current batch, in request order —
-    /// the session's mailbox, emptied by the feed phase.
-    pub(crate) served: Vec<ServedAnswer>,
-    /// How many questions the current batch posed.
-    pub(crate) requested: usize,
+    /// The mailbox: answers resolved so far for the driver's outstanding
+    /// batch, in emission order, each with the accuracy it was bought at.
+    /// The unresolved tail is the outstanding questions past its length;
+    /// the feed phase empties it.
+    pub(crate) served: Vec<(Answer, f64)>,
     pub(crate) priority: u8,
     pub(crate) submitted_at: Instant,
     /// True while the session waits in the service's parked list for
@@ -113,18 +91,8 @@ pub(crate) struct LiveSession {
     pub(crate) parked: bool,
 }
 
-impl LiveSession {
-    /// Arms the session for one batch: the hinted questions become the
-    /// pending queue and the mailbox empties.
-    pub(crate) fn begin_batch(&mut self, hinted: Vec<(Question, RouteHint)>) {
-        self.requested = hinted.len();
-        self.pending = VecDeque::from(hinted);
-        self.served.clear();
-    }
-}
-
 /// One registered session: its lifecycle is the variant. A finished
-/// session keeps only its outcome — no driver, ledger or batch buffers —
+/// session keeps only its outcome — no driver or mailbox —
 /// and the live state is boxed, so a finished slot is no larger than that.
 pub(crate) enum SessionEntry {
     Live(Box<LiveSession>),
@@ -153,13 +121,9 @@ impl Registry {
     /// Registers a new live session and mints its id: the next free slot.
     pub(crate) fn insert(&mut self, driver: SessionDriver, priority: u8) -> SessionId {
         let id = SessionId(self.entries.len() as u64);
-        let budget = driver.config().budget;
         self.entries.push(SessionEntry::Live(Box::new(LiveSession {
             driver,
-            ledger: BudgetLedger::new(budget),
-            pending: VecDeque::new(),
             served: Vec::new(),
-            requested: 0,
             priority,
             // ctk-allow(det-wall-clock): wall-clock latency metric only; never feeds scheduling or results
             submitted_at: Instant::now(),

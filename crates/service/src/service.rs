@@ -47,7 +47,6 @@ use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{TopKBounds, UncertainTable};
 use ctk_quality::QuestionRouter;
 use ctk_rank::RankList;
-use ctk_tpo::build::Engine;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -163,13 +162,17 @@ pub struct TopKService<C: Crowd> {
     /// depth served over the table, so repeat tenants skip the O(n²)
     /// dominance scan too.
     pairwise_cache: Vec<TableCacheEntry>,
-    /// Optional belief-margin routing policy: when set, each live
-    /// question carries a [`RouteHint`] derived from the asking session's
-    /// current belief margin, which hint-aware crowds (e.g.
+    /// Optional margin routing policy: when set, each live question
+    /// carries a [`RouteHint`] derived from the question's margin under
+    /// the asking session's pairwise prior, which hint-aware crowds (e.g.
     /// `ctk_quality::QualityCrowd`) use to pick cheap vs expert panels.
     /// Hint-blind crowds ignore it, so routing never changes verdicts on
     /// the plain simulator.
     router: Option<QuestionRouter>,
+    /// Set by [`TopKService::run_to_completion`] at quiescence: the next
+    /// resume phase feeds every parked session its served prefix instead
+    /// of retrying the crowd, and clears the flag.
+    starve_parked: bool,
 }
 
 impl<C: Crowd> TopKService<C> {
@@ -189,6 +192,7 @@ impl<C: Crowd> TopKService<C> {
             threads,
             pairwise_cache: Vec::new(),
             router: None,
+            starve_parked: false,
         }
     }
 
@@ -217,10 +221,10 @@ impl<C: Crowd> TopKService<C> {
         self.threads
     }
 
-    /// Routes live questions by belief margin (builder style): questions
-    /// the asking session is still torn about (margin below the router's
-    /// narrow threshold) are hinted [`RouteHint::Expert`], near-settled
-    /// ones [`RouteHint::Cheap`]. Only crowds that implement
+    /// Routes live questions by margin (builder style): questions the
+    /// asking session's pairwise prior leaves open (margin below the
+    /// router's narrow threshold) are hinted [`RouteHint::Expert`],
+    /// near-settled ones [`RouteHint::Cheap`]. Only crowds that implement
     /// [`Crowd::ask_routed`] beyond the default act on the hints.
     pub fn with_router(mut self, router: QuestionRouter) -> Self {
         self.router = Some(router);
@@ -246,12 +250,8 @@ impl<C: Crowd> TopKService<C> {
         spec: SessionSpec,
         truth: Option<&RankList>,
     ) -> Result<SessionId> {
-        let mut config = spec.config;
-        if let (Some(p), Engine::MonteCarlo(mc)) = (spec.precision, &mut config.engine) {
-            mc.precision = p;
-        }
-        let (pairwise, bounds) = self.table_entry_for(table, config.k);
-        let driver = SessionDriver::new_shared(config, table, truth, pairwise, bounds)?;
+        let (pairwise, bounds) = self.table_entry_for(table, spec.config.k);
+        let driver = SessionDriver::new_shared(spec.config, table, truth, pairwise, bounds)?;
         let id = self.registry.insert(driver, spec.priority);
         self.scheduler.join(id, spec.priority);
         self.metrics.submitted += 1;
@@ -343,13 +343,16 @@ impl<C: Crowd> TopKService<C> {
             metrics,
             threads,
             router,
+            starve_parked,
             ..
         } = self;
 
         // Resume: sessions parked on an empty crowd retry before anything
-        // new is planned, in id order.
+        // new is planned, in id order — or, force-starved, go straight to
+        // the feed with the prefix they have.
         let mut resumed = std::mem::take(parked);
         resumed.sort_unstable();
+        let starve = std::mem::take(starve_parked);
 
         // Plan: parked sessions left the scheduler, so the two sets are
         // disjoint and one borrow covers both.
@@ -363,45 +366,55 @@ impl<C: Crowd> TopKService<C> {
         let mut planned_live = resumed_live.split_off(resumed.len());
 
         // Gather phase (parallel): every planned driver computes its next
-        // batch. The allowance is the *session's* remaining budget only —
-        // the shared crowd's budget deliberately does not gate emission,
-        // because the answer cache can serve a question at zero crowd
-        // cost; only questions that actually need a live answer park or
-        // starve (per question, in the purchase loop).
+        // batch. The service sets no allowance (`usize::MAX`), so the
+        // driver's own unspent budget is the only bound — the shared
+        // crowd's budget deliberately does not gate emission, because the
+        // answer cache can serve a question at zero crowd cost; only
+        // questions that actually need a live answer park or starve (per
+        // question, in the purchase loop).
         let gathered = run_parallel(&mut planned_live, *threads, |live| {
-            let allowance = live.ledger.remaining();
-            live.driver.next_batch(allowance)
+            live.driver
+                .next_batch(usize::MAX)
+                .map(|batch| batch.is_empty())
         });
 
-        // Lifecycle transitions happen here, sequentially, in plan order.
-        // When a router is configured, each question is tagged with the
-        // hint its session's *current* belief margin implies — before any
-        // of this round's answers move the belief.
+        // Lifecycle transitions happen here, sequentially, in plan order;
+        // an empty batch means the driver is done.
         let mut ended: Vec<(SessionId, Result<()>)> = Vec::new();
         let mut to_buy: Vec<(SessionId, &mut LiveSession)> =
             resumed.into_iter().zip(resumed_live).collect();
-        for ((id, live), batch) in plan.into_iter().zip(planned_live).zip(gathered) {
-            match batch {
-                Ok(batch) if batch.is_empty() => ended.push((id, Ok(()))),
-                Ok(batch) => {
-                    let hinted = hint_batch(router.as_ref(), &live.driver, batch);
-                    live.begin_batch(hinted);
-                    to_buy.push((id, live));
-                }
+        for ((id, live), empty) in plan.into_iter().zip(planned_live).zip(gathered) {
+            match empty {
+                Ok(true) => ended.push((id, Ok(()))),
+                Ok(false) => to_buy.push((id, live)),
                 Err(err) => ended.push((id, Err(err))),
             }
         }
 
         // Purchase phase (sequential): one crowd walk, resumed sessions
         // first, keeps budget accounting and cache population independent
-        // of how the other phases are spread over threads. Parking leaves
-        // the scheduler (a resumed session already left).
+        // of how the other phases are spread over threads. A route hint
+        // reads only the session's static pairwise prior, so it is
+        // computed just before its live ask. Parking leaves the scheduler
+        // (a resumed session already left).
         // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
         let p0 = Instant::now();
         let hits_before = metrics.cache_hits;
         let mut to_feed: Vec<(SessionId, &mut LiveSession)> = Vec::with_capacity(to_buy.len());
         for (id, live) in to_buy {
-            match resolve_pending(&mut live.pending, &mut live.served, cache, crowd, metrics) {
+            let disposition = if starve && live.parked {
+                Disposition::Starved
+            } else {
+                let LiveSession { driver, served, .. } = &mut *live;
+                let tail = driver.outstanding_questions().skip(served.len());
+                let route = |q: &Question| {
+                    router
+                        .as_ref()
+                        .map_or(RouteHint::Any, |r| r.hint(driver.question_margin(q)))
+                };
+                resolve_pending(tail, route, served, cache, crowd, metrics)
+            };
+            match disposition {
                 Disposition::Parked => {
                     if !live.parked {
                         scheduler.leave(id, live.priority);
@@ -415,24 +428,29 @@ impl<C: Crowd> TopKService<C> {
         outcome.cache_hits = metrics.cache_hits - hits_before;
         metrics.purchase_time += p0.elapsed();
 
-        // Feed phase (parallel): apply each session's mailbox, each answer
-        // with the accuracy it was actually bought at (a cached answer
-        // keeps its purchase-time accuracy even if the backend's policy
-        // drifted since). Ledger votes count *live* crowd interactions;
-        // cache hits consume session budget but no crowd budget.
+        // Feed phase (parallel): the mailbox goes to the driver, each
+        // answer with the accuracy it was actually bought at (a cached
+        // answer keeps its purchase-time accuracy even if the backend's
+        // policy drifted since). Fewer answers than outstanding questions
+        // is a starved batch.
         let fed = run_parallel(&mut to_feed, *threads, |(_, live)| {
-            let served = std::mem::take(&mut live.served);
-            for ans in &served {
-                live.ledger.record(ans.answer, usize::from(!ans.cached));
-            }
-            let graded: Vec<_> = served.iter().map(|a| (a.answer, a.accuracy)).collect();
-            let status = live.driver.feed_graded(&graded);
-            (served.len(), live.requested, status)
+            let served = live.served.len();
+            let starved = served < live.driver.outstanding();
+            let status = live.driver.feed_graded(&live.served);
+            live.served.clear();
+            #[cfg(feature = "debug-invariants")]
+            assert!(
+                live.driver.questions_asked() <= live.driver.config().budget,
+                "session overspent: {} answers on a budget of {}",
+                live.driver.questions_asked(),
+                live.driver.config().budget
+            );
+            (served, starved, status)
         });
-        for ((id, live), (served, requested, status)) in to_feed.into_iter().zip(fed) {
+        for ((id, live), (served, starved, status)) in to_feed.into_iter().zip(fed) {
             metrics.answers_served += served as u64;
             outcome.answers_served += served as u64;
-            if served < requested {
+            if starved {
                 metrics.starved += 1;
             }
             match status {
@@ -480,16 +498,14 @@ impl<C: Crowd> TopKService<C> {
     }
 
     /// Runs until every session is done or failed. Sessions still blocked
-    /// on crowd budget at quiescence are force-starved: each one's
-    /// unresolved questions are dropped, so the next round's resume phase
-    /// delivers the prefix it did resolve — exactly what a crowd refusal
-    /// does mid-batch — and its driver winds down and finishes. Returns
-    /// the accumulated metrics.
+    /// on crowd budget at quiescence are force-starved: the next round's
+    /// resume phase delivers each one the prefix it did resolve instead
+    /// of retrying the crowd — exactly what a crowd refusal does
+    /// mid-batch — and its driver winds down and finishes. Returns the
+    /// accumulated metrics.
     pub fn run_to_completion(&mut self) -> &ServiceMetrics {
-        while let Quiescence::BlockedOnCrowd { sessions } = self.run_until_quiescent() {
-            for session in self.registry.live_mut_in_order(&sessions) {
-                session.pending.clear();
-            }
+        while let Quiescence::BlockedOnCrowd { .. } = self.run_until_quiescent() {
+            self.starve_parked = true;
         }
         &self.metrics
     }
@@ -565,26 +581,6 @@ fn retire(
             metrics.failed += 1;
             SessionEntry::Failed(err)
         }
-    }
-}
-
-/// Attaches a [`RouteHint`] to every question of a batch: the hint the
-/// session's *current* belief margin implies when a router is
-/// configured, [`RouteHint::Any`] otherwise.
-fn hint_batch(
-    router: Option<&QuestionRouter>,
-    driver: &SessionDriver,
-    batch: Vec<Question>,
-) -> Vec<(Question, RouteHint)> {
-    match router {
-        Some(r) => batch
-            .into_iter()
-            .map(|q| {
-                let hint = r.hint(driver.question_margin(&q));
-                (q, hint)
-            })
-            .collect(),
-        None => batch.into_iter().map(|q| (q, RouteHint::Any)).collect(),
     }
 }
 
@@ -863,8 +859,7 @@ mod tests {
     }
 
     #[test]
-    fn per_tenant_precision_override_and_bounds_cache() {
-        use ctk_tpo::PrecisionTarget;
+    fn per_tenant_precision_and_bounds_cache() {
         // A staircase with disjoint supports: the certain bounds pin the
         // whole top-3 prefix, so adaptive tenants stop at zero worlds and
         // zero questions while fixed-budget tenants still sample.
@@ -875,12 +870,9 @@ mod tests {
         )
         .unwrap();
         let mut svc = service(1000);
-        let spec = SessionSpec::new(config(Algorithm::T1On, 0)).with_precision(
-            PrecisionTarget::Adaptive {
-                epsilon: 0.02,
-                delta: 0.05,
-            },
-        );
+        let mut adaptive = config(Algorithm::T1On, 0);
+        adaptive.engine = Engine::MonteCarlo(McConfig::adaptive(0.02, 0.05, 7));
+        let spec = SessionSpec::new(adaptive);
         let a = svc.submit(&decided, spec.clone()).unwrap();
         let b = svc.submit(&decided, spec).unwrap();
         assert_eq!(svc.bounds_cached(), 1, "same (table, k): one bound set");
@@ -895,7 +887,7 @@ mod tests {
         assert_eq!(svc.metrics().certain_early_stops, 2);
         assert_eq!(svc.metrics().worlds_drawn, 0);
         assert!(svc.metrics().summary().contains("certain early stops"));
-        // A fixed-budget tenant (no override) still draws its configured
+        // A fixed-budget tenant still draws its configured
         // worlds, and a new depth on the same table adds a bound set.
         let c = svc
             .submit(&table(), SessionSpec::new(config(Algorithm::T1On, 0)))
@@ -1387,5 +1379,98 @@ mod tests {
             svc.metrics().crowd_questions,
             "an empty Any band routes every live ask decisively"
         );
+    }
+
+    #[test]
+    fn routed_quality_crowd_is_thread_count_invariant() {
+        use ctk_quality::{QualityConfig, QualityCrowd, WorkerSpec};
+        // A hint-aware, stateful crowd behind the router: every live ask
+        // is routed at the moment it is bought and moves the crowd's
+        // worker posteriors, so any reordering of asks across worker
+        // threads would show in the reports or the routing counters.
+        let specs = [
+            WorkerSpec::new(0.97).with_cost(5),
+            WorkerSpec::new(0.9).with_cost(5),
+            WorkerSpec::new(0.55),
+            WorkerSpec::new(0.5),
+        ];
+        let run = |threads: usize| {
+            let truth = GroundTruth::sample(&table(), 99);
+            let crowd = QualityCrowd::new(truth, &specs, QualityConfig::weighted(3), 10_000, 13)
+                .expect("valid roster");
+            let mut svc = TopKService::new(crowd)
+                .with_router(QuestionRouter::new(0.7, 0.7).unwrap())
+                .with_fanout(3)
+                .with_threads(threads);
+            let ids: Vec<_> = mixed_algorithms()
+                .into_iter()
+                .enumerate()
+                .map(|(t, alg)| {
+                    svc.submit(&table(), SessionSpec::new(config(alg, t as u64)))
+                        .unwrap()
+                })
+                .collect();
+            svc.run_to_completion();
+            let reports: Vec<_> = ids.iter().map(|id| svc.report(*id).cloned()).collect();
+            let m = svc.metrics();
+            (
+                reports,
+                [m.routed_expert, m.routed_cheap, m.crowd_questions],
+            )
+        };
+        let (reports_1, counters_1) = run(1);
+        let (reports_4, counters_4) = run(4);
+        let [expert, cheap, live] = counters_1;
+        assert!(expert > 0 && cheap > 0, "both panels must be used");
+        assert_eq!(expert + cheap, live, "an empty Any band routes every ask");
+        assert_eq!(counters_1, counters_4, "routing counters diverged");
+        for (tenant, (a, b)) in reports_1.iter().zip(&reports_4).enumerate() {
+            match (a, b) {
+                (Some(a), Some(b)) => assert!(
+                    a.same_outcome(b),
+                    "tenant {tenant} diverged between 1 and 4 worker threads"
+                ),
+                _ => panic!("tenant {tenant} missing a report"),
+            }
+        }
+    }
+
+    #[test]
+    fn astar_on_plans_over_the_session_budget_not_the_crowd() {
+        // A*-on with lookahead 0 plans over the whole remaining budget.
+        // That is the session's budget B: a standalone crowd holding 10×
+        // B must give the same session as one holding exactly B, and as
+        // the service, which caps nothing but the session's own budget.
+        for seed in 0..4 {
+            let cfg = SessionConfig {
+                budget: 4,
+                algorithm: Algorithm::AStarOn {
+                    lookahead: 0,
+                    max_expansions: None,
+                },
+                engine: Engine::MonteCarlo(McConfig::fixed(1500, seed)),
+                ..config(Algorithm::T1On, seed)
+            };
+            let standalone = |crowd_budget: usize| {
+                let truth = GroundTruth::sample(&table(), 99);
+                let mut crowd =
+                    CrowdSimulator::new(truth, PerfectWorker, VotePolicy::Single, crowd_budget)
+                        .expect("valid vote policy");
+                UrSession::new(cfg.clone())
+                    .unwrap()
+                    .run(&table(), &mut crowd)
+                    .unwrap()
+            };
+            let exact = standalone(cfg.budget);
+            let rich = standalone(10 * cfg.budget);
+            let mut svc = service(10 * cfg.budget);
+            let id = svc.submit(&table(), SessionSpec::new(cfg.clone())).unwrap();
+            svc.run_to_completion();
+            assert!(
+                rich.same_outcome(&exact),
+                "seed {seed}: the crowd's surplus budget changed the session"
+            );
+            assert!(svc.report(id).unwrap().same_outcome(&exact), "seed {seed}");
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! file is compiled only with the feature on (CI's debug-invariants job);
 //! each test drives a path whose gated asserts would fire on a violation:
 //! the budget ledger's overspend check, the world model's
-//! renormalize-to-M check, and the scheduler's ceil(n / fanout) deficit
-//! bound.
+//! renormalize-to-M check, the scheduler's ceil(n / fanout) deficit
+//! bound, and the service feed phase's session-overspend check.
 
 #![cfg(feature = "debug-invariants")]
 
@@ -50,7 +50,8 @@ fn noisy_session_passes_ledger_and_world_checks() {
 }
 
 /// A multi-tenant service under bounded fanout: every `tick` runs the
-/// scheduler's deficit tracker.
+/// scheduler's deficit tracker, and every feed checks that no session
+/// answered more questions than its budget.
 #[test]
 fn sharded_service_respects_scheduler_deficit_bound() {
     let table = overlapping_table(6);
