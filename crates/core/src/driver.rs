@@ -34,6 +34,7 @@
 //! `ctk-service` does, with bit-identical per-session reports at any
 //! thread count.
 
+use crate::belief::{BeliefKey, TreeBelief};
 use crate::error::{CoreError, Result};
 use crate::measures::UncertaintyMeasure;
 use crate::metrics::expected_distance_to_truth;
@@ -47,7 +48,7 @@ use ctk_crowd::{Answer, Question};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{TopKBounds, UncertainTable};
 use ctk_rank::RankList;
-use ctk_tpo::build::{build_mc_bounded, sample_adaptive, AdaptiveSample, Engine};
+use ctk_tpo::build::{sample_adaptive, AdaptiveSample, Engine};
 use ctk_tpo::prune::prune;
 use ctk_tpo::update::bayes_update;
 use ctk_tpo::{
@@ -140,6 +141,9 @@ impl SessionDriver {
     /// shares them, so repeat tenants skip the n² comparisons and the
     /// O(n²) dominance scan. Bounds whose table size or depth do not
     /// match this session are ignored (recomputed), never trusted.
+    ///
+    /// For a tree-mode session this is [`TreeBelief::build`] followed by
+    /// [`SessionDriver::from_belief`].
     pub fn new_shared(
         config: SessionConfig,
         table: &UncertainTable,
@@ -147,125 +151,81 @@ impl SessionDriver {
         pairwise: Arc<PairwiseMatrix>,
         shared_bounds: Option<Arc<TopKBounds>>,
     ) -> Result<Self> {
-        if pairwise.len() != table.len() {
-            return Err(CoreError::InvalidConfig(format!(
-                "pairwise matrix covers {} tuples but the table has {}",
-                pairwise.len(),
-                table.len()
-            )));
-        }
-        config.validate()?;
-        if config.k > table.len() {
-            return Err(CoreError::InvalidConfig(format!(
-                "k = {} exceeds table size {}",
-                config.k,
-                table.len()
-            )));
-        }
-        let measure = config.measure.build();
         let started = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
-                                      // Certain/possible top-K bounds from the pairwise comparison
-                                      // probabilities: an adaptive-precision build consults them before
-                                      // sampling a single world, and a fully pinned prefix ends the
-                                      // session with zero questions (the scores alone decide the query).
+        admit(&config, table, &pairwise)?;
+        // Certain/possible top-K bounds from the pairwise comparison
+        // probabilities: an adaptive-precision build consults them before
+        // sampling a single world, and a fully pinned prefix ends the
+        // session with zero questions (the scores alone decide the query).
         let bounds = match shared_bounds {
             Some(b) if b.k() == config.k && b.len() == table.len() => b,
             _ => Arc::new(TopKBounds::from_matrix(&pairwise, config.k).map_err(TpoError::from)?),
         };
-        let (mode, report);
-        let mut done = false;
-        match &config.algorithm {
-            Algorithm::Incr {
-                questions_per_round,
-            } => {
-                // incr interleaves construction with pruning on a
-                // *sampled-worlds* belief (§III-D) — an exact engine cannot
-                // drive it. When the config asks for Engine::Exact we fall
-                // back to a generously sized world sample rather than
-                // erroring, trading exactness for incr's construction
-                // savings.
-                let (sample, precision) = match &config.engine {
-                    Engine::MonteCarlo(mc) => match mc.precision {
-                        PrecisionTarget::Adaptive { epsilon, delta } => sample_adaptive(
-                            table,
-                            config.k,
-                            epsilon,
-                            delta,
-                            mc.seed,
-                            Some(bounds.as_ref()),
-                        )?,
-                        PrecisionTarget::FixedWorlds(m) => (
-                            AdaptiveSample::Sampled(WorldModel::sample(table, m, mc.seed)?),
-                            PrecisionReport::fixed(m),
-                        ),
-                    },
-                    Engine::Exact(_) => {
-                        let m = 2 * DEFAULT_WORLDS;
-                        (
-                            AdaptiveSample::Sampled(WorldModel::sample(table, m, config.seed)?),
-                            PrecisionReport::fixed(m),
-                        )
-                    }
-                };
-                match sample {
-                    AdaptiveSample::Pinned(prefix) => {
-                        // The certain bounds pinned the whole ordered
-                        // prefix: the belief is a single path, no crowd
-                        // question is relevant, and the session is done
-                        // before it starts.
-                        let ps = PathSet::from_weighted(config.k, vec![(prefix, 1.0)])?;
-                        report = report_skeleton(&config, &ps, measure.as_ref(), truth, &precision);
-                        mode = Mode::Tree {
-                            ps,
-                            sel: TreeSel::Offline { planned: true },
-                        };
-                        done = true;
-                    }
-                    AdaptiveSample::Sampled(mut wm) => {
-                        // Baseline numbers come from the *full-depth* tree
-                        // so reports are comparable with the full-tree
-                        // algorithms.
-                        let initial_ps = wm.path_set_cached(config.k)?;
-                        report = report_skeleton(
-                            &config,
-                            &initial_ps,
-                            measure.as_ref(),
-                            truth,
-                            &precision,
-                        );
-                        mode = Mode::Incr {
-                            wm,
-                            depth: 1,
-                            n_per_round: *questions_per_round,
-                        };
-                    }
-                }
-            }
-            algorithm => {
-                let (ps, precision) = match &config.engine {
-                    Engine::MonteCarlo(mc) => {
-                        build_mc_bounded(table, config.k, mc, Some(bounds.as_ref()))?
-                    }
-                    Engine::Exact(_) => (
-                        config.engine.build(table, config.k)?,
-                        PrecisionReport::exact(),
-                    ),
-                };
-                let sel = match algorithm {
-                    Algorithm::T1On => TreeSel::Online(Box::new(T1On)),
-                    Algorithm::AStarOn {
-                        lookahead,
-                        max_expansions,
-                    } => TreeSel::Online(Box::new(AStarOn {
-                        lookahead: *lookahead,
-                        max_expansions: *max_expansions,
-                    })),
-                    _ => TreeSel::Offline { planned: false },
-                };
-                report = report_skeleton(&config, &ps, measure.as_ref(), truth, &precision);
-                mode = Mode::Tree { ps, sel };
-            }
+        let initial = match BeliefKey::of(&config) {
+            Some(key) => Initial::tree(&config, TreeBelief::build(table, &key, &bounds)?),
+            None => Initial::incr(&config, table, &bounds)?,
+        };
+        Self::assemble(config, truth, pairwise, started, initial)
+    }
+
+    /// Starts a tree-mode session from an initial belief built earlier by
+    /// [`TreeBelief::build`] for `table` and `BeliefKey::of(&config)`. A
+    /// serving layer that caches beliefs hands each repeat session a copy
+    /// instead of re-sampling; the session is the one
+    /// [`SessionDriver::new_shared`] would have started.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] for an invalid configuration, an
+    /// `incr` configuration (its belief is not a path set), or a belief
+    /// of another depth than `config.k`.
+    pub fn from_belief(
+        config: SessionConfig,
+        table: &UncertainTable,
+        truth: Option<&RankList>,
+        pairwise: Arc<PairwiseMatrix>,
+        belief: TreeBelief,
+    ) -> Result<Self> {
+        let started = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
+        admit(&config, table, &pairwise)?;
+        if BeliefKey::of(&config).is_none() || belief.paths.k() != config.k {
+            return Err(CoreError::InvalidConfig(format!(
+                "a depth-{} tree belief cannot start a {} session at k = {}",
+                belief.paths.k(),
+                config.algorithm.name(),
+                config.k
+            )));
         }
+        let initial = Initial::tree(&config, belief);
+        Self::assemble(config, truth, pairwise, started, initial)
+    }
+
+    /// The driver over an initial belief state, with the report's
+    /// baseline taken from it.
+    fn assemble(
+        config: SessionConfig,
+        truth: Option<&RankList>,
+        pairwise: Arc<PairwiseMatrix>,
+        started: Instant,
+        initial: Initial,
+    ) -> Result<Self> {
+        let measure = config.measure.build();
+        let Initial {
+            mut mode,
+            precision,
+            done,
+        } = initial;
+        let report = match &mut mode {
+            Mode::Tree { ps, .. } => {
+                report_skeleton(&config, ps, measure.as_ref(), truth, &precision)
+            }
+            // Baseline numbers come from the *full-depth* tree so reports
+            // are comparable with the full-tree algorithms.
+            Mode::Incr { wm, .. } => {
+                let initial_ps = wm.path_set_cached(config.k)?;
+                report_skeleton(&config, &initial_ps, measure.as_ref(), truth, &precision)
+            }
+        };
         Ok(Self {
             config,
             measure,
@@ -619,6 +579,115 @@ impl SessionDriver {
             }
         }
         Ok(())
+    }
+}
+
+/// Checks that `config` is valid and that `pairwise` covers `table`.
+fn admit(config: &SessionConfig, table: &UncertainTable, pairwise: &PairwiseMatrix) -> Result<()> {
+    if pairwise.len() != table.len() {
+        return Err(CoreError::InvalidConfig(format!(
+            "pairwise matrix covers {} tuples but the table has {}",
+            pairwise.len(),
+            table.len()
+        )));
+    }
+    config.validate()?;
+    if config.k > table.len() {
+        return Err(CoreError::InvalidConfig(format!(
+            "k = {} exceeds table size {}",
+            config.k,
+            table.len()
+        )));
+    }
+    Ok(())
+}
+
+/// A session's initial belief state, before its report baseline is read.
+struct Initial {
+    mode: Mode,
+    precision: PrecisionReport,
+    /// The session ends before its first question.
+    done: bool,
+}
+
+impl Initial {
+    /// A tree-mode session over `belief`, with its strategy's selector.
+    fn tree(config: &SessionConfig, belief: TreeBelief) -> Self {
+        let sel = match &config.algorithm {
+            Algorithm::T1On => TreeSel::Online(Box::new(T1On)),
+            Algorithm::AStarOn {
+                lookahead,
+                max_expansions,
+            } => TreeSel::Online(Box::new(AStarOn {
+                lookahead: *lookahead,
+                max_expansions: *max_expansions,
+            })),
+            _ => TreeSel::Offline { planned: false },
+        };
+        Self {
+            mode: Mode::Tree {
+                ps: belief.paths,
+                sel,
+            },
+            precision: belief.precision,
+            done: false,
+        }
+    }
+
+    /// An `incr` session's world sample.
+    ///
+    /// incr interleaves construction with pruning on a *sampled-worlds*
+    /// belief (§III-D) — an exact engine cannot drive it. When the config
+    /// asks for `Engine::Exact` we fall back to a generously sized world
+    /// sample rather than erroring, trading exactness for incr's
+    /// construction savings.
+    fn incr(config: &SessionConfig, table: &UncertainTable, bounds: &TopKBounds) -> Result<Self> {
+        let Algorithm::Incr {
+            questions_per_round,
+        } = config.algorithm
+        else {
+            unreachable!("{} is not incr", config.algorithm.name())
+        };
+        let (sample, precision) = match &config.engine {
+            Engine::MonteCarlo(mc) => match mc.precision {
+                PrecisionTarget::Adaptive { epsilon, delta } => {
+                    sample_adaptive(table, config.k, epsilon, delta, mc.seed, Some(bounds))?
+                }
+                PrecisionTarget::FixedWorlds(m) => (
+                    AdaptiveSample::Sampled(WorldModel::sample(table, m, mc.seed)?),
+                    PrecisionReport::fixed(m),
+                ),
+            },
+            Engine::Exact(_) => {
+                let m = 2 * DEFAULT_WORLDS;
+                (
+                    AdaptiveSample::Sampled(WorldModel::sample(table, m, config.seed)?),
+                    PrecisionReport::fixed(m),
+                )
+            }
+        };
+        Ok(match sample {
+            // The certain bounds pinned the whole ordered prefix: the
+            // belief is a single path, no crowd question is relevant, and
+            // the session is done before it starts.
+            AdaptiveSample::Pinned(prefix) => Self {
+                mode: Mode::Tree {
+                    ps: PathSet::from_weighted(config.k, vec![(prefix, 1.0)])?,
+                    sel: TreeSel::Offline { planned: true },
+                },
+                precision,
+                done: true,
+            },
+            AdaptiveSample::Sampled(wm) => Self {
+                mode: Mode::Incr {
+                    wm,
+                    depth: 1,
+                    n_per_round: questions_per_round,
+                },
+                precision,
+                done: false,
+            },
+        })
     }
 }
 

@@ -19,6 +19,8 @@
 //! * [`select`] — the seven selection strategies: `A*-off`, `TB-off`,
 //!   `C-off` (offline), `A*-on`, `T1-on` (online), `random`, `naive`
 //!   (baselines) (§III-A/B);
+//! * [`belief`] — a session's initial tree belief and the key of
+//!   everything its build reads;
 //! * [`driver`] — the sans-IO session state machine
 //!   (`next_batch`/`feed`), the unit a scheduler multiplexes;
 //! * [`session`] — the uncertainty-reduction loop, including noisy-worker
@@ -55,6 +57,7 @@
 //! assert!(report.final_orderings() <= report.initial_orderings);
 //! ```
 
+pub mod belief;
 pub mod driver;
 pub mod engine;
 pub mod error;

@@ -33,8 +33,14 @@
 //!   parallel, purchase sequentially, feed in parallel, retire.
 //!   [`TopKService::run_until_quiescent`] tells blocked-on-crowd
 //!   ([`Quiescence`]) apart from idle;
+//! * `tables` — per-table state shared by the sessions over a table: the
+//!   pairwise matrix, the certain/possible top-K bounds per depth, and
+//!   the initial tree beliefs of `(table, k, engine)` keys submitted at
+//!   least twice, so a repeat tree-mode submit clones its belief instead
+//!   of sampling (bounded by total paths, least recently used evicted;
+//!   DESIGN.md §8);
 //! * [`metrics`] — throughput / latency-histogram / cache-hit /
-//!   invalid-answer accounting.
+//!   invalid-answer / belief-reuse accounting.
 //!
 //! With reliable (accuracy-1) workers the multiplexing is *lossless*:
 //! every session's final report equals the one the standalone blocking
@@ -48,6 +54,7 @@ pub mod metrics;
 pub mod registry;
 mod scheduler;
 pub mod service;
+mod tables;
 
 pub use batcher::AnswerCache;
 pub use ctk_quality::QuestionRouter;

@@ -47,6 +47,14 @@ pub struct ServiceMetrics {
     /// builds (adaptive builds draw fewer on easy tables; certain-order
     /// early stops draw zero).
     pub worlds_drawn: u64,
+    /// Tree-mode initial beliefs built at submit (`incr` sessions, whose
+    /// belief is a world sample, count in neither this nor
+    /// `belief_hits`).
+    pub belief_builds: u64,
+    /// Tree-mode submits that started from a copy of a stored belief
+    /// instead of building one. Their reports still count the stored
+    /// build's worlds in `worlds_drawn`.
+    pub belief_hits: u64,
     /// Completed sessions whose certain/possible bounds pinned the whole
     /// ordered prefix before sampling — decided without any crowd
     /// questions or worlds.
@@ -167,6 +175,7 @@ impl ServiceMetrics {
              answers: {} served ({} live, {} cached, {:.1}% hit rate, {} invalid) | \
              routing: {} expert, {} cheap | \
              precision: {} worlds drawn, {} certain early stops | \
+             beliefs: {} built, {} reused | \
              throughput: {:.0} answers/s, {:.1} sessions/s | \
              latency avg {:?} p50 {:?} p95 {:?} p99 {:?} max {:?} | \
              purchase {:?} of {:?} serving",
@@ -185,6 +194,8 @@ impl ServiceMetrics {
             self.routed_cheap,
             self.worlds_drawn,
             self.certain_early_stops,
+            self.belief_builds,
+            self.belief_hits,
             self.answers_per_sec(),
             self.sessions_per_sec(),
             self.avg_latency().unwrap_or_default(),

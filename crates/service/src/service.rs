@@ -1,4 +1,5 @@
-//! The serving loop: multiplexes many [`SessionDriver`]s over one shared
+//! The serving loop: multiplexes many
+//! [`SessionDriver`](ctk_core::driver::SessionDriver)s over one shared
 //! crowd backend through one phase-structured round,
 //! [`TopKService::tick`] (DESIGN.md §14).
 //!
@@ -39,15 +40,14 @@ use crate::batcher::{resolve_pending, AnswerCache, Disposition};
 use crate::metrics::ServiceMetrics;
 use crate::registry::{LiveSession, Registry, SessionEntry, SessionId, SessionSpec, SessionState};
 use crate::scheduler::Scheduler;
-use ctk_core::driver::{DriverStatus, SessionDriver};
+use crate::tables::TableCache;
+use ctk_core::driver::DriverStatus;
 use ctk_core::session::UrReport;
 use ctk_core::{CoreError, Result};
 use ctk_crowd::{Crowd, Question, RouteHint};
-use ctk_prob::compare::PairwiseMatrix;
-use ctk_prob::{TopKBounds, UncertainTable};
+use ctk_prob::UncertainTable;
 use ctk_quality::QuestionRouter;
 use ctk_rank::RankList;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What one scheduling round did.
@@ -86,14 +86,6 @@ pub enum Quiescence {
         /// The parked sessions, in id order.
         sessions: Vec<SessionId>,
     },
-}
-
-/// One served table's shared derived state: the pairwise matrix plus the
-/// certain/possible top-K bounds per query depth seen so far.
-struct TableCacheEntry {
-    table: UncertainTable,
-    pairwise: Arc<PairwiseMatrix>,
-    bounds: Vec<(usize, Arc<TopKBounds>)>,
 }
 
 /// A multi-tenant top-K query service over one crowd backend.
@@ -152,16 +144,11 @@ pub struct TopKService<C: Crowd> {
     /// Worker threads the gather/feed phases split over (>= 1; 1 runs the
     /// classic sequential loop, any value produces bit-identical reports).
     threads: usize,
-    /// One pairwise matrix per distinct table served: the n² comparisons
-    /// dominate session setup, and tenants querying the same relation
-    /// share a single `Arc` instead of recomputing per submit. Cache
-    /// misses run `PairwiseMatrix::compute` — since PR 5 the analytic
-    /// sweep-line fast path (DESIGN.md §10), so even the first tenant on
-    /// a table pays milliseconds, not the old per-pair quadratures. Each
-    /// entry also caches the certain/possible [`TopKBounds`] per query
-    /// depth served over the table, so repeat tenants skip the O(n²)
-    /// dominance scan too.
-    pairwise_cache: Vec<TableCacheEntry>,
+    /// Per-table state shared by the sessions over a table: the
+    /// pairwise matrix, the certain/possible top-K bounds per depth, and
+    /// the initial tree beliefs of repeated `(table, k, engine)` submits
+    /// (see [`crate::tables`]).
+    tables: TableCache,
     /// Optional margin routing policy: when set, each live question
     /// carries a [`RouteHint`] derived from the question's margin under
     /// the asking session's pairwise prior, which hint-aware crowds (e.g.
@@ -190,7 +177,7 @@ impl<C: Crowd> TopKService<C> {
             parked: Vec::new(),
             metrics,
             threads,
-            pairwise_cache: Vec::new(),
+            tables: TableCache::default(),
             router: None,
             starve_parked: false,
         }
@@ -237,7 +224,9 @@ impl<C: Crowd> TopKService<C> {
     }
 
     /// Registers a session over `table`. The TPO (or world sample) is
-    /// built now, so an invalid configuration fails fast.
+    /// built now, so an invalid configuration fails fast; a tree-mode
+    /// session whose `(table, k, engine)` was submitted before may start
+    /// from a copy of the stored belief instead (DESIGN.md §8).
     pub fn submit(&mut self, table: &UncertainTable, spec: SessionSpec) -> Result<SessionId> {
         self.submit_with_truth(table, spec, None)
     }
@@ -250,77 +239,31 @@ impl<C: Crowd> TopKService<C> {
         spec: SessionSpec,
         truth: Option<&RankList>,
     ) -> Result<SessionId> {
-        let (pairwise, bounds) = self.table_entry_for(table, spec.config.k);
-        let driver = SessionDriver::new_shared(spec.config, table, truth, pairwise, bounds)?;
+        let driver = self
+            .tables
+            .driver(table, spec.config, truth, &mut self.metrics)?;
         let id = self.registry.insert(driver, spec.priority);
         self.scheduler.join(id, spec.priority);
         self.metrics.submitted += 1;
         Ok(id)
     }
 
-    /// At most this many distinct tables keep a cached pairwise matrix;
-    /// beyond it the oldest entry is evicted (running sessions keep their
-    /// matrix alive through their own `Arc`). Bounds both the memory held
-    /// by retired tables and the per-submit equality scan.
-    const MAX_PAIRWISE_CACHE: usize = 32;
-
-    /// The shared pairwise matrix and certain/possible top-K bounds for
-    /// `(table, k)`, computing both on first use. Bounds for an invalid
-    /// depth are not computed (`None`): the driver rejects the config
-    /// with its usual error instead.
-    fn table_entry_for(
-        &mut self,
-        table: &UncertainTable,
-        k: usize,
-    ) -> (Arc<PairwiseMatrix>, Option<Arc<TopKBounds>>) {
-        let idx = match self.pairwise_cache.iter().position(|e| &e.table == table) {
-            Some(idx) => {
-                // Move to the back so eviction is least-recently-used.
-                let entry = self.pairwise_cache.remove(idx);
-                self.pairwise_cache.push(entry);
-                self.pairwise_cache.len() - 1
-            }
-            None => {
-                let pw = Arc::new(PairwiseMatrix::compute(table));
-                if self.pairwise_cache.len() >= Self::MAX_PAIRWISE_CACHE {
-                    self.pairwise_cache.remove(0);
-                }
-                self.pairwise_cache.push(TableCacheEntry {
-                    table: table.clone(),
-                    pairwise: pw,
-                    bounds: Vec::new(),
-                });
-                self.pairwise_cache.len() - 1
-            }
-        };
-        let entry = &mut self.pairwise_cache[idx];
-        let pw = Arc::clone(&entry.pairwise);
-        if k == 0 || k > table.len() {
-            return (pw, None);
-        }
-        if let Some((_, b)) = entry.bounds.iter().find(|(depth, _)| *depth == k) {
-            return (pw, Some(Arc::clone(b)));
-        }
-        match TopKBounds::from_matrix(&pw, k) {
-            Ok(b) => {
-                let b = Arc::new(b);
-                entry.bounds.push((k, Arc::clone(&b)));
-                (pw, Some(b))
-            }
-            Err(_) => (pw, None),
-        }
-    }
-
     /// Distinct tables whose pairwise matrices are cached (observability
     /// for tests and dashboards).
     pub fn pairwise_tables_cached(&self) -> usize {
-        self.pairwise_cache.len()
+        self.tables.tables()
     }
 
     /// Distinct `(table, k)` certain/possible bound sets currently cached
     /// beside the pairwise matrices.
     pub fn bounds_cached(&self) -> usize {
-        self.pairwise_cache.iter().map(|e| e.bounds.len()).sum()
+        self.tables.bounds()
+    }
+
+    /// Distinct `(table, k, engine)` initial tree beliefs currently
+    /// stored beside the pairwise matrices.
+    pub fn beliefs_cached(&self) -> usize {
+        self.tables.beliefs()
     }
 
     /// Runs one round: resume, plan, gather, purchase, feed, retire (see
@@ -633,6 +576,7 @@ fn run_parallel<T: Send, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctk_core::driver::SessionDriver;
     use ctk_core::measures::MeasureKind;
     use ctk_core::session::{Algorithm, SessionConfig, UrSession};
     use ctk_crowd::{CrowdSimulator, GroundTruth, PerfectWorker, VotePolicy};
@@ -836,7 +780,7 @@ mod tests {
     #[test]
     fn pairwise_cache_is_bounded_lru() {
         let mut svc = service(1000);
-        let distinct = TopKService::<CrowdSimulator<PerfectWorker>>::MAX_PAIRWISE_CACHE + 3;
+        let distinct = crate::tables::MAX_TABLES + 3;
         for d in 0..distinct {
             let t = UncertainTable::new(
                 (0..4)
@@ -851,7 +795,7 @@ mod tests {
         }
         assert_eq!(
             svc.pairwise_tables_cached(),
-            TopKService::<CrowdSimulator<PerfectWorker>>::MAX_PAIRWISE_CACHE,
+            crate::tables::MAX_TABLES,
             "cache must evict beyond its bound"
         );
         svc.run_to_completion();
@@ -1471,6 +1415,98 @@ mod tests {
                 "seed {seed}: the crowd's surplus budget changed the session"
             );
             assert!(svc.report(id).unwrap().same_outcome(&exact), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn degenerate_tables_end_done_or_typed_error() {
+        // n = 1, k = n, identical distributions and point-mass ties,
+        // every strategy on every engine, each config submitted three
+        // times so the third tree-mode submit starts from a stored
+        // belief. Each session ends Done or Failed with an error, a
+        // refused submit is a typed error, and nothing panics.
+        let uniform = |c: f64| ScoreDist::uniform_centered(c, 0.4).unwrap();
+        let cases: Vec<(&str, Vec<ScoreDist>, usize)> = vec![
+            ("n = 1", vec![uniform(0.5)], 1),
+            (
+                "k = n",
+                (0..4).map(|i| uniform(i as f64 * 0.1)).collect(),
+                4,
+            ),
+            ("identical", vec![uniform(0.5); 5], 2),
+            ("point ties", vec![ScoreDist::point(0.5); 4], 2),
+            (
+                "mixed point ties",
+                [1.0, 1.0, 0.5, 0.5].map(ScoreDist::point).to_vec(),
+                3,
+            ),
+        ];
+        let algorithms = [
+            Algorithm::T1On,
+            Algorithm::TbOff,
+            Algorithm::COff,
+            Algorithm::AStarOff {
+                max_expansions: Some(200),
+            },
+            Algorithm::AStarOn {
+                lookahead: 1,
+                max_expansions: Some(200),
+            },
+            Algorithm::Naive,
+            Algorithm::Random,
+            Algorithm::Incr {
+                questions_per_round: 2,
+            },
+        ];
+        let engines = [
+            Engine::MonteCarlo(McConfig::fixed(300, 3)),
+            Engine::MonteCarlo(McConfig::adaptive(0.1, 0.1, 3)),
+            Engine::Exact(ctk_tpo::build::ExactConfig {
+                resolution: 256,
+                ..Default::default()
+            }),
+        ];
+        for (name, dists, k) in cases {
+            let table = UncertainTable::new(dists).unwrap();
+            let truth = GroundTruth::sample(&table, 99);
+            let crowd = CrowdSimulator::new(truth, PerfectWorker, VotePolicy::Single, 1000)
+                .expect("valid vote policy");
+            let mut svc = TopKService::new(crowd);
+            let mut ids = Vec::new();
+            for engine in &engines {
+                for alg in &algorithms {
+                    let cfg = SessionConfig {
+                        k,
+                        budget: 3,
+                        engine: engine.clone(),
+                        ..config(alg.clone(), 0)
+                    };
+                    for _ in 0..3 {
+                        // The exact engine's nested quadrature needs
+                        // continuous scores: it refuses point masses.
+                        match svc.submit(&table, SessionSpec::new(cfg.clone())) {
+                            Ok(id) => ids.push(id),
+                            Err(err) => assert!(
+                                matches!(err, CoreError::Tpo(_))
+                                    && engine.name() == "exact"
+                                    && name.contains("point"),
+                                "{name}: {} on {} refused: {err}",
+                                alg.name(),
+                                engine.name()
+                            ),
+                        }
+                    }
+                }
+            }
+            assert!(svc.metrics().belief_hits > 0, "{name}: no submit hit");
+            svc.run_to_completion();
+            for id in ids {
+                match svc.state(id) {
+                    Some(SessionState::Done) => assert!(svc.report(id).is_some()),
+                    Some(SessionState::Failed) => assert!(svc.error(id).is_some()),
+                    other => panic!("{name}: session {id:?} ended {other:?}"),
+                }
+            }
         }
     }
 }

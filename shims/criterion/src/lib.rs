@@ -77,6 +77,25 @@ impl Bencher {
         }
     }
 
+    /// Times `routine` on a fresh input from the untimed `setup`; the
+    /// routine's output is dropped outside the timed region.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        black_box(routine(setup()));
+        self.samples.clear();
+        self.iters_per_sample = 1;
+        for _ in 0..self.sample_count {
+            let input = setup();
+            let start = Instant::now();
+            let output = routine(input);
+            self.samples.push(start.elapsed());
+            drop(black_box(output));
+        }
+    }
+
     fn median(&mut self) -> Option<Duration> {
         if self.samples.is_empty() {
             return None;
@@ -144,6 +163,14 @@ impl<M> BenchmarkGroup<'_, M> {
     }
 
     pub fn finish(&mut self) {}
+}
+
+/// How many inputs `Bencher::iter_batched` sets up per batch (accepted,
+/// ignored: the shim sets up one input per timed call).
+pub enum BatchSize {
+    SmallInput,
+    LargeInput,
+    PerIteration,
 }
 
 /// Units for `BenchmarkGroup::throughput` (accepted, ignored).
