@@ -1,26 +1,24 @@
-//! Belief-state hot paths: the indexed/cached implementations against
-//! the pre-rewrite reference code paths.
+//! Belief-state hot paths, timed through the public API:
 //!
-//! * `pr_precedes` — O(1) position-index lookups vs the O(n) ranking scan;
-//! * `apply_answer_noisy` — indexed reweight vs the scan-based reweight;
-//! * `path_set` — incremental prefix-group cache vs fresh hash-map
-//!   grouping;
-//! * `pairwise` / `build_mc` — chunked parallel builders vs sequential;
-//! * `residual` — prefix-index partition evaluation vs a fresh `PathSet`
-//!   per class.
+//! * `pr_precedes` — position-index lookups;
+//! * `apply_answer_noisy` — indexed reweight;
+//! * `path_set` — incremental prefix-group cache;
+//! * `pairwise_compute` / `build_mc` — the auto-threaded table builders;
+//! * `residual_partition` — prefix-index partition evaluation.
 //!
-//! The sizes (M = 10k worlds, n = 200) match the history in
-//! `docs/bench-history/BENCH_PR3.json`.
+//! The implementations these replaced survive only as test-only
+//! references; their reference-vs-fast timings are recorded in
+//! `docs/bench-history/BENCH_PR3.json` and `BENCH_PR5.json`. The sizes
+//! (M = 10k worlds, n = 200) match `BENCH_PR3.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ctk_bench::reference::{apply_noisy_scan, pr_precedes_scan};
 use ctk_core::measures::MeasureKind;
 use ctk_core::residual::{AnswerPartition, ResidualCtx};
 use ctk_core::select::relevant_questions;
 use ctk_datagen::{generate, DatasetSpec};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::UncertainTable;
-use ctk_tpo::build::{build_mc, build_mc_with_threads, McConfig};
+use ctk_tpo::build::{build_mc, McConfig};
 use ctk_tpo::WorldModel;
 
 fn table(n: usize) -> UncertainTable {
@@ -45,14 +43,6 @@ fn bench_belief(c: &mut Criterion) {
                 .sum::<f64>()
         })
     });
-    g.bench_function("scan", |b| {
-        b.iter(|| {
-            pairs
-                .iter()
-                .map(|&(i, j)| pr_precedes_scan(&wm, i, j))
-                .sum::<f64>()
-        })
-    });
     g.finish();
 
     let mut g = c.benchmark_group("apply_answer_noisy");
@@ -65,15 +55,6 @@ fn bench_belief(c: &mut Criterion) {
             indexed.total_weight()
         })
     });
-    let mut weights: Vec<f64> = (0..wm.num_worlds()).map(|w| wm.weight(w)).collect();
-    g.bench_function("scan", |b| {
-        b.iter(|| {
-            for &(i, j) in &pairs {
-                apply_noisy_scan(&wm, &mut weights, i, j, true, 0.8);
-            }
-            weights.iter().sum::<f64>()
-        })
-    });
     g.finish();
 
     let mut g = c.benchmark_group("path_set");
@@ -82,7 +63,6 @@ fn bench_belief(c: &mut Criterion) {
     g.bench_function("cached", |b| {
         b.iter(|| cached.path_set_cached(5).unwrap().len())
     });
-    g.bench_function("rebuild", |b| b.iter(|| wm.path_set(5).unwrap().len()));
     g.finish();
 }
 
@@ -93,9 +73,6 @@ fn bench_builders(c: &mut Criterion) {
     g.bench_function("parallel", |b| {
         b.iter(|| PairwiseMatrix::compute(&t).uncertain_pair_count())
     });
-    g.bench_function("sequential", |b| {
-        b.iter(|| PairwiseMatrix::compute_sequential(&t).uncertain_pair_count())
-    });
     g.finish();
 
     let t = table(50);
@@ -104,9 +81,6 @@ fn bench_builders(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("parallel", |b| {
         b.iter(|| build_mc(&t, 5, &cfg).unwrap().len())
-    });
-    g.bench_function("sequential", |b| {
-        b.iter(|| build_mc_with_threads(&t, 5, &cfg, 1).unwrap().len())
     });
     g.finish();
 }
@@ -131,16 +105,6 @@ fn bench_residual(c: &mut Criterion) {
                 part.refine(q, &ctx);
             }
             part.expected_uncertainty(ctx.measure)
-        })
-    });
-    g.bench_function("reference_eval", |b| {
-        b.iter(|| {
-            let mut part = AnswerPartition::root(&ps);
-            for q in &qs {
-                part.refine(q, &ctx);
-                black_box(part.expected_uncertainty_reference(ctx.measure));
-            }
-            part.expected_uncertainty_reference(ctx.measure)
         })
     });
     g.finish();

@@ -153,62 +153,6 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Pre-rewrite reference implementations of the `WorldModel` hot paths:
-/// ranking scans instead of the position index. The `belief_hot_paths`
-/// bench times them as the baseline of its `pr_precedes` and
-/// `apply_answer_noisy` groups.
-pub mod reference {
-    use ctk_tpo::WorldModel;
-
-    /// True if `ranking` places `i` above `j` — the O(n) scan the position
-    /// index replaced.
-    pub fn scan_prefers(ranking: &[u32], i: u32, j: u32) -> bool {
-        for &it in ranking {
-            if it == i {
-                return true;
-            }
-            if it == j {
-                return false;
-            }
-        }
-        unreachable!("ranking is a full permutation");
-    }
-
-    /// Scan-based `pr_precedes`.
-    pub fn pr_precedes_scan(wm: &WorldModel, i: u32, j: u32) -> f64 {
-        let total: f64 = (0..wm.num_worlds()).map(|w| wm.weight(w)).sum();
-        if total <= 0.0 {
-            return 0.5;
-        }
-        let mass: f64 = (0..wm.num_worlds())
-            .filter(|&w| wm.weight(w) > 0.0 && scan_prefers(wm.ranking(w), i, j))
-            .map(|w| wm.weight(w))
-            .sum();
-        mass / total
-    }
-
-    /// Scan-based noisy reweight over an external weight vector (no
-    /// renormalization — the decay is the bug PR 3 fixed, but the
-    /// per-call cost shape is what the benches compare).
-    pub fn apply_noisy_scan(
-        wm: &WorldModel,
-        weights: &mut [f64],
-        i: u32,
-        j: u32,
-        yes: bool,
-        eta: f64,
-    ) {
-        let disagree = 1.0 - eta;
-        for (w, weight) in weights.iter_mut().enumerate() {
-            if *weight <= 0.0 {
-                continue;
-            }
-            let agrees = scan_prefers(wm.ranking(w), i, j) == yes;
-            *weight *= if agrees { eta } else { disagree };
-        }
-    }
-}
-
 /// Writes a TSV file under [`out_dir`] and echoes it to stdout.
 pub fn emit_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     let mut text = String::new();

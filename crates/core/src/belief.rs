@@ -18,7 +18,7 @@
 use crate::error::Result;
 use crate::session::{Algorithm, SessionConfig};
 use ctk_prob::{TopKBounds, UncertainTable};
-use ctk_tpo::build::{build_mc_bounded, Engine};
+use ctk_tpo::build::Engine;
 use ctk_tpo::{PathSet, PrecisionReport};
 
 /// Everything a tree-mode session's initial belief depends on besides its
@@ -57,10 +57,7 @@ impl TreeBelief {
     /// build consults them before sampling, a fixed or exact build never
     /// does.
     pub fn build(table: &UncertainTable, key: &BeliefKey, bounds: &TopKBounds) -> Result<Self> {
-        let (paths, precision) = match &key.engine {
-            Engine::MonteCarlo(mc) => build_mc_bounded(table, key.k, mc, Some(bounds))?,
-            Engine::Exact(_) => (key.engine.build(table, key.k)?, PrecisionReport::exact()),
-        };
+        let (paths, precision) = key.engine.build_with_report(table, key.k, Some(bounds))?;
         Ok(Self { paths, precision })
     }
 
@@ -95,7 +92,7 @@ mod tests {
     use crate::measures::MeasureKind;
     use ctk_prob::compare::PairwiseMatrix;
     use ctk_prob::ScoreDist;
-    use ctk_tpo::build::McConfig;
+    use ctk_tpo::build::{build_exact, ExactConfig, McConfig};
 
     fn table() -> UncertainTable {
         UncertainTable::new(
@@ -136,9 +133,14 @@ mod tests {
     fn builds_are_deterministic_to_the_bit() {
         let table = table();
         let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&table), 3).unwrap();
+        let exact = ExactConfig {
+            resolution: 256,
+            ..ExactConfig::default()
+        };
         for engine in [
             Engine::MonteCarlo(McConfig::fixed(300, 1)),
             Engine::MonteCarlo(McConfig::adaptive(0.1, 0.1, 1)),
+            Engine::Exact(exact),
         ] {
             let key = BeliefKey::of(&config(Algorithm::T1On, engine)).unwrap();
             let a = TreeBelief::build(&table, &key, &bounds).unwrap();
@@ -155,5 +157,13 @@ mod tests {
             TreeBelief::build(&table, &key, &bounds).unwrap()
         };
         assert!(!fixed(1).same_bits(&fixed(2)), "the seed moves the sample");
+        let key = BeliefKey::of(&config(Algorithm::T1On, Engine::Exact(exact))).unwrap();
+        let expected = TreeBelief {
+            paths: build_exact(&table, 3, &exact).unwrap(),
+            precision: PrecisionReport::exact(),
+        };
+        assert!(TreeBelief::build(&table, &key, &bounds)
+            .unwrap()
+            .same_bits(&expected));
     }
 }

@@ -63,6 +63,8 @@ pub mod engine;
 pub mod error;
 pub mod measures;
 pub mod metrics;
+#[cfg(test)]
+mod proptests;
 pub mod residual;
 pub mod select;
 pub mod session;

@@ -1,0 +1,225 @@
+//! Property-based tests that pin the residual kernel and the selectors
+//! against this crate's test-only materializing reference evaluation.
+
+use crate::measures::MeasureKind;
+use crate::residual::{AnswerPartition, ResidualCtx};
+use crate::select::OnlineSelector;
+use crate::select::{all_tree_pairs, relevant_questions, COff, OfflineSelector, T1On, TbOff};
+use ctk_crowd::Question;
+use ctk_prob::compare::PairwiseMatrix;
+use ctk_prob::{ScoreDist, UncertainTable};
+use ctk_tpo::build::{build_mc, McConfig};
+use ctk_tpo::PathSet;
+use proptest::prelude::*;
+
+// The module is declared `#[cfg(test)]` in lib.rs; the helpers repeat the
+// attribute because ctk-analyze reads one file at a time.
+
+/// Arbitrary overlapping table of `n` uniform scores, with its pairwise
+/// matrix and a depth-3 TPO.
+#[cfg(test)]
+fn fixture(n: usize) -> impl Strategy<Value = (UncertainTable, PairwiseMatrix, PathSet)> {
+    (
+        proptest::collection::vec((0.0..1.0f64, 0.2..0.6f64), n..=n),
+        any::<u64>(),
+    )
+        .prop_map(|(params, seed)| {
+            let table = UncertainTable::new(
+                params
+                    .into_iter()
+                    .map(|(c, w)| ScoreDist::uniform_centered(c, w).unwrap())
+                    .collect(),
+            )
+            .unwrap();
+            let pw = PairwiseMatrix::compute(&table);
+            let ps = build_mc(&table, 3.min(table.len()), &McConfig::fixed(1500, seed)).unwrap();
+            (table, pw, ps)
+        })
+}
+
+/// Degenerate inputs: one tuple, `k = n`, identical distributions (many
+/// equal path probabilities, so tie order decides every summation order),
+/// point-mass ties, and an exactly uniform set over all orderings.
+#[cfg(test)]
+fn degenerate() -> impl Strategy<Value = (PairwiseMatrix, PathSet)> {
+    (0usize..5, 2usize..6, any::<u64>()).prop_map(|(case, n, seed)| {
+        let (dists, k) = match case {
+            0 => (vec![ScoreDist::uniform(0.0, 1.0).unwrap()], 1),
+            1 => (
+                (0..n)
+                    .map(|t| ScoreDist::uniform_centered(0.1 * t as f64, 0.5).unwrap())
+                    .collect(),
+                n,
+            ),
+            2 | 4 => (vec![ScoreDist::uniform(0.0, 1.0).unwrap(); n], 3.min(n)),
+            _ => (
+                (0..n)
+                    .map(|t| {
+                        if t % 2 == 0 {
+                            ScoreDist::point(0.5)
+                        } else {
+                            ScoreDist::discrete(&[(0.5, 1.0), (0.8, 1.0)]).unwrap()
+                        }
+                    })
+                    .collect(),
+                3.min(n),
+            ),
+        };
+        let table = UncertainTable::new(dists).unwrap();
+        let pw = PairwiseMatrix::compute(&table);
+        let mut ps = build_mc(&table, k, &McConfig::fixed(400, seed)).unwrap();
+        if case == 4 {
+            // Every ordering the sample found, with exactly equal weight.
+            let uniform = ps.paths().iter().map(|p| (p.items.clone(), 1.0)).collect();
+            ps = PathSet::from_weighted(k, uniform).unwrap();
+        }
+        (pw, ps)
+    })
+}
+
+/// `TB-off`, `C-off` and `T1-on` re-implemented over the materializing
+/// reference evaluation: the selectors must pick exactly these questions.
+mod reference_selector {
+    use super::*;
+
+    fn scored(ps: &PathSet, ctx: &ResidualCtx<'_>) -> Vec<(f64, Question)> {
+        let root = AnswerPartition::root(ps);
+        relevant_questions(ps, ctx)
+            .into_iter()
+            .map(|q| (root.expected_with_question_reference(&q, ctx), q))
+            .collect()
+    }
+
+    pub fn tb_off(ps: &PathSet, budget: usize, ctx: &ResidualCtx<'_>) -> Vec<Question> {
+        let mut scored = scored(ps, ctx);
+        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        scored.into_iter().take(budget).map(|(_, q)| q).collect()
+    }
+
+    pub fn t1_on(ps: &PathSet, ctx: &ResidualCtx<'_>) -> Option<Question> {
+        if ps.is_resolved() {
+            return None;
+        }
+        scored(ps, ctx)
+            .into_iter()
+            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+            .map(|(_, q)| q)
+    }
+
+    pub fn c_off(ps: &PathSet, budget: usize, ctx: &ResidualCtx<'_>) -> Vec<Question> {
+        let pool = relevant_questions(ps, ctx);
+        let mut chosen: Vec<Question> = Vec::new();
+        let mut partition = AnswerPartition::root(ps);
+        while chosen.len() < budget.min(pool.len()) {
+            let mut best: Option<(f64, Question)> = None;
+            for &q in pool.iter().filter(|q| !chosen.contains(q)) {
+                let r = partition.expected_with_question_reference(&q, ctx);
+                let better = match &best {
+                    None => true,
+                    Some((br, bq)) => r < *br - 1e-15 || ((r - *br).abs() <= 1e-15 && q < *bq),
+                };
+                if better {
+                    best = Some((r, q));
+                }
+            }
+            let Some((_, q)) = best else { break };
+            partition.refine(&q, ctx);
+            chosen.push(q);
+        }
+        chosen
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn kernel_is_bit_identical_on_degenerate_inputs(
+        (pw, ps) in degenerate(),
+        picks in proptest::collection::vec(any::<u64>(), 0..4),
+    ) {
+        // Every measure, after a random refine sequence over all tree
+        // pairs (informative or not): the index kernel reproduces the
+        // materializing evaluation bit for bit, sign of zero included.
+        for kind in MeasureKind::all() {
+            let m = kind.build();
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            let pool = all_tree_pairs(&ps);
+            let mut part = AnswerPartition::root(&ps);
+            for step in 0..=picks.len() {
+                let reference = part.expected_uncertainty_reference(ctx.measure);
+                prop_assert_eq!(part.expected_uncertainty(ctx.measure).to_bits(),
+                    reference.to_bits(), "{} at step {}", kind.name(), step);
+                for q in &pool {
+                    let reference = part.expected_with_question_reference(q, &ctx);
+                    prop_assert_eq!(part.expected_with_question(q, &ctx).to_bits(),
+                        reference.to_bits(), "{} with {} at step {}", kind.name(), q, step);
+                }
+                if let Some(&pick) = picks.get(step) {
+                    if !pool.is_empty() {
+                        part.refine(&pool[pick as usize % pool.len()], &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selectors_match_reference_scoring(
+        (pw, ps) in prop_oneof![degenerate(), fixture(5).prop_map(|(_, pw, ps)| (pw, ps))],
+        budget in 1usize..4,
+    ) {
+        for kind in MeasureKind::all() {
+            let m = kind.build();
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            prop_assert_eq!(TbOff.select(&ps, budget, &ctx),
+                reference_selector::tb_off(&ps, budget, &ctx), "TB-off, {}", kind.name());
+            prop_assert_eq!(COff.select(&ps, budget, &ctx),
+                reference_selector::c_off(&ps, budget, &ctx), "C-off, {}", kind.name());
+            prop_assert_eq!(T1On.next_question(&ps, budget, &ctx),
+                reference_selector::t1_on(&ps, &ctx), "T1-on, {}", kind.name());
+        }
+    }
+
+    #[test]
+    fn interned_partition_is_bit_identical_to_reference((_, pw, ps) in fixture(5)) {
+        // The index-kernel/memo evaluation path of the partition must
+        // reproduce the naive fresh-PathSet-per-class evaluation bit for
+        // bit, for every measure, through an arbitrary refine sequence.
+        for kind in MeasureKind::all() {
+            let m = kind.build();
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            let qs: Vec<Question> = relevant_questions(&ps, &ctx).into_iter().take(4).collect();
+            let mut part = AnswerPartition::root(&ps);
+            for q in &qs {
+                let reference = part.expected_uncertainty_reference(ctx.measure);
+                let fast = part.expected_uncertainty(ctx.measure);
+                prop_assert_eq!(fast.to_bits(), reference.to_bits(),
+                    "{}: {} vs {}", kind.name(), fast, reference);
+                // Memoized re-query must not drift either.
+                prop_assert_eq!(part.expected_uncertainty(ctx.measure).to_bits(),
+                    reference.to_bits());
+                part.refine(q, &ctx);
+            }
+            let reference = part.expected_uncertainty_reference(ctx.measure);
+            prop_assert_eq!(part.expected_uncertainty(ctx.measure).to_bits(),
+                reference.to_bits(), "{} after full refine", kind.name());
+        }
+    }
+
+    #[test]
+    fn lookahead_equals_refine_then_reference((_, pw, ps) in fixture(5)) {
+        // One-step lookahead over memoized classes == materializing the
+        // refine and evaluating with the naive reference path.
+        let m = MeasureKind::WeightedEntropy.build();
+        let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+        for q in relevant_questions(&ps, &ctx).into_iter().take(5) {
+            let looked = AnswerPartition::root(&ps).expected_with_question(&q, &ctx);
+            let mut part = AnswerPartition::root(&ps);
+            part.refine(&q, &ctx);
+            let reference = part.expected_uncertainty_reference(ctx.measure);
+            prop_assert!((looked - reference).abs() < 1e-12,
+                "{looked} vs {reference} for {q}");
+        }
+    }
+}

@@ -39,8 +39,8 @@
 //! class's `PathSet`, in the same order. The other measures materialize
 //! the class. Class uncertainties are memoized, so unsplit classes are
 //! never re-evaluated. All of it is bit-identical to the materializing
-//! evaluation (pinned by proptests against
-//! [`AnswerPartition::expected_uncertainty_reference`]).
+//! evaluation (pinned by proptests against the test-only
+//! `AnswerPartition::expected_uncertainty_reference`).
 
 use crate::measures::UncertaintyMeasure;
 use ctk_crowd::Question;
@@ -188,7 +188,9 @@ impl Class {
     }
 
     /// The materializing evaluation (fresh `PathSet` with copied items, no
-    /// memo) — the reference the index kernel must match bit for bit.
+    /// memo) — the test-only reference the index kernel must match bit for
+    /// bit.
+    #[cfg(test)]
     fn uncertainty_reference(&self, measure: &dyn UncertaintyMeasure, index: &PrefixIndex) -> f64 {
         if self.is_trivial() {
             return 0.0;
@@ -431,10 +433,10 @@ impl AnswerPartition {
     }
 
     /// The materializing evaluation (fresh `PathSet` per class, copied
-    /// items, no memo). Kept as the reference that equivalence tests and
-    /// the `belief_hot_paths` bench compare against.
-    #[doc(hidden)]
-    pub fn expected_uncertainty_reference(&self, measure: &dyn UncertaintyMeasure) -> f64 {
+    /// items, no memo). Test-only: the reference the index kernel is
+    /// pinned against.
+    #[cfg(test)]
+    pub(crate) fn expected_uncertainty_reference(&self, measure: &dyn UncertaintyMeasure) -> f64 {
         self.classes
             .iter()
             .map(|c| c.mass * c.uncertainty_reference(measure, &self.index))
@@ -457,9 +459,14 @@ impl AnswerPartition {
     }
 
     /// [`AnswerPartition::expected_with_question`] through the
-    /// materializing evaluation — the reference for selector tests.
-    #[doc(hidden)]
-    pub fn expected_with_question_reference(&self, q: &Question, ctx: &ResidualCtx<'_>) -> f64 {
+    /// materializing evaluation — the test-only reference for selector
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn expected_with_question_reference(
+        &self,
+        q: &Question,
+        ctx: &ResidualCtx<'_>,
+    ) -> f64 {
         lookahead(&self.index, &self.classes, q, ctx, |c| {
             c.uncertainty_reference(ctx.measure, &self.index)
         })

@@ -18,10 +18,10 @@
 //! Piecewise) by per-segment Simpson — exact, because the integrand
 //! `f_A·F_B` has degree ≤ 3 on each merged segment — and Gaussian vs
 //! piecewise-polynomial via the `Φ` antiderivatives. Mixtures recurse by
-//! linearity. The pre-PR 5 generic grid quadrature is kept as
-//! [`pr_greater_reference`]; proptests pin the two within `1e-6` (against
-//! a high-resolution reference, whose own truncation error is far below
-//! that bound).
+//! linearity. The generic grid quadrature it replaced survives as a
+//! test-only reference (`pr_greater_reference`); tests pin the two within
+//! `1e-6` (against a high-resolution reference, whose own truncation error
+//! is far below that bound).
 //!
 //! [`PairwiseMatrix::compute`] adds two table-level optimizations on top:
 //! a sweep-line over the supports sorted by lower endpoint, so pairs with
@@ -32,8 +32,6 @@
 use crate::bounds::certainly_greater;
 use crate::dist::ScoreDist;
 use crate::gaussian::Gaussian;
-use crate::grid::SupportGrid;
-use crate::quad::trapezoid;
 use crate::special::{normal_cdf, normal_pdf};
 use crate::table::UncertainTable;
 
@@ -41,6 +39,7 @@ use crate::table::UncertainTable;
 pub const ORDER_EPS: f64 = 1e-9;
 
 /// Resolution used for the reference pairwise quadrature grid.
+#[cfg(test)]
 const PAIR_RESOLUTION: usize = 2048;
 
 /// `P(A > B) + ½ P(A = B)` for independent scores `A`, `B`.
@@ -53,23 +52,25 @@ pub fn pr_greater(a: &ScoreDist, b: &ScoreDist) -> f64 {
     pr_fast(a, &ca, b, &cb)
 }
 
-/// The pre-PR 5 implementation: exact arms for atoms and Gaussian pairs,
-/// generic trapezoid quadrature on a shared [`SupportGrid`] for everything
-/// else. Kept as the agreement baseline for the analytic fast path.
-pub fn pr_greater_reference(a: &ScoreDist, b: &ScoreDist) -> f64 {
+/// Test-only reference: exact arms for atoms and Gaussian pairs, generic
+/// trapezoid quadrature on a shared [`crate::SupportGrid`] for everything
+/// else. The agreement baseline for the analytic fast path.
+#[cfg(test)]
+pub(crate) fn pr_greater_reference(a: &ScoreDist, b: &ScoreDist) -> f64 {
     pr_greater_reference_res(a, b, PAIR_RESOLUTION)
 }
 
-/// [`pr_greater_reference`] with an explicit grid resolution. Proptests and
-/// the CI drift gate compare the fast path against a high-resolution run
-/// (the production resolution's own truncation error on spiky densities
-/// can approach the 1e-6 bound being pinned).
-pub fn pr_greater_reference_res(a: &ScoreDist, b: &ScoreDist, resolution: usize) -> f64 {
+/// [`pr_greater_reference`] with an explicit grid resolution. Tests
+/// compare the fast path against a high-resolution run (the production
+/// resolution's own truncation error on spiky densities can approach the
+/// 1e-6 bound being pinned).
+#[cfg(test)]
+pub(crate) fn pr_greater_reference_res(a: &ScoreDist, b: &ScoreDist, resolution: usize) -> f64 {
     let mut cont = |a: &ScoreDist, _: &DistCache, b: &ScoreDist, _: &DistCache| {
-        let grid = SupportGrid::build([a, b], resolution);
+        let grid = crate::grid::SupportGrid::build([a, b], resolution);
         let x = grid.points();
         let y: Vec<f64> = x.iter().map(|&xi| a.pdf(xi) * b.cdf(xi)).collect();
-        trapezoid(x, &y).clamp(0.0, 1.0)
+        crate::quad::trapezoid(x, &y).clamp(0.0, 1.0)
     };
     pr_clamped(a, &NONE_CACHE, b, &NONE_CACHE, &mut cont)
 }
@@ -508,17 +509,7 @@ impl PairwiseMatrix {
         Self::compute_inner(table, None)
     }
 
-    /// The single-threaded reference implementation (of the fast path).
-    pub fn compute_sequential(table: &UncertainTable) -> Self {
-        Self::compute_with_threads(table, 1)
-    }
-
-    /// [`PairwiseMatrix::compute`] with an explicit thread count.
-    pub fn compute_with_threads(table: &UncertainTable, threads: usize) -> Self {
-        Self::compute_inner(table, Some(threads))
-    }
-
-    /// The pre-PR 5 matrix: every pair through the generic grid-quadrature
+    /// The matrix with every pair through the generic grid-quadrature
     /// [`pr_greater_reference`], sequentially. Test-only: the oracle of
     /// `reference_matrix_stays_close_to_fast_matrix`.
     #[cfg(test)]
@@ -535,6 +526,8 @@ impl PairwiseMatrix {
         Self { n, p }
     }
 
+    /// [`PairwiseMatrix::compute`] with an explicit thread count (`None`
+    /// picks one from the work size); tests pin every count bit-identical.
     fn compute_inner(table: &UncertainTable, threads: Option<usize>) -> Self {
         let n = table.len();
         let dists: Vec<&ScoreDist> = table.dists().collect();
@@ -913,7 +906,7 @@ mod tests {
         // The sweep's 0/1 shortcut and cached evaluation must agree with
         // calling `pr_greater` on every pair, bit for bit.
         let table = UncertainTable::new(zoo()).unwrap();
-        let m = PairwiseMatrix::compute_sequential(&table);
+        let m = PairwiseMatrix::compute_inner(&table, Some(1));
         for i in 0..table.len() {
             for j in 0..table.len() {
                 let expect = if i == j {
@@ -949,9 +942,9 @@ mod tests {
             })
             .collect();
         let table = UncertainTable::new(dists).unwrap();
-        let seq = PairwiseMatrix::compute_sequential(&table);
+        let seq = PairwiseMatrix::compute_inner(&table, Some(1));
         for threads in [2, 3, 8, 64] {
-            let par = PairwiseMatrix::compute_with_threads(&table, threads);
+            let par = PairwiseMatrix::compute_inner(&table, Some(threads));
             for i in 0..table.len() {
                 for j in 0..table.len() {
                     assert_eq!(
@@ -973,7 +966,7 @@ mod tests {
     #[test]
     fn reference_matrix_stays_close_to_fast_matrix() {
         let table = UncertainTable::new(zoo()).unwrap();
-        let fast = PairwiseMatrix::compute_sequential(&table);
+        let fast = PairwiseMatrix::compute_inner(&table, Some(1));
         let slow = PairwiseMatrix::compute_reference(&table);
         for i in 0..table.len() {
             for j in 0..table.len() {

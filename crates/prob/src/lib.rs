@@ -53,6 +53,8 @@ pub mod histogram;
 pub mod mixture;
 pub mod nested;
 pub mod piecewise;
+#[cfg(test)]
+mod proptests;
 pub mod quad;
 pub mod sample;
 pub mod special;

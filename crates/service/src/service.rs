@@ -645,6 +645,27 @@ mod tests {
     }
 
     #[test]
+    fn oversized_fixed_world_budgets_fail_at_submit() {
+        // (1 << 62) + 1 worlds overflow the m·k prefix and m·n score
+        // buffers: the budget is refused before anything is sampled.
+        let mut svc = service(100);
+        let incr = Algorithm::Incr {
+            questions_per_round: 2,
+        };
+        for algorithm in [Algorithm::T1On, incr] {
+            let oversized = SessionConfig {
+                engine: Engine::MonteCarlo(McConfig::fixed((1 << 62) + 1, 1)),
+                ..config(algorithm, 0)
+            };
+            match svc.submit(&table(), SessionSpec::new(oversized)) {
+                Err(CoreError::Tpo(ctk_tpo::TpoError::InvalidWorlds)) => {}
+                other => panic!("oversized budget must be refused, got {other:?}"),
+            }
+        }
+        assert_eq!(svc.metrics().submitted, 0);
+    }
+
+    #[test]
     fn identical_tenants_share_crowd_answers() {
         let mut svc = service(1000);
         let a = svc

@@ -121,19 +121,53 @@ impl Engine {
 
     /// Builds the depth-`k` path set of `table` with this engine.
     pub fn build(&self, table: &UncertainTable, k: usize) -> Result<PathSet> {
-        self.build_with_report(table, k).map(|(ps, _)| ps)
+        self.build_with_report(table, k, None).map(|(ps, _)| ps)
     }
 
     /// [`Engine::build`] plus the [`PrecisionReport`] of what the build
     /// actually did (worlds drawn, achieved bound, stop reason).
+    ///
+    /// `bounds` are caller-cached certain/possible bounds of `table`: the
+    /// driver and the service hold per-table [`TopKBounds`] next to their
+    /// shared pairwise matrices, and passing them lets an adaptive build
+    /// skip recomputing the O(n²) pairwise scan. Bounds for a different `k`
+    /// or table size are ignored (fresh ones are derived). Fixed-budget and
+    /// exact builds never touch the bounds, keeping the compat mode
+    /// byte-for-byte on its historical pipeline.
     pub fn build_with_report(
         &self,
         table: &UncertainTable,
         k: usize,
+        bounds: Option<&TopKBounds>,
     ) -> Result<(PathSet, PrecisionReport)> {
-        match self {
-            Engine::MonteCarlo(cfg) => build_mc_with_report(table, k, cfg),
-            Engine::Exact(cfg) => Ok((build_exact(table, k, cfg)?, PrecisionReport::exact())),
+        let cfg = match self {
+            Engine::MonteCarlo(cfg) => cfg,
+            Engine::Exact(cfg) => {
+                return Ok((build_exact(table, k, cfg)?, PrecisionReport::exact()))
+            }
+        };
+        match cfg.precision {
+            PrecisionTarget::FixedWorlds(m) => Ok((
+                fixed_mc_with_threads(table, k, m, cfg.seed, 0)?,
+                PrecisionReport::fixed(m),
+            )),
+            PrecisionTarget::Adaptive { epsilon, delta } => {
+                let (sample, report) = sample_adaptive(table, k, epsilon, delta, cfg.seed, bounds)?;
+                let ps = match sample {
+                    AdaptiveSample::Pinned(prefix) => {
+                        PathSet::from_weighted(k, vec![(prefix, 1.0)])?
+                    }
+                    AdaptiveSample::Sampled(wm) => {
+                        let threads = planned_threads(
+                            wm.num_worlds(),
+                            PARALLEL_WORLDS_MIN,
+                            available_cores(),
+                        );
+                        wm.path_set_uniform(k, threads)?
+                    }
+                };
+                Ok((ps, report))
+            }
         }
     }
 }
@@ -142,67 +176,23 @@ impl Engine {
 /// budget or an adaptive `(ε, δ)` target) and group the sampled worlds'
 /// depth-`k` prefixes into a normalized [`PathSet`].
 ///
-/// `FixedWorlds(0)` is an invalid spec and fails with
-/// [`TpoError::InvalidWorlds`] (it used to be silently clamped to 1,
-/// masking configuration bugs); out-of-range adaptive targets fail with
-/// [`TpoError::InvalidPrecision`].
+/// A fixed budget outside `1..=`[`ADAPTIVE_MAX_WORLDS`] is an invalid spec
+/// and fails with [`TpoError::InvalidWorlds`] (`0` used to be silently
+/// clamped to 1, masking configuration bugs); out-of-range adaptive
+/// targets fail with [`TpoError::InvalidPrecision`].
 ///
 /// The fixed mode is the fast path (DESIGN.md §10): scores come from a
 /// per-table compiled [`WorldSampler`] (draw-for-draw identical to the
 /// reference sampling), and each world is ranked with an O(n + k·log k)
 /// partial selection instead of a full sort — the depth-`k` prefix is
 /// bit-identical to the full sort's by the total-order argument, so the
-/// result equals [`build_mc_reference`] exactly (pinned by tests). The
-/// rank and group phases are chunked across threads above a work cutoff;
-/// any thread count produces bit-identical output (score draws are
-/// strictly sequential in the seeded PRNG, each world is ranked
+/// result equals the test-only full-sort reference (`build_mc_reference`)
+/// exactly. The rank and group phases are chunked across threads above a
+/// work cutoff; any thread count produces bit-identical output (score
+/// draws are strictly sequential in the seeded PRNG, each world is ranked
 /// independently, and per-prefix totals are exact integer counts).
 pub fn build_mc(table: &UncertainTable, k: usize, cfg: &McConfig) -> Result<PathSet> {
-    build_mc_with_report(table, k, cfg).map(|(ps, _)| ps)
-}
-
-/// [`build_mc`] plus the [`PrecisionReport`] of what the build did.
-pub fn build_mc_with_report(
-    table: &UncertainTable,
-    k: usize,
-    cfg: &McConfig,
-) -> Result<(PathSet, PrecisionReport)> {
-    build_mc_bounded(table, k, cfg, None)
-}
-
-/// [`build_mc_with_report`] reusing caller-cached certain/possible
-/// bounds.
-///
-/// The driver and the service hold per-table [`TopKBounds`] next to
-/// their shared pairwise matrices; passing them here lets an adaptive
-/// build skip recomputing the O(n²) pairwise scan. Bounds for a
-/// different `k` or table size are ignored (fresh ones are derived).
-/// Fixed-budget builds never touch the bounds, keeping the compat mode
-/// byte-for-byte on its historical pipeline.
-pub fn build_mc_bounded(
-    table: &UncertainTable,
-    k: usize,
-    cfg: &McConfig,
-    bounds: Option<&TopKBounds>,
-) -> Result<(PathSet, PrecisionReport)> {
-    match cfg.precision {
-        PrecisionTarget::FixedWorlds(m) => Ok((
-            fixed_mc_with_threads(table, k, m, cfg.seed, 0)?,
-            PrecisionReport::fixed(m),
-        )),
-        PrecisionTarget::Adaptive { epsilon, delta } => {
-            let (sample, report) = sample_adaptive(table, k, epsilon, delta, cfg.seed, bounds)?;
-            let ps = match sample {
-                AdaptiveSample::Pinned(prefix) => PathSet::from_weighted(k, vec![(prefix, 1.0)])?,
-                AdaptiveSample::Sampled(wm) => {
-                    let threads =
-                        planned_threads(wm.num_worlds(), PARALLEL_WORLDS_MIN, available_cores());
-                    wm.path_set_uniform(k, threads)?
-                }
-            };
-            Ok((ps, report))
-        }
-    }
+    Engine::MonteCarlo(*cfg).build(table, k)
 }
 
 /// Outcome of an adaptive sampling run: either the certain bounds pinned
@@ -225,7 +215,7 @@ pub enum AdaptiveSample {
 /// Batches double from `ADAPTIVE_INITIAL_BATCH` up to
 /// [`ADAPTIVE_MAX_WORLDS`]; all draws continue one seeded PRNG stream, so
 /// the grown model is bit-identical to a one-shot sample of the same
-/// total size (pinned by tests). `bounds` as in [`build_mc_bounded`].
+/// total size (pinned by tests). `bounds` as in [`Engine::build_with_report`].
 pub fn sample_adaptive(
     table: &UncertainTable,
     k: usize,
@@ -286,11 +276,11 @@ pub fn sample_adaptive(
     Ok((AdaptiveSample::Sampled(wm), report))
 }
 
-/// The pre-PR 5 fixed-`worlds` Monte-Carlo pipeline — materialize a full
+/// Test-only reference for the fixed-budget pipeline: materialize a full
 /// [`WorldModel`] (complete per-world rankings and position index) and
-/// group prefixes — kept as the equivalence and benchmark baseline for
-/// [`build_mc`]'s fixed mode.
-pub fn build_mc_reference(
+/// group prefixes, sequentially.
+#[cfg(test)]
+pub(crate) fn build_mc_reference(
     table: &UncertainTable,
     k: usize,
     worlds: usize,
@@ -303,25 +293,10 @@ pub fn build_mc_reference(
     wm.path_set_uniform(k, 1)
 }
 
-/// [`build_mc`] with an explicit thread count for the rank/group phases
-/// (`0` = auto, `1` = the sequential reference). Any count produces
-/// bit-identical output (pinned by tests). The knob applies to fixed
-/// budgets; adaptive builds auto-thread their internal phases (their
-/// stopping schedule is thread-independent either way).
-pub fn build_mc_with_threads(
-    table: &UncertainTable,
-    k: usize,
-    cfg: &McConfig,
-    threads: usize,
-) -> Result<PathSet> {
-    match cfg.precision {
-        PrecisionTarget::FixedWorlds(m) => fixed_mc_with_threads(table, k, m, cfg.seed, threads),
-        PrecisionTarget::Adaptive { .. } => build_mc(table, k, cfg),
-    }
-}
-
 /// The fixed-budget Monte-Carlo pipeline body (see [`build_mc`]).
-fn fixed_mc_with_threads(
+/// `threads` sets the rank/group fan-out (`0` = auto, `1` = sequential);
+/// every count gives bit-identical output (pinned by tests).
+pub(crate) fn fixed_mc_with_threads(
     table: &UncertainTable,
     k: usize,
     m: usize,
@@ -332,9 +307,7 @@ fn fixed_mc_with_threads(
     if k == 0 || k > n {
         return Err(TpoError::InvalidK { k, n });
     }
-    if m == 0 {
-        return Err(TpoError::InvalidWorlds);
-    }
+    PrecisionTarget::FixedWorlds(m).validate()?;
     let threads = if threads == 0 {
         planned_threads(m, PARALLEL_WORLDS_MIN, available_cores())
     } else {
@@ -529,10 +502,12 @@ mod tests {
     #[test]
     fn zero_worlds_rejected_not_repaired() {
         let t = table(3, 0.5);
-        assert!(matches!(
-            build_mc(&t, 2, &McConfig::fixed(0, 1)),
-            Err(TpoError::InvalidWorlds)
-        ));
+        for m in [0, ADAPTIVE_MAX_WORLDS + 1, (1 << 62) + 1] {
+            assert!(matches!(
+                build_mc(&t, 2, &McConfig::fixed(m, 1)),
+                Err(TpoError::InvalidWorlds)
+            ));
+        }
     }
 
     #[test]
@@ -559,8 +534,7 @@ mod tests {
         let t = table(6, 0.7);
         for seed in [0u64, 9, 31] {
             for k in [1usize, 2, 4, 6] {
-                let cfg = McConfig::fixed(3001, seed);
-                let fast = build_mc_with_threads(&t, k, &cfg, 1).unwrap();
+                let fast = fixed_mc_with_threads(&t, k, 3001, seed, 1).unwrap();
                 let reference = build_mc_reference(&t, k, 3001, seed).unwrap();
                 assert_eq!(fast.len(), reference.len(), "seed {seed} k {k}");
                 for (a, b) in fast.paths().iter().zip(reference.paths()) {
@@ -575,10 +549,9 @@ mod tests {
     fn parallel_mc_build_is_bit_identical_to_sequential() {
         let t = table(5, 0.6);
         for seed in [0u64, 3, 17] {
-            let cfg = McConfig::fixed(4100, seed);
-            let seq = build_mc_with_threads(&t, 3, &cfg, 1).unwrap();
+            let seq = fixed_mc_with_threads(&t, 3, 4100, seed, 1).unwrap();
             for threads in [2, 4, 7] {
-                let par = build_mc_with_threads(&t, 3, &cfg, threads).unwrap();
+                let par = fixed_mc_with_threads(&t, 3, 4100, seed, threads).unwrap();
                 assert_eq!(seq.len(), par.len(), "seed {seed} threads {threads}");
                 for (a, b) in seq.paths().iter().zip(par.paths()) {
                     assert_eq!(a.items, b.items, "seed {seed} threads {threads}");
@@ -666,12 +639,12 @@ mod tests {
         let t = table(3, 0.5);
         assert_eq!(Engine::default().name(), "mc");
         let (ps, report) = Engine::Exact(ExactConfig::default())
-            .build_with_report(&t, 2)
+            .build_with_report(&t, 2, None)
             .unwrap();
         assert!((ps.total_prob() - 1.0).abs() < 1e-9);
         assert_eq!(report.reason, StopReason::Exact);
         assert_eq!(report.worlds_drawn, 0);
-        let (ps, report) = Engine::default().build_with_report(&t, 2).unwrap();
+        let (ps, report) = Engine::default().build_with_report(&t, 2, None).unwrap();
         assert!((ps.total_prob() - 1.0).abs() < 1e-9);
         assert_eq!(report.reason, StopReason::FixedBudget);
         assert_eq!(report.worlds_drawn, crate::precision::DEFAULT_WORLDS);
@@ -683,7 +656,9 @@ mod tests {
         // Far-apart narrow supports: the whole prefix is decided, so the
         // adaptive build must not sample at all.
         let t = table(4, 0.1);
-        let (ps, report) = build_mc_with_report(&t, 3, &McConfig::adaptive(0.02, 0.05, 1)).unwrap();
+        let (ps, report) = Engine::MonteCarlo(McConfig::adaptive(0.02, 0.05, 1))
+            .build_with_report(&t, 3, None)
+            .unwrap();
         assert_eq!(report.worlds_drawn, 0);
         assert_eq!(report.reason, StopReason::CertainOrder);
         assert_eq!(report.epsilon, Some(0.0));
@@ -706,7 +681,9 @@ mod tests {
             })
             .collect();
         let t = UncertainTable::new(dists).unwrap();
-        let (ps, report) = build_mc_with_report(&t, 3, &McConfig::adaptive(0.02, 0.05, 7)).unwrap();
+        let (ps, report) = Engine::MonteCarlo(McConfig::adaptive(0.02, 0.05, 7))
+            .build_with_report(&t, 3, None)
+            .unwrap();
         assert_eq!(report.reason, StopReason::Converged);
         assert!(
             report.worlds_drawn < crate::precision::DEFAULT_WORLDS,
@@ -748,10 +725,13 @@ mod tests {
         let k = 4;
         let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&stairs), k).unwrap();
         let fixed_cfg = McConfig::fixed(crate::precision::DEFAULT_WORLDS, 7);
-        let (fixed, _) = build_mc_bounded(&stairs, k, &fixed_cfg, Some(&bounds)).unwrap();
+        let (fixed, _) = Engine::MonteCarlo(fixed_cfg)
+            .build_with_report(&stairs, k, Some(&bounds))
+            .unwrap();
         let adaptive_cfg = McConfig::adaptive(0.02, 0.05, 7);
-        let (adaptive, report) =
-            build_mc_bounded(&stairs, k, &adaptive_cfg, Some(&bounds)).unwrap();
+        let (adaptive, report) = Engine::MonteCarlo(adaptive_cfg)
+            .build_with_report(&stairs, k, Some(&bounds))
+            .unwrap();
         assert!(report.worlds_drawn < crate::precision::DEFAULT_WORLDS);
         let reference = build_mc_reference(&stairs, k, 30_000, 7 ^ 0xC0FFEE).unwrap();
         let top = reference.most_probable().rank_list();

@@ -10,7 +10,8 @@ pub enum TpoError {
     Prob(ProbError),
     /// `k` must satisfy `1 <= k <= N`.
     InvalidK { k: usize, n: usize },
-    /// A sampled-worlds belief needs at least one world (`M >= 1`).
+    /// A fixed world budget must satisfy
+    /// `1 <= M <= `[`ADAPTIVE_MAX_WORLDS`](crate::precision::ADAPTIVE_MAX_WORLDS).
     /// Invalid specs are errors, not silent repairs.
     InvalidWorlds,
     /// An adaptive precision target needs `0 < epsilon < 1` and
@@ -36,9 +37,11 @@ impl fmt::Display for TpoError {
             TpoError::InvalidK { k, n } => {
                 write!(f, "k = {k} out of range for a table of {n} tuples")
             }
-            TpoError::InvalidWorlds => {
-                write!(f, "a sampled-worlds belief needs at least one world")
-            }
+            TpoError::InvalidWorlds => write!(
+                f,
+                "a fixed world budget must be between 1 and {} worlds",
+                crate::precision::ADAPTIVE_MAX_WORLDS
+            ),
             TpoError::InvalidPrecision { epsilon, delta } => {
                 write!(
                     f,

@@ -52,6 +52,8 @@ pub mod build;
 pub mod error;
 pub mod path;
 pub mod precision;
+#[cfg(test)]
+mod proptests;
 pub mod prune;
 pub mod stats;
 pub mod tree;

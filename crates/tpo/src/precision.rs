@@ -28,9 +28,10 @@ pub const DEFAULT_WORLDS: usize = 10_000;
 /// First batch size of the adaptive builder. Doubles each look.
 pub(crate) const ADAPTIVE_INITIAL_BATCH: usize = 1024;
 
-/// Hard cap on adaptively drawn worlds. A build hitting the cap stops
+/// Hard cap on sampled worlds. An adaptive build hitting the cap stops
 /// with [`StopReason::WorldCap`] and reports the (larger-than-requested)
-/// half-width it actually achieved.
+/// half-width it actually achieved; a larger fixed budget is an invalid
+/// spec ([`PrecisionTarget::validate`]).
 pub const ADAPTIVE_MAX_WORLDS: usize = 1 << 19;
 
 /// How precise the Monte-Carlo top-K posterior must be.
@@ -65,11 +66,15 @@ impl PrecisionTarget {
         }
     }
 
-    /// Validates the target: `FixedWorlds(0)` and out-of-range `(ε, δ)`
-    /// are invalid specs (errors, not silent repairs).
+    /// Validates the target: a fixed budget outside
+    /// `1..=`[`ADAPTIVE_MAX_WORLDS`] and out-of-range `(ε, δ)` are invalid
+    /// specs (errors, not silent repairs). The cap keeps the `m × n`
+    /// score and `m × k` prefix buffers of a fixed build from overflowing.
     pub fn validate(&self) -> Result<()> {
         match *self {
-            PrecisionTarget::FixedWorlds(0) => Err(TpoError::InvalidWorlds),
+            PrecisionTarget::FixedWorlds(m) if m == 0 || m > ADAPTIVE_MAX_WORLDS => {
+                Err(TpoError::InvalidWorlds)
+            }
             PrecisionTarget::FixedWorlds(_) => Ok(()),
             PrecisionTarget::Adaptive { epsilon, delta } => {
                 let ok = |x: f64| x > 0.0 && x < 1.0 && x.is_finite();
@@ -220,10 +225,18 @@ mod tests {
     #[test]
     fn validation_rejects_bad_specs() {
         assert!(PrecisionTarget::FixedWorlds(1).validate().is_ok());
-        assert!(matches!(
-            PrecisionTarget::FixedWorlds(0).validate(),
-            Err(TpoError::InvalidWorlds)
-        ));
+        assert!(PrecisionTarget::FixedWorlds(ADAPTIVE_MAX_WORLDS)
+            .validate()
+            .is_ok());
+        for m in [0, ADAPTIVE_MAX_WORLDS + 1, (1 << 62) + 1, usize::MAX] {
+            assert!(
+                matches!(
+                    PrecisionTarget::FixedWorlds(m).validate(),
+                    Err(TpoError::InvalidWorlds)
+                ),
+                "FixedWorlds({m}) must be rejected"
+            );
+        }
         for (epsilon, delta) in [
             (0.0, 0.05),
             (1.0, 0.05),

@@ -18,13 +18,14 @@
 //! "does world `w` rank `i` above `j`?" an O(1) lookup instead of an O(n)
 //! scan — so [`WorldModel::pr_precedes`] and the `apply_answer_*` updates
 //! are O(M) in the number of worlds, independent of the table size. The
-//! prefix grouping behind [`WorldModel::path_set`] also has an incremental
-//! variant, [`WorldModel::path_set_cached`], that maintains the surviving
-//! prefix groups across the `incr` driver's repeated calls instead of
-//! rebuilding a hash map per round (DESIGN.md §8).
+//! prefix grouping, [`WorldModel::path_set_cached`], maintains the
+//! surviving prefix groups across the `incr` driver's repeated calls
+//! instead of rebuilding a hash map per round (DESIGN.md §8); a test-only
+//! hash-map grouping (`path_set`) is the reference it is pinned against.
 
 use crate::error::{Result, TpoError};
 use crate::path::PathSet;
+use crate::precision::PrecisionTarget;
 use ctk_prob::compare::{available_cores, planned_threads};
 use ctk_prob::sample::{ranking_from_scores, WorldSampler};
 use ctk_prob::UncertainTable;
@@ -69,11 +70,12 @@ pub struct WorldModel {
 impl WorldModel {
     /// Samples `m` worlds from the table's score distributions.
     ///
-    /// Fails with [`TpoError::InvalidWorlds`] when `m == 0` (an empty
-    /// belief cannot represent anything; invalid specs are errors, not
-    /// silent repairs). Score draws are strictly sequential in the seeded
-    /// PRNG; the rank phase is parallelized across worlds, which cannot
-    /// change the result (each world is ranked independently).
+    /// Fails with [`TpoError::InvalidWorlds`] when `m` is not a valid fixed
+    /// budget ([`PrecisionTarget::validate`]): an empty belief cannot
+    /// represent anything, and invalid specs are errors, not silent
+    /// repairs. Score draws are strictly sequential in the seeded PRNG; the
+    /// rank phase is parallelized across worlds, which cannot change the
+    /// result (each world is ranked independently).
     pub fn sample(table: &UncertainTable, m: usize, seed: u64) -> Result<Self> {
         Self::sample_with_threads(table, m, seed, auto_threads(m))
     }
@@ -81,15 +83,13 @@ impl WorldModel {
     /// [`WorldModel::sample`] with an explicit thread count for the rank
     /// phase. `threads <= 1` is the fully sequential reference; any other
     /// count produces bit-identical output (pinned by tests).
-    pub fn sample_with_threads(
+    pub(crate) fn sample_with_threads(
         table: &UncertainTable,
         m: usize,
         seed: u64,
         threads: usize,
     ) -> Result<Self> {
-        if m == 0 {
-            return Err(TpoError::InvalidWorlds);
-        }
+        PrecisionTarget::FixedWorlds(m).validate()?;
         let n = table.len();
         // Score draws consume the PRNG in world-major, tuple-minor order —
         // exactly as the per-world sampler always did (the compiled
@@ -132,8 +132,8 @@ impl WorldModel {
 
     /// An empty belief over `n` tuples, ready for incremental
     /// [`WorldModel::append_sampled`] growth. An empty model is not a
-    /// valid belief on its own — `path_set` on it fails — so callers must
-    /// append at least one batch before reading.
+    /// valid belief on its own — `path_set_cached` on it fails — so callers
+    /// must append at least one batch before reading.
     pub fn empty(n: usize) -> Self {
         Self::from_rankings(n, Vec::new())
     }
@@ -333,13 +333,11 @@ impl WorldModel {
     }
 
     /// Groups surviving worlds by their depth-`k` prefix into a normalized
-    /// [`PathSet`] — the (partial) TPO under the current belief.
-    ///
-    /// This is the straightforward single-shot implementation (a fresh
-    /// hash-map grouping per call); the `incr` driver's repeated
-    /// same-or-deeper calls go through [`WorldModel::path_set_cached`],
-    /// which produces bit-identical output (pinned by proptests).
-    pub fn path_set(&self, k: usize) -> Result<PathSet> {
+    /// [`PathSet`] with a fresh hash-map grouping per call. Test-only: the
+    /// reference that [`WorldModel::path_set_cached`] and
+    /// [`WorldModel::path_set_uniform`] are pinned against, bit for bit.
+    #[cfg(test)]
+    pub(crate) fn path_set(&self, k: usize) -> Result<PathSet> {
         if k == 0 || k > self.n {
             return Err(TpoError::InvalidK { k, n: self.n });
         }
@@ -360,14 +358,15 @@ impl WorldModel {
         )
     }
 
-    /// Incremental [`WorldModel::path_set`]: reuses the prefix groups of
-    /// the previous call. Calls at the same depth only re-sum the group
-    /// weights (O(M) additions, no hashing, no map); a deeper call splits
-    /// the surviving groups in place; a shallower call rebuilds from
-    /// scratch. Output is bit-identical to [`WorldModel::path_set`]:
-    /// members stay in ascending world order, so every per-prefix weight
-    /// is accumulated in exactly the same float-addition order as the
-    /// hash-map grouping.
+    /// Groups surviving worlds by their depth-`k` prefix into a normalized
+    /// [`PathSet`] — the (partial) TPO under the current belief — reusing
+    /// the prefix groups of the previous call. Calls at the same depth only
+    /// re-sum the group weights (O(M) additions, no hashing, no map); a
+    /// deeper call splits the surviving groups in place; a shallower call
+    /// rebuilds from scratch. Output is bit-identical to a fresh hash-map
+    /// grouping (the test-only `path_set`): members stay in ascending world
+    /// order, so every per-prefix weight is accumulated in exactly the same
+    /// float-addition order.
     pub fn path_set_cached(&mut self, k: usize) -> Result<PathSet> {
         if k == 0 || k > self.n {
             return Err(TpoError::InvalidK { k, n: self.n });
@@ -427,8 +426,8 @@ impl WorldModel {
     /// Groups all worlds assuming uniform unit weights (the fresh state
     /// right after sampling), with the grouping chunked across threads.
     /// Per-prefix totals are exact integer counts, so the merge is
-    /// bit-identical to the sequential [`WorldModel::path_set`] no matter
-    /// the chunking.
+    /// bit-identical to a sequential hash-map grouping no matter the
+    /// chunking.
     pub(crate) fn path_set_uniform(&self, k: usize, threads: usize) -> Result<PathSet> {
         if k == 0 || k > self.n {
             return Err(TpoError::InvalidK { k, n: self.n });

@@ -4,10 +4,7 @@
 
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{ScoreDist, TopKBounds, UncertainTable};
-use ctk_tpo::build::{
-    build_exact, build_mc, build_mc_bounded, build_mc_reference, build_mc_with_threads,
-    ExactConfig, McConfig,
-};
+use ctk_tpo::build::{build_exact, build_mc, Engine, ExactConfig, McConfig};
 use ctk_tpo::prune::prune;
 use ctk_tpo::stats::{level_distributions, membership_probability, precedence_probability};
 use ctk_tpo::tree::Tpo;
@@ -31,30 +28,6 @@ fn uniform_table(n: usize) -> impl Strategy<Value = UncertainTable> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn partial_selection_build_matches_full_sort_reference(
-        (table, seed) in (uniform_table(7), any::<u64>()),
-    ) {
-        // PR 5 pin: the fast builder (compiled sampling + top-K partial
-        // selection) is bit-identical to the full-sort WorldModel pipeline
-        // at every depth, for the auto and the forced-sequential paths.
-        for k in [1usize, 3, 7] {
-            let cfg = McConfig::fixed(1200, seed);
-            let reference = build_mc_reference(&table, k, 1200, seed).unwrap();
-            for fast in [
-                build_mc(&table, k, &cfg).unwrap(),
-                build_mc_with_threads(&table, k, &cfg, 1).unwrap(),
-                build_mc_with_threads(&table, k, &cfg, 3).unwrap(),
-            ] {
-                prop_assert_eq!(fast.len(), reference.len(), "k = {}", k);
-                for (a, b) in fast.paths().iter().zip(reference.paths()) {
-                    prop_assert_eq!(&a.items, &b.items, "k = {}", k);
-                    prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "k = {}", k);
-                }
-            }
-        }
-    }
 
     #[test]
     fn mc_paths_are_valid_prefixes((table, seed) in (uniform_table(6), any::<u64>())) {
@@ -144,11 +117,11 @@ proptest! {
         // paths, for pairs that appear in every path (here: the top pair of
         // the most probable path, answered consistently).
         let mut wm = WorldModel::sample(&table, 4000, seed).unwrap();
-        let ps = wm.path_set(3).unwrap();
+        let ps = wm.path_set_cached(3).unwrap();
         let best = ps.most_probable().clone();
         let (i, j) = (best.items[0], best.items[1]);
         if wm.apply_answer_hard(i, j, true).is_ok() {
-            let via_worlds = wm.path_set(3).unwrap();
+            let via_worlds = wm.path_set_cached(3).unwrap();
             if let Ok((via_prune, _)) = prune(&ps, i, j, true, wm.pr_precedes(i, j)) {
                 // Same support set.
                 let a: Vec<&[u32]> = via_worlds.paths().iter().map(|p| p.items.as_slice()).collect();
@@ -160,64 +133,6 @@ proptest! {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn cached_path_sets_are_bit_identical_to_rebuilds(
-        (table, seed, answers) in (
-            uniform_table(6),
-            any::<u64>(),
-            proptest::collection::vec((0u32..6, 0u32..6, any::<bool>(), 0.55..1.0f64), 0..12),
-        )
-    ) {
-        // The incr access pattern: nondecreasing depths with interleaved
-        // hard/noisy answers, then a shallow call forcing a cache rebuild.
-        // Every cached result must be bit-identical to the single-shot
-        // hash-map grouping over the same belief.
-        let mut wm = WorldModel::sample(&table, 2500, seed).unwrap();
-        let mut depth = 1usize;
-        for (i, j, yes, eta) in answers {
-            if i == j {
-                continue;
-            }
-            let cached = wm.path_set_cached(depth).unwrap();
-            let fresh = wm.path_set(depth).unwrap();
-            prop_assert_eq!(cached.len(), fresh.len());
-            for (a, b) in cached.paths().iter().zip(fresh.paths()) {
-                prop_assert_eq!(&a.items, &b.items);
-                prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits(),
-                    "depth {}: {} vs {}", depth, a.prob, b.prob);
-            }
-            if eta > 0.97 {
-                let _ = wm.apply_answer_hard(i, j, yes);
-            } else {
-                wm.apply_answer_noisy(i, j, yes, eta).unwrap();
-            }
-            depth = (depth + 1).min(3);
-        }
-        let cached = wm.path_set_cached(1).unwrap();
-        let fresh = wm.path_set(1).unwrap();
-        for (a, b) in cached.paths().iter().zip(fresh.paths()) {
-            prop_assert_eq!(&a.items, &b.items);
-            prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits());
-        }
-    }
-
-    #[test]
-    fn parallel_builders_match_sequential(
-        (table, seed, threads) in (uniform_table(5), any::<u64>(), 2usize..9)
-    ) {
-        // Thread-count independence of the Monte-Carlo build: sampling,
-        // ranking and grouping must be bit-identical however chunked.
-        use ctk_tpo::build::build_mc_with_threads;
-        let cfg = McConfig::fixed(3000, seed);
-        let seq = build_mc_with_threads(&table, 3, &cfg, 1).unwrap();
-        let par = build_mc_with_threads(&table, 3, &cfg, threads).unwrap();
-        prop_assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.paths().iter().zip(par.paths()) {
-            prop_assert_eq!(&a.items, &b.items);
-            prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits());
         }
     }
 
@@ -241,7 +156,7 @@ proptest! {
         prop_assert!((p + wm.pr_precedes(1, 0) - 1.0).abs() < 1e-9);
         prop_assert_eq!(wm.effective_worlds(), wm.num_worlds(),
             "noisy updates must never zero a world");
-        prop_assert!(wm.path_set(2).is_ok());
+        prop_assert!(wm.path_set_cached(2).is_ok());
     }
 
     #[test]
@@ -306,7 +221,7 @@ proptest! {
         // produce.
         let k = 3;
         let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&table), k).unwrap();
-        let reference = build_mc_reference(&table, k, 8000, seed).unwrap();
+        let reference = build_mc(&table, k, &McConfig::fixed(8000, seed)).unwrap();
         for path in reference.paths() {
             for &c in bounds.certain() {
                 prop_assert!(
@@ -328,8 +243,9 @@ proptest! {
         (table, seed) in (uniform_table(6), any::<u64>()),
     ) {
         let (epsilon, delta) = (0.05, 0.05);
-        let (ps, report) =
-            build_mc_bounded(&table, 3, &McConfig::adaptive(epsilon, delta, seed), None).unwrap();
+        let (ps, report) = Engine::MonteCarlo(McConfig::adaptive(epsilon, delta, seed))
+            .build_with_report(&table, 3, None)
+            .unwrap();
         prop_assert!((ps.total_prob() - 1.0).abs() < 1e-9);
         prop_assert_eq!(report.delta, Some(delta));
         match report.reason {
@@ -358,9 +274,10 @@ proptest! {
         // epsilon of a converged reference (60k worlds), plus a small
         // allowance for the reference's own sampling noise.
         let epsilon = 0.08;
-        let (ps, report) =
-            build_mc_bounded(&table, 2, &McConfig::adaptive(epsilon, 0.05, seed), None).unwrap();
-        let reference = build_mc_reference(&table, 2, 60_000, seed ^ 0xABCD).unwrap();
+        let (ps, report) = Engine::MonteCarlo(McConfig::adaptive(epsilon, 0.05, seed))
+            .build_with_report(&table, 2, None)
+            .unwrap();
+        let reference = build_mc(&table, 2, &McConfig::fixed(60_000, seed ^ 0xABCD)).unwrap();
         for p in ps.paths() {
             let q = reference
                 .paths()
@@ -384,7 +301,9 @@ proptest! {
         let cfg = McConfig::fixed(1500, seed);
         let plain = build_mc(&table, 3, &cfg).unwrap();
         let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&table), 3).unwrap();
-        let (bounded, report) = build_mc_bounded(&table, 3, &cfg, Some(&bounds)).unwrap();
+        let (bounded, report) = Engine::MonteCarlo(cfg)
+            .build_with_report(&table, 3, Some(&bounds))
+            .unwrap();
         prop_assert!(report.same_outcome(&PrecisionReport::fixed(1500)));
         prop_assert_eq!(plain.len(), bounded.len());
         for (a, b) in plain.paths().iter().zip(bounded.paths()) {
