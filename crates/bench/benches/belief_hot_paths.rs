@@ -4,17 +4,20 @@
 //! * `apply_answer_noisy` — indexed reweight;
 //! * `path_set` — incremental prefix-group cache;
 //! * `pairwise_compute` / `build_mc` — the auto-threaded table builders;
-//! * `residual_partition` — prefix-index partition evaluation.
+//! * `residual_partition` — prefix-index partition evaluation;
+//! * `select_step` — one T1-on step, one TB-off select and one C-off
+//!   select (B = 6) under `U_Hw` at n ∈ {10, 20, 40}, k = 5, 1500 worlds:
+//!   the selector cost along the table-size axis of the paper's Fig. 1(b).
 //!
 //! The implementations these replaced survive only as test-only
 //! references; their reference-vs-fast timings are recorded in
 //! `docs/bench-history/BENCH_PR3.json` and `BENCH_PR5.json`. The sizes
 //! (M = 10k worlds, n = 200) match `BENCH_PR3.json`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctk_core::measures::MeasureKind;
 use ctk_core::residual::{AnswerPartition, ResidualCtx};
-use ctk_core::select::relevant_questions;
+use ctk_core::select::{relevant_questions, COff, OfflineSelector, OnlineSelector, T1On, TbOff};
 use ctk_datagen::{generate, DatasetSpec};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::UncertainTable;
@@ -110,5 +113,36 @@ fn bench_residual(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_belief, bench_builders, bench_residual);
+fn bench_select_step(c: &mut Criterion) {
+    let measure = MeasureKind::WeightedEntropy.build();
+    let mut g = c.benchmark_group("select_step");
+    g.sample_size(10);
+    for n in [10usize, 20, 40] {
+        let t = table(n);
+        let pw = PairwiseMatrix::compute(&t);
+        let ctx = ResidualCtx {
+            measure: measure.as_ref(),
+            pairwise: &pw,
+        };
+        let ps = build_mc(&t, 5, &McConfig::fixed(1500, 11)).unwrap();
+        g.bench_function(BenchmarkId::new("t1_on", format!("n{n}")), |b| {
+            b.iter(|| T1On.next_question(&ps, 6, &ctx))
+        });
+        g.bench_function(BenchmarkId::new("tb_off", format!("n{n}")), |b| {
+            b.iter(|| TbOff.select(&ps, 6, &ctx))
+        });
+        g.bench_function(BenchmarkId::new("c_off", format!("n{n}")), |b| {
+            b.iter(|| COff.select(&ps, 6, &ctx))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_belief,
+    bench_builders,
+    bench_residual,
+    bench_select_step
+);
 criterion_main!(benches);

@@ -29,10 +29,16 @@ impl UncertaintyMeasure for Entropy {
             .sum::<f64>()
     }
 
-    fn per_question_reduction_bound(&self) -> Option<f64> {
-        // One binary answer carries at most ln 2 nats:
+    fn level_entropy_weights(&self, depth: usize) -> Option<Vec<f64>> {
+        // Weight 1 on the leaf level: a `PathSet`'s paths are distinct
+        // orderings, so the leaf level is the ordering distribution. One
+        // binary answer then carries at most ln 2 nats:
         // E[H(Ω | A)] = H(Ω) - I(Ω; A) >= H(Ω) - H(A) >= H(Ω) - ln 2.
-        Some(std::f64::consts::LN_2)
+        let mut w = vec![0.0; depth];
+        if let Some(leaf) = w.last_mut() {
+            *leaf = 1.0;
+        }
+        Some(w)
     }
 }
 

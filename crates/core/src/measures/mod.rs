@@ -52,16 +52,32 @@ pub trait UncertaintyMeasure: Send {
         class.path_set().map_or(0.0, |ps| self.uncertainty(&ps))
     }
 
+    /// The per-level weights `w` if this measure is a weighted sum of
+    /// level entropies, `U = Σ_ℓ w_ℓ · H(X_ℓ)`, on trees of depth `depth`
+    /// (`X_ℓ` is the distribution of the orderings' length-`ℓ + 1`
+    /// prefixes; one weight per level). `None` (the default) when it is
+    /// not.
+    ///
+    /// Question scoring reads these weights to rank candidates with the
+    /// chain rule of entropy instead of splitting every class
+    /// ([`AnswerPartition::estimate_with_question`](crate::residual::AnswerPartition::estimate_with_question)).
+    fn level_entropy_weights(&self, _depth: usize) -> Option<Vec<f64>> {
+        None
+    }
+
     /// An upper bound on how much one binary answer can reduce the
     /// *expected* value of this measure, if a sound one is known.
     ///
-    /// For entropy-family measures the information-theoretic bound
-    /// `I(Ω; A) <= H(A) <= ln 2` applies, which gives the `A*-off`
-    /// algorithm an admissible heuristic (DESIGN.md §4). Distance-based
-    /// measures return `None`, and `A*-off` falls back to exhaustive
-    /// search.
+    /// For a weighted sum of level entropies, each level's expected
+    /// reduction is `I(X_ℓ; A) <= H(A) <= ln 2`, so the bound is
+    /// `ln 2 · Σ w_ℓ`; this gives the `A*-off` algorithm an admissible
+    /// heuristic (DESIGN.md §4). Level weights are normalized, so their sum
+    /// does not depend on the depth, and depth 1 stands for every depth.
+    /// Measures without level weights return `None`, and `A*-off` falls
+    /// back to exhaustive search.
     fn per_question_reduction_bound(&self) -> Option<f64> {
-        None
+        self.level_entropy_weights(1)
+            .map(|w| std::f64::consts::LN_2 * w.iter().sum::<f64>())
     }
 }
 

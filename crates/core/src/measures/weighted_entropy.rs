@@ -76,10 +76,10 @@ impl UncertaintyMeasure for WeightedEntropy {
         acc
     }
 
-    fn per_question_reduction_bound(&self) -> Option<f64> {
-        // Each level's entropy drops by at most ln 2 in expectation per
-        // binary answer; weights are normalized to sum 1.
-        Some(std::f64::consts::LN_2)
+    fn level_entropy_weights(&self, depth: usize) -> Option<Vec<f64>> {
+        // Normalized to sum 1, so each binary answer lowers the expected
+        // measure by at most ln 2.
+        Some((0..depth).map(self.level_weights(depth)).collect())
     }
 }
 

@@ -1,7 +1,8 @@
 //! Property-based tests that pin the residual kernel and the selectors
-//! against this crate's test-only materializing reference evaluation.
+//! against this crate's test-only materializing reference evaluation, and
+//! the decisive scan against the eager one.
 
-use crate::measures::MeasureKind;
+use crate::measures::{Entropy, MeasureKind, UncertaintyMeasure, WeightedEntropy};
 use crate::residual::{AnswerPartition, ResidualCtx};
 use crate::select::OnlineSelector;
 use crate::select::{all_tree_pairs, relevant_questions, COff, OfflineSelector, T1On, TbOff};
@@ -75,6 +76,39 @@ fn degenerate() -> impl Strategy<Value = (PairwiseMatrix, PathSet)> {
         }
         (pw, ps)
     })
+}
+
+/// Tables whose priors include exact 0s and 1s: one tuple always on top,
+/// two tuples with disjoint supports in the middle, and overlapping
+/// tuples around them, so some orderings leave the disjoint pair out
+/// entirely and undetermined members carry weight 0 or 1.
+#[cfg(test)]
+fn disjoint_priors() -> impl Strategy<Value = (PairwiseMatrix, PathSet)> {
+    (2usize..4, 2usize..4, any::<u64>()).prop_map(|(k, extra, seed)| {
+        let mut dists = vec![
+            ScoreDist::uniform(10.0, 11.0).unwrap(),
+            ScoreDist::uniform(0.0, 1.0).unwrap(),
+            ScoreDist::uniform(1.2, 2.2).unwrap(),
+        ];
+        dists.extend((0..extra).map(|t| ScoreDist::uniform(0.1 * t as f64, 3.0).unwrap()));
+        let table = UncertainTable::new(dists).unwrap();
+        let pw = PairwiseMatrix::compute(&table);
+        let ps = build_mc(&table, k, &McConfig::fixed(600, seed)).unwrap();
+        (pw, ps)
+    })
+}
+
+/// Every shape of level-entropy measure: `U_H`, default `U_Hw`, `U_Hw`
+/// with explicit weights, and `U_Hw` with all-zero weights (the uniform
+/// fallback).
+#[cfg(test)]
+fn entropy_measures(explicit: &[f64]) -> Vec<Box<dyn UncertaintyMeasure>> {
+    vec![
+        Box::new(Entropy),
+        Box::new(WeightedEntropy::default()),
+        Box::new(WeightedEntropy::with_weights(explicit.to_vec())),
+        Box::new(WeightedEntropy::with_weights(vec![0.0; explicit.len()])),
+    ]
 }
 
 /// `TB-off`, `C-off` and `T1-on` re-implemented over the materializing
@@ -220,6 +254,68 @@ proptest! {
             let reference = part.expected_uncertainty_reference(ctx.measure);
             prop_assert!((looked - reference).abs() < 1e-12,
                 "{looked} vs {reference} for {q}");
+        }
+    }
+
+    #[test]
+    fn chain_rule_estimate_matches_exact_lookahead(
+        (pw, ps) in prop_oneof![
+            degenerate(),
+            disjoint_priors(),
+            fixture(6).prop_map(|(_, pw, ps)| (pw, ps)),
+        ],
+        explicit in proptest::collection::vec(0.0..2.0f64, 1..5),
+        picks in proptest::collection::vec(any::<u64>(), 0..4),
+    ) {
+        // Over every tree pair (informative, certain or undetermined), after
+        // 0–3 refines that leave single-path and split classes behind.
+        let pool = all_tree_pairs(&ps);
+        for m in entropy_measures(&explicit) {
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            let mut part = AnswerPartition::root(&ps);
+            for step in 0..=picks.len() {
+                for q in &pool {
+                    let estimate = part.estimate_with_question(q, &ctx);
+                    prop_assert!(estimate.is_some(), "{} has level weights", m.name());
+                    let (estimate, exact) =
+                        (estimate.unwrap_or(f64::NAN), part.expected_with_question(q, &ctx));
+                    prop_assert!((estimate - exact).abs() <= 1e-10,
+                        "{}: estimate {} vs exact {} for {} at step {}",
+                        m.name(), estimate, exact, q, step);
+                }
+                if let Some(&pick) = picks.get(step) {
+                    if !pool.is_empty() {
+                        part.refine(&pool[pick as usize % pool.len()], &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decisive_selectors_match_the_eager_scan(
+        (pw, ps) in prop_oneof![
+            degenerate(),
+            disjoint_priors(),
+            fixture(6).prop_map(|(_, pw, ps)| (pw, ps)),
+        ],
+        explicit in proptest::collection::vec(0.0..2.0f64, 1..5),
+    ) {
+        // Identical distributions (degenerate cases 2 and 4) make exact
+        // score ties, which the tie-breaks must resolve as the eager scan
+        // does.
+        let mut measures = entropy_measures(&explicit);
+        measures.push(MeasureKind::Mpo.build());
+        for m in measures {
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            prop_assert_eq!(T1On.next_question(&ps, 1, &ctx),
+                T1On::next_question_eager(&ps, &ctx), "T1-on, {}", m.name());
+            for budget in [1usize, 3, 6] {
+                prop_assert_eq!(TbOff.select(&ps, budget, &ctx),
+                    TbOff::select_eager(&ps, budget, &ctx), "TB-off B={}, {}", budget, m.name());
+                prop_assert_eq!(COff.select(&ps, budget, &ctx),
+                    COff::select_eager(&ps, budget, &ctx), "C-off B={}, {}", budget, m.name());
+            }
         }
     }
 }

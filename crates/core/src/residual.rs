@@ -41,6 +41,20 @@
 //! never re-evaluated. All of it is bit-identical to the materializing
 //! evaluation (pinned by proptests against the test-only
 //! `AnswerPartition::expected_uncertainty_reference`).
+//!
+//! ## Chain-rule scoring
+//!
+//! For the entropy measures, which are weighted sums of level entropies
+//! ([`UncertaintyMeasure::level_entropy_weights`]), the one-step lookahead
+//! is a conditional entropy: `H(X_ℓ | A) = H(X_ℓ) − h(p) + Σ_g P(g) ·
+//! h(P(yes | g))`. [`AnswerPartition::estimate_with_question`] evaluates it
+//! in one pass per class: each member's answer kind, and per-level prefix
+//! group sums of mass and yes-mass; no class is split or sorted, and only
+//! groups that mix answers take a logarithm. It agrees with
+//! [`AnswerPartition::expected_with_question`] to about 1e-13, not bit for
+//! bit, so the selectors use it only to rank candidates: they score
+//! exactly just the candidates whose estimate can decide the pick, and
+//! pick from those exact scores (DESIGN.md §4, §8).
 
 use crate::measures::UncertaintyMeasure;
 use ctk_crowd::Question;
@@ -100,6 +114,10 @@ struct PrefixIndex {
     items: Vec<u32>,
     starts: Vec<usize>,
     groups: PrefixGroups,
+    /// Every path has the same length and no ordering repeats — what the
+    /// chain-rule estimate needs (every class has the root's depth, and
+    /// the leaf level is the ordering distribution).
+    uniform: bool,
 }
 
 impl PrefixIndex {
@@ -111,11 +129,16 @@ impl PrefixIndex {
             items.extend_from_slice(&p.items);
             starts.push(items.len());
         }
+        let groups = PrefixGroups::new(ps.paths());
+        let depth = groups.depth();
+        let uniform = ps.paths().iter().all(|p| p.items.len() == depth)
+            && (depth == 0 || groups.count(depth - 1) == ps.len());
         Self {
             k: ps.k(),
             items,
             starts,
-            groups: PrefixGroups::new(ps.paths()),
+            groups,
+            uniform,
         }
     }
 
@@ -219,8 +242,9 @@ struct EvalBuffers {
     /// and in descending probability.
     sorted: Vec<(u32, f64)>,
     /// Member probabilities by items rank, and a bitset of the ranks
-    /// present (all clear between evaluations): a counting sort into
-    /// items order.
+    /// present: a counting sort into items order. Only `present` is clear
+    /// between evaluations; `by_rank` keeps stale probabilities at every
+    /// rank some earlier class used, and is read only at present ranks.
     by_rank: Vec<f64>,
     present: Vec<u64>,
     /// Per-group sums of one level, indexed by group id; all zero between
@@ -329,6 +353,10 @@ impl ClassEval<'_> {
             level,
             ..
         } = &mut *self.buffers;
+        debug_assert!(
+            sums.iter().all(|s| s.to_bits() == 0) && !seen.contains(&true),
+            "group sums must be clear on entry"
+        );
         for l in 0..depth {
             level.clear();
             if groups.count(l) == self.index.len() {
@@ -372,6 +400,7 @@ pub struct AnswerPartition {
     /// uncertainty under every measure and are dropped eagerly).
     classes: Vec<Class>,
     buffers: EvalBuffers,
+    estimate: EstimateBuffers,
 }
 
 impl Clone for AnswerPartition {
@@ -380,6 +409,7 @@ impl Clone for AnswerPartition {
             index: Arc::clone(&self.index),
             classes: self.classes.clone(),
             buffers: EvalBuffers::default(),
+            estimate: EstimateBuffers::default(),
         }
     }
 }
@@ -407,6 +437,7 @@ impl AnswerPartition {
             index: Arc::new(PrefixIndex::new(ps)),
             classes,
             buffers: EvalBuffers::default(),
+            estimate: EstimateBuffers::default(),
         }
     }
 
@@ -425,6 +456,7 @@ impl AnswerPartition {
             index,
             classes,
             buffers,
+            ..
         } = self;
         classes
             .iter()
@@ -452,10 +484,62 @@ impl AnswerPartition {
             index,
             classes,
             buffers,
+            ..
         } = self;
         lookahead(index, classes, q, ctx, |c| {
             c.uncertainty(ctx.measure, index, buffers)
         })
+    }
+
+    /// [`AnswerPartition::expected_with_question`] by the chain rule of
+    /// entropy, for measures that are weighted sums of level entropies
+    /// ([`UncertaintyMeasure::level_entropy_weights`]): no class is split
+    /// or sorted.
+    ///
+    /// Answering `q` turns a class's level-`ℓ` prefix distribution `X_ℓ`
+    /// into `X_ℓ | A`, and `H(X_ℓ | A) = H(X_ℓ) − h(p) + Σ_g P(g) ·
+    /// h(P(yes | g))`, where `h` is the binary entropy, `p` the class's
+    /// answer probability and `g` runs over the level's prefix groups. So
+    /// a class of mass `m_c` contributes
+    /// `m_c · [U(c) − h(p) · Σ_ℓ w_ℓ] + Σ_ℓ w_ℓ Σ_g m_g · h(y_g / m_g)`,
+    /// with `m_g`, `y_g` the group's mass and yes-mass. `U(c)` comes from
+    /// the class memo; a group whose paths all answer alike adds 0, and a
+    /// level whose groups are single paths adds
+    /// `w_ℓ · (undetermined mass) · h(prior)`.
+    ///
+    /// The result equals the exact lookahead up to rounding and the
+    /// children below `MASS_EPS` that the exact lookahead drops (both far
+    /// below the selectors' `EST_MARGIN`). `None` when the measure has no
+    /// level weights, or when the root's orderings differ in length or
+    /// repeat one another.
+    pub fn estimate_with_question(&mut self, q: &Question, ctx: &ResidualCtx<'_>) -> Option<f64> {
+        let Self {
+            index,
+            classes,
+            buffers,
+            estimate,
+        } = self;
+        if !index.uniform {
+            return None;
+        }
+        let weights = ctx.measure.level_entropy_weights(index.groups.depth())?;
+        let weight_sum: f64 = weights.iter().sum();
+        let single = estimate.plan_levels(index, &weights);
+        let prior = ctx.prior(q.i, q.j);
+        let h_prior = binary_entropy(prior);
+        let mut acc = 0.0;
+        for class in classes.iter() {
+            let u = class.uncertainty(ctx.measure, index, buffers);
+            let Some(scan) = estimate.scan(index, class, q, prior) else {
+                // `q` leaves the class whole.
+                acc += class.mass * u;
+                continue;
+            };
+            acc += class.mass * (u - binary_entropy(scan.yes / class.mass) * weight_sum)
+                + single * scan.open * h_prior
+                + scan.groups;
+        }
+        Some(acc)
     }
 
     /// [`AnswerPartition::expected_with_question`] through the
@@ -490,6 +574,148 @@ impl AnswerPartition {
             );
         }
         self.classes = next;
+    }
+}
+
+/// Binary entropy `h(x)` in nats; 0 outside `(0, 1)`.
+fn binary_entropy(x: f64) -> f64 {
+    if x <= 0.0 || x >= 1.0 {
+        return 0.0;
+    }
+    -(x * x.ln() + (1.0 - x) * (1.0 - x).ln())
+}
+
+/// Buffers of [`AnswerPartition::estimate_with_question`], apart from the
+/// class evaluation's. Every entry of `groups` is zero between classes.
+#[derive(Debug, Default)]
+struct EstimateBuffers {
+    /// `(offset, level, weight)` of each weighted level that needs group
+    /// sums; level `l`'s groups sit at `offset + id` in `groups`.
+    levels: Vec<(usize, usize, f64)>,
+    /// Weighted per-group sums of every level in `levels`.
+    groups: Vec<GroupSums>,
+    /// Group slots touched by the current class, each once (written
+    /// unconditionally, kept by bumping the length: no branch).
+    touched: Vec<u32>,
+}
+
+/// One prefix group's sums within one class, scaled by its level weight.
+#[derive(Debug, Default, Clone, Copy)]
+struct GroupSums {
+    mass: f64,
+    yes: f64,
+    /// Union of the members' answer kinds; 0 while untouched.
+    kinds: u8,
+}
+
+/// Answer kinds of a path: `q` determines yes, determines no, or leaves
+/// it open (yes with the prior).
+const YES: u8 = 1;
+const NO: u8 = 2;
+const OPEN: u8 = 4;
+
+/// One class's sums for a question.
+struct ClassScan {
+    /// Yes-mass (determined yes, plus the prior's share of open paths).
+    yes: f64,
+    /// Undetermined mass.
+    open: f64,
+    /// `Σ_ℓ w_ℓ Σ_g m_g · h(y_g / m_g)` over the levels in `levels`.
+    groups: f64,
+}
+
+impl EstimateBuffers {
+    /// Splits the weighted levels into those whose groups are single root
+    /// paths (returns their total weight: such a level adds
+    /// `w · (open mass) · h(prior)`) and those that need group sums
+    /// (stored in `levels`).
+    fn plan_levels(&mut self, index: &PrefixIndex, weights: &[f64]) -> f64 {
+        self.levels.clear();
+        let (mut offset, mut single) = (0, 0.0);
+        for (l, &w) in weights.iter().enumerate() {
+            if w <= 0.0 {
+                continue;
+            }
+            let count = index.groups.count(l);
+            if count == index.len() {
+                single += w;
+            } else {
+                self.levels.push((offset, l, w));
+                offset += count;
+            }
+        }
+        if self.groups.len() < offset {
+            self.groups.resize(offset, GroupSums::default());
+        }
+        single
+    }
+
+    /// One pass over `class`: each member's answer kind, and its weighted
+    /// mass and yes-mass added to its prefix group at every planned level.
+    /// `None` when `q` determines none of the class's paths. Only groups
+    /// that mix a determined path with a path answered otherwise need a
+    /// logarithm: a group of open paths adds `m_g · h(prior)`, and a group
+    /// of paths answered alike adds 0.
+    fn scan(
+        &mut self,
+        index: &PrefixIndex,
+        class: &Class,
+        q: &Question,
+        prior: f64,
+    ) -> Option<ClassScan> {
+        let Self {
+            levels,
+            groups,
+            touched,
+        } = self;
+        let slots = class.members.len() * levels.len() + 1;
+        if touched.len() < slots {
+            touched.resize(slots, 0);
+        }
+        // `P(yes | kind)`, indexed by kind.
+        let answer = [0.0, 1.0, 0.0, 0.0, prior];
+        let (mut yes, mut open, mut seen, mut n) = (0.0, 0.0, 0, 0);
+        for m in &class.members {
+            // Membership semantics of `implication`: an absent tuple ranks
+            // below every present one; both absent leaves `q` open.
+            let (mut pi, mut pj) = (usize::MAX, usize::MAX);
+            for (r, &t) in index.items(m.path).iter().enumerate() {
+                pi = if t == q.i { r } else { pi };
+                pj = if t == q.j { r } else { pj };
+            }
+            let kind = match pi.cmp(&pj) {
+                std::cmp::Ordering::Less => YES,
+                std::cmp::Ordering::Greater => NO,
+                std::cmp::Ordering::Equal => OPEN,
+            };
+            seen |= kind;
+            let y = m.prob * answer[kind as usize];
+            yes += y;
+            open += if kind == OPEN { m.prob } else { 0.0 };
+            for &(offset, l, w) in levels.iter() {
+                let g = offset + index.groups.id(m.path as usize, l);
+                let sums = &mut groups[g];
+                touched[n] = g as u32;
+                n += usize::from(sums.kinds == 0);
+                sums.kinds |= kind;
+                sums.mass += w * m.prob;
+                sums.yes += w * y;
+            }
+        }
+        let (mut mixed, mut open_groups) = (0.0, 0.0);
+        for &g in &touched[..n] {
+            let sums = std::mem::take(&mut groups[g as usize]);
+            match sums.kinds {
+                YES | NO => {}
+                OPEN => open_groups += sums.mass,
+                _ => mixed += sums.mass * binary_entropy(sums.yes / sums.mass),
+            }
+        }
+        (seen & (YES | NO) != 0).then_some(ClassScan {
+            yes,
+            open,
+            groups: mixed + open_groups * binary_entropy(prior),
+        })
     }
 }
 
@@ -807,6 +1033,45 @@ mod tests {
         part.refine(&q, &ctx);
         let materialized = part.expected_uncertainty(ctx.measure);
         assert!((looked - materialized).abs() < 1e-12);
+    }
+
+    #[test]
+    fn chain_rule_estimate_needs_level_weights_and_uniform_orderings() {
+        let pw = PairwiseMatrix::compute(&table3());
+        // Splits the sample: [0,1] and [1,0] answer yes, [0,2] no.
+        let q = Question::new(1, 2);
+        for kind in MeasureKind::all() {
+            let m = kind.build();
+            let ctx = ResidualCtx {
+                measure: m.as_ref(),
+                pairwise: &pw,
+            };
+            let mut part = AnswerPartition::root(&sample());
+            let estimate = part.estimate_with_question(&q, &ctx);
+            match m.level_entropy_weights(2) {
+                None => assert!(estimate.is_none(), "{}", kind.name()),
+                Some(_) => {
+                    let exact = part.expected_with_question(&q, &ctx);
+                    let estimate = estimate.expect("entropy measures estimate");
+                    assert!((estimate - exact).abs() < 1e-12, "{estimate} vs {exact}");
+                }
+            }
+        }
+        let ctx = ResidualCtx {
+            measure: &Entropy,
+            pairwise: &pw,
+        };
+        // Orderings of different lengths, and a repeated ordering: the
+        // chain rule's level view no longer matches the measure.
+        for weighted in [
+            vec![(vec![0, 1], 0.5), (vec![2], 0.5)],
+            vec![(vec![0, 1], 0.5), (vec![0, 1], 0.2), (vec![1, 0], 0.3)],
+        ] {
+            let ps = PathSet::from_weighted(2, weighted).unwrap();
+            assert!(AnswerPartition::root(&ps)
+                .estimate_with_question(&q, &ctx)
+                .is_none());
+        }
     }
 
     #[test]

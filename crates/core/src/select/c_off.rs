@@ -4,6 +4,7 @@
 //! unlike `TB-off`, redundant questions score poorly because the
 //! already-selected set has usually resolved their information.
 
+use super::common::{pick_scored, Decides, Scoring, TIE_EPS};
 use super::{relevant_questions, OfflineSelector};
 use crate::residual::{AnswerPartition, ResidualCtx};
 use ctk_crowd::Question;
@@ -15,9 +16,67 @@ use ctk_tpo::PathSet;
 /// answer partition of the already-chosen set is maintained across rounds
 /// and each candidate is scored with a one-step lookahead over its classes
 /// — `O(|Q_K| · paths)` per round instead of re-partitioning from scratch
-/// per candidate.
+/// per candidate. Under the entropy measures, only the candidates whose
+/// chain-rule estimate can decide the round are scored exactly.
 #[derive(Debug, Clone, Default)]
 pub struct COff;
+
+impl COff {
+    fn select_by(
+        ps: &PathSet,
+        budget: usize,
+        ctx: &ResidualCtx<'_>,
+        scoring: Scoring,
+    ) -> Vec<Question> {
+        let pool = relevant_questions(ps, ctx);
+        let mut chosen: Vec<Question> = Vec::with_capacity(budget.min(pool.len()));
+        let mut partition = AnswerPartition::root(ps);
+        while chosen.len() < budget.min(pool.len()) {
+            let candidates: Vec<Question> = pool
+                .iter()
+                .filter(|q| !chosen.contains(q))
+                .copied()
+                .collect();
+            let best = pick_scored(
+                &mut partition,
+                &candidates,
+                ctx,
+                Decides::TieScan,
+                scoring,
+                |scored| {
+                    let mut best: Option<(f64, Question)> = None;
+                    for (r, q) in scored {
+                        let better = match &best {
+                            None => true,
+                            Some((br, bq)) => {
+                                r < *br - TIE_EPS || ((r - *br).abs() <= TIE_EPS && q < *bq)
+                            }
+                        };
+                        if better {
+                            best = Some((r, q));
+                        }
+                    }
+                    best.map(|(_, q)| q)
+                },
+            );
+            let Some(q) = best else { break };
+            partition.refine(&q, ctx);
+            chosen.push(q);
+        }
+        chosen
+    }
+
+    /// [`OfflineSelector::select`] with every candidate scored exactly: the
+    /// test-only reference for the decisive scan.
+    #[cfg(test)]
+    pub(crate) fn select_eager(
+        ps: &PathSet,
+        budget: usize,
+        ctx: &ResidualCtx<'_>,
+    ) -> Vec<Question> {
+        Self::select_by(ps, budget, ctx, Scoring::Eager)
+    }
+}
 
 impl OfflineSelector for COff {
     fn name(&self) -> &'static str {
@@ -25,30 +84,7 @@ impl OfflineSelector for COff {
     }
 
     fn select(&mut self, ps: &PathSet, budget: usize, ctx: &ResidualCtx<'_>) -> Vec<Question> {
-        let pool = relevant_questions(ps, ctx);
-        let mut chosen: Vec<Question> = Vec::with_capacity(budget.min(pool.len()));
-        let mut partition = AnswerPartition::root(ps);
-        while chosen.len() < budget.min(pool.len()) {
-            let mut best: Option<(f64, Question)> = None;
-            for &q in pool.iter().filter(|q| !chosen.contains(q)) {
-                let r = partition.expected_with_question(&q, ctx);
-                let better = match &best {
-                    None => true,
-                    Some((br, bq)) => r < *br - 1e-15 || ((r - *br).abs() <= 1e-15 && q < *bq),
-                };
-                if better {
-                    best = Some((r, q));
-                }
-            }
-            match best {
-                Some((_, q)) => {
-                    partition.refine(&q, ctx);
-                    chosen.push(q);
-                }
-                None => break,
-            }
-        }
-        chosen
+        Self::select_by(ps, budget, ctx, Scoring::Decisive)
     }
 }
 

@@ -1,11 +1,139 @@
-//! The relevant-question set `Q_K` and the unrestricted comparison pool.
+//! The relevant-question set `Q_K`, the unrestricted comparison pool, and
+//! the decisive scan that scores candidates for the entropy selectors.
 
-use crate::residual::ResidualCtx;
+use crate::residual::{AnswerPartition, ResidualCtx};
 use ctk_crowd::Question;
 use ctk_tpo::PathSet;
 
 /// Probability band outside of which an order is considered certain.
 const CERTAIN_EPS: f64 = 1e-9;
+
+/// How far below its chain-rule estimate a candidate's exact score may
+/// lie. Estimates agree with exact scores to about 1e-13 (rounding, plus
+/// the sub-`MASS_EPS` children the exact lookahead drops); every
+/// `debug-invariants` round checks the margin.
+pub(crate) const EST_MARGIN: f64 = 1e-6;
+
+/// C-off's tie window: scores this close count as equal, and the
+/// canonical question order breaks the tie.
+pub(crate) const TIE_EPS: f64 = 1e-15;
+
+/// Which exact scores a selector's pick depends on; it decides how far the
+/// decisive scan must go.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Decides {
+    /// The smallest score (T1-on).
+    Min,
+    /// The `B` smallest scores (TB-off).
+    Smallest(usize),
+    /// C-off's scan in pool order: a candidate can displace the best so
+    /// far while it scores within [`TIE_EPS`] above it.
+    TieScan,
+}
+
+impl Decides {
+    /// The score above which a candidate cannot change the pick, given the
+    /// exact scores so far in ascending `total_cmp` order.
+    fn bar(self, sorted: &[f64]) -> f64 {
+        let bar = match self {
+            Decides::Min => sorted.first().copied(),
+            Decides::Smallest(0) => Some(f64::NEG_INFINITY),
+            Decides::Smallest(b) => sorted.get(b - 1).copied(),
+            Decides::TieScan => sorted.last().map(|r| r + TIE_EPS),
+        };
+        bar.unwrap_or(f64::INFINITY)
+    }
+}
+
+/// How a selector scores its candidates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scoring {
+    /// Estimate every candidate, score only the decisive ones exactly.
+    Decisive,
+    /// Score every candidate exactly: the test-only reference scan.
+    #[cfg(test)]
+    Eager,
+}
+
+/// Applies `pick` to the candidates' exact scores `(score, question)`, in
+/// candidate order, and returns its choice.
+///
+/// With [`Scoring::Decisive`] and a measure that has chain-rule estimates
+/// ([`AnswerPartition::estimate_with_question`]), only the candidates that
+/// can decide the pick are scored exactly: candidates are visited in
+/// ascending estimate order, and the scan stops once the next estimate
+/// minus [`EST_MARGIN`] exceeds the bar that `decides` sets. Every skipped
+/// candidate's exact score then exceeds every scored one's by more than
+/// the tie window, so `pick` over the scored subset returns what it
+/// returns over every candidate. Without estimates, every candidate is
+/// scored exactly.
+pub(crate) fn pick_scored<R: PartialEq + std::fmt::Debug>(
+    partition: &mut AnswerPartition,
+    candidates: &[Question],
+    ctx: &ResidualCtx<'_>,
+    decides: Decides,
+    scoring: Scoring,
+    pick: impl Fn(Vec<(f64, Question)>) -> R,
+) -> R {
+    let estimates: Option<Vec<f64>> = match scoring {
+        // Nothing to skip when the pick needs every score.
+        Scoring::Decisive if matches!(decides, Decides::Smallest(b) if b >= candidates.len()) => {
+            None
+        }
+        Scoring::Decisive => candidates
+            .iter()
+            .map(|q| partition.estimate_with_question(q, ctx))
+            .collect(),
+        #[cfg(test)]
+        Scoring::Eager => None,
+    };
+    let Some(estimates) = estimates else {
+        return pick(exact_scores(partition, candidates, ctx));
+    };
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_unstable_by(|&a, &b| estimates[a].total_cmp(&estimates[b]).then(a.cmp(&b)));
+    let mut exact: Vec<Option<f64>> = vec![None; candidates.len()];
+    let mut sorted: Vec<f64> = Vec::new();
+    for c in order {
+        if estimates[c] - EST_MARGIN > decides.bar(&sorted) {
+            break;
+        }
+        let r = partition.expected_with_question(&candidates[c], ctx);
+        sorted.insert(sorted.partition_point(|s| s.total_cmp(&r).is_le()), r);
+        exact[c] = Some(r);
+    }
+    let picked = pick(
+        candidates
+            .iter()
+            .zip(exact)
+            .filter_map(|(&q, r)| Some((r?, q)))
+            .collect(),
+    );
+    #[cfg(feature = "debug-invariants")]
+    {
+        let all = exact_scores(partition, candidates, ctx);
+        for (&(r, q), e) in all.iter().zip(&estimates) {
+            assert!(
+                (r - e).abs() <= EST_MARGIN,
+                "estimate {e} vs exact {r} for {q} exceeds EST_MARGIN"
+            );
+        }
+        assert_eq!(picked, pick(all), "the decisive scan changed the pick");
+    }
+    picked
+}
+
+/// Every candidate's exact score, in candidate order.
+fn exact_scores(
+    partition: &mut AnswerPartition,
+    candidates: &[Question],
+    ctx: &ResidualCtx<'_>,
+) -> Vec<(f64, Question)> {
+    candidates
+        .iter()
+        .map(|&q| (partition.expected_with_question(&q, ctx), q))
+        .collect()
+}
 
 /// The paper's `Q_K`: questions comparing tuples of `T_K` whose relative
 /// order is uncertain under the current belief (asking anything else cannot

@@ -4,6 +4,7 @@
 //! repeat. “Early termination may occur if all uncertainty is removed with
 //! `|Q*| < B`.”
 
+use super::common::{pick_scored, Decides, Scoring};
 use super::{relevant_questions, OnlineSelector};
 use crate::residual::{AnswerPartition, ResidualCtx};
 use ctk_crowd::Question;
@@ -12,6 +13,30 @@ use ctk_tpo::PathSet;
 /// Greedy one-step-lookahead online selection.
 #[derive(Debug, Clone, Default)]
 pub struct T1On;
+
+impl T1On {
+    fn next_by(ps: &PathSet, ctx: &ResidualCtx<'_>, scoring: Scoring) -> Option<Question> {
+        if ps.is_resolved() {
+            return None;
+        }
+        let pool = relevant_questions(ps, ctx);
+        // One root (and one prefix index) scores every candidate.
+        let mut root = AnswerPartition::root(ps);
+        pick_scored(&mut root, &pool, ctx, Decides::Min, scoring, |scored| {
+            scored
+                .into_iter()
+                .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+                .map(|(_, q)| q)
+        })
+    }
+
+    /// [`OnlineSelector::next_question`] with every candidate scored
+    /// exactly: the test-only reference for the decisive scan.
+    #[cfg(test)]
+    pub(crate) fn next_question_eager(ps: &PathSet, ctx: &ResidualCtx<'_>) -> Option<Question> {
+        Self::next_by(ps, ctx, Scoring::Eager)
+    }
+}
 
 impl OnlineSelector for T1On {
     fn name(&self) -> &'static str {
@@ -24,16 +49,7 @@ impl OnlineSelector for T1On {
         _remaining: usize,
         ctx: &ResidualCtx<'_>,
     ) -> Option<Question> {
-        if ps.is_resolved() {
-            return None;
-        }
-        let pool = relevant_questions(ps, ctx);
-        // One root (and one prefix index) scores every candidate.
-        let mut root = AnswerPartition::root(ps);
-        pool.into_iter()
-            .map(|q| (root.expected_with_question(&q, ctx), q))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
-            .map(|(_, q)| q)
+        Self::next_by(ps, ctx, Scoring::Decisive)
     }
 }
 

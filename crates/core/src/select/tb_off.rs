@@ -11,6 +11,7 @@
 //! *independently*, so `TB-off` happily picks `B` redundant questions
 //! about the same ambiguous region.
 
+use super::common::{pick_scored, Decides, Scoring};
 use super::{relevant_questions, OfflineSelector};
 use crate::residual::{AnswerPartition, ResidualCtx};
 use ctk_crowd::Question;
@@ -20,24 +21,45 @@ use ctk_tpo::PathSet;
 #[derive(Debug, Clone, Default)]
 pub struct TbOff;
 
+impl TbOff {
+    fn select_by(
+        ps: &PathSet,
+        budget: usize,
+        ctx: &ResidualCtx<'_>,
+        scoring: Scoring,
+    ) -> Vec<Question> {
+        let pool = relevant_questions(ps, ctx);
+        // One root (and one prefix index) scores every candidate.
+        let mut root = AnswerPartition::root(ps);
+        let decides = Decides::Smallest(budget);
+        pick_scored(&mut root, &pool, ctx, decides, scoring, |mut scored| {
+            // Ascending residual = descending reduction; ties broken by the
+            // canonical question order for determinism.
+            scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            scored.truncate(budget);
+            scored.into_iter().map(|(_, q)| q).collect()
+        })
+    }
+
+    /// [`OfflineSelector::select`] with every candidate scored exactly: the
+    /// test-only reference for the decisive scan.
+    #[cfg(test)]
+    pub(crate) fn select_eager(
+        ps: &PathSet,
+        budget: usize,
+        ctx: &ResidualCtx<'_>,
+    ) -> Vec<Question> {
+        Self::select_by(ps, budget, ctx, Scoring::Eager)
+    }
+}
+
 impl OfflineSelector for TbOff {
     fn name(&self) -> &'static str {
         "TB-off"
     }
 
     fn select(&mut self, ps: &PathSet, budget: usize, ctx: &ResidualCtx<'_>) -> Vec<Question> {
-        let pool = relevant_questions(ps, ctx);
-        // One root (and one prefix index) scores every candidate.
-        let mut root = AnswerPartition::root(ps);
-        let mut scored: Vec<(f64, Question)> = pool
-            .into_iter()
-            .map(|q| (root.expected_with_question(&q, ctx), q))
-            .collect();
-        // Ascending residual = descending reduction; ties broken by the
-        // canonical question order for determinism.
-        scored.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        scored.truncate(budget);
-        scored.into_iter().map(|(_, q)| q).collect()
+        Self::select_by(ps, budget, ctx, Scoring::Decisive)
     }
 }
 
