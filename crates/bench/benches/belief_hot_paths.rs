@@ -4,6 +4,11 @@
 //! * `apply_answer_noisy` — indexed reweight;
 //! * `path_set` — incremental prefix-group cache;
 //! * `pairwise_compute` / `build_mc` — the auto-threaded table builders;
+//! * `belief_build` — one session's initial belief at each perfbench
+//!   workload's shape: a fixed 1500-world build at n = 20, k = 5
+//!   (`paper_deep`), and an adaptive ε = δ = 0.05 build at n = 12, k = 3
+//!   as a tree (prefix counts only) and as `incr` (full worlds), the
+//!   `cold_burst` submit;
 //! * `residual_partition` — prefix-index partition evaluation;
 //! * `select_step` — one T1-on step, one TB-off select and one C-off
 //!   select (B = 6) under `U_Hw` at n ∈ {10, 20, 40}, k = 5, 1500 worlds:
@@ -20,8 +25,9 @@ use ctk_core::residual::{AnswerPartition, ResidualCtx};
 use ctk_core::select::{relevant_questions, COff, OfflineSelector, OnlineSelector, T1On, TbOff};
 use ctk_datagen::{generate, DatasetSpec};
 use ctk_prob::compare::PairwiseMatrix;
+use ctk_prob::TopKBounds;
 use ctk_prob::UncertainTable;
-use ctk_tpo::build::{build_mc, McConfig};
+use ctk_tpo::build::{build_mc, sample_adaptive, Engine, McConfig};
 use ctk_tpo::WorldModel;
 
 fn table(n: usize) -> UncertainTable {
@@ -88,6 +94,34 @@ fn bench_builders(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_belief_build(c: &mut Criterion) {
+    let mut g = c.benchmark_group("belief_build");
+    g.sample_size(50);
+    let deep = table(20);
+    let fixed = McConfig::fixed(1500, 11);
+    g.bench_function("fixed_n20_k5", |b| {
+        b.iter(|| build_mc(&deep, 5, &fixed).unwrap().len())
+    });
+    let cold = table(12);
+    let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&cold), 3).unwrap();
+    let adaptive = Engine::MonteCarlo(McConfig::adaptive(0.05, 0.05, 11));
+    g.bench_function("adaptive_tree_n12_k3", |b| {
+        b.iter(|| {
+            let (ps, report) = adaptive.build_with_report(&cold, 3, Some(&bounds)).unwrap();
+            (ps.len(), report.worlds_drawn)
+        })
+    });
+    g.bench_function("adaptive_incr_n12_k3", |b| {
+        b.iter(|| {
+            sample_adaptive(&cold, 3, 0.05, 0.05, 11, Some(&bounds))
+                .unwrap()
+                .1
+                .worlds_drawn
+        })
+    });
+    g.finish();
+}
+
 fn bench_residual(c: &mut Criterion) {
     let t = table(20);
     let pw = PairwiseMatrix::compute(&t);
@@ -142,6 +176,7 @@ criterion_group!(
     benches,
     bench_belief,
     bench_builders,
+    bench_belief_build,
     bench_residual,
     bench_select_step
 );

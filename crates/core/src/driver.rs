@@ -214,14 +214,18 @@ impl SessionDriver {
             mut mode,
             precision,
             done,
+            incr_paths,
         } = initial;
-        let report = match &mut mode {
-            Mode::Tree { ps, .. } => {
+        let report = match (&mut mode, incr_paths) {
+            (Mode::Tree { ps, .. }, _) => {
                 report_skeleton(&config, ps, measure.as_ref(), truth, &precision)
             }
             // Baseline numbers come from the *full-depth* tree so reports
             // are comparable with the full-tree algorithms.
-            Mode::Incr { wm, .. } => {
+            (Mode::Incr { .. }, Some(initial_ps)) => {
+                report_skeleton(&config, &initial_ps, measure.as_ref(), truth, &precision)
+            }
+            (Mode::Incr { wm, .. }, None) => {
                 let initial_ps = wm.path_set_cached(config.k)?;
                 report_skeleton(&config, &initial_ps, measure.as_ref(), truth, &precision)
             }
@@ -608,6 +612,10 @@ struct Initial {
     precision: PrecisionReport,
     /// The session ends before its first question.
     done: bool,
+    /// An `incr` session's full-depth path set when its build already
+    /// grouped the worlds (the adaptive build's final prefix counts);
+    /// `None` leaves the grouping to the report baseline.
+    incr_paths: Option<PathSet>,
 }
 
 impl Initial {
@@ -631,6 +639,7 @@ impl Initial {
             },
             precision: belief.precision,
             done: false,
+            incr_paths: None,
         }
     }
 
@@ -648,37 +657,8 @@ impl Initial {
         else {
             unreachable!("{} is not incr", config.algorithm.name())
         };
-        let (sample, precision) = match &config.engine {
-            Engine::MonteCarlo(mc) => match mc.precision {
-                PrecisionTarget::Adaptive { epsilon, delta } => {
-                    sample_adaptive(table, config.k, epsilon, delta, mc.seed, Some(bounds))?
-                }
-                PrecisionTarget::FixedWorlds(m) => (
-                    AdaptiveSample::Sampled(WorldModel::sample(table, m, mc.seed)?),
-                    PrecisionReport::fixed(m),
-                ),
-            },
-            Engine::Exact(_) => {
-                let m = 2 * DEFAULT_WORLDS;
-                (
-                    AdaptiveSample::Sampled(WorldModel::sample(table, m, config.seed)?),
-                    PrecisionReport::fixed(m),
-                )
-            }
-        };
-        Ok(match sample {
-            // The certain bounds pinned the whole ordered prefix: the
-            // belief is a single path, no crowd question is relevant, and
-            // the session is done before it starts.
-            AdaptiveSample::Pinned(prefix) => Self {
-                mode: Mode::Tree {
-                    ps: PathSet::from_weighted(config.k, vec![(prefix, 1.0)])?,
-                    sel: TreeSel::Offline { planned: true },
-                },
-                precision,
-                done: true,
-            },
-            AdaptiveSample::Sampled(wm) => Self {
+        let sampled =
+            |wm: WorldModel, precision: PrecisionReport, incr_paths: Option<PathSet>| Self {
                 mode: Mode::Incr {
                     wm,
                     depth: 1,
@@ -686,8 +666,41 @@ impl Initial {
                 },
                 precision,
                 done: false,
+                incr_paths,
+            };
+        let (m, seed) = match &config.engine {
+            Engine::MonteCarlo(mc) => match mc.precision {
+                PrecisionTarget::FixedWorlds(m) => (m, mc.seed),
+                PrecisionTarget::Adaptive { epsilon, delta } => {
+                    let (sample, precision) =
+                        sample_adaptive(table, config.k, epsilon, delta, mc.seed, Some(bounds))?;
+                    return Ok(match sample {
+                        // The certain bounds pinned the whole ordered
+                        // prefix: the belief is a single path, no crowd
+                        // question is relevant, and the session is done
+                        // before it starts.
+                        AdaptiveSample::Pinned(prefix) => Self {
+                            mode: Mode::Tree {
+                                ps: PathSet::from_weighted(config.k, vec![(prefix, 1.0)])?,
+                                sel: TreeSel::Offline { planned: true },
+                            },
+                            precision,
+                            done: true,
+                            incr_paths: None,
+                        },
+                        AdaptiveSample::Sampled { worlds, paths } => {
+                            sampled(worlds, precision, Some(paths))
+                        }
+                    });
+                }
             },
-        })
+            Engine::Exact(_) => (2 * DEFAULT_WORLDS, config.seed),
+        };
+        Ok(sampled(
+            WorldModel::sample(table, m, seed)?,
+            PrecisionReport::fixed(m),
+            None,
+        ))
     }
 }
 

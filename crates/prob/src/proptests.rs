@@ -2,8 +2,13 @@
 //! test-only reference implementations.
 
 use crate::compare::{pr_greater, pr_greater_reference_res};
-use crate::ScoreDist;
+use crate::sample::{
+    ranking_by_comparator, ranking_into, sample_scores, top_k_prefix_into, WorldSampler,
+};
+use crate::{ScoreDist, UncertainTable};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 // The module is declared `#[cfg(test)]` in lib.rs; the helpers repeat the
 // attribute because ctk-analyze reads one file at a time.
@@ -39,8 +44,79 @@ fn moderate_dist() -> impl Strategy<Value = ScoreDist> {
     ]
 }
 
+/// One score with the tie shapes the ranking kernels must order exactly:
+/// coarse quantized values (exact ties), both signed zeros, and free
+/// values.
+#[cfg(test)]
+fn tied_score() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0u8..5).prop_map(|v| v as f64 / 2.0 - 1.0),
+        Just(0.0f64),
+        Just(-0.0f64),
+        -2.0..2.0f64,
+    ]
+}
+
+/// Asserts both ranking kernels equal the comparator-sort oracle on
+/// `scores`, at depths 1, n/2 and n plus `extra_k`.
+#[cfg(test)]
+fn assert_kernels_match_oracle(
+    scores: &[f64],
+    extra_k: usize,
+    scratch: &mut Vec<(i64, u32)>,
+) -> Result<(), TestCaseError> {
+    let n = scores.len();
+    let oracle = ranking_by_comparator(scores);
+    let mut full = vec![0u32; n];
+    ranking_into(scores, scratch, &mut full);
+    prop_assert_eq!(&full, &oracle, "full ranking of {:?}", scores);
+    for k in [1, n / 2, n, extra_k % n + 1] {
+        if k == 0 {
+            continue;
+        }
+        let mut prefix = vec![0u32; k];
+        top_k_prefix_into(scores, scratch, &mut prefix);
+        prop_assert_eq!(&prefix[..], &oracle[..k], "k = {} of {:?}", k, scores);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn ranking_kernels_match_comparator_sort_on_ties(
+        scores in proptest::collection::vec(tied_score(), 1..72),
+        extra_k in any::<usize>(),
+    ) {
+        // n = 1 and every depth class, over exact ties and signed zeros;
+        // depths past 32 take the sorted fallback of deep prefixes.
+        let mut scratch = Vec::new();
+        assert_kernels_match_oracle(&scores, extra_k, &mut scratch)?;
+    }
+
+    #[test]
+    fn ranking_kernels_match_comparator_sort_on_sampled_worlds(
+        dists in proptest::collection::vec(moderate_dist(), 1..12),
+        seed in any::<u64>(),
+        extra_k in any::<usize>(),
+    ) {
+        // Worlds of non-uniform families: point masses and discrete or
+        // mixture atoms tie across tuples, continuous families do not.
+        let table = UncertainTable::new(dists).unwrap();
+        let sampler = WorldSampler::new(&table);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scores = vec![0.0; table.len()];
+        let mut scratch = Vec::new();
+        for world in 0..8 {
+            if world % 2 == 0 {
+                sampler.sample_into(&mut rng, &mut scores);
+            } else {
+                scores = sample_scores(&table, &mut rng);
+            }
+            assert_kernels_match_oracle(&scores, extra_k, &mut scratch)?;
+        }
+    }
 
     #[test]
     fn fast_path_matches_reference_quadrature(a in moderate_dist(), b in moderate_dist()) {

@@ -18,63 +18,135 @@
 //!   PRNG exactly like [`ScoreDist::sample`], so the streams are
 //!   bit-identical (pinned by tests) and [`WorldSampler::sample_into`]
 //!   fills a caller-recycled buffer instead of allocating per world.
-//! * [`top_k_prefix_into`] — the depth-`k` prefix of a world's ranking via
-//!   `select_nth_unstable` partial selection, O(n + k·log k) instead of
-//!   the full O(n·log n) sort. The comparator is a *total* order (score
-//!   descending, ties by ascending id), so the prefix is bit-identical to
-//!   `ranking_from_scores(..)[..k]` by construction (also pinned).
+//! * [`top_k_prefix_into`] — the depth-`k` prefix of a world's ranking by
+//!   insertion into a running top-`k`, O(n) plus a short shift per entry
+//!   that enters the top `k`, instead of a full O(n·log n) sort; and
+//!   [`ranking_into`], the full ranking by a keyed sort into a caller
+//!   slice. Both order `(key, id)` entries, where the key is a score's
+//!   `total_cmp` order as an integer (computed once per score) and ties
+//!   go to the smaller id, so the prefix is bit-identical to
+//!   `ranking_from_scores(..)[..k]` by construction (pinned against a
+//!   test-only comparator sort).
 
 use crate::dist::ScoreDist;
 use crate::table::UncertainTable;
 use rand::Rng;
-use std::cmp::Ordering;
 
 /// Samples one concrete score per tuple (a possible world), in id order.
 pub fn sample_scores<R: Rng + ?Sized>(table: &UncertainTable, rng: &mut R) -> Vec<f64> {
     table.iter().map(|t| t.dist.sample(rng)).collect()
 }
 
-/// The total order induced by concrete scores: descending score, ties by
-/// ascending tuple id (the fixed tie-breaking rule the paper assumes).
+/// Total-order key of a score: integer order of keys is exactly
+/// `f64::total_cmp` order of the scores (`-0.0` ranks below `+0.0`), with
+/// the bit twiddling done once per score instead of once per comparison.
 #[inline]
-fn score_order(scores: &[f64], a: u32, b: u32) -> Ordering {
-    scores[b as usize]
-        .total_cmp(&scores[a as usize])
-        .then(a.cmp(&b))
+fn score_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ ((((bits >> 63) as u64) >> 1) as i64)
 }
+
+/// One ranking entry as a sort key. Ascending `(!score_key, id)` order is
+/// descending score with ties by ascending tuple id: the fixed
+/// tie-breaking rule the paper assumes, as a plain integer-pair order.
+#[inline]
+fn entry(id: usize, score: f64) -> (i64, u32) {
+    (!score_key(score), id as u32)
+}
+
+/// Above this depth [`top_k_prefix_into`] sorts every entry instead of
+/// inserting into a running top-`k`: insertion costs O(n·k) at worst, and
+/// a full keyed sort is O(n·log n).
+const INSERTION_MAX_DEPTH: usize = 32;
 
 /// Total ordering (tuple ids, highest score first) induced by concrete
 /// `scores`; ties are broken deterministically by ascending tuple id, the
 /// fixed tie-breaking rule the paper assumes.
 pub fn ranking_from_scores(scores: &[f64]) -> Vec<u32> {
-    let mut ids: Vec<u32> = (0..scores.len() as u32).collect();
-    // The comparator is a total order, so the unstable sort has exactly
-    // one fixed point — identical output to a stable sort, minus the
-    // allocation.
-    ids.sort_unstable_by(|&a, &b| score_order(scores, a, b));
-    ids
+    let mut out = vec![0u32; scores.len()];
+    ranking_into(scores, &mut Vec::new(), &mut out);
+    out
+}
+
+/// Writes the full ranking induced by `scores` into `out` without
+/// allocating: a keyed O(n·log n) sort of `(key, id)` entries, where the
+/// key is computed once per score. `scratch` is caller-recycled.
+///
+/// # Panics
+/// Panics if `out.len()` differs from `scores.len()`.
+pub fn ranking_into(scores: &[f64], scratch: &mut Vec<(i64, u32)>, out: &mut [u32]) {
+    assert_eq!(out.len(), scores.len(), "ranking/score length mismatch");
+    sorted_entries(scores, scratch);
+    for (o, &(_, id)) in out.iter_mut().zip(scratch.iter()) {
+        *o = id;
+    }
+}
+
+/// Fills `scratch` with every score's entry, in ranking order.
+fn sorted_entries(scores: &[f64], scratch: &mut Vec<(i64, u32)>) {
+    scratch.clear();
+    scratch.extend(scores.iter().enumerate().map(|(id, &s)| entry(id, s)));
+    // Entries are distinct (ids are), so the unstable sort has exactly one
+    // fixed point.
+    scratch.sort_unstable();
 }
 
 /// Writes the depth-`out.len()` prefix of the ranking induced by `scores`
-/// into `out`, using partial selection: O(n + k·log k) instead of the full
-/// sort's O(n·log n). `ids` is caller-recycled scratch.
-///
-/// Because the comparator is a total order, the selected-and-sorted prefix
-/// equals `ranking_from_scores(scores)[..k]` element for element — the
-/// bit-identity the Monte-Carlo builder's fast path relies on.
+/// into `out`: one pass over the scores in ascending id order, inserting
+/// into a running top-`k` of `(key, id)` entries. A later id goes ahead
+/// of a kept entry only on a strictly greater key, so among equal scores
+/// the smaller id stays ahead — the prefix equals
+/// `ranking_from_scores(scores)[..k]` element for element, the
+/// bit-identity the Monte-Carlo builders rely on. Cost O(n) plus one
+/// short shift per entry that enters the top `k`; depths above
+/// `INSERTION_MAX_DEPTH` fall back to the full keyed sort. `scratch` is
+/// caller-recycled.
 ///
 /// # Panics
 /// Panics if `out.len()` is zero or exceeds `scores.len()`.
-pub fn top_k_prefix_into(scores: &[f64], ids: &mut Vec<u32>, out: &mut [u32]) {
+pub fn top_k_prefix_into(scores: &[f64], scratch: &mut Vec<(i64, u32)>, out: &mut [u32]) {
     let k = out.len();
     assert!(k >= 1 && k <= scores.len(), "invalid prefix depth {k}");
-    ids.clear();
-    ids.extend(0..scores.len() as u32);
-    if k < ids.len() {
-        ids.select_nth_unstable_by(k - 1, |&a, &b| score_order(scores, a, b));
+    if k > INSERTION_MAX_DEPTH {
+        sorted_entries(scores, scratch);
+    } else {
+        scratch.clear();
+        scratch.resize(k, (0, 0));
+        let top = &mut scratch[..k];
+        let mut len = 0;
+        for (id, &s) in scores.iter().enumerate() {
+            let e = entry(id, s);
+            let mut j = if len < k {
+                len += 1;
+                len - 1
+            } else if e.0 < top[k - 1].0 {
+                k - 1
+            } else {
+                continue;
+            };
+            while j > 0 && top[j - 1].0 > e.0 {
+                top[j] = top[j - 1];
+                j -= 1;
+            }
+            top[j] = e;
+        }
     }
-    ids[..k].sort_unstable_by(|&a, &b| score_order(scores, a, b));
-    out.copy_from_slice(&ids[..k]);
+    for (o, &(_, id)) in out.iter_mut().zip(scratch.iter()) {
+        *o = id;
+    }
+}
+
+/// Test-only oracle of both ranking kernels: a comparator sort under
+/// `f64::total_cmp`, score descending, ties by ascending id.
+#[cfg(test)]
+pub(crate) fn ranking_by_comparator(scores: &[f64]) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..scores.len() as u32).collect();
+    ids.sort_by(|&a, &b| {
+        scores[b as usize]
+            .total_cmp(&scores[a as usize])
+            .then(a.cmp(&b))
+    });
+    ids
 }
 
 /// Samples one possible world and returns its induced total ordering.
@@ -238,6 +310,21 @@ mod tests {
                 top_k_prefix_into(&scores, &mut ids, &mut prefix);
                 assert_eq!(prefix, full[..k], "n = {n}, k = {k}");
             }
+        }
+    }
+
+    #[test]
+    fn kernels_order_signed_zeros_like_total_cmp() {
+        // total_cmp puts -0.0 below +0.0; the integer key must agree.
+        let scores = [-0.0, 0.0, -0.0, 0.0, -1.0, f64::MIN_POSITIVE];
+        let oracle = ranking_by_comparator(&scores);
+        assert_eq!(oracle, vec![5, 1, 3, 0, 2, 4]);
+        assert_eq!(ranking_from_scores(&scores), oracle);
+        let mut scratch = Vec::new();
+        for k in 1..=scores.len() {
+            let mut prefix = vec![0u32; k];
+            top_k_prefix_into(&scores, &mut scratch, &mut prefix);
+            assert_eq!(prefix, oracle[..k], "k = {k}");
         }
     }
 

@@ -4,8 +4,12 @@
 //! (Ciceri et al., §II-B):
 //!
 //! * [`build_mc`] — Monte-Carlo: sample `M` possible worlds (full score
-//!   realizations), rank each, and group the depth-`K` prefixes. Cost
-//!   `O(M · N log N)`, error `O(1/√M)` per path.
+//!   realizations), take each world's depth-`K` ranking prefix, and count
+//!   the prefixes. Cost `O(M · N)` plus a short insertion per prefix
+//!   entry, error `O(1/√M)` per path. An adaptive `(ε, δ)` build streams:
+//!   each world is drawn, ranked to depth `K` and counted once into a
+//!   running prefix-count map that every sequential look reads, so a tree
+//!   build never stores a world.
 //! * [`build_exact`] — exact: enumerate prefixes level by level, scoring
 //!   each with the nested-quadrature integral of
 //!   [`ctk_prob::nested::prefix_probability`] (after Li & Deshpande,
@@ -25,6 +29,8 @@ use crate::precision::{
 use crate::worlds::{WorldModel, PARALLEL_WORLDS_MIN};
 use ctk_prob::compare::{available_cores, planned_threads, PairwiseMatrix};
 use ctk_prob::nested::{prefix_probability_with, NestedScratch};
+#[cfg(feature = "debug-invariants")]
+use ctk_prob::sample::ranking_into;
 use ctk_prob::sample::{top_k_prefix_into, WorldSampler};
 use ctk_prob::{ScoreDist, SupportGrid, TopKBounds, UncertainTable};
 use rand::rngs::StdRng;
@@ -152,19 +158,14 @@ impl Engine {
                 PrecisionReport::fixed(m),
             )),
             PrecisionTarget::Adaptive { epsilon, delta } => {
-                let (sample, report) = sample_adaptive(table, k, epsilon, delta, cfg.seed, bounds)?;
-                let ps = match sample {
-                    AdaptiveSample::Pinned(prefix) => {
-                        PathSet::from_weighted(k, vec![(prefix, 1.0)])?
-                    }
-                    AdaptiveSample::Sampled(wm) => {
-                        let threads = planned_threads(
-                            wm.num_worlds(),
-                            PARALLEL_WORLDS_MIN,
-                            available_cores(),
-                        );
-                        wm.path_set_uniform(k, threads)?
-                    }
+                let mut scratch = Vec::with_capacity(k);
+                let (grown, report) =
+                    grow_adaptive(table, k, epsilon, delta, cfg.seed, bounds, |row, prefix| {
+                        top_k_prefix_into(row, &mut scratch, prefix)
+                    })?;
+                let ps = match grown {
+                    Grown::Pinned(prefix) => PathSet::from_weighted(k, vec![(prefix, 1.0)])?,
+                    Grown::Counted(counts) => counted_paths(k, counts)?,
                 };
                 Ok((ps, report))
             }
@@ -181,16 +182,19 @@ impl Engine {
 /// clamped to 1, masking configuration bugs); out-of-range adaptive
 /// targets fail with [`TpoError::InvalidPrecision`].
 ///
-/// The fixed mode is the fast path (DESIGN.md §10): scores come from a
+/// Both modes take the fast path (DESIGN.md §10): scores come from a
 /// per-table compiled [`WorldSampler`] (draw-for-draw identical to the
-/// reference sampling), and each world is ranked with an O(n + k·log k)
-/// partial selection instead of a full sort — the depth-`k` prefix is
-/// bit-identical to the full sort's by the total-order argument, so the
-/// result equals the test-only full-sort reference (`build_mc_reference`)
-/// exactly. The rank and group phases are chunked across threads above a
+/// reference sampling), and each world is ranked only to depth `k` by
+/// [`top_k_prefix_into`] — the prefix is bit-identical to the full
+/// sort's by the total-order argument, so the result equals the
+/// test-only full-sort reference (`build_mc_reference`) exactly.
+///
+/// A fixed build chunks its rank and count phases across threads above a
 /// work cutoff; any thread count produces bit-identical output (score
 /// draws are strictly sequential in the seeded PRNG, each world is ranked
-/// independently, and per-prefix totals are exact integer counts).
+/// independently, and per-prefix totals are exact integer counts). An
+/// adaptive build streams: each world is counted once into running
+/// prefix counts that every look reads, and no world is stored.
 pub fn build_mc(table: &UncertainTable, k: usize, cfg: &McConfig) -> Result<PathSet> {
     Engine::MonteCarlo(*cfg).build(table, k)
 }
@@ -202,8 +206,15 @@ pub fn build_mc(table: &UncertainTable, k: usize, cfg: &McConfig) -> Result<Path
 pub enum AdaptiveSample {
     /// The fully decided ordered top-K prefix.
     Pinned(Vec<u32>),
-    /// The grown world model (the `incr` driver keeps it as its belief).
-    Sampled(WorldModel),
+    /// The grown sample.
+    Sampled {
+        /// The drawn worlds, each with unit weight (the `incr` driver
+        /// keeps them as its belief).
+        worlds: WorldModel,
+        /// Their depth-`k` path set, from the loop's final prefix counts
+        /// (equal to grouping `worlds` at depth `k`).
+        paths: PathSet,
+    },
 }
 
 /// Grows a world sample until the empirical-Bernstein sequential bound
@@ -212,10 +223,12 @@ pub enum AdaptiveSample {
 /// immediately, with zero worlds, when the decided pairwise structure
 /// already pins the ordered prefix.
 ///
-/// Batches double from `ADAPTIVE_INITIAL_BATCH` up to
-/// [`ADAPTIVE_MAX_WORLDS`]; all draws continue one seeded PRNG stream, so
-/// the grown model is bit-identical to a one-shot sample of the same
-/// total size (pinned by tests). `bounds` as in [`Engine::build_with_report`].
+/// This is the `incr` belief's build: it runs the same adaptive loop as a
+/// tree-mode [`Engine::build_with_report`] (so the two stop after the same
+/// worlds with the same report), keeping every drawn world's full ranking.
+/// All draws continue one seeded PRNG stream, so the grown model is
+/// bit-identical to a one-shot sample of the same total size (pinned by
+/// tests). `bounds` as in [`Engine::build_with_report`].
 pub fn sample_adaptive(
     table: &UncertainTable,
     k: usize,
@@ -224,6 +237,49 @@ pub fn sample_adaptive(
     seed: u64,
     bounds: Option<&TopKBounds>,
 ) -> Result<(AdaptiveSample, PrecisionReport)> {
+    let mut wm = WorldModel::empty(table.len());
+    let mut scratch = Vec::with_capacity(table.len());
+    let (grown, report) = grow_adaptive(table, k, epsilon, delta, seed, bounds, |row, prefix| {
+        prefix.copy_from_slice(&wm.push_world(row, &mut scratch)[..k])
+    })?;
+    let sample = match grown {
+        Grown::Pinned(prefix) => AdaptiveSample::Pinned(prefix),
+        Grown::Counted(counts) => AdaptiveSample::Sampled {
+            worlds: wm,
+            paths: counted_paths(k, counts)?,
+        },
+    };
+    Ok((sample, report))
+}
+
+/// Depth-`k` prefix counts of the worlds drawn so far.
+// ctk-allow(det-hash-collection): exact integer counts; the stopping bound folds an order-invariant max over them and builds drain them through PathSet::from_weighted's canonical sort
+type PrefixCounts = HashMap<Vec<u32>, u64>;
+
+/// What the adaptive loop ended with.
+enum Grown {
+    /// The certain bounds pinned this ordered prefix; nothing was drawn.
+    Pinned(Vec<u32>),
+    /// The running prefix counts of every drawn world.
+    Counted(PrefixCounts),
+}
+
+/// The one adaptive loop behind both adaptive builds. Batches double from
+/// `ADAPTIVE_INITIAL_BATCH` up to [`ADAPTIVE_MAX_WORLDS`]; every world is
+/// drawn from one seeded stream, handed to `rank` (which writes its
+/// depth-`k` ranking prefix, and may keep the world), and counted once
+/// into the running map. Each look folds the bound over the running
+/// counts — the same count multiset a rescan of every drawn world gives,
+/// so the stop is the one a rescanning loop would take.
+fn grow_adaptive(
+    table: &UncertainTable,
+    k: usize,
+    epsilon: f64,
+    delta: f64,
+    seed: u64,
+    bounds: Option<&TopKBounds>,
+    mut rank: impl FnMut(&[f64], &mut [u32]),
+) -> Result<(Grown, PrecisionReport)> {
     let n = table.len();
     if k == 0 || k > n {
         return Err(TpoError::InvalidK { k, n });
@@ -238,28 +294,162 @@ pub fn sample_adaptive(
         }
     };
     if let Some(prefix) = bounds.pinned_order() {
-        let report = PrecisionReport {
-            worlds_drawn: 0,
-            epsilon: Some(0.0),
-            delta: Some(delta),
-            reason: StopReason::CertainOrder,
-        };
-        return Ok((AdaptiveSample::Pinned(prefix), report));
+        return Ok((Grown::Pinned(prefix), pinned_report(delta)));
     }
-    let mut wm = WorldModel::empty(n);
+    let sampler = WorldSampler::new(table);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut row = vec![0.0f64; n];
+    let mut prefix = vec![0u32; k];
+    let mut counts = PrefixCounts::new();
+    let mut values: Vec<u64> = Vec::new();
+    let mut drawn = 0usize;
+    let mut look = 0usize;
+    let (achieved, reason) = loop {
+        look += 1;
+        let batch = next_batch(drawn);
+        for _ in 0..batch {
+            sampler.sample_into(&mut rng, &mut row);
+            rank(&row, &mut prefix);
+            count_prefix(&mut counts, &prefix);
+        }
+        drawn += batch;
+        #[cfg(feature = "debug-invariants")]
+        assert_counts_match_rescan(table, k, seed, drawn, &counts);
+        values.clear();
+        values.extend(counts.values());
+        let width = eb_half_width(&values, drawn, look, delta);
+        if width <= epsilon {
+            break (width, StopReason::Converged);
+        }
+        if drawn >= ADAPTIVE_MAX_WORLDS {
+            break (width, StopReason::WorldCap);
+        }
+    };
+    let report = PrecisionReport {
+        worlds_drawn: drawn,
+        epsilon: Some(achieved),
+        delta: Some(delta),
+        reason,
+    };
+    Ok((Grown::Counted(counts), report))
+}
+
+/// The size of the next adaptive batch after `drawn` worlds: the first
+/// batch, then doubling, up to the world cap.
+fn next_batch(drawn: usize) -> usize {
+    if drawn == 0 {
+        ADAPTIVE_INITIAL_BATCH.min(ADAPTIVE_MAX_WORLDS)
+    } else {
+        drawn.min(ADAPTIVE_MAX_WORLDS - drawn)
+    }
+}
+
+/// The report of a build the certain bounds decided: zero worlds, exact.
+fn pinned_report(delta: f64) -> PrecisionReport {
+    PrecisionReport {
+        worlds_drawn: 0,
+        epsilon: Some(0.0),
+        delta: Some(delta),
+        reason: StopReason::CertainOrder,
+    }
+}
+
+/// The normalized path set of final prefix counts. Counts are exact
+/// integers, so the hash-map drain order cannot change a bit
+/// (`PathSet::from_weighted` sorts before it sums).
+fn counted_paths(k: usize, counts: PrefixCounts) -> Result<PathSet> {
+    PathSet::from_weighted(
+        k,
+        counts
+            .into_iter()
+            .map(|(prefix, count)| (prefix, count as f64))
+            .collect(),
+    )
+}
+
+/// Counts one world's prefix, allocating only for a prefix not seen yet.
+fn count_prefix(counts: &mut PrefixCounts, prefix: &[u32]) {
+    match counts.get_mut(prefix) {
+        Some(c) => *c += 1,
+        None => {
+            counts.insert(prefix.to_vec(), 1);
+        }
+    }
+}
+
+/// The running-count invariant: after every look, the streamed counts
+/// equal a rescan that replays the seed's stream for the `drawn` worlds
+/// and counts each one's prefix from its full ranking.
+#[cfg(feature = "debug-invariants")]
+fn assert_counts_match_rescan(
+    table: &UncertainTable,
+    k: usize,
+    seed: u64,
+    drawn: usize,
+    counts: &PrefixCounts,
+) {
+    let sampler = WorldSampler::new(table);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut row = vec![0.0f64; table.len()];
+    let mut ranking = vec![0u32; table.len()];
+    let mut scratch = Vec::new();
+    let mut rescan = PrefixCounts::new();
+    for _ in 0..drawn {
+        sampler.sample_into(&mut rng, &mut row);
+        ranking_into(&row, &mut scratch, &mut ranking);
+        count_prefix(&mut rescan, &ranking[..k]);
+    }
+    assert_eq!(
+        &rescan, counts,
+        "running prefix counts diverged from a rescan of {drawn} worlds"
+    );
+}
+
+/// Test-only reference for the Monte-Carlo pipelines: materialize a full
+/// [`WorldModel`] (complete per-world rankings and position index) and
+/// group prefixes with the hash-map grouping, sequentially.
+#[cfg(test)]
+pub(crate) fn build_mc_reference(
+    table: &UncertainTable,
+    k: usize,
+    worlds: usize,
+    seed: u64,
+) -> Result<PathSet> {
+    if k == 0 || k > table.len() {
+        return Err(TpoError::InvalidK { k, n: table.len() });
+    }
+    WorldModel::sample_with_threads(table, worlds, seed, 1)?.path_set(k)
+}
+
+/// Test-only reference for the adaptive builds: the `WorldModel` route,
+/// which grows a model batch by batch and rescans every drawn world's
+/// prefix at each look, then groups the final model with the hash-map
+/// grouping.
+#[cfg(test)]
+pub(crate) fn build_adaptive_reference(
+    table: &UncertainTable,
+    k: usize,
+    epsilon: f64,
+    delta: f64,
+    seed: u64,
+) -> Result<(PathSet, PrecisionReport)> {
+    let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(table), k)?;
+    if let Some(prefix) = bounds.pinned_order() {
+        let ps = PathSet::from_weighted(k, vec![(prefix, 1.0)])?;
+        return Ok((ps, pinned_report(delta)));
+    }
+    let mut wm = WorldModel::empty(table.len());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut look = 0usize;
     let (achieved, reason) = loop {
         look += 1;
-        let drawn = wm.num_worlds();
-        let batch = if drawn == 0 {
-            ADAPTIVE_INITIAL_BATCH.min(ADAPTIVE_MAX_WORLDS)
-        } else {
-            drawn.min(ADAPTIVE_MAX_WORLDS - drawn)
-        };
-        wm.append_sampled(table, batch, &mut rng)?;
-        let counts = wm.prefix_count_values(k);
-        let width = eb_half_width(&counts, wm.num_worlds(), look, delta);
+        wm.append_sampled(table, next_batch(wm.num_worlds()), &mut rng)?;
+        let mut counts = PrefixCounts::new();
+        for w in 0..wm.num_worlds() {
+            count_prefix(&mut counts, &wm.ranking(w)[..k]);
+        }
+        let values: Vec<u64> = counts.into_values().collect();
+        let width = eb_half_width(&values, wm.num_worlds(), look, delta);
         if width <= epsilon {
             break (width, StopReason::Converged);
         }
@@ -273,24 +463,7 @@ pub fn sample_adaptive(
         delta: Some(delta),
         reason,
     };
-    Ok((AdaptiveSample::Sampled(wm), report))
-}
-
-/// Test-only reference for the fixed-budget pipeline: materialize a full
-/// [`WorldModel`] (complete per-world rankings and position index) and
-/// group prefixes, sequentially.
-#[cfg(test)]
-pub(crate) fn build_mc_reference(
-    table: &UncertainTable,
-    k: usize,
-    worlds: usize,
-    seed: u64,
-) -> Result<PathSet> {
-    if k == 0 || k > table.len() {
-        return Err(TpoError::InvalidK { k, n: table.len() });
-    }
-    let wm = WorldModel::sample_with_threads(table, worlds, seed, 1)?;
-    wm.path_set_uniform(k, 1)
+    Ok((wm.path_set(k)?, report))
 }
 
 /// The fixed-budget Monte-Carlo pipeline body (see [`build_mc`]).
@@ -321,10 +494,10 @@ pub(crate) fn fixed_mc_with_threads(
         // Streaming: one recycled score row, rank each world as it is
         // drawn — no m×n materialization.
         let mut row = vec![0.0f64; n];
-        let mut ids: Vec<u32> = Vec::with_capacity(n);
+        let mut scratch = Vec::with_capacity(k);
         for prefix in prefixes.chunks_mut(k) {
             sampler.sample_into(&mut rng, &mut row);
-            top_k_prefix_into(&row, &mut ids, prefix);
+            top_k_prefix_into(&row, &mut scratch, prefix);
         }
     } else {
         // Draw all scores sequentially (the PRNG stream is order-defined),
@@ -339,9 +512,9 @@ pub(crate) fn fixed_mc_with_threads(
         std::thread::scope(|s| {
             for (sc, pc) in scores.chunks(chunk * n).zip(prefixes.chunks_mut(chunk * k)) {
                 s.spawn(move || {
-                    let mut ids: Vec<u32> = Vec::with_capacity(n);
+                    let mut scratch = Vec::with_capacity(k);
                     for (row, prefix) in sc.chunks(n).zip(pc.chunks_mut(k)) {
-                        top_k_prefix_into(row, &mut ids, prefix);
+                        top_k_prefix_into(row, &mut scratch, prefix);
                     }
                 });
             }
@@ -757,7 +930,7 @@ mod tests {
         for s in [&with_right, &with_wrong, &with_none] {
             match s {
                 AdaptiveSample::Pinned(prefix) => assert_eq!(prefix, &vec![3, 2]),
-                AdaptiveSample::Sampled(_) => panic!("decided table must pin"),
+                AdaptiveSample::Sampled { .. } => panic!("decided table must pin"),
             }
         }
     }
@@ -777,7 +950,29 @@ mod tests {
         assert_eq!(report.worlds_drawn, ADAPTIVE_MAX_WORLDS);
         // ctk-allow(panic-unwrap): adaptive reports always carry a width
         assert!(report.epsilon.expect("width") > 1e-4);
-        assert!(matches!(sample, AdaptiveSample::Sampled(_)));
+        assert!(matches!(sample, AdaptiveSample::Sampled { .. }));
+    }
+
+    #[test]
+    fn running_prefix_counts_sum_to_worlds_drawn() {
+        // Every drawn world is counted exactly once across looks, and the
+        // running map holds one entry per distinct prefix.
+        let t = table(5, 0.9);
+        let mut scratch = Vec::new();
+        let (grown, report) = grow_adaptive(&t, 2, 0.01, 0.05, 5, None, |row, prefix| {
+            top_k_prefix_into(row, &mut scratch, prefix)
+        })
+        .unwrap();
+        let Grown::Counted(counts) = grown else {
+            panic!("overlapping table cannot pin")
+        };
+        assert!(
+            report.worlds_drawn > ADAPTIVE_INITIAL_BATCH,
+            "several looks"
+        );
+        assert_eq!(counts.values().sum::<u64>(), report.worlds_drawn as u64);
+        let reference = build_mc_reference(&t, 2, report.worlds_drawn, 5).unwrap();
+        assert_eq!(counts.len(), reference.len());
     }
 
     #[test]
@@ -791,12 +986,14 @@ mod tests {
         )
         .unwrap();
         let (sample, report) = sample_adaptive(&t, 2, 0.05, 0.1, 11, None).unwrap();
-        let wm = match sample {
-            AdaptiveSample::Sampled(wm) => wm,
+        let (mut wm, paths) = match sample {
+            AdaptiveSample::Sampled { worlds, paths } => (worlds, paths),
             AdaptiveSample::Pinned(_) => panic!("iid-ish table cannot pin"),
         };
         assert_eq!(wm.num_worlds(), report.worlds_drawn);
         let one_shot = WorldModel::sample_with_threads(&t, report.worlds_drawn, 11, 1).unwrap();
         assert_eq!(one_shot.surviving_rankings(), wm.surviving_rankings());
+        // The handed-over path set is the grouping of those worlds.
+        assert_eq!(paths, wm.path_set_cached(2).unwrap());
     }
 }

@@ -1,8 +1,13 @@
 //! Property-based tests that pin the fast paths against this crate's
 //! test-only references and private thread-count entry points.
 
-use crate::build::{build_mc, build_mc_reference, fixed_mc_with_threads, McConfig};
+use crate::build::{
+    build_adaptive_reference, build_mc, build_mc_reference, fixed_mc_with_threads, sample_adaptive,
+    AdaptiveSample, Engine, McConfig,
+};
+use crate::precision::{StopReason, ADAPTIVE_INITIAL_BATCH};
 use crate::worlds::WorldModel;
+use crate::PathSet;
 use ctk_prob::{ScoreDist, UncertainTable};
 use proptest::prelude::*;
 
@@ -23,8 +28,70 @@ fn uniform_table(n: usize) -> impl Strategy<Value = UncertainTable> {
     })
 }
 
+/// A staircase of `n` uniform scores, `spacing` apart and `width` wide:
+/// disjoint steps pin the order, overlapping ones leave it open.
+#[cfg(test)]
+fn staircase(n: usize, spacing: f64, width: f64) -> UncertainTable {
+    UncertainTable::new(
+        (0..n)
+            .map(|i| ScoreDist::uniform_centered(spacing * i as f64, width).unwrap())
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// Bit-for-bit path set equality (paths, order and probability bits).
+#[cfg(test)]
+fn assert_same_paths(a: &PathSet, b: &PathSet, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len(), "{}", what);
+    for (x, y) in a.paths().iter().zip(b.paths()) {
+        prop_assert_eq!(&x.items, &y.items, "{}", what);
+        prop_assert_eq!(x.prob.to_bits(), y.prob.to_bits(), "{}", what);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn adaptive_tree_build_matches_world_model_route_and_fixed_build(
+        (jitter, seed, k, eps) in (0.0..0.2f64, any::<u64>(), 1usize..4, 0.015..0.04f64),
+    ) {
+        // The streaming adaptive build keeps only depth-k prefixes; its
+        // path set and report must equal the WorldModel route (grow a
+        // model, rescan each look) and the fixed build of the same worlds.
+        // One pinned, one mostly decided and one multi-look table per case.
+        for (table, kind) in [
+            (staircase(5, 1.0, 0.4 + jitter), "pinned"),
+            (staircase(5, 0.5, 0.45 + jitter), "mostly decided"),
+            (staircase(5, 0.05 * jitter, 1.0), "multi-look"),
+        ] {
+            let (ps, report) = Engine::MonteCarlo(McConfig::adaptive(eps, 0.05, seed))
+                .build_with_report(&table, k, None)
+                .unwrap();
+            let (reference, ref_report) =
+                build_adaptive_reference(&table, k, eps, 0.05, seed).unwrap();
+            prop_assert!(report.same_outcome(&ref_report), "{}: {:?} vs {:?}", kind, report, ref_report);
+            assert_same_paths(&ps, &reference, kind)?;
+            match kind {
+                "pinned" => prop_assert_eq!(report.reason, StopReason::CertainOrder),
+                "multi-look" => prop_assert!(report.worlds_drawn > ADAPTIVE_INITIAL_BATCH),
+                _ => {}
+            }
+            if report.worlds_drawn > 0 {
+                let fixed = build_mc(&table, k, &McConfig::fixed(report.worlds_drawn, seed)).unwrap();
+                assert_same_paths(&ps, &fixed, kind)?;
+            }
+            // The incr route runs the same loop: same stop, same worlds.
+            let (sample, incr_report) = sample_adaptive(&table, k, eps, 0.05, seed, None).unwrap();
+            prop_assert!(incr_report.same_outcome(&report), "{}", kind);
+            if let AdaptiveSample::Sampled { worlds, paths } = sample {
+                assert_same_paths(&worlds.path_set(k).unwrap(), &ps, kind)?;
+                assert_same_paths(&paths, &ps, kind)?;
+            }
+        }
+    }
 
     #[test]
     fn partial_selection_build_matches_full_sort_reference(

@@ -1,19 +1,20 @@
 //! Sampled possible-worlds belief state.
 //!
 //! A [`WorldModel`] holds `M` sampled possible worlds (full orderings of
-//! the relation) with weights. It serves two roles:
-//!
-//! * the sampling backend of the Monte-Carlo TPO builder (group the
-//!   worlds' top-K prefixes → the path set);
-//! * the belief state of the `incr` algorithm, which alternates tree
-//!   construction with question rounds: answers filter (or, for noisy
-//!   workers, reweight) whole worlds, so a deeper tree can be materialized
-//!   *after* pruning at a shallower depth — the core trick that makes
-//!   `incr` cheap on large, highly uncertain datasets (§III-D).
+//! the relation) with weights: the belief state of the `incr` algorithm,
+//! which alternates tree construction with question rounds. Answers
+//! filter (or, for noisy workers, reweight) whole worlds, so a deeper
+//! tree can be materialized *after* pruning at a shallower depth — the
+//! core trick that makes `incr` cheap on large, highly uncertain datasets
+//! (§III-D). The tree-mode Monte-Carlo builders never build one: they
+//! keep only each world's top-K prefix (`crate::build`), and the full
+//! model is their test-only reference.
 //!
 //! ## Hot-path layout
 //!
-//! Alongside each world's ranking, the model keeps a column-major
+//! The rankings live in one flat `m × n` buffer (`rankings[w·n + r]` is
+//! world `w`'s rank-`r` tuple), ranked in place by the allocation-free
+//! [`ctk_prob::sample::ranking_into`]. Alongside them the model keeps a
 //! *position index* `pos[w·n + t] = rank of tuple t in world w`, making
 //! "does world `w` rank `i` above `j`?" an O(1) lookup instead of an O(n)
 //! scan — so [`WorldModel::pr_precedes`] and the `apply_answer_*` updates
@@ -27,11 +28,12 @@ use crate::error::{Result, TpoError};
 use crate::path::PathSet;
 use crate::precision::PrecisionTarget;
 use ctk_prob::compare::{available_cores, planned_threads};
-use ctk_prob::sample::{ranking_from_scores, WorldSampler};
+use ctk_prob::sample::{ranking_into, WorldSampler};
 use ctk_prob::UncertainTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-// ctk-allow(det-hash-collection): grouping maps here hold exact counts or per-group sums accumulated in ascending world order, drained through PathSet::from_weighted's canonical sort
+#[cfg(test)]
+// ctk-allow(det-hash-collection): the test-only grouping accumulates each group's sum in ascending world order, drained through PathSet::from_weighted's canonical sort
 use std::collections::HashMap;
 
 /// Below this many worlds the rank phase of sampling stays sequential —
@@ -56,8 +58,9 @@ struct PrefixCache {
 #[derive(Debug, Clone)]
 pub struct WorldModel {
     n: usize,
-    /// Each world as a full ranking (tuple ids, best first).
-    rankings: Vec<Vec<u32>>,
+    /// Every world's full ranking (tuple ids, best first), flat: world
+    /// `w` is `rankings[w * n..(w + 1) * n]`.
+    rankings: Vec<u32>,
     /// Position index: `pos[w * n + t]` is the rank of tuple `t` in world
     /// `w` (0 = best). Kept in sync with `rankings`.
     pos: Vec<u32>,
@@ -102,19 +105,19 @@ impl WorldModel {
             sampler.sample_into(&mut rng, row);
         }
 
-        let mut rankings: Vec<Vec<u32>> = vec![Vec::new(); m];
+        let mut rankings = vec![0u32; m * n];
         let mut pos = vec![0u32; m * n];
         let threads = threads.clamp(1, m);
         if threads == 1 {
             rank_chunk(&scores, &mut rankings, &mut pos, n);
         } else {
-            let chunk = m.div_ceil(threads);
+            let chunk = m.div_ceil(threads) * n;
             // ctk-allow(det-thread-spawn): planned_threads fanout; each thread fills a disjoint pre-chunked slice
             std::thread::scope(|s| {
                 for ((sc, rc), pc) in scores
-                    .chunks(chunk * n)
+                    .chunks(chunk)
                     .zip(rankings.chunks_mut(chunk))
-                    .zip(pos.chunks_mut(chunk * n))
+                    .zip(pos.chunks_mut(chunk))
                 {
                     s.spawn(move || rank_chunk(sc, rc, pc, n));
                 }
@@ -146,8 +149,7 @@ impl WorldModel {
     /// growing a model batch by batch with one RNG is bit-identical to
     /// sampling all the worlds in one shot from the same seed (pinned by
     /// tests) — the property the adaptive precision builder relies on.
-    /// New worlds arrive with unit weight; the incremental prefix cache
-    /// is dropped (its groups no longer cover the appended worlds).
+    /// New worlds arrive with unit weight.
     pub fn append_sampled(
         &mut self,
         table: &UncertainTable,
@@ -155,45 +157,34 @@ impl WorldModel {
         rng: &mut StdRng,
     ) -> Result<()> {
         debug_assert_eq!(table.len(), self.n, "table width must match the model");
-        if additional == 0 {
-            return Ok(());
-        }
-        let n = self.n;
         let sampler = WorldSampler::new(table);
-        let mut scores = vec![0.0f64; additional * n];
-        for row in scores.chunks_mut(n) {
-            sampler.sample_into(rng, row);
+        let mut row = vec![0.0f64; self.n];
+        let mut scratch = Vec::with_capacity(self.n);
+        for _ in 0..additional {
+            sampler.sample_into(rng, &mut row);
+            self.push_world(&row, &mut scratch);
         }
-        let mut rankings: Vec<Vec<u32>> = vec![Vec::new(); additional];
-        let mut pos = vec![0u32; additional * n];
-        let threads = auto_threads(additional).clamp(1, additional);
-        if threads == 1 {
-            rank_chunk(&scores, &mut rankings, &mut pos, n);
-        } else {
-            let chunk = additional.div_ceil(threads);
-            // ctk-allow(det-thread-spawn): planned_threads fanout; each thread fills a disjoint pre-chunked slice
-            std::thread::scope(|s| {
-                for ((sc, rc), pc) in scores
-                    .chunks(chunk * n)
-                    .zip(rankings.chunks_mut(chunk))
-                    .zip(pos.chunks_mut(chunk * n))
-                {
-                    s.spawn(move || rank_chunk(sc, rc, pc, n));
-                }
-            });
-        }
-        self.rankings.extend(rankings);
-        self.pos.extend(pos);
-        self.weights.extend(std::iter::repeat_n(1.0, additional));
-        self.cache = None;
         Ok(())
     }
 
-    /// Depth-`k` prefix multiplicities over all worlds, in unspecified
-    /// order — the input of the adaptive builder's stopping bound, which
-    /// only folds an order-invariant maximum over them.
-    pub(crate) fn prefix_count_values(&self, k: usize) -> Vec<u64> {
-        group_counts(&self.rankings, k).into_values().collect()
+    /// Ranks one sampled world (`scores` in tuple-id order) into the flat
+    /// storage with unit weight and returns its ranking. The incremental
+    /// prefix cache is dropped: its groups no longer cover every world.
+    /// `scratch` is the ranking kernel's caller-recycled buffer.
+    pub(crate) fn push_world(&mut self, scores: &[f64], scratch: &mut Vec<(i64, u32)>) -> &[u32] {
+        debug_assert_eq!(scores.len(), self.n, "score row must cover the table");
+        let start = self.rankings.len();
+        self.rankings.resize(start + self.n, 0);
+        self.pos.resize(start + self.n, 0);
+        rank_world(
+            scores,
+            scratch,
+            &mut self.rankings[start..],
+            &mut self.pos[start..],
+        );
+        self.weights.push(1.0);
+        self.cache = None;
+        &self.rankings[start..]
     }
 
     /// Builds from explicit rankings (each must be a permutation of
@@ -201,10 +192,11 @@ impl WorldModel {
     pub fn from_rankings(n: usize, rankings: Vec<Vec<u32>>) -> Self {
         let weights = vec![1.0; rankings.len()];
         debug_assert!(rankings.iter().all(|r| r.len() == n));
-        let mut pos = vec![0u32; rankings.len() * n];
-        for (w, r) in rankings.iter().enumerate() {
+        let rankings: Vec<u32> = rankings.concat();
+        let mut pos = vec![0u32; rankings.len()];
+        for (r, p) in rankings.chunks(n).zip(pos.chunks_mut(n)) {
             for (rank, &t) in r.iter().enumerate() {
-                pos[w * n + t as usize] = rank as u32;
+                p[t as usize] = rank as u32;
             }
         }
         Self {
@@ -223,7 +215,7 @@ impl WorldModel {
 
     /// Number of sampled worlds (including zero-weight ones).
     pub fn num_worlds(&self) -> usize {
-        self.rankings.len()
+        self.weights.len()
     }
 
     /// Number of worlds with positive weight.
@@ -239,7 +231,7 @@ impl WorldModel {
 
     /// World `w`'s full ranking (tuple ids, best first).
     pub fn ranking(&self, w: usize) -> &[u32] {
-        &self.rankings[w]
+        &self.rankings[w * self.n..(w + 1) * self.n]
     }
 
     /// World `w`'s current weight.
@@ -261,7 +253,7 @@ impl WorldModel {
         if total <= 0.0 {
             return 0.5;
         }
-        let mass: f64 = (0..self.rankings.len())
+        let mass: f64 = (0..self.num_worlds())
             .filter(|&w| self.weights[w] > 0.0 && self.world_prefers(w, i, j))
             .map(|w| self.weights[w])
             .sum();
@@ -272,12 +264,12 @@ impl WorldModel {
     /// “does `i` rank above `j`?”. On contradiction (no world would
     /// survive) the belief is left untouched.
     pub fn apply_answer_hard(&mut self, i: u32, j: u32, yes: bool) -> Result<()> {
-        let any_survivor = (0..self.rankings.len())
+        let any_survivor = (0..self.num_worlds())
             .any(|w| self.weights[w] > 0.0 && self.world_prefers(w, i, j) == yes);
         if !any_survivor {
             return Err(TpoError::ContradictoryAnswer);
         }
-        for w in 0..self.rankings.len() {
+        for w in 0..self.num_worlds() {
             if self.weights[w] > 0.0 && self.world_prefers(w, i, j) != yes {
                 self.weights[w] = 0.0;
             }
@@ -300,7 +292,7 @@ impl WorldModel {
         if disagree_factor == 0.0 {
             return self.apply_answer_hard(i, j, yes);
         }
-        for w in 0..self.rankings.len() {
+        for w in 0..self.num_worlds() {
             if self.weights[w] <= 0.0 {
                 continue;
             }
@@ -334,8 +326,8 @@ impl WorldModel {
 
     /// Groups surviving worlds by their depth-`k` prefix into a normalized
     /// [`PathSet`] with a fresh hash-map grouping per call. Test-only: the
-    /// reference that [`WorldModel::path_set_cached`] and
-    /// [`WorldModel::path_set_uniform`] are pinned against, bit for bit.
+    /// reference that [`WorldModel::path_set_cached`] and the Monte-Carlo
+    /// builders' prefix counts are pinned against, bit for bit.
     #[cfg(test)]
     pub(crate) fn path_set(&self, k: usize) -> Result<PathSet> {
         if k == 0 || k > self.n {
@@ -343,7 +335,7 @@ impl WorldModel {
         }
         // ctk-allow(det-hash-collection): each group's float sum accumulates in ascending world order regardless of bucket order; draining goes through from_weighted's sort
         let mut groups: HashMap<&[u32], f64> = HashMap::new();
-        for (w, r) in self.rankings.iter().enumerate() {
+        for (w, r) in self.rankings.chunks(self.n).enumerate() {
             if self.weights[w] <= 0.0 {
                 continue;
             }
@@ -378,7 +370,7 @@ impl WorldModel {
         let mut cache = if rebuild {
             PrefixCache {
                 depth: 0,
-                groups: vec![(0..self.rankings.len() as u32).collect()],
+                groups: vec![(0..self.num_worlds() as u32).collect()],
             }
         } else {
             // ctk-allow(panic-unwrap): the surrounding branch runs only when the cache is Some
@@ -398,7 +390,7 @@ impl WorldModel {
                 }
                 subs.clear();
                 for &w in group.iter() {
-                    let key = self.rankings[w as usize][d];
+                    let key = self.rankings[w as usize * self.n + d];
                     match subs.iter_mut().find(|(t, _)| *t == key) {
                         Some((_, members)) => members.push(w),
                         None => subs.push((key, vec![w])),
@@ -416,100 +408,42 @@ impl WorldModel {
                 // Ascending-world summation; zero-weight members add an
                 // exact +0.0 and cannot perturb the value.
                 let w: f64 = group.iter().map(|&x| self.weights[x as usize]).sum();
-                (w > 0.0).then(|| (self.rankings[group[0] as usize][..k].to_vec(), w))
+                (w > 0.0).then(|| (self.ranking(group[0] as usize)[..k].to_vec(), w))
             })
             .collect();
         self.cache = Some(cache);
         PathSet::from_weighted(k, weighted)
     }
 
-    /// Groups all worlds assuming uniform unit weights (the fresh state
-    /// right after sampling), with the grouping chunked across threads.
-    /// Per-prefix totals are exact integer counts, so the merge is
-    /// bit-identical to a sequential hash-map grouping no matter the
-    /// chunking.
-    pub(crate) fn path_set_uniform(&self, k: usize, threads: usize) -> Result<PathSet> {
-        if k == 0 || k > self.n {
-            return Err(TpoError::InvalidK { k, n: self.n });
-        }
-        debug_assert!(
-            // ctk-allow(float-eq): exact-sentinel — fresh weights are assigned literal 1.0
-            self.weights.iter().all(|&w| w == 1.0),
-            "uniform grouping requires fresh unit weights"
-        );
-        let m = self.rankings.len();
-        let threads = threads.clamp(1, m);
-        // ctk-allow(det-hash-collection): exact integer counts; merge order cannot change them
-        let maps: Vec<HashMap<&[u32], u64>> = if threads == 1 || m < PARALLEL_WORLDS_MIN {
-            vec![group_counts(&self.rankings, k)]
-        } else {
-            let chunk = m.div_ceil(threads);
-            // ctk-allow(det-thread-spawn): planned_threads fanout over disjoint chunks; count merge is commutative
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .rankings
-                    .chunks(chunk)
-                    .map(|c| s.spawn(move || group_counts(c, k)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(map) => map,
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            })
-        };
-        // ctk-allow(det-hash-collection): exact integer counts; merge order cannot change them
-        let mut total: HashMap<&[u32], u64> = HashMap::new();
-        for map in maps {
-            for (prefix, count) in map {
-                *total.entry(prefix).or_insert(0) += count;
-            }
-        }
-        PathSet::from_weighted(
-            k,
-            total
-                .into_iter()
-                .map(|(prefix, count)| (prefix.to_vec(), count as f64))
-                .collect(),
-        )
-    }
-
     /// The single surviving full ordering, if the belief is resolved to one
     /// ranking prefix pattern (used by tests).
     pub fn surviving_rankings(&self) -> Vec<&[u32]> {
-        (0..self.rankings.len())
+        (0..self.num_worlds())
             .filter(|&w| self.weights[w] > 0.0)
-            .map(|w| self.rankings[w].as_slice())
+            .map(|w| self.ranking(w))
             .collect()
     }
 }
 
-/// Ranks one chunk of flat sampled scores (`n` per world), filling the
-/// matching slices of the ranking list and the position index.
-fn rank_chunk(scores: &[f64], rankings: &mut [Vec<u32>], pos: &mut [u32], n: usize) {
+/// Ranks one chunk of flat sampled scores (`n` per world) into the
+/// matching chunks of the flat rankings and the position index.
+fn rank_chunk(scores: &[f64], rankings: &mut [u32], pos: &mut [u32], n: usize) {
+    let mut scratch = Vec::with_capacity(n);
     for ((s, r), p) in scores
         .chunks(n)
-        .zip(rankings.iter_mut())
+        .zip(rankings.chunks_mut(n))
         .zip(pos.chunks_mut(n))
     {
-        *r = ranking_from_scores(s);
-        for (rank, &t) in r.iter().enumerate() {
-            p[t as usize] = rank as u32;
-        }
+        rank_world(s, &mut scratch, r, p);
     }
 }
 
-/// Depth-`k` prefix counts of one chunk of rankings.
-// ctk-allow(det-hash-collection): exact integer counts, drained via from_weighted's canonical sort
-fn group_counts(rankings: &[Vec<u32>], k: usize) -> HashMap<&[u32], u64> {
-    // ctk-allow(det-hash-collection): exact integer counts, drained via from_weighted's canonical sort
-    let mut g: HashMap<&[u32], u64> = HashMap::new();
-    for r in rankings {
-        *g.entry(&r[..k]).or_insert(0) += 1;
+/// Ranks one world's scores into `ranking` and its position index `pos`.
+fn rank_world(scores: &[f64], scratch: &mut Vec<(i64, u32)>, ranking: &mut [u32], pos: &mut [u32]) {
+    ranking_into(scores, scratch, ranking);
+    for (rank, &t) in ranking.iter().enumerate() {
+        pos[t as usize] = rank as u32;
     }
-    g
 }
 
 fn auto_threads(m: usize) -> usize {
@@ -519,6 +453,7 @@ fn auto_threads(m: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{fixed_mc_with_threads, Engine, McConfig};
     use ctk_prob::ScoreDist;
 
     fn model() -> WorldModel {
@@ -706,15 +641,27 @@ mod tests {
 
     #[test]
     fn uniform_grouping_matches_path_set() {
-        let m = WorldModel::sample(&table3(), 4099, 11).unwrap();
-        let reference = m.path_set(2).unwrap();
+        // The Monte-Carlo builders group unit-weight worlds by exact
+        // integer prefix counts; that must equal the weighted grouping of
+        // the same worlds, for the fixed build at any thread count and for
+        // the adaptive build's running counts.
+        let table = table3();
+        let reference = WorldModel::sample(&table, 4099, 11)
+            .unwrap()
+            .path_set(2)
+            .unwrap();
         for threads in [1, 2, 5] {
             assert_eq!(
-                m.path_set_uniform(2, threads).unwrap(),
+                fixed_mc_with_threads(&table, 2, 4099, 11, threads).unwrap(),
                 reference,
                 "threads = {threads}"
             );
         }
+        let (adaptive, report) = Engine::MonteCarlo(McConfig::adaptive(0.05, 0.05, 11))
+            .build_with_report(&table, 2, None)
+            .unwrap();
+        let drawn = WorldModel::sample(&table, report.worlds_drawn, 11).unwrap();
+        assert_eq!(adaptive, drawn.path_set(2).unwrap());
     }
 
     #[test]
@@ -749,14 +696,6 @@ mod tests {
         let after = m.path_set_cached(2).unwrap();
         assert_eq!(after, m.path_set(2).unwrap());
         assert_eq!(m.num_worlds(), 650);
-    }
-
-    #[test]
-    fn prefix_count_values_sum_to_world_count() {
-        let m = WorldModel::sample(&table3(), 321, 5).unwrap();
-        let counts = m.prefix_count_values(2);
-        assert_eq!(counts.iter().sum::<u64>(), 321);
-        assert_eq!(counts.len(), m.path_set(2).unwrap().len());
     }
 
     #[test]
