@@ -6,13 +6,24 @@
 //! * `pairwise_compute` / `build_mc` — the auto-threaded table builders;
 //! * `belief_build` — one session's initial belief at each perfbench
 //!   workload's shape: a fixed 1500-world build at n = 20, k = 5
-//!   (`paper_deep`), and an adaptive ε = δ = 0.05 build at n = 12, k = 3
-//!   as a tree (prefix counts only) and as `incr` (full worlds), the
-//!   `cold_burst` submit;
+//!   (`paper_deep`) as a tree and as `incr` (`incr_fixed`: the worlds
+//!   plus their counted depth-k path set), and an adaptive
+//!   ε = δ = 0.05 build at n = 12, k = 3 as a tree (prefix counts only)
+//!   and as `incr` (full worlds), the `cold_burst` submit;
 //! * `residual_partition` — prefix-index partition evaluation;
 //! * `select_step` — one T1-on step, one TB-off select and one C-off
 //!   select (B = 6) under `U_Hw` at n ∈ {10, 20, 40}, k = 5, 1500 worlds:
-//!   the selector cost along the table-size axis of the paper's Fig. 1(b).
+//!   the selector cost along the table-size axis of the paper's Fig. 1(b);
+//!   `estimate_pool` is one batched chain-rule estimate of the whole
+//!   relevant-question pool on the root partition.
+//!
+//! Medians on a 2-core host, means of two runs per side, before → after
+//! the batched estimate kernel and the counted `incr` baseline:
+//! `select_step/estimate_pool` 157 → 41 µs (n10), 3.62 → 0.98 ms (n20),
+//! 8.96 → 2.68 ms (n40); `select_step/c_off` 1.33 → 0.64 ms,
+//! 24.9 → 8.02 ms, 75.1 → 28.4 ms; `belief_build/incr_fixed`
+//! 1.42 → 0.93 ms. The "before" rows ran the per-candidate estimate in a
+//! loop, and grouped a `WorldModel::sample` with `path_set_cached(5)`.
 //!
 //! The implementations these replaced survive only as test-only
 //! references; their reference-vs-fast timings are recorded in
@@ -27,7 +38,7 @@ use ctk_datagen::{generate, DatasetSpec};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::TopKBounds;
 use ctk_prob::UncertainTable;
-use ctk_tpo::build::{build_mc, sample_adaptive, Engine, McConfig};
+use ctk_tpo::build::{build_mc, sample_adaptive, sample_fixed, Engine, McConfig};
 use ctk_tpo::WorldModel;
 
 fn table(n: usize) -> UncertainTable {
@@ -102,6 +113,9 @@ fn bench_belief_build(c: &mut Criterion) {
     g.bench_function("fixed_n20_k5", |b| {
         b.iter(|| build_mc(&deep, 5, &fixed).unwrap().len())
     });
+    g.bench_function("incr_fixed", |b| {
+        b.iter(|| sample_fixed(&deep, 5, 1500, 11).unwrap().1.len())
+    });
     let cold = table(12);
     let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&cold), 3).unwrap();
     let adaptive = Engine::MonteCarlo(McConfig::adaptive(0.05, 0.05, 11));
@@ -167,6 +181,12 @@ fn bench_select_step(c: &mut Criterion) {
         });
         g.bench_function(BenchmarkId::new("c_off", format!("n{n}")), |b| {
             b.iter(|| COff.select(&ps, 6, &ctx))
+        });
+        let pool = relevant_questions(&ps, &ctx);
+        let mut root = AnswerPartition::root(&ps);
+        let mut estimates = Vec::new();
+        g.bench_function(BenchmarkId::new("estimate_pool", format!("n{n}")), |b| {
+            b.iter(|| root.estimate_with_questions(&pool, &ctx, &mut estimates))
         });
     }
     g.finish();

@@ -48,7 +48,7 @@ use ctk_crowd::{Answer, Question};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{TopKBounds, UncertainTable};
 use ctk_rank::RankList;
-use ctk_tpo::build::{sample_adaptive, AdaptiveSample, Engine};
+use ctk_tpo::build::{sample_adaptive, sample_fixed, AdaptiveSample, Engine};
 use ctk_tpo::prune::prune;
 use ctk_tpo::update::bayes_update;
 use ctk_tpo::{
@@ -211,24 +211,26 @@ impl SessionDriver {
     ) -> Result<Self> {
         let measure = config.measure.build();
         let Initial {
-            mut mode,
+            belief,
             precision,
             done,
-            incr_paths,
         } = initial;
-        let report = match (&mut mode, incr_paths) {
-            (Mode::Tree { ps, .. }, _) => {
+        let report = match &belief {
+            // An `incr` baseline comes from its *full-depth* path set so
+            // reports are comparable with the full-tree algorithms.
+            InitialBelief::Tree { ps, .. } | InitialBelief::Incr { paths: ps, .. } => {
                 report_skeleton(&config, ps, measure.as_ref(), truth, &precision)
             }
-            // Baseline numbers come from the *full-depth* tree so reports
-            // are comparable with the full-tree algorithms.
-            (Mode::Incr { .. }, Some(initial_ps)) => {
-                report_skeleton(&config, &initial_ps, measure.as_ref(), truth, &precision)
-            }
-            (Mode::Incr { wm, .. }, None) => {
-                let initial_ps = wm.path_set_cached(config.k)?;
-                report_skeleton(&config, &initial_ps, measure.as_ref(), truth, &precision)
-            }
+        };
+        let mode = match belief {
+            InitialBelief::Tree { ps, sel } => Mode::Tree { ps, sel },
+            InitialBelief::Incr {
+                wm, n_per_round, ..
+            } => Mode::Incr {
+                wm,
+                depth: 1,
+                n_per_round,
+            },
         };
         Ok(Self {
             config,
@@ -608,14 +610,23 @@ fn admit(config: &SessionConfig, table: &UncertainTable, pairwise: &PairwiseMatr
 
 /// A session's initial belief state, before its report baseline is read.
 struct Initial {
-    mode: Mode,
+    belief: InitialBelief,
     precision: PrecisionReport,
     /// The session ends before its first question.
     done: bool,
-    /// An `incr` session's full-depth path set when its build already
-    /// grouped the worlds (the adaptive build's final prefix counts);
-    /// `None` leaves the grouping to the report baseline.
-    incr_paths: Option<PathSet>,
+}
+
+/// The belief a session starts from.
+enum InitialBelief {
+    /// The full-depth tree and the strategy's selector.
+    Tree { ps: PathSet, sel: TreeSel },
+    /// An `incr` session's worlds, and their depth-`k` path set from the
+    /// build's prefix counts (read for the report baseline, then dropped).
+    Incr {
+        wm: WorldModel,
+        paths: PathSet,
+        n_per_round: usize,
+    },
 }
 
 impl Initial {
@@ -633,13 +644,12 @@ impl Initial {
             _ => TreeSel::Offline { planned: false },
         };
         Self {
-            mode: Mode::Tree {
+            belief: InitialBelief::Tree {
                 ps: belief.paths,
                 sel,
             },
             precision: belief.precision,
             done: false,
-            incr_paths: None,
         }
     }
 
@@ -657,17 +667,15 @@ impl Initial {
         else {
             unreachable!("{} is not incr", config.algorithm.name())
         };
-        let sampled =
-            |wm: WorldModel, precision: PrecisionReport, incr_paths: Option<PathSet>| Self {
-                mode: Mode::Incr {
-                    wm,
-                    depth: 1,
-                    n_per_round: questions_per_round,
-                },
-                precision,
-                done: false,
-                incr_paths,
-            };
+        let sampled = |wm: WorldModel, paths: PathSet, precision: PrecisionReport| Self {
+            belief: InitialBelief::Incr {
+                wm,
+                paths,
+                n_per_round: questions_per_round,
+            },
+            precision,
+            done: false,
+        };
         let (m, seed) = match &config.engine {
             Engine::MonteCarlo(mc) => match mc.precision {
                 PrecisionTarget::FixedWorlds(m) => (m, mc.seed),
@@ -680,27 +688,23 @@ impl Initial {
                         // question is relevant, and the session is done
                         // before it starts.
                         AdaptiveSample::Pinned(prefix) => Self {
-                            mode: Mode::Tree {
+                            belief: InitialBelief::Tree {
                                 ps: PathSet::from_weighted(config.k, vec![(prefix, 1.0)])?,
                                 sel: TreeSel::Offline { planned: true },
                             },
                             precision,
                             done: true,
-                            incr_paths: None,
                         },
                         AdaptiveSample::Sampled { worlds, paths } => {
-                            sampled(worlds, precision, Some(paths))
+                            sampled(worlds, paths, precision)
                         }
                     });
                 }
             },
             Engine::Exact(_) => (2 * DEFAULT_WORLDS, config.seed),
         };
-        Ok(sampled(
-            WorldModel::sample(table, m, seed)?,
-            PrecisionReport::fixed(m),
-            None,
-        ))
+        let (wm, paths) = sample_fixed(table, config.k, m, seed)?;
+        Ok(sampled(wm, paths, PrecisionReport::fixed(m)))
     }
 }
 
@@ -797,6 +801,43 @@ mod tests {
         // Test crowds below are built from GroundTruth::sample(table, 99).
         let truth = GroundTruth::sample(&table(), 99);
         truth.top_k(3)
+    }
+
+    #[test]
+    fn incr_baseline_is_the_cached_grouping_of_its_worlds() {
+        // Fixed and exact engines both sample worlds for incr; the baseline
+        // path set comes from one counting pass and must equal grouping the
+        // same worlds at depth k.
+        let table = table();
+        let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&table), 3).unwrap();
+        for (engine, m, seed) in [
+            (Engine::MonteCarlo(McConfig::fixed(3000, 7)), 3000, 7),
+            (Engine::MonteCarlo(McConfig::fixed(1, 5)), 1, 5),
+            (Engine::Exact(Default::default()), 2 * DEFAULT_WORLDS, 11),
+        ] {
+            let mut cfg = config(
+                Algorithm::Incr {
+                    questions_per_round: 2,
+                },
+                4,
+            );
+            cfg.engine = engine;
+            let initial = Initial::incr(&cfg, &table, &bounds).unwrap();
+            let InitialBelief::Incr { wm, paths, .. } = initial.belief else {
+                panic!("a sampled incr belief");
+            };
+            let mut reference = WorldModel::sample(&table, m, seed).unwrap();
+            assert_eq!(wm.surviving_rankings(), reference.surviving_rankings());
+            let baseline = TreeBelief {
+                paths,
+                precision: initial.precision,
+            };
+            let grouped = TreeBelief {
+                paths: reference.path_set_cached(cfg.k).unwrap(),
+                precision: PrecisionReport::fixed(m),
+            };
+            assert!(baseline.same_bits(&grouped), "{:?}", cfg.engine);
+        }
     }
 
     #[test]

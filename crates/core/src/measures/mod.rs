@@ -60,7 +60,7 @@ pub trait UncertaintyMeasure: Send {
     ///
     /// Question scoring reads these weights to rank candidates with the
     /// chain rule of entropy instead of splitting every class
-    /// ([`AnswerPartition::estimate_with_question`](crate::residual::AnswerPartition::estimate_with_question)).
+    /// ([`AnswerPartition::estimate_with_questions`](crate::residual::AnswerPartition::estimate_with_questions)).
     fn level_entropy_weights(&self, _depth: usize) -> Option<Vec<f64>> {
         None
     }

@@ -12,6 +12,9 @@ use ctk_prob::{ScoreDist, UncertainTable};
 use ctk_tpo::build::{build_mc, McConfig};
 use ctk_tpo::PathSet;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 // The module is declared `#[cfg(test)]` in lib.rs; the helpers repeat the
 // attribute because ctk-analyze reads one file at a time.
@@ -81,7 +84,9 @@ fn degenerate() -> impl Strategy<Value = (PairwiseMatrix, PathSet)> {
 /// Tables whose priors include exact 0s and 1s: one tuple always on top,
 /// two tuples with disjoint supports in the middle, and overlapping
 /// tuples around them, so some orderings leave the disjoint pair out
-/// entirely and undetermined members carry weight 0 or 1.
+/// entirely and undetermined members carry weight 0 or 1. Two more
+/// tuples score far below the rest, so no ordering holds them and a
+/// question comparing them leaves every class whole.
 #[cfg(test)]
 fn disjoint_priors() -> impl Strategy<Value = (PairwiseMatrix, PathSet)> {
     (2usize..4, 2usize..4, any::<u64>()).prop_map(|(k, extra, seed)| {
@@ -89,6 +94,8 @@ fn disjoint_priors() -> impl Strategy<Value = (PairwiseMatrix, PathSet)> {
             ScoreDist::uniform(10.0, 11.0).unwrap(),
             ScoreDist::uniform(0.0, 1.0).unwrap(),
             ScoreDist::uniform(1.2, 2.2).unwrap(),
+            ScoreDist::uniform(-20.0, -10.0).unwrap(),
+            ScoreDist::uniform(-15.0, -5.0).unwrap(),
         ];
         dists.extend((0..extra).map(|t| ScoreDist::uniform(0.1 * t as f64, 3.0).unwrap()));
         let table = UncertainTable::new(dists).unwrap();
@@ -109,6 +116,18 @@ fn entropy_measures(explicit: &[f64]) -> Vec<Box<dyn UncertaintyMeasure>> {
         Box::new(WeightedEntropy::with_weights(explicit.to_vec())),
         Box::new(WeightedEntropy::with_weights(vec![0.0; explicit.len()])),
     ]
+}
+
+/// Every pair of the table's tuples — tree pairs, and pairs with a tuple
+/// no ordering holds — in an order shuffled by `seed`.
+#[cfg(test)]
+fn shuffled_pool(pw: &PairwiseMatrix, seed: u64) -> Vec<Question> {
+    let n = pw.len() as u32;
+    let mut pool: Vec<Question> = (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| Question::new(i, j)))
+        .collect();
+    pool.shuffle(&mut StdRng::seed_from_u64(seed));
+    pool
 }
 
 /// `TB-off`, `C-off` and `T1-on` re-implemented over the materializing
@@ -266,28 +285,116 @@ proptest! {
         ],
         explicit in proptest::collection::vec(0.0..2.0f64, 1..5),
         picks in proptest::collection::vec(any::<u64>(), 0..4),
+        shuffle in any::<u64>(),
     ) {
-        // Over every tree pair (informative, certain or undetermined), after
-        // 0–3 refines that leave single-path and split classes behind.
-        let pool = all_tree_pairs(&ps);
+        // One batch over every pair of the table's tuples (informative,
+        // certain, undetermined, or about tuples no ordering holds, which
+        // leave classes whole), in shuffled order, after 0–3 refines that
+        // leave single-path and split classes behind.
+        let pool = shuffled_pool(&pw, shuffle);
+        let tree = all_tree_pairs(&ps);
+        let mut estimates = Vec::new();
         for m in entropy_measures(&explicit) {
             let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
             let mut part = AnswerPartition::root(&ps);
             for step in 0..=picks.len() {
-                for q in &pool {
-                    let estimate = part.estimate_with_question(q, &ctx);
-                    prop_assert!(estimate.is_some(), "{} has level weights", m.name());
-                    let (estimate, exact) =
-                        (estimate.unwrap_or(f64::NAN), part.expected_with_question(q, &ctx));
+                prop_assert!(part.estimate_with_questions(&pool, &ctx, &mut estimates),
+                    "{} has level weights", m.name());
+                prop_assert_eq!(estimates.len(), pool.len());
+                for (q, &estimate) in pool.iter().zip(&estimates) {
+                    let exact = part.expected_with_question(q, &ctx);
                     prop_assert!((estimate - exact).abs() <= 1e-10,
                         "{}: estimate {} vs exact {} for {} at step {}",
                         m.name(), estimate, exact, q, step);
                 }
                 if let Some(&pick) = picks.get(step) {
-                    if !pool.is_empty() {
-                        part.refine(&pool[pick as usize % pool.len()], &ctx);
+                    if !tree.is_empty() {
+                        part.refine(&tree[pick as usize % tree.len()], &ctx);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_estimates_do_not_depend_on_the_batch(
+        (pw, ps) in prop_oneof![
+            degenerate(),
+            disjoint_priors(),
+            fixture(6).prop_map(|(_, pw, ps)| (pw, ps)),
+        ],
+        picks in proptest::collection::vec(any::<u64>(), 0..3),
+        shuffle in any::<u64>(),
+        cut in any::<u64>(),
+    ) {
+        // A question's estimate is bit for bit the same alone, inside the
+        // whole pool, inside the pool reversed, and inside a sub-pool.
+        let pool = shuffled_pool(&pw, shuffle);
+        let tree = all_tree_pairs(&ps);
+        let reversed: Vec<Question> = pool.iter().rev().copied().collect();
+        let sub = &pool[cut as usize % (pool.len() + 1)..];
+        let (mut whole, mut other, mut alone) = (Vec::new(), Vec::new(), Vec::new());
+        for m in entropy_measures(&[1.0, 0.5, 2.0]) {
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            let mut part = AnswerPartition::root(&ps);
+            for &pick in &picks {
+                if !tree.is_empty() {
+                    part.refine(&tree[pick as usize % tree.len()], &ctx);
+                }
+            }
+            prop_assert!(part.estimate_with_questions(&pool, &ctx, &mut whole));
+            prop_assert!(part.estimate_with_questions(&reversed, &ctx, &mut other));
+            for (a, b) in whole.iter().zip(other.iter().rev()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: reversed pool", m.name());
+            }
+            prop_assert!(part.estimate_with_questions(sub, &ctx, &mut other));
+            for (a, b) in whole[pool.len() - sub.len()..].iter().zip(&other) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: sub-pool", m.name());
+            }
+            for (q, e) in pool.iter().zip(&whole) {
+                prop_assert!(part.estimate_with_questions(&[*q], &ctx, &mut alone));
+                prop_assert_eq!(alone[0].to_bits(), e.to_bits(), "{}: {} alone", m.name(), q);
+            }
+        }
+    }
+
+    #[test]
+    fn estimate_fallback_covers_the_whole_batch(
+        (pw, ps) in prop_oneof![
+            degenerate(),
+            disjoint_priors(),
+            fixture(6).prop_map(|(_, pw, ps)| (pw, ps)),
+        ],
+        shuffle in any::<u64>(),
+    ) {
+        // No level weights (U_ORA, U_MPO), or orderings that repeat or
+        // differ in length: no estimate for any question of the batch, and
+        // the output is left empty.
+        let pool = shuffled_pool(&pw, shuffle);
+        let mut out = vec![f64::NAN; 3];
+        for kind in [MeasureKind::Ora, MeasureKind::Mpo] {
+            let m = kind.build();
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            prop_assert!(!AnswerPartition::root(&ps).estimate_with_questions(&pool, &ctx, &mut out));
+            prop_assert!(out.is_empty(), "{}", kind.name());
+        }
+        let paths = || ps.paths().iter().map(|p| (p.items.clone(), p.prob));
+        let mut odd_sets = vec![(
+            "repeated",
+            PathSet::from_weighted(ps.k(), paths().chain(paths().take(1)).collect()).unwrap(),
+        )];
+        if ps.k() > 1 && ps.len() > 1 {
+            let mut ragged: Vec<(Vec<u32>, f64)> = paths().collect();
+            ragged[0].0.pop();
+            odd_sets.push(("ragged", PathSet::from_weighted(ps.k(), ragged).unwrap()));
+        }
+        for (name, odd) in odd_sets {
+            for m in entropy_measures(&[1.0, 0.5]) {
+                let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+                out.push(f64::NAN);
+                prop_assert!(!AnswerPartition::root(&odd).estimate_with_questions(&pool, &ctx, &mut out),
+                    "{}: {} orderings", m.name(), name);
+                prop_assert!(out.is_empty());
             }
         }
     }

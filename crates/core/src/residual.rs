@@ -47,10 +47,16 @@
 //! For the entropy measures, which are weighted sums of level entropies
 //! ([`UncertaintyMeasure::level_entropy_weights`]), the one-step lookahead
 //! is a conditional entropy: `H(X_ℓ | A) = H(X_ℓ) − h(p) + Σ_g P(g) ·
-//! h(P(yes | g))`. [`AnswerPartition::estimate_with_question`] evaluates it
-//! in one pass per class: each member's answer kind, and per-level prefix
-//! group sums of mass and yes-mass; no class is split or sorted, and only
-//! groups that mix answers take a logarithm. It agrees with
+//! h(P(yes | g))`. [`AnswerPartition::estimate_with_questions`] evaluates
+//! it for a whole batch of candidates in one pass per class. The pass
+//! visits the class's members once, in items order, where every level's
+//! prefix groups are contiguous runs. It derives each candidate's answer
+//! kind per member, and keeps per level one open run (group mass, and per
+//! candidate a yes-mass and a union of answer kinds) that is flushed when
+//! the level's group id changes. No class is split or sorted, no
+//! groups × candidates block is built, and only groups that mix answers
+//! take a logarithm. Each estimate depends only on its own question, so it
+//! is the same alone or in any batch. It agrees with
 //! [`AnswerPartition::expected_with_question`] to about 1e-13, not bit for
 //! bit, so the selectors use it only to rank candidates: they score
 //! exactly just the candidates whose estimate can decide the pick, and
@@ -114,6 +120,8 @@ struct PrefixIndex {
     items: Vec<u32>,
     starts: Vec<usize>,
     groups: PrefixGroups,
+    /// One past the largest tuple id on any path.
+    tuples: usize,
     /// Every path has the same length and no ordering repeats — what the
     /// chain-rule estimate needs (every class has the root's depth, and
     /// the leaf level is the ordering distribution).
@@ -133,11 +141,13 @@ impl PrefixIndex {
         let depth = groups.depth();
         let uniform = ps.paths().iter().all(|p| p.items.len() == depth)
             && (depth == 0 || groups.count(depth - 1) == ps.len());
+        let tuples = items.iter().max().map_or(0, |&t| t as usize + 1);
         Self {
             k: ps.k(),
             items,
             starts,
             groups,
+            tuples,
             uniform,
         }
     }
@@ -491,10 +501,13 @@ impl AnswerPartition {
         })
     }
 
-    /// [`AnswerPartition::expected_with_question`] by the chain rule of
-    /// entropy, for measures that are weighted sums of level entropies
+    /// [`AnswerPartition::expected_with_question`] for every candidate in
+    /// `qs` at once, by the chain rule of entropy, for measures that are
+    /// weighted sums of level entropies
     /// ([`UncertaintyMeasure::level_entropy_weights`]): no class is split
-    /// or sorted.
+    /// or sorted, and each class's members are read once for the whole
+    /// batch. On success `out` holds one estimate per question, in `qs`
+    /// order, and the call returns `true`.
     ///
     /// Answering `q` turns a class's level-`ℓ` prefix distribution `X_ℓ`
     /// into `X_ℓ | A`, and `H(X_ℓ | A) = H(X_ℓ) − h(p) + Σ_g P(g) ·
@@ -507,12 +520,20 @@ impl AnswerPartition {
     /// level whose groups are single paths adds
     /// `w_ℓ · (undetermined mass) · h(prior)`.
     ///
-    /// The result equals the exact lookahead up to rounding and the
+    /// Each estimate depends only on its own question: it is bit for bit
+    /// the same whether `q` is scored alone or inside any batch, in any
+    /// order. It equals the exact lookahead up to rounding and the
     /// children below `MASS_EPS` that the exact lookahead drops (both far
-    /// below the selectors' `EST_MARGIN`). `None` when the measure has no
-    /// level weights, or when the root's orderings differ in length or
-    /// repeat one another.
-    pub fn estimate_with_question(&mut self, q: &Question, ctx: &ResidualCtx<'_>) -> Option<f64> {
+    /// below the selectors' `EST_MARGIN`). Returns `false`, with `out`
+    /// empty, when the measure has no level weights, or when the root's
+    /// orderings differ in length or repeat one another.
+    pub fn estimate_with_questions(
+        &mut self,
+        qs: &[Question],
+        ctx: &ResidualCtx<'_>,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        out.clear();
         let Self {
             index,
             classes,
@@ -520,26 +541,38 @@ impl AnswerPartition {
             estimate,
         } = self;
         if !index.uniform {
-            return None;
+            return false;
         }
-        let weights = ctx.measure.level_entropy_weights(index.groups.depth())?;
+        let Some(weights) = ctx.measure.level_entropy_weights(index.groups.depth()) else {
+            return false;
+        };
         let weight_sum: f64 = weights.iter().sum();
-        let single = estimate.plan_levels(index, &weights);
-        let prior = ctx.prior(q.i, q.j);
-        let h_prior = binary_entropy(prior);
-        let mut acc = 0.0;
+        let single = estimate.plan(index, &weights, qs, ctx);
+        out.resize(qs.len(), 0.0);
         for class in classes.iter() {
             let u = class.uncertainty(ctx.measure, index, buffers);
-            let Some(scan) = estimate.scan(index, class, q, prior) else {
-                // `q` leaves the class whole.
-                acc += class.mass * u;
-                continue;
-            };
-            acc += class.mass * (u - binary_entropy(scan.yes / class.mass) * weight_sum)
-                + single * scan.open * h_prior
-                + scan.groups;
+            estimate.scan(index, class, qs);
+            let EstimateBuffers {
+                h_priors,
+                class_yes,
+                class_open,
+                class_kinds,
+                terms,
+                ..
+            } = &*estimate;
+            for (c, acc) in out.iter_mut().enumerate() {
+                if class_kinds[c] & (YES | NO) == 0 {
+                    // `qs[c]` leaves the class whole.
+                    *acc += class.mass * u;
+                    continue;
+                }
+                let h_prior = h_priors[c];
+                *acc += class.mass * (u - binary_entropy(class_yes[c] / class.mass) * weight_sum)
+                    + single * class_open[c] * h_prior
+                    + (terms[c].mixed + terms[c].open_groups * h_prior);
+            }
         }
-        Some(acc)
+        true
     }
 
     /// [`AnswerPartition::expected_with_question`] through the
@@ -585,27 +618,70 @@ fn binary_entropy(x: f64) -> f64 {
     -(x * x.ln() + (1.0 - x) * (1.0 - x).ln())
 }
 
-/// Buffers of [`AnswerPartition::estimate_with_question`], apart from the
-/// class evaluation's. Every entry of `groups` is zero between classes.
+/// Scratch of [`AnswerPartition::estimate_with_questions`], apart from the
+/// class evaluation's; reused across calls.
+///
+/// A class is visited in items order (its members' ranks in
+/// `PrefixGroups`), where each level's prefix groups are contiguous runs.
+/// The members themselves keep root order, which fixes the bits of class
+/// masses and of the exact lookahead; the visit goes through a
+/// permutation instead. Each planned level keeps one open run: its group
+/// mass, and per candidate a yes-mass and a union of answer kinds. A
+/// level's run is flushed into the candidates' group terms when its group
+/// id changes, so a run never spans more than one group.
 #[derive(Debug, Default)]
 struct EstimateBuffers {
-    /// `(offset, level, weight)` of each weighted level that needs group
-    /// sums; level `l`'s groups sit at `offset + id` in `groups`.
-    levels: Vec<(usize, usize, f64)>,
-    /// Weighted per-group sums of every level in `levels`.
-    groups: Vec<GroupSums>,
-    /// Group slots touched by the current class, each once (written
-    /// unconditionally, kept by bumping the length: no branch).
-    touched: Vec<u32>,
+    /// Each weighted level that needs group sums, with its open run.
+    levels: Vec<LevelRun>,
+    /// Per candidate: its prior and `h(prior)`.
+    priors: Vec<f64>,
+    h_priors: Vec<f64>,
+    /// Per candidate, over the current class: yes-mass (determined yes,
+    /// plus the prior's share of open paths), undetermined mass, and the
+    /// union of the members' answer kinds.
+    class_yes: Vec<f64>,
+    class_open: Vec<f64>,
+    class_kinds: Vec<u8>,
+    /// Per candidate: the current class's flushed group terms.
+    terms: Vec<GroupTerms>,
+    /// Per level and candidate (`level · candidates + candidate`): the open
+    /// run's weighted yes-mass and union of answer kinds; all zero outside
+    /// a run.
+    run_yes: Vec<f64>,
+    run_kinds: Vec<u8>,
+    /// Per candidate: the current member's answer kind and yes-mass.
+    kinds: Vec<u8>,
+    ys: Vec<f64>,
+    /// `pos[t]`: rank of tuple `t` on the current member's ordering,
+    /// `ABSENT` off it (and between members).
+    pos: Vec<u32>,
+    /// Member index by items rank, and a bitset of the ranks present: a
+    /// counting sort of the class into items order. Only `present` is
+    /// clear between classes.
+    by_rank: Vec<u32>,
+    present: Vec<u64>,
 }
 
-/// One prefix group's sums within one class, scaled by its level weight.
-#[derive(Debug, Default, Clone, Copy)]
-struct GroupSums {
+/// A weighted level whose groups are not single root paths.
+#[derive(Debug, Clone, Copy)]
+struct LevelRun {
+    level: usize,
+    weight: f64,
+    /// Group id of the open run, `NO_RUN` before a class's first member.
+    group: usize,
+    /// Weighted mass of the open run.
     mass: f64,
-    yes: f64,
-    /// Union of the members' answer kinds; 0 while untouched.
-    kinds: u8,
+}
+
+const NO_RUN: usize = usize::MAX;
+
+/// One candidate's group terms over a class.
+#[derive(Debug, Default, Clone, Copy)]
+struct GroupTerms {
+    /// `Σ m_g · h(y_g / m_g)` over the flushed groups that mix answers.
+    mixed: f64,
+    /// Mass of the flushed groups whose paths are all open.
+    open_groups: f64,
 }
 
 /// Answer kinds of a path: `q` determines yes, determines no, or leaves
@@ -614,108 +690,191 @@ const YES: u8 = 1;
 const NO: u8 = 2;
 const OPEN: u8 = 4;
 
-/// One class's sums for a question.
-struct ClassScan {
-    /// Yes-mass (determined yes, plus the prior's share of open paths).
-    yes: f64,
-    /// Undetermined mass.
-    open: f64,
-    /// `Σ_ℓ w_ℓ Σ_g m_g · h(y_g / m_g)` over the levels in `levels`.
-    groups: f64,
-}
+/// A tuple off the ordering: it ranks below every present one.
+const ABSENT: u32 = u32::MAX;
 
 impl EstimateBuffers {
-    /// Splits the weighted levels into those whose groups are single root
-    /// paths (returns their total weight: such a level adds
-    /// `w · (open mass) · h(prior)`) and those that need group sums
-    /// (stored in `levels`).
-    fn plan_levels(&mut self, index: &PrefixIndex, weights: &[f64]) -> f64 {
+    /// Sets up a batch: splits the weighted levels into those whose groups
+    /// are single root paths (returns their total weight: such a level
+    /// adds `w · (open mass) · h(prior)`) and those that need group sums
+    /// (stored in `levels`), and sizes every buffer.
+    fn plan(
+        &mut self,
+        index: &PrefixIndex,
+        weights: &[f64],
+        qs: &[Question],
+        ctx: &ResidualCtx<'_>,
+    ) -> f64 {
         self.levels.clear();
-        let (mut offset, mut single) = (0, 0.0);
+        let mut single = 0.0;
         for (l, &w) in weights.iter().enumerate() {
             if w <= 0.0 {
                 continue;
             }
-            let count = index.groups.count(l);
-            if count == index.len() {
+            if index.groups.count(l) == index.len() {
                 single += w;
             } else {
-                self.levels.push((offset, l, w));
-                offset += count;
+                self.levels.push(LevelRun {
+                    level: l,
+                    weight: w,
+                    group: NO_RUN,
+                    mass: 0.0,
+                });
             }
         }
-        if self.groups.len() < offset {
-            self.groups.resize(offset, GroupSums::default());
+        self.priors.clear();
+        self.priors.extend(qs.iter().map(|q| ctx.prior(q.i, q.j)));
+        self.h_priors.clear();
+        self.h_priors
+            .extend(self.priors.iter().map(|&prior| binary_entropy(prior)));
+        let c = qs.len();
+        self.class_yes.resize(c, 0.0);
+        self.class_open.resize(c, 0.0);
+        self.class_kinds.resize(c, 0);
+        self.terms.resize(c, GroupTerms::default());
+        self.run_yes.clear();
+        self.run_yes.resize(self.levels.len() * c, 0.0);
+        self.run_kinds.clear();
+        self.run_kinds.resize(self.levels.len() * c, 0);
+        self.kinds.resize(c, 0);
+        self.ys.resize(c, 0.0);
+        let tuples = qs
+            .iter()
+            .map(|q| q.i.max(q.j) as usize + 1)
+            .fold(index.tuples, usize::max);
+        if self.pos.len() < tuples {
+            self.pos.resize(tuples, ABSENT);
+        }
+        let n = index.len();
+        if self.by_rank.len() < n {
+            self.by_rank.resize(n, 0);
+            self.present.resize(n.div_ceil(64), 0);
         }
         single
     }
 
-    /// One pass over `class`: each member's answer kind, and its weighted
-    /// mass and yes-mass added to its prefix group at every planned level.
-    /// `None` when `q` determines none of the class's paths. Only groups
-    /// that mix a determined path with a path answered otherwise need a
-    /// logarithm: a group of open paths adds `m_g · h(prior)`, and a group
-    /// of paths answered alike adds 0.
-    fn scan(
-        &mut self,
-        index: &PrefixIndex,
-        class: &Class,
-        q: &Question,
-        prior: f64,
-    ) -> Option<ClassScan> {
+    /// One pass over `class` in items order: each member's answer kind for
+    /// every candidate, its mass and yes-mass added to the candidates'
+    /// class sums and to every planned level's open run, and a run flushed
+    /// whenever its level's group id changes. Only groups that mix a
+    /// determined path with a path answered otherwise need a logarithm: a
+    /// group of open paths adds `m_g · h(prior)`, and a group of paths
+    /// answered alike adds 0.
+    fn scan(&mut self, index: &PrefixIndex, class: &Class, qs: &[Question]) {
         let Self {
             levels,
-            groups,
-            touched,
+            priors,
+            class_yes,
+            class_open,
+            class_kinds,
+            terms,
+            run_yes,
+            run_kinds,
+            kinds,
+            ys,
+            pos,
+            by_rank,
+            present,
+            ..
         } = self;
-        let slots = class.members.len() * levels.len() + 1;
-        if touched.len() < slots {
-            touched.resize(slots, 0);
+        class_yes.fill(0.0);
+        class_open.fill(0.0);
+        class_kinds.fill(0);
+        terms.fill(GroupTerms::default());
+        for (k, m) in class.members.iter().enumerate() {
+            let r = index.groups.rank(m.path as usize) as usize;
+            by_rank[r] = k as u32;
+            present[r / 64] |= 1 << (r % 64);
         }
-        // `P(yes | kind)`, indexed by kind.
-        let answer = [0.0, 1.0, 0.0, 0.0, prior];
-        let (mut yes, mut open, mut seen, mut n) = (0.0, 0.0, 0, 0);
-        for m in &class.members {
-            // Membership semantics of `implication`: an absent tuple ranks
-            // below every present one; both absent leaves `q` open.
-            let (mut pi, mut pj) = (usize::MAX, usize::MAX);
-            for (r, &t) in index.items(m.path).iter().enumerate() {
-                pi = if t == q.i { r } else { pi };
-                pj = if t == q.j { r } else { pj };
-            }
-            let kind = match pi.cmp(&pj) {
-                std::cmp::Ordering::Less => YES,
-                std::cmp::Ordering::Greater => NO,
-                std::cmp::Ordering::Equal => OPEN,
-            };
-            seen |= kind;
-            let y = m.prob * answer[kind as usize];
-            yes += y;
-            open += if kind == OPEN { m.prob } else { 0.0 };
-            for &(offset, l, w) in levels.iter() {
-                let g = offset + index.groups.id(m.path as usize, l);
-                let sums = &mut groups[g];
-                touched[n] = g as u32;
-                n += usize::from(sums.kinds == 0);
-                sums.kinds |= kind;
-                sums.mass += w * m.prob;
-                sums.yes += w * y;
+        // One chunk of `run_yes`/`run_kinds` per level.
+        let chunk = qs.len().max(1);
+        for (w, word) in present.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let m = class.members[by_rank[w * 64 + bits.trailing_zeros() as usize] as usize];
+                bits &= bits - 1;
+                let items = index.items(m.path);
+                for (r, &t) in items.iter().enumerate() {
+                    pos[t as usize] = r as u32;
+                }
+                // Membership semantics of `implication`: an absent tuple
+                // ranks below every present one; both absent leaves `q`
+                // open.
+                for (kind, q) in kinds.iter_mut().zip(qs) {
+                    *kind = match pos[q.i as usize].cmp(&pos[q.j as usize]) {
+                        std::cmp::Ordering::Less => YES,
+                        std::cmp::Ordering::Greater => NO,
+                        std::cmp::Ordering::Equal => OPEN,
+                    };
+                }
+                for &t in items {
+                    pos[t as usize] = ABSENT;
+                }
+                for (((y, &kind), &prior), (yes, open)) in ys
+                    .iter_mut()
+                    .zip(kinds.iter())
+                    .zip(priors.iter())
+                    .zip(class_yes.iter_mut().zip(class_open.iter_mut()))
+                {
+                    // `m.prob · P(yes | kind)`.
+                    *y = m.prob
+                        * match kind {
+                            YES => 1.0,
+                            OPEN => prior,
+                            _ => 0.0,
+                        };
+                    *yes += *y;
+                    *open += if kind == OPEN { m.prob } else { 0.0 };
+                }
+                for (seen, &kind) in class_kinds.iter_mut().zip(kinds.iter()) {
+                    *seen |= kind;
+                }
+                for ((lv, run_yes), run_kinds) in levels
+                    .iter_mut()
+                    .zip(run_yes.chunks_exact_mut(chunk))
+                    .zip(run_kinds.chunks_exact_mut(chunk))
+                {
+                    let g = index.groups.id(m.path as usize, lv.level);
+                    if g != lv.group {
+                        if lv.group != NO_RUN {
+                            flush(lv, run_yes, run_kinds, terms);
+                        }
+                        lv.group = g;
+                    }
+                    lv.mass += lv.weight * m.prob;
+                    for (s, &y) in run_yes.iter_mut().zip(ys.iter()) {
+                        *s += lv.weight * y;
+                    }
+                    for (s, &kind) in run_kinds.iter_mut().zip(kinds.iter()) {
+                        *s |= kind;
+                    }
+                }
             }
         }
-        let (mut mixed, mut open_groups) = (0.0, 0.0);
-        for &g in &touched[..n] {
-            let sums = std::mem::take(&mut groups[g as usize]);
-            match sums.kinds {
-                YES | NO => {}
-                OPEN => open_groups += sums.mass,
-                _ => mixed += sums.mass * binary_entropy(sums.yes / sums.mass),
+        for ((lv, run_yes), run_kinds) in levels
+            .iter_mut()
+            .zip(run_yes.chunks_exact_mut(chunk))
+            .zip(run_kinds.chunks_exact_mut(chunk))
+        {
+            if lv.group != NO_RUN {
+                flush(lv, run_yes, run_kinds, terms);
+                lv.group = NO_RUN;
             }
         }
-        (seen & (YES | NO) != 0).then_some(ClassScan {
-            yes,
-            open,
-            groups: mixed + open_groups * binary_entropy(prior),
-        })
+    }
+}
+
+/// Closes a level's open run: each candidate's group term goes into its
+/// class terms, and the run's sums return to zero.
+fn flush(lv: &mut LevelRun, run_yes: &mut [f64], run_kinds: &mut [u8], terms: &mut [GroupTerms]) {
+    let mass = std::mem::take(&mut lv.mass);
+    for ((yes, kinds), terms) in run_yes.iter_mut().zip(run_kinds.iter_mut()).zip(terms) {
+        let yes = std::mem::take(yes);
+        match std::mem::take(kinds) {
+            YES | NO => {}
+            OPEN => terms.open_groups += mass,
+            _ => terms.mixed += mass * binary_entropy(yes / mass),
+        }
     }
 }
 
@@ -1040,6 +1199,7 @@ mod tests {
         let pw = PairwiseMatrix::compute(&table3());
         // Splits the sample: [0,1] and [1,0] answer yes, [0,2] no.
         let q = Question::new(1, 2);
+        let mut out = vec![f64::NAN];
         for kind in MeasureKind::all() {
             let m = kind.build();
             let ctx = ResidualCtx {
@@ -1047,13 +1207,13 @@ mod tests {
                 pairwise: &pw,
             };
             let mut part = AnswerPartition::root(&sample());
-            let estimate = part.estimate_with_question(&q, &ctx);
+            let estimated = part.estimate_with_questions(&[q], &ctx, &mut out);
             match m.level_entropy_weights(2) {
-                None => assert!(estimate.is_none(), "{}", kind.name()),
+                None => assert!(!estimated && out.is_empty(), "{}", kind.name()),
                 Some(_) => {
                     let exact = part.expected_with_question(&q, &ctx);
-                    let estimate = estimate.expect("entropy measures estimate");
-                    assert!((estimate - exact).abs() < 1e-12, "{estimate} vs {exact}");
+                    assert!(estimated, "entropy measures estimate");
+                    assert!((out[0] - exact).abs() < 1e-12, "{} vs {exact}", out[0]);
                 }
             }
         }
@@ -1068,9 +1228,9 @@ mod tests {
             vec![(vec![0, 1], 0.5), (vec![0, 1], 0.2), (vec![1, 0], 0.3)],
         ] {
             let ps = PathSet::from_weighted(2, weighted).unwrap();
-            assert!(AnswerPartition::root(&ps)
-                .estimate_with_question(&q, &ctx)
-                .is_none());
+            out.push(f64::NAN);
+            assert!(!AnswerPartition::root(&ps).estimate_with_questions(&[q], &ctx, &mut out));
+            assert!(out.is_empty());
         }
     }
 

@@ -59,10 +59,11 @@ pub(crate) enum Scoring {
 /// candidate order, and returns its choice.
 ///
 /// With [`Scoring::Decisive`] and a measure that has chain-rule estimates
-/// ([`AnswerPartition::estimate_with_question`]), only the candidates that
-/// can decide the pick are scored exactly: candidates are visited in
-/// ascending estimate order, and the scan stops once the next estimate
-/// minus [`EST_MARGIN`] exceeds the bar that `decides` sets. Every skipped
+/// (every candidate in one [`AnswerPartition::estimate_with_questions`]
+/// batch), only the candidates that can decide the pick are scored
+/// exactly: candidates are visited in ascending estimate order, and the
+/// scan stops once the next estimate minus [`EST_MARGIN`] exceeds the bar
+/// that `decides` sets. Every skipped
 /// candidate's exact score then exceeds every scored one's by more than
 /// the tie window, so `pick` over the scored subset returns what it
 /// returns over every candidate. Without estimates, every candidate is
@@ -75,21 +76,19 @@ pub(crate) fn pick_scored<R: PartialEq + std::fmt::Debug>(
     scoring: Scoring,
     pick: impl Fn(Vec<(f64, Question)>) -> R,
 ) -> R {
-    let estimates: Option<Vec<f64>> = match scoring {
+    let mut estimates = Vec::new();
+    let estimated = match scoring {
         // Nothing to skip when the pick needs every score.
         Scoring::Decisive if matches!(decides, Decides::Smallest(b) if b >= candidates.len()) => {
-            None
+            false
         }
-        Scoring::Decisive => candidates
-            .iter()
-            .map(|q| partition.estimate_with_question(q, ctx))
-            .collect(),
+        Scoring::Decisive => partition.estimate_with_questions(candidates, ctx, &mut estimates),
         #[cfg(test)]
-        Scoring::Eager => None,
+        Scoring::Eager => false,
     };
-    let Some(estimates) = estimates else {
+    if !estimated {
         return pick(exact_scores(partition, candidates, ctx));
-    };
+    }
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_unstable_by(|&a, &b| estimates[a].total_cmp(&estimates[b]).then(a.cmp(&b)));
     let mut exact: Vec<Option<f64>> = vec![None; candidates.len()];

@@ -252,6 +252,60 @@ pub fn sample_adaptive(
     Ok((sample, report))
 }
 
+/// A fixed-budget `incr` belief: `m` worlds sampled exactly as
+/// [`WorldModel::sample`] samples them, and their depth-`k` path set from
+/// one counting pass over the worlds' ranking prefixes. Every world
+/// weighs 1, so the counts are the weight sums, and the path set equals
+/// [`WorldModel::path_set_cached`] at depth `k` bit for bit (pinned by
+/// tests) without its level-by-level regroup.
+pub fn sample_fixed(
+    table: &UncertainTable,
+    k: usize,
+    m: usize,
+    seed: u64,
+) -> Result<(WorldModel, PathSet)> {
+    let worlds = WorldModel::sample(table, m, seed)?;
+    let n = table.len();
+    if k == 0 || k > n {
+        return Err(TpoError::InvalidK { k, n });
+    }
+    let paths = PathSet::from_weighted(k, sorted_prefix_counts(&worlds, k))?;
+    Ok((worlds, paths))
+}
+
+/// Every distinct depth-`k` ranking prefix of `worlds` with its world
+/// count, in items order: one sort of the worlds by a key that packs the
+/// prefix's leading tuple ids at a fixed bit width, first item highest,
+/// so integer order is items order. The remaining items are compared only
+/// when the key cannot hold the whole prefix. Handing
+/// `PathSet::from_weighted` its input in items order also makes its
+/// canonical sort a pass over sorted data.
+fn sorted_prefix_counts(worlds: &WorldModel, k: usize) -> Vec<(Vec<u32>, f64)> {
+    let bits = (usize::BITS - worlds.n().saturating_sub(1).leading_zeros()).max(1) as usize;
+    let packed = k.min(64 / bits);
+    let prefix = |w: u32| &worlds.ranking(w as usize)[..k];
+    let tail = |a: u32, b: u32| {
+        if packed == k {
+            std::cmp::Ordering::Equal
+        } else {
+            prefix(a)[packed..].cmp(&prefix(b)[packed..])
+        }
+    };
+    let mut keyed: Vec<(u64, u32)> = (0..worlds.num_worlds() as u32)
+        .map(|w| {
+            let key = prefix(w)[..packed]
+                .iter()
+                .fold(0u64, |key, &t| key << bits | u64::from(t));
+            (key, w)
+        })
+        .collect();
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| tail(a.1, b.1)));
+    keyed
+        .chunk_by(|a, b| a.0 == b.0 && tail(a.1, b.1).is_eq())
+        .map(|run| (prefix(run[0].1).to_vec(), run.len() as f64))
+        .collect()
+}
+
 /// Depth-`k` prefix counts of the worlds drawn so far.
 // ctk-allow(det-hash-collection): exact integer counts; the stopping bound folds an order-invariant max over them and builds drain them through PathSet::from_weighted's canonical sort
 type PrefixCounts = HashMap<Vec<u32>, u64>;
@@ -973,6 +1027,54 @@ mod tests {
         assert_eq!(counts.values().sum::<u64>(), report.worlds_drawn as u64);
         let reference = build_mc_reference(&t, 2, report.worlds_drawn, 5).unwrap();
         assert_eq!(counts.len(), reference.len());
+    }
+
+    #[test]
+    fn fixed_sample_counts_equal_the_cached_grouping() {
+        let t = UncertainTable::new(
+            (0..6)
+                .map(|i| ScoreDist::uniform_centered(0.1 * i as f64, 0.6).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        // At n = 40 a 64-bit key holds 10 tuple ids of 6 bits: k = 10 fits
+        // exactly, and k = 12 compares the last two items by slice. The
+        // ten best tuples are certain, so every world shares its key and
+        // only the slice comparison tells the prefixes apart.
+        let wide = UncertainTable::new(
+            (0..40)
+                .map(|i| match i {
+                    0..=9 => ScoreDist::uniform(100.0 - 5.0 * i as f64, 101.0 - 5.0 * i as f64),
+                    _ => ScoreDist::uniform_centered(0.01 * i as f64, 0.5),
+                })
+                .collect::<std::result::Result<Vec<_>, _>>()
+                .unwrap(),
+        )
+        .unwrap();
+        for (t, k, m, seed) in [
+            (&t, 1, 1, 3),
+            (&t, 2, 700, 4),
+            (&t, 4, 1500, 5),
+            (&t, 6, 300, 6),
+            (&wide, 10, 400, 7),
+            (&wide, 12, 400, 8),
+        ] {
+            let (wm, paths) = sample_fixed(t, k, m, seed).unwrap();
+            let mut reference = WorldModel::sample(t, m, seed).unwrap();
+            assert_eq!(wm.surviving_rankings(), reference.surviving_rankings());
+            let grouped = reference.path_set_cached(k).unwrap();
+            assert_eq!(paths, grouped);
+            assert!(paths
+                .paths()
+                .iter()
+                .zip(grouped.paths())
+                .all(|(a, b)| a.prob.to_bits() == b.prob.to_bits()));
+        }
+        assert!(matches!(
+            sample_fixed(&t, 7, 10, 1),
+            Err(TpoError::InvalidK { k: 7, n: 6 })
+        ));
+        assert!(sample_fixed(&t, 2, 0, 1).is_err());
     }
 
     #[test]
