@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 /// Crates whose library code is result-affecting (full rule coverage).
 pub const RESULT_AFFECTING_CRATES: &[&str] = &[
-    "prob", "rank", "tpo", "crowd", "quality", "datagen", "core", "service", "wire",
+    "prob", "rank", "tpo", "crowd", "quality", "datagen", "core", "service",
 ];
 
 /// Crate roots inside the lint wall, as paths relative to the workspace
@@ -44,7 +44,6 @@ pub const LINT_WALL_ROOTS: &[&str] = &[
     "crates/datagen/src/lib.rs",
     "crates/core/src/lib.rs",
     "crates/service/src/lib.rs",
-    "crates/wire/src/lib.rs",
     "crates/bench/src/lib.rs",
     "crates/analyze/src/lib.rs",
 ];
@@ -279,9 +278,6 @@ mod tests {
         assert!(rule_set_for("crates/prob/src/bounds.rs").panic);
         assert!(rule_set_for("crates/quality/src/estimator.rs").determinism);
         assert!(rule_set_for("crates/quality/src/crowd.rs").panic);
-        assert!(rule_set_for("crates/wire/src/codec.rs").panic);
-        assert!(rule_set_for("crates/wire/src/frames.rs").determinism);
-        assert!(!rule_set_for("crates/wire/tests/roundtrip.rs").panic);
         assert!(!rule_set_for("crates/quality/tests/x.rs").panic);
         assert!(rule_set_for("src/lib.rs").float);
         assert!(rule_set_for("crates/analyze/src/engine.rs").panic);

@@ -9,8 +9,12 @@
 //!   (`paper_deep`) as a tree and as `incr` (`incr_fixed`: the worlds
 //!   plus their counted depth-k path set), and an adaptive
 //!   ε = δ = 0.05 build at n = 12, k = 3 as a tree (prefix counts only)
-//!   and as `incr` (full worlds), the `cold_burst` submit;
+//!   and as `incr` (full worlds), the `cold_burst` submit; `exact_n10`
+//!   is the exact nested-quadrature engine at n = 10, k = 5;
 //! * `residual_partition` — prefix-index partition evaluation;
+//! * `measures` — one evaluation of each uncertainty measure (`U_H`,
+//!   `U_Hw`, `U_ORA`, `U_MPO`) on the Fig. 1 instance's 5000-world path
+//!   set;
 //! * `select_step` — one T1-on step, one TB-off select and one C-off
 //!   select (B = 6) under `U_Hw` at n ∈ {10, 20, 40}, k = 5, 1500 worlds:
 //!   the selector cost along the table-size axis of the paper's Fig. 1(b);
@@ -34,11 +38,13 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use ctk_core::measures::MeasureKind;
 use ctk_core::residual::{AnswerPartition, ResidualCtx};
 use ctk_core::select::{relevant_questions, COff, OfflineSelector, OnlineSelector, T1On, TbOff};
-use ctk_datagen::{generate, DatasetSpec};
+use ctk_datagen::{generate, scenarios, DatasetSpec};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::TopKBounds;
 use ctk_prob::UncertainTable;
-use ctk_tpo::build::{build_mc, sample_adaptive, sample_fixed, Engine, McConfig};
+use ctk_tpo::build::{
+    build_exact, build_mc, sample_adaptive, sample_fixed, Engine, ExactConfig, McConfig,
+};
 use ctk_tpo::WorldModel;
 
 fn table(n: usize) -> UncertainTable {
@@ -133,6 +139,17 @@ fn bench_belief_build(c: &mut Criterion) {
                 .worlds_drawn
         })
     });
+    // One exact build takes hundreds of milliseconds, so this last row
+    // takes fewer samples.
+    let small = table(10);
+    g.sample_size(10);
+    g.bench_function("exact_n10", |b| {
+        b.iter(|| {
+            build_exact(&small, 5, &ExactConfig::default())
+                .unwrap()
+                .len()
+        })
+    });
     g.finish();
 }
 
@@ -158,6 +175,18 @@ fn bench_residual(c: &mut Criterion) {
             part.expected_uncertainty(ctx.measure)
         })
     });
+    g.finish();
+}
+
+fn bench_measures(c: &mut Criterion) {
+    let scenario = scenarios::fig1(0);
+    let ps = build_mc(&scenario.table, scenario.k, &McConfig::fixed(5_000, 0)).unwrap();
+    let mut g = c.benchmark_group("measures");
+    g.sample_size(10);
+    for kind in MeasureKind::all() {
+        let m = kind.build();
+        g.bench_function(kind.name(), |b| b.iter(|| m.uncertainty(&ps)));
+    }
     g.finish();
 }
 
@@ -198,6 +227,7 @@ criterion_group!(
     bench_builders,
     bench_belief_build,
     bench_residual,
+    bench_measures,
     bench_select_step
 );
 criterion_main!(benches);

@@ -1,9 +1,12 @@
 //! Property-based tests that pin the residual kernel and the selectors
-//! against this crate's test-only materializing reference evaluation, and
-//! the decisive scan against the eager one.
+//! against this crate's test-only materializing reference evaluation and
+//! `2^|Q|` brute-force enumeration, and the decisive scan against the
+//! eager one.
 
 use crate::measures::{Entropy, MeasureKind, UncertaintyMeasure, WeightedEntropy};
-use crate::residual::{AnswerPartition, ResidualCtx};
+use crate::residual::{
+    expected_residual_set, expected_residual_set_bruteforce, AnswerPartition, ResidualCtx,
+};
 use crate::select::OnlineSelector;
 use crate::select::{all_tree_pairs, relevant_questions, COff, OfflineSelector, T1On, TbOff};
 use ctk_crowd::Question;
@@ -232,6 +235,17 @@ proptest! {
             prop_assert_eq!(T1On.next_question(&ps, budget, &ctx),
                 reference_selector::t1_on(&ps, &ctx), "T1-on, {}", kind.name());
         }
+    }
+
+    #[test]
+    fn partition_equals_bruteforce((_, pw, ps) in fixture(4)) {
+        let m = MeasureKind::WeightedEntropy.build();
+        let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+        let qs: Vec<Question> = relevant_questions(&ps, &ctx).into_iter().take(3).collect();
+        if qs.is_empty() { return Ok(()); }
+        let fast = expected_residual_set(&ps, &qs, &ctx);
+        let brute = expected_residual_set_bruteforce(&ps, &qs, &ctx);
+        prop_assert!((fast - brute).abs() < 1e-9, "{fast} vs {brute}");
     }
 
     #[test]

@@ -67,7 +67,9 @@ use ctk_crowd::Question;
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_tpo::answers::{implication, Implication};
 use ctk_tpo::stats::PrefixGroups;
-use ctk_tpo::{Path, PathSet};
+#[cfg(test)]
+use ctk_tpo::Path;
+use ctk_tpo::PathSet;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::sync::Arc;
@@ -967,10 +969,10 @@ pub fn expected_residual_set(ps: &PathSet, qs: &[Question], ctx: &ResidualCtx<'_
     partition.expected_uncertainty(ctx.measure)
 }
 
-/// Reference implementation that enumerates all `2^|Q|` answer outcomes —
-/// exponential, used only by tests and the `ablations` bench to validate
-/// the partition algorithm.
-pub fn expected_residual_set_bruteforce(
+/// Test-only reference that enumerates all `2^|Q|` answer outcomes —
+/// exponential, used to validate the partition algorithm.
+#[cfg(test)]
+pub(crate) fn expected_residual_set_bruteforce(
     ps: &PathSet,
     qs: &[Question],
     ctx: &ResidualCtx<'_>,

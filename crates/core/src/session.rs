@@ -155,8 +155,7 @@ pub struct StepRecord {
 
 impl StepRecord {
     /// Bit-exact semantic equality (timing-free; used by
-    /// [`UrReport::same_outcome`], and by the wire layer's report
-    /// summaries to compare a decoded step against a live one).
+    /// [`UrReport::same_outcome`]).
     pub fn same_outcome(&self, other: &StepRecord) -> bool {
         self.question == other.question
             && self.answer_yes == other.answer_yes

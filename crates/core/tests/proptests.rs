@@ -2,8 +2,7 @@
 
 use ctk_core::measures::MeasureKind;
 use ctk_core::residual::{
-    answer_probability, expected_residual_set, expected_residual_set_bruteforce,
-    expected_residual_single, ResidualCtx,
+    answer_probability, expected_residual_set, expected_residual_single, ResidualCtx,
 };
 use ctk_core::select::OnlineSelector;
 use ctk_core::select::{
@@ -136,17 +135,6 @@ proptest! {
                 prop_assert!(r <= u + 1e-9, "{}: residual {r} > current {u}", kind.name());
             }
         }
-    }
-
-    #[test]
-    fn partition_equals_bruteforce((_, pw, ps) in fixture(4)) {
-        let m = MeasureKind::WeightedEntropy.build();
-        let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
-        let qs: Vec<Question> = relevant_questions(&ps, &ctx).into_iter().take(3).collect();
-        if qs.is_empty() { return Ok(()); }
-        let fast = expected_residual_set(&ps, &qs, &ctx);
-        let brute = expected_residual_set_bruteforce(&ps, &qs, &ctx);
-        prop_assert!((fast - brute).abs() < 1e-9, "{fast} vs {brute}");
     }
 
     #[test]

@@ -35,7 +35,7 @@ use ctk_prob::sample::{top_k_prefix_into, WorldSampler};
 use ctk_prob::{ScoreDist, SupportGrid, TopKBounds, UncertainTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-// ctk-allow(det-hash-collection): all maps in this module hold exact integer counts merged commutatively and drained through PathSet::from_weighted's canonical sort
+// ctk-allow(det-hash-collection): the adaptive loop's running map holds exact integer counts drained through PathSet::from_weighted's canonical sort
 use std::collections::HashMap;
 
 /// Configuration of the Monte-Carlo engine.
@@ -189,10 +189,10 @@ impl Engine {
 /// sort's by the total-order argument, so the result equals the
 /// test-only full-sort reference (`build_mc_reference`) exactly.
 ///
-/// A fixed build chunks its rank and count phases across threads above a
-/// work cutoff; any thread count produces bit-identical output (score
-/// draws are strictly sequential in the seeded PRNG, each world is ranked
-/// independently, and per-prefix totals are exact integer counts). An
+/// A fixed build chunks its rank phase across threads above a work
+/// cutoff and counts the prefixes with one sort; any thread count
+/// produces bit-identical output (score draws are strictly sequential in
+/// the seeded PRNG, and each world is ranked independently). An
 /// adaptive build streams: each world is counted once into running
 /// prefix counts that every look reads, and no world is stored.
 pub fn build_mc(table: &UncertainTable, k: usize, cfg: &McConfig) -> Result<PathSet> {
@@ -269,21 +269,22 @@ pub fn sample_fixed(
     if k == 0 || k > n {
         return Err(TpoError::InvalidK { k, n });
     }
-    let paths = PathSet::from_weighted(k, sorted_prefix_counts(&worlds, k))?;
+    let paths = PathSet::from_weighted(k, sorted_prefix_counts(worlds.flat_rankings(), n, k, n))?;
     Ok((worlds, paths))
 }
 
-/// Every distinct depth-`k` ranking prefix of `worlds` with its world
-/// count, in items order: one sort of the worlds by a key that packs the
-/// prefix's leading tuple ids at a fixed bit width, first item highest,
-/// so integer order is items order. The remaining items are compared only
-/// when the key cannot hold the whole prefix. Handing
+/// Every distinct depth-`k` prefix of the worlds in `flat` with its world
+/// count, in items order. World `w`'s ranking (or prefix) is
+/// `flat[w·stride..]`, its ids below `n`. One sort of the worlds by a key
+/// that packs the prefix's leading tuple ids at a fixed bit width, first
+/// item highest, so integer order is items order. The remaining items are
+/// compared only when the key cannot hold the whole prefix. Handing
 /// `PathSet::from_weighted` its input in items order also makes its
 /// canonical sort a pass over sorted data.
-fn sorted_prefix_counts(worlds: &WorldModel, k: usize) -> Vec<(Vec<u32>, f64)> {
-    let bits = (usize::BITS - worlds.n().saturating_sub(1).leading_zeros()).max(1) as usize;
+fn sorted_prefix_counts(flat: &[u32], stride: usize, k: usize, n: usize) -> Vec<(Vec<u32>, f64)> {
+    let bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1) as usize;
     let packed = k.min(64 / bits);
-    let prefix = |w: u32| &worlds.ranking(w as usize)[..k];
+    let prefix = |w: u32| &flat[w as usize * stride..][..k];
     let tail = |a: u32, b: u32| {
         if packed == k {
             std::cmp::Ordering::Equal
@@ -291,7 +292,7 @@ fn sorted_prefix_counts(worlds: &WorldModel, k: usize) -> Vec<(Vec<u32>, f64)> {
             prefix(a)[packed..].cmp(&prefix(b)[packed..])
         }
     };
-    let mut keyed: Vec<(u64, u32)> = (0..worlds.num_worlds() as u32)
+    let mut keyed: Vec<(u64, u32)> = (0..(flat.len() / stride) as u32)
         .map(|w| {
             let key = prefix(w)[..packed]
                 .iter()
@@ -521,8 +522,9 @@ pub(crate) fn build_adaptive_reference(
 }
 
 /// The fixed-budget Monte-Carlo pipeline body (see [`build_mc`]).
-/// `threads` sets the rank/group fan-out (`0` = auto, `1` = sequential);
-/// every count gives bit-identical output (pinned by tests).
+/// `threads` sets the rank fan-out (`0` = auto, `1` = sequential); every
+/// count gives bit-identical output (pinned by tests). The prefixes are
+/// grouped by one sort, as [`sample_fixed`] groups its worlds.
 pub(crate) fn fixed_mc_with_threads(
     table: &UncertainTable,
     k: usize,
@@ -574,55 +576,7 @@ pub(crate) fn fixed_mc_with_threads(
             }
         });
     }
-
-    // Group identical prefixes. Totals are exact integer counts, so the
-    // chunked merge is bit-identical to a sequential pass.
-    // ctk-allow(det-hash-collection): exact integer counts; merge order cannot change them
-    let counts: HashMap<&[u32], u64> = if threads == 1 || m < PARALLEL_WORLDS_MIN {
-        prefix_counts(&prefixes, k)
-    } else {
-        let chunk = m.div_ceil(threads);
-        // ctk-allow(det-hash-collection, det-thread-spawn): planned_threads fanout over disjoint chunks; integer-count merge is commutative
-        let maps: Vec<HashMap<&[u32], u64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = prefixes
-                .chunks(chunk * k)
-                .map(|c| s.spawn(move || prefix_counts(c, k)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(map) => map,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        // ctk-allow(det-hash-collection): exact integer counts; merge order cannot change them
-        let mut total: HashMap<&[u32], u64> = HashMap::new();
-        for map in maps {
-            for (prefix, count) in map {
-                *total.entry(prefix).or_insert(0) += count;
-            }
-        }
-        total
-    };
-    PathSet::from_weighted(
-        k,
-        counts
-            .into_iter()
-            .map(|(prefix, count)| (prefix.to_vec(), count as f64))
-            .collect(),
-    )
-}
-
-/// Depth-`k` prefix counts over one chunk of flat prefixes.
-// ctk-allow(det-hash-collection): exact integer counts, drained via from_weighted's canonical sort
-fn prefix_counts(prefixes: &[u32], k: usize) -> HashMap<&[u32], u64> {
-    // ctk-allow(det-hash-collection): exact integer counts, drained via from_weighted's canonical sort
-    let mut g: HashMap<&[u32], u64> = HashMap::new();
-    for p in prefixes.chunks_exact(k) {
-        *g.entry(p).or_insert(0) += 1;
-    }
-    g
+    PathSet::from_weighted(k, sorted_prefix_counts(&prefixes, k, k, n))
 }
 
 /// Exact TPO construction by level-wise prefix enumeration.
@@ -713,6 +667,23 @@ mod tests {
         .unwrap()
     }
 
+    /// At n = 40 a 64-bit grouping key holds 10 tuple ids of 6 bits:
+    /// k = 10 fits exactly, and k = 12 compares the last two items by
+    /// slice. The ten best tuples are certain, so every world shares its
+    /// key and only the slice comparison tells the prefixes apart.
+    fn certain_head_table() -> UncertainTable {
+        UncertainTable::new(
+            (0..40)
+                .map(|i| match i {
+                    0..=9 => ScoreDist::uniform(100.0 - 5.0 * i as f64, 101.0 - 5.0 * i as f64),
+                    _ => ScoreDist::uniform_centered(0.01 * i as f64, 0.5),
+                })
+                .collect::<std::result::Result<Vec<_>, _>>()
+                .unwrap(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn invalid_k_rejected_by_both_engines() {
         let t = table(3, 0.5);
@@ -757,16 +728,19 @@ mod tests {
     #[test]
     fn fast_build_is_bit_identical_to_reference_full_sort_path() {
         // Partial-selection ranking + compiled sampling must reproduce the
-        // full-sort WorldModel pipeline exactly, at every depth.
-        let t = table(6, 0.7);
-        for seed in [0u64, 9, 31] {
-            for k in [1usize, 2, 4, 6] {
-                let fast = fixed_mc_with_threads(&t, k, 3001, seed, 1).unwrap();
-                let reference = build_mc_reference(&t, k, 3001, seed).unwrap();
-                assert_eq!(fast.len(), reference.len(), "seed {seed} k {k}");
-                for (a, b) in fast.paths().iter().zip(reference.paths()) {
-                    assert_eq!(a.items, b.items, "seed {seed} k {k}");
-                    assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "seed {seed} k {k}");
+        // full-sort WorldModel pipeline exactly, at every depth (k = 12 on
+        // the wide table groups prefixes by their unpacked tail).
+        let wide = certain_head_table();
+        for (t, ks) in [(table(6, 0.7), &[1usize, 2, 4, 6][..]), (wide, &[10, 12])] {
+            for seed in [0u64, 9, 31] {
+                for &k in ks {
+                    let fast = fixed_mc_with_threads(&t, k, 3001, seed, 1).unwrap();
+                    let reference = build_mc_reference(&t, k, 3001, seed).unwrap();
+                    assert_eq!(fast.len(), reference.len(), "seed {seed} k {k}");
+                    for (a, b) in fast.paths().iter().zip(reference.paths()) {
+                        assert_eq!(a.items, b.items, "seed {seed} k {k}");
+                        assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "seed {seed} k {k}");
+                    }
                 }
             }
         }
@@ -1037,20 +1011,7 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        // At n = 40 a 64-bit key holds 10 tuple ids of 6 bits: k = 10 fits
-        // exactly, and k = 12 compares the last two items by slice. The
-        // ten best tuples are certain, so every world shares its key and
-        // only the slice comparison tells the prefixes apart.
-        let wide = UncertainTable::new(
-            (0..40)
-                .map(|i| match i {
-                    0..=9 => ScoreDist::uniform(100.0 - 5.0 * i as f64, 101.0 - 5.0 * i as f64),
-                    _ => ScoreDist::uniform_centered(0.01 * i as f64, 0.5),
-                })
-                .collect::<std::result::Result<Vec<_>, _>>()
-                .unwrap(),
-        )
-        .unwrap();
+        let wide = certain_head_table();
         for (t, k, m, seed) in [
             (&t, 1, 1, 3),
             (&t, 2, 700, 4),

@@ -234,6 +234,12 @@ impl WorldModel {
         &self.rankings[w * self.n..(w + 1) * self.n]
     }
 
+    /// Every world's full ranking, world-major (`ranking(w)` is
+    /// `[w·n..(w + 1)·n]`).
+    pub(crate) fn flat_rankings(&self) -> &[u32] {
+        &self.rankings
+    }
+
     /// World `w`'s current weight.
     pub fn weight(&self, w: usize) -> f64 {
         self.weights[w]

@@ -19,7 +19,6 @@
 //! | [`datagen`] | synthetic datasets, the paper's experiment scenarios, and crowd roster presets |
 //! | [`core`] | uncertainty measures, expected residual uncertainty, question-selection strategies, the sans-IO session driver, the UR session |
 //! | [`service`] | multi-session serving: one index-addressed session table, one phase-structured run loop (resume, plan, gather, purchase, feed), cross-session question batching with an answer cache, belief-margin routing |
-//! | [`wire`] | versioned, length-prefixed byte codec for question batches, graded answers, route hints and report summaries — lets the serving stack talk to a crowd across a process boundary |
 //!
 //! ## Quick start
 //!
@@ -56,7 +55,6 @@ pub use ctk_quality as quality;
 pub use ctk_rank as rank;
 pub use ctk_service as service;
 pub use ctk_tpo as tpo;
-pub use ctk_wire as wire;
 
 /// One-stop imports: the core prelude plus the most-used substrate types.
 pub mod prelude {
