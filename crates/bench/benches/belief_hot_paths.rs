@@ -15,6 +15,9 @@
 //! * `measures` — one evaluation of each uncertainty measure (`U_H`,
 //!   `U_Hw`, `U_ORA`, `U_MPO`) on the Fig. 1 instance's 5000-world path
 //!   set;
+//! * `report` — `expected_distance/fig1` is one `D(ω_r, T_K)` over the
+//!   Fig. 1 instance's 1500-world path set (k = 5), the sum a session
+//!   with a truth reports at submit and after every answer;
 //! * `select_step` — one T1-on step, one TB-off select and one C-off
 //!   select (B = 6) under `U_Hw` at n ∈ {10, 20, 40}, k = 5, 1500 worlds:
 //!   the selector cost along the table-size axis of the paper's Fig. 1(b);
@@ -36,8 +39,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctk_core::measures::MeasureKind;
+use ctk_core::metrics::expected_distance_to_truth;
 use ctk_core::residual::{AnswerPartition, ResidualCtx};
 use ctk_core::select::{relevant_questions, COff, OfflineSelector, OnlineSelector, T1On, TbOff};
+use ctk_crowd::GroundTruth;
 use ctk_datagen::{generate, scenarios, DatasetSpec};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::TopKBounds;
@@ -190,6 +195,18 @@ fn bench_measures(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_report(c: &mut Criterion) {
+    let scenario = scenarios::fig1(0);
+    let ps = build_mc(&scenario.table, scenario.k, &McConfig::fixed(1500, 11)).unwrap();
+    let truth = GroundTruth::sample(&scenario.table, 1).top_k(scenario.k);
+    let mut g = c.benchmark_group("report");
+    g.sample_size(50);
+    g.bench_function("expected_distance/fig1", |b| {
+        b.iter(|| expected_distance_to_truth(&ps, &truth))
+    });
+    g.finish();
+}
+
 fn bench_select_step(c: &mut Criterion) {
     let measure = MeasureKind::WeightedEntropy.build();
     let mut g = c.benchmark_group("select_step");
@@ -228,6 +245,7 @@ criterion_group!(
     bench_belief_build,
     bench_residual,
     bench_measures,
+    bench_report,
     bench_select_step
 );
 criterion_main!(benches);

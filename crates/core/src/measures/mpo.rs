@@ -3,7 +3,7 @@
 //! needs no aggregation, just an argmax over leaf probabilities).
 
 use super::UncertaintyMeasure;
-use ctk_rank::topk::topk_kendall_normalized;
+use crate::metrics::expected_topk_distance;
 use ctk_tpo::PathSet;
 
 /// Expected normalized top-k Kendall distance to the MPO.
@@ -28,11 +28,7 @@ impl UncertaintyMeasure for MpoDistance {
         if ps.is_resolved() {
             return 0.0;
         }
-        let mpo = ps.most_probable().rank_list();
-        ps.paths()
-            .iter()
-            .map(|p| p.prob * topk_kendall_normalized(&p.rank_list(), &mpo, self.penalty))
-            .sum()
+        expected_topk_distance(ps, &ps.most_probable().items, self.penalty)
     }
 }
 

@@ -440,3 +440,121 @@ proptest! {
         }
     }
 }
+
+/// `K^(p)` by the pairwise walk of the two lists' union (`a`'s items,
+/// then `b`'s items absent from `a`, every pair once), looking up both
+/// members of each pair in both lists: the oracle the report trail's
+/// kernel must equal bit for bit.
+#[cfg(test)]
+fn pairwise_union_kendall(a: &[u32], b: &[u32], p: f64) -> f64 {
+    let union: Vec<u32> = a
+        .iter()
+        .chain(b.iter().filter(|t| !a.contains(t)))
+        .copied()
+        .collect();
+    let pos = |list: &[u32], t: u32| list.iter().position(|&x| x == t);
+    let mut total = 0.0;
+    for x in 0..union.len() {
+        for y in x + 1..union.len() {
+            let (i, j) = (union[x], union[y]);
+            let disagree = |x: bool, y: bool| f64::from(u8::from(x != y));
+            total += match (pos(a, i), pos(a, j), pos(b, i), pos(b, j)) {
+                (Some(ai), Some(aj), Some(bi), Some(bj)) => disagree(ai < aj, bi < bj),
+                // Both in `a`, one in `b`: `b` ranks its member above.
+                (Some(ai), Some(aj), bi, bj) if bi.is_some() != bj.is_some() => {
+                    disagree(ai < aj, bi.is_some())
+                }
+                // Both in `b`, one in `a`: `a` ranks its member above.
+                (ai, aj, Some(bi), Some(bj)) if ai.is_some() != aj.is_some() => {
+                    disagree(bi < bj, ai.is_some())
+                }
+                (Some(_), Some(_), None, None) | (None, None, Some(_), Some(_)) => p,
+                _ => 1.0,
+            };
+        }
+    }
+    total
+}
+
+/// `Σ prob · K^(p)_norm(path, target)` in path order over the oracle.
+#[cfg(test)]
+fn expected_pairwise_distance(ps: &PathSet, target: &[u32], p: f64) -> f64 {
+    ps.paths()
+        .iter()
+        .map(|path| {
+            let max = ctk_rank::topk::topk_kendall_max(path.items.len(), target.len(), p);
+            let d = if max <= 0.0 {
+                0.0
+            } else {
+                (pairwise_union_kendall(&path.items, target, p) / max).clamp(0.0, 1.0)
+            };
+            path.prob * d
+        })
+        .sum()
+}
+
+/// A path set and a truth for the report metrics: a depth-`k` tree
+/// (`shallow` false) or `incr`'s depth-`d < k` grouping of the same
+/// worlds, and a truth of length `k` drawn from the table's tuples
+/// (`absent` false) or from ids no path holds (past the metric's indexed
+/// id range for odd seeds).
+#[cfg(test)]
+fn report_inputs() -> impl Strategy<Value = (PathSet, Vec<u32>)> {
+    (
+        4usize..9,
+        1usize..6,
+        any::<bool>(),
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(|(n, k, shallow, absent, seed)| {
+            let k = k.min(n);
+            let table = UncertainTable::new(
+                (0..n)
+                    .map(|t| ScoreDist::uniform_centered(0.15 * t as f64, 0.6).unwrap())
+                    .collect(),
+            )
+            .unwrap();
+            let mut worlds = ctk_tpo::WorldModel::sample(&table, 300, seed).unwrap();
+            let depth = if shallow && k > 1 {
+                1 + (seed as usize % (k - 1))
+            } else {
+                k
+            };
+            let ps = worlds.path_set_cached(depth).unwrap();
+            let offset = match (absent, seed % 2) {
+                (false, _) => 0,
+                (true, 0) => 100,
+                (true, _) => 5000,
+            };
+            let mut ids: Vec<u32> = (0..n as u32).map(|t| t + offset).collect();
+            ids.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x5eed));
+            ids.truncate(k);
+            (ps, ids)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn report_distances_match_the_pairwise_walk_bit_for_bit(
+        (ps, truth) in report_inputs(),
+        penalty in 0.0..=1.0f64,
+    ) {
+        let truth_list = ctk_rank::RankList::new(truth.clone()).unwrap();
+        prop_assert_eq!(
+            crate::metrics::expected_distance_to_truth(&ps, &truth_list).to_bits(),
+            expected_pairwise_distance(&ps, &truth, 0.5).to_bits()
+        );
+        let mpo = &ps.most_probable().items;
+        for penalty in [penalty, 0.0, 0.5, 1.0] {
+            let want = if ps.is_resolved() { 0.0 } else { expected_pairwise_distance(&ps, mpo, penalty) };
+            prop_assert_eq!(
+                crate::measures::MpoDistance { penalty }.uncertainty(&ps).to_bits(),
+                want.to_bits(),
+                "U_MPO at p = {}", penalty
+            );
+        }
+    }
+}

@@ -15,14 +15,144 @@
 //!    below);
 //! 4. both in one list, neither in the other — penalty parameter
 //!    `p ∈ [0, 1]` (unknowable; `p = 1/2` is the neutral choice).
+//!
+//! One kernel, [`topk_kendall_with`], computes the sum over item slices:
+//! it looks up each of `a`'s items in `b` once, then walks the union pairs
+//! in a fixed order — `a`'s items in rank order, then `b`'s items absent
+//! from `a`, each pair `x < y` once — adding each pair's `0`, `1` or `p`
+//! with O(1) work and no allocation (lists longer than 32 items spill
+//! their lookups to one heap buffer). Because the nonzero terms arrive in
+//! the same order as a pairwise walk of the union, the float sum is the
+//! same bits at every `p`. The [`RankList`] entry points delegate to it;
+//! callers that evaluate many lists against one fixed list (the report's
+//! `D(ω_r, T_K)`, `U_MPO`) pass an indexed position lookup instead of a
+//! scan.
 
 use crate::list::RankList;
 
 /// Neutral penalty parameter for case 4.
 pub const NEUTRAL_PENALTY: f64 = 0.5;
 
+/// Lists up to this length keep their position lookups on the stack.
+const INLINE: usize = 32;
+
+/// Position marker of an item of `a` that `b` does not rank.
+const ABSENT: usize = usize::MAX;
+
+/// Raw `K^(p)` between the list `a` and a list of `kb` items whose rank of
+/// an item `pos_in_b` reports (`None` when `b` does not rank it).
+///
+/// The union pairs are walked in `a`'s order, then `b`'s items absent from
+/// `a`; every pair adds its case's `0`, `1` or `p` in that order, so the
+/// sum is the one a pairwise walk of the union over both lists gives, bit
+/// for bit at every `p`.
+pub fn topk_kendall_with(
+    a: &[u32],
+    kb: usize,
+    p: f64,
+    pos_in_b: impl Fn(u32) -> Option<usize>,
+) -> f64 {
+    debug_assert!((0.0..=1.0).contains(&p), "penalty must be in [0,1]");
+    let mut inline = [ABSENT; INLINE];
+    let mut spill = Vec::new();
+    let in_b: &mut [usize] = if a.len() <= INLINE {
+        &mut inline[..a.len()]
+    } else {
+        spill.resize(a.len(), ABSENT);
+        &mut spill
+    };
+    let mut shared = 0;
+    for (slot, &item) in in_b.iter_mut().zip(a) {
+        if let Some(q) = pos_in_b(item) {
+            debug_assert!(q < kb, "position {q} outside a list of {kb}");
+            *slot = q;
+            shared += 1;
+        }
+    }
+    let b_only = kb - shared;
+    let in_b = &*in_b;
+    let mut total = 0.0;
+    for (x, &bx) in in_b.iter().enumerate() {
+        let later = &in_b[x + 1..];
+        if bx == ABSENT {
+            // `i` ranked by `a` only. A later item of `a` that `b` ranks is
+            // case 2 (`b` puts it above `i`, `a` below): 1; one `b` does not
+            // rank is case 4: p. Every item only `b` ranks is case 3: 1.
+            for &by in later {
+                total += if by == ABSENT { p } else { 1.0 };
+            }
+            for _ in 0..b_only {
+                total += 1.0;
+            }
+        } else {
+            // `i` ranked by both. A later item of `a` disagrees (case 1)
+            // when `b` ranks it above `i`; one `b` does not rank agrees
+            // (case 2: both lists put `i` first), and `ABSENT` never
+            // compares below `bx`. An item only `b` ranks contradicts `a`
+            // (case 2 mirrored) exactly when `b` ranks it above `i`: the
+            // `bx` positions above `i` less those held by `a`'s items.
+            for &by in later {
+                if by < bx {
+                    total += 1.0;
+                }
+            }
+            let above = bx - in_b.iter().filter(|&&q| q < bx).count();
+            for _ in 0..above {
+                total += 1.0;
+            }
+        }
+    }
+    // Pairs of items only `b` ranks: case 4.
+    for _ in 0..b_only * b_only.saturating_sub(1) / 2 {
+        total += p;
+    }
+    total
+}
+
 /// Raw Fagin `K^(p)` distance between two top-k lists.
 pub fn topk_kendall(a: &RankList, b: &RankList, p: f64) -> f64 {
+    topk_kendall_with(a.items(), b.len(), p, |item| b.position(item))
+}
+
+/// Maximum possible `K^(p)` for lists of lengths `ka`, `kb` (attained by
+/// disjoint lists): every cross pair disagrees and every same-list pair is
+/// unknowable.
+pub fn topk_kendall_max(ka: usize, kb: usize, p: f64) -> f64 {
+    let (ka, kb) = (ka as f64, kb as f64);
+    ka * kb + p * (ka * (ka - 1.0) / 2.0 + kb * (kb - 1.0) / 2.0)
+}
+
+/// [`topk_kendall_with`] normalized to `[0, 1]`. Two empty lists are at
+/// distance 0.
+pub fn topk_kendall_normalized_with(
+    a: &[u32],
+    kb: usize,
+    p: f64,
+    pos_in_b: impl Fn(u32) -> Option<usize>,
+) -> f64 {
+    let max = topk_kendall_max(a.len(), kb, p);
+    if max <= 0.0 {
+        return 0.0;
+    }
+    (topk_kendall_with(a, kb, p, pos_in_b) / max).clamp(0.0, 1.0)
+}
+
+/// `K^(p)` normalized to `[0, 1]`. Two empty lists are at distance 0.
+pub fn topk_kendall_normalized(a: &RankList, b: &RankList, p: f64) -> f64 {
+    topk_kendall_normalized_with(a.items(), b.len(), p, |item| b.position(item))
+}
+
+/// Normalized `K^(p)` with the neutral penalty `p = 1/2` — the default
+/// distance `D` used in the experiment harness.
+pub fn topk_distance(a: &RankList, b: &RankList) -> f64 {
+    topk_kendall_normalized(a, b, NEUTRAL_PENALTY)
+}
+
+/// The pairwise-union walk the kernel replaced, kept as its test oracle:
+/// builds the union, then looks up both members of every pair in both
+/// lists.
+#[cfg(test)]
+pub(crate) fn topk_kendall_reference(a: &RankList, b: &RankList, p: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&p), "penalty must be in [0,1]");
     // Union of items.
     let mut union: Vec<u32> = a.items().to_vec();
@@ -104,33 +234,11 @@ pub fn topk_kendall(a: &RankList, b: &RankList, p: f64) -> f64 {
     total
 }
 
-/// Maximum possible `K^(p)` for lists of lengths `ka`, `kb` (attained by
-/// disjoint lists): every cross pair disagrees and every same-list pair is
-/// unknowable.
-pub fn topk_kendall_max(ka: usize, kb: usize, p: f64) -> f64 {
-    let (ka, kb) = (ka as f64, kb as f64);
-    ka * kb + p * (ka * (ka - 1.0) / 2.0 + kb * (kb - 1.0) / 2.0)
-}
-
-/// `K^(p)` normalized to `[0, 1]`. Two empty lists are at distance 0.
-pub fn topk_kendall_normalized(a: &RankList, b: &RankList, p: f64) -> f64 {
-    let max = topk_kendall_max(a.len(), b.len(), p);
-    if max <= 0.0 {
-        return 0.0;
-    }
-    (topk_kendall(a, b, p) / max).clamp(0.0, 1.0)
-}
-
-/// Normalized `K^(p)` with the neutral penalty `p = 1/2` — the default
-/// distance `D` used in the experiment harness.
-pub fn topk_distance(a: &RankList, b: &RankList) -> f64 {
-    topk_kendall_normalized(a, b, NEUTRAL_PENALTY)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kendall::kendall_distance;
+    use proptest::prelude::*;
 
     fn rl(items: &[u32]) -> RankList {
         RankList::new(items.to_vec()).unwrap()
@@ -224,6 +332,77 @@ mod tests {
         // Empty lists.
         let e = rl(&[]);
         assert_eq!(topk_distance(&e, &e.clone()), 0.0);
+    }
+
+    /// A random list of `len` distinct items drawn from `pool`.
+    fn draw(pool: &mut [u32], len: usize, rng: &mut proptest::test_runner::TestRng) -> Vec<u32> {
+        for i in (1..pool.len()).rev() {
+            let j = (rng.next_u32() as usize) % (i + 1);
+            pool.swap(i, j);
+        }
+        pool[..len.min(pool.len())].to_vec()
+    }
+
+    /// Two lists of lengths in `0..=k` each, identical (`shape` 0),
+    /// disjoint (1) or partly overlapping (2: both drawn from `k + 3`
+    /// shared items).
+    fn list_pair(k: usize) -> impl Strategy<Value = (RankList, RankList)> {
+        (0usize..3, 0..=k, 0..=k).prop_perturb(move |(shape, ka, kb), mut rng| {
+            let (a, b) = match shape {
+                0 => {
+                    let a = draw(&mut (0..2 * k as u32).collect::<Vec<_>>(), ka, &mut rng);
+                    (a.clone(), a)
+                }
+                1 => (
+                    draw(&mut (0..k as u32).collect::<Vec<_>>(), ka, &mut rng),
+                    draw(
+                        &mut (k as u32..2 * k as u32).collect::<Vec<_>>(),
+                        kb,
+                        &mut rng,
+                    ),
+                ),
+                _ => {
+                    let mut pool: Vec<u32> = (0..k as u32 + 3).collect();
+                    let a = draw(&mut pool, ka, &mut rng);
+                    (a, draw(&mut pool, kb, &mut rng))
+                }
+            };
+            (RankList::new_unchecked(a), RankList::new_unchecked(b))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn kernel_matches_the_pairwise_union_walk_bit_for_bit(
+            (a, b) in list_pair(8),
+            p in 0.0..=1.0f64,
+        ) {
+            for p in [p, 0.0, NEUTRAL_PENALTY, 1.0] {
+                for (x, y) in [(&a, &b), (&b, &a)] {
+                    let want = topk_kendall_reference(x, y, p);
+                    prop_assert_eq!(topk_kendall(x, y, p).to_bits(), want.to_bits());
+                    let max = topk_kendall_max(x.len(), y.len(), p);
+                    let want = if max <= 0.0 { 0.0 } else { (want / max).clamp(0.0, 1.0) };
+                    prop_assert_eq!(topk_kendall_normalized(x, y, p).to_bits(), want.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_lists_spill_their_lookups() {
+        // Past the inline capacity the kernel's lookups live on the heap;
+        // the sum is unchanged.
+        let a = rl(&(0..40).collect::<Vec<_>>());
+        let b = rl(&(20..60).rev().collect::<Vec<_>>());
+        for p in [0.0, 0.3, 0.5, 1.0] {
+            assert_eq!(
+                topk_kendall(&a, &b, p).to_bits(),
+                topk_kendall_reference(&a, &b, p).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! * [`build_mc`] — Monte-Carlo: sample `M` possible worlds (full score
 //!   realizations), take each world's depth-`K` ranking prefix, and count
 //!   the prefixes. Cost `O(M · N)` plus a short insertion per prefix
-//!   entry, error `O(1/√M)` per path. An adaptive `(ε, δ)` build streams:
-//!   each world is drawn, ranked to depth `K` and counted once into a
-//!   running prefix-count map that every sequential look reads, so a tree
-//!   build never stores a world.
+//!   entry, error `O(1/√M)` per path. Both group prefixes by one 64-bit
+//!   key that packs the prefix's leading tuple ids at a fixed bit width,
+//!   first item highest, so key order is items order (a prefix too long
+//!   for the key compares its remaining items). A fixed build sorts its
+//!   worlds by that key. An adaptive `(ε, δ)` build streams: each world
+//!   is drawn, ranked to depth `K` and counted once into running counts
+//!   looked up by that key under a fixed hasher, which every sequential
+//!   look reads and the build drains in items order, so a tree build
+//!   never stores a world and counting a seen prefix allocates nothing.
 //! * [`build_exact`] — exact: enumerate prefixes level by level, scoring
 //!   each with the nested-quadrature integral of
 //!   [`ctk_prob::nested::prefix_probability`] (after Li & Deshpande,
@@ -35,8 +40,9 @@ use ctk_prob::sample::{top_k_prefix_into, WorldSampler};
 use ctk_prob::{ScoreDist, SupportGrid, TopKBounds, UncertainTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-// ctk-allow(det-hash-collection): the adaptive loop's running map holds exact integer counts drained through PathSet::from_weighted's canonical sort
+// ctk-allow(det-hash-collection): the adaptive loop's running counts look prefixes up by packed key under a fixed hasher and drain in key order, never in map order
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Configuration of the Monte-Carlo engine.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -165,7 +171,7 @@ impl Engine {
                     })?;
                 let ps = match grown {
                     Grown::Pinned(prefix) => PathSet::from_weighted(k, vec![(prefix, 1.0)])?,
-                    Grown::Counted(counts) => counted_paths(k, counts)?,
+                    Grown::Counted(counts) => counts.into_paths()?,
                 };
                 Ok((ps, report))
             }
@@ -246,7 +252,7 @@ pub fn sample_adaptive(
         Grown::Pinned(prefix) => AdaptiveSample::Pinned(prefix),
         Grown::Counted(counts) => AdaptiveSample::Sampled {
             worlds: wm,
-            paths: counted_paths(k, counts)?,
+            paths: counts.into_paths()?,
         },
     };
     Ok((sample, report))
@@ -282,23 +288,11 @@ pub fn sample_fixed(
 /// `PathSet::from_weighted` its input in items order also makes its
 /// canonical sort a pass over sorted data.
 fn sorted_prefix_counts(flat: &[u32], stride: usize, k: usize, n: usize) -> Vec<(Vec<u32>, f64)> {
-    let bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1) as usize;
-    let packed = k.min(64 / bits);
+    let layout = PackedKey::new(k, n);
     let prefix = |w: u32| &flat[w as usize * stride..][..k];
-    let tail = |a: u32, b: u32| {
-        if packed == k {
-            std::cmp::Ordering::Equal
-        } else {
-            prefix(a)[packed..].cmp(&prefix(b)[packed..])
-        }
-    };
+    let tail = |a: u32, b: u32| layout.tail(prefix(a)).cmp(layout.tail(prefix(b)));
     let mut keyed: Vec<(u64, u32)> = (0..(flat.len() / stride) as u32)
-        .map(|w| {
-            let key = prefix(w)[..packed]
-                .iter()
-                .fold(0u64, |key, &t| key << bits | u64::from(t));
-            (key, w)
-        })
+        .map(|w| (layout.key(prefix(w)), w))
         .collect();
     keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| tail(a.1, b.1)));
     keyed
@@ -307,9 +301,153 @@ fn sorted_prefix_counts(flat: &[u32], stride: usize, k: usize, n: usize) -> Vec<
         .collect()
 }
 
-/// Depth-`k` prefix counts of the worlds drawn so far.
-// ctk-allow(det-hash-collection): exact integer counts; the stopping bound folds an order-invariant max over them and builds drain them through PathSet::from_weighted's canonical sort
-type PrefixCounts = HashMap<Vec<u32>, u64>;
+/// How a depth-`k` prefix of ids below `n` packs into a 64-bit key: its
+/// leading `packed` ids at `bits` bits each, first item highest, so key
+/// order is items order over those ids. The remaining items (the tail,
+/// empty when the key holds the whole prefix) decide between prefixes
+/// with equal keys.
+#[derive(Debug, Clone, Copy)]
+struct PackedKey {
+    bits: usize,
+    packed: usize,
+}
+
+impl PackedKey {
+    fn new(k: usize, n: usize) -> Self {
+        let bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1) as usize;
+        Self {
+            bits,
+            packed: k.min(64 / bits),
+        }
+    }
+
+    fn key(self, prefix: &[u32]) -> u64 {
+        prefix[..self.packed]
+            .iter()
+            .fold(0u64, |key, &t| key << self.bits | u64::from(t))
+    }
+
+    fn tail(self, prefix: &[u32]) -> &[u32] {
+        &prefix[self.packed..]
+    }
+}
+
+/// A fixed (unseeded) hasher for packed prefix keys: the splitmix64
+/// finalizer, so every key bit reaches the bucket bits.
+#[derive(Default)]
+struct PackedKeyHasher(u64);
+
+impl Hasher for PackedKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 << 8 | u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Packed key → first slot holding a prefix with that key.
+// ctk-allow(det-hash-collection): lookups only; iteration goes through the slots, in items order when drained
+type KeyHeads = HashMap<u64, u32, BuildHasherDefault<PackedKeyHasher>>;
+
+/// Slot link that ends a chain of prefixes sharing one key.
+const CHAIN_END: u32 = u32::MAX;
+
+/// Depth-`k` prefix counts of the worlds drawn so far, keyed by the
+/// prefix packed as [`sorted_prefix_counts`] packs it. Each distinct
+/// prefix owns a slot (its items in one flat buffer, and its count);
+/// the map sends a key to its first slot, and prefixes whose keys are
+/// equal (only possible when the key cannot hold the whole prefix) chain
+/// their slots and compare tails. Counting a seen prefix allocates
+/// nothing.
+struct PrefixCounts {
+    layout: PackedKey,
+    k: usize,
+    heads: KeyHeads,
+    items: Vec<u32>,
+    counts: Vec<u64>,
+    next: Vec<u32>,
+}
+
+impl PrefixCounts {
+    fn new(k: usize, n: usize) -> Self {
+        Self {
+            layout: PackedKey::new(k, n),
+            k,
+            heads: KeyHeads::default(),
+            items: Vec::new(),
+            counts: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    fn prefix(&self, slot: u32) -> &[u32] {
+        &self.items[slot as usize * self.k..][..self.k]
+    }
+
+    /// Counts one world's prefix.
+    fn count(&mut self, prefix: &[u32]) {
+        let key = self.layout.key(prefix);
+        let tail = self.layout.tail(prefix);
+        let mut last = CHAIN_END;
+        let mut slot = self.heads.get(&key).copied().unwrap_or(CHAIN_END);
+        while slot != CHAIN_END {
+            if self.layout.tail(self.prefix(slot)) == tail {
+                self.counts[slot as usize] += 1;
+                return;
+            }
+            last = slot;
+            slot = self.next[slot as usize];
+        }
+        let new = self.counts.len() as u32;
+        self.items.extend_from_slice(prefix);
+        self.counts.push(1);
+        self.next.push(CHAIN_END);
+        if last == CHAIN_END {
+            self.heads.insert(key, new);
+        } else {
+            self.next[last as usize] = new;
+        }
+    }
+
+    /// Every distinct prefix's count, in slot order (the stopping bound
+    /// folds an order-invariant max over them).
+    fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// The distinct prefixes with their counts, in items order.
+    fn in_items_order(&self) -> Vec<(&[u32], u64)> {
+        let mut slots: Vec<u32> = (0..self.counts.len() as u32).collect();
+        slots.sort_unstable_by(|&a, &b| self.prefix(a).cmp(self.prefix(b)));
+        slots
+            .into_iter()
+            .map(|s| (self.prefix(s), self.counts[s as usize]))
+            .collect()
+    }
+
+    /// The normalized path set of the counts. Handed over in items order,
+    /// so `PathSet::from_weighted`'s canonical sort passes over sorted
+    /// input; counts are exact integers, so no order could change a bit.
+    fn into_paths(self) -> Result<PathSet> {
+        let weighted = self
+            .in_items_order()
+            .into_iter()
+            .map(|(prefix, count)| (prefix.to_vec(), count as f64))
+            .collect();
+        PathSet::from_weighted(self.k, weighted)
+    }
+}
 
 /// What the adaptive loop ended with.
 enum Grown {
@@ -323,8 +461,8 @@ enum Grown {
 /// `ADAPTIVE_INITIAL_BATCH` up to [`ADAPTIVE_MAX_WORLDS`]; every world is
 /// drawn from one seeded stream, handed to `rank` (which writes its
 /// depth-`k` ranking prefix, and may keep the world), and counted once
-/// into the running map. Each look folds the bound over the running
-/// counts — the same count multiset a rescan of every drawn world gives,
+/// into the running `PrefixCounts`. Each look folds the bound over the
+/// running counts — the same count multiset a rescan of every drawn world gives,
 /// so the stop is the one a rescanning loop would take.
 fn grow_adaptive(
     table: &UncertainTable,
@@ -355,8 +493,7 @@ fn grow_adaptive(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut row = vec![0.0f64; n];
     let mut prefix = vec![0u32; k];
-    let mut counts = PrefixCounts::new();
-    let mut values: Vec<u64> = Vec::new();
+    let mut counts = PrefixCounts::new(k, n);
     let mut drawn = 0usize;
     let mut look = 0usize;
     let (achieved, reason) = loop {
@@ -365,14 +502,12 @@ fn grow_adaptive(
         for _ in 0..batch {
             sampler.sample_into(&mut rng, &mut row);
             rank(&row, &mut prefix);
-            count_prefix(&mut counts, &prefix);
+            counts.count(&prefix);
         }
         drawn += batch;
         #[cfg(feature = "debug-invariants")]
         assert_counts_match_rescan(table, k, seed, drawn, &counts);
-        values.clear();
-        values.extend(counts.values());
-        let width = eb_half_width(&values, drawn, look, delta);
+        let width = eb_half_width(counts.counts(), drawn, look, delta);
         if width <= epsilon {
             break (width, StopReason::Converged);
         }
@@ -409,29 +544,6 @@ fn pinned_report(delta: f64) -> PrecisionReport {
     }
 }
 
-/// The normalized path set of final prefix counts. Counts are exact
-/// integers, so the hash-map drain order cannot change a bit
-/// (`PathSet::from_weighted` sorts before it sums).
-fn counted_paths(k: usize, counts: PrefixCounts) -> Result<PathSet> {
-    PathSet::from_weighted(
-        k,
-        counts
-            .into_iter()
-            .map(|(prefix, count)| (prefix, count as f64))
-            .collect(),
-    )
-}
-
-/// Counts one world's prefix, allocating only for a prefix not seen yet.
-fn count_prefix(counts: &mut PrefixCounts, prefix: &[u32]) {
-    match counts.get_mut(prefix) {
-        Some(c) => *c += 1,
-        None => {
-            counts.insert(prefix.to_vec(), 1);
-        }
-    }
-}
-
 /// The running-count invariant: after every look, the streamed counts
 /// equal a rescan that replays the seed's stream for the `drawn` worlds
 /// and counts each one's prefix from its full ranking.
@@ -448,14 +560,15 @@ fn assert_counts_match_rescan(
     let mut row = vec![0.0f64; table.len()];
     let mut ranking = vec![0u32; table.len()];
     let mut scratch = Vec::new();
-    let mut rescan = PrefixCounts::new();
+    let mut rescan = PrefixCounts::new(k, table.len());
     for _ in 0..drawn {
         sampler.sample_into(&mut rng, &mut row);
         ranking_into(&row, &mut scratch, &mut ranking);
-        count_prefix(&mut rescan, &ranking[..k]);
+        rescan.count(&ranking[..k]);
     }
     assert_eq!(
-        &rescan, counts,
+        rescan.in_items_order(),
+        counts.in_items_order(),
         "running prefix counts diverged from a rescan of {drawn} worlds"
     );
 }
@@ -499,9 +612,9 @@ pub(crate) fn build_adaptive_reference(
     let (achieved, reason) = loop {
         look += 1;
         wm.append_sampled(table, next_batch(wm.num_worlds()), &mut rng)?;
-        let mut counts = PrefixCounts::new();
+        let mut counts = std::collections::BTreeMap::new();
         for w in 0..wm.num_worlds() {
-            count_prefix(&mut counts, &wm.ranking(w)[..k]);
+            *counts.entry(&wm.ranking(w)[..k]).or_insert(0u64) += 1;
         }
         let values: Vec<u64> = counts.into_values().collect();
         let width = eb_half_width(&values, wm.num_worlds(), look, delta);
@@ -984,7 +1097,7 @@ mod tests {
     #[test]
     fn running_prefix_counts_sum_to_worlds_drawn() {
         // Every drawn world is counted exactly once across looks, and the
-        // running map holds one entry per distinct prefix.
+        // running counts hold one slot per distinct prefix.
         let t = table(5, 0.9);
         let mut scratch = Vec::new();
         let (grown, report) = grow_adaptive(&t, 2, 0.01, 0.05, 5, None, |row, prefix| {
@@ -998,9 +1111,51 @@ mod tests {
             report.worlds_drawn > ADAPTIVE_INITIAL_BATCH,
             "several looks"
         );
-        assert_eq!(counts.values().sum::<u64>(), report.worlds_drawn as u64);
+        assert_eq!(
+            counts.counts().iter().sum::<u64>(),
+            report.worlds_drawn as u64
+        );
         let reference = build_mc_reference(&t, 2, report.worlds_drawn, 5).unwrap();
-        assert_eq!(counts.len(), reference.len());
+        assert_eq!(counts.counts().len(), reference.len());
+    }
+
+    #[test]
+    fn packed_running_counts_equal_the_reference_for_both_key_shapes() {
+        // n = 12 packs a k = 3 prefix whole into its key (4 bits an id);
+        // at n = 40 the key holds ten ids (6 bits each): k = 10 fits
+        // exactly (and the certain bounds pin it), while k = 11 and 12
+        // chain the prefixes sharing the ten certain leaders and tell them
+        // apart by their tails.
+        let cold = table(12, 0.9);
+        let head = certain_head_table();
+        for (t, k, eps) in [
+            (&cold, 3, 0.03),
+            (&head, 10, 0.05),
+            (&head, 11, 0.05),
+            (&head, 12, 0.08),
+        ] {
+            let layout = PackedKey::new(k, t.len());
+            assert_eq!(layout.packed == k, k <= 10, "k = {k}");
+            let (ps, report) = Engine::MonteCarlo(McConfig::adaptive(eps, 0.05, 21))
+                .build_with_report(t, k, None)
+                .unwrap();
+            let (reference, ref_report) = build_adaptive_reference(t, k, eps, 0.05, 21).unwrap();
+            assert!(
+                report.same_outcome(&ref_report),
+                "k = {k}: {report:?} vs {ref_report:?}"
+            );
+            assert_eq!(report.worlds_drawn == 0, k == 10, "k = {k}");
+            assert_eq!(ps.len(), reference.len(), "k = {k}");
+            for (a, b) in ps.paths().iter().zip(reference.paths()) {
+                assert_eq!(a.items, b.items, "k = {k}");
+                assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "k = {k}");
+            }
+            if let (AdaptiveSample::Sampled { paths, .. }, _) =
+                sample_adaptive(t, k, eps, 0.05, 21, None).unwrap()
+            {
+                assert_eq!(paths, ps, "k = {k}");
+            }
+        }
     }
 
     #[test]
