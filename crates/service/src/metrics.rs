@@ -65,6 +65,19 @@ pub struct ServiceMetrics {
     /// Wall time spent resolving questions against cache + crowd — the
     /// run loop's sequential purchase phase.
     pub purchase_time: Duration,
+    /// Wall time of the round loop's parallel gather phase (every
+    /// planned driver emits its next batch), summed over rounds.
+    pub gather_time: Duration,
+    /// Time spent inside the gather's per-session work, summed over the
+    /// worker threads: `gather_busy / (gather_time × worker_threads)` is
+    /// how evenly the gather kept its workers busy.
+    pub gather_busy: Duration,
+    /// Wall time of the round loop's parallel feed phase, summed over
+    /// rounds.
+    pub feed_time: Duration,
+    /// Time spent inside the feed's per-session work, summed over the
+    /// worker threads.
+    pub feed_busy: Duration,
     latency_sum: Duration,
     latency_max: Duration,
     latency_count: u64,
@@ -167,6 +180,18 @@ impl ServiceMetrics {
         }
     }
 
+    /// How evenly the gather phase kept the workers busy: summed
+    /// per-session work time over `gather_time × worker_threads`, in
+    /// `[0, 1]` up to timer jitter (0 before the first gather).
+    pub(crate) fn gather_balance(&self) -> f64 {
+        let capacity = self.gather_time.as_secs_f64() * self.worker_threads.max(1) as f64;
+        if capacity <= 0.0 {
+            0.0
+        } else {
+            self.gather_busy.as_secs_f64() / capacity
+        }
+    }
+
     /// One-paragraph human-readable summary.
     pub fn summary(&self) -> String {
         format!(
@@ -178,7 +203,7 @@ impl ServiceMetrics {
              beliefs: {} built, {} reused | \
              throughput: {:.0} answers/s, {:.1} sessions/s | \
              latency avg {:?} p50 {:?} p95 {:?} p99 {:?} max {:?} | \
-             purchase {:?} of {:?} serving",
+             gather {:?} ({:.2} balance), purchase {:?}, feed {:?} of {:?} serving",
             self.submitted,
             self.completed,
             self.failed,
@@ -203,7 +228,10 @@ impl ServiceMetrics {
             self.latency_p95().unwrap_or_default(),
             self.latency_p99().unwrap_or_default(),
             self.max_latency().unwrap_or_default(),
+            self.gather_time,
+            self.gather_balance(),
             self.purchase_time,
+            self.feed_time,
             self.serving_time,
         )
     }
@@ -219,6 +247,7 @@ mod tests {
         assert_eq!(m.cache_hit_rate(), 0.0);
         assert_eq!(m.answers_per_sec(), 0.0);
         assert_eq!(m.sessions_per_sec(), 0.0);
+        assert_eq!(m.gather_balance(), 0.0);
         assert!(m.avg_latency().is_none());
         assert!(m.max_latency().is_none());
         assert!(m.latency_p50().is_none());

@@ -15,15 +15,16 @@
 //!    in an earlier round retry their unresolved tail;
 //! 2. **plan** — the scheduler picks from its per-class queues, which
 //!    sessions join and leave on their own transitions;
-//! 3. **gather** (parallel over `std::thread::scope` worker chunks) —
-//!    every planned driver emits its next question batch;
+//! 3. **gather** (parallel: the calling thread and scoped helpers claim
+//!    one session at a time, heaviest selector step first) — every
+//!    planned driver emits its next question batch;
 //! 4. **purchase** (sequential) — one walk, resumed sessions first (in id
 //!    order) and planned ones second (in plan order), through the single
 //!    cache-first purchase loop (`resolve_pending`). A cache miss on a
 //!    crowd with no budget left parks the session `AwaitingBudget`; a
 //!    refused or invalid answer cuts its batch;
-//! 5. **feed** (parallel) — each resolved session's mailbox goes to its
-//!    driver;
+//! 5. **feed** (parallel, claimed the same way, longest mailbox first) —
+//!    each resolved session's mailbox goes to its driver;
 //! 6. **retire** (sequential) — sessions that finished or failed this
 //!    round give up their driver and keep only their outcome.
 //!
@@ -42,12 +43,14 @@ use crate::registry::{LiveSession, Registry, SessionEntry, SessionId, SessionSpe
 use crate::scheduler::Scheduler;
 use crate::tables::TableCache;
 use ctk_core::driver::DriverStatus;
-use ctk_core::session::UrReport;
+use ctk_core::session::{Algorithm, UrReport};
 use ctk_core::{CoreError, Result};
 use ctk_crowd::{Crowd, Question, RouteHint};
 use ctk_prob::UncertainTable;
 use ctk_quality::QuestionRouter;
 use ctk_rank::RankList;
+use std::cmp::Reverse;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What one scheduling round did.
@@ -315,11 +318,20 @@ impl<C: Crowd> TopKService<C> {
         // answer cache can serve a question at zero crowd cost; only
         // questions that actually need a live answer park or starve (per
         // question, in the purchase loop).
-        let gathered = run_parallel(&mut planned_live, *threads, |live| {
-            live.driver
-                .next_batch(usize::MAX)
-                .map(|batch| batch.is_empty())
-        });
+        // ctk-allow(det-wall-clock): gather-duration metric only; never feeds a decision
+        let g0 = Instant::now();
+        let (gathered, busy) = run_parallel(
+            &mut planned_live,
+            *threads,
+            |live| gather_cost(live),
+            |live| {
+                live.driver
+                    .next_batch(usize::MAX)
+                    .map(|batch| batch.is_empty())
+            },
+        );
+        metrics.gather_busy += busy;
+        metrics.gather_time += g0.elapsed();
 
         // Lifecycle transitions happen here, sequentially, in plan order;
         // an empty batch means the driver is done.
@@ -375,8 +387,14 @@ impl<C: Crowd> TopKService<C> {
         // answer with the accuracy it was actually bought at (a cached
         // answer keeps its purchase-time accuracy even if the backend's
         // policy drifted since). Fewer answers than outstanding questions
-        // is a starved batch.
-        let fed = run_parallel(&mut to_feed, *threads, |(_, live)| {
+        // is a starved batch. A longer mailbox is more updates to apply,
+        // so it is claimed first.
+        // ctk-allow(det-wall-clock): feed-duration metric only; never feeds a decision
+        let f0 = Instant::now();
+        let feed_cost = |(_, live): &(SessionId, &mut LiveSession)| {
+            u32::try_from(live.served.len()).unwrap_or(u32::MAX)
+        };
+        let (fed, busy) = run_parallel(&mut to_feed, *threads, feed_cost, |(_, live)| {
             let served = live.served.len();
             let starved = served < live.driver.outstanding();
             let status = live.driver.feed_graded(&live.served);
@@ -390,6 +408,8 @@ impl<C: Crowd> TopKService<C> {
             );
             (served, starved, status)
         });
+        metrics.feed_busy += busy;
+        metrics.feed_time += f0.elapsed();
         for ((id, live), (served, starved, status)) in to_feed.into_iter().zip(fed) {
             metrics.answers_served += served as u64;
             outcome.answers_served += served as u64;
@@ -537,40 +557,98 @@ fn default_threads() -> usize {
 /// threads costs more than the work they would split.
 const PARALLEL_SESSIONS_MIN: usize = 3;
 
-/// Applies `work` to every item, fanning out over at most `threads`
-/// scoped worker chunks, and returns the results in item order.
+/// Claim rank of a planned session's next `next_batch`, heaviest first:
+/// an offline selector that has not planned yet (its first batch is the
+/// whole plan), then an online tree selector's step, then an `incr`
+/// step, then everything else — an offline session that has planned
+/// (its next batch only emits or ends) and the random baselines. The
+/// rank only orders the gather's claims; it never changes a result.
+fn gather_cost(live: &LiveSession) -> u32 {
+    let unplanned = live.driver.questions_asked() == 0;
+    match live.driver.config().algorithm {
+        Algorithm::AStarOff { .. } | Algorithm::COff | Algorithm::TbOff if unplanned => 3,
+        Algorithm::AStarOn { .. } | Algorithm::T1On => 2,
+        Algorithm::Incr { .. } => 1,
+        _ => 0,
+    }
+}
+
+/// Applies `work` to every item and returns the results in item order,
+/// with the time summed over the `work` calls (the phase's busy time).
 ///
-/// Determinism argument: `work` runs once per item on disjoint `&mut`
-/// state, chunk boundaries only decide *where* an item runs, and results
-/// are reassembled by chunk order (= item order). The sequential path is
-/// the `threads == 1` special case of the same code shape, so any thread
-/// count computes the identical result vector.
+/// The calling thread and `threads - 1` scoped helpers each claim one
+/// item at a time from a shared queue ordered by descending `cost`, ties
+/// in item order, so the heaviest items start first and a light item
+/// fills whichever claimer frees up. The queue's lock is held only to
+/// take the next item, never while `work` runs. A helper's panic is
+/// re-raised on the caller with its own payload.
+///
+/// Determinism argument: `work` runs exactly once per item on disjoint
+/// `&mut` state, so the claim order only decides *where* and *when* an
+/// item runs; each result is tagged with its item index and the merge
+/// sorts by it. The inline path (`threads == 1`, or fewer than
+/// [`PARALLEL_SESSIONS_MIN`] items) runs the items in item order, so any
+/// thread count and any `cost` compute the identical result vector.
 fn run_parallel<T: Send, R: Send>(
     items: &mut [T],
     threads: usize,
+    cost: impl Fn(&T) -> u32,
     work: impl Fn(&mut T) -> R + Sync,
-) -> Vec<R> {
+) -> (Vec<R>, Duration) {
     let n = items.len();
     let threads = threads.clamp(1, n.max(1));
+    let mut busy = Duration::ZERO;
     if threads == 1 || n < PARALLEL_SESSIONS_MIN {
-        return items.iter_mut().map(&work).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let work = &work;
-    // ctk-allow(det-thread-spawn): disjoint pre-chunked slices; merge happens sequentially in plan order
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|c| s.spawn(move || c.iter_mut().map(work).collect::<Vec<R>>()))
+        let results = items
+            .iter_mut()
+            .map(|item| timed(&work, item, &mut busy))
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(results) => results,
+        return (results, busy);
+    }
+    let mut order: Vec<(usize, &mut T)> = items.iter_mut().enumerate().collect();
+    order.sort_unstable_by_key(|(i, item)| (Reverse(cost(item)), *i));
+    let queue = Mutex::new(order.into_iter());
+    let (queue, work) = (&queue, &work);
+    let claim_all = move || {
+        let mut done = Vec::new();
+        let mut busy = Duration::ZERO;
+        loop {
+            // Nothing panics while the lock is held, so a poisoned lock
+            // still guards a valid queue.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, item)) = next else {
+                return (done, busy);
+            };
+            done.push((i, timed(work, item, &mut busy)));
+        }
+    };
+    // ctk-allow(det-thread-spawn): claimers take items from one queue; results merge sequentially in item order
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(claim_all)).collect();
+        let (mut done, own_busy) = claim_all();
+        busy += own_busy;
+        for helper in helpers {
+            match helper.join() {
+                Ok((theirs, their_busy)) => {
+                    done.extend(theirs);
+                    busy += their_busy;
+                }
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    (done.into_iter().map(|(_, r)| r).collect(), busy)
+}
+
+/// Runs `work` on `item`, adding its duration to `busy`.
+fn timed<T, R>(work: impl Fn(&mut T) -> R, item: &mut T, busy: &mut Duration) -> R {
+    // ctk-allow(det-wall-clock): busy-time metric only; never feeds a decision
+    let t0 = Instant::now();
+    let result = work(item);
+    *busy += t0.elapsed();
+    result
 }
 
 #[cfg(test)]
@@ -903,7 +981,7 @@ mod tests {
         // The worker thread count must be invisible in the results: the
         // same mixed-tenant workload (bounded fanout, mixed priorities,
         // every algorithm family) produces bit-identical per-tenant
-        // reports at 1, 2 and 4 worker threads.
+        // reports at 1, 2, 3 and 4 worker threads.
         let algorithms = mixed_algorithms();
         let run = |threads: usize| {
             let mut svc = service(1000).with_fanout(3).with_threads(threads);
@@ -923,7 +1001,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let sequential = run(1);
-        for threads in [2usize, 4] {
+        for threads in [2usize, 3, 4] {
             let parallel = run(threads);
             for (tenant, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
                 assert!(
@@ -931,6 +1009,103 @@ mod tests {
                     "tenant {tenant} diverged between 1 and {threads} worker threads"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn run_parallel_works_each_item_once_and_returns_item_order() {
+        // Every claim order the costs can produce — constant (item
+        // order), ascending, descending, scrambled — at every claimer
+        // count, on sizes below, at and above the inline threshold.
+        let costs: [fn(usize) -> u32; 4] = [
+            |_| 7,
+            |i| i as u32,
+            |i| 1000 - i as u32,
+            |i| (i as u32).wrapping_mul(2_654_435_761) >> 7,
+        ];
+        let names = ["constant", "ascending", "descending", "scrambled"];
+        for n in [0usize, 1, 2, 3, 64] {
+            for threads in [1usize, 2, 3, 7] {
+                for (name, cost) in names.into_iter().zip(costs) {
+                    let mut items: Vec<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
+                    let (results, _) = run_parallel(
+                        &mut items,
+                        threads,
+                        |&(i, _)| cost(i),
+                        |(i, worked)| {
+                            *worked += 1;
+                            *i * 3
+                        },
+                    );
+                    let expected: Vec<usize> = (0..n).map(|i| i * 3).collect();
+                    assert_eq!(results, expected, "n {n}, {threads} threads, {name} cost");
+                    assert!(
+                        items.iter().all(|&(_, worked)| worked == 1),
+                        "n {n}, {threads} threads, {name} cost: an item ran twice or never"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_parallel_reraises_the_panicking_items_own_payload() {
+        // Two claimers over three items: a barrier holds the first two
+        // claims until both claimers have one, so one item runs on the
+        // caller and one on the helper. Whichever side the panicking
+        // item lands on, the caller re-raises that item's own payload.
+        #[derive(Debug, PartialEq)]
+        struct Boom(&'static str);
+        let caller = std::thread::current().id();
+        for on_caller in [true, false] {
+            let barrier = std::sync::Barrier::new(2);
+            let claims = std::sync::atomic::AtomicUsize::new(0);
+            let mut items = [0u8; 3];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_parallel(
+                    &mut items,
+                    2,
+                    |_| 0,
+                    |_| {
+                        if claims.fetch_add(1, std::sync::atomic::Ordering::SeqCst) < 2 {
+                            barrier.wait();
+                            if (std::thread::current().id() == caller) == on_caller {
+                                std::panic::panic_any(Boom(if on_caller {
+                                    "caller"
+                                } else {
+                                    "helper"
+                                }));
+                            }
+                        }
+                    },
+                )
+            }));
+            let payload = caught.expect_err("the panic must reach the caller");
+            let expected = Boom(if on_caller { "caller" } else { "helper" });
+            assert_eq!(payload.downcast_ref::<Boom>(), Some(&expected));
+        }
+    }
+
+    #[test]
+    fn parallel_phases_record_wall_and_busy_time() {
+        for threads in [1usize, 2] {
+            let mut svc = service(1000).with_threads(threads);
+            for t in 0..4 {
+                svc.submit(&table(), SessionSpec::new(config(Algorithm::COff, t)))
+                    .unwrap();
+            }
+            svc.run_to_completion();
+            let m = svc.metrics();
+            assert_eq!(m.completed, 4);
+            for (phase, wall, busy) in [
+                ("gather", m.gather_time, m.gather_busy),
+                ("feed", m.feed_time, m.feed_busy),
+            ] {
+                assert!(wall > Duration::ZERO, "{phase} wall at {threads} threads");
+                assert!(busy > Duration::ZERO, "{phase} busy at {threads} threads");
+            }
+            assert!(m.gather_balance() > 0.0);
+            assert!(m.summary().contains("balance"));
         }
     }
 
