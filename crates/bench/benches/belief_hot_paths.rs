@@ -7,7 +7,10 @@
 //! * `belief_build` — one session's initial belief at each perfbench
 //!   workload's shape: a fixed 1500-world build at n = 20, k = 5
 //!   (`paper_deep`) as a tree and as `incr` (`incr_fixed`: the worlds
-//!   plus their counted depth-k path set), and an adaptive
+//!   plus their counted depth-k path set); `incr_hit_n8_k3`, an `incr`
+//!   session started from a stored belief and its shared world sample at
+//!   the `tenant_stream` shape (n = 8, k = 3, 256 fixed worlds: one `Arc`
+//!   clone, fresh weights and the report baseline); an adaptive
 //!   ε = δ = 0.05 build at n = 12, k = 3 as a tree (prefix counts only)
 //!   and as `incr` (full worlds), the `cold_burst` submit; `exact_n10`
 //!   is the exact nested-quadrature engine at n = 10, k = 5;
@@ -38,10 +41,13 @@
 //! (M = 10k worlds, n = 200) match `BENCH_PR3.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ctk_core::belief::{Belief, BeliefKey};
+use ctk_core::driver::SessionDriver;
 use ctk_core::measures::MeasureKind;
 use ctk_core::metrics::expected_distance_to_truth;
 use ctk_core::residual::{AnswerPartition, ResidualCtx};
 use ctk_core::select::{relevant_questions, COff, OfflineSelector, OnlineSelector, T1On, TbOff};
+use ctk_core::session::{Algorithm, SessionConfig};
 use ctk_crowd::GroundTruth;
 use ctk_datagen::{generate, scenarios, DatasetSpec};
 use ctk_prob::compare::PairwiseMatrix;
@@ -126,6 +132,31 @@ fn bench_belief_build(c: &mut Criterion) {
     });
     g.bench_function("incr_fixed", |b| {
         b.iter(|| sample_fixed(&deep, 5, 1500, 11).unwrap().1.len())
+    });
+    let stream = table(8);
+    let config = SessionConfig {
+        k: 3,
+        budget: 2,
+        measure: MeasureKind::WeightedEntropy,
+        algorithm: Algorithm::Incr {
+            questions_per_round: 2,
+        },
+        engine: Engine::MonteCarlo(McConfig::fixed(256, 11)),
+        seed: 3,
+        uncertainty_target: None,
+    };
+    let key = BeliefKey::of(&config).expect("Monte-Carlo incr is keyed");
+    let pairwise = std::sync::Arc::new(PairwiseMatrix::compute(&stream));
+    let stream_bounds = TopKBounds::from_matrix(&pairwise, 3).unwrap();
+    let stored = Belief::build_with_worlds(&stream, &key, &stream_bounds).unwrap();
+    g.bench_function("incr_hit_n8_k3", |b| {
+        b.iter(|| {
+            let pairwise = std::sync::Arc::clone(&pairwise);
+            SessionDriver::from_belief(config.clone(), &stream, None, pairwise, stored.clone())
+                .unwrap()
+                .report()
+                .initial_orderings
+        })
     });
     let cold = table(12);
     let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&cold), 3).unwrap();

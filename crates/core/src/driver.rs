@@ -34,7 +34,7 @@
 //! `ctk-service` does, with bit-identical per-session reports at any
 //! thread count.
 
-use crate::belief::{BeliefKey, TreeBelief};
+use crate::belief::{Belief, BeliefKey};
 use crate::error::{CoreError, Result};
 use crate::measures::UncertaintyMeasure;
 use crate::metrics::expected_distance_to_truth;
@@ -48,12 +48,9 @@ use ctk_crowd::{Answer, Question};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{TopKBounds, UncertainTable};
 use ctk_rank::RankList;
-use ctk_tpo::build::{sample_adaptive, sample_fixed, AdaptiveSample, Engine};
 use ctk_tpo::prune::prune;
 use ctk_tpo::update::bayes_update;
-use ctk_tpo::{
-    PathSet, PrecisionReport, PrecisionTarget, StopReason, TpoError, WorldModel, DEFAULT_WORLDS,
-};
+use ctk_tpo::{PathSet, PrecisionReport, StopReason, TpoError, WorldModel, DEFAULT_WORLDS};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -142,7 +139,8 @@ impl SessionDriver {
     /// O(n²) dominance scan. Bounds whose table size or depth do not
     /// match this session are ignored (recomputed), never trusted.
     ///
-    /// For a tree-mode session this is [`TreeBelief::build`] followed by
+    /// For a keyed session this is [`Belief::build`] (or, for `incr`,
+    /// [`Belief::build_with_worlds`]) followed by
     /// [`SessionDriver::from_belief`].
     pub fn new_shared(
         config: SessionConfig,
@@ -161,42 +159,47 @@ impl SessionDriver {
             Some(b) if b.k() == config.k && b.len() == table.len() => b,
             _ => Arc::new(TopKBounds::from_matrix(&pairwise, config.k).map_err(TpoError::from)?),
         };
-        let initial = match BeliefKey::of(&config) {
-            Some(key) => Initial::tree(&config, TreeBelief::build(table, &key, &bounds)?),
-            None => Initial::incr(&config, table, &bounds)?,
-        };
+        let initial = Initial::new(&config, initial_belief(&config, table, &bounds)?)?;
         Self::assemble(config, truth, pairwise, started, initial)
     }
 
-    /// Starts a tree-mode session from an initial belief built earlier by
-    /// [`TreeBelief::build`] for `table` and `BeliefKey::of(&config)`. A
-    /// serving layer that caches beliefs hands each repeat session a copy
-    /// instead of re-sampling; the session is the one
-    /// [`SessionDriver::new_shared`] would have started.
+    /// Starts a session from an initial belief built earlier by
+    /// [`Belief::build`] or [`Belief::build_with_worlds`] for `table` and
+    /// `BeliefKey::of(&config)`. A serving layer that caches beliefs hands
+    /// each repeat session a copy instead of re-sampling: an `incr`
+    /// session shares the belief's world sample and weighs it with fresh
+    /// weights, sampling the worlds first if the belief has none. The
+    /// session is the one [`SessionDriver::new_shared`] would have
+    /// started.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for an invalid configuration, an
-    /// `incr` configuration (its belief is not a path set), or a belief
-    /// of another depth than `config.k`.
+    /// [`CoreError::InvalidConfig`] for an invalid configuration, a
+    /// configuration without a belief key (`incr` on the exact engine),
+    /// or a belief of another depth than `config.k`.
     pub fn from_belief(
         config: SessionConfig,
         table: &UncertainTable,
         truth: Option<&RankList>,
         pairwise: Arc<PairwiseMatrix>,
-        belief: TreeBelief,
+        mut belief: Belief,
     ) -> Result<Self> {
         let started = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
         admit(&config, table, &pairwise)?;
-        if BeliefKey::of(&config).is_none() || belief.paths.k() != config.k {
+        let key = BeliefKey::of(&config).filter(|_| belief.paths.k() == config.k);
+        let Some(key) = key else {
             return Err(CoreError::InvalidConfig(format!(
-                "a depth-{} tree belief cannot start a {} session at k = {}",
+                "a depth-{} belief cannot start a {} session on the {} engine at k = {}",
                 belief.paths.k(),
                 config.algorithm.name(),
+                config.engine.name(),
                 config.k
             )));
+        };
+        if matches!(config.algorithm, Algorithm::Incr { .. }) {
+            belief.attach_worlds(table, &key)?;
         }
-        let initial = Initial::tree(&config, belief);
+        let initial = Initial::new(&config, belief)?;
         Self::assemble(config, truth, pairwise, started, initial)
     }
 
@@ -629,9 +632,31 @@ enum InitialBelief {
     },
 }
 
+/// The initial belief `config` builds over `table`: the tree belief of
+/// its key, with the worlds kept for `incr`.
+///
+/// incr interleaves construction with pruning on a *sampled-worlds*
+/// belief (§III-D) — an exact engine cannot drive it. When an `incr`
+/// config asks for `Engine::Exact` we fall back to a generously sized
+/// world sample drawn with the session seed rather than erroring, trading
+/// exactness for incr's construction savings.
+fn initial_belief(
+    config: &SessionConfig,
+    table: &UncertainTable,
+    bounds: &TopKBounds,
+) -> Result<Belief> {
+    let incr = matches!(config.algorithm, Algorithm::Incr { .. });
+    match BeliefKey::of(config) {
+        Some(key) if incr => Belief::build_with_worlds(table, &key, bounds),
+        Some(key) => Belief::build(table, &key, bounds),
+        None => Belief::sampled(table, config.k, 2 * DEFAULT_WORLDS, config.seed),
+    }
+}
+
 impl Initial {
-    /// A tree-mode session over `belief`, with its strategy's selector.
-    fn tree(config: &SessionConfig, belief: TreeBelief) -> Self {
+    /// A session over `belief`, with its strategy's selector (`incr`
+    /// weighs the belief's worlds).
+    fn new(config: &SessionConfig, belief: Belief) -> Result<Self> {
         let sel = match &config.algorithm {
             Algorithm::T1On => TreeSel::Online(Box::new(T1On)),
             Algorithm::AStarOn {
@@ -641,70 +666,47 @@ impl Initial {
                 lookahead: *lookahead,
                 max_expansions: *max_expansions,
             })),
+            // The certain bounds pinned the whole ordered prefix: the
+            // belief is a single path, no crowd question is relevant, and
+            // the session is done before it starts.
+            Algorithm::Incr { .. } if belief.pinned() => {
+                return Ok(Self {
+                    belief: InitialBelief::Tree {
+                        ps: belief.paths,
+                        sel: TreeSel::Offline { planned: true },
+                    },
+                    precision: belief.precision,
+                    done: true,
+                })
+            }
+            Algorithm::Incr {
+                questions_per_round,
+            } => {
+                let Some(worlds) = belief.worlds else {
+                    return Err(CoreError::InvalidConfig(
+                        "an incr session needs its belief's worlds".into(),
+                    ));
+                };
+                return Ok(Self {
+                    belief: InitialBelief::Incr {
+                        wm: WorldModel::new(worlds),
+                        paths: belief.paths,
+                        n_per_round: *questions_per_round,
+                    },
+                    precision: belief.precision,
+                    done: false,
+                });
+            }
             _ => TreeSel::Offline { planned: false },
         };
-        Self {
+        Ok(Self {
             belief: InitialBelief::Tree {
                 ps: belief.paths,
                 sel,
             },
             precision: belief.precision,
             done: false,
-        }
-    }
-
-    /// An `incr` session's world sample.
-    ///
-    /// incr interleaves construction with pruning on a *sampled-worlds*
-    /// belief (§III-D) — an exact engine cannot drive it. When the config
-    /// asks for `Engine::Exact` we fall back to a generously sized world
-    /// sample rather than erroring, trading exactness for incr's
-    /// construction savings.
-    fn incr(config: &SessionConfig, table: &UncertainTable, bounds: &TopKBounds) -> Result<Self> {
-        let Algorithm::Incr {
-            questions_per_round,
-        } = config.algorithm
-        else {
-            unreachable!("{} is not incr", config.algorithm.name())
-        };
-        let sampled = |wm: WorldModel, paths: PathSet, precision: PrecisionReport| Self {
-            belief: InitialBelief::Incr {
-                wm,
-                paths,
-                n_per_round: questions_per_round,
-            },
-            precision,
-            done: false,
-        };
-        let (m, seed) = match &config.engine {
-            Engine::MonteCarlo(mc) => match mc.precision {
-                PrecisionTarget::FixedWorlds(m) => (m, mc.seed),
-                PrecisionTarget::Adaptive { epsilon, delta } => {
-                    let (sample, precision) =
-                        sample_adaptive(table, config.k, epsilon, delta, mc.seed, Some(bounds))?;
-                    return Ok(match sample {
-                        // The certain bounds pinned the whole ordered
-                        // prefix: the belief is a single path, no crowd
-                        // question is relevant, and the session is done
-                        // before it starts.
-                        AdaptiveSample::Pinned(prefix) => Self {
-                            belief: InitialBelief::Tree {
-                                ps: PathSet::from_weighted(config.k, vec![(prefix, 1.0)])?,
-                                sel: TreeSel::Offline { planned: true },
-                            },
-                            precision,
-                            done: true,
-                        },
-                        AdaptiveSample::Sampled { worlds, paths } => {
-                            sampled(worlds, paths, precision)
-                        }
-                    });
-                }
-            },
-            Engine::Exact(_) => (2 * DEFAULT_WORLDS, config.seed),
-        };
-        let (wm, paths) = sample_fixed(table, config.k, m, seed)?;
-        Ok(sampled(wm, paths, PrecisionReport::fixed(m)))
+        })
     }
 }
 
@@ -748,7 +750,7 @@ mod tests {
     use crate::session::UrSession;
     use ctk_crowd::{Crowd, CrowdSimulator, GroundTruth, NoisyWorker, PerfectWorker, VotePolicy};
     use ctk_prob::ScoreDist;
-    use ctk_tpo::build::McConfig;
+    use ctk_tpo::build::{Engine, McConfig};
 
     fn table() -> UncertainTable {
         UncertainTable::new(
@@ -822,19 +824,22 @@ mod tests {
                 4,
             );
             cfg.engine = engine;
-            let initial = Initial::incr(&cfg, &table, &bounds).unwrap();
+            let initial =
+                Initial::new(&cfg, initial_belief(&cfg, &table, &bounds).unwrap()).unwrap();
             let InitialBelief::Incr { wm, paths, .. } = initial.belief else {
                 panic!("a sampled incr belief");
             };
             let mut reference = WorldModel::sample(&table, m, seed).unwrap();
-            assert_eq!(wm.surviving_rankings(), reference.surviving_rankings());
-            let baseline = TreeBelief {
+            assert_eq!(wm.worlds(), reference.worlds());
+            let baseline = Belief {
                 paths,
                 precision: initial.precision,
+                worlds: None,
             };
-            let grouped = TreeBelief {
+            let grouped = Belief {
                 paths: reference.path_set_cached(cfg.k).unwrap(),
                 precision: PrecisionReport::fixed(m),
+                worlds: None,
             };
             assert!(baseline.same_bits(&grouped), "{:?}", cfg.engine);
         }

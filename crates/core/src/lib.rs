@@ -19,7 +19,7 @@
 //! * [`select`] — the seven selection strategies: `A*-off`, `TB-off`,
 //!   `C-off` (offline), `A*-on`, `T1-on` (online), `random`, `naive`
 //!   (baselines) (§III-A/B);
-//! * [`belief`] — a session's initial tree belief and the key of
+//! * [`belief`] — a session's initial belief and the key of
 //!   everything its build reads;
 //! * [`driver`] — the sans-IO session state machine
 //!   (`next_batch`/`feed`), the unit a scheduler multiplexes;

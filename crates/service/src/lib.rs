@@ -35,10 +35,10 @@
 //!   ([`Quiescence`]) apart from idle;
 //! * `tables` — per-table state shared by the sessions over a table: the
 //!   pairwise matrix, the certain/possible top-K bounds per depth, and
-//!   the initial tree beliefs of `(table, k, engine)` keys submitted at
-//!   least twice, so a repeat tree-mode submit clones its belief instead
-//!   of sampling (bounded by total paths, least recently used evicted;
-//!   DESIGN.md §8);
+//!   the initial beliefs of `(table, k, engine)` keys submitted at least
+//!   twice, so a repeat submit clones its belief instead of sampling (a
+//!   repeat Monte-Carlo `incr` submit shares the stored world sample;
+//!   bounded by total bytes, least recently used evicted; DESIGN.md §8);
 //! * [`metrics`] — throughput / latency-histogram / cache-hit /
 //!   invalid-answer / belief-reuse accounting.
 //!

@@ -47,14 +47,19 @@ pub struct ServiceMetrics {
     /// builds (adaptive builds draw fewer on easy tables; certain-order
     /// early stops draw zero).
     pub worlds_drawn: u64,
-    /// Tree-mode initial beliefs built at submit (`incr` sessions, whose
-    /// belief is a world sample, count in neither this nor
-    /// `belief_hits`).
+    /// Initial beliefs built at submit, `incr` world samples included: a
+    /// keyed submit that found no stored belief, or the first `incr`
+    /// submit over a belief stored without its worlds. Exact-engine
+    /// `incr` sessions, which have no belief key, count in neither this
+    /// nor `belief_hits`.
     pub belief_builds: u64,
-    /// Tree-mode submits that started from a copy of a stored belief
-    /// instead of building one. Their reports still count the stored
-    /// build's worlds in `worlds_drawn`.
+    /// Submits that started from a copy of a stored belief instead of
+    /// building one (an `incr` hit shares the stored worlds). Their
+    /// reports still count the stored build's worlds in `worlds_drawn`.
     pub belief_hits: u64,
+    /// Bytes the belief cache holds after the latest submit: stored
+    /// paths plus attached world samples, within the cache's bound.
+    pub stored_belief_bytes: usize,
     /// Completed sessions whose certain/possible bounds pinned the whole
     /// ordered prefix before sampling — decided without any crowd
     /// questions or worlds.
@@ -196,11 +201,11 @@ impl ServiceMetrics {
     pub fn summary(&self) -> String {
         format!(
             "sessions: {} submitted, {} completed, {} failed, {} starved | \
+             beliefs: {} built, {} reused, {} bytes stored | \
              rounds: {} ({} worker threads) | \
              answers: {} served ({} live, {} cached, {:.1}% hit rate, {} invalid) | \
              routing: {} expert, {} cheap | \
              precision: {} worlds drawn, {} certain early stops | \
-             beliefs: {} built, {} reused | \
              throughput: {:.0} answers/s, {:.1} sessions/s | \
              latency avg {:?} p50 {:?} p95 {:?} p99 {:?} max {:?} | \
              gather {:?} ({:.2} balance), purchase {:?}, feed {:?} of {:?} serving",
@@ -208,6 +213,9 @@ impl ServiceMetrics {
             self.completed,
             self.failed,
             self.starved,
+            self.belief_builds,
+            self.belief_hits,
+            self.stored_belief_bytes,
             self.rounds,
             self.worker_threads.max(1),
             self.answers_served,
@@ -219,8 +227,6 @@ impl ServiceMetrics {
             self.routed_cheap,
             self.worlds_drawn,
             self.certain_early_stops,
-            self.belief_builds,
-            self.belief_hits,
             self.answers_per_sec(),
             self.sessions_per_sec(),
             self.avg_latency().unwrap_or_default(),
@@ -307,8 +313,12 @@ mod tests {
             ..ServiceMetrics::default()
         };
         m.record_latency(Duration::from_millis(5));
+        m.belief_builds = 3;
+        m.belief_hits = 29;
+        m.stored_belief_bytes = 4096;
         let s = m.summary();
         assert!(s.contains("32 submitted"));
+        assert!(s.contains("beliefs: 3 built, 29 reused, 4096 bytes stored"));
         assert!(s.contains("40.0% hit rate"));
         assert!(s.contains("p95"));
         assert!(s.contains("worker threads"));

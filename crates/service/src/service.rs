@@ -149,8 +149,8 @@ pub struct TopKService<C: Crowd> {
     threads: usize,
     /// Per-table state shared by the sessions over a table: the
     /// pairwise matrix, the certain/possible top-K bounds per depth, and
-    /// the initial tree beliefs of repeated `(table, k, engine)` submits
-    /// (see [`crate::tables`]).
+    /// the initial beliefs of repeated `(table, k, engine)` submits (see
+    /// [`crate::tables`]).
     tables: TableCache,
     /// Optional margin routing policy: when set, each live question
     /// carries a [`RouteHint`] derived from the question's margin under
@@ -227,9 +227,10 @@ impl<C: Crowd> TopKService<C> {
     }
 
     /// Registers a session over `table`. The TPO (or world sample) is
-    /// built now, so an invalid configuration fails fast; a tree-mode
-    /// session whose `(table, k, engine)` was submitted before may start
-    /// from a copy of the stored belief instead (DESIGN.md §8).
+    /// built now, so an invalid configuration fails fast; a session whose
+    /// `(table, k, engine)` was submitted before may start from a copy of
+    /// the stored belief instead, and a Monte-Carlo `incr` session from
+    /// its shared world sample (DESIGN.md §8).
     pub fn submit(&mut self, table: &UncertainTable, spec: SessionSpec) -> Result<SessionId> {
         self.submit_with_truth(table, spec, None)
     }
@@ -263,8 +264,8 @@ impl<C: Crowd> TopKService<C> {
         self.tables.bounds()
     }
 
-    /// Distinct `(table, k, engine)` initial tree beliefs currently
-    /// stored beside the pairwise matrices.
+    /// Distinct `(table, k, engine)` initial beliefs currently stored
+    /// beside the pairwise matrices.
     pub fn beliefs_cached(&self) -> usize {
         self.tables.beliefs()
     }
@@ -1618,9 +1619,9 @@ mod tests {
     fn degenerate_tables_end_done_or_typed_error() {
         // n = 1, k = n, identical distributions and point-mass ties,
         // every strategy on every engine, each config submitted three
-        // times so the third tree-mode submit starts from a stored
-        // belief. Each session ends Done or Failed with an error, a
-        // refused submit is a typed error, and nothing panics.
+        // times so the third keyed submit starts from a stored belief.
+        // Each session ends Done or Failed with an error, a refused
+        // submit is a typed error, and nothing panics.
         let uniform = |c: f64| ScoreDist::uniform_centered(c, 0.4).unwrap();
         let cases: Vec<(&str, Vec<ScoreDist>, usize)> = vec![
             ("n = 1", vec![uniform(0.5)], 1),

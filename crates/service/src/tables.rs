@@ -1,22 +1,28 @@
 //! Per-table state shared across sessions (DESIGN.md §8): the pairwise
 //! matrix, the certain/possible top-K bounds per query depth, and the
-//! initial tree beliefs of repeated submits.
+//! initial beliefs of repeated submits.
 //!
-//! A tree-mode session's initial belief is a pure function of its table
-//! and its [`BeliefKey`] (`k` plus the full engine configuration), so a
-//! submit whose `(table, key)` pair repeats can start from a copy of an
-//! earlier build instead of sampling again. A key's first submit only
+//! A session's initial belief is a pure function of its table and its
+//! [`BeliefKey`] (`k` plus the full engine configuration), so a submit
+//! whose `(table, key)` pair repeats can start from a copy of an earlier
+//! build instead of sampling again. Tree sessions and Monte-Carlo `incr`
+//! sessions of one configuration share a key: the `incr` build's path
+//! set and report are the tree build's, and an `incr` session also
+//! weighs the sampled worlds behind them. A key's first submit only
 //! records the key; its second submit stores the belief it builds; later
-//! submits clone the stored one. Traffic that never repeats a key (a
-//! fresh sampler seed per session, a fresh table per tenant) therefore
-//! holds no beliefs at all. Stored beliefs are bounded by
-//! [`MAX_BELIEF_PATHS`] paths in total, evicted least recently used, and
-//! leave with their table when the table itself is evicted.
+//! submits clone the stored one. The first `incr` submit over a belief
+//! stored without worlds samples them once and attaches them, and every
+//! later `incr` submit shares them through an `Arc` with fresh weights.
+//! Traffic that never repeats a key (a fresh sampler seed per session, a
+//! fresh table per tenant) therefore holds no beliefs at all. Stored
+//! beliefs are bounded by [`MAX_BELIEF_BYTES`] in total, evicted least
+//! recently used, and leave with their table when the table itself is
+//! evicted.
 
 use crate::metrics::ServiceMetrics;
-use ctk_core::belief::{BeliefKey, TreeBelief};
+use ctk_core::belief::{Belief, BeliefKey};
 use ctk_core::driver::SessionDriver;
-use ctk_core::session::SessionConfig;
+use ctk_core::session::{Algorithm, SessionConfig};
 use ctk_core::Result;
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{TopKBounds, UncertainTable};
@@ -30,10 +36,13 @@ use std::sync::Arc;
 /// retired tables and the per-submit equality scan.
 pub(crate) const MAX_TABLES: usize = 32;
 
-/// At most this many paths are held in stored beliefs, over all tables.
-/// `tenant_stream`'s 256 keys hold about 5.5k; one belief of the paper's
-/// Fig. 1 instance (n = 20, K = 5, 1500 worlds) about 550.
-pub(crate) const MAX_BELIEF_PATHS: usize = 16_384;
+/// At most this many bytes are held in stored beliefs, over all tables:
+/// each belief's paths (record and items) plus its attached world sample
+/// (one byte per ranking and position entry for tables of up to 256
+/// tuples, four beyond). The bound caps the memory the belief cache adds
+/// to the service whatever the traffic; a belief larger than the whole
+/// bound is not stored.
+pub(crate) const MAX_BELIEF_BYTES: usize = 8 << 20;
 
 /// Per table, at most this many keys seen once and not stored yet are
 /// remembered, oldest forgotten first.
@@ -51,27 +60,54 @@ struct TableEntry {
 
 struct StoredBelief {
     key: BeliefKey,
-    belief: TreeBelief,
+    belief: Belief,
+    /// `belief.bytes()`, counted into the cache's total.
+    bytes: usize,
     /// Clock reading of the last submit that used it.
     last_used: u64,
 }
 
 /// The service's per-table cache (see the module docs).
-#[derive(Default)]
 pub(crate) struct TableCache {
     /// Least recently used first.
     entries: Vec<TableEntry>,
-    /// Paths held in stored beliefs, over all tables.
-    belief_paths: usize,
+    /// Bytes held in stored beliefs, over all tables.
+    belief_bytes: usize,
+    /// The bound on `belief_bytes`: [`MAX_BELIEF_BYTES`] outside tests.
+    budget: usize,
     /// Advances once per submit; orders beliefs by last use.
     clock: u64,
 }
 
+impl Default for TableCache {
+    fn default() -> Self {
+        Self {
+            entries: Vec::new(),
+            belief_bytes: 0,
+            budget: MAX_BELIEF_BYTES,
+            clock: 0,
+        }
+    }
+}
+
 impl TableCache {
     /// Starts the driver of a session over `table`, reusing the table's
-    /// pairwise matrix and bounds and, for a repeated tree-mode key, its
-    /// stored initial belief. Counts belief builds and hits in `metrics`.
+    /// pairwise matrix and bounds and, for a repeated key, its stored
+    /// initial belief. Counts belief builds and hits and reports the
+    /// stored bytes in `metrics`.
     pub(crate) fn driver(
+        &mut self,
+        table: &UncertainTable,
+        config: SessionConfig,
+        truth: Option<&RankList>,
+        metrics: &mut ServiceMetrics,
+    ) -> Result<SessionDriver> {
+        let driver = self.start(table, config, truth, metrics);
+        metrics.stored_belief_bytes = self.belief_bytes;
+        driver
+    }
+
+    fn start(
         &mut self,
         table: &UncertainTable,
         config: SessionConfig,
@@ -88,18 +124,42 @@ impl TableCache {
         let (Some(key), Some(b)) = (BeliefKey::of(&config), &bounds) else {
             return SessionDriver::new_shared(config, table, truth, pairwise, bounds);
         };
-        if let Some(stored) = entry.beliefs.iter_mut().find(|s| s.key == key) {
+        let incr = matches!(config.algorithm, Algorithm::Incr { .. });
+        if let Some(pos) = entry.beliefs.iter().position(|s| s.key == key) {
+            let stored = &mut entry.beliefs[pos];
             stored.last_used = self.clock;
+            if incr && stored.belief.needs_worlds() {
+                // The key's first incr submit: sample the worlds behind
+                // the stored paths once and store them with the belief.
+                let mut stored = entry.beliefs.swap_remove(pos);
+                self.belief_bytes -= stored.bytes;
+                stored.belief.attach_worlds(table, &key)?;
+                metrics.belief_builds += 1;
+                self.store(idx, key, stored.belief.clone());
+                return SessionDriver::from_belief(config, table, truth, pairwise, stored.belief);
+            }
             let belief = stored.belief.clone();
             #[cfg(feature = "debug-invariants")]
-            assert!(
-                TreeBelief::build(table, &key, b).is_ok_and(|fresh| fresh.same_bits(&belief)),
-                "a stored belief differs from a fresh build of its key {key:?}"
-            );
+            {
+                let fresh = if incr {
+                    Belief::build_with_worlds(table, &key, b)
+                } else {
+                    Belief::build(table, &key, b)
+                };
+                assert!(
+                    fresh.is_ok_and(|fresh| fresh.same_bits(&belief)
+                        && (!incr || fresh.worlds() == belief.worlds())),
+                    "a stored belief differs from a fresh build of its key {key:?}"
+                );
+            }
             metrics.belief_hits += 1;
             return SessionDriver::from_belief(config, table, truth, pairwise, belief);
         }
-        let belief = TreeBelief::build(table, &key, b)?;
+        let belief = if incr {
+            Belief::build_with_worlds(table, &key, b)?
+        } else {
+            Belief::build(table, &key, b)?
+        };
         metrics.belief_builds += 1;
         match entry.unrepeated.iter().position(|k| *k == key) {
             Some(pos) => {
@@ -127,7 +187,7 @@ impl TableCache {
             None => {
                 if self.entries.len() >= MAX_TABLES {
                     let evicted = self.entries.remove(0);
-                    self.belief_paths -= evicted.belief_paths();
+                    self.belief_bytes -= evicted.belief_bytes();
                 }
                 self.entries.push(TableEntry {
                     table: table.clone(),
@@ -142,18 +202,19 @@ impl TableCache {
     }
 
     /// Stores `belief` beside entry `idx`, evicting least recently used
-    /// beliefs until the path bound holds. A belief larger than the whole
+    /// beliefs until the byte bound holds. A belief larger than the whole
     /// bound is not stored.
-    fn store(&mut self, idx: usize, key: BeliefKey, belief: TreeBelief) {
-        let paths = belief.paths().len();
-        if paths > MAX_BELIEF_PATHS {
+    fn store(&mut self, idx: usize, key: BeliefKey, belief: Belief) {
+        let bytes = belief.bytes();
+        if bytes > self.budget {
             return;
         }
-        while self.belief_paths + paths > MAX_BELIEF_PATHS && self.evict_lru_belief() {}
-        self.belief_paths += paths;
+        while self.belief_bytes + bytes > self.budget && self.evict_lru_belief() {}
+        self.belief_bytes += bytes;
         self.entries[idx].beliefs.push(StoredBelief {
             key,
             belief,
+            bytes,
             last_used: self.clock,
         });
     }
@@ -177,7 +238,7 @@ impl TableCache {
             return false;
         };
         let evicted = self.entries[e].beliefs.swap_remove(b);
-        self.belief_paths -= evicted.belief.paths().len();
+        self.belief_bytes -= evicted.bytes;
         true
     }
 
@@ -212,8 +273,8 @@ impl TableEntry {
         Some(b)
     }
 
-    fn belief_paths(&self) -> usize {
-        self.beliefs.iter().map(|s| s.belief.paths().len()).sum()
+    fn belief_bytes(&self) -> usize {
+        self.beliefs.iter().map(|s| s.bytes).sum()
     }
 }
 
@@ -339,6 +400,97 @@ mod tests {
     }
 
     #[test]
+    fn incr_sessions_share_tree_keys() {
+        // Tree and incr sessions interleaved over one key per engine: the
+        // first incr submit meets a belief a tree build stored and
+        // attaches its worlds, later ones hit. A pinned table's belief has
+        // no worlds to attach, and exact-engine incr has no key, so it
+        // never hits. Every report must equal its standalone run.
+        let incr = Algorithm::Incr {
+            questions_per_round: 2,
+        };
+        let decided = UncertainTable::new(
+            (0..6)
+                .map(|i| ScoreDist::uniform_centered(i as f64, 0.2).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let order = [
+            Algorithm::T1On,
+            Algorithm::T1On,
+            incr.clone(),
+            incr.clone(),
+            incr.clone(),
+            Algorithm::TbOff,
+            incr.clone(),
+            Algorithm::TbOff,
+        ];
+        let cases = [
+            (
+                table(0.0),
+                Engine::MonteCarlo(McConfig::fixed(400, 7)),
+                (3, 5),
+            ),
+            (
+                table(0.0),
+                Engine::MonteCarlo(McConfig::adaptive(0.1, 0.1, 7)),
+                (3, 5),
+            ),
+            (
+                decided,
+                Engine::MonteCarlo(McConfig::adaptive(0.05, 0.05, 7)),
+                (2, 6),
+            ),
+            (table(0.0), exact(256), (2, 2)),
+        ];
+        for (table, engine, counts) in cases {
+            let mut svc = TopKService::new(crowd(&table));
+            let submitted: Vec<_> = order
+                .iter()
+                .map(|alg| {
+                    let cfg = config(alg.clone(), engine.clone());
+                    let id = svc.submit(&table, SessionSpec::new(cfg.clone())).unwrap();
+                    (id, cfg)
+                })
+                .collect();
+            let m = svc.metrics();
+            assert_eq!((m.belief_builds, m.belief_hits), counts, "{engine:?}");
+            assert!(m.stored_belief_bytes > 0, "{engine:?}");
+            svc.run_to_completion();
+            for (id, cfg) in submitted {
+                let name = cfg.algorithm.name();
+                let served = svc.report(id).expect("session completes");
+                assert!(
+                    served.same_outcome(&standalone(cfg, &table)),
+                    "{name} on {engine:?} diverged from its standalone run"
+                );
+            }
+        }
+
+        // The stored worlds are one allocation that every incr session
+        // over the key shares.
+        let mut cache = TableCache::default();
+        let mut m = ServiceMetrics::default();
+        let t = table(0.0);
+        let fixed = Engine::MonteCarlo(McConfig::fixed(400, 7));
+        let drivers: Vec<_> = order
+            .iter()
+            .map(|alg| {
+                let cfg = config(alg.clone(), fixed.clone());
+                cache.driver(&t, cfg, None, &mut m).unwrap()
+            })
+            .collect();
+        let stored = cache.entries[0].beliefs[0].belief.worlds().unwrap();
+        assert_eq!(
+            Arc::strong_count(stored),
+            1 + 4,
+            "the cache and four incr drivers"
+        );
+        assert_eq!(stored.bytes(), 2 * 400 * 6, "one byte per entry");
+        drop(drivers);
+    }
+
+    #[test]
     fn beliefs_never_cross_keys() {
         // A base key is stored (two submits), then a config differing in
         // one input of the build must build its own belief, never hit the
@@ -413,14 +565,15 @@ mod tests {
         assert_eq!(cache.beliefs(), 0);
         assert_eq!((m.belief_builds, m.belief_hits), (10_000, 0));
         assert_eq!(cache.entries[0].unrepeated.len(), MAX_UNREPEATED_KEYS);
-        assert_eq!(cache.belief_paths, 0);
+        assert_eq!(cache.belief_bytes, 0);
+        assert_eq!(m.stored_belief_bytes, 0);
     }
 
     #[test]
     fn stored_paths_stay_within_the_bound() {
-        // A stream cycling over more keys than the path bound holds
+        // A stream cycling over more keys than a 256 kB budget holds
         // (n = 12, K = 5, 2000 worlds: over a thousand paths a belief):
-        // after every submit the held paths are within the bound and
+        // after every submit the held bytes are within the budget and
         // match the running total, and each key's third consecutive
         // submit hits.
         let wide = UncertainTable::new(
@@ -436,10 +589,10 @@ mod tests {
                 Engine::MonteCarlo(McConfig::fixed(2000, seed)),
             )
         };
-        let held = |cache: &TableCache| -> usize {
-            cache.entries.iter().map(TableEntry::belief_paths).sum()
+        let mut cache = TableCache {
+            budget: 256 << 10,
+            ..TableCache::default()
         };
-        let mut cache = TableCache::default();
         let mut m = ServiceMetrics::default();
         let keys = 16;
         for _ in 0..2 {
@@ -447,15 +600,16 @@ mod tests {
                 let hits = m.belief_hits;
                 for _ in 0..3 {
                     cache.driver(&wide, cfg(seed), None, &mut m).unwrap();
-                    assert_eq!(held(&cache), cache.belief_paths);
-                    assert!(cache.belief_paths <= MAX_BELIEF_PATHS);
+                    assert_eq!(held(&cache), cache.belief_bytes);
+                    assert_eq!(m.stored_belief_bytes, cache.belief_bytes);
+                    assert!(cache.belief_bytes <= cache.budget);
                 }
                 assert!(m.belief_hits > hits, "seed {seed}: no hit in three submits");
             }
         }
         assert!(cache.beliefs() < keys as usize, "the bound must evict");
 
-        // Evicting a table drops its beliefs and their paths: the wide
+        // Evicting a table drops its beliefs and their bytes: the wide
         // table is the least recently used of MAX_TABLES + 1.
         let t = table(0.0);
         for _ in 0..2 {
@@ -468,6 +622,61 @@ mod tests {
         }
         assert_eq!(cache.tables(), MAX_TABLES);
         assert_eq!(cache.beliefs(), 1, "only the small table's belief is left");
-        assert_eq!(held(&cache), cache.belief_paths);
+        assert_eq!(held(&cache), cache.belief_bytes);
+    }
+
+    /// Bytes of every stored belief, recounted.
+    fn held(cache: &TableCache) -> usize {
+        cache
+            .entries
+            .iter()
+            .flat_map(|e| &e.beliefs)
+            .map(|s| s.belief.bytes())
+            .sum()
+    }
+
+    #[test]
+    fn stored_worlds_count_against_the_budget() {
+        // Tree and incr submits cycling over more keys than a 160 kB
+        // budget holds once their worlds are attached (n = 12, 2000
+        // worlds: 48 kB of worlds a key, byte-packed): the stored bytes,
+        // worlds included, stay within the budget after every submit,
+        // and the gauge reports them.
+        let wide = UncertainTable::new(
+            (0..12)
+                .map(|i| ScoreDist::uniform_centered(i as f64 * 0.02, 0.5).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let cfg =
+            |algorithm, seed| config(algorithm, Engine::MonteCarlo(McConfig::fixed(2000, seed)));
+        let incr = Algorithm::Incr {
+            questions_per_round: 2,
+        };
+        let mut cache = TableCache {
+            budget: 160 << 10,
+            ..TableCache::default()
+        };
+        let mut m = ServiceMetrics::default();
+        let mut with_worlds = 0;
+        for _ in 0..2 {
+            for seed in 0..8 {
+                for alg in [Algorithm::T1On, Algorithm::T1On, incr.clone(), incr.clone()] {
+                    cache.driver(&wide, cfg(alg, seed), None, &mut m).unwrap();
+                    assert_eq!(held(&cache), cache.belief_bytes);
+                    assert_eq!(m.stored_belief_bytes, cache.belief_bytes);
+                    assert!(cache.belief_bytes <= cache.budget);
+                    let worlds = cache.entries[0]
+                        .beliefs
+                        .iter()
+                        .filter(|s| s.belief.worlds().is_some())
+                        .count();
+                    with_worlds = with_worlds.max(worlds);
+                }
+            }
+        }
+        assert!(with_worlds > 0, "incr submits attach worlds");
+        assert!(cache.beliefs() < 8, "the bound must evict");
+        assert!(m.belief_hits > 0);
     }
 }

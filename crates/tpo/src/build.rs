@@ -31,7 +31,9 @@ use crate::precision::{
     eb_half_width, PrecisionReport, PrecisionTarget, StopReason, ADAPTIVE_INITIAL_BATCH,
     ADAPTIVE_MAX_WORLDS,
 };
-use crate::worlds::{WorldModel, PARALLEL_WORLDS_MIN};
+#[cfg(test)]
+use crate::worlds::WorldModel;
+use crate::worlds::{Id, WorldSample, PARALLEL_WORLDS_MIN};
 use ctk_prob::compare::{available_cores, planned_threads, PairwiseMatrix};
 use ctk_prob::nested::{prefix_probability_with, NestedScratch};
 #[cfg(feature = "debug-invariants")]
@@ -43,6 +45,7 @@ use rand::SeedableRng;
 // ctk-allow(det-hash-collection): the adaptive loop's running counts look prefixes up by packed key under a fixed hasher and drain in key order, never in map order
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Configuration of the Monte-Carlo engine.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -207,16 +210,16 @@ pub fn build_mc(table: &UncertainTable, k: usize, cfg: &McConfig) -> Result<Path
 
 /// Outcome of an adaptive sampling run: either the certain bounds pinned
 /// the whole ordered prefix (zero worlds drawn), or a batch-grown
-/// [`WorldModel`] whose posterior cleared (or capped out on) the target.
+/// [`WorldSample`] whose posterior cleared (or capped out on) the target.
 #[derive(Debug, Clone)]
 pub enum AdaptiveSample {
     /// The fully decided ordered top-K prefix.
     Pinned(Vec<u32>),
     /// The grown sample.
     Sampled {
-        /// The drawn worlds, each with unit weight (the `incr` driver
-        /// keeps them as its belief).
-        worlds: WorldModel,
+        /// The drawn worlds, frozen and shareable (the `incr` driver
+        /// weighs them as its belief).
+        worlds: Arc<WorldSample>,
         /// Their depth-`k` path set, from the loop's final prefix counts
         /// (equal to grouping `worlds` at depth `k`).
         paths: PathSet,
@@ -231,10 +234,11 @@ pub enum AdaptiveSample {
 ///
 /// This is the `incr` belief's build: it runs the same adaptive loop as a
 /// tree-mode [`Engine::build_with_report`] (so the two stop after the same
-/// worlds with the same report), keeping every drawn world's full ranking.
-/// All draws continue one seeded PRNG stream, so the grown model is
-/// bit-identical to a one-shot sample of the same total size (pinned by
-/// tests). `bounds` as in [`Engine::build_with_report`].
+/// worlds with the same report), keeping every drawn world's full ranking
+/// in an owned buffer that is frozen into the shared sample at the end.
+/// All draws continue one seeded PRNG stream, so the grown sample is
+/// bit-identical to a one-shot [`WorldSample::sample`] of the same total
+/// size (pinned by tests). `bounds` as in [`Engine::build_with_report`].
 pub fn sample_adaptive(
     table: &UncertainTable,
     k: usize,
@@ -243,40 +247,42 @@ pub fn sample_adaptive(
     seed: u64,
     bounds: Option<&TopKBounds>,
 ) -> Result<(AdaptiveSample, PrecisionReport)> {
-    let mut wm = WorldModel::empty(table.len());
+    let mut worlds = WorldSample::empty(table.len());
     let mut scratch = Vec::with_capacity(table.len());
+    let mut ranking = vec![0u32; table.len()];
     let (grown, report) = grow_adaptive(table, k, epsilon, delta, seed, bounds, |row, prefix| {
-        prefix.copy_from_slice(&wm.push_world(row, &mut scratch)[..k])
+        worlds.push_world(row, &mut scratch, &mut ranking);
+        prefix.copy_from_slice(&ranking[..k]);
     })?;
     let sample = match grown {
         Grown::Pinned(prefix) => AdaptiveSample::Pinned(prefix),
         Grown::Counted(counts) => AdaptiveSample::Sampled {
-            worlds: wm,
+            worlds: worlds.freeze(),
             paths: counts.into_paths()?,
         },
     };
     Ok((sample, report))
 }
 
-/// A fixed-budget `incr` belief: `m` worlds sampled exactly as
-/// [`WorldModel::sample`] samples them, and their depth-`k` path set from
+/// A fixed-budget `incr` belief: `m` worlds sampled by
+/// [`WorldSample::sample`], shareable, and their depth-`k` path set from
 /// one counting pass over the worlds' ranking prefixes. Every world
 /// weighs 1, so the counts are the weight sums, and the path set equals
-/// [`WorldModel::path_set_cached`] at depth `k` bit for bit (pinned by
-/// tests) without its level-by-level regroup.
+/// [`crate::WorldModel::path_set_cached`] at depth `k` bit for bit
+/// (pinned by tests) without its level-by-level regroup.
 pub fn sample_fixed(
     table: &UncertainTable,
     k: usize,
     m: usize,
     seed: u64,
-) -> Result<(WorldModel, PathSet)> {
-    let worlds = WorldModel::sample(table, m, seed)?;
+) -> Result<(Arc<WorldSample>, PathSet)> {
+    let worlds = WorldSample::sample(table, m, seed)?;
     let n = table.len();
     if k == 0 || k > n {
         return Err(TpoError::InvalidK { k, n });
     }
-    let paths = PathSet::from_weighted(k, sorted_prefix_counts(worlds.flat_rankings(), n, k, n))?;
-    Ok((worlds, paths))
+    let paths = PathSet::from_weighted(k, worlds.prefix_counts(k))?;
+    Ok((Arc::new(worlds), paths))
 }
 
 /// Every distinct depth-`k` prefix of the worlds in `flat` with its world
@@ -287,7 +293,12 @@ pub fn sample_fixed(
 /// compared only when the key cannot hold the whole prefix. Handing
 /// `PathSet::from_weighted` its input in items order also makes its
 /// canonical sort a pass over sorted data.
-fn sorted_prefix_counts(flat: &[u32], stride: usize, k: usize, n: usize) -> Vec<(Vec<u32>, f64)> {
+pub(crate) fn sorted_prefix_counts<T: Id>(
+    flat: &[T],
+    stride: usize,
+    k: usize,
+    n: usize,
+) -> Vec<(Vec<u32>, f64)> {
     let layout = PackedKey::new(k, n);
     let prefix = |w: u32| &flat[w as usize * stride..][..k];
     let tail = |a: u32, b: u32| layout.tail(prefix(a)).cmp(layout.tail(prefix(b)));
@@ -297,7 +308,10 @@ fn sorted_prefix_counts(flat: &[u32], stride: usize, k: usize, n: usize) -> Vec<
     keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| tail(a.1, b.1)));
     keyed
         .chunk_by(|a, b| a.0 == b.0 && tail(a.1, b.1).is_eq())
-        .map(|run| (prefix(run[0].1).to_vec(), run.len() as f64))
+        .map(|run| {
+            let items = prefix(run[0].1).iter().map(|&t| t.into()).collect();
+            (items, run.len() as f64)
+        })
         .collect()
 }
 
@@ -321,13 +335,13 @@ impl PackedKey {
         }
     }
 
-    fn key(self, prefix: &[u32]) -> u64 {
+    fn key<T: Id>(self, prefix: &[T]) -> u64 {
         prefix[..self.packed]
             .iter()
-            .fold(0u64, |key, &t| key << self.bits | u64::from(t))
+            .fold(0u64, |key, &t| key << self.bits | u64::from(t.into()))
     }
 
-    fn tail(self, prefix: &[u32]) -> &[u32] {
+    fn tail<T: Id>(self, prefix: &[T]) -> &[T] {
         &prefix[self.packed..]
     }
 }
@@ -586,7 +600,10 @@ pub(crate) fn build_mc_reference(
     if k == 0 || k > table.len() {
         return Err(TpoError::InvalidK { k, n: table.len() });
     }
-    WorldModel::sample_with_threads(table, worlds, seed, 1)?.path_set(k)
+    WorldModel::new(Arc::new(WorldSample::sample_with_threads(
+        table, worlds, seed, 1,
+    )?))
+    .path_set(k)
 }
 
 /// Test-only reference for the adaptive builds: the `WorldModel` route,
@@ -606,32 +623,34 @@ pub(crate) fn build_adaptive_reference(
         let ps = PathSet::from_weighted(k, vec![(prefix, 1.0)])?;
         return Ok((ps, pinned_report(delta)));
     }
-    let mut wm = WorldModel::empty(table.len());
+    let mut worlds = WorldSample::empty(table.len());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut look = 0usize;
     let (achieved, reason) = loop {
         look += 1;
-        wm.append_sampled(table, next_batch(wm.num_worlds()), &mut rng)?;
+        worlds.append_sampled(table, next_batch(worlds.len()), &mut rng);
         let mut counts = std::collections::BTreeMap::new();
-        for w in 0..wm.num_worlds() {
-            *counts.entry(&wm.ranking(w)[..k]).or_insert(0u64) += 1;
+        for w in 0..worlds.len() {
+            *counts
+                .entry(worlds.ranking(w)[..k].to_vec())
+                .or_insert(0u64) += 1;
         }
         let values: Vec<u64> = counts.into_values().collect();
-        let width = eb_half_width(&values, wm.num_worlds(), look, delta);
+        let width = eb_half_width(&values, worlds.len(), look, delta);
         if width <= epsilon {
             break (width, StopReason::Converged);
         }
-        if wm.num_worlds() >= ADAPTIVE_MAX_WORLDS {
+        if worlds.len() >= ADAPTIVE_MAX_WORLDS {
             break (width, StopReason::WorldCap);
         }
     };
     let report = PrecisionReport {
-        worlds_drawn: wm.num_worlds(),
+        worlds_drawn: worlds.len(),
         epsilon: Some(achieved),
         delta: Some(delta),
         reason,
     };
-    Ok((wm.path_set(k)?, report))
+    Ok((WorldModel::new(Arc::new(worlds)).path_set(k)?, report))
 }
 
 /// The fixed-budget Monte-Carlo pipeline body (see [`build_mc`]).
@@ -1175,9 +1194,9 @@ mod tests {
             (&wide, 10, 400, 7),
             (&wide, 12, 400, 8),
         ] {
-            let (wm, paths) = sample_fixed(t, k, m, seed).unwrap();
+            let (worlds, paths) = sample_fixed(t, k, m, seed).unwrap();
             let mut reference = WorldModel::sample(t, m, seed).unwrap();
-            assert_eq!(wm.surviving_rankings(), reference.surviving_rankings());
+            assert_eq!(worlds, *reference.worlds());
             let grouped = reference.path_set_cached(k).unwrap();
             assert_eq!(paths, grouped);
             assert!(paths
@@ -1204,14 +1223,14 @@ mod tests {
         )
         .unwrap();
         let (sample, report) = sample_adaptive(&t, 2, 0.05, 0.1, 11, None).unwrap();
-        let (mut wm, paths) = match sample {
+        let (worlds, paths) = match sample {
             AdaptiveSample::Sampled { worlds, paths } => (worlds, paths),
             AdaptiveSample::Pinned(_) => panic!("iid-ish table cannot pin"),
         };
-        assert_eq!(wm.num_worlds(), report.worlds_drawn);
-        let one_shot = WorldModel::sample_with_threads(&t, report.worlds_drawn, 11, 1).unwrap();
-        assert_eq!(one_shot.surviving_rankings(), wm.surviving_rankings());
+        assert_eq!(worlds.len(), report.worlds_drawn);
+        let one_shot = WorldSample::sample_with_threads(&t, report.worlds_drawn, 11, 1).unwrap();
+        assert_eq!(one_shot, *worlds);
         // The handed-over path set is the grouping of those worlds.
-        assert_eq!(paths, wm.path_set_cached(2).unwrap());
+        assert_eq!(paths, WorldModel::new(worlds).path_set_cached(2).unwrap());
     }
 }

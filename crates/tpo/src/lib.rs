@@ -18,8 +18,9 @@
 //!   exact nested quadrature, cross-validated in tests.
 //! * [`prune`] — hard pruning by reliable crowd answers (§III).
 //! * [`update`] — Bayesian reweighting for noisy workers (§III-C).
-//! * [`WorldModel`] — sampled-worlds belief state enabling the `incr`
-//!   algorithm's interleaving of construction and pruning (§III-D).
+//! * [`WorldModel`] over a shared [`WorldSample`] — sampled-worlds belief
+//!   state enabling the `incr` algorithm's interleaving of construction
+//!   and pruning (§III-D).
 //! * [`stats`] — level distributions (for weighted entropy), precedence /
 //!   rank / membership marginals.
 //!
@@ -66,4 +67,4 @@ pub use error::{Result, TpoError};
 pub use path::{Path, PathSet};
 pub use precision::{PrecisionReport, PrecisionTarget, StopReason, DEFAULT_WORLDS};
 pub use tree::{Tpo, TpoNode};
-pub use worlds::WorldModel;
+pub use worlds::{WorldModel, WorldSample};

@@ -87,7 +87,7 @@ proptest! {
             let (sample, incr_report) = sample_adaptive(&table, k, eps, 0.05, seed, None).unwrap();
             prop_assert!(incr_report.same_outcome(&report), "{}", kind);
             if let AdaptiveSample::Sampled { worlds, paths } = sample {
-                assert_same_paths(&worlds.path_set(k).unwrap(), &ps, kind)?;
+                assert_same_paths(&WorldModel::new(worlds).path_set(k).unwrap(), &ps, kind)?;
                 assert_same_paths(&paths, &ps, kind)?;
             }
         }

@@ -10,19 +10,31 @@
 //! keep only each world's top-K prefix (`crate::build`), and the full
 //! model is their test-only reference.
 //!
+//! ## Shared sample, private weights
+//!
+//! The worlds themselves never change once sampled: answers move only
+//! the weights and the prefix grouping. So a model is split in two. The
+//! [`WorldSample`] (every world's ranking and position index) is an
+//! immutable value behind an [`Arc`], which any number of sessions over
+//! the same table and sampler configuration share; each [`WorldModel`]
+//! owns only its weights and its prefix grouping.
+//!
 //! ## Hot-path layout
 //!
 //! The rankings live in one flat `m × n` buffer (`rankings[w·n + r]` is
-//! world `w`'s rank-`r` tuple), ranked in place by the allocation-free
-//! [`ctk_prob::sample::ranking_into`]. Alongside them the model keeps a
+//! world `w`'s rank-`r` tuple), ranked by the allocation-free
+//! [`ctk_prob::sample::ranking_into`]. Alongside them the sample keeps a
 //! *position index* `pos[w·n + t] = rank of tuple t in world w`, making
 //! "does world `w` rank `i` above `j`?" an O(1) lookup instead of an O(n)
 //! scan — so [`WorldModel::pr_precedes`] and the `apply_answer_*` updates
-//! are O(M) in the number of worlds, independent of the table size. The
-//! prefix grouping, [`WorldModel::path_set_cached`], maintains the
-//! surviving prefix groups across the `incr` driver's repeated calls
-//! instead of rebuilding a hash map per round (DESIGN.md §8); a test-only
-//! hash-map grouping (`path_set`) is the reference it is pinned against.
+//! are O(M) in the number of worlds, independent of the table size. Ids
+//! and ranks take one byte each when the relation has at most 256 tuples
+//! and a `u32` otherwise; the width follows from `n`, and every kernel is
+//! written once, generic over it. The prefix grouping,
+//! [`WorldModel::path_set_cached`], maintains the surviving prefix groups
+//! across the `incr` driver's repeated calls instead of rebuilding a hash
+//! map per round (DESIGN.md §8); a test-only hash-map grouping
+//! (`path_set`) is the reference it is pinned against.
 
 use crate::error::{Result, TpoError};
 use crate::path::PathSet;
@@ -35,42 +47,119 @@ use rand::SeedableRng;
 #[cfg(test)]
 // ctk-allow(det-hash-collection): the test-only grouping accumulates each group's sum in ascending world order, drained through PathSet::from_weighted's canonical sort
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Below this many worlds the rank phase of sampling stays sequential —
 /// thread spawn overhead would dominate (cutoffs in DESIGN.md §10).
 pub(crate) const PARALLEL_WORLDS_MIN: usize = 2048;
 
-/// Worlds sharing a common ranking prefix, tracked incrementally across
-/// [`WorldModel::path_set_cached`] calls. Membership is structural (it
-/// ignores weights, which change under answers), so the cache never needs
-/// invalidation on belief updates — only refinement when the requested
-/// depth grows.
-#[derive(Debug, Clone)]
-struct PrefixCache {
-    /// Depth of the prefixes the groups currently represent.
-    depth: usize,
-    /// Disjoint groups of world indices, each ascending; all members of a
-    /// group share their depth-`depth` ranking prefix.
-    groups: Vec<Vec<u32>>,
+/// Relations of at most this many tuples store ids and ranks in one byte.
+const BYTE_IDS_MAX_N: usize = 1 << u8::BITS;
+
+/// A tuple id or a rank as a world sample stores it: `u8` for relations
+/// of at most [`BYTE_IDS_MAX_N`] tuples, `u32` otherwise. Widening keeps
+/// order, so kernels compare stored values directly.
+pub(crate) trait Id: Copy + Ord + Default + Send + Into<u32> {
+    /// `v`, which the caller guarantees fits the width.
+    fn narrow(v: u32) -> Self;
 }
 
-/// Weighted sampled worlds over a relation of `n` tuples.
-#[derive(Debug, Clone)]
-pub struct WorldModel {
+impl Id for u8 {
+    /// Ids and ranks are below `n`, and only `n ≤ 256` picks this width
+    /// ([`WorldSample::empty`]), so the cast never truncates.
+    #[inline]
+    fn narrow(v: u32) -> Self {
+        debug_assert!(v <= u32::from(u8::MAX), "{v} does not fit a byte id");
+        v as u8
+    }
+}
+
+impl Id for u32 {
+    #[inline]
+    fn narrow(v: u32) -> Self {
+        v
+    }
+}
+
+/// Every world's ranking and position index at one id width.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Ranked<T> {
+    /// World `w`'s ranking (tuple ids, best first) is
+    /// `rankings[w * n..(w + 1) * n]`.
+    rankings: Vec<T>,
+    /// `pos[w * n + t]` is the rank of tuple `t` in world `w` (0 = best).
+    pos: Vec<T>,
+}
+
+impl<T: Id> Ranked<T> {
+    /// Appends one world given its full ranking.
+    fn push(&mut self, ranking: &[u32]) {
+        let start = self.pos.len();
+        self.rankings.extend(ranking.iter().map(|&t| T::narrow(t)));
+        self.pos.resize(start + ranking.len(), T::default());
+        write_pos(ranking, &mut self.pos[start..]);
+    }
+
+    /// For every world in order: does it rank `i` above `j`?
+    #[inline]
+    fn prefers(&self, n: usize, i: u32, j: u32) -> impl Iterator<Item = bool> + '_ {
+        let (i, j) = (i as usize, j as usize);
+        self.pos.chunks_exact(n).map(move |p| p[i] < p[j])
+    }
+
+    /// World `w`'s depth-`k` prefix as tuple ids.
+    fn prefix(&self, n: usize, w: usize, k: usize) -> Vec<u32> {
+        self.rankings[w * n..][..k]
+            .iter()
+            .map(|&t| t.into())
+            .collect()
+    }
+
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.rankings.as_slice()) + std::mem::size_of_val(self.pos.as_slice())
+    }
+}
+
+/// The sample's storage at the width its relation size picks.
+#[derive(Debug, Clone, PartialEq)]
+enum Ids {
+    Byte(Ranked<u8>),
+    Wide(Ranked<u32>),
+}
+
+/// Evaluates `$body` with `$r` bound to the sample's [`Ranked`] storage,
+/// whatever its id width: one generic kernel, compiled once per width.
+macro_rules! with_ranked {
+    ($ids:expr, $r:ident => $body:expr) => {
+        match $ids {
+            Ids::Byte($r) => $body,
+            Ids::Wide($r) => $body,
+        }
+    };
+}
+
+/// An immutable sample of possible worlds over a relation of `n` tuples:
+/// every world's full ranking and position index, packed at one byte per
+/// entry when `n ≤ 256` and four otherwise. Sessions share it behind an
+/// [`Arc`]; weights live in each session's [`WorldModel`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorldSample {
     n: usize,
-    /// Every world's full ranking (tuple ids, best first), flat: world
-    /// `w` is `rankings[w * n..(w + 1) * n]`.
-    rankings: Vec<u32>,
-    /// Position index: `pos[w * n + t]` is the rank of tuple `t` in world
-    /// `w` (0 = best). Kept in sync with `rankings`.
-    pos: Vec<u32>,
-    /// Nonnegative world weights (not necessarily normalized).
-    weights: Vec<f64>,
-    /// Incremental prefix grouping for `path_set_cached`.
-    cache: Option<PrefixCache>,
+    ids: Ids,
 }
 
-impl WorldModel {
+impl WorldSample {
+    /// An empty sample over `n` tuples at the width `n` picks, for
+    /// crate-internal growth world by world.
+    pub(crate) fn empty(n: usize) -> Self {
+        let ids = if n <= BYTE_IDS_MAX_N {
+            Ids::Byte(Ranked::default())
+        } else {
+            Ids::Wide(Ranked::default())
+        };
+        Self { n, ids }
+    }
+
     /// Samples `m` worlds from the table's score distributions.
     ///
     /// Fails with [`TpoError::InvalidWorlds`] when `m` is not a valid fixed
@@ -83,7 +172,7 @@ impl WorldModel {
         Self::sample_with_threads(table, m, seed, auto_threads(m))
     }
 
-    /// [`WorldModel::sample`] with an explicit thread count for the rank
+    /// [`WorldSample::sample`] with an explicit thread count for the rank
     /// phase. `threads <= 1` is the fully sequential reference; any other
     /// count produces bit-identical output (pinned by tests).
     pub(crate) fn sample_with_threads(
@@ -104,113 +193,255 @@ impl WorldModel {
         for row in scores.chunks_mut(n) {
             sampler.sample_into(&mut rng, row);
         }
-
-        let mut rankings = vec![0u32; m * n];
-        let mut pos = vec![0u32; m * n];
-        let threads = threads.clamp(1, m);
-        if threads == 1 {
-            rank_chunk(&scores, &mut rankings, &mut pos, n);
-        } else {
-            let chunk = m.div_ceil(threads) * n;
-            // ctk-allow(det-thread-spawn): planned_threads fanout; each thread fills a disjoint pre-chunked slice
-            std::thread::scope(|s| {
-                for ((sc, rc), pc) in scores
-                    .chunks(chunk)
-                    .zip(rankings.chunks_mut(chunk))
-                    .zip(pos.chunks_mut(chunk))
-                {
-                    s.spawn(move || rank_chunk(sc, rc, pc, n));
-                }
-            });
-        }
-        let weights = vec![1.0; m];
-        Ok(Self {
-            n,
-            rankings,
-            pos,
-            weights,
-            cache: None,
-        })
+        let mut sample = Self::empty(n);
+        with_ranked!(&mut sample.ids, r => *r = rank_all(&scores, n, threads.clamp(1, m)));
+        Ok(sample)
     }
 
-    /// An empty belief over `n` tuples, ready for incremental
-    /// [`WorldModel::append_sampled`] growth. An empty model is not a
-    /// valid belief on its own — `path_set_cached` on it fails — so callers
-    /// must append at least one batch before reading.
-    pub fn empty(n: usize) -> Self {
-        Self::from_rankings(n, Vec::new())
-    }
-
-    /// Appends `additional` freshly sampled worlds, continuing `rng`'s
-    /// draw stream.
-    ///
-    /// Score draws stay strictly sequential in the PRNG (world-major,
-    /// tuple-minor, exactly as [`WorldModel::sample`] consumes them), so
-    /// growing a model batch by batch with one RNG is bit-identical to
-    /// sampling all the worlds in one shot from the same seed (pinned by
-    /// tests) — the property the adaptive precision builder relies on.
-    /// New worlds arrive with unit weight.
-    pub fn append_sampled(
+    /// Ranks one sampled world (`scores` in tuple-id order) into `ranking`
+    /// and appends it. `scratch` is the ranking kernel's caller-recycled
+    /// buffer.
+    pub(crate) fn push_world(
         &mut self,
-        table: &UncertainTable,
-        additional: usize,
-        rng: &mut StdRng,
-    ) -> Result<()> {
-        debug_assert_eq!(table.len(), self.n, "table width must match the model");
-        let sampler = WorldSampler::new(table);
-        let mut row = vec![0.0f64; self.n];
-        let mut scratch = Vec::with_capacity(self.n);
-        for _ in 0..additional {
-            sampler.sample_into(rng, &mut row);
-            self.push_world(&row, &mut scratch);
-        }
-        Ok(())
-    }
-
-    /// Ranks one sampled world (`scores` in tuple-id order) into the flat
-    /// storage with unit weight and returns its ranking. The incremental
-    /// prefix cache is dropped: its groups no longer cover every world.
-    /// `scratch` is the ranking kernel's caller-recycled buffer.
-    pub(crate) fn push_world(&mut self, scores: &[f64], scratch: &mut Vec<(i64, u32)>) -> &[u32] {
+        scores: &[f64],
+        scratch: &mut Vec<(i64, u32)>,
+        ranking: &mut [u32],
+    ) {
         debug_assert_eq!(scores.len(), self.n, "score row must cover the table");
-        let start = self.rankings.len();
-        self.rankings.resize(start + self.n, 0);
-        self.pos.resize(start + self.n, 0);
-        rank_world(
-            scores,
-            scratch,
-            &mut self.rankings[start..],
-            &mut self.pos[start..],
-        );
-        self.weights.push(1.0);
-        self.cache = None;
-        &self.rankings[start..]
+        ranking_into(scores, scratch, ranking);
+        with_ranked!(&mut self.ids, r => r.push(ranking));
     }
 
-    /// Builds from explicit rankings (each must be a permutation of
-    /// `0..n`); used by tests and by deterministic replays.
-    pub fn from_rankings(n: usize, rankings: Vec<Vec<u32>>) -> Self {
-        let weights = vec![1.0; rankings.len()];
-        debug_assert!(rankings.iter().all(|r| r.len() == n));
-        let rankings: Vec<u32> = rankings.concat();
-        let mut pos = vec![0u32; rankings.len()];
-        for (r, p) in rankings.chunks(n).zip(pos.chunks_mut(n)) {
-            for (rank, &t) in r.iter().enumerate() {
-                p[t as usize] = rank as u32;
-            }
-        }
-        Self {
-            n,
-            rankings,
-            pos,
-            weights,
-            cache: None,
-        }
+    /// Ends growth: releases the spare capacity growth left behind and
+    /// shares the sample, which never changes again.
+    pub(crate) fn freeze(mut self) -> Arc<Self> {
+        with_ranked!(&mut self.ids, r => {
+            r.rankings.shrink_to_fit();
+            r.pos.shrink_to_fit();
+        });
+        Arc::new(self)
     }
 
     /// Number of tuples in the underlying relation.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Number of sampled worlds.
+    pub fn len(&self) -> usize {
+        with_ranked!(&self.ids, r => r.pos.len() / self.n)
+    }
+
+    /// True for a sample without worlds (only while growing).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes held by the rankings and the position index.
+    pub fn bytes(&self) -> usize {
+        with_ranked!(&self.ids, r => r.bytes())
+    }
+
+    /// Every distinct depth-`k` prefix of the worlds with its world count,
+    /// in items order (see `crate::build`'s packed-key sort).
+    pub(crate) fn prefix_counts(&self, k: usize) -> Vec<(Vec<u32>, f64)> {
+        with_ranked!(&self.ids, r => crate::build::sorted_prefix_counts(&r.rankings, self.n, k, self.n))
+    }
+
+    /// World `w`'s full ranking (tuple ids, best first).
+    #[cfg(test)]
+    pub(crate) fn ranking(&self, w: usize) -> Vec<u32> {
+        with_ranked!(&self.ids, r => r.prefix(self.n, w, self.n))
+    }
+
+    /// Appends `additional` freshly sampled worlds, continuing `rng`'s
+    /// draw stream. Score draws stay strictly sequential in the PRNG
+    /// (world-major, tuple-minor, exactly as [`WorldSample::sample`]
+    /// consumes them), so growing a sample batch by batch with one RNG is
+    /// bit-identical to sampling all the worlds in one shot from the same
+    /// seed — the property the adaptive builder relies on.
+    #[cfg(test)]
+    pub(crate) fn append_sampled(
+        &mut self,
+        table: &UncertainTable,
+        additional: usize,
+        rng: &mut StdRng,
+    ) {
+        let sampler = WorldSampler::new(table);
+        let mut row = vec![0.0f64; self.n];
+        let mut ranking = vec![0u32; self.n];
+        let mut scratch = Vec::with_capacity(self.n);
+        for _ in 0..additional {
+            sampler.sample_into(rng, &mut row);
+            self.push_world(&row, &mut scratch, &mut ranking);
+        }
+    }
+
+    /// Builds from explicit rankings (each must be a permutation of
+    /// `0..n`), at the width `n` picks.
+    #[cfg(test)]
+    pub(crate) fn from_rankings(n: usize, rankings: &[Vec<u32>]) -> Self {
+        let mut sample = Self::empty(n);
+        for r in rankings {
+            debug_assert_eq!(r.len(), n);
+            with_ranked!(&mut sample.ids, s => s.push(r));
+        }
+        sample
+    }
+
+    /// The same worlds stored at `u32` width whatever `n` is: the
+    /// reference the byte-packed kernels are pinned against.
+    #[cfg(test)]
+    pub(crate) fn widened(&self) -> Self {
+        let widen = |v: &[u8]| v.iter().map(|&x| u32::from(x)).collect();
+        let ids = match &self.ids {
+            Ids::Byte(r) => Ids::Wide(Ranked {
+                rankings: widen(&r.rankings),
+                pos: widen(&r.pos),
+            }),
+            Ids::Wide(r) => Ids::Wide(r.clone()),
+        };
+        Self { n: self.n, ids }
+    }
+}
+
+/// Ranks flat sampled scores (`n` per world) into a sample's storage,
+/// splitting the worlds over `threads` scoped threads in contiguous
+/// chunks (`1` = sequential); every count gives the same storage.
+fn rank_all<T: Id>(scores: &[f64], n: usize, threads: usize) -> Ranked<T> {
+    let mut ranked = Ranked {
+        rankings: vec![T::default(); scores.len()],
+        pos: vec![T::default(); scores.len()],
+    };
+    if threads == 1 {
+        rank_chunk(scores, &mut ranked.rankings, &mut ranked.pos, n);
+    } else {
+        let chunk = (scores.len() / n).div_ceil(threads) * n;
+        // ctk-allow(det-thread-spawn): planned_threads fanout; each thread fills a disjoint pre-chunked slice
+        std::thread::scope(|s| {
+            for ((sc, rc), pc) in scores
+                .chunks(chunk)
+                .zip(ranked.rankings.chunks_mut(chunk))
+                .zip(ranked.pos.chunks_mut(chunk))
+            {
+                s.spawn(move || rank_chunk(sc, rc, pc, n));
+            }
+        });
+    }
+    ranked
+}
+
+/// Ranks one chunk of flat sampled scores (`n` per world) into the
+/// matching chunks of the flat rankings and the position index.
+fn rank_chunk<T: Id>(scores: &[f64], rankings: &mut [T], pos: &mut [T], n: usize) {
+    let mut scratch = Vec::with_capacity(n);
+    let mut ranking = vec![0u32; n];
+    for ((s, r), p) in scores
+        .chunks(n)
+        .zip(rankings.chunks_mut(n))
+        .zip(pos.chunks_mut(n))
+    {
+        ranking_into(s, &mut scratch, &mut ranking);
+        for (slot, &t) in r.iter_mut().zip(&ranking) {
+            *slot = T::narrow(t);
+        }
+        write_pos(&ranking, p);
+    }
+}
+
+/// Writes the position index of one world's `ranking` into `pos`.
+fn write_pos<T: Id>(ranking: &[u32], pos: &mut [T]) {
+    for (rank, &t) in ranking.iter().enumerate() {
+        pos[t as usize] = T::narrow(rank as u32);
+    }
+}
+
+fn auto_threads(m: usize) -> usize {
+    planned_threads(m, PARALLEL_WORLDS_MIN, available_cores())
+}
+
+/// Worlds sharing a common ranking prefix, tracked incrementally across
+/// [`WorldModel::path_set_cached`] calls. Membership is structural (it
+/// ignores weights, which change under answers), so the cache never needs
+/// invalidation on belief updates — only refinement when the requested
+/// depth grows.
+#[derive(Debug, Clone)]
+struct PrefixCache {
+    /// Depth of the prefixes the groups currently represent.
+    depth: usize,
+    /// Disjoint groups of world indices, each ascending; all members of a
+    /// group share their depth-`depth` ranking prefix.
+    groups: Vec<Vec<u32>>,
+}
+
+impl PrefixCache {
+    /// Splits every group by its members' rank-`depth` tuple until the
+    /// groups represent depth-`k` prefixes.
+    fn refine<T: Id>(&mut self, r: &Ranked<T>, n: usize, k: usize) {
+        while self.depth < k {
+            let d = self.depth;
+            let mut next: Vec<Vec<u32>> = Vec::with_capacity(self.groups.len());
+            // Scratch for partitioning one group by its worlds' rank-d
+            // tuple; first-seen order keeps the construction deterministic
+            // (group order itself is immaterial — the path set sorts).
+            let mut subs: Vec<(T, Vec<u32>)> = Vec::new();
+            for group in &mut self.groups {
+                if group.len() == 1 {
+                    next.push(std::mem::take(group));
+                    continue;
+                }
+                subs.clear();
+                for &w in group.iter() {
+                    let key = r.rankings[w as usize * n + d];
+                    match subs.iter_mut().find(|(t, _)| *t == key) {
+                        Some((_, members)) => members.push(w),
+                        None => subs.push((key, vec![w])),
+                    }
+                }
+                next.extend(subs.drain(..).map(|(_, members)| members));
+            }
+            self.groups = next;
+            self.depth = d + 1;
+        }
+    }
+}
+
+/// A session's belief over a shared [`WorldSample`]: one nonnegative
+/// weight per world and the incremental prefix grouping.
+#[derive(Debug, Clone)]
+pub struct WorldModel {
+    sample: Arc<WorldSample>,
+    /// Nonnegative world weights (not necessarily normalized).
+    weights: Vec<f64>,
+    /// Incremental prefix grouping for `path_set_cached`.
+    cache: Option<PrefixCache>,
+}
+
+impl WorldModel {
+    /// A fresh belief over `sample`: every world with unit weight.
+    pub fn new(sample: Arc<WorldSample>) -> Self {
+        let weights = vec![1.0; sample.len()];
+        Self {
+            sample,
+            weights,
+            cache: None,
+        }
+    }
+
+    /// A fresh belief over `m` newly sampled worlds
+    /// ([`WorldSample::sample`]).
+    pub fn sample(table: &UncertainTable, m: usize, seed: u64) -> Result<Self> {
+        Ok(Self::new(Arc::new(WorldSample::sample(table, m, seed)?)))
+    }
+
+    /// The worlds this belief weighs.
+    pub fn worlds(&self) -> &Arc<WorldSample> {
+        &self.sample
+    }
+
+    /// Number of tuples in the underlying relation.
+    pub fn n(&self) -> usize {
+        self.sample.n
     }
 
     /// Number of sampled worlds (including zero-weight ones).
@@ -229,27 +460,9 @@ impl WorldModel {
         self.weights.iter().sum()
     }
 
-    /// World `w`'s full ranking (tuple ids, best first).
-    pub fn ranking(&self, w: usize) -> &[u32] {
-        &self.rankings[w * self.n..(w + 1) * self.n]
-    }
-
-    /// Every world's full ranking, world-major (`ranking(w)` is
-    /// `[w·n..(w + 1)·n]`).
-    pub(crate) fn flat_rankings(&self) -> &[u32] {
-        &self.rankings
-    }
-
     /// World `w`'s current weight.
     pub fn weight(&self, w: usize) -> f64 {
         self.weights[w]
-    }
-
-    /// True if world `w` ranks `i` above `j` — O(1) via the position
-    /// index.
-    #[inline]
-    fn world_prefers(&self, w: usize, i: u32, j: u32) -> bool {
-        self.pos[w * self.n + i as usize] < self.pos[w * self.n + j as usize]
     }
 
     /// Weighted probability that `i` ranks above `j` under the current
@@ -259,10 +472,13 @@ impl WorldModel {
         if total <= 0.0 {
             return 0.5;
         }
-        let mass: f64 = (0..self.num_worlds())
-            .filter(|&w| self.weights[w] > 0.0 && self.world_prefers(w, i, j))
-            .map(|w| self.weights[w])
-            .sum();
+        let (n, weights) = (self.sample.n, &self.weights);
+        let mass: f64 = with_ranked!(&self.sample.ids, r => r
+            .prefers(n, i, j)
+            .zip(weights)
+            .filter(|&(prefers, &w)| w > 0.0 && prefers)
+            .map(|(_, &w)| w)
+            .sum());
         mass / total
     }
 
@@ -270,16 +486,21 @@ impl WorldModel {
     /// “does `i` rank above `j`?”. On contradiction (no world would
     /// survive) the belief is left untouched.
     pub fn apply_answer_hard(&mut self, i: u32, j: u32, yes: bool) -> Result<()> {
-        let any_survivor = (0..self.num_worlds())
-            .any(|w| self.weights[w] > 0.0 && self.world_prefers(w, i, j) == yes);
+        let (n, weights) = (self.sample.n, &mut self.weights);
+        let any_survivor = with_ranked!(&self.sample.ids, r => r
+            .prefers(n, i, j)
+            .zip(weights.iter())
+            .any(|(prefers, &w)| w > 0.0 && prefers == yes));
         if !any_survivor {
             return Err(TpoError::ContradictoryAnswer);
         }
-        for w in 0..self.num_worlds() {
-            if self.weights[w] > 0.0 && self.world_prefers(w, i, j) != yes {
-                self.weights[w] = 0.0;
+        with_ranked!(&self.sample.ids, r => {
+            for (prefers, w) in r.prefers(n, i, j).zip(weights.iter_mut()) {
+                if *w > 0.0 && prefers != yes {
+                    *w = 0.0;
+                }
             }
-        }
+        });
         Ok(())
     }
 
@@ -298,13 +519,14 @@ impl WorldModel {
         if disagree_factor == 0.0 {
             return self.apply_answer_hard(i, j, yes);
         }
-        for w in 0..self.num_worlds() {
-            if self.weights[w] <= 0.0 {
-                continue;
+        let (n, weights) = (self.sample.n, &mut self.weights);
+        with_ranked!(&self.sample.ids, r => {
+            for (prefers, w) in r.prefers(n, i, j).zip(weights.iter_mut()) {
+                if *w > 0.0 {
+                    *w *= if prefers == yes { eta } else { disagree_factor };
+                }
             }
-            let agrees = self.world_prefers(w, i, j) == yes;
-            self.weights[w] *= if agrees { eta } else { disagree_factor };
-        }
+        });
         // Without this, weights decay geometrically (×eta or ×(1-eta) per
         // answer) and a long session underflows every weight to 0,
         // collapsing `pr_precedes` to 0.5 and `path_set` to EmptyPathSet.
@@ -336,24 +558,20 @@ impl WorldModel {
     /// builders' prefix counts are pinned against, bit for bit.
     #[cfg(test)]
     pub(crate) fn path_set(&self, k: usize) -> Result<PathSet> {
-        if k == 0 || k > self.n {
-            return Err(TpoError::InvalidK { k, n: self.n });
+        let n = self.sample.n;
+        if k == 0 || k > n {
+            return Err(TpoError::InvalidK { k, n });
         }
         // ctk-allow(det-hash-collection): each group's float sum accumulates in ascending world order regardless of bucket order; draining goes through from_weighted's sort
-        let mut groups: HashMap<&[u32], f64> = HashMap::new();
-        for (w, r) in self.rankings.chunks(self.n).enumerate() {
-            if self.weights[w] <= 0.0 {
-                continue;
+        let mut groups: HashMap<Vec<u32>, f64> = HashMap::new();
+        for (w, &weight) in self.weights.iter().enumerate() {
+            if weight > 0.0 {
+                *groups
+                    .entry(self.sample.ranking(w)[..k].to_vec())
+                    .or_insert(0.0) += weight;
             }
-            *groups.entry(&r[..k]).or_insert(0.0) += self.weights[w];
         }
-        PathSet::from_weighted(
-            k,
-            groups
-                .into_iter()
-                .map(|(prefix, w)| (prefix.to_vec(), w))
-                .collect(),
-        )
+        PathSet::from_weighted(k, groups.into_iter().collect())
     }
 
     /// Groups surviving worlds by their depth-`k` prefix into a normalized
@@ -366,47 +584,18 @@ impl WorldModel {
     /// order, so every per-prefix weight is accumulated in exactly the same
     /// float-addition order.
     pub fn path_set_cached(&mut self, k: usize) -> Result<PathSet> {
-        if k == 0 || k > self.n {
-            return Err(TpoError::InvalidK { k, n: self.n });
+        let n = self.sample.n;
+        if k == 0 || k > n {
+            return Err(TpoError::InvalidK { k, n });
         }
-        let rebuild = match &self.cache {
-            Some(c) => c.depth > k,
-            None => true,
-        };
-        let mut cache = if rebuild {
-            PrefixCache {
+        let mut cache = match self.cache.take() {
+            Some(c) if c.depth <= k => c,
+            _ => PrefixCache {
                 depth: 0,
                 groups: vec![(0..self.num_worlds() as u32).collect()],
-            }
-        } else {
-            // ctk-allow(panic-unwrap): the surrounding branch runs only when the cache is Some
-            self.cache.take().expect("cache checked above")
+            },
         };
-        while cache.depth < k {
-            let d = cache.depth;
-            let mut next: Vec<Vec<u32>> = Vec::with_capacity(cache.groups.len());
-            // Scratch for partitioning one group by its worlds' rank-d
-            // tuple; first-seen order keeps the construction deterministic
-            // (group order itself is immaterial — the path set sorts).
-            let mut subs: Vec<(u32, Vec<u32>)> = Vec::new();
-            for group in &mut cache.groups {
-                if group.len() == 1 {
-                    next.push(std::mem::take(group));
-                    continue;
-                }
-                subs.clear();
-                for &w in group.iter() {
-                    let key = self.rankings[w as usize * self.n + d];
-                    match subs.iter_mut().find(|(t, _)| *t == key) {
-                        Some((_, members)) => members.push(w),
-                        None => subs.push((key, vec![w])),
-                    }
-                }
-                next.extend(subs.drain(..).map(|(_, members)| members));
-            }
-            cache.groups = next;
-            cache.depth = d + 1;
-        }
+        with_ranked!(&self.sample.ids, r => cache.refine(r, n, k));
         let weighted: Vec<(Vec<u32>, f64)> = cache
             .groups
             .iter()
@@ -414,46 +603,27 @@ impl WorldModel {
                 // Ascending-world summation; zero-weight members add an
                 // exact +0.0 and cannot perturb the value.
                 let w: f64 = group.iter().map(|&x| self.weights[x as usize]).sum();
-                (w > 0.0).then(|| (self.ranking(group[0] as usize)[..k].to_vec(), w))
+                (w > 0.0).then(|| {
+                    let first = group[0] as usize;
+                    (
+                        with_ranked!(&self.sample.ids, r => r.prefix(n, first, k)),
+                        w,
+                    )
+                })
             })
             .collect();
         self.cache = Some(cache);
         PathSet::from_weighted(k, weighted)
     }
 
-    /// The single surviving full ordering, if the belief is resolved to one
-    /// ranking prefix pattern (used by tests).
-    pub fn surviving_rankings(&self) -> Vec<&[u32]> {
+    /// Every surviving world's full ranking, in world order.
+    #[cfg(test)]
+    pub(crate) fn surviving_rankings(&self) -> Vec<Vec<u32>> {
         (0..self.num_worlds())
             .filter(|&w| self.weights[w] > 0.0)
-            .map(|w| self.ranking(w))
+            .map(|w| self.sample.ranking(w))
             .collect()
     }
-}
-
-/// Ranks one chunk of flat sampled scores (`n` per world) into the
-/// matching chunks of the flat rankings and the position index.
-fn rank_chunk(scores: &[f64], rankings: &mut [u32], pos: &mut [u32], n: usize) {
-    let mut scratch = Vec::with_capacity(n);
-    for ((s, r), p) in scores
-        .chunks(n)
-        .zip(rankings.chunks_mut(n))
-        .zip(pos.chunks_mut(n))
-    {
-        rank_world(s, &mut scratch, r, p);
-    }
-}
-
-/// Ranks one world's scores into `ranking` and its position index `pos`.
-fn rank_world(scores: &[f64], scratch: &mut Vec<(i64, u32)>, ranking: &mut [u32], pos: &mut [u32]) {
-    ranking_into(scores, scratch, ranking);
-    for (rank, &t) in ranking.iter().enumerate() {
-        pos[t as usize] = rank as u32;
-    }
-}
-
-fn auto_threads(m: usize) -> usize {
-    planned_threads(m, PARALLEL_WORLDS_MIN, available_cores())
 }
 
 #[cfg(test)]
@@ -463,10 +633,14 @@ mod tests {
     use ctk_prob::ScoreDist;
 
     fn model() -> WorldModel {
-        WorldModel::from_rankings(
+        over(
             3,
-            vec![vec![0, 1, 2], vec![0, 1, 2], vec![1, 0, 2], vec![2, 1, 0]],
+            &[vec![0, 1, 2], vec![0, 1, 2], vec![1, 0, 2], vec![2, 1, 0]],
         )
+    }
+
+    fn over(n: usize, rankings: &[Vec<u32>]) -> WorldModel {
+        WorldModel::new(Arc::new(WorldSample::from_rankings(n, rankings)))
     }
 
     fn table3() -> UncertainTable {
@@ -526,7 +700,7 @@ mod tests {
 
     #[test]
     fn contradiction_detected() {
-        let mut m = WorldModel::from_rankings(2, vec![vec![0, 1]]);
+        let mut m = over(2, &[vec![0, 1]]);
         assert!(matches!(
             m.apply_answer_hard(1, 0, true),
             Err(TpoError::ContradictoryAnswer)
@@ -591,25 +765,23 @@ mod tests {
     #[test]
     fn parallel_rank_phase_matches_sequential() {
         let table = table3();
-        let seq = WorldModel::sample_with_threads(&table, 4097, 7, 1).unwrap();
+        let seq = WorldSample::sample_with_threads(&table, 4097, 7, 1).unwrap();
         for threads in [2, 3, 8] {
-            let par = WorldModel::sample_with_threads(&table, 4097, 7, threads).unwrap();
-            assert_eq!(
-                seq.surviving_rankings(),
-                par.surviving_rankings(),
-                "threads = {threads}"
-            );
-            assert_eq!(seq.pos, par.pos, "threads = {threads}");
+            let par = WorldSample::sample_with_threads(&table, 4097, 7, threads).unwrap();
+            assert_eq!(seq, par, "threads = {threads}");
         }
     }
 
     #[test]
     fn position_index_matches_rankings() {
         let m = WorldModel::sample(&table3(), 200, 9).unwrap();
+        let Ids::Byte(stored) = &m.worlds().ids else {
+            panic!("a 3-tuple relation packs its ids in bytes");
+        };
         for w in 0..m.num_worlds() {
-            let r = m.ranking(w);
+            let r = m.worlds().ranking(w);
             for (rank, &t) in r.iter().enumerate() {
-                assert_eq!(m.pos[w * m.n() + t as usize], rank as u32);
+                assert_eq!(usize::from(stored.pos[w * m.n() + t as usize]), rank);
             }
             assert!((m.weight(w) - 1.0).abs() < 1e-12);
         }
@@ -675,33 +847,19 @@ mod tests {
         // The adaptive builder's contract: batch-growing with one RNG is
         // the same draw stream as sampling everything at once.
         let table = table3();
-        let one_shot = WorldModel::sample_with_threads(&table, 700, 13, 1).unwrap();
-        let mut grown = WorldModel::empty(table.len());
+        let one_shot = WorldSample::sample_with_threads(&table, 700, 13, 1).unwrap();
+        let mut grown = WorldSample::empty(table.len());
         let mut rng = StdRng::seed_from_u64(13);
         for batch in [1usize, 99, 300, 0, 300] {
-            grown.append_sampled(&table, batch, &mut rng).unwrap();
+            grown.append_sampled(&table, batch, &mut rng);
         }
-        assert_eq!(grown.num_worlds(), 700);
-        assert_eq!(one_shot.surviving_rankings(), grown.surviving_rankings());
-        assert_eq!(one_shot.pos, grown.pos);
+        assert_eq!(grown.len(), 700);
+        assert_eq!(one_shot, grown);
+        let grown = WorldModel::new(Arc::new(grown));
         assert!((grown.total_weight() - 700.0).abs() < 1e-12);
-        let a = one_shot.path_set(2).unwrap();
+        let a = WorldModel::new(Arc::new(one_shot)).path_set(2).unwrap();
         let b = grown.path_set(2).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn append_invalidates_the_prefix_cache() {
-        let table = table3();
-        let mut m = WorldModel::sample(&table, 400, 3).unwrap();
-        let before = m.path_set_cached(2).unwrap();
-        assert_eq!(before, m.path_set(2).unwrap());
-        let mut rng = StdRng::seed_from_u64(77);
-        m.append_sampled(&table, 250, &mut rng).unwrap();
-        // The cached grouping must cover the appended worlds too.
-        let after = m.path_set_cached(2).unwrap();
-        assert_eq!(after, m.path_set(2).unwrap());
-        assert_eq!(m.num_worlds(), 650);
     }
 
     #[test]
@@ -712,5 +870,72 @@ mod tests {
         let deep = m.path_set(3).unwrap();
         assert_eq!(deep.len(), 1);
         assert_eq!(deep.paths()[0].items, vec![0, 1, 2]);
+    }
+
+    fn bits(ps: &PathSet) -> Vec<(Vec<u32>, u64)> {
+        ps.paths()
+            .iter()
+            .map(|p| (p.items.clone(), p.prob.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn byte_and_wide_ids_agree_with_the_u32_reference() {
+        // n = 256 is the widest relation stored in bytes and n = 257 the
+        // narrowest stored in u32. Each runs a session of answers beside
+        // the same worlds widened to u32; every probability and every
+        // path set must agree bit for bit. The questions reach ids 255
+        // (the largest byte) and n - 1.
+        for (n, packed) in [(256usize, true), (257, false)] {
+            let table = UncertainTable::new(
+                (0..n)
+                    .map(|i| ScoreDist::uniform_centered(i as f64 * 0.01, 0.3).unwrap())
+                    .collect(),
+            )
+            .unwrap();
+            let sample = WorldSample::sample(&table, 300, n as u64).unwrap();
+            assert_eq!(matches!(sample.ids, Ids::Byte(_)), packed, "n = {n}");
+            let width = if packed { 1 } else { 4 };
+            assert_eq!(sample.bytes(), 2 * 300 * n * width, "n = {n}");
+            let mut model = WorldModel::new(Arc::new(sample.clone()));
+            let mut reference = WorldModel::new(Arc::new(sample.widened()));
+            let top = n as u32 - 1;
+            let questions = [
+                (top, top - 1),
+                (top - 2, top),
+                (0, top),
+                (255, 254),
+                (top - 3, top - 1),
+            ];
+            for (step, (i, j)) in questions.into_iter().enumerate() {
+                assert_eq!(
+                    model.pr_precedes(i, j).to_bits(),
+                    reference.pr_precedes(i, j).to_bits(),
+                    "n = {n}, step {step}"
+                );
+                for depth in [1, 2, 3] {
+                    let (a, b) = (
+                        model.path_set_cached(depth).unwrap(),
+                        reference.path_set_cached(depth).unwrap(),
+                    );
+                    assert_eq!(bits(&a), bits(&b), "n = {n}, step {step}, depth {depth}");
+                }
+                let yes = step % 3 != 1;
+                if step % 2 == 0 {
+                    model.apply_answer_noisy(i, j, yes, 0.8).unwrap();
+                    reference.apply_answer_noisy(i, j, yes, 0.8).unwrap();
+                } else {
+                    assert_eq!(
+                        model.apply_answer_hard(i, j, yes).is_ok(),
+                        reference.apply_answer_hard(i, j, yes).is_ok(),
+                        "n = {n}, step {step}"
+                    );
+                }
+            }
+            assert!(
+                model.effective_worlds() < 300,
+                "n = {n}: the answers must filter"
+            );
+        }
     }
 }
