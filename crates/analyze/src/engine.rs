@@ -68,7 +68,7 @@ impl FileFinding {
 }
 
 /// Which rule families apply to the file at workspace-relative `path`.
-pub fn rule_set_for(path: &str) -> RuleSet {
+fn rule_set_for(path: &str) -> RuleSet {
     let mut rs = RuleSet::default();
     // Only library sources are in scope; integration tests, benches,
     // examples, and binaries are not result-affecting.

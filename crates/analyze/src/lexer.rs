@@ -456,7 +456,7 @@ fn is_test_attribute(attr: &str) -> bool {
 }
 
 /// Whole-token containment check.
-pub fn contains_token(haystack: &str, token: &str) -> bool {
+fn contains_token(haystack: &str, token: &str) -> bool {
     find_tokens(haystack, token).next().is_some()
 }
 

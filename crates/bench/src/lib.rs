@@ -145,7 +145,7 @@ pub fn evaluate<F: Fn(u64) -> Scenario>(
 
 /// The experiment output directory (`target/experiments/`), created on
 /// demand.
-pub fn out_dir() -> PathBuf {
+fn out_dir() -> PathBuf {
     // CARGO_TARGET_DIR may relocate the target; fall back to ./target.
     let base = std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into());
     let dir = PathBuf::from(base).join("experiments");
@@ -153,7 +153,8 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Writes a TSV file under [`out_dir`] and echoes it to stdout.
+/// Writes a TSV file under the experiment output directory
+/// (`target/experiments/`) and echoes it to stdout.
 pub fn emit_tsv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     let mut text = String::new();
     text.push_str(&header.join("\t"));

@@ -262,7 +262,8 @@ impl SessionDriver {
     }
 
     /// True once the session will emit no further questions.
-    pub fn is_done(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_done(&self) -> bool {
         self.done
     }
 
@@ -280,20 +281,6 @@ impl SessionDriver {
     /// Questions answered so far.
     pub fn questions_asked(&self) -> usize {
         self.report.steps.len()
-    }
-
-    /// The belief margin `|2p − 1|` of a question under the session's
-    /// pairwise prior `p = P(t_i ≻ t_j)`: 0 for a toss-up, 1 for a pair
-    /// the scores already decide. Question-routing layers use it to send
-    /// narrow-margin questions to expert workers and wide-margin ones to
-    /// cheap panels; indices outside the table grade as margin 0 (an
-    /// unknown pair is maximally uncertain).
-    pub fn question_margin(&self, q: &Question) -> f64 {
-        let (i, j) = (q.i as usize, q.j as usize);
-        if i >= self.pairwise.len() || j >= self.pairwise.len() {
-            return 0.0;
-        }
-        (2.0 * self.pairwise.pr(i, j) - 1.0).abs()
     }
 
     /// Returns the next questions to pose to the crowd. `crowd_remaining`
@@ -1132,23 +1119,6 @@ mod tests {
         assert_eq!(r.achieved_epsilon, None);
         assert_eq!(r.precision_delta, None);
         assert!(!r.certain_early_stop);
-    }
-
-    #[test]
-    fn question_margin_reflects_pairwise_belief() {
-        let d = SessionDriver::new(config(Algorithm::T1On, 4), &table(), None).unwrap();
-        // Overlapping neighbors are genuinely uncertain; the extremes of
-        // the table have disjoint supports and a near-settled ordering.
-        let near = d.question_margin(&Question::new(1, 0));
-        let far = d.question_margin(&Question::new(7, 0));
-        assert!((0.0..=1.0).contains(&near));
-        assert!(far > near, "distant pair must be wider: {far} vs {near}");
-        assert!(far > 0.9, "disjoint supports are near-certain: {far}");
-        // Orientation does not matter — the margin is about the pair.
-        let flipped = d.question_margin(&Question::new(0, 1));
-        assert!((near - flipped).abs() < 1e-12);
-        // Out-of-range indices degrade to maximal uncertainty, no panic.
-        assert_eq!(d.question_margin(&Question::new(0, 99)), 0.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! (Soliman et al., SIGMOD'11).
 
 use super::UncertaintyMeasure;
-use ctk_rank::aggregate::{optimal_rank_aggregation, AggregateConfig};
+use ctk_rank::aggregate::optimal_rank_aggregation;
 use ctk_rank::topk::topk_kendall_normalized;
 use ctk_rank::Tournament;
 use ctk_tpo::PathSet;
@@ -11,18 +11,13 @@ use ctk_tpo::PathSet;
 /// Expected normalized top-k Kendall distance to the ORA.
 #[derive(Debug, Clone)]
 pub struct OraDistance {
-    /// Aggregation parameters (exact DP threshold, heuristic restarts).
-    pub aggregate: AggregateConfig,
     /// Fagin penalty parameter for the top-k distance.
     pub penalty: f64,
 }
 
 impl Default for OraDistance {
     fn default() -> Self {
-        Self {
-            aggregate: AggregateConfig::default(),
-            penalty: 0.5,
-        }
+        Self { penalty: 0.5 }
     }
 }
 
@@ -37,7 +32,7 @@ impl UncertaintyMeasure for OraDistance {
         }
         let lists = ps.to_weighted_lists();
         let tournament = Tournament::from_weighted_lists(&lists);
-        let Ok(agg) = optimal_rank_aggregation(&tournament, &self.aggregate) else {
+        let Ok(agg) = optimal_rank_aggregation(&tournament) else {
             return 0.0;
         };
         // The ORA ranks every candidate tuple; compare against its top-k

@@ -62,41 +62,6 @@ fn weighted_distance(
         .sum()
 }
 
-/// Distance of the single reported result (the MPO) to the real top-k —
-/// what a user consuming the query answer would experience.
-pub fn mpo_distance_to_truth(ps: &PathSet, truth_topk: &RankList) -> f64 {
-    topk_kendall_normalized_with(
-        &ps.most_probable().items,
-        truth_topk.len(),
-        NEUTRAL_PENALTY,
-        |item| truth_topk.position(item),
-    )
-}
-
-/// Set-precision of the MPO: fraction of reported top-k members that are
-/// truly in the top-k (ignores order).
-pub fn mpo_set_precision(ps: &PathSet, truth_topk: &RankList) -> f64 {
-    let mpo = ps.most_probable();
-    if mpo.items.is_empty() {
-        return 1.0;
-    }
-    let hits = mpo
-        .items
-        .iter()
-        .filter(|&&t| truth_topk.contains(t))
-        .count();
-    hits as f64 / mpo.items.len() as f64
-}
-
-/// Probability mass the belief assigns to exactly the real top-k ordering.
-pub fn truth_mass(ps: &PathSet, truth_topk: &RankList) -> f64 {
-    ps.paths()
-        .iter()
-        .filter(|p| p.items.as_slice() == truth_topk.items())
-        .map(|p| p.prob)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,9 +79,6 @@ mod tests {
         let truth = RankList::new(vec![0, 1]).unwrap();
         let certain = PathSet::from_weighted(2, vec![(vec![0, 1], 1.0)]).unwrap();
         assert_eq!(expected_distance_to_truth(&certain, &truth), 0.0);
-        assert_eq!(mpo_distance_to_truth(&certain, &truth), 0.0);
-        assert_eq!(mpo_set_precision(&certain, &truth), 1.0);
-        assert_eq!(truth_mass(&certain, &truth), 1.0);
     }
 
     #[test]
@@ -129,20 +91,6 @@ mod tests {
         // Path [0,2]: one overlap case: raw 1, normalized 1/5 = 0.2.
         let expect = 0.6 * 0.0 + 0.3 * 0.2 + 0.1 * 0.2;
         assert!((d - expect).abs() < 1e-12, "d = {d}, expect {expect}");
-    }
-
-    #[test]
-    fn mpo_metrics() {
-        let truth = RankList::new(vec![0, 1]).unwrap();
-        let s = set();
-        assert_eq!(mpo_distance_to_truth(&s, &truth), 0.0);
-        assert_eq!(mpo_set_precision(&s, &truth), 1.0);
-        assert!((truth_mass(&s, &truth) - 0.6).abs() < 1e-12);
-
-        let other_truth = RankList::new(vec![2, 3]).unwrap();
-        assert!(mpo_distance_to_truth(&s, &other_truth) > 0.5);
-        assert_eq!(mpo_set_precision(&s, &other_truth), 0.0);
-        assert_eq!(truth_mass(&s, &other_truth), 0.0);
     }
 
     #[test]

@@ -454,7 +454,8 @@ impl AnswerPartition {
     }
 
     /// Number of live (unresolved) classes.
-    pub fn class_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn class_count(&self) -> usize {
         self.classes.len()
     }
 

@@ -52,14 +52,6 @@ impl AStarOff {
         Self::default()
     }
 
-    /// Capped search: returns the best set found within the budget of
-    /// expansions, flagged as possibly sub-optimal.
-    pub fn with_cap(max_expansions: usize) -> Self {
-        Self {
-            max_expansions: Some(max_expansions),
-        }
-    }
-
     /// Runs the search and reports the outcome.
     pub fn search(&self, ps: &PathSet, budget: usize, ctx: &ResidualCtx<'_>) -> AStarOutcome {
         let pool = relevant_questions(ps, ctx);
@@ -436,7 +428,10 @@ mod tests {
             measure: &Entropy,
             pairwise: &pw,
         };
-        let out = AStarOff::with_cap(1).search(&ps, 3, &ctx);
+        let out = AStarOff {
+            max_expansions: Some(1),
+        }
+        .search(&ps, 3, &ctx);
         assert_eq!(out.questions.len(), 3, "still returns a full set");
         // With such a tiny cap, optimality cannot be guaranteed (though the
         // answer may coincidentally be optimal).

@@ -4,7 +4,7 @@
 //! worker votes ([`CostModel::PerVote`], where a majority-of-`n` answer
 //! costs `n`) — and keeps the full question/answer history for reports.
 
-use crate::question::{Answer, Question};
+use crate::question::Answer;
 
 /// How a [`BudgetLedger`] prices crowd work.
 ///
@@ -39,11 +39,6 @@ impl BudgetLedger {
     /// answers.
     pub fn new(b: usize) -> Self {
         Self::with_cost_model(b, CostModel::PerQuestion)
-    }
-
-    /// Creates a vote-denominated ledger: budget `b` worker votes.
-    pub fn per_vote(b: usize) -> Self {
-        Self::with_cost_model(b, CostModel::PerVote)
     }
 
     /// Creates a ledger with an explicit denomination.
@@ -102,7 +97,7 @@ impl BudgetLedger {
 
     /// What one question answered with `votes` worker votes costs under
     /// this ledger's denomination.
-    pub fn question_cost(&self, votes: usize) -> usize {
+    fn question_cost(&self, votes: usize) -> usize {
         match self.cost_model {
             CostModel::PerQuestion => 1,
             CostModel::PerVote => votes,
@@ -146,18 +141,12 @@ impl BudgetLedger {
     pub fn history(&self) -> &[Answer] {
         &self.history
     }
-
-    /// True if this exact question (in either orientation) was asked
-    /// before.
-    pub fn already_asked(&self, q: &Question) -> bool {
-        let c = q.canonical();
-        self.history.iter().any(|a| a.question.canonical() == c)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::question::Question;
 
     fn ans(i: u32, j: u32, yes: bool) -> Answer {
         Answer {
@@ -186,7 +175,7 @@ mod tests {
         // Regression for the budget denomination mismatch: a majority-of-3
         // answer must cost 3 vote units, not 1, so "budget 7" affords two
         // majority questions plus nothing — the third no longer fits.
-        let mut l = BudgetLedger::per_vote(7);
+        let mut l = BudgetLedger::with_cost_model(7, CostModel::PerVote);
         assert_eq!(l.cost_model(), CostModel::PerVote);
         assert_eq!(l.question_cost(3), 3);
         assert_eq!(l.questions_affordable(3), 2);
@@ -216,15 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_detection_is_orientation_insensitive() {
-        let mut l = BudgetLedger::new(5);
-        l.record(ans(0, 1, true), 1);
-        assert!(l.already_asked(&Question::new(0, 1)));
-        assert!(l.already_asked(&Question::new(1, 0)));
-        assert!(!l.already_asked(&Question::new(0, 2)));
-    }
-
-    #[test]
     fn asking_past_the_budget_never_underflows_remaining() {
         // Regression: `remaining` used plain subtraction; a ledger whose
         // `questions_asked` ever exceeded `budget` would report
@@ -250,7 +230,7 @@ mod tests {
         let mut l = BudgetLedger::new(0);
         assert!(l.exhausted());
         assert!(!l.record(ans(0, 1, true), 1));
-        let mut v = BudgetLedger::per_vote(0);
+        let mut v = BudgetLedger::with_cost_model(0, CostModel::PerVote);
         assert!(v.exhausted());
         assert!(!v.record(ans(0, 1, true), 1));
     }

@@ -59,7 +59,8 @@ impl GroundTruth {
     }
 
     /// 0-based true rank of a tuple.
-    pub fn rank_of(&self, id: u32) -> usize {
+    #[cfg(test)]
+    fn rank_of(&self, id: u32) -> usize {
         self.positions[id as usize]
     }
 

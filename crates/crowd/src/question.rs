@@ -62,7 +62,7 @@ pub struct Answer {
 
 impl Answer {
     /// The `(winner, loser)` pair asserted by this answer.
-    pub fn implied_order(&self) -> (u32, u32) {
+    fn implied_order(&self) -> (u32, u32) {
         if self.yes {
             (self.question.i, self.question.j)
         } else {

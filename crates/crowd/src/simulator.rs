@@ -14,10 +14,9 @@ use crate::oracle::GroundTruth;
 use crate::question::{Answer, Question};
 use crate::worker::{AnswerModel, Vote};
 
-/// A caller-supplied hint about how much an answer is worth: the
-/// question-routing layer (`ctk-quality`) asks for cheap workers on
-/// wide-margin questions and experts on narrow ones. Backends without
-/// worker tiers ignore the hint.
+/// A caller-supplied hint about how much an answer is worth: cheap
+/// workers for wide-margin questions, experts for narrow ones. Backends
+/// without worker tiers ignore the hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RouteHint {
     /// No preference; the backend picks whoever is next.
@@ -63,8 +62,8 @@ pub trait Crowd: Send {
     fn history(&self) -> &[Answer];
 
     /// Asks one question with a routing hint. Backends with worker tiers
-    /// (see `ctk-quality`) honor the hint; the default ignores it, so
-    /// every existing crowd keeps its behavior.
+    /// may honor the hint; the default ignores it, so every existing
+    /// crowd keeps its behavior.
     fn ask_routed(&mut self, q: Question, hint: RouteHint) -> Option<Answer> {
         let _ = hint;
         self.ask(q)
@@ -134,7 +133,7 @@ impl<M: AnswerModel> CrowdSimulator<M> {
     /// [`AnswerModel::vote_with_gap`] delegates to `answer_with_gap`), so
     /// attributed and unattributed runs over the same simulator state are
     /// bit-identical in everything but the extra provenance.
-    pub fn ask_attributed(&mut self, q: Question) -> Option<AttributedAnswer> {
+    fn ask_attributed(&mut self, q: Question) -> Option<AttributedAnswer> {
         let cost = self.policy.votes_per_question();
         if !self.ledger.can_afford(cost) {
             // Regression guard for the budget denomination mismatch: a

@@ -266,7 +266,7 @@ impl DifficultyWorker {
     }
 
     /// Accuracy on a pair with true score gap `gap`.
-    pub fn accuracy_at(&self, gap: f64) -> f64 {
+    fn accuracy_at(&self, gap: f64) -> f64 {
         0.5 + (self.eta_max - 0.5) * (1.0 - (-gap.abs() / self.scale).exp())
     }
 }

@@ -17,8 +17,7 @@ use rand::{Rng, SeedableRng};
 /// A roster of `size` workers where `spammer_fraction` of them (rounded,
 /// placed at the end of the roster) answer near or below chance while
 /// the rest are reliable experts. Experts are priced at 3 votes' worth
-/// per vote, spammers at 1 — the cost asymmetry the margin router
-/// exploits.
+/// per vote, spammers at 1.
 ///
 /// Accuracies are drawn deterministically from the seed: experts in
 /// `[0.85, 0.97)`, spammers in `[0.35, 0.55)` (some are systematically

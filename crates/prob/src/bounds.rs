@@ -92,17 +92,20 @@ impl TopKBounds {
     }
 
     /// How many tuples are certainly above tuple `t`.
-    pub fn certainly_above(&self, t: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn certainly_above(&self, t: usize) -> usize {
         self.above[t] as usize
     }
 
     /// How many tuples are certainly below tuple `t`.
-    pub fn certainly_below(&self, t: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn certainly_below(&self, t: usize) -> usize {
         self.below[t] as usize
     }
 
     /// True if tuple `t` appears in the top-K of every possible world.
-    pub fn is_certainly_in(&self, t: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_certainly_in(&self, t: usize) -> bool {
         self.below[t] as usize >= self.n - self.k
     }
 
@@ -114,7 +117,8 @@ impl TopKBounds {
 
     /// True when the top-K *membership* is fully decided: exactly `k`
     /// tuples are certainly in and no further tuple is possibly in.
-    pub fn membership_decided(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn membership_decided(&self) -> bool {
         self.certain.len() == self.k && self.possible.len() == self.k
     }
 

@@ -14,8 +14,8 @@
 //!
 //! [`pr_greater`] resolves every family pair *analytically* (DESIGN.md §10):
 //! atoms by exact summation, Gaussian–Gaussian by the usual closed form,
-//! pairs of piecewise-polynomial densities (Uniform / Histogram /
-//! Piecewise) by per-segment Simpson — exact, because the integrand
+//! pairs of piecewise-polynomial densities (Uniform / Piecewise) by
+//! per-segment Simpson — exact, because the integrand
 //! `f_A·F_B` has degree ≤ 3 on each merged segment — and Gaussian vs
 //! piecewise-polynomial via the `Φ` antiderivatives. Mixtures recurse by
 //! linearity. The generic grid quadrature it replaced survives as a
@@ -220,8 +220,8 @@ static NONE_CACHE: DistCache = DistCache::None;
 impl DistCache {
     pub(crate) fn build(d: &ScoreDist) -> Self {
         match d {
-            ScoreDist::Uniform(_) | ScoreDist::Histogram(_) | ScoreDist::Piecewise(_) => {
-                // ctk-allow(panic-unwrap): PolyCdf::build succeeds for exactly these three variants
+            ScoreDist::Uniform(_) | ScoreDist::Piecewise(_) => {
+                // ctk-allow(panic-unwrap): PolyCdf::build succeeds for exactly these two variants
                 DistCache::Poly(PolyCdf::build(d).expect("polynomial family"))
             }
             ScoreDist::Mixture(m) => DistCache::Mixture(
@@ -254,8 +254,8 @@ fn with_poly<R>(d: &ScoreDist, c: &DistCache, f: impl FnOnce(&PolyCdf) -> R) -> 
 
 /// Piecewise-linear density with its exact piecewise-quadratic CDF, in
 /// segment form: the shared representation of Uniform (one constant
-/// segment), Histogram (constant per bin) and Piecewise (linear per
-/// segment) that the closed-form comparisons integrate over.
+/// segment) and Piecewise (linear per segment) that the closed-form
+/// comparisons integrate over.
 #[derive(Debug, Clone)]
 pub(crate) struct PolyCdf {
     /// Segment breakpoints, strictly increasing (≥ 2).
@@ -279,23 +279,6 @@ impl PolyCdf {
                     yr: vec![h],
                     cdf: vec![0.0, 1.0],
                 })
-            }
-            ScoreDist::Histogram(hg) => {
-                let xs = hg.edges().to_vec();
-                let masses = hg.masses();
-                let mut yl = Vec::with_capacity(masses.len());
-                let mut cdf = Vec::with_capacity(xs.len());
-                cdf.push(0.0);
-                let mut acc = 0.0;
-                for (i, &m) in masses.iter().enumerate() {
-                    yl.push(m / (xs[i + 1] - xs[i]));
-                    acc += m;
-                    cdf.push(acc);
-                }
-                // ctk-allow(panic-unwrap): cdf starts with push(0.0), never empty
-                *cdf.last_mut().expect("non-empty") = 1.0;
-                let yr = yl.clone();
-                Some(Self { xs, yl, yr, cdf })
             }
             ScoreDist::Piecewise(p) => {
                 let xs = p.knots().to_vec();
@@ -437,13 +420,6 @@ fn linear_times_phi(mu: f64, sigma: f64, x0: f64, y0: f64, s: f64, a: f64, b: f6
     let i0 = |z: f64| z * normal_cdf(z) + normal_pdf(z);
     let i1 = |z: f64| 0.5 * ((z * z - 1.0) * normal_cdf(z) + z * normal_pdf(z));
     sigma * (alpha * (i0(zb) - i0(za)) + beta * (i1(zb) - i1(za)))
-}
-
-/// True if the relative order of `a` and `b` is uncertain, i.e. neither
-/// `P(a > b)` nor `P(b > a)` is (numerically) one.
-pub fn order_uncertain(a: &ScoreDist, b: &ScoreDist) -> bool {
-    let p = pr_greater(a, b);
-    p > ORDER_EPS && p < 1.0 - ORDER_EPS
 }
 
 /// Picks a worker count for an embarrassingly parallel loop: sequential
@@ -637,12 +613,6 @@ impl PairwiseMatrix {
         !self.uncertain(i, j)
     }
 
-    /// Number of unordered pairs whose relative order is decided — the
-    /// complement of [`PairwiseMatrix::uncertain_pair_count`].
-    pub fn decided_pair_count(&self) -> usize {
-        self.n * self.n.saturating_sub(1) / 2 - self.uncertain_pair_count()
-    }
-
     /// Per-tuple certain-dominance counts: for each tuple `t`, how many
     /// other tuples are certainly above it and how many are certainly
     /// below it. One O(n²) scan; the input of the certain/possible top-K
@@ -685,8 +655,8 @@ mod tests {
             ScoreDist::gaussian(0.4, 0.2).unwrap(),
             ScoreDist::gaussian(1.0, 0.05).unwrap(),
             ScoreDist::discrete(&[(0.1, 0.4), (0.9, 0.6)]).unwrap(),
-            ScoreDist::histogram(&[0.0, 0.4, 1.0], &[2.0, 1.0]).unwrap(),
-            ScoreDist::histogram(&[-1.0, -0.5, 0.2, 0.8], &[1.0, 0.5, 2.0]).unwrap(),
+            ScoreDist::piecewise(&[(0.0, 0.0), (0.2, 1.0), (0.6, 1.0), (1.0, 0.0)]).unwrap(),
+            ScoreDist::piecewise(&[(-1.0, 0.0), (-0.5, 1.0), (0.2, 1.0), (0.8, 0.0)]).unwrap(),
             ScoreDist::triangular(0.0, 0.7, 1.0).unwrap(),
             ScoreDist::piecewise(&[(0.2, 0.1), (0.5, 2.0), (0.6, 0.3), (1.2, 1.0)]).unwrap(),
             ScoreDist::point(0.45),
@@ -723,7 +693,6 @@ mod tests {
         let lo = u(0.0, 1.0);
         assert_eq!(pr_greater(&hi, &lo), 1.0);
         assert_eq!(pr_greater(&lo, &hi), 0.0);
-        assert!(!order_uncertain(&hi, &lo));
     }
 
     #[test]
@@ -733,7 +702,6 @@ mod tests {
         let b = u(1.0, 3.0);
         let p = pr_greater(&a, &b);
         assert!((p - 0.125).abs() < 1e-12, "p = {p}");
-        assert!(order_uncertain(&a, &b));
     }
 
     #[test]
@@ -795,7 +763,7 @@ mod tests {
         let g = ScoreDist::gaussian(0.5, 0.1).unwrap();
         for other in [
             u(0.2, 0.9),
-            ScoreDist::histogram(&[0.0, 0.4, 1.0], &[2.0, 1.0]).unwrap(),
+            ScoreDist::piecewise(&[(0.0, 0.0), (0.2, 1.0), (0.6, 1.0), (1.0, 0.0)]).unwrap(),
             ScoreDist::triangular(0.3, 0.5, 0.8).unwrap(),
             u(-5.0, 5.0), // support far beyond the Gaussian's
         ] {
@@ -851,14 +819,10 @@ mod tests {
 
     #[test]
     fn gaussian_closed_form_agrees_with_quadrature_of_mixed_pair() {
-        // Compare a Gaussian with a histogram approximating it: p ~ 0.5.
+        // Compare a Gaussian with a trapezoid centred on its mean: p ~ 0.5.
         let g = ScoreDist::gaussian(0.5, 0.1).unwrap();
-        let h = ScoreDist::histogram(
-            &[0.2, 0.35, 0.45, 0.55, 0.65, 0.8],
-            &[0.0668, 0.2417, 0.3829, 0.2417, 0.0668],
-        )
-        .unwrap();
-        let p = pr_greater(&g, &h);
+        let t = ScoreDist::piecewise(&[(0.2, 0.0), (0.4, 1.0), (0.6, 1.0), (0.8, 0.0)]).unwrap();
+        let p = pr_greater(&g, &t);
         assert!((p - 0.5).abs() < 0.02, "p = {p}");
     }
 

@@ -62,6 +62,9 @@ impl Discrete {
         if total <= 0.0 {
             return Err(ProbError::InvalidWeights("all weights are zero".into()));
         }
+        if !total.is_finite() {
+            return Err(ProbError::InvalidWeights("weight sum overflows".into()));
+        }
         for p in &mut ps {
             *p /= total;
         }

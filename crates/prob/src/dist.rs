@@ -10,7 +10,6 @@
 use crate::discrete::Discrete;
 use crate::error::Result;
 use crate::gaussian::Gaussian;
-use crate::histogram::Histogram;
 use crate::mixture::Mixture;
 use crate::piecewise::PiecewiseLinear;
 use crate::uniform::Uniform;
@@ -27,8 +26,6 @@ pub enum ScoreDist {
     Gaussian(Gaussian),
     /// Finite set of possible values.
     Discrete(Discrete),
-    /// Piecewise-constant density.
-    Histogram(Histogram),
     /// Piecewise-linear density.
     Piecewise(PiecewiseLinear),
     /// Finite mixture of score distributions.
@@ -59,11 +56,6 @@ impl ScoreDist {
     /// Discrete over `(value, weight)` pairs.
     pub fn discrete(pairs: &[(f64, f64)]) -> Result<Self> {
         Ok(ScoreDist::Discrete(Discrete::new(pairs)?))
-    }
-
-    /// Histogram with explicit `edges` and per-bin `weights`.
-    pub fn histogram(edges: &[f64], weights: &[f64]) -> Result<Self> {
-        Ok(ScoreDist::Histogram(Histogram::new(edges, weights)?))
     }
 
     /// Piecewise-linear density through `knots`.
@@ -104,7 +96,6 @@ impl ScoreDist {
             ScoreDist::Point(_) | ScoreDist::Discrete(_) => 0.0,
             ScoreDist::Uniform(d) => d.pdf(x),
             ScoreDist::Gaussian(d) => d.pdf(x),
-            ScoreDist::Histogram(d) => d.pdf(x),
             ScoreDist::Piecewise(d) => d.pdf(x),
             ScoreDist::Mixture(m) => m.pdf(x),
         }
@@ -135,7 +126,6 @@ impl ScoreDist {
             ScoreDist::Uniform(d) => d.cdf(x),
             ScoreDist::Gaussian(d) => d.cdf(x),
             ScoreDist::Discrete(d) => d.cdf(x),
-            ScoreDist::Histogram(d) => d.cdf(x),
             ScoreDist::Piecewise(d) => d.cdf(x),
             ScoreDist::Mixture(m) => m.cdf(x),
         }
@@ -148,7 +138,6 @@ impl ScoreDist {
             ScoreDist::Uniform(d) => d.quantile(p),
             ScoreDist::Gaussian(d) => d.quantile(p.clamp(1e-16, 1.0 - 1e-16)),
             ScoreDist::Discrete(d) => d.quantile(p),
-            ScoreDist::Histogram(d) => d.quantile(p),
             ScoreDist::Piecewise(d) => d.quantile(p),
             ScoreDist::Mixture(m) => m.quantile(p),
         }
@@ -161,7 +150,6 @@ impl ScoreDist {
             ScoreDist::Uniform(d) => d.mean(),
             ScoreDist::Gaussian(d) => d.mean(),
             ScoreDist::Discrete(d) => d.mean(),
-            ScoreDist::Histogram(d) => d.mean(),
             ScoreDist::Piecewise(d) => d.mean(),
             ScoreDist::Mixture(m) => m.mean(),
         }
@@ -174,7 +162,6 @@ impl ScoreDist {
             ScoreDist::Uniform(d) => d.variance(),
             ScoreDist::Gaussian(d) => d.variance(),
             ScoreDist::Discrete(d) => d.variance(),
-            ScoreDist::Histogram(d) => d.variance(),
             ScoreDist::Piecewise(d) => d.variance(),
             ScoreDist::Mixture(m) => m.variance(),
         }
@@ -187,7 +174,6 @@ impl ScoreDist {
             ScoreDist::Uniform(d) => d.support(),
             ScoreDist::Gaussian(d) => d.support(),
             ScoreDist::Discrete(d) => d.support(),
-            ScoreDist::Histogram(d) => d.support(),
             ScoreDist::Piecewise(d) => d.support(),
             ScoreDist::Mixture(m) => m.support(),
         }
@@ -200,7 +186,6 @@ impl ScoreDist {
             ScoreDist::Uniform(d) => d.sample(rng),
             ScoreDist::Gaussian(d) => d.sample(rng),
             ScoreDist::Discrete(d) => d.sample(rng),
-            ScoreDist::Histogram(d) => d.sample(rng),
             ScoreDist::Piecewise(d) => d.sample(rng),
             ScoreDist::Mixture(m) => m.sample(rng),
         }
@@ -210,6 +195,7 @@ impl ScoreDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ProbError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -219,7 +205,7 @@ mod tests {
             ScoreDist::uniform(0.0, 1.0).unwrap(),
             ScoreDist::gaussian(0.5, 0.1).unwrap(),
             ScoreDist::discrete(&[(0.2, 1.0), (0.8, 3.0)]).unwrap(),
-            ScoreDist::histogram(&[0.0, 0.5, 1.0], &[1.0, 3.0]).unwrap(),
+            ScoreDist::piecewise(&[(0.0, 0.0), (0.3, 1.0), (0.6, 1.0), (1.0, 0.0)]).unwrap(),
             ScoreDist::triangular(0.0, 0.4, 1.0).unwrap(),
             ScoreDist::bimodal(
                 0.4,
@@ -304,8 +290,32 @@ mod tests {
         assert!(ScoreDist::uniform(1.0, 0.0).is_err());
         assert!(ScoreDist::gaussian(0.0, -1.0).is_err());
         assert!(ScoreDist::discrete(&[]).is_err());
-        assert!(ScoreDist::histogram(&[0.0], &[]).is_err());
         assert!(ScoreDist::piecewise(&[(0.0, 1.0)]).is_err());
         assert!(ScoreDist::triangular(1.0, 2.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn finite_parameters_whose_span_or_total_overflows_are_rejected() {
+        let spans = [
+            ScoreDist::uniform(-1e308, 1e308),
+            ScoreDist::gaussian(0.0, 1e308),
+        ];
+        for r in spans {
+            assert!(
+                matches!(r, Err(ProbError::InvalidParameter { .. })),
+                "{r:?}"
+            );
+        }
+        let totals = [
+            ScoreDist::discrete(&[(0.0, 1e308), (1.0, 1e308)]),
+            ScoreDist::mixture(vec![
+                (1e308, ScoreDist::uniform(0.0, 1.0).unwrap()),
+                (1e308, ScoreDist::uniform(0.5, 1.5).unwrap()),
+            ]),
+            ScoreDist::piecewise(&[(-1e308, 1.0), (1e308, 1.0)]),
+        ];
+        for r in totals {
+            assert!(matches!(r, Err(ProbError::InvalidWeights(_))), "{r:?}");
+        }
     }
 }

@@ -14,7 +14,8 @@ pub enum ProbError {
     },
     /// A probability value fell outside `[0, 1]`.
     InvalidProbability(f64),
-    /// Discrete/histogram weights did not form a usable distribution.
+    /// Discrete, mixture or piecewise weights did not form a usable
+    /// distribution.
     InvalidWeights(String),
     /// The operation requires a continuous distribution but got a discrete one.
     RequiresContinuous(&'static str),

@@ -36,6 +36,13 @@ impl Gaussian {
                 reason: format!("must be positive and finite, got {sigma}"),
             });
         }
+        let span = (mu + EFFECTIVE_SIGMAS * sigma) - (mu - EFFECTIVE_SIGMAS * sigma);
+        if !span.is_finite() {
+            return Err(ProbError::InvalidParameter {
+                param: "mu/sigma",
+                reason: format!("effective support mu +- {EFFECTIVE_SIGMAS} sigma overflows"),
+            });
+        }
         Ok(Self { mu, sigma })
     }
 

@@ -11,14 +11,13 @@ use crate::dist::ScoreDist;
 /// resolution is < 1e-6 for the distribution families in this crate.
 pub const DEFAULT_RESOLUTION: usize = 1024;
 
-/// Recursively collects density breakpoints (bin edges, knots, atoms,
+/// Recursively collects density breakpoints (knots, atoms,
 /// component supports) so the trapezoid rule never straddles a kink.
 fn collect_breakpoints(d: &ScoreDist, out: &mut Vec<f64>) {
     let (a, b) = d.support();
     out.push(a);
     out.push(b);
     match d {
-        ScoreDist::Histogram(h) => out.extend_from_slice(h.edges()),
         ScoreDist::Piecewise(p) => out.extend_from_slice(p.knots()),
         ScoreDist::Discrete(d) => out.extend_from_slice(d.values()),
         ScoreDist::Mixture(m) => {
@@ -32,7 +31,7 @@ fn collect_breakpoints(d: &ScoreDist, out: &mut Vec<f64>) {
 
 /// A sorted, deduplicated set of quadrature points covering the union
 /// support of a set of distributions, refined with every distribution's
-/// breakpoints (support endpoints, histogram edges, piecewise knots) so the
+/// breakpoints (support endpoints, piecewise knots, atoms) so the
 /// trapezoid rule never straddles a kink of the integrand.
 #[derive(Debug, Clone)]
 pub struct SupportGrid {
@@ -115,12 +114,6 @@ impl SupportGrid {
     pub fn map<F: FnMut(f64) -> f64>(&self, mut f: F) -> Vec<f64> {
         self.points.iter().map(|&x| f(x)).collect()
     }
-
-    /// Evaluates `f` at every grid point into `out` (reusing its capacity).
-    pub fn map_into<F: FnMut(f64) -> f64>(&self, mut f: F, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.points.iter().map(|&x| f(x)));
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +133,8 @@ mod tests {
 
     #[test]
     fn grid_includes_breakpoints() {
-        let h = ScoreDist::histogram(&[0.0, 0.3, 0.9, 1.0], &[1.0, 1.0, 1.0]).unwrap();
-        let g = SupportGrid::build([&h], 7);
+        let t = ScoreDist::piecewise(&[(0.0, 0.0), (0.3, 1.0), (0.9, 1.0), (1.0, 0.0)]).unwrap();
+        let g = SupportGrid::build([&t], 7);
         for edge in [0.0, 0.3, 0.9, 1.0] {
             assert!(
                 g.points().iter().any(|&x| (x - edge).abs() < 1e-12),
@@ -168,8 +161,5 @@ mod tests {
         for (i, &x) in g.points().iter().enumerate() {
             assert_eq!(ys[i], a.cdf(x));
         }
-        let mut out = vec![0.0; 1];
-        g.map_into(|x| a.pdf(x), &mut out);
-        assert_eq!(out.len(), g.len());
     }
 }

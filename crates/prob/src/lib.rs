@@ -10,7 +10,7 @@
 //! known pdf. This crate provides:
 //!
 //! * [`ScoreDist`] — the uncertain score type (uniform, Gaussian, discrete,
-//!   histogram, piecewise-linear, point), with pdf/cdf/quantile/moments and
+//!   piecewise-linear, mixture, point), with pdf/cdf/quantile/moments and
 //!   seeded sampling;
 //! * [`UncertainTable`] — a relation of uncertain-score tuples;
 //! * [`compare::pr_greater`] and [`compare::PairwiseMatrix`] — pairwise
@@ -49,7 +49,6 @@ pub mod dist;
 pub mod error;
 pub mod gaussian;
 pub mod grid;
-pub mod histogram;
 pub mod mixture;
 pub mod nested;
 pub mod piecewise;

@@ -40,6 +40,11 @@ impl Mixture {
                 "mixture weights sum to zero".into(),
             ));
         }
+        if !total.is_finite() {
+            return Err(ProbError::InvalidWeights(
+                "mixture weight sum overflows".into(),
+            ));
+        }
         let components: Vec<(f64, ScoreDist)> = parts
             .into_iter()
             .filter(|(w, _)| *w > 0.0)

@@ -87,12 +87,6 @@ pub fn prefix_probability_with(
     Ok(scratch.inner.last().copied().unwrap_or(0.0).clamp(0.0, 1.0))
 }
 
-/// Probability of a complete ordering of `dists` (highest first): the
-/// special case of [`prefix_probability`] with an empty `rest`.
-pub fn ordering_probability(grid: &SupportGrid, ordering: &[&ScoreDist]) -> Result<f64> {
-    prefix_probability(grid, ordering, &[])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +131,7 @@ mod tests {
         let b = u(0.0, 1.0);
         let c = u(0.0, 1.0);
         let grid = SupportGrid::build([&a, &b, &c], 2048);
-        let p = ordering_probability(&grid, &[&a, &b, &c]).unwrap();
+        let p = prefix_probability(&grid, &[&a, &b, &c], &[]).unwrap();
         assert!((p - 1.0 / 6.0).abs() < 1e-4, "p = {p}");
     }
 
@@ -160,7 +154,7 @@ mod tests {
         ];
         for perm in perms {
             let ordered: Vec<&ScoreDist> = perm.iter().map(|&i| dists[i]).collect();
-            total += ordering_probability(&grid, &ordered).unwrap();
+            total += prefix_probability(&grid, &ordered, &[]).unwrap();
         }
         assert!((total - 1.0).abs() < 1e-4, "total = {total}");
     }

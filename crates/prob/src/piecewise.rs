@@ -56,6 +56,11 @@ impl PiecewiseLinear {
                 "piecewise-linear density has zero area".into(),
             ));
         }
+        if !area.is_finite() {
+            return Err(ProbError::InvalidWeights(
+                "piecewise-linear density area overflows".into(),
+            ));
+        }
         for y in &mut ys {
             *y /= area;
         }

@@ -19,7 +19,8 @@ pub fn trapezoid(x: &[f64], y: &[f64]) -> f64 {
 
 /// Cumulative trapezoid: returns `out[i] = Int_{x[0]}^{x[i]} y dx` computed
 /// with the composite trapezoid rule (`out[0] = 0`).
-pub fn cumulative_trapezoid(x: &[f64], y: &[f64]) -> Vec<f64> {
+#[cfg(test)]
+fn cumulative_trapezoid(x: &[f64], y: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), y.len(), "x/y length mismatch");
     let mut out = Vec::with_capacity(x.len());
     out.push(0.0);
@@ -31,8 +32,9 @@ pub fn cumulative_trapezoid(x: &[f64], y: &[f64]) -> Vec<f64> {
     out
 }
 
-/// In-place variant of [`cumulative_trapezoid`] that reuses an output buffer,
-/// avoiding per-call allocations in the hot nested-integration loop.
+/// Cumulative trapezoid into `out`: `out[i] = Int_{x[0]}^{x[i]} y dx` with
+/// the composite trapezoid rule (`out[0] = 0`), reusing the buffer to avoid
+/// per-call allocations in the hot nested-integration loop.
 pub fn cumulative_trapezoid_into(x: &[f64], y: &[f64], out: &mut Vec<f64>) {
     assert_eq!(x.len(), y.len(), "x/y length mismatch");
     out.clear();

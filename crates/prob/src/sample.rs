@@ -13,7 +13,7 @@
 //!   built once and reused across all `M` worlds. The common families
 //!   flatten to a fused inverse-CDF transform (`Point` consumes no
 //!   randomness, `Uniform` is one affine draw); the table-driven families
-//!   (`Histogram`/`Piecewise`/`Discrete`) reuse the cumulative tables
+//!   (`Piecewise`/`Discrete`) reuse the cumulative tables
 //!   precomputed inside the distribution. Draw-for-draw it consumes the
 //!   PRNG exactly like [`ScoreDist::sample`], so the streams are
 //!   bit-identical (pinned by tests) and [`WorldSampler::sample_into`]
@@ -149,21 +149,6 @@ pub(crate) fn ranking_by_comparator(scores: &[f64]) -> Vec<u32> {
     ids
 }
 
-/// Samples one possible world and returns its induced total ordering.
-pub fn sample_ranking<R: Rng + ?Sized>(table: &UncertainTable, rng: &mut R) -> Vec<u32> {
-    ranking_from_scores(&sample_scores(table, rng))
-}
-
-/// Samples `m` worlds and returns their orderings (used to bootstrap the
-/// Monte-Carlo TPO and the `incr` belief state).
-pub fn sample_rankings<R: Rng + ?Sized>(
-    table: &UncertainTable,
-    m: usize,
-    rng: &mut R,
-) -> Vec<Vec<u32>> {
-    (0..m).map(|_| sample_ranking(table, rng)).collect()
-}
-
 /// One tuple's compiled sampler (see [`WorldSampler`]).
 #[derive(Debug, Clone)]
 enum TupleSampler {
@@ -258,7 +243,7 @@ mod tests {
             ScoreDist::uniform(0.0, 1.0).unwrap(),
             ScoreDist::gaussian(0.5, 0.1).unwrap(),
             ScoreDist::discrete(&[(0.2, 1.0), (0.8, 3.0)]).unwrap(),
-            ScoreDist::histogram(&[0.0, 0.5, 1.0], &[1.0, 3.0]).unwrap(),
+            ScoreDist::piecewise(&[(0.0, 0.0), (0.3, 1.0), (0.6, 1.0), (1.0, 0.0)]).unwrap(),
             ScoreDist::triangular(0.0, 0.4, 1.0).unwrap(),
             ScoreDist::bimodal(
                 0.4,
@@ -365,7 +350,7 @@ mod tests {
         let t = table();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..200 {
-            let r = sample_ranking(&t, &mut rng);
+            let r = ranking_from_scores(&sample_scores(&t, &mut rng));
             assert_eq!(r[0], 2, "point mass at 2.0 dominates");
         }
     }
@@ -373,10 +358,16 @@ mod tests {
     #[test]
     fn sampling_is_seed_deterministic() {
         let t = table();
-        let a = sample_rankings(&t, 50, &mut StdRng::seed_from_u64(9));
-        let b = sample_rankings(&t, 50, &mut StdRng::seed_from_u64(9));
+        let rankings = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..50)
+                .map(|_| ranking_from_scores(&sample_scores(&t, &mut rng)))
+                .collect::<Vec<_>>()
+        };
+        let a = rankings(9);
+        let b = rankings(9);
         assert_eq!(a, b);
-        let c = sample_rankings(&t, 50, &mut StdRng::seed_from_u64(10));
+        let c = rankings(10);
         assert_ne!(a, c, "different seeds should differ somewhere");
     }
 

@@ -47,11 +47,6 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Complementary error function `erfc(x) = 1 - erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
 /// Standard normal probability density at `z`.
 pub fn normal_pdf(z: f64) -> f64 {
     FRAC_1_SQRT_2PI * (-0.5 * z * z).exp()
@@ -158,13 +153,6 @@ mod tests {
             let x = -5.0 + i as f64 * 0.05;
             assert!((erf(x) + erf(-x)).abs() < 1e-12);
             assert!(erf(x).abs() <= 1.0);
-        }
-    }
-
-    #[test]
-    fn erfc_complements() {
-        for x in [-2.0, -0.3, 0.0, 0.7, 2.5] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12);
         }
     }
 

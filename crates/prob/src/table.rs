@@ -120,18 +120,6 @@ impl UncertainTable {
         (0..self.tuples.len() as u32).map(TupleId)
     }
 
-    /// Union support hull of all score distributions.
-    pub fn support_hull(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for t in &self.tuples {
-            let (a, b) = t.dist.support();
-            lo = lo.min(a);
-            hi = hi.max(b);
-        }
-        (lo, hi)
-    }
-
     /// True when every score distribution is continuous (required by the
     /// exact probability engine).
     pub fn all_continuous(&self) -> bool {
@@ -182,16 +170,6 @@ mod tests {
         .unwrap();
         assert_eq!(t.label(TupleId(0)), "alice");
         assert_eq!(t.label(TupleId(1)), "bob");
-    }
-
-    #[test]
-    fn support_hull_covers_all() {
-        let t = UncertainTable::new(vec![
-            ScoreDist::uniform(-1.0, 0.5).unwrap(),
-            ScoreDist::uniform(0.0, 2.0).unwrap(),
-        ])
-        .unwrap();
-        assert_eq!(t.support_hull(), (-1.0, 2.0));
     }
 
     #[test]

@@ -30,6 +30,12 @@ impl Uniform {
                 reason: format!("require lo < hi, got [{lo}, {hi}]"),
             });
         }
+        if !(hi - lo).is_finite() {
+            return Err(ProbError::InvalidParameter {
+                param: "lo/hi",
+                reason: format!("span of [{lo}, {hi}] overflows"),
+            });
+        }
         Ok(Self { lo, hi })
     }
 

@@ -22,7 +22,13 @@ fn continuous_dist() -> impl Strategy<Value = ScoreDist> {
             ScoreDist::triangular(lo, mode, hi).unwrap()
         }),
         (-5.0..5.0f64, 0.1..2.0f64, 1.0..5.0f64, 1.0..5.0f64).prop_map(|(lo, w, w1, w2)| {
-            ScoreDist::histogram(&[lo, lo + w / 2.0, lo + w], &[w1, w2]).unwrap()
+            ScoreDist::piecewise(&[
+                (lo, 0.0),
+                (lo + w / 3.0, w1),
+                (lo + 2.0 * w / 3.0, w2),
+                (lo + w, 0.0),
+            ])
+            .unwrap()
         }),
     ]
 }
@@ -64,7 +70,13 @@ fn moderate_continuous() -> impl Strategy<Value = ScoreDist> {
             ScoreDist::triangular(lo, lo + frac * w, lo + w).unwrap()
         }),
         (-2.0..2.0f64, 0.5..2.0f64, 0.5..3.0f64, 0.5..3.0f64).prop_map(|(lo, w, w1, w2)| {
-            ScoreDist::histogram(&[lo, lo + w / 2.0, lo + w], &[w1, w2]).unwrap()
+            ScoreDist::piecewise(&[
+                (lo, 0.0),
+                (lo + w / 3.0, w1),
+                (lo + 2.0 * w / 3.0, w2),
+                (lo + w, 0.0),
+            ])
+            .unwrap()
         }),
     ]
 }

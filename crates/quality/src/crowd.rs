@@ -1,5 +1,5 @@
 //! [`QualityCrowd`]: a simulated crowd backend with per-worker quality
-//! tracking, accuracy-weighted fusion, and hint-aware panel routing.
+//! tracking and accuracy-weighted fusion.
 //!
 //! This is the quality-layer counterpart of
 //! [`ctk_crowd::CrowdSimulator`]: same [`Crowd`] interface, same ground
@@ -20,8 +20,8 @@ use crate::gates::{fleiss_kappa, GateConfig};
 use crate::posterior::BetaPosterior;
 use ctk_crowd::aggregate::majority_vote;
 use ctk_crowd::{
-    Answer, AnswerModel, BudgetLedger, CostModel, Crowd, GroundTruth, NoisyWorker, Question,
-    RouteHint, Vote, VotePolicy, WorkerId,
+    Answer, AnswerModel, BudgetLedger, CostModel, Crowd, GroundTruth, NoisyWorker, Question, Vote,
+    VotePolicy, WorkerId,
 };
 use std::collections::BTreeMap;
 
@@ -197,7 +197,6 @@ pub struct QualityCrowd {
     last_accuracy: f64,
     nominal_mean: f64,
     min_panel_cost: usize,
-    quarantine_events: u64,
 }
 
 impl QualityCrowd {
@@ -255,7 +254,6 @@ impl QualityCrowd {
             last_accuracy,
             nominal_mean,
             min_panel_cost,
-            quarantine_events: 0,
         })
     }
 
@@ -267,11 +265,6 @@ impl QualityCrowd {
     /// Budget ledger snapshot.
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
-    }
-
-    /// Roster size.
-    pub fn roster_len(&self) -> usize {
-        self.roster.len()
     }
 
     /// Questions asked so far.
@@ -292,11 +285,6 @@ impl QualityCrowd {
             .iter()
             .filter(|e| e.quarantined_until.is_some())
             .count()
-    }
-
-    /// Total quarantine events (re-quarantines count again).
-    pub fn quarantine_events(&self) -> u64 {
-        self.quarantine_events
     }
 
     /// Fleiss' kappa over the logged vote window (`None` until multi-vote
@@ -364,38 +352,16 @@ impl QualityCrowd {
     }
 
     /// Selects the panel (indices into the roster, `panel` long, repeats
-    /// allowed when candidates are scarce) and the next cursor value.
-    /// Pure: commits nothing, so an unaffordable ask leaves no trace.
-    fn select_panel(&self, pool: &[usize], hint: RouteHint) -> (Vec<usize>, usize) {
+    /// allowed when candidates are scarce) and the next cursor value, by
+    /// round-robin rotation: with a full pool this visits workers in
+    /// exactly `WorkerPool`'s cursor order. Pure: commits nothing, so an
+    /// unaffordable ask leaves no trace.
+    fn select_panel(&self, pool: &[usize]) -> (Vec<usize>, usize) {
         let n = self.policy.votes_per_question();
-        match hint {
-            RouteHint::Any => {
-                // Round-robin rotation — with a full pool this visits
-                // workers in exactly `WorkerPool`'s cursor order.
-                let picks = (0..n)
-                    .map(|k| pool[(self.cursor + k) % pool.len()])
-                    .collect();
-                ((picks), (self.cursor + n) % pool.len())
-            }
-            RouteHint::Cheap => {
-                let mut by_price = pool.to_vec();
-                by_price.sort_unstable_by_key(|&i| (self.roster[i].cost, i));
-                let picks = (0..n).map(|k| by_price[k % by_price.len()]).collect();
-                (picks, self.cursor)
-            }
-            RouteHint::Expert => {
-                let mut by_belief = pool.to_vec();
-                by_belief.sort_unstable_by(|&a, &b| {
-                    self.roster[b]
-                        .posterior
-                        .mean()
-                        .total_cmp(&self.roster[a].posterior.mean())
-                        .then(a.cmp(&b))
-                });
-                let picks = (0..n).map(|k| by_belief[k % by_belief.len()]).collect();
-                (picks, self.cursor)
-            }
-        }
+        let picks = (0..n)
+            .map(|k| pool[(self.cursor + k) % pool.len()])
+            .collect();
+        (picks, (self.cursor + n) % pool.len())
     }
 
     /// Fuses the panel's votes into a verdict and a per-answer accuracy,
@@ -449,7 +415,6 @@ impl QualityCrowd {
                     .should_quarantine(entry.graded, entry.posterior.mean())
             {
                 entry.quarantined_until = Some(tick + 1 + self.config.gates.cooldown);
-                self.quarantine_events += 1;
             }
         }
         if em_every > 0 && (self.asked + 1).is_multiple_of(em_every) {
@@ -471,14 +436,10 @@ impl QualityCrowd {
 
 impl Crowd for QualityCrowd {
     fn ask(&mut self, q: Question) -> Option<Answer> {
-        self.ask_routed(q, RouteHint::Any)
-    }
-
-    fn ask_routed(&mut self, q: Question, hint: RouteHint) -> Option<Answer> {
         let tick = self.asked;
         self.readmit_expired(tick);
         let pool = self.candidates(tick);
-        let (panel, next_cursor) = self.select_panel(&pool, hint);
+        let (panel, next_cursor) = self.select_panel(&pool);
         let cost: usize = panel.iter().map(|&i| self.roster[i].cost).sum();
         if !self.ledger.can_afford(cost) {
             // Refused outright — no cursor movement, no RNG draws.
@@ -683,7 +644,6 @@ mod tests {
             }
         }
         let at = quarantined_at.expect("the spammer must get quarantined");
-        assert!(crowd.quarantine_events() >= 1);
         // Cooldown is 5 questions: by the end of the loop the spammer has
         // been re-admitted (and possibly re-quarantined) at least once —
         // re-admission resets the posterior to the prior.
@@ -718,35 +678,6 @@ mod tests {
         }
         assert_eq!(served, 200, "every ask is served");
         assert_eq!(crowd.quarantined(), 3, "the whole roster is gated");
-    }
-
-    #[test]
-    fn routing_respects_cost_and_belief() {
-        // Workers: two cheap mediocre, one pricey expert (known via gold).
-        let specs = vec![
-            WorkerSpec::new(0.6),
-            WorkerSpec::new(0.6),
-            WorkerSpec::new(0.98).with_cost(5),
-        ];
-        let mut cfg = QualityConfig::weighted(1);
-        cfg.calibration = Calibration::Online { em_every: 0 };
-        let mut crowd = QualityCrowd::new(truth(), &specs, cfg, 1_000, 5).expect("valid config");
-        let gold: Vec<Question> = (0..3u32).map(|i| Question::new(i + 1, i)).collect();
-        crowd.calibrate_gold(&gold);
-        assert!(
-            crowd.posterior_mean(WorkerId(2)).unwrap() > crowd.posterior_mean(WorkerId(0)).unwrap()
-        );
-        // Cheap hint: spends 1 unit (a cheap worker), expert hint: 5.
-        let before = crowd.ledger().remaining();
-        crowd
-            .ask_routed(Question::new(1, 0), RouteHint::Cheap)
-            .expect("served");
-        assert_eq!(before - crowd.ledger().remaining(), 1, "cheap panel");
-        let before = crowd.ledger().remaining();
-        crowd
-            .ask_routed(Question::new(2, 1), RouteHint::Expert)
-            .expect("served");
-        assert_eq!(before - crowd.ledger().remaining(), 5, "expert panel");
     }
 
     #[test]

@@ -23,8 +23,7 @@ pub enum QualityError {
     /// An empty active window (`join >= leave`) or a zero-capacity vote
     /// log.
     InvalidWindow,
-    /// A gate or router threshold outside `[0, 1]`, non-finite, or
-    /// misordered (`narrow_below > wide_above`).
+    /// A gate threshold outside `[0, 1]` or non-finite.
     InvalidThreshold,
 }
 
@@ -46,7 +45,7 @@ impl fmt::Display for QualityError {
                 write!(f, "active windows and log capacities must be non-empty")
             }
             QualityError::InvalidThreshold => {
-                write!(f, "thresholds must be finite, in [0, 1], and ordered")
+                write!(f, "thresholds must be finite and in [0, 1]")
             }
         }
     }

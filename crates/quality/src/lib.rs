@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(warnings)]
-//! # ctk-quality — worker quality estimation, weighted fusion, routing
+//! # ctk-quality — worker quality estimation and weighted fusion
 //!
 //! Quality layer of the `crowd-topk` workspace (reproduction of
 //! *“Crowdsourcing for Top-K Query Processing over Uncertain Data”*,
@@ -22,9 +22,6 @@
 //! * [`fuse_weighted`] — log-odds-weighted majority whose fused
 //!   posterior feeds the engine's per-answer accuracy plumbing
 //!   (`SessionDriver::feed_graded`);
-//! * [`QuestionRouter`] — belief-margin routing: cheap panels on
-//!   wide-margin questions, expert panels on narrow ones, priced by the
-//!   crowd's [`ctk_crowd::CostModel`];
 //! * [`QualityCrowd`] — a [`ctk_crowd::Crowd`] backend tying it all
 //!   together over a heterogeneous worker roster (true accuracies,
 //!   per-vote prices, activity windows), with a compatibility mode that
@@ -62,7 +59,6 @@ pub mod estimator;
 pub mod fusion;
 pub mod gates;
 pub mod posterior;
-pub mod router;
 
 pub use crowd::{Calibration, Grading, QualityConfig, QualityCrowd, WorkerSpec};
 pub use error::QualityError;
@@ -70,4 +66,3 @@ pub use estimator::{dawid_skene, EmEvidence, PanelRecord, VoteLog};
 pub use fusion::{fuse_weighted, FusedVerdict};
 pub use gates::{fleiss_kappa, GateConfig};
 pub use posterior::{log_odds, BetaPosterior};
-pub use router::QuestionRouter;

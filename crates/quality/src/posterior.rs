@@ -3,8 +3,8 @@
 //!
 //! The conjugate Beta(α, β) model is the standard online estimator for a
 //! Bernoulli rate: each answer graded correct bumps α, each graded wrong
-//! bumps β, and the mean α/(α+β) is the point estimate the fusion and
-//! routing layers consume. Grading is against the *fused consensus* (the
+//! bumps β, and the mean α/(α+β) is the point estimate the fusion layer
+//! consumes. Grading is against the *fused consensus* (the
 //! platform never sees ground truth), optionally refined by the EM pass
 //! in [`crate::estimator`] or seeded by gold questions.
 
@@ -22,7 +22,6 @@ pub struct BetaPosterior {
     beta: f64,
     prior_alpha: f64,
     prior_beta: f64,
-    observations: u64,
 }
 
 impl BetaPosterior {
@@ -40,7 +39,6 @@ impl BetaPosterior {
             beta: prior_beta,
             prior_alpha,
             prior_beta,
-            observations: 0,
         })
     }
 
@@ -53,7 +51,6 @@ impl BetaPosterior {
             beta: 1.0,
             prior_alpha: 3.0,
             prior_beta: 1.0,
-            observations: 0,
         }
     }
 
@@ -64,46 +61,29 @@ impl BetaPosterior {
         } else {
             self.beta += 1.0;
         }
-        self.observations += 1;
-    }
-
-    /// Records one answer with soft credit `p_correct` in `[0, 1]` (the
-    /// EM E-step's responsibility).
-    pub fn observe_soft(&mut self, p_correct: f64) {
-        let p = p_correct.clamp(0.0, 1.0);
-        self.alpha += p;
-        self.beta += 1.0 - p;
-        self.observations += 1;
     }
 
     /// Replaces the accumulated evidence with `correct`/`wrong` soft
-    /// counts on top of the prior, keeping the observation counter (the
-    /// history was re-interpreted, not re-collected). Negative or
-    /// non-finite counts are treated as zero.
+    /// counts on top of the prior (the history was re-interpreted, not
+    /// re-collected). Negative or non-finite counts are treated as zero.
     pub fn set_evidence(&mut self, correct: f64, wrong: f64) {
         let sane = |x: f64| if x.is_finite() && x > 0.0 { x } else { 0.0 };
         self.alpha = self.prior_alpha + sane(correct);
         self.beta = self.prior_beta + sane(wrong);
     }
 
-    /// Forgets all evidence: back to the prior, zero observations. Used
+    /// Forgets all evidence: back to the prior. Used
     /// on quarantine re-admission so a returning worker is re-judged
     /// fresh rather than instantly re-quarantined on stale counts.
     pub fn reset(&mut self) {
         self.alpha = self.prior_alpha;
         self.beta = self.prior_beta;
-        self.observations = 0;
     }
 
     /// Posterior mean `α / (α + β)` — the point estimate of the worker's
     /// accuracy.
     pub fn mean(&self) -> f64 {
         self.alpha / (self.alpha + self.beta)
-    }
-
-    /// Answers graded into this posterior (hard or soft).
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 
     /// The prior pseudo-counts (α₀, β₀) this posterior started from.
@@ -151,7 +131,6 @@ mod tests {
     fn nominal_prior_mean() {
         let p = BetaPosterior::nominal();
         assert!((p.mean() - 0.75).abs() < 1e-12);
-        assert_eq!(p.observations(), 0);
         assert_eq!(p.prior(), (3.0, 1.0));
     }
 
@@ -164,7 +143,6 @@ mod tests {
             p.observe(i % 5 != 0); // 800 correct, 200 wrong
         }
         assert!((p.mean() - 0.8).abs() < 0.01, "mean = {}", p.mean());
-        assert_eq!(p.observations(), 1000);
 
         // Spammer: posterior collapses toward 0.5 from a deliberately
         // alternating record.
@@ -176,19 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn soft_observations_accumulate_fractionally() {
-        let mut p = BetaPosterior::new(1.0, 1.0).expect("valid prior");
-        for _ in 0..100 {
-            p.observe_soft(0.9);
-        }
-        assert!((p.mean() - 0.9).abs() < 0.02, "mean = {}", p.mean());
-        // Out-of-range responsibilities are clamped, not amplified.
-        p.observe_soft(7.0);
-        p.observe_soft(-3.0);
-        assert!(p.mean() <= 1.0 && p.mean() >= 0.0);
-    }
-
-    #[test]
     fn set_evidence_replaces_counts_on_top_of_prior() {
         let mut p = BetaPosterior::new(2.0, 2.0).expect("valid prior");
         p.observe(true);
@@ -196,7 +161,6 @@ mod tests {
         p.set_evidence(8.0, 2.0);
         // Beta(2+8, 2+2) -> mean 10/14.
         assert!((p.mean() - 10.0 / 14.0).abs() < 1e-12);
-        assert_eq!(p.observations(), 2, "observation count is preserved");
         // Garbage evidence degrades to the prior, not to NaN.
         p.set_evidence(f64::NAN, -1.0);
         assert!((p.mean() - 0.5).abs() < 1e-12);
@@ -211,7 +175,6 @@ mod tests {
         assert!(p.mean() < 0.2);
         p.reset();
         assert!((p.mean() - 0.75).abs() < 1e-12);
-        assert_eq!(p.observations(), 0);
     }
 
     #[test]

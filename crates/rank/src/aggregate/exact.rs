@@ -5,8 +5,8 @@
 //! preferred above `v`.
 //!
 //! Complexity `O(2^n · n^2)` time, `O(2^n)` space — exact up to `n ≈ 20`,
-//! although the default threshold in [`super::AggregateConfig`] is 14 to
-//! keep worst-case latency in interactive use low.
+//! although [`super::optimal_rank_aggregation`] uses it only up to 14
+//! candidates to keep worst-case latency in interactive use low.
 
 use crate::tournament::Tournament;
 

@@ -9,9 +9,9 @@
 //! * `exact` — Held-Karp style bitmask DP, `O(2^n · n^2)`, exact for
 //!   `n ≤ ~18` candidates (a TPO at the paper's `K = 5…10` rarely mentions
 //!   more);
-//! * [`borda`], [`copeland`], [`kwiksort`] — classic constant-factor
+//! * `borda`, `copeland`, `kwiksort` — classic constant-factor
 //!   heuristics;
-//! * [`local_search`] — adjacent-swap + single-item-reinsertion descent
+//! * `local_search` — adjacent-swap + single-item-reinsertion descent
 //!   used to polish any candidate ordering.
 //!
 //! [`optimal_rank_aggregation`] picks the exact solver when the instance is
@@ -23,39 +23,22 @@ mod exact;
 mod kwiksort;
 mod local_search;
 
-pub use borda::borda;
-pub use copeland::copeland;
-pub use exact::exact_kemeny;
-pub use kwiksort::kwiksort;
-pub use local_search::local_search;
+use borda::borda;
+use copeland::copeland;
+use exact::exact_kemeny;
+use kwiksort::kwiksort;
+use local_search::local_search;
 
 use crate::error::{RankError, Result};
 use crate::list::RankList;
 use crate::tournament::Tournament;
 
-/// Configuration for [`optimal_rank_aggregation`].
-#[derive(Debug, Clone)]
-pub struct AggregateConfig {
-    /// Use the exact DP when the candidate count is at most this.
-    pub exact_threshold: usize,
-    /// Number of randomized KwikSort restarts in heuristic mode.
-    pub kwiksort_restarts: usize,
-    /// Polish the heuristic winner with local search.
-    pub polish: bool,
-    /// Seed for the randomized components.
-    pub seed: u64,
-}
-
-impl Default for AggregateConfig {
-    fn default() -> Self {
-        Self {
-            exact_threshold: 14,
-            kwiksort_restarts: 4,
-            polish: true,
-            seed: 0x5eed_0f0a,
-        }
-    }
-}
+/// The exact DP runs when the candidate count is at most this.
+const EXACT_THRESHOLD: usize = 14;
+/// Number of randomized KwikSort restarts in heuristic mode.
+const KWIKSORT_RESTARTS: usize = 4;
+/// Seed for the randomized KwikSort restarts.
+const KWIKSORT_SEED: u64 = 0x5eed_0f0a;
 
 /// Outcome of an aggregation: the ordering and its tournament cost.
 #[derive(Debug, Clone)]
@@ -68,13 +51,13 @@ pub struct Aggregation {
     pub exact: bool,
 }
 
-/// Computes the ORA of a tournament: exact for small candidate sets, best
-/// heuristic (optionally polished) otherwise.
-pub fn optimal_rank_aggregation(t: &Tournament, cfg: &AggregateConfig) -> Result<Aggregation> {
+/// Computes the ORA of a tournament: exact for at most 14 candidates, the
+/// best heuristic polished by local search otherwise.
+pub fn optimal_rank_aggregation(t: &Tournament) -> Result<Aggregation> {
     if t.is_empty() {
         return Err(RankError::NoCandidates);
     }
-    if t.len() <= cfg.exact_threshold {
+    if t.len() <= EXACT_THRESHOLD {
         let order = exact_kemeny(t);
         let cost = t.cost_of_indices(&order);
         return Ok(Aggregation {
@@ -83,7 +66,13 @@ pub fn optimal_rank_aggregation(t: &Tournament, cfg: &AggregateConfig) -> Result
             exact: true,
         });
     }
+    Ok(heuristic_aggregation(t))
+}
 
+/// The heuristic branch of [`optimal_rank_aggregation`] on a non-empty
+/// tournament: the cheapest of Borda, Copeland and the KwikSort restarts,
+/// polished by local search.
+pub(crate) fn heuristic_aggregation(t: &Tournament) -> Aggregation {
     let mut best: Option<(Vec<usize>, f64)> = None;
     let mut consider = |order: Vec<usize>, t: &Tournament| {
         let cost = t.cost_of_indices(&order);
@@ -93,24 +82,22 @@ pub fn optimal_rank_aggregation(t: &Tournament, cfg: &AggregateConfig) -> Result
     };
     consider(borda(t), t);
     consider(copeland(t), t);
-    for r in 0..cfg.kwiksort_restarts {
-        consider(kwiksort(t, cfg.seed.wrapping_add(r as u64)), t);
+    for r in 0..KWIKSORT_RESTARTS {
+        consider(kwiksort(t, KWIKSORT_SEED.wrapping_add(r as u64)), t);
     }
     // ctk-allow(panic-unwrap): borda and copeland always run, so best is Some
     let (mut order, mut cost) = best.expect("at least one heuristic ran");
-    if cfg.polish {
-        let polished = local_search(t, &order);
-        let pc = t.cost_of_indices(&polished);
-        if pc < cost {
-            order = polished;
-            cost = pc;
-        }
+    let polished = local_search(t, &order);
+    let pc = t.cost_of_indices(&polished);
+    if pc < cost {
+        order = polished;
+        cost = pc;
     }
-    Ok(Aggregation {
+    Aggregation {
         ordering: indices_to_list(t, &order),
         cost,
         exact: false,
-    })
+    }
 }
 
 fn indices_to_list(t: &Tournament, order: &[usize]) -> RankList {
@@ -120,6 +107,7 @@ fn indices_to_list(t: &Tournament, order: &[usize]) -> RankList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rl(items: &[u32]) -> RankList {
         RankList::new(items.to_vec()).unwrap()
@@ -155,7 +143,7 @@ mod tests {
     fn empty_tournament_is_error() {
         let t = Tournament::from_weighted_lists(&[]);
         assert!(matches!(
-            optimal_rank_aggregation(&t, &AggregateConfig::default()),
+            optimal_rank_aggregation(&t),
             Err(RankError::NoCandidates)
         ));
     }
@@ -163,7 +151,7 @@ mod tests {
     #[test]
     fn unanimous_tournament_recovers_the_list() {
         let t = Tournament::from_weighted_lists(&[(rl(&[3, 0, 2, 1]), 1.0)]);
-        let agg = optimal_rank_aggregation(&t, &AggregateConfig::default()).unwrap();
+        let agg = optimal_rank_aggregation(&t).unwrap();
         assert_eq!(agg.ordering.items(), &[3, 0, 2, 1]);
         assert_eq!(agg.cost, 0.0);
         assert!(agg.exact);
@@ -187,7 +175,7 @@ mod tests {
             }
             let wclone = weights.clone();
             let t = Tournament::from_fn(items, move |u, v| wclone[u as usize * n + v as usize]);
-            let agg = optimal_rank_aggregation(&t, &AggregateConfig::default()).unwrap();
+            let agg = optimal_rank_aggregation(&t).unwrap();
             let (_, bc) = brute_force(&t);
             assert!(
                 (agg.cost - bc).abs() < 1e-9,
@@ -214,11 +202,7 @@ mod tests {
         let items: Vec<u32> = (0..n as u32).collect();
         let wclone = weights.clone();
         let t = Tournament::from_fn(items, move |u, v| wclone[u as usize * n + v as usize]);
-        let cfg = AggregateConfig {
-            exact_threshold: 0, // force heuristics
-            ..AggregateConfig::default()
-        };
-        let agg = optimal_rank_aggregation(&t, &cfg).unwrap();
+        let agg = heuristic_aggregation(&t);
         assert!(!agg.exact);
         let (_, bc) = brute_force(&t);
         // Polished heuristics should be within 10% of optimal on tiny inputs.
@@ -237,10 +221,37 @@ mod tests {
             (rl(&[0, 2, 1, 4, 3]), 0.3),
         ];
         let t = Tournament::from_weighted_lists(&lists);
-        let cfg = AggregateConfig::default();
-        let a = optimal_rank_aggregation(&t, &cfg).unwrap();
-        let b = optimal_rank_aggregation(&t, &cfg).unwrap();
+        let a = optimal_rank_aggregation(&t).unwrap();
+        let b = optimal_rank_aggregation(&t).unwrap();
         assert_eq!(a.ordering, b.ordering);
         assert_eq!(a.cost, b.cost);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn heuristics_no_worse_than_double_optimal(
+            seed in any::<u64>()
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let n = 7usize;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut w = vec![0.5; n * n];
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    let x: f64 = rng.gen();
+                    w[a * n + b] = x;
+                    w[b * n + a] = 1.0 - x;
+                }
+            }
+            let t = Tournament::from_fn((0..n as u32).collect(), move |u, v| w[u as usize * n + v as usize]);
+            let exact = optimal_rank_aggregation(&t).unwrap();
+            let heur = heuristic_aggregation(&t);
+            prop_assert!(heur.cost + 1e-9 >= exact.cost, "heuristic beat exact?");
+            prop_assert!(heur.cost <= 2.0 * exact.cost + 1e-6,
+                "heuristic {} vs exact {}", heur.cost, exact.cost);
+        }
     }
 }

@@ -16,8 +16,6 @@
 //!   (`O(n log n)`);
 //! * [`topk`] — Fagin/Kumar/Sivakumar `K^(p)` distance for top-k lists (the
 //!   paper's `D`), with the neutral penalty `p = 1/2` as default;
-//! * [`footrule`] — Spearman footrule with location parameter, as a
-//!   cross-check metric;
 //! * [`Tournament`] — pairwise precedence weights of a weighted set of
 //!   lists;
 //! * [`aggregate`] — the Optimal Rank Aggregation (Soliman et al.
@@ -29,7 +27,7 @@
 //!
 //! ```
 //! use ctk_rank::{RankList, Tournament};
-//! use ctk_rank::aggregate::{optimal_rank_aggregation, AggregateConfig};
+//! use ctk_rank::aggregate::optimal_rank_aggregation;
 //! use ctk_rank::topk::topk_distance;
 //!
 //! // Three possible top-3 results with probabilities.
@@ -39,7 +37,7 @@
 //!     (RankList::new(vec![0, 2, 1]).unwrap(), 0.2),
 //! ];
 //! let t = Tournament::from_weighted_lists(&lists);
-//! let ora = optimal_rank_aggregation(&t, &AggregateConfig::default()).unwrap();
+//! let ora = optimal_rank_aggregation(&t).unwrap();
 //! assert_eq!(ora.ordering.items(), &[0, 1, 2]);
 //!
 //! // How far is the second-most-likely list from the ORA?
@@ -49,7 +47,6 @@
 
 pub mod aggregate;
 pub mod error;
-pub mod footrule;
 pub mod kendall;
 pub mod list;
 pub mod topk;

@@ -89,11 +89,6 @@ impl RankList {
             _ => None,
         }
     }
-
-    /// Consumes the list, returning the underlying vector.
-    pub fn into_items(self) -> Vec<u32> {
-        self.items
-    }
 }
 
 impl fmt::Display for RankList {

@@ -16,7 +16,7 @@
 //! 4. both in one list, neither in the other — penalty parameter
 //!    `p ∈ [0, 1]` (unknowable; `p = 1/2` is the neutral choice).
 //!
-//! One kernel, [`topk_kendall_with`], computes the sum over item slices:
+//! One kernel, `topk_kendall_with`, computes the sum over item slices:
 //! it looks up each of `a`'s items in `b` once, then walks the union pairs
 //! in a fixed order — `a`'s items in rank order, then `b`'s items absent
 //! from `a`, each pair `x < y` once — adding each pair's `0`, `1` or `p`
@@ -46,12 +46,7 @@ const ABSENT: usize = usize::MAX;
 /// `a`; every pair adds its case's `0`, `1` or `p` in that order, so the
 /// sum is the one a pairwise walk of the union over both lists gives, bit
 /// for bit at every `p`.
-pub fn topk_kendall_with(
-    a: &[u32],
-    kb: usize,
-    p: f64,
-    pos_in_b: impl Fn(u32) -> Option<usize>,
-) -> f64 {
+fn topk_kendall_with(a: &[u32], kb: usize, p: f64, pos_in_b: impl Fn(u32) -> Option<usize>) -> f64 {
     debug_assert!((0.0..=1.0).contains(&p), "penalty must be in [0,1]");
     let mut inline = [ABSENT; INLINE];
     let mut spill = Vec::new();
@@ -122,7 +117,8 @@ pub fn topk_kendall_max(ka: usize, kb: usize, p: f64) -> f64 {
     ka * kb + p * (ka * (ka - 1.0) / 2.0 + kb * (kb - 1.0) / 2.0)
 }
 
-/// [`topk_kendall_with`] normalized to `[0, 1]`. Two empty lists are at
+/// `K^(p)` between the list `a` and a list of `kb` items whose rank of an
+/// item `pos_in_b` reports, normalized to `[0, 1]`. Two empty lists are at
 /// distance 0.
 pub fn topk_kendall_normalized_with(
     a: &[u32],

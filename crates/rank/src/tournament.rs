@@ -25,28 +25,8 @@ impl Tournament {
     /// `(u, v)`:
     /// * both ranked — precedence by position;
     /// * only `u` ranked — `u` precedes (`v` is below the top-k);
-    /// * neither ranked — the list is uninformative: mass splits evenly
-    ///   (or by `prior(u, v)` if provided via
-    ///   [`Tournament::from_weighted_lists_with_prior`]).
+    /// * neither ranked — the list is uninformative: mass splits evenly.
     pub fn from_weighted_lists(lists: &[(RankList, f64)]) -> Self {
-        Self::build(lists, |_, _| 0.5)
-    }
-
-    /// Like [`Tournament::from_weighted_lists`] but with an explicit prior
-    /// `prior(u, v) = P(u above v)` used for pairs a list leaves
-    /// undetermined (e.g. the marginal pairwise probability of the score
-    /// distributions).
-    pub fn from_weighted_lists_with_prior<F>(lists: &[(RankList, f64)], prior: F) -> Self
-    where
-        F: Fn(u32, u32) -> f64,
-    {
-        Self::build(lists, prior)
-    }
-
-    fn build<F>(lists: &[(RankList, f64)], prior: F) -> Self
-    where
-        F: Fn(u32, u32) -> f64,
-    {
         // Candidate set: union of all ranked items, sorted for determinism.
         let mut items: Vec<u32> = Vec::new();
         for (l, _) in lists {
@@ -82,7 +62,7 @@ impl Tournament {
                         }
                         (Some(_), None) => 1.0,
                         (None, Some(_)) => 0.0,
-                        (None, None) => prior(u, v),
+                        (None, None) => 0.5,
                     };
                     w[a * n + b] += frac * p_u_above;
                 }
@@ -134,7 +114,7 @@ impl Tournament {
     }
 
     /// Index of `item` in the candidate set.
-    pub fn index_of(&self, item: u32) -> Option<usize> {
+    fn index_of(&self, item: u32) -> Option<usize> {
         self.items.binary_search(&item).ok()
     }
 
@@ -226,24 +206,14 @@ mod tests {
 
     #[test]
     fn prior_fills_unknown_pairs() {
-        // Lists that never mention 1 vs 2 together… a universe where both
-        // absent case occurs needs k < |items|; craft: lists [0,1] and [0,2]
-        // cover all pairs, so instead use from_fn for the prior check.
+        // Lists that never mention 1 vs 2 together: the both-absent case
+        // needs k < |items|.
         let lists = [(rl(&[0]), 1.0), (rl(&[1]), 1.0), (rl(&[2]), 1.0)];
-        let t = Tournament::from_weighted_lists_with_prior(
-            &lists,
-            |u, v| {
-                if u < v {
-                    0.9
-                } else {
-                    0.1
-                }
-            },
-        );
+        let t = Tournament::from_weighted_lists(&lists);
         let (i1, i2) = (t.index_of(1).unwrap(), t.index_of(2).unwrap());
-        // For the list [0]: both 1 and 2 absent -> prior 0.9 for (1,2).
+        // For the list [0]: both 1 and 2 absent -> even split 0.5 for (1,2).
         // For [1]: 1 present -> 1.0. For [2]: 2 present -> 0.0.
-        let expect = (0.9 + 1.0 + 0.0) / 3.0;
+        let expect = (0.5 + 1.0 + 0.0) / 3.0;
         assert!((t.weight(i1, i2) - expect).abs() < 1e-12);
     }
 

@@ -22,7 +22,7 @@
 //! the shared cache or any session's belief.
 
 use crate::metrics::ServiceMetrics;
-use ctk_crowd::{Answer, Crowd, Question, RouteHint};
+use ctk_crowd::{Answer, Crowd, Question};
 use std::collections::BTreeMap;
 
 /// One remembered crowd verdict.
@@ -122,17 +122,14 @@ pub(crate) enum Disposition {
 ///
 /// Before a live ask it checks `crowd.remaining()`; at zero the session
 /// parks ([`Disposition::Parked`]) so a budget top-up can still resume
-/// it. A live ask carries the hint `route` gives its question,
-/// computed just before the ask; cache hits cost nothing and need none.
-/// A refused ask, or an answer whose pair is not the asked one or whose
+/// it. A refused ask, or an answer whose pair is not the asked one or whose
 /// accuracy is not finite, starves the batch: an invalid answer is
 /// neither cached nor delivered (counted in `invalid_answers`).
 /// Accuracies below 0.5 pass — adversarial workers legitimately report
-/// them, and the noisy belief update clamps them. Counts cache hits,
-/// live asks and routing splits on `metrics`.
+/// them, and the noisy belief update clamps them. Counts cache hits and
+/// live asks on `metrics`.
 pub(crate) fn resolve_pending<C: Crowd>(
     tail: impl Iterator<Item = Question>,
-    route: impl Fn(&Question) -> RouteHint,
     served: &mut Vec<(Answer, f64)>,
     cache: &mut AnswerCache,
     crowd: &mut C,
@@ -147,16 +144,10 @@ pub(crate) fn resolve_pending<C: Crowd>(
         if crowd.remaining() == 0 {
             return Disposition::Parked;
         }
-        let hint = route(&q);
-        let Some(answer) = crowd.ask_routed(q, hint) else {
+        let Some(answer) = crowd.ask(q) else {
             return Disposition::Starved;
         };
         metrics.crowd_questions += 1;
-        match hint {
-            RouteHint::Expert => metrics.routed_expert += 1,
-            RouteHint::Cheap => metrics.routed_cheap += 1,
-            RouteHint::Any => {}
-        }
         let accuracy = crowd.answer_accuracy();
         if answer.question.canonical() != q.canonical() || !accuracy.is_finite() {
             metrics.invalid_answers += 1;
@@ -207,7 +198,7 @@ mod tests {
     }
 
     /// Resolves the questions of `batch` past the `served` prefix, as the
-    /// service does for a session's outstanding batch, unrouted.
+    /// service does for a session's outstanding batch.
     fn resolve<C: Crowd>(
         batch: &[(u32, u32)],
         served: &mut Vec<(Answer, f64)>,
@@ -219,7 +210,7 @@ mod tests {
             .iter()
             .skip(served.len())
             .map(|&(i, j)| Question::new(i, j));
-        resolve_pending(tail, |_| RouteHint::Any, served, cache, crowd, metrics)
+        resolve_pending(tail, served, cache, crowd, metrics)
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub mod service;
 mod tables;
 
 pub use batcher::AnswerCache;
-pub use ctk_quality::QuestionRouter;
 pub use ctk_tpo::{PrecisionTarget, StopReason};
 pub use metrics::ServiceMetrics;
 pub use registry::{SessionId, SessionSpec, SessionState};

@@ -38,11 +38,6 @@ pub struct ServiceMetrics {
     /// accuracy or an answer about a different pair than the one asked.
     /// Never cached or delivered; each one cut its session's batch.
     pub invalid_answers: u64,
-    /// Live questions hinted to expert panels (narrow belief margin;
-    /// stays 0 without a configured `QuestionRouter`).
-    pub routed_expert: u64,
-    /// Live questions hinted to cheap panels (wide belief margin).
-    pub routed_cheap: u64,
     /// Possible worlds sampled across all completed sessions' initial
     /// builds (adaptive builds draw fewer on easy tables; certain-order
     /// early stops draw zero).
@@ -127,17 +122,17 @@ impl ServiceMetrics {
     }
 
     /// Median enqueue-to-done latency (histogram bucket upper bound).
-    pub fn latency_p50(&self) -> Option<Duration> {
+    fn latency_p50(&self) -> Option<Duration> {
         self.latency_percentile(0.50)
     }
 
     /// 95th-percentile enqueue-to-done latency.
-    pub fn latency_p95(&self) -> Option<Duration> {
+    fn latency_p95(&self) -> Option<Duration> {
         self.latency_percentile(0.95)
     }
 
     /// 99th-percentile enqueue-to-done latency.
-    pub fn latency_p99(&self) -> Option<Duration> {
+    fn latency_p99(&self) -> Option<Duration> {
         self.latency_percentile(0.99)
     }
 
@@ -150,23 +145,18 @@ impl ServiceMetrics {
         }
     }
 
-    /// Crowd budget saved by deduplication, in questions.
-    pub fn questions_saved(&self) -> u64 {
-        self.cache_hits
-    }
-
     /// Mean enqueue-to-done latency over finished sessions.
-    pub fn avg_latency(&self) -> Option<Duration> {
+    fn avg_latency(&self) -> Option<Duration> {
         (self.latency_count > 0).then(|| self.latency_sum / self.latency_count as u32)
     }
 
     /// Worst enqueue-to-done latency.
-    pub fn max_latency(&self) -> Option<Duration> {
+    fn max_latency(&self) -> Option<Duration> {
         (self.latency_count > 0).then_some(self.latency_max)
     }
 
     /// Answers delivered per second of serving time.
-    pub fn answers_per_sec(&self) -> f64 {
+    fn answers_per_sec(&self) -> f64 {
         let secs = self.serving_time.as_secs_f64();
         if secs <= 0.0 {
             0.0
@@ -176,7 +166,7 @@ impl ServiceMetrics {
     }
 
     /// Sessions completed per second of serving time.
-    pub fn sessions_per_sec(&self) -> f64 {
+    fn sessions_per_sec(&self) -> f64 {
         let secs = self.serving_time.as_secs_f64();
         if secs <= 0.0 {
             0.0
@@ -204,7 +194,6 @@ impl ServiceMetrics {
              beliefs: {} built, {} reused, {} bytes stored | \
              rounds: {} ({} worker threads) | \
              answers: {} served ({} live, {} cached, {:.1}% hit rate, {} invalid) | \
-             routing: {} expert, {} cheap | \
              precision: {} worlds drawn, {} certain early stops | \
              throughput: {:.0} answers/s, {:.1} sessions/s | \
              latency avg {:?} p50 {:?} p95 {:?} p99 {:?} max {:?} | \
@@ -223,8 +212,6 @@ impl ServiceMetrics {
             self.cache_hits,
             100.0 * self.cache_hit_rate(),
             self.invalid_answers,
-            self.routed_expert,
-            self.routed_cheap,
             self.worlds_drawn,
             self.certain_early_stops,
             self.answers_per_sec(),

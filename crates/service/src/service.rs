@@ -45,9 +45,8 @@ use crate::tables::TableCache;
 use ctk_core::driver::DriverStatus;
 use ctk_core::session::{Algorithm, UrReport};
 use ctk_core::{CoreError, Result};
-use ctk_crowd::{Crowd, Question, RouteHint};
+use ctk_crowd::Crowd;
 use ctk_prob::UncertainTable;
-use ctk_quality::QuestionRouter;
 use ctk_rank::RankList;
 use std::cmp::Reverse;
 use std::sync::{Mutex, PoisonError};
@@ -152,13 +151,6 @@ pub struct TopKService<C: Crowd> {
     /// the initial beliefs of repeated `(table, k, engine)` submits (see
     /// [`crate::tables`]).
     tables: TableCache,
-    /// Optional margin routing policy: when set, each live question
-    /// carries a [`RouteHint`] derived from the question's margin under
-    /// the asking session's pairwise prior, which hint-aware crowds (e.g.
-    /// `ctk_quality::QualityCrowd`) use to pick cheap vs expert panels.
-    /// Hint-blind crowds ignore it, so routing never changes verdicts on
-    /// the plain simulator.
-    router: Option<QuestionRouter>,
     /// Set by [`TopKService::run_to_completion`] at quiescence: the next
     /// resume phase feeds every parked session its served prefix instead
     /// of retrying the crowd, and clears the flag.
@@ -181,7 +173,6 @@ impl<C: Crowd> TopKService<C> {
             metrics,
             threads,
             tables: TableCache::default(),
-            router: None,
             starve_parked: false,
         }
     }
@@ -211,21 +202,6 @@ impl<C: Crowd> TopKService<C> {
         self.threads
     }
 
-    /// Routes live questions by margin (builder style): questions the
-    /// asking session's pairwise prior leaves open (margin below the
-    /// router's narrow threshold) are hinted [`RouteHint::Expert`],
-    /// near-settled ones [`RouteHint::Cheap`]. Only crowds that implement
-    /// [`Crowd::ask_routed`] beyond the default act on the hints.
-    pub fn with_router(mut self, router: QuestionRouter) -> Self {
-        self.router = Some(router);
-        self
-    }
-
-    /// The configured routing policy, if any.
-    pub fn router(&self) -> Option<&QuestionRouter> {
-        self.router.as_ref()
-    }
-
     /// Registers a session over `table`. The TPO (or world sample) is
     /// built now, so an invalid configuration fails fast; a session whose
     /// `(table, k, engine)` was submitted before may start from a copy of
@@ -250,18 +226,6 @@ impl<C: Crowd> TopKService<C> {
         self.scheduler.join(id, spec.priority);
         self.metrics.submitted += 1;
         Ok(id)
-    }
-
-    /// Distinct tables whose pairwise matrices are cached (observability
-    /// for tests and dashboards).
-    pub fn pairwise_tables_cached(&self) -> usize {
-        self.tables.tables()
-    }
-
-    /// Distinct `(table, k)` certain/possible bound sets currently cached
-    /// beside the pairwise matrices.
-    pub fn bounds_cached(&self) -> usize {
-        self.tables.bounds()
     }
 
     /// Distinct `(table, k, engine)` initial beliefs currently stored
@@ -289,7 +253,6 @@ impl<C: Crowd> TopKService<C> {
             parked,
             metrics,
             threads,
-            router,
             starve_parked,
             ..
         } = self;
@@ -349,10 +312,8 @@ impl<C: Crowd> TopKService<C> {
 
         // Purchase phase (sequential): one crowd walk, resumed sessions
         // first, keeps budget accounting and cache population independent
-        // of how the other phases are spread over threads. A route hint
-        // reads only the session's static pairwise prior, so it is
-        // computed just before its live ask. Parking leaves the scheduler
-        // (a resumed session already left).
+        // of how the other phases are spread over threads. Parking leaves
+        // the scheduler (a resumed session already left).
         // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
         let p0 = Instant::now();
         let hits_before = metrics.cache_hits;
@@ -363,12 +324,7 @@ impl<C: Crowd> TopKService<C> {
             } else {
                 let LiveSession { driver, served, .. } = &mut *live;
                 let tail = driver.outstanding_questions().skip(served.len());
-                let route = |q: &Question| {
-                    router
-                        .as_ref()
-                        .map_or(RouteHint::Any, |r| r.hint(driver.question_margin(q)))
-                };
-                resolve_pending(tail, route, served, cache, crowd, metrics)
+                resolve_pending(tail, served, cache, crowd, metrics)
             };
             match disposition {
                 Disposition::Parked => {
@@ -863,7 +819,7 @@ mod tests {
             .unwrap();
         svc.submit(&t, SessionSpec::new(config(Algorithm::TbOff, 1)))
             .unwrap();
-        assert_eq!(svc.pairwise_tables_cached(), 1, "same table, one matrix");
+        assert_eq!(svc.tables.tables(), 1, "same table, one matrix");
         let other = UncertainTable::new(
             (0..4)
                 .map(|i| ScoreDist::uniform_centered(i as f64 * 0.2, 0.5).unwrap())
@@ -872,7 +828,7 @@ mod tests {
         .unwrap();
         svc.submit(&other, SessionSpec::new(config(Algorithm::T1On, 2)))
             .unwrap();
-        assert_eq!(svc.pairwise_tables_cached(), 2, "new table, new matrix");
+        assert_eq!(svc.tables.tables(), 2, "new table, new matrix");
         svc.run_to_completion();
         assert_eq!(svc.metrics().completed, 3);
     }
@@ -894,7 +850,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(
-            svc.pairwise_tables_cached(),
+            svc.tables.tables(),
             crate::tables::MAX_TABLES,
             "cache must evict beyond its bound"
         );
@@ -919,7 +875,7 @@ mod tests {
         let spec = SessionSpec::new(adaptive);
         let a = svc.submit(&decided, spec.clone()).unwrap();
         let b = svc.submit(&decided, spec).unwrap();
-        assert_eq!(svc.bounds_cached(), 1, "same (table, k): one bound set");
+        assert_eq!(svc.tables.bounds(), 1, "same (table, k): one bound set");
         svc.run_to_completion();
         for id in [a, b] {
             let r = svc.report(id).unwrap();
@@ -940,7 +896,7 @@ mod tests {
         assert_eq!(svc.report(c).unwrap().worlds_drawn, 2000);
         assert!(!svc.report(c).unwrap().certain_early_stop);
         assert_eq!(svc.metrics().worlds_drawn, 2000);
-        assert_eq!(svc.bounds_cached(), 2, "second table, second bound set");
+        assert_eq!(svc.tables.bounds(), 2, "second table, second bound set");
     }
 
     #[test]
@@ -1444,52 +1400,11 @@ mod tests {
     }
 
     #[test]
-    fn routing_is_invisible_to_hint_blind_crowds() {
-        // The plain simulator ignores hints (trait default), so a routed
-        // service must produce bit-identical reports to an unrouted one —
-        // routing only annotates, the backend decides whether to act.
-        let run = |router: Option<QuestionRouter>| {
-            let mut svc = service(1000);
-            if let Some(r) = router {
-                svc = svc.with_router(r);
-            }
-            let a = svc
-                .submit(&table(), SessionSpec::new(config(Algorithm::T1On, 0)))
-                .unwrap();
-            let b = svc
-                .submit(&table(), SessionSpec::new(config(Algorithm::TbOff, 1)))
-                .unwrap();
-            svc.run_to_completion();
-            let reports = vec![
-                svc.report(a).unwrap().clone(),
-                svc.report(b).unwrap().clone(),
-            ];
-            (reports, svc.metrics().clone())
-        };
-        let (plain, plain_m) = run(None);
-        // Thresholds (1, 1): every live question is hinted — sub-certain
-        // margins go Expert, fully settled pairs Cheap — so the counter
-        // arithmetic is exact: expert + cheap = live questions.
-        let (routed, routed_m) = run(Some(QuestionRouter::new(1.0, 1.0).unwrap()));
-        for (t, (x, y)) in plain.iter().zip(&routed).enumerate() {
-            assert!(x.same_outcome(y), "tenant {t} diverged under routing");
-        }
-        assert_eq!(plain_m.routed_expert + plain_m.routed_cheap, 0);
-        assert_eq!(
-            routed_m.routed_expert + routed_m.routed_cheap,
-            routed_m.crowd_questions,
-            "with thresholds (1,1) every live ask carries a hint"
-        );
-        assert!(routed_m.routed_expert > 0, "uncertain pairs must exist");
-        assert!(routed_m.summary().contains("expert"));
-    }
-
-    #[test]
-    fn routed_service_completes_on_a_quality_crowd() {
+    fn service_completes_on_a_quality_crowd() {
         use ctk_quality::{QualityConfig, QualityCrowd, WorkerSpec};
-        // End-to-end: a hint-aware quality crowd (cheap spammers, pricey
-        // experts) behind the router. The session must complete, spend
-        // live budget, and have its wide-margin questions routed cheap.
+        // End-to-end: a quality crowd (cheap spammers, pricey experts).
+        // The session must complete, spend live budget, and count its
+        // live asks as the backend does.
         let specs = vec![
             WorkerSpec::new(0.97).with_cost(5),
             WorkerSpec::new(0.95).with_cost(5),
@@ -1501,9 +1416,7 @@ mod tests {
         let truth = GroundTruth::sample(&table(), 99);
         let crowd = QualityCrowd::new(truth, &specs, QualityConfig::weighted(3), 10_000, 13)
             .expect("valid roster");
-        // Thresholds (0.5, 0.5): an empty Any band, so every live ask is
-        // decisively routed and the counter assertion below is exact.
-        let mut svc = TopKService::new(crowd).with_router(QuestionRouter::new(0.5, 0.5).unwrap());
+        let mut svc = TopKService::new(crowd);
         let id = svc
             .submit(&table(), SessionSpec::new(config(Algorithm::T1On, 3)))
             .unwrap();
@@ -1515,20 +1428,14 @@ mod tests {
             svc.crowd().asked(),
             "service accounting must match the backend's"
         );
-        assert_eq!(
-            svc.metrics().routed_cheap + svc.metrics().routed_expert,
-            svc.metrics().crowd_questions,
-            "an empty Any band routes every live ask decisively"
-        );
     }
 
     #[test]
-    fn routed_quality_crowd_is_thread_count_invariant() {
+    fn quality_crowd_is_thread_count_invariant() {
         use ctk_quality::{QualityConfig, QualityCrowd, WorkerSpec};
-        // A hint-aware, stateful crowd behind the router: every live ask
-        // is routed at the moment it is bought and moves the crowd's
-        // worker posteriors, so any reordering of asks across worker
-        // threads would show in the reports or the routing counters.
+        // A stateful crowd: every live ask moves the crowd's worker
+        // posteriors, so any reordering of asks across worker threads
+        // would show in the reports or the live-ask count.
         let specs = [
             WorkerSpec::new(0.97).with_cost(5),
             WorkerSpec::new(0.9).with_cost(5),
@@ -1539,10 +1446,7 @@ mod tests {
             let truth = GroundTruth::sample(&table(), 99);
             let crowd = QualityCrowd::new(truth, &specs, QualityConfig::weighted(3), 10_000, 13)
                 .expect("valid roster");
-            let mut svc = TopKService::new(crowd)
-                .with_router(QuestionRouter::new(0.7, 0.7).unwrap())
-                .with_fanout(3)
-                .with_threads(threads);
+            let mut svc = TopKService::new(crowd).with_fanout(3).with_threads(threads);
             let ids: Vec<_> = mixed_algorithms()
                 .into_iter()
                 .enumerate()
@@ -1553,18 +1457,12 @@ mod tests {
                 .collect();
             svc.run_to_completion();
             let reports: Vec<_> = ids.iter().map(|id| svc.report(*id).cloned()).collect();
-            let m = svc.metrics();
-            (
-                reports,
-                [m.routed_expert, m.routed_cheap, m.crowd_questions],
-            )
+            (reports, svc.metrics().crowd_questions)
         };
-        let (reports_1, counters_1) = run(1);
-        let (reports_4, counters_4) = run(4);
-        let [expert, cheap, live] = counters_1;
-        assert!(expert > 0 && cheap > 0, "both panels must be used");
-        assert_eq!(expert + cheap, live, "an empty Any band routes every ask");
-        assert_eq!(counters_1, counters_4, "routing counters diverged");
+        let (reports_1, live_1) = run(1);
+        let (reports_4, live_4) = run(4);
+        assert!(live_1 > 0, "live questions were purchased");
+        assert_eq!(live_1, live_4, "live-ask counts diverged");
         for (tenant, (a, b)) in reports_1.iter().zip(&reports_4).enumerate() {
             match (a, b) {
                 (Some(a), Some(b)) => assert!(

@@ -243,11 +243,13 @@ impl TableCache {
     }
 
     /// Distinct tables with cached state.
+    #[cfg(test)]
     pub(crate) fn tables(&self) -> usize {
         self.entries.len()
     }
 
     /// Distinct `(table, k)` bound sets cached.
+    #[cfg(test)]
     pub(crate) fn bounds(&self) -> usize {
         self.entries.iter().map(|e| e.bounds.len()).sum()
     }

@@ -20,18 +20,6 @@ pub enum Implication {
     Undetermined,
 }
 
-impl Implication {
-    /// True if an answer `yes` to the question is consistent with this
-    /// implication.
-    pub fn consistent_with(self, yes: bool) -> bool {
-        match self {
-            Implication::Yes => yes,
-            Implication::No => !yes,
-            Implication::Undetermined => true,
-        }
-    }
-}
-
 /// Implication of path `items` (best first) for the question
 /// “does `i` rank above `j`?”.
 pub fn implication(items: &[u32], i: u32, j: u32) -> Implication {
@@ -83,16 +71,6 @@ mod tests {
     fn neither_present() {
         assert_eq!(implication(&[3, 1, 2], 7, 5), Implication::Undetermined);
         assert_eq!(implication(&[], 0, 1), Implication::Undetermined);
-    }
-
-    #[test]
-    fn consistency() {
-        assert!(Implication::Yes.consistent_with(true));
-        assert!(!Implication::Yes.consistent_with(false));
-        assert!(Implication::No.consistent_with(false));
-        assert!(!Implication::No.consistent_with(true));
-        assert!(Implication::Undetermined.consistent_with(true));
-        assert!(Implication::Undetermined.consistent_with(false));
     }
 
     #[test]

@@ -133,7 +133,8 @@ impl Tpo {
     }
 
     /// The tuple sequence of the path from the root to `idx`.
-    pub fn path_to(&self, idx: usize) -> Vec<u32> {
+    #[cfg(test)]
+    fn path_to(&self, idx: usize) -> Vec<u32> {
         let mut items = Vec::new();
         let mut cur = Some(idx);
         while let Some(i) = cur {
