@@ -17,10 +17,9 @@
 //! * Test code (`#[cfg(test)]` / `#[test]` regions) is exempt everywhere,
 //!   as are `tests/`, `benches/`, `examples/`, and `src/bin` trees.
 //!
-//! Two file-level blessings exist: `crates/prob/src/compare.rs` may read
-//! `available_parallelism` (it *is* the cached accessor every other call
-//! site must use), and `crates/service/src/metrics.rs` may read the wall
-//! clock (it is the metrics sink).
+//! One file-level blessing exists: `crates/service/src/metrics.rs` may
+//! read the wall clock (it is the metrics sink). The one core-count read,
+//! ctk-service's cached accessor, carries its own `ctk-allow`.
 
 use crate::lexer::SourceFile;
 use crate::rules::{known_rule, missing_lint_wall, scan, Finding, RuleSet};
@@ -90,7 +89,6 @@ fn rule_set_for(path: &str) -> RuleSet {
         rs.determinism = true;
         rs.float = true;
         rs.panic = true;
-        rs.bless_parallelism = path == "crates/prob/src/compare.rs";
         rs.bless_wall_clock = path == "crates/service/src/metrics.rs";
     } else if path.starts_with("crates/analyze/src/") {
         rs.panic = true;
@@ -286,14 +284,29 @@ mod tests {
         assert!(!rule_set_for("crates/tpo/tests/proptests.rs").panic);
         assert!(!rule_set_for("crates/bench/src/bin/run_all.rs").determinism);
         assert!(!rule_set_for("shims/rand/src/lib.rs").panic);
-        assert!(rule_set_for("crates/prob/src/compare.rs").bless_parallelism);
         assert!(rule_set_for("crates/service/src/metrics.rs").bless_wall_clock);
-        assert!(!rule_set_for("crates/prob/src/grid.rs").bless_parallelism);
         // The run loop is result-affecting library code: full
         // determinism + panic scope.
         assert!(rule_set_for("crates/service/src/service.rs").determinism);
         assert!(rule_set_for("crates/service/src/service.rs").panic);
         assert!(!rule_set_for("crates/service/src/service.rs").bless_wall_clock);
+    }
+
+    #[test]
+    fn core_count_reads_are_findings_in_every_result_affecting_file() {
+        // No file is blessed any more: the former accessor's home is
+        // checked like every other file, and only a `ctk-allow` suppresses.
+        let src = "fn cores() -> usize {\n    std::thread::available_parallelism().map_or(1, |n| n.get())\n}\n";
+        for path in [
+            "crates/prob/src/compare.rs",
+            "crates/service/src/service.rs",
+        ] {
+            let out = analyze_source(path, src);
+            assert_eq!(out.len(), 1, "{path}: {out:?}");
+            assert_eq!(out[0].finding.rule, "det-available-parallelism");
+        }
+        let allowed = "fn cores() -> usize {\n    // ctk-allow(det-available-parallelism): the one cached read\n    std::thread::available_parallelism().map_or(1, |n| n.get())\n}\n";
+        assert!(analyze_source("crates/service/src/service.rs", allowed).is_empty());
     }
 
     #[test]

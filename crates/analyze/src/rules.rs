@@ -7,8 +7,8 @@
 //! | family | rule id | policy |
 //! |--------|---------|--------|
 //! | determinism | `det-hash-collection` | no `HashMap`/`HashSet` in result-affecting library code: iteration order is seeded per-process; use `BTreeMap`/`BTreeSet` or plan-ordered loops, or allowlist provably order-insensitive uses |
-//! | determinism | `det-thread-spawn` | no ad-hoc `thread::spawn`/`thread::scope`/`thread::Builder`: fanout must go through the `planned_threads` policy with a chunk-order-invariance argument, written down in a `ctk-allow` reason |
-//! | determinism | `det-available-parallelism` | `available_parallelism` only inside the blessed cached accessor (`ctk_prob::compare::available_cores`) |
+//! | determinism | `det-thread-spawn` | no ad-hoc `thread::spawn`/`thread::scope`/`thread::Builder`: fanout goes through ctk-service's `run_parallel` (per-item claims merged by item index), with its order-invariance argument written down in a `ctk-allow` reason |
+//! | determinism | `det-available-parallelism` | `available_parallelism` only at ctk-service's one cached read (`default_threads`), which carries a `ctk-allow` |
 //! | determinism | `det-wall-clock` | no `Instant::now`/`SystemTime::now` outside metrics code: wall-clock reads in result paths make replays diverge |
 //! | float | `float-eq` | no `==`/`!=` against float values: exact equality is not total and rarely means what it says; compare via `total_cmp`, explicit tolerances, or allowlist exact-sentinel checks |
 //! | float | `float-partial-cmp-unwrap` | no `partial_cmp(..).unwrap()`/`.expect(..)`: use the total-order comparator `f64::total_cmp` |
@@ -54,14 +54,14 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "det-thread-spawn",
         family: "determinism",
-        summary: "thread::spawn/scope/Builder outside the planned_threads fanout policy \
-                  (allowlist requires a chunk-order-invariance argument)",
+        summary: "thread::spawn/scope/Builder outside the run loop's run_parallel \
+                  (allowlist requires an order-invariance argument)",
     },
     RuleInfo {
         id: "det-available-parallelism",
         family: "determinism",
-        summary: "available_parallelism outside the blessed cached accessor \
-                  (ctk_prob::compare::available_cores)",
+        summary: "available_parallelism outside the service's cached accessor \
+                  (allowlist requires a reason)",
     },
     RuleInfo {
         id: "det-wall-clock",
@@ -127,9 +127,7 @@ pub struct RuleSet {
     pub float: bool,
     /// Panic-freedom family.
     pub panic: bool,
-    /// File-level blessings: home of the cached core-count accessor.
-    pub bless_parallelism: bool,
-    /// File-level blessings: metrics module (wall-clock reads allowed).
+    /// File-level blessing: metrics module (wall-clock reads allowed).
     pub bless_wall_clock: bool,
 }
 
@@ -152,16 +150,14 @@ pub fn scan(file: &SourceFile, rules: RuleSet) -> Vec<Finding> {
     if rules.determinism {
         scan_hash_collections(file, &mut findings);
         scan_thread_spawn(file, &mut findings);
-        if !rules.bless_parallelism {
-            scan_token_rule(
-                file,
-                "available_parallelism",
-                "det-available-parallelism",
-                "query core counts through ctk_prob::compare::available_cores() (cached, \
-                 one blessed read site)",
-                &mut findings,
-            );
-        }
+        scan_token_rule(
+            file,
+            "available_parallelism",
+            "det-available-parallelism",
+            "core-count read outside the service's cached default_threads(); thread \
+             counts come from TopKService, never from the host",
+            &mut findings,
+        );
         if !rules.bless_wall_clock {
             scan_token_rule(
                 file,
@@ -496,9 +492,9 @@ fn scan_thread_spawn(file: &SourceFile, findings: &mut Vec<Finding>) {
                 "det-thread-spawn",
                 line,
                 format!(
-                    "`{tok}` outside the planned_threads policy: fanout must be \
-                     chunk-order-invariant and thread counts must come from \
-                     planned_threads — ctk-allow with the invariance argument"
+                    "`{tok}` outside run_parallel: fan out through the run loop's \
+                     run_parallel, whose results merge in item order — ctk-allow \
+                     with the invariance argument"
                 ),
             );
         }

@@ -3,7 +3,9 @@
 //! * `pr_precedes` — position-index lookups;
 //! * `apply_answer_noisy` — indexed reweight;
 //! * `path_set` — incremental prefix-group cache;
-//! * `pairwise_compute` / `build_mc` — the auto-threaded table builders;
+//! * `pairwise_compute` / `build_mc` — the table builders, on the calling
+//!   thread: the matrix at n = 64 and a fixed 20 000-world build at
+//!   n = 50, k = 5;
 //! * `belief_build` — one session's initial belief at each perfbench
 //!   workload's shape: a fixed 1500-world build at n = 20, k = 5
 //!   (`paper_deep`) as a tree and as `incr` (`incr_fixed`: the worlds
@@ -107,7 +109,7 @@ fn bench_builders(c: &mut Criterion) {
     let t = table(64);
     let mut g = c.benchmark_group("pairwise_compute");
     g.sample_size(10);
-    g.bench_function("parallel", |b| {
+    g.bench_function("n64", |b| {
         b.iter(|| PairwiseMatrix::compute(&t).uncertain_pair_count())
     });
     g.finish();
@@ -116,7 +118,7 @@ fn bench_builders(c: &mut Criterion) {
     let cfg = McConfig::fixed(20_000, 5);
     let mut g = c.benchmark_group("build_mc");
     g.sample_size(10);
-    g.bench_function("parallel", |b| {
+    g.bench_function("n50_w20000", |b| {
         b.iter(|| build_mc(&t, 5, &cfg).unwrap().len())
     });
     g.finish();

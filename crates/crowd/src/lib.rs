@@ -60,7 +60,7 @@ pub use error::CrowdError;
 pub use ledger::{BudgetLedger, CostModel};
 pub use oracle::GroundTruth;
 pub use question::{Answer, Question};
-pub use simulator::{AttributedAnswer, Crowd, CrowdSimulator, RouteHint};
+pub use simulator::{Crowd, CrowdSimulator, RouteHint};
 pub use worker::{
     AnswerModel, DifficultyWorker, NoisyWorker, PerfectWorker, Vote, WorkerId, WorkerPool,
 };

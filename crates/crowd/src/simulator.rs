@@ -12,7 +12,7 @@ use crate::error::CrowdError;
 use crate::ledger::{BudgetLedger, CostModel};
 use crate::oracle::GroundTruth;
 use crate::question::{Answer, Question};
-use crate::worker::{AnswerModel, Vote};
+use crate::worker::AnswerModel;
 
 /// A caller-supplied hint about how much an answer is worth: cheap
 /// workers for wide-margin questions, experts for narrow ones. Backends
@@ -27,17 +27,6 @@ pub enum RouteHint {
     /// The belief margin is narrow — route to the highest-posterior
     /// workers available.
     Expert,
-}
-
-/// An aggregated answer together with the raw per-worker votes that
-/// produced it — the attribution record the `ctk-quality` estimators
-/// consume.
-#[derive(Debug, Clone)]
-pub struct AttributedAnswer {
-    /// The aggregated answer (exactly what [`Crowd::ask`] would return).
-    pub answer: Answer,
-    /// The individual votes, in the order they were collected.
-    pub votes: Vec<Vote>,
 }
 
 /// What the selection engine may do with a crowd.
@@ -127,13 +116,13 @@ impl<M: AnswerModel> CrowdSimulator<M> {
     pub fn ledger(&self) -> &BudgetLedger {
         &self.ledger
     }
+}
 
-    /// Like [`Crowd::ask`] but reporting which worker produced each vote.
-    /// Draws exactly the randomness [`Crowd::ask`] would (the default
-    /// [`AnswerModel::vote_with_gap`] delegates to `answer_with_gap`), so
-    /// attributed and unattributed runs over the same simulator state are
-    /// bit-identical in everything but the extra provenance.
-    fn ask_attributed(&mut self, q: Question) -> Option<AttributedAnswer> {
+impl<M: AnswerModel> Crowd for CrowdSimulator<M> {
+    /// Draws one vote per panel seat through
+    /// [`AnswerModel::vote_with_gap`] and aggregates them under the vote
+    /// policy.
+    fn ask(&mut self, q: Question) -> Option<Answer> {
         let cost = self.policy.votes_per_question();
         if !self.ledger.can_afford(cost) {
             // Regression guard for the budget denomination mismatch: a
@@ -143,26 +132,17 @@ impl<M: AnswerModel> CrowdSimulator<M> {
         }
         let truth = self.truth.true_answer(&q);
         let gap = (self.truth.scores()[q.i as usize] - self.truth.scores()[q.j as usize]).abs();
-        let votes: Vec<Vote> = (0..cost)
-            .map(|_| self.model.vote_with_gap(&q, truth, gap))
+        let votes: Vec<bool> = (0..cost)
+            .map(|_| self.model.vote_with_gap(&q, truth, gap).yes)
             .collect();
         let yes = match self.policy {
-            VotePolicy::Single => votes[0].yes,
-            VotePolicy::Majority(_) => {
-                let vs: Vec<bool> = votes.iter().map(|v| v.yes).collect();
-                majority_vote(&vs)
-            }
+            VotePolicy::Single => votes[0],
+            VotePolicy::Majority(_) => majority_vote(&votes),
         };
         let answer = Answer { question: q, yes };
         let recorded = self.ledger.record(answer, cost);
         debug_assert!(recorded, "affordability was checked above");
-        Some(AttributedAnswer { answer, votes })
-    }
-}
-
-impl<M: AnswerModel> Crowd for CrowdSimulator<M> {
-    fn ask(&mut self, q: Question) -> Option<Answer> {
-        self.ask_attributed(q).map(|a| a.answer)
+        Some(answer)
     }
 
     fn remaining(&self) -> usize {
@@ -283,37 +263,10 @@ mod tests {
     }
 
     #[test]
-    fn attributed_ask_matches_plain_ask_bit_for_bit() {
-        use crate::worker::WorkerPool;
-        let pool = || WorkerPool::new(&[0.9, 0.6, 0.75], 11).expect("non-empty");
-        let mut plain =
-            CrowdSimulator::new(truth(), pool(), VotePolicy::Majority(3), 30).expect("valid");
-        let mut attr =
-            CrowdSimulator::new(truth(), pool(), VotePolicy::Majority(3), 30).expect("valid");
-        let qs = [
-            Question::new(1, 0),
-            Question::new(0, 2),
-            Question::new(2, 1),
-        ];
-        for q in qs {
-            let a = plain.ask(q).unwrap();
-            let b = attr.ask_attributed(q).unwrap();
-            assert_eq!(a, b.answer, "same draws, same aggregate");
-            assert_eq!(b.votes.len(), 3);
-            // Round-robin attribution: pool of 3, panel of 3 — each
-            // question sees every worker exactly once, starting where the
-            // cursor left off.
-            let ids: Vec<u32> = b.votes.iter().map(|v| v.worker.0).collect();
-            assert_eq!(ids, vec![0, 1, 2]);
-        }
-        assert_eq!(plain.remaining(), attr.remaining());
-    }
-
-    #[test]
-    fn attributed_ask_respects_budget_without_side_effects() {
+    fn ask_respects_budget_without_side_effects() {
         let mut c = CrowdSimulator::new(truth(), PerfectWorker, VotePolicy::Majority(3), 2)
             .expect("valid vote policy");
-        assert!(c.ask_attributed(Question::new(1, 0)).is_none());
+        assert!(c.ask(Question::new(1, 0)).is_none());
         assert_eq!(c.remaining(), 0);
         assert!(c.history().is_empty(), "refused ask leaves no trace");
     }

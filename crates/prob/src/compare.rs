@@ -422,34 +422,6 @@ fn linear_times_phi(mu: f64, sigma: f64, x0: f64, y0: f64, s: f64, a: f64, b: f6
     sigma * (alpha * (i0(zb) - i0(za)) + beta * (i1(zb) - i1(za)))
 }
 
-/// Picks a worker count for an embarrassingly parallel loop: sequential
-/// below `min_items` of work (thread spawns would dominate) and on a
-/// single-core host, otherwise bounded by both the item count and the
-/// available cores. The chunked callers are bit-identical at any count, so
-/// this is purely a latency policy (cutoffs recorded in DESIGN.md §10).
-pub fn planned_threads(work_items: usize, min_items: usize, available: usize) -> usize {
-    if available <= 1 || work_items < min_items {
-        1
-    } else {
-        available.min(work_items.max(1))
-    }
-}
-
-/// Cached core count for the auto-threading policies.
-///
-/// `std::thread::available_parallelism` re-reads cgroup quota files on
-/// every call on Linux — tens of microseconds, which dwarfs the analytic
-/// matrix on small tables (and contributed to the pre-PR 5 auto path
-/// benchmarking *slower* than the explicit sequential one).
-pub fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    })
-}
-
 /// Dense matrix of pairwise probabilities for a table:
 /// `m[i][j] = P(s_i > s_j)`, with `m[i][i] = 0.5` by convention.
 #[derive(Debug, Clone)]
@@ -458,31 +430,59 @@ pub struct PairwiseMatrix {
     p: Vec<f64>,
 }
 
-/// Below this many *overlapping* pairs the matrix is computed sequentially
-/// — with the analytic per-pair evaluator (~100 ns/pair) thread spawns
-/// would dominate far past the old quadrature-era cutoff.
-const PARALLEL_PAIRS_MIN: usize = 8192;
-
-/// Fills `vals` with `P(s_i > s_j)` for one chunk of overlapping index
-/// pairs, reusing the per-distribution caches.
-fn pair_chunk(dists: &[&ScoreDist], caches: &[DistCache], pairs: &[(u32, u32)], vals: &mut [f64]) {
-    for (&(i, j), v) in pairs.iter().zip(vals.iter_mut()) {
-        let (i, j) = (i as usize, j as usize);
-        *v = pr_fast(dists[i], &caches[i], dists[j], &caches[j]);
-    }
-}
-
 impl PairwiseMatrix {
     /// Computes all `n(n-1)/2` comparison probabilities of `table`.
     ///
     /// A sweep-line over the supports sorted by lower endpoint resolves
     /// every strictly-disjoint pair to 0/1 analytically; only overlapping
-    /// pairs run the (closed-form) evaluator, chunked across threads when
-    /// there are enough of them. Every entry is a pure function of the two
-    /// distributions, so the result is bit-identical at any thread count
-    /// (pinned by tests).
+    /// pairs run the (closed-form) evaluator, on the calling thread.
     pub fn compute(table: &UncertainTable) -> Self {
-        Self::compute_inner(table, None)
+        let n = table.len();
+        let dists: Vec<&ScoreDist> = table.dists().collect();
+        let caches: Vec<DistCache> = dists.iter().map(|d| DistCache::build(d)).collect();
+        let supports: Vec<(f64, f64)> = dists.iter().map(|d| d.support()).collect();
+
+        // Sweep-line: tuples sorted by support lower endpoint (ties by
+        // index keep the visiting order deterministic).
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&i, &j| {
+            supports[i as usize]
+                .0
+                .total_cmp(&supports[j as usize].0)
+                .then(i.cmp(&j))
+        });
+
+        let mut p = vec![0.5; n * n];
+        for a_pos in 0..n {
+            let ia = order[a_pos] as usize;
+            let ahi = supports[ia].1;
+            let mut b_pos = a_pos + 1;
+            while b_pos < n {
+                let ib = order[b_pos] as usize;
+                if supports[ib].0 > ahi {
+                    break;
+                }
+                // Overlapping pairs are evaluated in (i < j) index
+                // orientation — the orientation every entry was computed
+                // in before the sweep existed, so the stored floats are
+                // unchanged.
+                let (i, j) = (ia.min(ib), ia.max(ib));
+                let pij = pr_fast(dists[i], &caches[i], dists[j], &caches[j]);
+                p[i * n + j] = pij;
+                p[j * n + i] = 1.0 - pij;
+                b_pos += 1;
+            }
+            // Everything past the frontier sits strictly above A's support:
+            // P(A > B) = 0 exactly — the same exact 0 the shared arms'
+            // strict-disjoint early-out returns, so the shortcut is
+            // bit-identical to evaluating, every family included.
+            for rest in &order[b_pos..] {
+                let ib = *rest as usize;
+                p[ia * n + ib] = 0.0;
+                p[ib * n + ia] = 1.0;
+            }
+        }
+        Self { n, p }
     }
 
     /// The matrix with every pair through the generic grid-quadrature
@@ -498,76 +498,6 @@ impl PairwiseMatrix {
                 p[i * n + j] = v;
                 p[j * n + i] = 1.0 - v;
             }
-        }
-        Self { n, p }
-    }
-
-    /// [`PairwiseMatrix::compute`] with an explicit thread count (`None`
-    /// picks one from the work size); tests pin every count bit-identical.
-    fn compute_inner(table: &UncertainTable, threads: Option<usize>) -> Self {
-        let n = table.len();
-        let dists: Vec<&ScoreDist> = table.dists().collect();
-        let caches: Vec<DistCache> = dists.iter().map(|d| DistCache::build(d)).collect();
-        let supports: Vec<(f64, f64)> = dists.iter().map(|d| d.support()).collect();
-
-        // Sweep-line: tuples sorted by support lower endpoint (ties by
-        // index keep the pair list deterministic).
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&i, &j| {
-            supports[i as usize]
-                .0
-                .total_cmp(&supports[j as usize].0)
-                .then(i.cmp(&j))
-        });
-
-        let mut p = vec![0.5; n * n];
-        // Overlapping pairs in (i < j) index orientation — the orientation
-        // every entry was computed in before the sweep existed, so the
-        // stored floats are unchanged.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for a_pos in 0..n {
-            let ia = order[a_pos] as usize;
-            let ahi = supports[ia].1;
-            let mut b_pos = a_pos + 1;
-            while b_pos < n {
-                let ib = order[b_pos] as usize;
-                if supports[ib].0 > ahi {
-                    break;
-                }
-                pairs.push((ia.min(ib) as u32, ia.max(ib) as u32));
-                b_pos += 1;
-            }
-            // Everything past the frontier sits strictly above A's support:
-            // P(A > B) = 0 exactly — the same exact 0 the shared arms'
-            // strict-disjoint early-out returns, so the shortcut is
-            // bit-identical to evaluating, every family included.
-            for rest in &order[b_pos..] {
-                let ib = *rest as usize;
-                p[ia * n + ib] = 0.0;
-                p[ib * n + ia] = 1.0;
-            }
-        }
-
-        let threads = match threads {
-            Some(t) => t.clamp(1, pairs.len().max(1)),
-            None => planned_threads(pairs.len(), PARALLEL_PAIRS_MIN, available_cores()),
-        };
-        let mut vals = vec![0.0f64; pairs.len()];
-        if threads <= 1 {
-            pair_chunk(&dists, &caches, &pairs, &mut vals);
-        } else {
-            let chunk = pairs.len().div_ceil(threads);
-            let (dists, caches) = (&dists, &caches);
-            // ctk-allow(det-thread-spawn): planned_threads fanout over disjoint pre-chunked slices — chunk-order-invariant
-            std::thread::scope(|s| {
-                for (pc, vc) in pairs.chunks(chunk).zip(vals.chunks_mut(chunk)) {
-                    s.spawn(move || pair_chunk(dists, caches, pc, vc));
-                }
-            });
-        }
-        for (&(i, j), &pij) in pairs.iter().zip(&vals) {
-            p[i as usize * n + j as usize] = pij;
-            p[j as usize * n + i as usize] = 1.0 - pij;
         }
         Self { n, p }
     }
@@ -827,17 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_threads_policy() {
-        // Single-core hosts and small work stay sequential.
-        assert_eq!(planned_threads(1_000_000, 8192, 1), 1);
-        assert_eq!(planned_threads(8191, 8192, 16), 1);
-        assert_eq!(planned_threads(0, 8192, 16), 1);
-        // Past the cutoff: bounded by cores and items.
-        assert_eq!(planned_threads(8192, 8192, 16), 16);
-        assert_eq!(planned_threads(100_000, 8192, 4), 4);
-    }
-
-    #[test]
     fn pairwise_matrix_consistency() {
         let table = UncertainTable::new(vec![
             u(0.0, 1.0),
@@ -870,7 +789,7 @@ mod tests {
         // The sweep's 0/1 shortcut and cached evaluation must agree with
         // calling `pr_greater` on every pair, bit for bit.
         let table = UncertainTable::new(zoo()).unwrap();
-        let m = PairwiseMatrix::compute_inner(&table, Some(1));
+        let m = PairwiseMatrix::compute(&table);
         for i in 0..table.len() {
             for j in 0..table.len() {
                 let expect = if i == j {
@@ -891,46 +810,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matrix_is_bit_identical_to_sequential() {
-        // A mixed-family table large enough to cross the parallel
-        // threshold in `compute`, exercising every pr_greater arm.
-        let dists: Vec<ScoreDist> = (0..30)
-            .map(|i| {
-                let c = i as f64 * 0.05;
-                match i % 4 {
-                    0 => u(c, c + 0.8),
-                    1 => ScoreDist::gaussian(c + 0.3, 0.15).unwrap(),
-                    2 => ScoreDist::discrete(&[(c, 0.4), (c + 0.6, 0.6)]).unwrap(),
-                    _ => ScoreDist::triangular(c, c + 0.4, c + 0.9).unwrap(),
-                }
-            })
-            .collect();
-        let table = UncertainTable::new(dists).unwrap();
-        let seq = PairwiseMatrix::compute_inner(&table, Some(1));
-        for threads in [2, 3, 8, 64] {
-            let par = PairwiseMatrix::compute_inner(&table, Some(threads));
-            for i in 0..table.len() {
-                for j in 0..table.len() {
-                    assert_eq!(
-                        seq.pr(i, j).to_bits(),
-                        par.pr(i, j).to_bits(),
-                        "({i},{j}) with {threads} threads"
-                    );
-                }
-            }
-        }
-        let auto = PairwiseMatrix::compute(&table);
-        for i in 0..table.len() {
-            for j in 0..table.len() {
-                assert_eq!(seq.pr(i, j).to_bits(), auto.pr(i, j).to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn reference_matrix_stays_close_to_fast_matrix() {
         let table = UncertainTable::new(zoo()).unwrap();
-        let fast = PairwiseMatrix::compute_inner(&table, Some(1));
+        let fast = PairwiseMatrix::compute(&table);
         let slow = PairwiseMatrix::compute_reference(&table);
         for i in 0..table.len() {
             for j in 0..table.len() {

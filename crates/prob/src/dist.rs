@@ -299,6 +299,15 @@ mod tests {
         let spans = [
             ScoreDist::uniform(-1e308, 1e308),
             ScoreDist::gaussian(0.0, 1e308),
+            // A finite area over knots whose outer span overflows.
+            ScoreDist::piecewise(&[(-1e308, 1e-10), (0.0, 1e-10), (1e308, 1e-10)]),
+            // Two valid components whose union support overflows.
+            ScoreDist::bimodal(
+                0.5,
+                ScoreDist::uniform(-1.7e308, -1.6e308).unwrap(),
+                0.5,
+                ScoreDist::uniform(1.6e308, 1.7e308).unwrap(),
+            ),
         ];
         for r in spans {
             assert!(

@@ -59,7 +59,15 @@ impl Mixture {
         if let Some(last) = cum.last_mut() {
             *last = 1.0;
         }
-        Ok(Self { components, cum })
+        let mixture = Self { components, cum };
+        let (lo, hi) = mixture.support();
+        if !(hi - lo).is_finite() {
+            return Err(ProbError::InvalidParameter {
+                param: "components",
+                reason: format!("span of the union support [{lo}, {hi}] overflows"),
+            });
+        }
+        Ok(mixture)
     }
 
     /// Two-component convenience constructor (the common bimodal case).

@@ -61,6 +61,13 @@ impl PiecewiseLinear {
                 "piecewise-linear density area overflows".into(),
             ));
         }
+        let (lo, hi) = (xs[0], xs[xs.len() - 1]);
+        if !(hi - lo).is_finite() {
+            return Err(ProbError::InvalidParameter {
+                param: "knots",
+                reason: format!("span of [{lo}, {hi}] overflows"),
+            });
+        }
         for y in &mut ys {
             *y /= area;
         }

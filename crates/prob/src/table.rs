@@ -47,29 +47,29 @@ pub struct UncertainTable {
 impl UncertainTable {
     /// Builds a table from score distributions; ids and default labels are
     /// assigned by position.
+    ///
+    /// Fails with [`ProbError::InvalidParameter`] when the union of the
+    /// supports spans more than `f64` can hold: every table-level grid and
+    /// sweep measures distances across it.
     pub fn new(dists: Vec<ScoreDist>) -> Result<Self> {
-        if dists.is_empty() {
-            return Err(ProbError::EmptyTable);
-        }
-        let tuples = dists
-            .into_iter()
-            .enumerate()
-            .map(|(i, dist)| UncertainTuple {
-                id: TupleId(i as u32),
-                label: format!("t{i}"),
-                dist,
-            })
-            .collect();
-        Ok(Self { tuples })
+        Self::from_labelled(
+            dists
+                .into_iter()
+                .enumerate()
+                .map(|(i, dist)| (format!("t{i}"), dist)),
+        )
     }
 
-    /// Builds a table with explicit labels.
+    /// Builds a table with explicit labels (checked as [`Self::new`]).
     pub fn with_labels(items: Vec<(String, ScoreDist)>) -> Result<Self> {
-        if items.is_empty() {
+        Self::from_labelled(items.into_iter())
+    }
+
+    fn from_labelled(items: impl ExactSizeIterator<Item = (String, ScoreDist)>) -> Result<Self> {
+        if items.len() == 0 {
             return Err(ProbError::EmptyTable);
         }
-        let tuples = items
-            .into_iter()
+        let tuples: Vec<UncertainTuple> = items
             .enumerate()
             .map(|(i, (label, dist))| UncertainTuple {
                 id: TupleId(i as u32),
@@ -77,6 +77,18 @@ impl UncertainTable {
                 dist,
             })
             .collect();
+        let (lo, hi) = tuples
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), t| {
+                let (a, b) = t.dist.support();
+                (lo.min(a), hi.max(b))
+            });
+        if !(hi - lo).is_finite() {
+            return Err(ProbError::InvalidParameter {
+                param: "dists",
+                reason: format!("span of the table's union support [{lo}, {hi}] overflows"),
+            });
+        }
         Ok(Self { tuples })
     }
 
@@ -143,6 +155,35 @@ mod tests {
             Err(ProbError::EmptyTable)
         ));
         assert!(UncertainTable::with_labels(vec![]).is_err());
+    }
+
+    #[test]
+    fn union_support_whose_span_overflows_is_rejected() {
+        // Each uniform is valid alone; together they span past f64::MAX.
+        let far_apart = || {
+            vec![
+                ScoreDist::uniform(-1.7e308, -1.6e308).unwrap(),
+                ScoreDist::uniform(1.6e308, 1.7e308).unwrap(),
+            ]
+        };
+        assert!(matches!(
+            UncertainTable::new(far_apart()),
+            Err(ProbError::InvalidParameter { .. })
+        ));
+        let labelled = far_apart()
+            .into_iter()
+            .map(|d| ("x".to_string(), d))
+            .collect();
+        assert!(matches!(
+            UncertainTable::with_labels(labelled),
+            Err(ProbError::InvalidParameter { .. })
+        ));
+        // Wide but representable tables still build.
+        assert!(UncertainTable::new(vec![
+            ScoreDist::uniform(-1e307, -9e306).unwrap(),
+            ScoreDist::uniform(9e306, 1e307).unwrap(),
+        ])
+        .is_ok());
     }
 
     #[test]

@@ -504,10 +504,17 @@ fn retire(
     }
 }
 
-/// All available cores (the service's `threads = 0` resolution), read
-/// through the workspace's single cached accessor.
+/// All available cores (the service's `threads = 0` resolution).
+///
+/// Cached: `std::thread::available_parallelism` re-reads cgroup quota
+/// files on every call on Linux — tens of microseconds, which every
+/// `TopKService::new` would pay again.
 fn default_threads() -> usize {
-    ctk_prob::compare::available_cores()
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        // ctk-allow(det-available-parallelism): the one core-count read; it sizes the round loop's fan-out, whose results merge in item order
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    })
 }
 
 /// Below this many sessions a parallel phase runs inline: spawning scoped

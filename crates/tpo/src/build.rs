@@ -33,8 +33,8 @@ use crate::precision::{
 };
 #[cfg(test)]
 use crate::worlds::WorldModel;
-use crate::worlds::{Id, WorldSample, PARALLEL_WORLDS_MIN};
-use ctk_prob::compare::{available_cores, planned_threads, PairwiseMatrix};
+use crate::worlds::{Id, WorldSample};
+use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::nested::{prefix_probability_with, NestedScratch};
 #[cfg(feature = "debug-invariants")]
 use ctk_prob::sample::ranking_into;
@@ -162,10 +162,9 @@ impl Engine {
             }
         };
         match cfg.precision {
-            PrecisionTarget::FixedWorlds(m) => Ok((
-                fixed_mc_with_threads(table, k, m, cfg.seed, 0)?,
-                PrecisionReport::fixed(m),
-            )),
+            PrecisionTarget::FixedWorlds(m) => {
+                Ok((fixed_mc(table, k, m, cfg.seed)?, PrecisionReport::fixed(m)))
+            }
             PrecisionTarget::Adaptive { epsilon, delta } => {
                 let mut scratch = Vec::with_capacity(k);
                 let (grown, report) =
@@ -198,12 +197,10 @@ impl Engine {
 /// sort's by the total-order argument, so the result equals the
 /// test-only full-sort reference (`build_mc_reference`) exactly.
 ///
-/// A fixed build chunks its rank phase across threads above a work
-/// cutoff and counts the prefixes with one sort; any thread count
-/// produces bit-identical output (score draws are strictly sequential in
-/// the seeded PRNG, and each world is ranked independently). An
-/// adaptive build streams: each world is counted once into running
-/// prefix counts that every look reads, and no world is stored.
+/// Both run on the calling thread. A fixed build ranks each world as it
+/// is drawn and counts the prefixes with one sort. An adaptive build
+/// streams: each world is counted once into running prefix counts that
+/// every look reads, and no world is stored.
 pub fn build_mc(table: &UncertainTable, k: usize, cfg: &McConfig) -> Result<PathSet> {
     Engine::MonteCarlo(*cfg).build(table, k)
 }
@@ -600,10 +597,7 @@ pub(crate) fn build_mc_reference(
     if k == 0 || k > table.len() {
         return Err(TpoError::InvalidK { k, n: table.len() });
     }
-    WorldModel::new(Arc::new(WorldSample::sample_with_threads(
-        table, worlds, seed, 1,
-    )?))
-    .path_set(k)
+    WorldModel::new(Arc::new(WorldSample::sample(table, worlds, seed)?)).path_set(k)
 }
 
 /// Test-only reference for the adaptive builds: the `WorldModel` route,
@@ -653,60 +647,24 @@ pub(crate) fn build_adaptive_reference(
     Ok((WorldModel::new(Arc::new(worlds)).path_set(k)?, report))
 }
 
-/// The fixed-budget Monte-Carlo pipeline body (see [`build_mc`]).
-/// `threads` sets the rank fan-out (`0` = auto, `1` = sequential); every
-/// count gives bit-identical output (pinned by tests). The prefixes are
-/// grouped by one sort, as [`sample_fixed`] groups its worlds.
-pub(crate) fn fixed_mc_with_threads(
-    table: &UncertainTable,
-    k: usize,
-    m: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<PathSet> {
+/// The fixed-budget Monte-Carlo pipeline body (see [`build_mc`]):
+/// one recycled score row, each world ranked to depth `k` as it is drawn
+/// (no `m × n` materialization), and the prefixes grouped by one sort, as
+/// [`sample_fixed`] groups its worlds.
+pub(crate) fn fixed_mc(table: &UncertainTable, k: usize, m: usize, seed: u64) -> Result<PathSet> {
     let n = table.len();
     if k == 0 || k > n {
         return Err(TpoError::InvalidK { k, n });
     }
     PrecisionTarget::FixedWorlds(m).validate()?;
-    let threads = if threads == 0 {
-        planned_threads(m, PARALLEL_WORLDS_MIN, available_cores())
-    } else {
-        threads.clamp(1, m)
-    };
-
     let sampler = WorldSampler::new(table);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut prefixes = vec![0u32; m * k];
-    if threads == 1 {
-        // Streaming: one recycled score row, rank each world as it is
-        // drawn — no m×n materialization.
-        let mut row = vec![0.0f64; n];
-        let mut scratch = Vec::with_capacity(k);
-        for prefix in prefixes.chunks_mut(k) {
-            sampler.sample_into(&mut rng, &mut row);
-            top_k_prefix_into(&row, &mut scratch, prefix);
-        }
-    } else {
-        // Draw all scores sequentially (the PRNG stream is order-defined),
-        // then rank world chunks in parallel — each world independently,
-        // so chunking cannot change any prefix.
-        let mut scores = vec![0.0f64; m * n];
-        for row in scores.chunks_mut(n) {
-            sampler.sample_into(&mut rng, row);
-        }
-        let chunk = m.div_ceil(threads);
-        // ctk-allow(det-thread-spawn): planned_threads fanout; each thread fills a disjoint pre-chunked slice
-        std::thread::scope(|s| {
-            for (sc, pc) in scores.chunks(chunk * n).zip(prefixes.chunks_mut(chunk * k)) {
-                s.spawn(move || {
-                    let mut scratch = Vec::with_capacity(k);
-                    for (row, prefix) in sc.chunks(n).zip(pc.chunks_mut(k)) {
-                        top_k_prefix_into(row, &mut scratch, prefix);
-                    }
-                });
-            }
-        });
+    let mut row = vec![0.0f64; n];
+    let mut scratch = Vec::with_capacity(k);
+    for prefix in prefixes.chunks_mut(k) {
+        sampler.sample_into(&mut rng, &mut row);
+        top_k_prefix_into(&row, &mut scratch, prefix);
     }
     PathSet::from_weighted(k, sorted_prefix_counts(&prefixes, k, k, n))
 }
@@ -866,35 +824,13 @@ mod tests {
         for (t, ks) in [(table(6, 0.7), &[1usize, 2, 4, 6][..]), (wide, &[10, 12])] {
             for seed in [0u64, 9, 31] {
                 for &k in ks {
-                    let fast = fixed_mc_with_threads(&t, k, 3001, seed, 1).unwrap();
+                    let fast = fixed_mc(&t, k, 3001, seed).unwrap();
                     let reference = build_mc_reference(&t, k, 3001, seed).unwrap();
                     assert_eq!(fast.len(), reference.len(), "seed {seed} k {k}");
                     for (a, b) in fast.paths().iter().zip(reference.paths()) {
                         assert_eq!(a.items, b.items, "seed {seed} k {k}");
                         assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "seed {seed} k {k}");
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mc_build_is_bit_identical_to_sequential() {
-        let t = table(5, 0.6);
-        for seed in [0u64, 3, 17] {
-            let seq = fixed_mc_with_threads(&t, 3, 4100, seed, 1).unwrap();
-            for threads in [2, 4, 7] {
-                let par = fixed_mc_with_threads(&t, 3, 4100, seed, threads).unwrap();
-                assert_eq!(seq.len(), par.len(), "seed {seed} threads {threads}");
-                for (a, b) in seq.paths().iter().zip(par.paths()) {
-                    assert_eq!(a.items, b.items, "seed {seed} threads {threads}");
-                    assert_eq!(
-                        a.prob.to_bits(),
-                        b.prob.to_bits(),
-                        "seed {seed} threads {threads}: {} vs {}",
-                        a.prob,
-                        b.prob
-                    );
                 }
             }
         }
@@ -1228,7 +1164,7 @@ mod tests {
             AdaptiveSample::Pinned(_) => panic!("iid-ish table cannot pin"),
         };
         assert_eq!(worlds.len(), report.worlds_drawn);
-        let one_shot = WorldSample::sample_with_threads(&t, report.worlds_drawn, 11, 1).unwrap();
+        let one_shot = WorldSample::sample(&t, report.worlds_drawn, 11).unwrap();
         assert_eq!(one_shot, *worlds);
         // The handed-over path set is the grouping of those worlds.
         assert_eq!(paths, WorldModel::new(worlds).path_set_cached(2).unwrap());

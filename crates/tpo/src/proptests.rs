@@ -1,9 +1,9 @@
 //! Property-based tests that pin the fast paths against this crate's
-//! test-only references and private thread-count entry points.
+//! test-only references.
 
 use crate::build::{
-    build_adaptive_reference, build_mc, build_mc_reference, fixed_mc_with_threads, sample_adaptive,
-    AdaptiveSample, Engine, McConfig,
+    build_adaptive_reference, build_mc, build_mc_reference, sample_adaptive, AdaptiveSample,
+    Engine, McConfig,
 };
 use crate::precision::{StopReason, ADAPTIVE_INITIAL_BATCH};
 use crate::worlds::WorldModel;
@@ -99,20 +99,14 @@ proptest! {
     ) {
         // The fast builder (compiled sampling + top-K partial
         // selection) is bit-identical to the full-sort WorldModel pipeline
-        // at every depth, for the auto and the forced-sequential paths.
+        // at every depth.
         for k in [1usize, 3, 7] {
-            let cfg = McConfig::fixed(1200, seed);
+            let fast = build_mc(&table, k, &McConfig::fixed(1200, seed)).unwrap();
             let reference = build_mc_reference(&table, k, 1200, seed).unwrap();
-            for fast in [
-                build_mc(&table, k, &cfg).unwrap(),
-                fixed_mc_with_threads(&table, k, 1200, seed, 1).unwrap(),
-                fixed_mc_with_threads(&table, k, 1200, seed, 3).unwrap(),
-            ] {
-                prop_assert_eq!(fast.len(), reference.len(), "k = {}", k);
-                for (a, b) in fast.paths().iter().zip(reference.paths()) {
-                    prop_assert_eq!(&a.items, &b.items, "k = {}", k);
-                    prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "k = {}", k);
-                }
+            prop_assert_eq!(fast.len(), reference.len(), "k = {}", k);
+            for (a, b) in fast.paths().iter().zip(reference.paths()) {
+                prop_assert_eq!(&a.items, &b.items, "k = {}", k);
+                prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "k = {}", k);
             }
         }
     }
@@ -153,21 +147,6 @@ proptest! {
         let cached = wm.path_set_cached(1).unwrap();
         let fresh = wm.path_set(1).unwrap();
         for (a, b) in cached.paths().iter().zip(fresh.paths()) {
-            prop_assert_eq!(&a.items, &b.items);
-            prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits());
-        }
-    }
-
-    #[test]
-    fn parallel_builders_match_sequential(
-        (table, seed, threads) in (uniform_table(5), any::<u64>(), 2usize..9)
-    ) {
-        // Thread-count independence of the Monte-Carlo build: sampling,
-        // ranking and grouping must be bit-identical however chunked.
-        let seq = fixed_mc_with_threads(&table, 3, 3000, seed, 1).unwrap();
-        let par = fixed_mc_with_threads(&table, 3, 3000, seed, threads).unwrap();
-        prop_assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.paths().iter().zip(par.paths()) {
             prop_assert_eq!(&a.items, &b.items);
             prop_assert_eq!(a.prob.to_bits(), b.prob.to_bits());
         }

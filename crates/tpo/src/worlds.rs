@@ -39,7 +39,6 @@
 use crate::error::{Result, TpoError};
 use crate::path::PathSet;
 use crate::precision::PrecisionTarget;
-use ctk_prob::compare::{available_cores, planned_threads};
 use ctk_prob::sample::{ranking_into, WorldSampler};
 use ctk_prob::UncertainTable;
 use rand::rngs::StdRng;
@@ -49,17 +48,13 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Below this many worlds the rank phase of sampling stays sequential —
-/// thread spawn overhead would dominate (cutoffs in DESIGN.md §10).
-pub(crate) const PARALLEL_WORLDS_MIN: usize = 2048;
-
 /// Relations of at most this many tuples store ids and ranks in one byte.
 const BYTE_IDS_MAX_N: usize = 1 << u8::BITS;
 
 /// A tuple id or a rank as a world sample stores it: `u8` for relations
 /// of at most [`BYTE_IDS_MAX_N`] tuples, `u32` otherwise. Widening keeps
 /// order, so kernels compare stored values directly.
-pub(crate) trait Id: Copy + Ord + Default + Send + Into<u32> {
+pub(crate) trait Id: Copy + Ord + Default + Into<u32> {
     /// `v`, which the caller guarantees fits the width.
     fn narrow(v: u32) -> Self;
 }
@@ -165,22 +160,9 @@ impl WorldSample {
     /// Fails with [`TpoError::InvalidWorlds`] when `m` is not a valid fixed
     /// budget ([`PrecisionTarget::validate`]): an empty belief cannot
     /// represent anything, and invalid specs are errors, not silent
-    /// repairs. Score draws are strictly sequential in the seeded PRNG; the
-    /// rank phase is parallelized across worlds, which cannot change the
-    /// result (each world is ranked independently).
+    /// repairs. Score draws are strictly sequential in the seeded PRNG;
+    /// the worlds are then ranked in one pass.
     pub fn sample(table: &UncertainTable, m: usize, seed: u64) -> Result<Self> {
-        Self::sample_with_threads(table, m, seed, auto_threads(m))
-    }
-
-    /// [`WorldSample::sample`] with an explicit thread count for the rank
-    /// phase. `threads <= 1` is the fully sequential reference; any other
-    /// count produces bit-identical output (pinned by tests).
-    pub(crate) fn sample_with_threads(
-        table: &UncertainTable,
-        m: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Self> {
         PrecisionTarget::FixedWorlds(m).validate()?;
         let n = table.len();
         // Score draws consume the PRNG in world-major, tuple-minor order —
@@ -194,7 +176,7 @@ impl WorldSample {
             sampler.sample_into(&mut rng, row);
         }
         let mut sample = Self::empty(n);
-        with_ranked!(&mut sample.ids, r => *r = rank_all(&scores, n, threads.clamp(1, m)));
+        with_ranked!(&mut sample.ids, r => *r = rank_all(&scores, n));
         Ok(sample)
     }
 
@@ -305,41 +287,19 @@ impl WorldSample {
     }
 }
 
-/// Ranks flat sampled scores (`n` per world) into a sample's storage,
-/// splitting the worlds over `threads` scoped threads in contiguous
-/// chunks (`1` = sequential); every count gives the same storage.
-fn rank_all<T: Id>(scores: &[f64], n: usize, threads: usize) -> Ranked<T> {
+/// Ranks flat sampled scores (`n` per world) into a sample's storage:
+/// the flat rankings and the position index.
+fn rank_all<T: Id>(scores: &[f64], n: usize) -> Ranked<T> {
     let mut ranked = Ranked {
         rankings: vec![T::default(); scores.len()],
         pos: vec![T::default(); scores.len()],
     };
-    if threads == 1 {
-        rank_chunk(scores, &mut ranked.rankings, &mut ranked.pos, n);
-    } else {
-        let chunk = (scores.len() / n).div_ceil(threads) * n;
-        // ctk-allow(det-thread-spawn): planned_threads fanout; each thread fills a disjoint pre-chunked slice
-        std::thread::scope(|s| {
-            for ((sc, rc), pc) in scores
-                .chunks(chunk)
-                .zip(ranked.rankings.chunks_mut(chunk))
-                .zip(ranked.pos.chunks_mut(chunk))
-            {
-                s.spawn(move || rank_chunk(sc, rc, pc, n));
-            }
-        });
-    }
-    ranked
-}
-
-/// Ranks one chunk of flat sampled scores (`n` per world) into the
-/// matching chunks of the flat rankings and the position index.
-fn rank_chunk<T: Id>(scores: &[f64], rankings: &mut [T], pos: &mut [T], n: usize) {
     let mut scratch = Vec::with_capacity(n);
     let mut ranking = vec![0u32; n];
     for ((s, r), p) in scores
         .chunks(n)
-        .zip(rankings.chunks_mut(n))
-        .zip(pos.chunks_mut(n))
+        .zip(ranked.rankings.chunks_mut(n))
+        .zip(ranked.pos.chunks_mut(n))
     {
         ranking_into(s, &mut scratch, &mut ranking);
         for (slot, &t) in r.iter_mut().zip(&ranking) {
@@ -347,6 +307,7 @@ fn rank_chunk<T: Id>(scores: &[f64], rankings: &mut [T], pos: &mut [T], n: usize
         }
         write_pos(&ranking, p);
     }
+    ranked
 }
 
 /// Writes the position index of one world's `ranking` into `pos`.
@@ -354,10 +315,6 @@ fn write_pos<T: Id>(ranking: &[u32], pos: &mut [T]) {
     for (rank, &t) in ranking.iter().enumerate() {
         pos[t as usize] = T::narrow(rank as u32);
     }
-}
-
-fn auto_threads(m: usize) -> usize {
-    planned_threads(m, PARALLEL_WORLDS_MIN, available_cores())
 }
 
 /// Worlds sharing a common ranking prefix, tracked incrementally across
@@ -629,7 +586,7 @@ impl WorldModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{fixed_mc_with_threads, Engine, McConfig};
+    use crate::build::{fixed_mc, Engine, McConfig};
     use ctk_prob::ScoreDist;
 
     fn model() -> WorldModel {
@@ -763,16 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rank_phase_matches_sequential() {
-        let table = table3();
-        let seq = WorldSample::sample_with_threads(&table, 4097, 7, 1).unwrap();
-        for threads in [2, 3, 8] {
-            let par = WorldSample::sample_with_threads(&table, 4097, 7, threads).unwrap();
-            assert_eq!(seq, par, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn position_index_matches_rankings() {
         let m = WorldModel::sample(&table3(), 200, 9).unwrap();
         let Ids::Byte(stored) = &m.worlds().ids else {
@@ -821,20 +768,14 @@ mod tests {
     fn uniform_grouping_matches_path_set() {
         // The Monte-Carlo builders group unit-weight worlds by exact
         // integer prefix counts; that must equal the weighted grouping of
-        // the same worlds, for the fixed build at any thread count and for
-        // the adaptive build's running counts.
+        // the same worlds, for the fixed build's sorted counts and for the
+        // adaptive build's running counts.
         let table = table3();
         let reference = WorldModel::sample(&table, 4099, 11)
             .unwrap()
             .path_set(2)
             .unwrap();
-        for threads in [1, 2, 5] {
-            assert_eq!(
-                fixed_mc_with_threads(&table, 2, 4099, 11, threads).unwrap(),
-                reference,
-                "threads = {threads}"
-            );
-        }
+        assert_eq!(fixed_mc(&table, 2, 4099, 11).unwrap(), reference);
         let (adaptive, report) = Engine::MonteCarlo(McConfig::adaptive(0.05, 0.05, 11))
             .build_with_report(&table, 2, None)
             .unwrap();
@@ -847,7 +788,7 @@ mod tests {
         // The adaptive builder's contract: batch-growing with one RNG is
         // the same draw stream as sampling everything at once.
         let table = table3();
-        let one_shot = WorldSample::sample_with_threads(&table, 700, 13, 1).unwrap();
+        let one_shot = WorldSample::sample(&table, 700, 13).unwrap();
         let mut grown = WorldSample::empty(table.len());
         let mut rng = StdRng::seed_from_u64(13);
         for batch in [1usize, 99, 300, 0, 300] {
