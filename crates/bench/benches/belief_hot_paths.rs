@@ -2,7 +2,10 @@
 //!
 //! * `pr_precedes` — position-index lookups;
 //! * `apply_answer_noisy` — indexed reweight;
-//! * `path_set` — incremental prefix-group cache;
+//! * `path_set` — incremental prefix-group cache (`cached`), and
+//!   `prune_uhw_fig1`, one step's report trail: one hard prune of the
+//!   Fig. 1 instance's 1500-world path set (k = 5) and `U_Hw` of the
+//!   result;
 //! * `pairwise_compute` / `build_mc` — the table builders, on the calling
 //!   thread: the matrix at n = 64 and a fixed 20 000-world build at
 //!   n = 50, k = 5;
@@ -12,7 +15,10 @@
 //!   plus their counted depth-k path set); `incr_hit_n8_k3`, an `incr`
 //!   session started from a stored belief and its shared world sample at
 //!   the `tenant_stream` shape (n = 8, k = 3, 256 fixed worlds: one `Arc`
-//!   clone, fresh weights and the report baseline); an adaptive
+//!   clone, fresh weights and the report baseline); `tree_hit_n8_k4`,
+//!   the same shape's tree hit (T1-on, k = 4: a clone of the stored path
+//!   set, whose prefix groups it shares, and the report baseline); an
+//!   adaptive
 //!   ε = δ = 0.05 build at n = 12, k = 3 as a tree (prefix counts only)
 //!   and as `incr` (full worlds), the `cold_burst` submit; `exact_n10`
 //!   is the exact nested-quadrature engine at n = 10, k = 5;
@@ -58,6 +64,7 @@ use ctk_prob::UncertainTable;
 use ctk_tpo::build::{
     build_exact, build_mc, sample_adaptive, sample_fixed, Engine, ExactConfig, McConfig,
 };
+use ctk_tpo::prune::prune;
 use ctk_tpo::WorldModel;
 
 fn table(n: usize) -> UncertainTable {
@@ -101,6 +108,22 @@ fn bench_belief(c: &mut Criterion) {
     cached.path_set_cached(5).unwrap(); // warm the prefix groups
     g.bench_function("cached", |b| {
         b.iter(|| cached.path_set_cached(5).unwrap().len())
+    });
+    let scenario = scenarios::fig1(0);
+    let fig1 = build_mc(&scenario.table, scenario.k, &McConfig::fixed(1500, 11)).unwrap();
+    let fig1_pw = PairwiseMatrix::compute(&scenario.table);
+    let uhw = MeasureKind::WeightedEntropy.build();
+    let ctx = ResidualCtx {
+        measure: uhw.as_ref(),
+        pairwise: &fig1_pw,
+    };
+    let q = relevant_questions(&fig1, &ctx)[0];
+    let split = ctx.prior(q.i, q.j);
+    g.bench_function("prune_uhw_fig1", |b| {
+        b.iter(|| {
+            let (pruned, _) = prune(&fig1, q.i, q.j, true, split).unwrap();
+            uhw.uncertainty(&pruned)
+        })
     });
     g.finish();
 }
@@ -155,6 +178,23 @@ fn bench_belief_build(c: &mut Criterion) {
         b.iter(|| {
             let pairwise = std::sync::Arc::clone(&pairwise);
             SessionDriver::from_belief(config.clone(), &stream, None, pairwise, stored.clone())
+                .unwrap()
+                .report()
+                .initial_orderings
+        })
+    });
+    let tree = SessionConfig {
+        k: 4,
+        algorithm: Algorithm::T1On,
+        ..config.clone()
+    };
+    let key = BeliefKey::of(&tree).expect("Monte-Carlo trees are keyed");
+    let tree_bounds = TopKBounds::from_matrix(&pairwise, 4).unwrap();
+    let stored_tree = Belief::build(&stream, &key, &tree_bounds).unwrap();
+    g.bench_function("tree_hit_n8_k4", |b| {
+        b.iter(|| {
+            let pairwise = std::sync::Arc::clone(&pairwise);
+            SessionDriver::from_belief(tree.clone(), &stream, None, pairwise, stored_tree.clone())
                 .unwrap()
                 .report()
                 .initial_orderings

@@ -170,12 +170,14 @@ impl Belief {
         self.worlds.as_ref()
     }
 
-    /// Bytes this belief holds: its paths (each path's record and items)
-    /// and its world sample.
+    /// Bytes this belief holds: its paths (each path's record and items),
+    /// their prefix groups and its world sample.
     pub fn bytes(&self) -> usize {
         let per_path =
             std::mem::size_of::<ctk_tpo::Path>() + self.paths.k() * std::mem::size_of::<u32>();
-        self.paths.len() * per_path + self.worlds.as_ref().map_or(0, |w| w.bytes())
+        self.paths.len() * per_path
+            + self.paths.prefix_groups().bytes()
+            + self.worlds.as_ref().map_or(0, |w| w.bytes())
     }
 
     /// True when both beliefs hold the same paths in the same order with

@@ -29,8 +29,10 @@
 //!
 //! This module is the inner loop of every `TB-off`/`T1-on`/`C-off`/`A*`
 //! selection (DESIGN.md §8). The root path set is indexed once
-//! (`PrefixIndex`: items flattened, each path's rank in items order, and a
-//! dense prefix-group id per path and level), and a class is a list of
+//! (`PrefixIndex`: items flattened, plus the path set's own
+//! [`PrefixGroups`] — each path's rank in items order and a dense
+//! prefix-group id per path and level — shared behind its `Arc`, never
+//! regrouped), and a class is a list of
 //! `(root position, scaled probability)` members — a split copies
 //! indices, never item vectors. The entropy measures score a class
 //! straight from the index through [`ClassEval`]: a counting sort into
@@ -113,15 +115,17 @@ pub fn answer_probability(ps: &PathSet, q: &Question, ctx: &ResidualCtx<'_>) -> 
 }
 
 /// The root path set of a partition, addressed by position: flattened
-/// items plus the prefix groups every class evaluation reads. Built once
-/// per partition and shared by its clones.
+/// items plus the prefix groups every class evaluation reads (the path
+/// set's own, not regrouped). Built once per partition and shared by its
+/// clones.
 #[derive(Debug)]
 struct PrefixIndex {
     k: usize,
     /// Path `p`'s items are `items[starts[p]..starts[p + 1]]`.
     items: Vec<u32>,
     starts: Vec<usize>,
-    groups: PrefixGroups,
+    /// The root path set's own groups, shared with it.
+    groups: Arc<PrefixGroups>,
     /// One past the largest tuple id on any path.
     tuples: usize,
     /// Every path has the same length and no ordering repeats — what the
@@ -139,7 +143,7 @@ impl PrefixIndex {
             items.extend_from_slice(&p.items);
             starts.push(items.len());
         }
-        let groups = PrefixGroups::new(ps.paths());
+        let groups = Arc::clone(ps.prefix_groups());
         let depth = groups.depth();
         let uniform = ps.paths().iter().all(|p| p.items.len() == depth)
             && (depth == 0 || groups.count(depth - 1) == ps.len());
@@ -451,6 +455,12 @@ impl AnswerPartition {
             buffers: EvalBuffers::default(),
             estimate: EstimateBuffers::default(),
         }
+    }
+
+    /// The root's prefix groups.
+    #[cfg(test)]
+    pub(crate) fn prefix_groups(&self) -> &Arc<PrefixGroups> {
+        &self.index.groups
     }
 
     /// Number of live (unresolved) classes.
@@ -1055,6 +1065,20 @@ mod tests {
             vec![(vec![0, 1], 0.5), (vec![0, 2], 0.2), (vec![1, 0], 0.3)],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn partitions_share_the_path_sets_prefix_groups() {
+        // The root indexes the path set's own groups, and clones of the
+        // root share them: nothing regroups.
+        let s = sample();
+        let root = AnswerPartition::root(&s);
+        assert!(Arc::ptr_eq(root.prefix_groups(), s.prefix_groups()));
+        assert!(Arc::ptr_eq(root.clone().prefix_groups(), s.prefix_groups()));
+        assert!(Arc::ptr_eq(
+            AnswerPartition::root(&s.clone()).prefix_groups(),
+            s.prefix_groups()
+        ));
     }
 
     #[test]

@@ -65,6 +65,15 @@ impl Discrete {
         if !total.is_finite() {
             return Err(ProbError::InvalidWeights("weight sum overflows".into()));
         }
+        // Atoms are finite, but their span can still overflow (and with it
+        // the variance).
+        let (lo, hi) = (xs[0], xs[xs.len() - 1]);
+        if !(hi - lo).is_finite() {
+            return Err(ProbError::InvalidParameter {
+                param: "value",
+                reason: format!("span of [{lo}, {hi}] overflows"),
+            });
+        }
         for p in &mut ps {
             *p /= total;
         }

@@ -308,6 +308,8 @@ mod tests {
                 0.5,
                 ScoreDist::uniform(1.6e308, 1.7e308).unwrap(),
             ),
+            // Finite atoms whose span overflows.
+            ScoreDist::discrete(&[(-1e308, 0.5), (1e308, 0.5)]),
         ];
         for r in spans {
             assert!(

@@ -37,11 +37,12 @@ use std::sync::Arc;
 pub(crate) const MAX_TABLES: usize = 32;
 
 /// At most this many bytes are held in stored beliefs, over all tables:
-/// each belief's paths (record and items) plus its attached world sample
-/// (one byte per ranking and position entry for tables of up to 256
-/// tuples, four beyond). The bound caps the memory the belief cache adds
-/// to the service whatever the traffic; a belief larger than the whole
-/// bound is not stored.
+/// each belief's paths (record and items), their prefix groups (one byte
+/// per rank and level id up to 256 paths, two up to 65 536, four beyond)
+/// and its attached world sample (one byte per ranking and position entry
+/// for tables of up to 256 tuples, four beyond). The bound caps the
+/// memory the belief cache adds to the service whatever the traffic; a
+/// belief larger than the whole bound is not stored.
 pub(crate) const MAX_BELIEF_BYTES: usize = 8 << 20;
 
 /// Per table, at most this many keys seen once and not stored yet are
@@ -493,6 +494,35 @@ mod tests {
     }
 
     #[test]
+    fn tree_hits_share_the_stored_prefix_groups() {
+        // A stored belief's prefix groups are one allocation that every
+        // tree session started from it holds: no hit regroups its paths.
+        let mut cache = TableCache::default();
+        let mut m = ServiceMetrics::default();
+        let t = table(0.0);
+        let cfg = |alg| config(alg, Engine::MonteCarlo(McConfig::fixed(400, 7)));
+        for _ in 0..2 {
+            cache
+                .driver(&t, cfg(Algorithm::T1On), None, &mut m)
+                .unwrap();
+        }
+        let drivers: Vec<_> = [Algorithm::T1On, Algorithm::TbOff, Algorithm::COff]
+            .into_iter()
+            .map(|alg| cache.driver(&t, cfg(alg), None, &mut m).unwrap())
+            .collect();
+        assert_eq!(m.belief_hits, 3);
+        let stored = cache.entries[0].beliefs[0].belief.paths().prefix_groups();
+        assert_eq!(
+            Arc::strong_count(stored),
+            1 + 3,
+            "the cache and three tree drivers"
+        );
+        drop(drivers);
+        let stored = cache.entries[0].beliefs[0].belief.paths().prefix_groups();
+        assert_eq!(Arc::strong_count(stored), 1);
+    }
+
+    #[test]
     fn beliefs_never_cross_keys() {
         // A base key is stored (two submits), then a config differing in
         // one input of the build must build its own belief, never hit the
@@ -610,6 +640,16 @@ mod tests {
             }
         }
         assert!(cache.beliefs() < keys as usize, "the bound must evict");
+        // The held bytes count each belief's prefix groups: a rank and k
+        // level ids per path, two bytes each above 256 paths.
+        for stored in cache.entries.iter().flat_map(|e| &e.beliefs) {
+            let paths = stored.belief.paths();
+            let groups = paths.prefix_groups().bytes();
+            let ids = paths.len() * (paths.k() + 1);
+            assert!(paths.len() > 256, "{} paths", paths.len());
+            assert!((2 * ids..2 * ids + 256).contains(&groups), "{groups} bytes");
+            assert!(stored.bytes >= groups + paths.len() * std::mem::size_of::<ctk_tpo::Path>());
+        }
 
         // Evicting a table drops its beliefs and their bytes: the wide
         // table is the least recently used of MAX_TABLES + 1.

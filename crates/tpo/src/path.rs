@@ -6,10 +6,22 @@
 //! `(path, probability)` representation; the arena tree in
 //! [`crate::tree`] is derived from it when level structure or
 //! visualization is needed.
+//!
+//! A path set also carries its prefix structure ([`PrefixGroups`]: each
+//! path's rank in items order and its dense prefix-group id per level),
+//! which `U_Hw`'s level distributions and the residual partition's index
+//! read. It is derived when the set is built, never by a sort: a built
+//! set's paths pass through items order before they are normalized, and a
+//! pruned or reweighted set keeps its parent's items order with the
+//! dropped paths filtered out, so one linear pass over that order numbers
+//! the groups. The structure sits behind an [`Arc`], so clones (a stored
+//! belief and every session started from it) share it.
 
 use crate::error::{Result, TpoError};
+use crate::stats::PrefixGroups;
 use ctk_rank::RankList;
 use std::fmt;
+use std::sync::Arc;
 
 /// One possible ordered top-k result and its probability.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +55,8 @@ impl fmt::Display for Path {
 pub struct PathSet {
     k: usize,
     paths: Vec<Path>,
+    /// The prefix groups of `paths`, shared by clones.
+    groups: Arc<PrefixGroups>,
 }
 
 impl PathSet {
@@ -66,7 +80,9 @@ impl PathSet {
         // Canonical order *before* summation: callers may feed paths in
         // hash-map order, and float addition is not associative — without
         // this, bitwise reproducibility across runs would be lost.
-        paths.sort_unstable_by(|a, b| a.items.cmp(&b.items));
+        // Repeated orderings go by descending weight, the order the
+        // probability sort below keeps them in.
+        paths.sort_unstable_by(|a, b| a.items.cmp(&b.items).then(b.prob.total_cmp(&a.prob)));
         let total: f64 = paths.iter().map(|p| p.prob).sum();
         if total <= 0.0 {
             return Err(TpoError::EmptyPathSet);
@@ -74,8 +90,88 @@ impl PathSet {
         for p in &mut paths {
             p.prob /= total;
         }
-        sort_paths(&mut paths);
-        Ok(Self { k, paths })
+        let order = (0..paths.len() as u32).collect();
+        Ok(Self::from_parts_unchecked(k, paths, order))
+    }
+
+    /// The paths of `self` that `mass` keeps, renormalized: `mass(path)` is
+    /// a path's new unnormalized mass, and paths with none are dropped.
+    /// Returns the set and the mass that survived (summed in path order),
+    /// or [`TpoError::ContradictoryAnswer`] when none did. The survivors
+    /// keep `self`'s items order, so their groups need no sort.
+    pub(crate) fn reweighted(&self, mut mass: impl FnMut(&Path) -> f64) -> Result<(Self, f64)> {
+        let mut kept: Vec<Path> = Vec::with_capacity(self.len());
+        // `by_rank[r]`: the survivor at items rank `r` of `self`, if any.
+        let mut by_rank = vec![u32::MAX; self.len()];
+        for (p, path) in self.paths.iter().enumerate() {
+            let m = mass(path);
+            if m > 0.0 {
+                by_rank[self.groups.rank(p) as usize] = kept.len() as u32;
+                kept.push(Path {
+                    items: path.items.clone(),
+                    prob: m,
+                });
+            }
+        }
+        let total: f64 = kept.iter().map(|p| p.prob).sum();
+        if kept.is_empty() || total <= 0.0 {
+            return Err(TpoError::ContradictoryAnswer);
+        }
+        for p in &mut kept {
+            p.prob /= total;
+        }
+        by_rank.retain(|&i| i != u32::MAX);
+        Ok((Self::from_parts_unchecked(self.k, kept, by_rank), total))
+    }
+
+    /// Internal: builds from normalized paths (their invariants are the
+    /// caller's), where `order` lists `paths`' indices in items order,
+    /// repeated orderings by descending probability. Sorts the paths by
+    /// descending probability, ties by items, and numbers the prefix
+    /// groups in one pass over `order`. A pruned or reweighted set hands
+    /// its survivors over in its parent's path order, which is nearly
+    /// sorted by probability already; a repeated ordering's copies share
+    /// every factor, so they keep their parent's relative order.
+    fn from_parts_unchecked(k: usize, mut paths: Vec<Path>, order: Vec<u32>) -> Self {
+        let n = paths.len();
+        let mut rank = vec![0u32; n];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+        // `(probability, items rank)` in `paths` order, sorted by
+        // descending probability, then rank.
+        let mut by_prob: Vec<(f64, u32)> = paths
+            .iter()
+            .map(|p| p.prob)
+            .zip(rank.iter().copied())
+            .collect();
+        by_prob.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        // `at[i]`: the position of `paths[i]` in the built set.
+        let mut at = rank;
+        for (p, &(_, r)) in by_prob.iter().enumerate() {
+            at[order[r as usize] as usize] = p as u32;
+        }
+        let groups = PrefixGroups::from_items_order(&paths, &order, &at);
+        let paths: Vec<Path> = by_prob
+            .iter()
+            .map(|&(_, r)| {
+                let p = &mut paths[order[r as usize] as usize];
+                Path {
+                    items: std::mem::take(&mut p.items),
+                    prob: p.prob,
+                }
+            })
+            .collect();
+        #[cfg(feature = "debug-invariants")]
+        assert!(
+            groups == PrefixGroups::sorted_reference(&paths),
+            "the derived prefix groups differ from the sorted grouping"
+        );
+        Self {
+            k,
+            paths,
+            groups: Arc::new(groups),
+        }
     }
 
     /// Target depth `K` of the underlying query.
@@ -86,6 +182,12 @@ impl PathSet {
     /// The possible orderings (normalized, deterministically sorted).
     pub fn paths(&self) -> &[Path] {
         &self.paths
+    }
+
+    /// The prefix groups of [`PathSet::paths`], derived when the set was
+    /// built and shared by its clones.
+    pub fn prefix_groups(&self) -> &Arc<PrefixGroups> {
+        &self.groups
     }
 
     /// Number of possible orderings — the paper's headline uncertainty
@@ -143,13 +245,6 @@ impl PathSet {
             .map(|p| p.prob * p.prob.ln())
             .sum::<f64>()
     }
-
-    /// Internal: rebuilds from already-normalized parts (used by prune /
-    /// update, which maintain the invariants themselves).
-    pub(crate) fn from_parts_unchecked(k: usize, mut paths: Vec<Path>) -> Self {
-        sort_paths(&mut paths);
-        Self { k, paths }
-    }
 }
 
 impl fmt::Display for PathSet {
@@ -160,14 +255,6 @@ impl fmt::Display for PathSet {
         }
         Ok(())
     }
-}
-
-fn sort_paths(paths: &mut [Path]) {
-    paths.sort_unstable_by(|a, b| {
-        b.prob
-            .total_cmp(&a.prob)
-            .then_with(|| a.items.cmp(&b.items))
-    });
 }
 
 #[cfg(test)]
@@ -224,6 +311,13 @@ mod tests {
         let s2 = ps(vec![(vec![0, 1], 0.5), (vec![1, 0], 0.5)]);
         assert_eq!(s1, s2);
         assert_eq!(s1.most_probable().items, vec![0, 1]);
+    }
+
+    #[test]
+    fn clones_share_the_prefix_groups() {
+        let s = ps(vec![(vec![0, 1], 0.25), (vec![1, 0], 0.75)]);
+        assert!(Arc::ptr_eq(s.prefix_groups(), s.clone().prefix_groups()));
+        assert_eq!(s.prefix_groups().count(0), 2);
     }
 
     #[test]

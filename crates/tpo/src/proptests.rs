@@ -6,10 +6,14 @@ use crate::build::{
     Engine, McConfig,
 };
 use crate::precision::{StopReason, ADAPTIVE_INITIAL_BATCH};
+use crate::prune::prune;
+use crate::stats::{level_distributions, PrefixGroups};
+use crate::update::bayes_update;
 use crate::worlds::WorldModel;
 use crate::PathSet;
 use ctk_prob::{ScoreDist, UncertainTable};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 // The module is declared `#[cfg(test)]` in lib.rs; the helpers repeat the
 // attribute because ctk-analyze reads one file at a time.
@@ -51,8 +55,81 @@ fn assert_same_paths(a: &PathSet, b: &PathSet, what: &str) -> Result<(), TestCas
     Ok(())
 }
 
+/// The set's stored prefix groups equal the sort-based grouping (ranks,
+/// ids and per-level counts), and its level distributions equal, bit for
+/// bit, sums in path order over a prefix-keyed map.
+#[cfg(test)]
+fn assert_stored_groups(ps: &PathSet, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        &**ps.prefix_groups(),
+        &PrefixGroups::sorted_reference(ps.paths()),
+        "{}",
+        what
+    );
+    let depth = ps.prefix_groups().depth();
+    let levels = level_distributions(ps);
+    prop_assert_eq!(levels.len(), depth, "{}", what);
+    for (l, level) in levels.iter().enumerate() {
+        let mut by_prefix: BTreeMap<&[u32], f64> = BTreeMap::new();
+        for p in ps.paths() {
+            *by_prefix
+                .entry(&p.items[..(l + 1).min(p.items.len())])
+                .or_insert(0.0) += p.prob;
+        }
+        let mut expected: Vec<f64> = by_prefix.into_values().collect();
+        expected.sort_unstable_by(|a, b| b.total_cmp(a));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(level), bits(&expected), "{} level {}", what, l);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn stored_prefix_groups_equal_the_sorted_grouping(
+        (k, weighted, steps, table, seed) in (
+            1usize..5,
+            proptest::collection::vec(
+                (proptest::collection::vec(0u32..4, 0..5), prop_oneof![Just(0.0), 0.01..1.0f64]),
+                1..40,
+            ),
+            proptest::collection::vec((0u32..4, 0u32..4, any::<bool>(), 0.5..1.0f64, 0.0..1.0f64), 0..5),
+            uniform_table(5),
+            any::<u64>(),
+        ),
+    ) {
+        // Random sets over few tuple ids, so prefixes are shared, orderings
+        // repeat and depths are ragged below k (as incr's are); then a
+        // chain of 0–4 hard prunes and noisy updates, each checked.
+        let weighted: Vec<(Vec<u32>, f64)> = weighted
+            .into_iter()
+            .map(|(mut items, w)| {
+                items.truncate(k);
+                (items, w)
+            })
+            .collect();
+        if let Ok(mut ps) = PathSet::from_weighted(k, weighted) {
+            assert_stored_groups(&ps, "built")?;
+            for (step, (i, j, yes, eta, split)) in steps.into_iter().enumerate() {
+                let next = if eta > 0.9 {
+                    prune(&ps, i, j, yes, split).map(|(p, _)| p)
+                } else {
+                    bayes_update(&ps, i, j, yes, eta, split)
+                };
+                let Ok(next) = next else { break };
+                ps = next;
+                assert_stored_groups(&ps, &format!("step {step}"))?;
+            }
+        }
+        // The cached grouping of a world sample, at every depth.
+        let mut wm = WorldModel::sample(&table, 300, seed).unwrap();
+        for depth in 1..=5 {
+            let ps = wm.path_set_cached(depth).unwrap();
+            assert_stored_groups(&ps, &format!("worlds at depth {depth}"))?;
+        }
+    }
 
     #[test]
     fn adaptive_tree_build_matches_world_model_route_and_fixed_build(

@@ -8,8 +8,8 @@
 //! marginal `P(s_i > s_j)`).
 
 use crate::answers::{implication, Implication};
-use crate::error::{Result, TpoError};
-use crate::path::{Path, PathSet};
+use crate::error::Result;
+use crate::path::PathSet;
 
 /// Outcome statistics of a pruning step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +29,9 @@ pub struct PruneStats {
 ///   tuple (pass `0.5` when no marginal is available).
 ///
 /// Returns the pruned, renormalized path set and statistics, or
-/// [`TpoError::ContradictoryAnswer`] if no mass survives.
+/// [`ContradictoryAnswer`](crate::TpoError::ContradictoryAnswer) if no
+/// mass survives. The pruned set keeps `ps`'s items order, so its prefix
+/// groups take one pass and no sort.
 pub fn prune(
     ps: &PathSet,
     i: u32,
@@ -38,8 +40,7 @@ pub fn prune(
     undetermined_split: f64,
 ) -> Result<(PathSet, PruneStats)> {
     let split = undetermined_split.clamp(0.0, 1.0);
-    let mut kept: Vec<Path> = Vec::with_capacity(ps.len());
-    for p in ps.paths() {
+    let (pruned, surviving) = ps.reweighted(|p| {
         let factor = match implication(&p.items, i, j) {
             Implication::Yes => {
                 if yes {
@@ -63,32 +64,20 @@ pub fn prune(
                 }
             }
         };
-        let mass = p.prob * factor;
-        if mass > 0.0 {
-            kept.push(Path {
-                items: p.items.clone(),
-                prob: mass,
-            });
-        }
-    }
-    let surviving: f64 = kept.iter().map(|p| p.prob).sum();
-    if kept.is_empty() || surviving <= 0.0 {
-        return Err(TpoError::ContradictoryAnswer);
-    }
+        p.prob * factor
+    })?;
     let stats = PruneStats {
         paths_before: ps.len(),
-        paths_after: kept.len(),
+        paths_after: pruned.len(),
         mass_removed: 1.0 - surviving,
     };
-    for p in &mut kept {
-        p.prob /= surviving;
-    }
-    Ok((PathSet::from_parts_unchecked(ps.k(), kept), stats))
+    Ok((pruned, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TpoError;
 
     fn ps3() -> PathSet {
         PathSet::from_weighted(

@@ -1,31 +1,163 @@
 //! Statistics over path sets: level-wise prefix distributions (for the
 //! weighted-entropy measure), pairwise precedence probabilities (for
 //! question selection), and assorted summaries.
+//!
+//! A path set's prefix groups ([`PrefixGroups`]) are derived once, when
+//! the set is built ([`PathSet::prefix_groups`]), and shared by its
+//! clones; [`level_distributions`] reads them and never regroups.
 
 use crate::answers::{implication, Implication};
 use crate::path::{Path, PathSet};
 
-/// Dense prefix-group ids of a slice of paths, level by level.
+/// Dense prefix-group ids of a path set, level by level.
 ///
 /// Paths are ranked by their items (lexicographic, a prefix before its
-/// extensions). At level `ℓ` a path's key is `items[..min(ℓ, len)]`, and
-/// paths sharing a key sit next to each other in items order, so numbering
-/// the runs of equal keys gives every distinct prefix a dense id. Ids
-/// ascend in key order — the iteration order of a map keyed by prefix.
-#[derive(Debug, Clone)]
+/// extensions; identical orderings by path-set position). At level `ℓ` a
+/// path's key is `items[..min(ℓ, len)]`, and paths sharing a key sit next
+/// to each other in items order, so numbering the runs of equal keys gives
+/// every distinct prefix a dense id. Ids ascend in key order — the
+/// iteration order of a map keyed by prefix.
+///
+/// Ranks and ids are below the path count, so they are stored at the
+/// narrowest width it allows: one byte per entry up to 256 paths, two up
+/// to 65 536, four beyond.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixGroups {
     depth: usize,
-    /// `rank[p]`: position of path `p` in items order (ties by index).
-    rank: Vec<u32>,
+    /// `rank[p]`: position of path `p` in items order.
+    rank: Dense,
     /// `ids[p · depth + ℓ]`: group of path `p` at level `ℓ + 1`.
-    ids: Vec<u32>,
+    ids: Dense,
     /// Number of distinct prefixes at each level.
     counts: Vec<usize>,
 }
 
+/// Values below a bound, at the narrowest width that holds the bound.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Dense {
+    Byte(Box<[u8]>),
+    Half(Box<[u16]>),
+    Word(Box<[u32]>),
+}
+
+impl Dense {
+    /// `len` zeros at the width of values below `bound`.
+    fn zeroed(len: usize, bound: usize) -> Self {
+        if bound <= 1 << 8 {
+            Dense::Byte(vec![0; len].into_boxed_slice())
+        } else if bound <= 1 << 16 {
+            Dense::Half(vec![0; len].into_boxed_slice())
+        } else {
+            Dense::Word(vec![0; len].into_boxed_slice())
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> usize {
+        match self {
+            Dense::Byte(v) => v[i] as usize,
+            Dense::Half(v) => v[i] as usize,
+            Dense::Word(v) => v[i] as usize,
+        }
+    }
+
+    /// Stores `x`, which is below the bound the width was chosen for.
+    #[inline]
+    fn set(&mut self, i: usize, x: usize) {
+        match self {
+            Dense::Byte(v) => v[i] = x as u8,
+            Dense::Half(v) => v[i] = x as u16,
+            Dense::Word(v) => v[i] = x as u32,
+        }
+    }
+
+    /// Stores `row` (values below the bound) from index `start`.
+    #[inline]
+    fn set_row(&mut self, start: usize, row: &[usize]) {
+        let slots = start..start + row.len();
+        match self {
+            Dense::Byte(v) => v[slots]
+                .iter_mut()
+                .zip(row)
+                .for_each(|(d, &x)| *d = x as u8),
+            Dense::Half(v) => v[slots]
+                .iter_mut()
+                .zip(row)
+                .for_each(|(d, &x)| *d = x as u16),
+            Dense::Word(v) => v[slots]
+                .iter_mut()
+                .zip(row)
+                .for_each(|(d, &x)| *d = x as u32),
+        }
+    }
+
+    /// Bytes of the stored values.
+    fn bytes(&self) -> usize {
+        match self {
+            Dense::Byte(v) => v.len(),
+            Dense::Half(v) => 2 * v.len(),
+            Dense::Word(v) => 4 * v.len(),
+        }
+    }
+}
+
+/// The first 0-based level at which `b`'s prefix key differs from `a`'s,
+/// or `depth` when the orderings are identical. Keys that differ at one
+/// level differ at every deeper one.
+fn first_split(a: &[u32], b: &[u32], depth: usize) -> usize {
+    let common = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    if common == a.len() && common == b.len() {
+        depth
+    } else {
+        common
+    }
+}
+
 impl PrefixGroups {
-    /// Groups `paths` (one sort by items, then one pass per level).
-    pub fn new(paths: &[Path]) -> Self {
+    /// Groups a path set from its items order: `order[r]` indexes the
+    /// `r`-th path in items order within `paths`, and `at[i]` is path
+    /// `paths[i]`'s position in the path set. Identical orderings must
+    /// appear in ascending position. Each path opens a new group at every
+    /// level from the first one where its key differs from its
+    /// predecessor's, so one pass numbers every level.
+    pub(crate) fn from_items_order(paths: &[Path], order: &[u32], at: &[u32]) -> Self {
+        let n = paths.len();
+        let depth = paths.iter().map(|p| p.items.len()).max().unwrap_or(0);
+        let mut rank = Dense::zeroed(n, n);
+        let mut ids = Dense::zeroed(n * depth, n);
+        // The current group id at each level; the first path wraps every
+        // level to group 0.
+        let mut current = vec![usize::MAX; depth];
+        let mut prev: &[u32] = &[];
+        for (r, &i) in order.iter().enumerate() {
+            let items = &paths[i as usize].items;
+            let split = if r == 0 {
+                0
+            } else {
+                first_split(prev, items, depth)
+            };
+            prev = items;
+            let p = at[i as usize] as usize;
+            rank.set(p, r);
+            for id in &mut current[split..] {
+                *id = id.wrapping_add(1);
+            }
+            ids.set_row(p * depth, &current);
+        }
+        let counts = current.iter().map(|id| id.wrapping_add(1)).collect();
+        Self {
+            depth,
+            rank,
+            ids,
+            counts,
+        }
+    }
+
+    /// The grouping by one sort of the paths by items, then one pass per
+    /// level comparing keys: the reference [`PrefixGroups::from_items_order`]
+    /// is checked against.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn sorted_reference(paths: &[Path]) -> Self {
         let depth = paths.iter().map(|p| p.items.len()).max().unwrap_or(0);
         let n = paths.len();
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -35,11 +167,11 @@ impl PrefixGroups {
                 .cmp(&paths[b as usize].items)
                 .then(a.cmp(&b))
         });
-        let mut rank = vec![0u32; n];
+        let mut rank = Dense::zeroed(n, n);
         for (r, &p) in order.iter().enumerate() {
-            rank[p as usize] = r as u32;
+            rank.set(p as usize, r);
         }
-        let mut ids = vec![0u32; n * depth];
+        let mut ids = Dense::zeroed(n * depth, n);
         let mut counts = vec![0usize; depth];
         for (l, count) in counts.iter_mut().enumerate() {
             let mut prev: Option<&[u32]> = None;
@@ -50,7 +182,7 @@ impl PrefixGroups {
                     prev = Some(key);
                     *count += 1;
                 }
-                ids[p as usize * depth + l] = (*count - 1) as u32;
+                ids.set(p as usize * depth + l, *count - 1);
             }
         }
         Self {
@@ -69,18 +201,26 @@ impl PrefixGroups {
     /// Position of path `p` in items order.
     #[inline]
     pub fn rank(&self, p: usize) -> u32 {
-        self.rank[p]
+        self.rank.get(p) as u32
     }
 
     /// Group id of path `p`'s prefix at 0-based level `l`.
     #[inline]
     pub fn id(&self, p: usize, l: usize) -> usize {
-        self.ids[p * self.depth + l] as usize
+        self.ids.get(p * self.depth + l)
     }
 
     /// Number of distinct prefixes at 0-based level `l`.
     pub fn count(&self, l: usize) -> usize {
         self.counts[l]
+    }
+
+    /// Bytes the grouping holds.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.rank.bytes()
+            + self.ids.bytes()
+            + self.counts.len() * std::mem::size_of::<usize>()
     }
 }
 
@@ -89,10 +229,11 @@ impl PrefixGroups {
 /// ~1). Level `ℓ`'s entropy is the paper's `H(T_K, ℓ)` ingredient of
 /// `U_Hw`.
 ///
-/// Group sums accumulate in path-set order, and each level is sorted
-/// descending, so the entropy summation order is reproducible.
+/// The groups are the path set's stored [`PrefixGroups`]. Group sums
+/// accumulate in path-set order, and each level is sorted descending, so
+/// the entropy summation order is reproducible.
 pub fn level_distributions(ps: &PathSet) -> Vec<Vec<f64>> {
-    let groups = PrefixGroups::new(ps.paths());
+    let groups = ps.prefix_groups();
     (0..groups.depth())
         .map(|l| {
             let mut probs = vec![0.0; groups.count(l)];

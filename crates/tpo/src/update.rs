@@ -14,8 +14,8 @@
 //! ```
 
 use crate::answers::{implication, Implication};
-use crate::error::{Result, TpoError};
-use crate::path::{Path, PathSet};
+use crate::error::Result;
+use crate::path::PathSet;
 
 /// Applies one noisy answer as a Bayesian update and renormalizes.
 ///
@@ -37,8 +37,7 @@ pub fn bayes_update(
 ) -> Result<PathSet> {
     let eta = accuracy.clamp(0.5, 1.0);
     let split = undetermined_split.clamp(0.0, 1.0);
-    let mut kept: Vec<Path> = Vec::with_capacity(ps.len());
-    for p in ps.paths() {
+    let (updated, _) = ps.reweighted(|p| {
         // Probability the path assigns to the event "i above j".
         let p_yes = match implication(&p.items, i, j) {
             Implication::Yes => 1.0,
@@ -51,27 +50,15 @@ pub fn bayes_update(
         } else {
             eta * (1.0 - p_yes) + (1.0 - eta) * p_yes
         };
-        let mass = p.prob * likelihood;
-        if mass > 0.0 {
-            kept.push(Path {
-                items: p.items.clone(),
-                prob: mass,
-            });
-        }
-    }
-    let total: f64 = kept.iter().map(|p| p.prob).sum();
-    if kept.is_empty() || total <= 0.0 {
-        return Err(TpoError::ContradictoryAnswer);
-    }
-    for p in &mut kept {
-        p.prob /= total;
-    }
-    Ok(PathSet::from_parts_unchecked(ps.k(), kept))
+        p.prob * likelihood
+    })?;
+    Ok(updated)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TpoError;
 
     fn two_orderings() -> PathSet {
         PathSet::from_weighted(2, vec![(vec![0, 1], 0.5), (vec![1, 0], 0.5)]).unwrap()
