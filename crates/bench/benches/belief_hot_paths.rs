@@ -20,8 +20,9 @@
 //!   set, whose prefix groups it shares, and the report baseline); an
 //!   adaptive
 //!   ε = δ = 0.05 build at n = 12, k = 3 as a tree (prefix counts only)
-//!   and as `incr` (full worlds), the `cold_burst` submit; `exact_n10`
-//!   is the exact nested-quadrature engine at n = 10, k = 5;
+//!   and as `incr` (worlds kept over the depth-k candidates), the
+//!   `cold_burst` submit; `exact_n10` is the exact nested-quadrature
+//!   engine at n = 10, k = 5;
 //! * `residual_partition` — prefix-index partition evaluation;
 //! * `measures` — one evaluation of each uncertainty measure (`U_H`,
 //!   `U_Hw`, `U_ORA`, `U_MPO`) on the Fig. 1 instance's 5000-world path
@@ -42,6 +43,16 @@
 //! 24.9 → 8.02 ms, 75.1 → 28.4 ms; `belief_build/incr_fixed`
 //! 1.42 → 0.93 ms. The "before" rows ran the per-candidate estimate in a
 //! loop, and grouped a `WorldModel::sample` with `path_set_cached(5)`.
+//!
+//! Each row prints the median and the minimum of its samples: on a
+//! shared host medians of repeated runs of one binary move by tens of
+//! percent, and the minimum is the run least disturbed. Medians of 8
+//! alternating runs per side on a shared 2-core host (minima in
+//! brackets), before → after the candidate-only world samples:
+//! `belief_build/incr_fixed` 688 → 520 µs (633 → 485 µs),
+//! `adaptive_incr_n12_k3` 369 → 256 µs (340 → 245 µs); the tree rows
+//! `fixed_n20_k5` 404 → 385 µs (384 → 353 µs) and `adaptive_tree_n12_k3`
+//! 170 → 183 µs (164 → 150 µs) held within the host's noise.
 //!
 //! The implementations these replaced survive only as test-only
 //! references; their reference-vs-fast timings are recorded in
@@ -85,7 +96,10 @@ fn bench_belief(c: &mut Criterion) {
         b.iter(|| {
             pairs
                 .iter()
-                .map(|&(i, j)| wm.pr_precedes(i, j))
+                .map(|&(i, j)| {
+                    wm.pr_precedes(i, j)
+                        .expect("a full sample ranks every tuple")
+                })
                 .sum::<f64>()
         })
     });

@@ -144,7 +144,8 @@ impl Belief {
             return Ok(false);
         }
         let mc = key.monte_carlo()?;
-        let sample = WorldSample::sample(table, self.precision.worlds_drawn, mc.seed)?;
+        let sample =
+            WorldSample::sample_to_depth(table, key.k, self.precision.worlds_drawn, mc.seed)?;
         self.worlds = Some(Arc::new(sample));
         Ok(true)
     }

@@ -738,6 +738,7 @@ mod tests {
     use ctk_crowd::{Crowd, CrowdSimulator, GroundTruth, NoisyWorker, PerfectWorker, VotePolicy};
     use ctk_prob::ScoreDist;
     use ctk_tpo::build::{Engine, McConfig};
+    use ctk_tpo::WorldSample;
 
     fn table() -> UncertainTable {
         UncertainTable::new(
@@ -816,7 +817,8 @@ mod tests {
             let InitialBelief::Incr { wm, paths, .. } = initial.belief else {
                 panic!("a sampled incr belief");
             };
-            let mut reference = WorldModel::sample(&table, m, seed).unwrap();
+            let worlds = WorldSample::sample_to_depth(&table, cfg.k, m, seed).unwrap();
+            let mut reference = WorldModel::new(Arc::new(worlds));
             assert_eq!(wm.worlds(), reference.worlds());
             let baseline = Belief {
                 paths,

@@ -3,7 +3,8 @@
 
 use crate::compare::{pr_greater, pr_greater_reference_res};
 use crate::sample::{
-    ranking_by_comparator, ranking_into, sample_scores, top_k_prefix_into, WorldSampler,
+    candidate_ranks_into, ranking_by_comparator, ranking_into, sample_scores, top_k_prefix_into,
+    WorldSampler,
 };
 use crate::{ScoreDist, UncertainTable};
 use proptest::prelude::*;
@@ -63,7 +64,7 @@ fn tied_score() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Asserts both ranking kernels equal the comparator-sort oracle on
+/// Asserts the ranking kernels equal the comparator-sort oracle on
 /// `scores`, at depths 1, n/2 and n plus `extra_k`.
 #[cfg(test)]
 fn assert_kernels_match_oracle(
@@ -73,15 +74,28 @@ fn assert_kernels_match_oracle(
 ) -> Result<(), TestCaseError> {
     let n = scores.len();
     let oracle = ranking_by_comparator(scores);
+    let every: Vec<u32> = (0..n as u32).collect();
     let mut full = vec![0u32; n];
     ranking_into(scores, scratch, &mut full);
     prop_assert_eq!(&full, &oracle, "full ranking of {:?}", scores);
+    // Candidate ranks over every id are the oracle's positions.
+    let mut ranks = vec![0u32; n];
+    candidate_ranks_into(scores, &every, scratch, &mut ranks);
+    for (rank, &t) in oracle.iter().enumerate() {
+        prop_assert_eq!(
+            ranks[t as usize] as usize,
+            rank,
+            "rank of t{} in {:?}",
+            t,
+            scores
+        );
+    }
     for k in [1, n / 2, n, extra_k % n + 1] {
         if k == 0 {
             continue;
         }
         let mut prefix = vec![0u32; k];
-        top_k_prefix_into(scores, scratch, &mut prefix);
+        top_k_prefix_into(scores, &every, scratch, &mut prefix);
         prop_assert_eq!(&prefix[..], &oracle[..k], "k = {} of {:?}", k, scores);
     }
     Ok(())

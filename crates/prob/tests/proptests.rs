@@ -163,9 +163,10 @@ proptest! {
         let scores: Vec<f64> = raw.iter().map(|&v| v as f64 / 4.0).collect();
         let full = ranking_from_scores(&scores);
         let k = (kseed as usize % scores.len()) + 1;
+        let every: Vec<u32> = (0..scores.len() as u32).collect();
         let mut ids = Vec::new();
         let mut prefix = vec![0u32; k];
-        top_k_prefix_into(&scores, &mut ids, &mut prefix);
+        top_k_prefix_into(&scores, &every, &mut ids, &mut prefix);
         prop_assert_eq!(&prefix[..], &full[..k], "k = {}", k);
     }
 
@@ -251,11 +252,12 @@ proptest! {
         prop_assert!(bounds.certain().len() <= k);
         prop_assert!(bounds.possible().len() >= k);
         let mut rng = StdRng::seed_from_u64(seed);
+        let every: Vec<u32> = (0..table.len() as u32).collect();
         let mut ids = Vec::new();
         let mut prefix = vec![0u32; k];
         for _ in 0..64 {
             let scores = sample_scores(&table, &mut rng);
-            top_k_prefix_into(&scores, &mut ids, &mut prefix);
+            top_k_prefix_into(&scores, &every, &mut ids, &mut prefix);
             for &c in bounds.certain() {
                 prop_assert!(
                     prefix.contains(&c),

@@ -489,7 +489,14 @@ mod tests {
             1 + 4,
             "the cache and four incr drivers"
         );
-        assert_eq!(stored.bytes(), 2 * 400 * 6, "one byte per entry");
+        // Every tuple of the table can reach the top 3: per world, the
+        // depth-3 prefix and the 6 candidates' positions at one byte an
+        // entry, plus the candidate list and slot map (6 u32 each).
+        assert_eq!(
+            stored.bytes(),
+            400 * (3 + 6) + 2 * 4 * 6,
+            "one byte per entry"
+        );
         drop(drivers);
     }
 
@@ -680,10 +687,10 @@ mod tests {
     #[test]
     fn stored_worlds_count_against_the_budget() {
         // Tree and incr submits cycling over more keys than a 160 kB
-        // budget holds once their worlds are attached (n = 12, 2000
-        // worlds: 48 kB of worlds a key, byte-packed): the stored bytes,
-        // worlds included, stay within the budget after every submit,
-        // and the gauge reports them.
+        // budget holds once their worlds are attached (n = 12, k = 3,
+        // 2000 worlds: 30 kB of worlds a key, byte-packed): the stored
+        // bytes, worlds included, stay within the budget after every
+        // submit, and the gauge reports them.
         let wide = UncertainTable::new(
             (0..12)
                 .map(|i| ScoreDist::uniform_centered(i as f64 * 0.02, 0.5).unwrap())
@@ -718,6 +725,14 @@ mod tests {
             }
         }
         assert!(with_worlds > 0, "incr submits attach worlds");
+        // All 12 tuples can reach the top 3: per world, the 3-id prefix
+        // and 12 candidate positions at one byte each, plus the candidate
+        // list and slot map (12 u32 each).
+        for stored in &cache.entries[0].beliefs {
+            if let Some(worlds) = stored.belief.worlds() {
+                assert_eq!(worlds.bytes(), 2000 * (3 + 12) + 2 * 4 * 12);
+            }
+        }
         assert!(cache.beliefs() < 8, "the bound must evict");
         assert!(m.belief_hits > 0);
     }

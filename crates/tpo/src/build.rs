@@ -5,16 +5,24 @@
 //!
 //! * [`build_mc`] — Monte-Carlo: sample `M` possible worlds (full score
 //!   realizations), take each world's depth-`K` ranking prefix, and count
-//!   the prefixes. Cost `O(M · N)` plus a short insertion per prefix
-//!   entry, error `O(1/√M)` per path. Both group prefixes by one 64-bit
-//!   key that packs the prefix's leading tuple ids at a fixed bit width,
-//!   first item highest, so key order is items order (a prefix too long
-//!   for the key compares its remaining items). A fixed build sorts its
-//!   worlds by that key. An adaptive `(ε, δ)` build streams: each world
-//!   is drawn, ranked to depth `K` and counted once into running counts
-//!   looked up by that key under a fixed hasher, which every sequential
-//!   look reads and the build drains in items order, so a tree build
-//!   never stores a world and counting a seen prefix allocates nothing.
+//!   the prefixes. Every build first computes the depth-`K` *candidates*
+//!   from the compiled sampler (`WorldSampler::candidates`: the tuples
+//!   that `K` others' proven draw ranges do not dominate, which hold every
+//!   world's top `K`) and ranks each world over them only. Every score is
+//!   still drawn, so the PRNG stream and every result are those of a
+//!   ranking over all `N` tuples. A tree build inserts the candidates
+//!   into a running top `K`; an `incr` sample ranks them all and keeps
+//!   the prefix and their positions ([`WorldSample`]). Cost `O(M · N)`
+//!   draws plus the candidates' ranking, error `O(1/√M)` per path. Both
+//!   group prefixes by one 64-bit key that packs the prefix's leading
+//!   tuple ids at a fixed bit width, first item highest, so key order is
+//!   items order (a prefix too long for the key compares its remaining
+//!   items). A fixed build sorts its worlds by that key. An adaptive
+//!   `(ε, δ)` build streams: each world is drawn, ranked to depth `K` and
+//!   counted once into running counts looked up by that key under a
+//!   fixed hasher, which every sequential look reads and the build drains
+//!   in items order, so a tree build never stores a world and counting a
+//!   seen prefix allocates nothing.
 //! * [`build_exact`] — exact: enumerate prefixes level by level, scoring
 //!   each with the nested-quadrature integral of
 //!   [`ctk_prob::nested::prefix_probability`] (after Li & Deshpande,
@@ -33,12 +41,12 @@ use crate::precision::{
 };
 #[cfg(test)]
 use crate::worlds::WorldModel;
-use crate::worlds::{Id, WorldSample};
+use crate::worlds::{DepthSampler, Id, WorldSample};
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::nested::{prefix_probability_with, NestedScratch};
+use ctk_prob::sample::top_k_prefix_into;
 #[cfg(feature = "debug-invariants")]
-use ctk_prob::sample::ranking_into;
-use ctk_prob::sample::{top_k_prefix_into, WorldSampler};
+use ctk_prob::sample::{ranking_into, WorldSampler};
 use ctk_prob::{ScoreDist, SupportGrid, TopKBounds, UncertainTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -166,11 +174,17 @@ impl Engine {
                 Ok((fixed_mc(table, k, m, cfg.seed)?, PrecisionReport::fixed(m)))
             }
             PrecisionTarget::Adaptive { epsilon, delta } => {
+                let draws = DepthSampler::new(table, k)?;
                 let mut scratch = Vec::with_capacity(k);
-                let (grown, report) =
-                    grow_adaptive(table, k, epsilon, delta, cfg.seed, bounds, |row, prefix| {
-                        top_k_prefix_into(row, &mut scratch, prefix)
-                    })?;
+                let (grown, report) = grow_adaptive(
+                    table,
+                    &draws,
+                    epsilon,
+                    delta,
+                    cfg.seed,
+                    bounds,
+                    |row, prefix| top_k_prefix_into(row, &draws.candidates, &mut scratch, prefix),
+                )?;
                 let ps = match grown {
                     Grown::Pinned(prefix) => PathSet::from_weighted(k, vec![(prefix, 1.0)])?,
                     Grown::Counted(counts) => counts.into_paths()?,
@@ -191,11 +205,13 @@ impl Engine {
 /// targets fail with [`TpoError::InvalidPrecision`].
 ///
 /// Both modes take the fast path (DESIGN.md §10): scores come from a
-/// per-table compiled [`WorldSampler`] (draw-for-draw identical to the
-/// reference sampling), and each world is ranked only to depth `k` by
-/// [`top_k_prefix_into`] — the prefix is bit-identical to the full
-/// sort's by the total-order argument, so the result equals the
-/// test-only full-sort reference (`build_mc_reference`) exactly.
+/// per-table compiled [`ctk_prob::sample::WorldSampler`] (draw-for-draw
+/// identical to the reference sampling), and each world is ranked only
+/// to depth `k`, over the depth-`k` candidates only, by
+/// [`top_k_prefix_into`] — every world's top `k` lies among the
+/// candidates and the prefix is bit-identical to the full sort's by the
+/// total-order argument, so the result equals the test-only full-sort
+/// reference (`build_mc_reference`) exactly.
 ///
 /// Both run on the calling thread. A fixed build ranks each world as it
 /// is drawn and counts the prefixes with one sort. An adaptive build
@@ -231,11 +247,12 @@ pub enum AdaptiveSample {
 ///
 /// This is the `incr` belief's build: it runs the same adaptive loop as a
 /// tree-mode [`Engine::build_with_report`] (so the two stop after the same
-/// worlds with the same report), keeping every drawn world's full ranking
-/// in an owned buffer that is frozen into the shared sample at the end.
-/// All draws continue one seeded PRNG stream, so the grown sample is
-/// bit-identical to a one-shot [`WorldSample::sample`] of the same total
-/// size (pinned by tests). `bounds` as in [`Engine::build_with_report`].
+/// worlds with the same report), keeping every drawn world, ranked over
+/// the depth-`k` candidates, in an owned sample that is frozen and shared
+/// at the end. All draws continue one seeded PRNG stream, so the grown
+/// sample is bit-identical to a one-shot [`WorldSample::sample_to_depth`]
+/// of the same total size (pinned by tests). `bounds` as in
+/// [`Engine::build_with_report`].
 pub fn sample_adaptive(
     table: &UncertainTable,
     k: usize,
@@ -244,13 +261,20 @@ pub fn sample_adaptive(
     seed: u64,
     bounds: Option<&TopKBounds>,
 ) -> Result<(AdaptiveSample, PrecisionReport)> {
-    let mut worlds = WorldSample::empty(table.len());
-    let mut scratch = Vec::with_capacity(table.len());
-    let mut ranking = vec![0u32; table.len()];
-    let (grown, report) = grow_adaptive(table, k, epsilon, delta, seed, bounds, |row, prefix| {
-        worlds.push_world(row, &mut scratch, &mut ranking);
-        prefix.copy_from_slice(&ranking[..k]);
-    })?;
+    let draws = DepthSampler::new(table, k)?;
+    let c = draws.candidates.len();
+    let mut worlds = WorldSample::empty(table.len(), k, draws.candidates.clone());
+    let mut scratch = Vec::with_capacity(c);
+    let mut ranks = vec![0u32; c];
+    let (grown, report) = grow_adaptive(
+        table,
+        &draws,
+        epsilon,
+        delta,
+        seed,
+        bounds,
+        |row, prefix| worlds.push_world(row, &mut scratch, &mut ranks, prefix),
+    )?;
     let sample = match grown {
         Grown::Pinned(prefix) => AdaptiveSample::Pinned(prefix),
         Grown::Counted(counts) => AdaptiveSample::Sampled {
@@ -261,11 +285,11 @@ pub fn sample_adaptive(
     Ok((sample, report))
 }
 
-/// A fixed-budget `incr` belief: `m` worlds sampled by
-/// [`WorldSample::sample`], shareable, and their depth-`k` path set from
-/// one counting pass over the worlds' ranking prefixes. Every world
-/// weighs 1, so the counts are the weight sums, and the path set equals
-/// [`crate::WorldModel::path_set_cached`] at depth `k` bit for bit
+/// A fixed-budget `incr` belief: `m` worlds sampled to depth `k` by
+/// [`WorldSample::sample_to_depth`], shareable, and their depth-`k` path
+/// set from one counting pass over the worlds' ranking prefixes. Every
+/// world weighs 1, so the counts are the weight sums, and the path set
+/// equals [`crate::WorldModel::path_set_cached`] at depth `k` bit for bit
 /// (pinned by tests) without its level-by-level regroup.
 pub fn sample_fixed(
     table: &UncertainTable,
@@ -273,12 +297,8 @@ pub fn sample_fixed(
     m: usize,
     seed: u64,
 ) -> Result<(Arc<WorldSample>, PathSet)> {
-    let worlds = WorldSample::sample(table, m, seed)?;
-    let n = table.len();
-    if k == 0 || k > n {
-        return Err(TpoError::InvalidK { k, n });
-    }
-    let paths = PathSet::from_weighted(k, worlds.prefix_counts(k))?;
+    let worlds = WorldSample::sample_to_depth(table, k, m, seed)?;
+    let paths = PathSet::from_weighted(k, worlds.prefix_counts())?;
     Ok((Arc::new(worlds), paths))
 }
 
@@ -470,24 +490,22 @@ enum Grown {
 
 /// The one adaptive loop behind both adaptive builds. Batches double from
 /// `ADAPTIVE_INITIAL_BATCH` up to [`ADAPTIVE_MAX_WORLDS`]; every world is
-/// drawn from one seeded stream, handed to `rank` (which writes its
-/// depth-`k` ranking prefix, and may keep the world), and counted once
-/// into the running `PrefixCounts`. Each look folds the bound over the
-/// running counts — the same count multiset a rescan of every drawn world gives,
-/// so the stop is the one a rescanning loop would take.
+/// drawn from `draws`' sampler on one seeded stream, handed to `rank`
+/// (which writes its depth-`k` ranking prefix, and may keep the world),
+/// and counted once into the running `PrefixCounts`. Each look folds the
+/// bound over the running counts — the same count multiset a rescan of
+/// every drawn world gives, so the stop is the one a rescanning loop
+/// would take.
 fn grow_adaptive(
     table: &UncertainTable,
-    k: usize,
+    draws: &DepthSampler,
     epsilon: f64,
     delta: f64,
     seed: u64,
     bounds: Option<&TopKBounds>,
     mut rank: impl FnMut(&[f64], &mut [u32]),
 ) -> Result<(Grown, PrecisionReport)> {
-    let n = table.len();
-    if k == 0 || k > n {
-        return Err(TpoError::InvalidK { k, n });
-    }
+    let (n, k) = (table.len(), draws.k);
     PrecisionTarget::Adaptive { epsilon, delta }.validate()?;
     let computed;
     let bounds = match bounds {
@@ -500,7 +518,6 @@ fn grow_adaptive(
     if let Some(prefix) = bounds.pinned_order() {
         return Ok((Grown::Pinned(prefix), pinned_report(delta)));
     }
-    let sampler = WorldSampler::new(table);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut row = vec![0.0f64; n];
     let mut prefix = vec![0u32; k];
@@ -511,7 +528,7 @@ fn grow_adaptive(
         look += 1;
         let batch = next_batch(drawn);
         for _ in 0..batch {
-            sampler.sample_into(&mut rng, &mut row);
+            draws.sampler.sample_into(&mut rng, &mut row);
             rank(&row, &mut prefix);
             counts.count(&prefix);
         }
@@ -557,7 +574,8 @@ fn pinned_report(delta: f64) -> PrecisionReport {
 
 /// The running-count invariant: after every look, the streamed counts
 /// equal a rescan that replays the seed's stream for the `drawn` worlds
-/// and counts each one's prefix from its full ranking.
+/// and counts each one's prefix from its full ranking of every tuple
+/// (independent of the candidates the build ranked).
 #[cfg(feature = "debug-invariants")]
 fn assert_counts_match_rescan(
     table: &UncertainTable,
@@ -617,7 +635,7 @@ pub(crate) fn build_adaptive_reference(
         let ps = PathSet::from_weighted(k, vec![(prefix, 1.0)])?;
         return Ok((ps, pinned_report(delta)));
     }
-    let mut worlds = WorldSample::empty(table.len());
+    let mut worlds = WorldSample::empty_full(table.len());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut look = 0usize;
     let (achieved, reason) = loop {
@@ -625,9 +643,7 @@ pub(crate) fn build_adaptive_reference(
         worlds.append_sampled(table, next_batch(worlds.len()), &mut rng);
         let mut counts = std::collections::BTreeMap::new();
         for w in 0..worlds.len() {
-            *counts
-                .entry(worlds.ranking(w)[..k].to_vec())
-                .or_insert(0u64) += 1;
+            *counts.entry(worlds.prefix(w)[..k].to_vec()).or_insert(0u64) += 1;
         }
         let values: Vec<u64> = counts.into_values().collect();
         let width = eb_half_width(&values, worlds.len(), look, delta);
@@ -648,23 +664,21 @@ pub(crate) fn build_adaptive_reference(
 }
 
 /// The fixed-budget Monte-Carlo pipeline body (see [`build_mc`]):
-/// one recycled score row, each world ranked to depth `k` as it is drawn
-/// (no `m × n` materialization), and the prefixes grouped by one sort, as
-/// [`sample_fixed`] groups its worlds.
+/// one recycled score row, each world ranked to depth `k` over the
+/// depth-`k` candidates as it is drawn (no `m × n` materialization), and
+/// the prefixes grouped by one sort, as [`sample_fixed`] groups its
+/// worlds.
 pub(crate) fn fixed_mc(table: &UncertainTable, k: usize, m: usize, seed: u64) -> Result<PathSet> {
-    let n = table.len();
-    if k == 0 || k > n {
-        return Err(TpoError::InvalidK { k, n });
-    }
+    let draws = DepthSampler::new(table, k)?;
     PrecisionTarget::FixedWorlds(m).validate()?;
-    let sampler = WorldSampler::new(table);
+    let n = table.len();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut prefixes = vec![0u32; m * k];
     let mut row = vec![0.0f64; n];
     let mut scratch = Vec::with_capacity(k);
     for prefix in prefixes.chunks_mut(k) {
-        sampler.sample_into(&mut rng, &mut row);
-        top_k_prefix_into(&row, &mut scratch, prefix);
+        draws.sampler.sample_into(&mut rng, &mut row);
+        top_k_prefix_into(&row, &draws.candidates, &mut scratch, prefix);
     }
     PathSet::from_weighted(k, sorted_prefix_counts(&prefixes, k, k, n))
 }
@@ -696,7 +710,7 @@ pub fn build_exact(table: &UncertainTable, k: usize, cfg: &ExactConfig) -> Resul
     // instead of an O(depth) `contains` scan per candidate/rest tuple.
     let mut in_prefix = vec![false; n];
 
-    for depth in 1..=k {
+    for _ in 0..k {
         let mut next: Vec<(Vec<u32>, f64)> = Vec::new();
         for (prefix, _parent_prob) in &frontier {
             for &i in prefix {
@@ -738,7 +752,6 @@ pub fn build_exact(table: &UncertainTable, k: usize, cfg: &ExactConfig) -> Resul
             return Err(TpoError::EmptyPathSet);
         }
         frontier = next;
-        let _ = depth;
     }
     PathSet::from_weighted(k, frontier)
 }
@@ -1054,9 +1067,10 @@ mod tests {
         // Every drawn world is counted exactly once across looks, and the
         // running counts hold one slot per distinct prefix.
         let t = table(5, 0.9);
+        let draws = DepthSampler::new(&t, 2).unwrap();
         let mut scratch = Vec::new();
-        let (grown, report) = grow_adaptive(&t, 2, 0.01, 0.05, 5, None, |row, prefix| {
-            top_k_prefix_into(row, &mut scratch, prefix)
+        let (grown, report) = grow_adaptive(&t, &draws, 0.01, 0.05, 5, None, |row, prefix| {
+            top_k_prefix_into(row, &draws.candidates, &mut scratch, prefix)
         })
         .unwrap();
         let Grown::Counted(counts) = grown else {
@@ -1130,10 +1144,15 @@ mod tests {
             (&wide, 10, 400, 7),
             (&wide, 12, 400, 8),
         ] {
+            // The oracle is the full sample of the same seed: every world's
+            // whole ranking, grouped at depth k.
             let (worlds, paths) = sample_fixed(t, k, m, seed).unwrap();
-            let mut reference = WorldModel::sample(t, m, seed).unwrap();
-            assert_eq!(worlds, *reference.worlds());
-            let grouped = reference.path_set_cached(k).unwrap();
+            let full = WorldSample::sample(t, m, seed).unwrap();
+            assert_eq!(worlds.len(), m);
+            for w in 0..m {
+                assert_eq!(worlds.prefix(w), full.prefix(w)[..k], "world {w}");
+            }
+            let grouped = WorldModel::new(Arc::new(full)).path_set_cached(k).unwrap();
             assert_eq!(paths, grouped);
             assert!(paths
                 .paths()
@@ -1164,9 +1183,17 @@ mod tests {
             AdaptiveSample::Pinned(_) => panic!("iid-ish table cannot pin"),
         };
         assert_eq!(worlds.len(), report.worlds_drawn);
-        let one_shot = WorldSample::sample(&t, report.worlds_drawn, 11).unwrap();
+        let one_shot = WorldSample::sample_to_depth(&t, 2, report.worlds_drawn, 11).unwrap();
         assert_eq!(one_shot, *worlds);
-        // The handed-over path set is the grouping of those worlds.
-        assert_eq!(paths, WorldModel::new(worlds).path_set_cached(2).unwrap());
+        // Each world's prefix heads the full ranking the same seed draws,
+        // and the handed-over path set is their grouping.
+        let full = WorldSample::sample(&t, report.worlds_drawn, 11).unwrap();
+        for w in 0..worlds.len() {
+            assert_eq!(worlds.prefix(w), full.prefix(w)[..2], "world {w}");
+        }
+        assert_eq!(
+            paths,
+            WorldModel::new(Arc::new(full)).path_set_cached(2).unwrap()
+        );
     }
 }

@@ -8,8 +8,15 @@ use std::fmt;
 pub enum TpoError {
     /// Underlying probability-engine error.
     Prob(ProbError),
-    /// `k` must satisfy `1 <= k <= N`.
+    /// `k` must satisfy `1 <= k <= N`; for a world sample, `N` is the
+    /// depth its worlds are kept to.
     InvalidK { k: usize, n: usize },
+    /// A world sample kept to depth `k` does not rank this tuple: it (or
+    /// an id past the table) never reaches the top `k` of a world.
+    NotACandidate {
+        /// The tuple asked about.
+        tuple: u32,
+    },
     /// A fixed world budget must satisfy
     /// `1 <= M <= `[`ADAPTIVE_MAX_WORLDS`](crate::precision::ADAPTIVE_MAX_WORLDS).
     /// Invalid specs are errors, not silent repairs.
@@ -37,6 +44,10 @@ impl fmt::Display for TpoError {
             TpoError::InvalidK { k, n } => {
                 write!(f, "k = {k} out of range for a table of {n} tuples")
             }
+            TpoError::NotACandidate { tuple } => write!(
+                f,
+                "tuple {tuple} cannot reach the sampled top-k, so the world sample does not rank it"
+            ),
             TpoError::InvalidWorlds => write!(
                 f,
                 "a fixed world budget must be between 1 and {} worlds",

@@ -1,45 +1,67 @@
 //! Sampled possible-worlds belief state.
 //!
-//! A [`WorldModel`] holds `M` sampled possible worlds (full orderings of
-//! the relation) with weights: the belief state of the `incr` algorithm,
-//! which alternates tree construction with question rounds. Answers
-//! filter (or, for noisy workers, reweight) whole worlds, so a deeper
-//! tree can be materialized *after* pruning at a shallower depth — the
-//! core trick that makes `incr` cheap on large, highly uncertain datasets
-//! (§III-D). The tree-mode Monte-Carlo builders never build one: they
-//! keep only each world's top-K prefix (`crate::build`), and the full
-//! model is their test-only reference.
+//! A [`WorldModel`] holds `M` sampled possible worlds with weights: the
+//! belief state of the `incr` algorithm, which alternates tree
+//! construction with question rounds. Answers filter (or, for noisy
+//! workers, reweight) whole worlds, so a deeper tree can be materialized
+//! *after* pruning at a shallower depth — the core trick that makes
+//! `incr` cheap on large, highly uncertain datasets (§III-D). The
+//! tree-mode Monte-Carlo builders never build one: they keep only each
+//! world's top-K prefix (`crate::build`), and the full model is their
+//! test-only reference.
 //!
 //! ## Shared sample, private weights
 //!
 //! The worlds themselves never change once sampled: answers move only
 //! the weights and the prefix grouping. So a model is split in two. The
-//! [`WorldSample`] (every world's ranking and position index) is an
-//! immutable value behind an [`Arc`], which any number of sessions over
-//! the same table and sampler configuration share; each [`WorldModel`]
-//! owns only its weights and its prefix grouping.
+//! [`WorldSample`] (every world's ranking prefix and candidate positions)
+//! is an immutable value behind an [`Arc`], which any number of sessions
+//! over the same table and sampler configuration share; each
+//! [`WorldModel`] owns only its weights and its prefix grouping.
 //!
 //! ## Hot-path layout
 //!
-//! The rankings live in one flat `m × n` buffer (`rankings[w·n + r]` is
-//! world `w`'s rank-`r` tuple), ranked by the allocation-free
-//! [`ctk_prob::sample::ranking_into`]. Alongside them the sample keeps a
-//! *position index* `pos[w·n + t] = rank of tuple t in world w`, making
-//! "does world `w` rank `i` above `j`?" an O(1) lookup instead of an O(n)
-//! scan — so [`WorldModel::pr_precedes`] and the `apply_answer_*` updates
-//! are O(M) in the number of worlds, independent of the table size. Ids
-//! and ranks take one byte each when the relation has at most 256 tuples
-//! and a `u32` otherwise; the width follows from `n`, and every kernel is
-//! written once, generic over it. The prefix grouping,
-//! [`WorldModel::path_set_cached`], maintains the surviving prefix groups
-//! across the `incr` driver's repeated calls instead of rebuilding a hash
-//! map per round (DESIGN.md §8); a test-only hash-map grouping
-//! (`path_set`) is the reference it is pinned against.
+//! A session of depth `k` reads two things of a world: its top-`k`
+//! prefix (path sets at depths up to `k`) and the relative order of the
+//! tuples its questions name. Its questions name path tuples, and every
+//! tuple that reaches a world's top `k` is a *candidate* of depth `k`
+//! ([`ctk_prob::sample::WorldSampler::candidates`]): a tuple is dropped
+//! only when `k` others have a proven lower end of their draws strictly
+//! above its proven upper end, so it ranks below `k` in every world. So
+//! a sample of depth `k` stores, per world:
+//!
+//! * its depth-`k` ranking prefix as tuple ids, in one flat `m × k`
+//!   buffer (`prefixes[w·k + r]` is world `w`'s rank-`r` tuple);
+//! * a *position index* over the candidates, `pos[w·|C| + s]` = the rank
+//!   among the candidates of the tuple in candidate slot `s`, with a
+//!   tuple → slot map beside it (one per sample, not per world).
+//!
+//! Each world is ranked over its candidates only, by the allocation-free
+//! [`ctk_prob::sample::candidate_ranks_into`] (one keyed sort of the
+//! candidates), which yields the positions directly and the prefix from
+//! the ranks below `k`; every tuple's score is still drawn, so the PRNG
+//! stream is the full sampler's. "Does world `w` rank
+//! `i` above `j`?" is an O(1) lookup, so [`WorldModel::pr_precedes`] and
+//! the `apply_answer_*` updates are O(M) in the number of worlds,
+//! independent of the table size; on a tuple outside the candidates they
+//! fail with [`TpoError::NotACandidate`], and [`WorldModel::path_set_cached`]
+//! deeper than the sample's depth fails with [`TpoError::InvalidK`]. The
+//! full sample ([`WorldSample::sample`]) is the same layout at depth
+//! `k = n`, where every tuple is a candidate. Ids and ranks take one byte
+//! each when the relation has at most 256 tuples and a `u32` otherwise;
+//! the width follows from `n`, and every kernel is written once, generic
+//! over it. The prefix grouping, [`WorldModel::path_set_cached`],
+//! maintains the surviving prefix groups across the `incr` driver's
+//! repeated calls instead of rebuilding a hash map per round (DESIGN.md
+//! §8); a test-only hash-map grouping (`path_set`) is the reference it is
+//! pinned against.
 
 use crate::error::{Result, TpoError};
 use crate::path::PathSet;
 use crate::precision::PrecisionTarget;
-use ctk_prob::sample::{ranking_into, WorldSampler};
+#[cfg(feature = "debug-invariants")]
+use ctk_prob::sample::ranking_into;
+use ctk_prob::sample::{candidate_ranks_into, WorldSampler};
 use ctk_prob::UncertainTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,6 +72,9 @@ use std::sync::Arc;
 
 /// Relations of at most this many tuples store ids and ranks in one byte.
 const BYTE_IDS_MAX_N: usize = 1 << u8::BITS;
+
+/// The slot-map entry of a tuple that is not a candidate.
+const NOT_A_CANDIDATE: u32 = u32::MAX;
 
 /// A tuple id or a rank as a world sample stores it: `u8` for relations
 /// of at most [`BYTE_IDS_MAX_N`] tuples, `u32` otherwise. Widening keeps
@@ -76,42 +101,70 @@ impl Id for u32 {
     }
 }
 
-/// Every world's ranking and position index at one id width.
+/// What every Monte-Carlo build draws from and ranks: a table's compiled
+/// sampler and the candidates of one query depth `k` (ascending ids).
+#[derive(Debug)]
+pub(crate) struct DepthSampler {
+    pub(crate) sampler: WorldSampler,
+    pub(crate) k: usize,
+    pub(crate) candidates: Vec<u32>,
+}
+
+impl DepthSampler {
+    /// Compiles `table`'s sampler and its depth-`k` candidates. Fails
+    /// with [`TpoError::InvalidK`] unless `1 ≤ k ≤ n`.
+    pub(crate) fn new(table: &UncertainTable, k: usize) -> Result<Self> {
+        let n = table.len();
+        if k == 0 || k > n {
+            return Err(TpoError::InvalidK { k, n });
+        }
+        let sampler = WorldSampler::new(table);
+        let candidates = sampler.candidates(k);
+        Ok(Self {
+            sampler,
+            k,
+            candidates,
+        })
+    }
+}
+
+/// Every world's ranking prefix and candidate positions at one id width.
 #[derive(Debug, Clone, PartialEq, Default)]
 struct Ranked<T> {
-    /// World `w`'s ranking (tuple ids, best first) is
-    /// `rankings[w * n..(w + 1) * n]`.
-    rankings: Vec<T>,
-    /// `pos[w * n + t]` is the rank of tuple `t` in world `w` (0 = best).
+    /// World `w`'s depth-`k` ranking prefix (tuple ids, best first) is
+    /// `prefixes[w * k..(w + 1) * k]`.
+    prefixes: Vec<T>,
+    /// `pos[w * c + s]` is the rank, among the `c` candidates, of the
+    /// tuple in candidate slot `s` in world `w` (0 = best).
     pos: Vec<T>,
 }
 
 impl<T: Id> Ranked<T> {
-    /// Appends one world given its full ranking.
-    fn push(&mut self, ranking: &[u32]) {
-        let start = self.pos.len();
-        self.rankings.extend(ranking.iter().map(|&t| T::narrow(t)));
-        self.pos.resize(start + ranking.len(), T::default());
-        write_pos(ranking, &mut self.pos[start..]);
+    /// Appends one world given its depth-`k` prefix (tuple ids, best
+    /// first) and every candidate's rank, in slot order.
+    fn push(&mut self, prefix: &[u32], ranks: &[u32]) {
+        self.prefixes.extend(prefix.iter().map(|&t| T::narrow(t)));
+        self.pos.extend(ranks.iter().map(|&r| T::narrow(r)));
     }
 
-    /// For every world in order: does it rank `i` above `j`?
+    /// For every world in order: does it rank the tuple in slot `si`
+    /// above the tuple in slot `sj`? `c` is the candidate count.
     #[inline]
-    fn prefers(&self, n: usize, i: u32, j: u32) -> impl Iterator<Item = bool> + '_ {
-        let (i, j) = (i as usize, j as usize);
-        self.pos.chunks_exact(n).map(move |p| p[i] < p[j])
+    fn prefers(&self, c: usize, si: usize, sj: usize) -> impl Iterator<Item = bool> + '_ {
+        self.pos.chunks_exact(c).map(move |p| p[si] < p[sj])
     }
 
-    /// World `w`'s depth-`k` prefix as tuple ids.
-    fn prefix(&self, n: usize, w: usize, k: usize) -> Vec<u32> {
-        self.rankings[w * n..][..k]
+    /// World `w`'s depth-`depth` prefix as tuple ids, for a sample of
+    /// depth `k`.
+    fn prefix(&self, k: usize, w: usize, depth: usize) -> Vec<u32> {
+        self.prefixes[w * k..][..depth]
             .iter()
             .map(|&t| t.into())
             .collect()
     }
 
     fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.rankings.as_slice()) + std::mem::size_of_val(self.pos.as_slice())
+        std::mem::size_of_val(self.prefixes.as_slice()) + std::mem::size_of_val(self.pos.as_slice())
     }
 }
 
@@ -133,72 +186,141 @@ macro_rules! with_ranked {
     };
 }
 
-/// An immutable sample of possible worlds over a relation of `n` tuples:
-/// every world's full ranking and position index, packed at one byte per
-/// entry when `n ≤ 256` and four otherwise. Sessions share it behind an
-/// [`Arc`]; weights live in each session's [`WorldModel`].
+/// An immutable sample of possible worlds over a relation of `n` tuples,
+/// kept to depth `k`: every world's depth-`k` ranking prefix and the
+/// positions of the depth-`k` candidates (see the module docs), packed at
+/// one byte per entry when `n ≤ 256` and four otherwise. Sessions share
+/// it behind an [`Arc`]; weights live in each session's [`WorldModel`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorldSample {
     n: usize,
+    k: usize,
+    /// The candidates, ascending: slot `s` holds tuple `candidates[s]`.
+    candidates: Vec<u32>,
+    /// Tuple → candidate slot, [`NOT_A_CANDIDATE`] for the others.
+    slot: Vec<u32>,
     ids: Ids,
 }
 
 impl WorldSample {
-    /// An empty sample over `n` tuples at the width `n` picks, for
-    /// crate-internal growth world by world.
-    pub(crate) fn empty(n: usize) -> Self {
+    /// An empty sample over `n` tuples kept to depth `k` (`1 ≤ k ≤ n`)
+    /// with the given candidates (ascending, at least `k`), at the width
+    /// `n` picks, for crate-internal growth world by world.
+    pub(crate) fn empty(n: usize, k: usize, candidates: Vec<u32>) -> Self {
+        debug_assert!(k >= 1 && k <= candidates.len() && candidates.len() <= n);
+        let mut slot = vec![NOT_A_CANDIDATE; n];
+        for (s, &t) in candidates.iter().enumerate() {
+            slot[t as usize] = s as u32;
+        }
         let ids = if n <= BYTE_IDS_MAX_N {
             Ids::Byte(Ranked::default())
         } else {
             Ids::Wide(Ranked::default())
         };
-        Self { n, ids }
+        Self {
+            n,
+            k,
+            candidates,
+            slot,
+            ids,
+        }
     }
 
-    /// Samples `m` worlds from the table's score distributions.
+    /// Samples `m` full worlds from the table's score distributions: depth
+    /// `k = n`, where every tuple is a candidate, so each world's whole
+    /// ranking is kept ([`WorldSample::sample_to_depth`] at `k = n`).
     ///
     /// Fails with [`TpoError::InvalidWorlds`] when `m` is not a valid fixed
     /// budget ([`PrecisionTarget::validate`]): an empty belief cannot
     /// represent anything, and invalid specs are errors, not silent
-    /// repairs. Score draws are strictly sequential in the seeded PRNG;
-    /// the worlds are then ranked in one pass.
+    /// repairs.
     pub fn sample(table: &UncertainTable, m: usize, seed: u64) -> Result<Self> {
+        Self::sample_to_depth(table, table.len(), m, seed)
+    }
+
+    /// Samples `m` worlds kept to depth `k`: what a depth-`k` session
+    /// reads of them (their top-`k` prefixes and the order of the depth-`k`
+    /// candidates). Score draws are strictly sequential in the seeded
+    /// PRNG — world-major, tuple-minor, every tuple drawn — and each world
+    /// is ranked over its candidates as it is drawn.
+    ///
+    /// Fails with [`TpoError::InvalidWorlds`] for an invalid budget `m`
+    /// and with [`TpoError::InvalidK`] unless `1 ≤ k ≤ n`.
+    pub fn sample_to_depth(table: &UncertainTable, k: usize, m: usize, seed: u64) -> Result<Self> {
         PrecisionTarget::FixedWorlds(m).validate()?;
-        let n = table.len();
-        // Score draws consume the PRNG in world-major, tuple-minor order —
-        // exactly as the per-world sampler always did (the compiled
-        // `WorldSampler` is draw-for-draw identical to `ScoreDist::sample`)
-        // — but land in one flat `m × n` buffer instead of `m` allocations.
+        let draws = DepthSampler::new(table, k)?;
+        let c = draws.candidates.len();
+        let mut sample = Self::empty(table.len(), k, draws.candidates.clone());
+        with_ranked!(&mut sample.ids, r => {
+            r.prefixes.reserve_exact(m * k);
+            r.pos.reserve_exact(m * c);
+        });
         let mut rng = StdRng::seed_from_u64(seed);
-        let sampler = WorldSampler::new(table);
-        let mut scores = vec![0.0f64; m * n];
-        for row in scores.chunks_mut(n) {
-            sampler.sample_into(&mut rng, row);
+        let mut row = vec![0.0f64; table.len()];
+        let mut ranks = vec![0u32; c];
+        let mut prefix = vec![0u32; k];
+        let mut scratch = Vec::with_capacity(c);
+        for _ in 0..m {
+            draws.sampler.sample_into(&mut rng, &mut row);
+            sample.push_world(&row, &mut scratch, &mut ranks, &mut prefix);
         }
-        let mut sample = Self::empty(n);
-        with_ranked!(&mut sample.ids, r => *r = rank_all(&scores, n));
         Ok(sample)
     }
 
-    /// Ranks one sampled world (`scores` in tuple-id order) into `ranking`
-    /// and appends it. `scratch` is the ranking kernel's caller-recycled
-    /// buffer.
+    /// Ranks one sampled world (`scores` in tuple-id order) over the
+    /// candidates and appends it, writing its depth-`k` prefix into
+    /// `prefix`. `scratch` and `ranks` (one entry per candidate) are
+    /// caller-recycled.
     pub(crate) fn push_world(
         &mut self,
         scores: &[f64],
         scratch: &mut Vec<(i64, u32)>,
-        ranking: &mut [u32],
+        ranks: &mut [u32],
+        prefix: &mut [u32],
     ) {
         debug_assert_eq!(scores.len(), self.n, "score row must cover the table");
-        ranking_into(scores, scratch, ranking);
-        with_ranked!(&mut self.ids, r => r.push(ranking));
+        candidate_ranks_into(scores, &self.candidates, scratch, ranks);
+        for (&r, &t) in ranks.iter().zip(&self.candidates) {
+            if let Some(p) = prefix.get_mut(r as usize) {
+                *p = t;
+            }
+        }
+        #[cfg(feature = "debug-invariants")]
+        self.assert_matches_full_ranking(scores, ranks, prefix);
+        with_ranked!(&mut self.ids, r => r.push(prefix, ranks));
+    }
+
+    /// The candidate-restriction invariant: a world's candidate order is
+    /// the full ranking of every tuple with the dominated tuples left
+    /// out, and its prefix is the full ranking's top `k`.
+    #[cfg(feature = "debug-invariants")]
+    fn assert_matches_full_ranking(&self, scores: &[f64], ranks: &[u32], prefix: &[u32]) {
+        let mut full = vec![0u32; self.n];
+        ranking_into(scores, &mut Vec::new(), &mut full);
+        assert_eq!(
+            prefix,
+            &full[..self.k],
+            "a world's candidate prefix differs from its full ranking's"
+        );
+        let mut order = vec![0u32; ranks.len()];
+        for (&r, &t) in ranks.iter().zip(&self.candidates) {
+            order[r as usize] = t;
+        }
+        let kept: Vec<u32> = full
+            .into_iter()
+            .filter(|&t| self.slot[t as usize] != NOT_A_CANDIDATE)
+            .collect();
+        assert_eq!(
+            order, kept,
+            "a world's candidate order differs from its full ranking's"
+        );
     }
 
     /// Ends growth: releases the spare capacity growth left behind and
     /// shares the sample, which never changes again.
     pub(crate) fn freeze(mut self) -> Arc<Self> {
         with_ranked!(&mut self.ids, r => {
-            r.rankings.shrink_to_fit();
+            r.prefixes.shrink_to_fit();
             r.pos.shrink_to_fit();
         });
         Arc::new(self)
@@ -209,9 +331,23 @@ impl WorldSample {
         self.n
     }
 
+    /// The depth the worlds are kept to: path sets up to this depth can
+    /// be grouped from them.
+    #[cfg(test)]
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The tuples whose order the sample keeps (ascending ids): every
+    /// tuple that can reach the top `k` of a world.
+    #[cfg(test)]
+    pub(crate) fn candidates(&self) -> &[u32] {
+        &self.candidates
+    }
+
     /// Number of sampled worlds.
     pub fn len(&self) -> usize {
-        with_ranked!(&self.ids, r => r.pos.len() / self.n)
+        with_ranked!(&self.ids, r => r.prefixes.len() / self.k)
     }
 
     /// True for a sample without worlds (only while growing).
@@ -219,21 +355,34 @@ impl WorldSample {
         self.len() == 0
     }
 
-    /// Bytes held by the rankings and the position index.
+    /// Bytes held by the prefixes, the position index, the candidate
+    /// list and the slot map.
     pub fn bytes(&self) -> usize {
         with_ranked!(&self.ids, r => r.bytes())
+            + std::mem::size_of_val(self.candidates.as_slice())
+            + std::mem::size_of_val(self.slot.as_slice())
+    }
+
+    /// Tuple `t`'s candidate slot; [`TpoError::NotACandidate`] for a
+    /// tuple the sample does not rank.
+    fn slot_of(&self, t: u32) -> Result<usize> {
+        match self.slot.get(t as usize) {
+            Some(&s) if s != NOT_A_CANDIDATE => Ok(s as usize),
+            _ => Err(TpoError::NotACandidate { tuple: t }),
+        }
     }
 
     /// Every distinct depth-`k` prefix of the worlds with its world count,
     /// in items order (see `crate::build`'s packed-key sort).
-    pub(crate) fn prefix_counts(&self, k: usize) -> Vec<(Vec<u32>, f64)> {
-        with_ranked!(&self.ids, r => crate::build::sorted_prefix_counts(&r.rankings, self.n, k, self.n))
+    pub(crate) fn prefix_counts(&self) -> Vec<(Vec<u32>, f64)> {
+        with_ranked!(&self.ids, r => crate::build::sorted_prefix_counts(&r.prefixes, self.k, self.k, self.n))
     }
 
-    /// World `w`'s full ranking (tuple ids, best first).
+    /// World `w`'s depth-`k` prefix (tuple ids, best first): its whole
+    /// ranking in a full sample.
     #[cfg(test)]
-    pub(crate) fn ranking(&self, w: usize) -> Vec<u32> {
-        with_ranked!(&self.ids, r => r.prefix(self.n, w, self.n))
+    pub(crate) fn prefix(&self, w: usize) -> Vec<u32> {
+        with_ranked!(&self.ids, r => r.prefix(self.k, w, self.k))
     }
 
     /// Appends `additional` freshly sampled worlds, continuing `rng`'s
@@ -251,22 +400,34 @@ impl WorldSample {
     ) {
         let sampler = WorldSampler::new(table);
         let mut row = vec![0.0f64; self.n];
-        let mut ranking = vec![0u32; self.n];
-        let mut scratch = Vec::with_capacity(self.n);
+        let mut ranks = vec![0u32; self.candidates.len()];
+        let mut prefix = vec![0u32; self.k];
+        let mut scratch = Vec::new();
         for _ in 0..additional {
             sampler.sample_into(rng, &mut row);
-            self.push_world(&row, &mut scratch, &mut ranking);
+            self.push_world(&row, &mut scratch, &mut ranks, &mut prefix);
         }
     }
 
-    /// Builds from explicit rankings (each must be a permutation of
-    /// `0..n`), at the width `n` picks.
+    /// An empty full sample over `n` tuples: depth `n`, every tuple a
+    /// candidate.
+    #[cfg(test)]
+    pub(crate) fn empty_full(n: usize) -> Self {
+        Self::empty(n, n, (0..n as u32).collect())
+    }
+
+    /// A full sample from explicit rankings (each must be a permutation
+    /// of `0..n`), at the width `n` picks.
     #[cfg(test)]
     pub(crate) fn from_rankings(n: usize, rankings: &[Vec<u32>]) -> Self {
-        let mut sample = Self::empty(n);
+        let mut sample = Self::empty_full(n);
+        let mut ranks = vec![0u32; n];
         for r in rankings {
             debug_assert_eq!(r.len(), n);
-            with_ranked!(&mut sample.ids, s => s.push(r));
+            for (rank, &t) in r.iter().enumerate() {
+                ranks[t as usize] = rank as u32;
+            }
+            with_ranked!(&mut sample.ids, s => s.push(r, &ranks));
         }
         sample
     }
@@ -278,42 +439,15 @@ impl WorldSample {
         let widen = |v: &[u8]| v.iter().map(|&x| u32::from(x)).collect();
         let ids = match &self.ids {
             Ids::Byte(r) => Ids::Wide(Ranked {
-                rankings: widen(&r.rankings),
+                prefixes: widen(&r.prefixes),
                 pos: widen(&r.pos),
             }),
             Ids::Wide(r) => Ids::Wide(r.clone()),
         };
-        Self { n: self.n, ids }
-    }
-}
-
-/// Ranks flat sampled scores (`n` per world) into a sample's storage:
-/// the flat rankings and the position index.
-fn rank_all<T: Id>(scores: &[f64], n: usize) -> Ranked<T> {
-    let mut ranked = Ranked {
-        rankings: vec![T::default(); scores.len()],
-        pos: vec![T::default(); scores.len()],
-    };
-    let mut scratch = Vec::with_capacity(n);
-    let mut ranking = vec![0u32; n];
-    for ((s, r), p) in scores
-        .chunks(n)
-        .zip(ranked.rankings.chunks_mut(n))
-        .zip(ranked.pos.chunks_mut(n))
-    {
-        ranking_into(s, &mut scratch, &mut ranking);
-        for (slot, &t) in r.iter_mut().zip(&ranking) {
-            *slot = T::narrow(t);
+        Self {
+            ids,
+            ..self.clone()
         }
-        write_pos(&ranking, p);
-    }
-    ranked
-}
-
-/// Writes the position index of one world's `ranking` into `pos`.
-fn write_pos<T: Id>(ranking: &[u32], pos: &mut [T]) {
-    for (rank, &t) in ranking.iter().enumerate() {
-        pos[t as usize] = T::narrow(rank as u32);
     }
 }
 
@@ -333,8 +467,9 @@ struct PrefixCache {
 
 impl PrefixCache {
     /// Splits every group by its members' rank-`depth` tuple until the
-    /// groups represent depth-`k` prefixes.
-    fn refine<T: Id>(&mut self, r: &Ranked<T>, n: usize, k: usize) {
+    /// groups represent depth-`k` prefixes; `stride` is the sample's
+    /// depth.
+    fn refine<T: Id>(&mut self, r: &Ranked<T>, stride: usize, k: usize) {
         while self.depth < k {
             let d = self.depth;
             let mut next: Vec<Vec<u32>> = Vec::with_capacity(self.groups.len());
@@ -349,7 +484,7 @@ impl PrefixCache {
                 }
                 subs.clear();
                 for &w in group.iter() {
-                    let key = r.rankings[w as usize * n + d];
+                    let key = r.prefixes[w as usize * stride + d];
                     match subs.iter_mut().find(|(t, _)| *t == key) {
                         Some((_, members)) => members.push(w),
                         None => subs.push((key, vec![w])),
@@ -422,37 +557,48 @@ impl WorldModel {
         self.weights[w]
     }
 
+    /// The candidate slots of a question's pair, and the candidate count.
+    fn slots(&self, i: u32, j: u32) -> Result<(usize, usize, usize)> {
+        let s = &self.sample;
+        Ok((s.slot_of(i)?, s.slot_of(j)?, s.candidates.len()))
+    }
+
     /// Weighted probability that `i` ranks above `j` under the current
-    /// belief.
-    pub fn pr_precedes(&self, i: u32, j: u32) -> f64 {
+    /// belief (0.5 when no weight survives). Fails with
+    /// [`TpoError::NotACandidate`] when the sample does not rank `i` or
+    /// `j` (a tuple that never reaches its depth's top `k`).
+    pub fn pr_precedes(&self, i: u32, j: u32) -> Result<f64> {
+        let (si, sj, c) = self.slots(i, j)?;
         let total = self.total_weight();
         if total <= 0.0 {
-            return 0.5;
+            return Ok(0.5);
         }
-        let (n, weights) = (self.sample.n, &self.weights);
+        let weights = &self.weights;
         let mass: f64 = with_ranked!(&self.sample.ids, r => r
-            .prefers(n, i, j)
+            .prefers(c, si, sj)
             .zip(weights)
             .filter(|&(prefers, &w)| w > 0.0 && prefers)
             .map(|(_, &w)| w)
             .sum());
-        mass / total
+        Ok(mass / total)
     }
 
     /// Filters out worlds contradicting a reliable answer to
     /// “does `i` rank above `j`?”. On contradiction (no world would
-    /// survive) the belief is left untouched.
+    /// survive) the belief is left untouched; a pair the sample does not
+    /// rank fails with [`TpoError::NotACandidate`], also untouched.
     pub fn apply_answer_hard(&mut self, i: u32, j: u32, yes: bool) -> Result<()> {
-        let (n, weights) = (self.sample.n, &mut self.weights);
+        let (si, sj, c) = self.slots(i, j)?;
+        let weights = &mut self.weights;
         let any_survivor = with_ranked!(&self.sample.ids, r => r
-            .prefers(n, i, j)
+            .prefers(c, si, sj)
             .zip(weights.iter())
             .any(|(prefers, &w)| w > 0.0 && prefers == yes));
         if !any_survivor {
             return Err(TpoError::ContradictoryAnswer);
         }
         with_ranked!(&self.sample.ids, r => {
-            for (prefers, w) in r.prefers(n, i, j).zip(weights.iter_mut()) {
+            for (prefers, w) in r.prefers(c, si, sj).zip(weights.iter_mut()) {
                 if *w > 0.0 && prefers != yes {
                     *w = 0.0;
                 }
@@ -468,7 +614,8 @@ impl WorldModel {
     /// degenerates to [`WorldModel::apply_answer_hard`], which detects
     /// contradictions; for `eta < 1` every world keeps positive likelihood
     /// under either answer, so no contradiction is possible and the update
-    /// always succeeds.
+    /// succeeds on every pair the sample ranks ([`TpoError::NotACandidate`]
+    /// otherwise, leaving the belief untouched).
     pub fn apply_answer_noisy(&mut self, i: u32, j: u32, yes: bool, eta: f64) -> Result<()> {
         let eta = eta.clamp(0.5, 1.0);
         let disagree_factor = 1.0 - eta;
@@ -476,9 +623,10 @@ impl WorldModel {
         if disagree_factor == 0.0 {
             return self.apply_answer_hard(i, j, yes);
         }
-        let (n, weights) = (self.sample.n, &mut self.weights);
+        let (si, sj, c) = self.slots(i, j)?;
+        let weights = &mut self.weights;
         with_ranked!(&self.sample.ids, r => {
-            for (prefers, w) in r.prefers(n, i, j).zip(weights.iter_mut()) {
+            for (prefers, w) in r.prefers(c, si, sj).zip(weights.iter_mut()) {
                 if *w > 0.0 {
                     *w *= if prefers == yes { eta } else { disagree_factor };
                 }
@@ -515,16 +663,13 @@ impl WorldModel {
     /// builders' prefix counts are pinned against, bit for bit.
     #[cfg(test)]
     pub(crate) fn path_set(&self, k: usize) -> Result<PathSet> {
-        let n = self.sample.n;
-        if k == 0 || k > n {
-            return Err(TpoError::InvalidK { k, n });
-        }
+        self.check_depth(k)?;
         // ctk-allow(det-hash-collection): each group's float sum accumulates in ascending world order regardless of bucket order; draining goes through from_weighted's sort
         let mut groups: HashMap<Vec<u32>, f64> = HashMap::new();
         for (w, &weight) in self.weights.iter().enumerate() {
             if weight > 0.0 {
                 *groups
-                    .entry(self.sample.ranking(w)[..k].to_vec())
+                    .entry(self.sample.prefix(w)[..k].to_vec())
                     .or_insert(0.0) += weight;
             }
         }
@@ -539,12 +684,13 @@ impl WorldModel {
     /// rebuilds from scratch. Output is bit-identical to a fresh hash-map
     /// grouping (the test-only `path_set`): members stay in ascending world
     /// order, so every per-prefix weight is accumulated in exactly the same
-    /// float-addition order.
+    /// float-addition order. Fails with [`TpoError::InvalidK`] unless
+    /// `k` is at least 1 and at most the depth the sample was kept to
+    /// (`n` for [`WorldSample::sample`], `k` for
+    /// [`WorldSample::sample_to_depth`]).
     pub fn path_set_cached(&mut self, k: usize) -> Result<PathSet> {
-        let n = self.sample.n;
-        if k == 0 || k > n {
-            return Err(TpoError::InvalidK { k, n });
-        }
+        self.check_depth(k)?;
+        let stride = self.sample.k;
         let mut cache = match self.cache.take() {
             Some(c) if c.depth <= k => c,
             _ => PrefixCache {
@@ -552,7 +698,7 @@ impl WorldModel {
                 groups: vec![(0..self.num_worlds() as u32).collect()],
             },
         };
-        with_ranked!(&self.sample.ids, r => cache.refine(r, n, k));
+        with_ranked!(&self.sample.ids, r => cache.refine(r, stride, k));
         let weighted: Vec<(Vec<u32>, f64)> = cache
             .groups
             .iter()
@@ -563,7 +709,7 @@ impl WorldModel {
                 (w > 0.0).then(|| {
                     let first = group[0] as usize;
                     (
-                        with_ranked!(&self.sample.ids, r => r.prefix(n, first, k)),
+                        with_ranked!(&self.sample.ids, r => r.prefix(stride, first, k)),
                         w,
                     )
                 })
@@ -573,12 +719,24 @@ impl WorldModel {
         PathSet::from_weighted(k, weighted)
     }
 
-    /// Every surviving world's full ranking, in world order.
+    /// Path sets exist at depths `1..=` the sample's depth.
+    fn check_depth(&self, k: usize) -> Result<()> {
+        if k == 0 || k > self.sample.k {
+            return Err(TpoError::InvalidK {
+                k,
+                n: self.sample.k,
+            });
+        }
+        Ok(())
+    }
+
+    /// Every surviving world's depth-`k` prefix (its whole ranking in a
+    /// full sample), in world order.
     #[cfg(test)]
-    pub(crate) fn surviving_rankings(&self) -> Vec<Vec<u32>> {
+    pub(crate) fn surviving_prefixes(&self) -> Vec<Vec<u32>> {
         (0..self.num_worlds())
             .filter(|&w| self.weights[w] > 0.0)
-            .map(|w| self.sample.ranking(w))
+            .map(|w| self.sample.prefix(w))
             .collect()
     }
 }
@@ -670,7 +828,7 @@ mod tests {
         m.apply_answer_noisy(0, 1, true, 0.8).unwrap();
         // Worlds preferring 0 above 1 carry 0.8 likelihood; others 0.2.
         assert_eq!(m.effective_worlds(), 4, "noisy updates never eliminate");
-        let p = m.pr_precedes(0, 1);
+        let p = m.pr_precedes(0, 1).unwrap();
         // (0.8+0.8) / (0.8+0.8+0.2+0.2) = 1.6/2.0
         assert!((p - 0.8).abs() < 1e-12);
         // ... and the total weight is renormalized to M.
@@ -693,9 +851,9 @@ mod tests {
             "total weight must stay bounded at M, got {total}"
         );
         assert_eq!(m.effective_worlds(), 4, "no world may underflow to 0");
-        let p = m.pr_precedes(0, 1);
+        let p = m.pr_precedes(0, 1).unwrap();
         assert!(p.is_finite() && p > 0.0 && p < 1.0, "pr collapsed: {p}");
-        assert!((m.pr_precedes(0, 1) + m.pr_precedes(1, 0) - 1.0).abs() < 1e-9);
+        assert!((m.pr_precedes(0, 1).unwrap() + m.pr_precedes(1, 0).unwrap() - 1.0).abs() < 1e-9);
         let ps = m.path_set(2).expect("belief must stay representable");
         assert_eq!(ps.len(), 3);
     }
@@ -703,9 +861,9 @@ mod tests {
     #[test]
     fn pr_precedes_counts_weighted_fraction() {
         let m = model();
-        assert!((m.pr_precedes(0, 1) - 0.5).abs() < 1e-12);
-        assert!((m.pr_precedes(1, 2) - 0.75).abs() < 1e-12);
-        assert!((m.pr_precedes(2, 0) - 0.25).abs() < 1e-12);
+        assert!((m.pr_precedes(0, 1).unwrap() - 0.5).abs() < 1e-12);
+        assert!((m.pr_precedes(1, 2).unwrap() - 0.75).abs() < 1e-12);
+        assert!((m.pr_precedes(2, 0).unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -714,7 +872,7 @@ mod tests {
         let a = WorldModel::sample(&table, 500, 42).unwrap();
         let b = WorldModel::sample(&table, 500, 42).unwrap();
         assert_eq!(a.num_worlds(), 500);
-        assert_eq!(a.surviving_rankings(), b.surviving_rankings());
+        assert_eq!(a.surviving_prefixes(), b.surviving_prefixes());
         assert_eq!(a.n(), 3);
         assert!((a.total_weight() - 500.0).abs() < 1e-9);
     }
@@ -726,7 +884,7 @@ mod tests {
             panic!("a 3-tuple relation packs its ids in bytes");
         };
         for w in 0..m.num_worlds() {
-            let r = m.worlds().ranking(w);
+            let r = m.worlds().prefix(w);
             for (rank, &t) in r.iter().enumerate() {
                 assert_eq!(usize::from(stored.pos[w * m.n() + t as usize]), rank);
             }
@@ -789,7 +947,7 @@ mod tests {
         // the same draw stream as sampling everything at once.
         let table = table3();
         let one_shot = WorldSample::sample(&table, 700, 13).unwrap();
-        let mut grown = WorldSample::empty(table.len());
+        let mut grown = WorldSample::empty_full(table.len());
         let mut rng = StdRng::seed_from_u64(13);
         for batch in [1usize, 99, 300, 0, 300] {
             grown.append_sampled(&table, batch, &mut rng);
@@ -836,8 +994,10 @@ mod tests {
             .unwrap();
             let sample = WorldSample::sample(&table, 300, n as u64).unwrap();
             assert_eq!(matches!(sample.ids, Ids::Byte(_)), packed, "n = {n}");
+            // A full sample: n prefix ids and n positions per world, plus
+            // the candidate list and the slot map (n u32 each).
             let width = if packed { 1 } else { 4 };
-            assert_eq!(sample.bytes(), 2 * 300 * n * width, "n = {n}");
+            assert_eq!(sample.bytes(), 2 * 300 * n * width + 2 * 4 * n, "n = {n}");
             let mut model = WorldModel::new(Arc::new(sample.clone()));
             let mut reference = WorldModel::new(Arc::new(sample.widened()));
             let top = n as u32 - 1;
@@ -850,8 +1010,8 @@ mod tests {
             ];
             for (step, (i, j)) in questions.into_iter().enumerate() {
                 assert_eq!(
-                    model.pr_precedes(i, j).to_bits(),
-                    reference.pr_precedes(i, j).to_bits(),
+                    model.pr_precedes(i, j).unwrap().to_bits(),
+                    reference.pr_precedes(i, j).unwrap().to_bits(),
                     "n = {n}, step {step}"
                 );
                 for depth in [1, 2, 3] {

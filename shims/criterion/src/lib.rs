@@ -1,7 +1,9 @@
 //! Minimal, API-compatible shim for the subset of `criterion` this
 //! workspace uses. It performs a real (if simple) wall-clock measurement:
 //! each benchmark body is warmed up once, then timed over a fixed number
-//! of batches, and the median batch time is printed.
+//! of batches, and the median and the minimum batch time are printed. On
+//! a shared host the median moves with the neighbours' load; the minimum
+//! is the run least disturbed by it.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -96,20 +98,27 @@ impl Bencher {
         }
     }
 
-    fn median(&mut self) -> Option<Duration> {
+    /// The median and the minimum time per iteration.
+    fn median_and_min(&mut self) -> Option<(Duration, Duration)> {
         if self.samples.is_empty() {
             return None;
         }
         self.samples.sort();
-        Some(self.samples[self.samples.len() / 2] / self.iters_per_sample as u32)
+        let per_iter = |d: Duration| d / self.iters_per_sample as u32;
+        Some((
+            per_iter(self.samples[self.samples.len() / 2]),
+            per_iter(self.samples[0]),
+        ))
     }
 }
 
 fn run_one(label: &str, sample_count: usize, f: impl FnOnce(&mut Bencher)) {
     let mut bencher = Bencher::new(sample_count);
     f(&mut bencher);
-    match bencher.median() {
-        Some(d) => println!("bench {label:<48} median {d:>12.3?} ({sample_count} samples)"),
+    match bencher.median_and_min() {
+        Some((median, min)) => println!(
+            "bench {label:<48} median {median:>12.3?} min {min:>12.3?} ({sample_count} samples)"
+        ),
         None => println!("bench {label:<48} (no measurement)"),
     }
 }
