@@ -23,6 +23,11 @@
 //!   and as `incr` (worlds kept over the depth-k candidates), the
 //!   `cold_burst` submit; `exact_n10` is the exact nested-quadrature
 //!   engine at n = 10, k = 5;
+//! * `session_start` — `c_off_hit_n8_k4` is one C-off session at the
+//!   `tenant_stream` shape (n = 8, k = 4, 256 fixed worlds, budget 2)
+//!   started from a stored belief whose first-pick slot is filled,
+//!   through its first `next_batch`: the belief clone, the report
+//!   baseline and a copy of the stored plan, with no selection;
 //! * `residual_partition` — prefix-index partition evaluation;
 //! * `measures` — one evaluation of each uncertainty measure (`U_H`,
 //!   `U_Hw`, `U_ORA`, `U_MPO`) on the Fig. 1 instance's 5000-world path
@@ -61,7 +66,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctk_core::belief::{Belief, BeliefKey};
-use ctk_core::driver::SessionDriver;
+use ctk_core::driver::{FirstPickSlot, SessionDriver};
 use ctk_core::measures::MeasureKind;
 use ctk_core::metrics::expected_distance_to_truth;
 use ctk_core::residual::{AnswerPartition, ResidualCtx};
@@ -191,10 +196,17 @@ fn bench_belief_build(c: &mut Criterion) {
     g.bench_function("incr_hit_n8_k3", |b| {
         b.iter(|| {
             let pairwise = std::sync::Arc::clone(&pairwise);
-            SessionDriver::from_belief(config.clone(), &stream, None, pairwise, stored.clone())
-                .unwrap()
-                .report()
-                .initial_orderings
+            SessionDriver::from_belief(
+                config.clone(),
+                &stream,
+                None,
+                pairwise,
+                stored.clone(),
+                None,
+            )
+            .unwrap()
+            .report()
+            .initial_orderings
         })
     });
     let tree = SessionConfig {
@@ -208,10 +220,17 @@ fn bench_belief_build(c: &mut Criterion) {
     g.bench_function("tree_hit_n8_k4", |b| {
         b.iter(|| {
             let pairwise = std::sync::Arc::clone(&pairwise);
-            SessionDriver::from_belief(tree.clone(), &stream, None, pairwise, stored_tree.clone())
-                .unwrap()
-                .report()
-                .initial_orderings
+            SessionDriver::from_belief(
+                tree.clone(),
+                &stream,
+                None,
+                pairwise,
+                stored_tree.clone(),
+                None,
+            )
+            .unwrap()
+            .report()
+            .initial_orderings
         })
     });
     let cold = table(12);
@@ -325,11 +344,47 @@ fn bench_select_step(c: &mut Criterion) {
     g.finish();
 }
 
+/// One C-off session started from a stored belief whose first-pick slot
+/// is filled, through its first `next_batch`: the `tenant_stream` hit.
+fn bench_session_start(c: &mut Criterion) {
+    let stream = table(8);
+    let config = SessionConfig {
+        k: 4,
+        budget: 2,
+        measure: MeasureKind::WeightedEntropy,
+        algorithm: Algorithm::COff,
+        engine: Engine::MonteCarlo(McConfig::fixed(256, 11)),
+        seed: 3,
+        uncertainty_target: None,
+    };
+    let key = BeliefKey::of(&config).expect("Monte-Carlo trees are keyed");
+    let pairwise = std::sync::Arc::new(PairwiseMatrix::compute(&stream));
+    let bounds = TopKBounds::from_matrix(&pairwise, 4).unwrap();
+    let stored = Belief::build(&stream, &key, &bounds).unwrap();
+    let slot = FirstPickSlot::new(&config, config.budget, stream.len()).expect("C-off has a slot");
+    let start = || {
+        let pairwise = std::sync::Arc::clone(&pairwise);
+        let belief = stored.clone();
+        let slot = Some(slot.clone());
+        SessionDriver::from_belief(config.clone(), &stream, None, pairwise, belief, slot).unwrap()
+    };
+    // The first session fills the slot; every timed one reads it.
+    start().next_batch(usize::MAX).unwrap();
+    assert!(slot.is_filled());
+    let mut g = c.benchmark_group("session_start");
+    g.sample_size(50);
+    g.bench_function("c_off_hit_n8_k4", |b| {
+        b.iter(|| start().next_batch(usize::MAX).unwrap().len())
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_belief,
     bench_builders,
     bench_belief_build,
+    bench_session_start,
     bench_residual,
     bench_measures,
     bench_report,

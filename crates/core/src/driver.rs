@@ -33,10 +33,19 @@
 //! may split a round's `next_batch`/`feed` work across threads —
 //! `ctk-service` does, with bit-identical per-session reports at any
 //! thread count.
+//!
+//! First picks: a session's first selection (T1-on's first question, the
+//! whole TB-off/C-off/A*-off plan, `incr`'s first round and its
+//! construction depth) is a pure function of its initial belief, its
+//! algorithm, its measure and the allowance it plans over. Sessions that
+//! start from one stored belief may therefore share a [`FirstPickSlot`]
+//! ([`SessionDriver::from_belief`]): the first session to select fills
+//! it, and later ones copy the stored pick instead of running the
+//! selector. Random and Naive read the session seed and get no slot.
 
 use crate::belief::{Belief, BeliefKey};
 use crate::error::{CoreError, Result};
-use crate::measures::UncertaintyMeasure;
+use crate::measures::{MeasureKind, UncertaintyMeasure};
 use crate::metrics::expected_distance_to_truth;
 use crate::residual::ResidualCtx;
 use crate::select::{
@@ -52,7 +61,7 @@ use ctk_tpo::prune::prune;
 use ctk_tpo::update::bayes_update;
 use ctk_tpo::{PathSet, PrecisionReport, StopReason, TpoError, WorldModel, DEFAULT_WORLDS};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Accuracy at or above which answers are treated as reliable (hard
@@ -89,6 +98,94 @@ enum TreeSel {
     },
 }
 
+/// What a session's first selection left behind: the questions it queued,
+/// `incr`'s construction depth after it (0 in tree mode) and whether an
+/// offline plan was made.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FirstPick {
+    questions: Vec<Question>,
+    depth: usize,
+    planned: bool,
+}
+
+/// The shared first selection of the sessions that start from one initial
+/// belief with one algorithm, measure and allowance (see the module
+/// docs). Cloning shares the slot. It holds one pick at most, written
+/// once by whichever session selects first; since the pick is a pure
+/// function of the slot's inputs, which session writes it cannot change
+/// any report.
+#[derive(Debug, Clone)]
+pub struct FirstPickSlot {
+    algorithm: Algorithm,
+    measure: MeasureKind,
+    allowance: usize,
+    /// The most questions the first selection can queue: see
+    /// [`FirstPickSlot::max_bytes`].
+    max_questions: usize,
+    pick: Arc<OnceLock<FirstPick>>,
+}
+
+impl FirstPickSlot {
+    /// An empty slot for the first selection of `config`'s sessions over a
+    /// table of `n` tuples, planned over `allowance` answers (a service
+    /// that never caps the crowd's side plans over the session budget).
+    /// `None` for Random and Naive, whose selectors read the session
+    /// seed.
+    pub fn new(config: &SessionConfig, allowance: usize, n: usize) -> Option<Self> {
+        let pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
+        let max_questions = match &config.algorithm {
+            Algorithm::Random | Algorithm::Naive => return None,
+            Algorithm::T1On | Algorithm::AStarOn { .. } => 1,
+            Algorithm::TbOff | Algorithm::COff | Algorithm::AStarOff { .. } => allowance.min(pairs),
+            Algorithm::Incr {
+                questions_per_round,
+            } => (*questions_per_round).min(allowance).min(pairs),
+        };
+        Some(Self {
+            algorithm: config.algorithm.clone(),
+            measure: config.measure,
+            allowance,
+            max_questions,
+            pick: Arc::new(OnceLock::new()),
+        })
+    }
+
+    /// True when the slot holds the first pick of `config`'s sessions
+    /// planned over `allowance` answers.
+    pub fn serves(&self, config: &SessionConfig, allowance: usize) -> bool {
+        self.allowance == allowance
+            && self.measure == config.measure
+            && self.algorithm == config.algorithm
+    }
+
+    /// True once a session has written the pick.
+    pub fn is_filled(&self) -> bool {
+        self.pick.get().is_some()
+    }
+
+    /// An upper bound on the bytes the slot holds once filled, fixed when
+    /// the slot is made: the slot record, its shared cell, and room for
+    /// the most questions the selection can queue (one for an online
+    /// strategy; the allowance, at most every pair of the table, for an
+    /// offline plan; the round size, capped the same way, for `incr`). A
+    /// pick over that bound is never stored.
+    pub fn max_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + 2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<OnceLock<FirstPick>>()
+            + self.max_questions * std::mem::size_of::<Question>()
+    }
+
+    /// Stores `pick` unless the slot is filled already or the pick is over
+    /// the slot's bound.
+    fn fill(&self, pick: FirstPick) {
+        if pick.questions.len() <= self.max_questions {
+            // A concurrent writer stored the same pick; either value is it.
+            let _ = self.pick.set(pick);
+        }
+    }
+}
+
 /// A sans-IO uncertainty-reduction session (see module docs).
 pub struct SessionDriver {
     config: SessionConfig,
@@ -106,6 +203,10 @@ pub struct SessionDriver {
     outstanding: VecDeque<Question>,
     done: bool,
     mode: Mode,
+    /// The slot the first selection reads or fills; taken by it.
+    first_pick: Option<FirstPickSlot>,
+    /// The first selection was copied from a filled slot.
+    first_pick_reused: bool,
 }
 
 impl std::fmt::Debug for SessionDriver {
@@ -160,7 +261,7 @@ impl SessionDriver {
             _ => Arc::new(TopKBounds::from_matrix(&pairwise, config.k).map_err(TpoError::from)?),
         };
         let initial = Initial::new(&config, initial_belief(&config, table, &bounds)?)?;
-        Self::assemble(config, truth, pairwise, started, initial)
+        Self::assemble(config, truth, pairwise, started, initial, None)
     }
 
     /// Starts a session from an initial belief built earlier by
@@ -171,6 +272,15 @@ impl SessionDriver {
     /// weights, sampling the worlds first if the belief has none. The
     /// session is the one [`SessionDriver::new_shared`] would have
     /// started.
+    ///
+    /// `first_pick` is the slot shared by the sessions started from this
+    /// belief with this configuration's algorithm and measure (made by
+    /// [`FirstPickSlot::new`] over the same table): the session's first
+    /// selection copies a filled slot's pick instead of running the
+    /// selector, or fills an empty slot after running it. A slot made for
+    /// another algorithm or measure is ignored, and so is one made for
+    /// another allowance than the first selection's. The report is the
+    /// same with or without a slot.
     ///
     /// # Errors
     ///
@@ -183,6 +293,7 @@ impl SessionDriver {
         truth: Option<&RankList>,
         pairwise: Arc<PairwiseMatrix>,
         mut belief: Belief,
+        first_pick: Option<FirstPickSlot>,
     ) -> Result<Self> {
         let started = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
         admit(&config, table, &pairwise)?;
@@ -200,7 +311,9 @@ impl SessionDriver {
             belief.attach_worlds(table, &key)?;
         }
         let initial = Initial::new(&config, belief)?;
-        Self::assemble(config, truth, pairwise, started, initial)
+        let first_pick = first_pick
+            .filter(|slot| slot.measure == config.measure && slot.algorithm == config.algorithm);
+        Self::assemble(config, truth, pairwise, started, initial, first_pick)
     }
 
     /// The driver over an initial belief state, with the report's
@@ -211,6 +324,7 @@ impl SessionDriver {
         pairwise: Arc<PairwiseMatrix>,
         started: Instant,
         initial: Initial,
+        first_pick: Option<FirstPickSlot>,
     ) -> Result<Self> {
         let measure = config.measure.build();
         let Initial {
@@ -247,6 +361,8 @@ impl SessionDriver {
             outstanding: VecDeque::new(),
             done,
             mode,
+            first_pick,
+            first_pick_reused: false,
         })
     }
 
@@ -283,6 +399,21 @@ impl SessionDriver {
         self.report.steps.len()
     }
 
+    /// True while the first selection is still to come and will read a
+    /// filled [`FirstPickSlot`] (given the allowance the slot was made
+    /// for).
+    pub fn first_pick_stored(&self) -> bool {
+        self.first_pick
+            .as_ref()
+            .is_some_and(FirstPickSlot::is_filled)
+    }
+
+    /// True once the first selection was copied from a filled
+    /// [`FirstPickSlot`] instead of running the selector.
+    pub fn first_pick_reused(&self) -> bool {
+        self.first_pick_reused
+    }
+
     /// Returns the next questions to pose to the crowd. `crowd_remaining`
     /// is how many more answers the caller can deliver: for a standalone
     /// session, the crowd's remaining budget; for a multiplexed session,
@@ -308,7 +439,10 @@ impl SessionDriver {
                 self.done = true;
                 return Ok(Vec::new());
             }
-            self.select_more(allowance)?;
+            match self.first_pick.take() {
+                Some(slot) if slot.allowance == allowance => self.select_first(&slot)?,
+                _ => self.select_more(allowance)?,
+            }
             if self.pending.is_empty() {
                 // No informative question remains (early termination,
                 // §III-B) or the offline plan is spent.
@@ -496,6 +630,57 @@ impl SessionDriver {
             }
         }
         Ok(())
+    }
+
+    /// The first selection, read from `slot` when a session filled it and
+    /// otherwise run and written there. Under `debug-invariants` a read
+    /// pick is also recomputed on this session's own belief and must be
+    /// equal.
+    fn select_first(&mut self, slot: &FirstPickSlot) -> Result<()> {
+        let Some(pick) = slot.pick.get() else {
+            self.select_more(slot.allowance)?;
+            slot.fill(self.first_pick_made());
+            return Ok(());
+        };
+        #[cfg(feature = "debug-invariants")]
+        {
+            self.select_more(slot.allowance)?;
+            assert_eq!(
+                &self.first_pick_made(),
+                pick,
+                "a stored first pick differs from a fresh {} selection",
+                self.config.algorithm.name()
+            );
+            self.pending.clear();
+        }
+        self.pending.extend(pick.questions.iter().copied());
+        match &mut self.mode {
+            Mode::Tree {
+                sel: TreeSel::Offline { planned },
+                ..
+            } => *planned = pick.planned,
+            Mode::Tree { .. } => {}
+            Mode::Incr { depth, .. } => *depth = pick.depth,
+        }
+        self.first_pick_reused = true;
+        Ok(())
+    }
+
+    /// The first pick as the selection just made it.
+    fn first_pick_made(&self) -> FirstPick {
+        let (depth, planned) = match &self.mode {
+            Mode::Tree {
+                sel: TreeSel::Offline { planned },
+                ..
+            } => (0, *planned),
+            Mode::Tree { .. } => (0, false),
+            Mode::Incr { depth, .. } => (*depth, false),
+        };
+        FirstPick {
+            questions: self.pending.iter().copied().collect(),
+            depth,
+            planned,
+        }
     }
 
     /// Moves selected questions to the wire. Without an early-stop target
@@ -1042,6 +1227,41 @@ mod tests {
             SessionDriver::new_shared(config(Algorithm::T1On, 4), &table, None, wrong, None),
             Err(CoreError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn first_pick_slots_are_read_only_where_they_apply() {
+        // One C-off slot at allowance 6: the first session fills it, a
+        // repeat reads it and asks the same batch; a session planning
+        // over another allowance, or of another strategy, ignores it.
+        let table = table();
+        let cfg = config(Algorithm::COff, 6);
+        let key = BeliefKey::of(&cfg).unwrap();
+        let pairwise = Arc::new(PairwiseMatrix::compute(&table));
+        let bounds = TopKBounds::from_matrix(&pairwise, cfg.k).unwrap();
+        let belief = Belief::build(&table, &key, &bounds).unwrap();
+        let slot = FirstPickSlot::new(&cfg, 6, table.len()).unwrap();
+        let start = |cfg: &SessionConfig| {
+            let pairwise = Arc::clone(&pairwise);
+            let slot = Some(slot.clone());
+            SessionDriver::from_belief(cfg.clone(), &table, None, pairwise, belief.clone(), slot)
+                .unwrap()
+        };
+        let mut first = start(&cfg);
+        let batch = first.next_batch(usize::MAX).unwrap();
+        assert!(slot.is_filled() && !first.first_pick_reused());
+        let mut repeat = start(&cfg);
+        assert!(repeat.first_pick_stored());
+        assert_eq!(repeat.next_batch(usize::MAX).unwrap(), batch);
+        assert!(repeat.first_pick_reused() && !repeat.first_pick_stored());
+        let mut narrow = start(&cfg);
+        narrow.next_batch(4).unwrap();
+        assert!(!narrow.first_pick_reused(), "another allowance");
+        let mut online = start(&config(Algorithm::T1On, 6));
+        assert!(!online.first_pick_stored(), "another strategy");
+        assert_eq!(online.next_batch(usize::MAX).unwrap().len(), 1);
+        assert!(FirstPickSlot::new(&config(Algorithm::Random, 6), 6, 8).is_none());
+        assert!(FirstPickSlot::new(&config(Algorithm::Naive, 6), 6, 8).is_none());
     }
 
     #[test]

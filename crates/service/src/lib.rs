@@ -37,8 +37,10 @@
 //!   pairwise matrix, the certain/possible top-K bounds per depth, and
 //!   the initial beliefs of `(table, k, engine)` keys submitted at least
 //!   twice, so a repeat submit clones its belief instead of sampling (a
-//!   repeat Monte-Carlo `incr` submit shares the stored world sample;
-//!   bounded by total bytes, least recently used evicted; DESIGN.md §8);
+//!   repeat Monte-Carlo `incr` submit shares the stored world sample,
+//!   and a repeat of one algorithm, measure and budget copies the first
+//!   selection an earlier session stored; bounded by total bytes, least
+//!   recently used evicted; DESIGN.md §8);
 //! * [`metrics`] — throughput / latency-histogram / cache-hit /
 //!   invalid-answer / belief-reuse accounting.
 //!

@@ -53,8 +53,16 @@ pub struct ServiceMetrics {
     /// reports still count the stored build's worlds in `worlds_drawn`.
     pub belief_hits: u64,
     /// Bytes the belief cache holds after the latest submit: stored
-    /// paths plus attached world samples, within the cache's bound.
+    /// paths, attached world samples and the upper bound of every
+    /// first-pick slot, within the cache's bound.
     pub stored_belief_bytes: usize,
+    /// Sessions whose first selection was copied from a stored first pick
+    /// instead of running the selector (counted in plan order after each
+    /// gather). At one worker thread the count is fixed by the submits;
+    /// at more, two sessions of one slot gathered in the same round may
+    /// both select before either stores the pick, so it can read lower.
+    /// Reports are the same either way.
+    pub first_picks_reused: u64,
     /// Completed sessions whose certain/possible bounds pinned the whole
     /// ordered prefix before sampling — decided without any crowd
     /// questions or worlds.
@@ -191,7 +199,7 @@ impl ServiceMetrics {
     pub fn summary(&self) -> String {
         format!(
             "sessions: {} submitted, {} completed, {} failed, {} starved | \
-             beliefs: {} built, {} reused, {} bytes stored | \
+             beliefs: {} built, {} reused, {} bytes stored, {} first picks reused | \
              rounds: {} ({} worker threads) | \
              answers: {} served ({} live, {} cached, {:.1}% hit rate, {} invalid) | \
              precision: {} worlds drawn, {} certain early stops | \
@@ -205,6 +213,7 @@ impl ServiceMetrics {
             self.belief_builds,
             self.belief_hits,
             self.stored_belief_bytes,
+            self.first_picks_reused,
             self.rounds,
             self.worker_threads.max(1),
             self.answers_served,
@@ -303,9 +312,10 @@ mod tests {
         m.belief_builds = 3;
         m.belief_hits = 29;
         m.stored_belief_bytes = 4096;
+        m.first_picks_reused = 17;
         let s = m.summary();
         assert!(s.contains("32 submitted"));
-        assert!(s.contains("beliefs: 3 built, 29 reused, 4096 bytes stored"));
+        assert!(s.contains("beliefs: 3 built, 29 reused, 4096 bytes stored, 17 first picks reused"));
         assert!(s.contains("40.0% hit rate"));
         assert!(s.contains("p95"));
         assert!(s.contains("worker threads"));

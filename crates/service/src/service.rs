@@ -289,23 +289,31 @@ impl<C: Crowd> TopKService<C> {
             *threads,
             |live| gather_cost(live),
             |live| {
+                let reused = live.driver.first_pick_reused();
                 live.driver
                     .next_batch(usize::MAX)
-                    .map(|batch| batch.is_empty())
+                    .map(|batch| (batch.is_empty(), !reused && live.driver.first_pick_reused()))
             },
         );
         metrics.gather_busy += busy;
         metrics.gather_time += g0.elapsed();
 
         // Lifecycle transitions happen here, sequentially, in plan order;
-        // an empty batch means the driver is done.
+        // an empty batch means the driver is done. A batch whose first
+        // selection was copied from a stored first pick is counted.
         let mut ended: Vec<(SessionId, Result<()>)> = Vec::new();
         let mut to_buy: Vec<(SessionId, &mut LiveSession)> =
             resumed.into_iter().zip(resumed_live).collect();
-        for ((id, live), empty) in plan.into_iter().zip(planned_live).zip(gathered) {
-            match empty {
-                Ok(true) => ended.push((id, Ok(()))),
-                Ok(false) => to_buy.push((id, live)),
+        for ((id, live), batch) in plan.into_iter().zip(planned_live).zip(gathered) {
+            match batch {
+                Ok((empty, reused)) => {
+                    metrics.first_picks_reused += u64::from(reused);
+                    if empty {
+                        ended.push((id, Ok(())));
+                    } else {
+                        to_buy.push((id, live));
+                    }
+                }
                 Err(err) => ended.push((id, Err(err))),
             }
         }
@@ -524,10 +532,14 @@ const PARALLEL_SESSIONS_MIN: usize = 3;
 /// Claim rank of a planned session's next `next_batch`, heaviest first:
 /// an offline selector that has not planned yet (its first batch is the
 /// whole plan), then an online tree selector's step, then an `incr`
-/// step, then everything else — an offline session that has planned
-/// (its next batch only emits or ends) and the random baselines. The
-/// rank only orders the gather's claims; it never changes a result.
+/// step, then everything else — a session whose first batch is a copy of
+/// a stored first pick, an offline session that has planned (its next
+/// batch only emits or ends) and the random baselines. The rank only
+/// orders the gather's claims; it never changes a result.
 fn gather_cost(live: &LiveSession) -> u32 {
+    if live.driver.first_pick_stored() {
+        return 0;
+    }
     let unplanned = live.driver.questions_asked() == 0;
     match live.driver.config().algorithm {
         Algorithm::AStarOff { .. } | Algorithm::COff | Algorithm::TbOff if unplanned => 3,

@@ -14,14 +14,27 @@
 //! stored without worlds samples them once and attaches them, and every
 //! later `incr` submit shares them through an `Arc` with fresh weights.
 //! Traffic that never repeats a key (a fresh sampler seed per session, a
-//! fresh table per tenant) therefore holds no beliefs at all. Stored
-//! beliefs are bounded by [`MAX_BELIEF_BYTES`] in total, evicted least
-//! recently used, and leave with their table when the table itself is
-//! evicted.
+//! fresh table per tenant) therefore holds no beliefs at all.
+//!
+//! A stored belief also carries the first selections of the sessions
+//! started from it: one [`FirstPickSlot`] per algorithm, measure and
+//! allowance (the session budget, since the service never caps a
+//! session's allowance on the crowd's side), made at the submit that
+//! first needs it and handed to every later session with the same three.
+//! The first of those sessions to select fills the slot, from whichever
+//! gather thread runs it; the others copy the pick instead of selecting
+//! (DESIGN.md §8). Random and Naive sessions, whose selectors read the
+//! session seed, get no slot. A slot is charged its upper bound
+//! ([`FirstPickSlot::max_bytes`]) when it is made, so the byte total and
+//! every eviction are decided in submit order, whatever the threads do.
+//!
+//! Stored beliefs, slots included, are bounded by [`MAX_BELIEF_BYTES`] in
+//! total, evicted least recently used, and leave with their table when
+//! the table itself is evicted.
 
 use crate::metrics::ServiceMetrics;
 use ctk_core::belief::{Belief, BeliefKey};
-use ctk_core::driver::SessionDriver;
+use ctk_core::driver::{FirstPickSlot, SessionDriver};
 use ctk_core::session::{Algorithm, SessionConfig};
 use ctk_core::Result;
 use ctk_prob::compare::PairwiseMatrix;
@@ -38,9 +51,10 @@ pub(crate) const MAX_TABLES: usize = 32;
 
 /// At most this many bytes are held in stored beliefs, over all tables:
 /// each belief's paths (record and items), their prefix groups (one byte
-/// per rank and level id up to 256 paths, two up to 65 536, four beyond)
-/// and its attached world sample (one byte per ranking and position entry
-/// for tables of up to 256 tuples, four beyond). The bound caps the
+/// per rank and level id up to 256 paths, two up to 65 536, four beyond),
+/// its attached world sample (one byte per ranking and position entry
+/// for tables of up to 256 tuples, four beyond) and the upper bound of
+/// each of its first-pick slots. The bound caps the
 /// memory the belief cache adds to the service whatever the traffic; a
 /// belief larger than the whole bound is not stored.
 pub(crate) const MAX_BELIEF_BYTES: usize = 8 << 20;
@@ -62,10 +76,45 @@ struct TableEntry {
 struct StoredBelief {
     key: BeliefKey,
     belief: Belief,
-    /// `belief.bytes()`, counted into the cache's total.
+    /// The first selections of the sessions started from `belief`, one
+    /// slot per algorithm, measure and allowance.
+    first_picks: Vec<FirstPickSlot>,
+    /// `belief.bytes()` plus every slot's `max_bytes()`, counted into the
+    /// cache's total.
     bytes: usize,
     /// Clock reading of the last submit that used it.
     last_used: u64,
+}
+
+impl StoredBelief {
+    fn new(key: BeliefKey, belief: Belief, last_used: u64) -> Self {
+        Self {
+            key,
+            bytes: belief.bytes(),
+            belief,
+            first_picks: Vec::new(),
+            last_used,
+        }
+    }
+
+    /// The slot of `config`'s first selection over a table of `n` tuples,
+    /// made and charged when no session needed it before; `None` for the
+    /// strategies that get no slot.
+    fn first_pick(&mut self, config: &SessionConfig, n: usize) -> Option<FirstPickSlot> {
+        if let Some(slot) = self
+            .first_picks
+            .iter()
+            .find(|s| s.serves(config, config.budget))
+        {
+            return Some(slot.clone());
+        }
+        let slot = FirstPickSlot::new(config, config.budget, n)?;
+        self.bytes += slot.max_bytes();
+        // No spare capacity: each slot record is charged once.
+        self.first_picks.reserve_exact(1);
+        self.first_picks.push(slot.clone());
+        Some(slot)
+    }
 }
 
 /// The service's per-table cache (see the module docs).
@@ -94,8 +143,9 @@ impl Default for TableCache {
 impl TableCache {
     /// Starts the driver of a session over `table`, reusing the table's
     /// pairwise matrix and bounds and, for a repeated key, its stored
-    /// initial belief. Counts belief builds and hits and reports the
-    /// stored bytes in `metrics`.
+    /// initial belief and the belief's first-pick slot for the session's
+    /// algorithm, measure and budget. Counts belief builds and hits and
+    /// reports the stored bytes in `metrics`.
     pub(crate) fn driver(
         &mut self,
         table: &UncertainTable,
@@ -126,35 +176,44 @@ impl TableCache {
             return SessionDriver::new_shared(config, table, truth, pairwise, bounds);
         };
         let incr = matches!(config.algorithm, Algorithm::Incr { .. });
+        let n = table.len();
         if let Some(pos) = entry.beliefs.iter().position(|s| s.key == key) {
             let stored = &mut entry.beliefs[pos];
             stored.last_used = self.clock;
+            let held = stored.bytes;
             if incr && stored.belief.needs_worlds() {
                 // The key's first incr submit: sample the worlds behind
                 // the stored paths once and store them with the belief.
-                let mut stored = entry.beliefs.swap_remove(pos);
-                self.belief_bytes -= stored.bytes;
+                let before = stored.belief.bytes();
                 stored.belief.attach_worlds(table, &key)?;
+                stored.bytes += stored.belief.bytes() - before;
                 metrics.belief_builds += 1;
-                self.store(idx, key, stored.belief.clone());
-                return SessionDriver::from_belief(config, table, truth, pairwise, stored.belief);
+            } else {
+                #[cfg(feature = "debug-invariants")]
+                {
+                    let fresh = if incr {
+                        Belief::build_with_worlds(table, &key, b)
+                    } else {
+                        Belief::build(table, &key, b)
+                    };
+                    assert!(
+                        fresh.is_ok_and(|fresh| fresh.same_bits(&stored.belief)
+                            && (!incr || fresh.worlds() == stored.belief.worlds())),
+                        "a stored belief differs from a fresh build of its key {key:?}"
+                    );
+                }
+                metrics.belief_hits += 1;
             }
+            let slot = stored.first_pick(&config, n);
             let belief = stored.belief.clone();
-            #[cfg(feature = "debug-invariants")]
-            {
-                let fresh = if incr {
-                    Belief::build_with_worlds(table, &key, b)
-                } else {
-                    Belief::build(table, &key, b)
-                };
-                assert!(
-                    fresh.is_ok_and(|fresh| fresh.same_bits(&belief)
-                        && (!incr || fresh.worlds() == belief.worlds())),
-                    "a stored belief differs from a fresh build of its key {key:?}"
-                );
+            if stored.bytes != held {
+                // Worlds or a slot were added: charge the belief again,
+                // evicting others if it no longer fits.
+                let stored = entry.beliefs.swap_remove(pos);
+                self.belief_bytes -= held;
+                self.keep(idx, stored);
             }
-            metrics.belief_hits += 1;
-            return SessionDriver::from_belief(config, table, truth, pairwise, belief);
+            return SessionDriver::from_belief(config, table, truth, pairwise, belief, slot);
         }
         let belief = if incr {
             Belief::build_with_worlds(table, &key, b)?
@@ -162,19 +221,23 @@ impl TableCache {
             Belief::build(table, &key, b)?
         };
         metrics.belief_builds += 1;
-        match entry.unrepeated.iter().position(|k| *k == key) {
+        let slot = match entry.unrepeated.iter().position(|k| *k == key) {
             Some(pos) => {
                 entry.unrepeated.remove(pos);
-                self.store(idx, key, belief.clone());
+                let mut stored = StoredBelief::new(key, belief.clone(), self.clock);
+                let slot = stored.first_pick(&config, n);
+                self.keep(idx, stored);
+                slot
             }
             None => {
                 if entry.unrepeated.len() == MAX_UNREPEATED_KEYS {
                     entry.unrepeated.pop_front();
                 }
                 entry.unrepeated.push_back(key);
+                None
             }
-        }
-        SessionDriver::from_belief(config, table, truth, pairwise, belief)
+        };
+        SessionDriver::from_belief(config, table, truth, pairwise, belief, slot)
     }
 
     /// The index of `table`'s entry, moved to the most recently used end,
@@ -202,22 +265,16 @@ impl TableCache {
         self.entries.len() - 1
     }
 
-    /// Stores `belief` beside entry `idx`, evicting least recently used
+    /// Stores `stored` beside entry `idx`, evicting least recently used
     /// beliefs until the byte bound holds. A belief larger than the whole
     /// bound is not stored.
-    fn store(&mut self, idx: usize, key: BeliefKey, belief: Belief) {
-        let bytes = belief.bytes();
-        if bytes > self.budget {
+    fn keep(&mut self, idx: usize, stored: StoredBelief) {
+        if stored.bytes > self.budget {
             return;
         }
-        while self.belief_bytes + bytes > self.budget && self.evict_lru_belief() {}
-        self.belief_bytes += bytes;
-        self.entries[idx].beliefs.push(StoredBelief {
-            key,
-            belief,
-            bytes,
-            last_used: self.clock,
-        });
+        while self.belief_bytes + stored.bytes > self.budget && self.evict_lru_belief() {}
+        self.belief_bytes += stored.bytes;
+        self.entries[idx].beliefs.push(stored);
     }
 
     /// Drops the least recently used stored belief; false when none is
@@ -674,13 +731,16 @@ mod tests {
         assert_eq!(held(&cache), cache.belief_bytes);
     }
 
-    /// Bytes of every stored belief, recounted.
+    /// Bytes of every stored belief and its first-pick slots, recounted.
     fn held(cache: &TableCache) -> usize {
         cache
             .entries
             .iter()
             .flat_map(|e| &e.beliefs)
-            .map(|s| s.belief.bytes())
+            .map(|s| {
+                let slots: usize = s.first_picks.iter().map(FirstPickSlot::max_bytes).sum();
+                s.belief.bytes() + slots
+            })
             .sum()
     }
 
@@ -735,5 +795,268 @@ mod tests {
         }
         assert!(cache.beliefs() < 8, "the bound must evict");
         assert!(m.belief_hits > 0);
+    }
+
+    /// The stored belief of `cache`'s only table with key index `at`.
+    fn stored(cache: &TableCache, at: usize) -> &StoredBelief {
+        &cache.entries.last().expect("a table").beliefs[at]
+    }
+
+    #[test]
+    fn first_pick_hits_match_fresh_sessions() {
+        // Every slotted strategy, on a fixed and an adaptive engine, with
+        // and without an early-stop target, at 1–4 threads. Two waves of
+        // two submits per config: the second wave starts only from slots
+        // the first wave filled, and every report must equal a fresh
+        // `new_shared` run.
+        let table = table(0.0);
+        let algorithms = [
+            Algorithm::T1On,
+            Algorithm::TbOff,
+            Algorithm::COff,
+            Algorithm::AStarOff {
+                max_expansions: Some(500),
+            },
+            Algorithm::AStarOn {
+                lookahead: 0,
+                max_expansions: Some(500),
+            },
+            Algorithm::Incr {
+                questions_per_round: 2,
+            },
+        ];
+        for engine in [
+            Engine::MonteCarlo(McConfig::fixed(400, 7)),
+            Engine::MonteCarlo(McConfig::adaptive(0.1, 0.1, 7)),
+        ] {
+            let base = config(Algorithm::T1On, engine.clone());
+            let initial = SessionDriver::new(base, &table, None)
+                .unwrap()
+                .report()
+                .initial_uncertainty;
+            let configs: Vec<_> = algorithms
+                .iter()
+                .flat_map(|alg| {
+                    [None, Some(0.6 * initial)].map(|target| SessionConfig {
+                        uncertainty_target: target,
+                        budget: 4,
+                        ..config(alg.clone(), engine.clone())
+                    })
+                })
+                .collect();
+            let fresh: Vec<_> = configs
+                .iter()
+                .map(|cfg| standalone(cfg.clone(), &table))
+                .collect();
+            for threads in 1..=4 {
+                let mut svc = TopKService::new(crowd(&table)).with_threads(threads);
+                let mut reused = Vec::new();
+                for _wave in 0..2 {
+                    let before = svc.metrics().first_picks_reused;
+                    let ids: Vec<_> = configs
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(c, cfg)| [c; 2].map(|c| (c, cfg)))
+                        .map(|(c, cfg)| {
+                            let spec = SessionSpec::new(cfg.clone());
+                            (c, svc.submit(&table, spec).unwrap())
+                        })
+                        .collect();
+                    svc.run_to_completion();
+                    reused.push(svc.metrics().first_picks_reused - before);
+                    for (c, id) in ids {
+                        let name = configs[c].algorithm.name();
+                        assert!(
+                            svc.report(id).expect("completes").same_outcome(&fresh[c]),
+                            "{name} on {engine:?} at {threads} threads diverged from a fresh run"
+                        );
+                    }
+                }
+                assert_eq!(
+                    reused[1],
+                    2 * configs.len() as u64,
+                    "{engine:?} at {threads} threads: every second-wave session reuses"
+                );
+                assert!(svc.metrics().summary().contains("first picks reused"));
+            }
+        }
+    }
+
+    #[test]
+    fn first_picks_never_cross_configs() {
+        // A base session fills its slot; a config that differs from it in
+        // measure, budget or round size alone must get an empty slot of
+        // its own, while a repeat of the base reads the filled one.
+        let fixed = Engine::MonteCarlo(McConfig::fixed(400, 7));
+        let incr = |questions_per_round| Algorithm::Incr {
+            questions_per_round,
+        };
+        let tree = config(Algorithm::TbOff, fixed.clone());
+        let stream = config(incr(2), fixed.clone());
+        let cases = [
+            (
+                "measure",
+                tree.clone(),
+                SessionConfig {
+                    measure: MeasureKind::Entropy,
+                    ..tree.clone()
+                },
+            ),
+            (
+                "budget",
+                tree.clone(),
+                SessionConfig {
+                    budget: 4,
+                    ..tree.clone()
+                },
+            ),
+            (
+                "questions per round",
+                stream.clone(),
+                config(incr(3), fixed.clone()),
+            ),
+        ];
+        let t = table(0.0);
+        for (what, base, variant) in cases {
+            let mut cache = TableCache::default();
+            let mut m = ServiceMetrics::default();
+            for _ in 0..2 {
+                cache.driver(&t, base.clone(), None, &mut m).unwrap();
+            }
+            let mut first = cache.driver(&t, base.clone(), None, &mut m).unwrap();
+            assert!(!first.first_pick_stored(), "{what}");
+            first.next_batch(usize::MAX).unwrap();
+            let repeat = cache.driver(&t, base.clone(), None, &mut m).unwrap();
+            assert!(
+                repeat.first_pick_stored(),
+                "{what}: the base slot is filled"
+            );
+            let other = cache.driver(&t, variant, None, &mut m).unwrap();
+            assert!(
+                !other.first_pick_stored(),
+                "{what}: the variant read the base slot"
+            );
+            assert_eq!(stored(&cache, 0).first_picks.len(), 2, "{what}");
+        }
+    }
+
+    #[test]
+    fn random_and_naive_get_no_slot() {
+        // Their selectors read the session seed: no slot is made for them,
+        // and no session of theirs ever reads a stored pick.
+        let t = table(0.0);
+        let fixed = Engine::MonteCarlo(McConfig::fixed(400, 7));
+        let specs: Vec<_> = [Algorithm::Random, Algorithm::Naive]
+            .into_iter()
+            .flat_map(|alg| std::iter::repeat_n(alg, 4))
+            .map(|alg| config(alg, fixed.clone()))
+            .collect();
+        let mut cache = TableCache::default();
+        let mut m = ServiceMetrics::default();
+        for cfg in &specs {
+            let mut driver = cache.driver(&t, cfg.clone(), None, &mut m).unwrap();
+            driver.next_batch(usize::MAX).unwrap();
+            assert!(!driver.first_pick_reused());
+        }
+        assert_eq!(m.belief_hits, 6);
+        assert!(stored(&cache, 0).first_picks.is_empty());
+
+        let mut svc = TopKService::new(crowd(&t)).with_threads(1);
+        for cfg in specs {
+            svc.submit(&t, SessionSpec::new(cfg)).unwrap();
+        }
+        svc.run_to_completion();
+        assert_eq!(svc.metrics().first_picks_reused, 0);
+    }
+
+    #[test]
+    fn first_picks_count_against_the_budget() {
+        // Exact bytes: each slot adds its bound once, when it is made,
+        // sized by the questions its selection can queue (1 for T1-on,
+        // the budget for TB-off, at most the table's 15 pairs for C-off,
+        // the round size for incr). The first incr submit's world
+        // attachment keeps the slots; repeats and Random add nothing; the
+        // slots leave with their table.
+        let t = table(0.0);
+        let fixed = |alg| config(alg, Engine::MonteCarlo(McConfig::fixed(400, 7)));
+        let q = std::mem::size_of::<ctk_crowd::Question>();
+        let mut cache = TableCache::default();
+        let mut m = ServiceMetrics::default();
+        let submit = |cache: &mut TableCache, m: &mut ServiceMetrics, cfg: SessionConfig| {
+            cache.driver(&t, cfg, None, m).unwrap();
+            assert_eq!(m.stored_belief_bytes, cache.belief_bytes);
+            assert_eq!(held(cache), cache.belief_bytes);
+            cache.belief_bytes
+        };
+        submit(&mut cache, &mut m, fixed(Algorithm::T1On));
+        let paths = submit(&mut cache, &mut m, fixed(Algorithm::T1On)) - {
+            let s = stored(&cache, 0);
+            s.first_picks[0].max_bytes()
+        };
+        assert_eq!(paths, stored(&cache, 0).belief.bytes());
+        let one = stored(&cache, 0).first_picks[0].max_bytes();
+        let tb = submit(&mut cache, &mut m, fixed(Algorithm::TbOff));
+        assert_eq!(tb, paths + one + (one + 2 * q), "TB-off plans budget 3");
+        let wide = SessionConfig {
+            budget: 40,
+            ..fixed(Algorithm::COff)
+        };
+        let c = submit(&mut cache, &mut m, wide);
+        assert_eq!(c, tb + one + 14 * q, "C-off plans at most 15 pairs");
+        let incr = fixed(Algorithm::Incr {
+            questions_per_round: 2,
+        });
+        let attached = submit(&mut cache, &mut m, incr.clone());
+        let worlds = stored(&cache, 0).belief.worlds().expect("attached").bytes();
+        assert_eq!(attached, c + worlds + one + q, "incr asks 2 a round");
+        assert_eq!(
+            stored(&cache, 0).first_picks.len(),
+            4,
+            "the attach kept them"
+        );
+        for cfg in [incr, fixed(Algorithm::T1On), fixed(Algorithm::Random)] {
+            assert_eq!(submit(&mut cache, &mut m, cfg), attached);
+        }
+        assert_eq!(m.belief_hits, 5);
+
+        // Evicting the table evicts its belief with every slot.
+        for shift in 1..=MAX_TABLES {
+            cache
+                .driver(
+                    &table(shift as f64 * 1e-3),
+                    fixed(Algorithm::T1On),
+                    None,
+                    &mut m,
+                )
+                .unwrap();
+        }
+        assert_eq!((cache.beliefs(), cache.belief_bytes), (0, 0));
+    }
+
+    #[test]
+    fn evicted_beliefs_take_their_slots() {
+        // A budget that holds one belief with its slots: storing a second
+        // key evicts the first, slots and all.
+        let t = table(0.0);
+        let cfg = |seed| {
+            config(
+                Algorithm::TbOff,
+                Engine::MonteCarlo(McConfig::fixed(400, seed)),
+            )
+        };
+        let mut cache = TableCache::default();
+        let mut m = ServiceMetrics::default();
+        for _ in 0..2 {
+            cache.driver(&t, cfg(1), None, &mut m).unwrap();
+        }
+        let one = cache.belief_bytes;
+        cache.budget = one + one / 2;
+        for _ in 0..2 {
+            cache.driver(&t, cfg(2), None, &mut m).unwrap();
+        }
+        assert_eq!(cache.beliefs(), 1);
+        assert_eq!(stored(&cache, 0).key, BeliefKey::of(&cfg(2)).unwrap());
+        assert_eq!(held(&cache), cache.belief_bytes);
+        assert_eq!(stored(&cache, 0).first_picks.len(), 1);
     }
 }
