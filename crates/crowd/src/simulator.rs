@@ -120,7 +120,7 @@ impl<M: AnswerModel> CrowdSimulator<M> {
 
 impl<M: AnswerModel> Crowd for CrowdSimulator<M> {
     /// Draws one vote per panel seat through
-    /// [`AnswerModel::vote_with_gap`] and aggregates them under the vote
+    /// [`AnswerModel::answer_with_gap`] and aggregates them under the vote
     /// policy.
     fn ask(&mut self, q: Question) -> Option<Answer> {
         let cost = self.policy.votes_per_question();
@@ -133,7 +133,7 @@ impl<M: AnswerModel> Crowd for CrowdSimulator<M> {
         let truth = self.truth.true_answer(&q);
         let gap = (self.truth.scores()[q.i as usize] - self.truth.scores()[q.j as usize]).abs();
         let votes: Vec<bool> = (0..cost)
-            .map(|_| self.model.vote_with_gap(&q, truth, gap).yes)
+            .map(|_| self.model.answer_with_gap(&q, truth, gap))
             .collect();
         let yes = match self.policy {
             VotePolicy::Single => votes[0],

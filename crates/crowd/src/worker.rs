@@ -4,10 +4,9 @@
 //! §III-C models a worker by an *accuracy* — the probability that the
 //! returned answer is correct. The experiment harness uses
 //! [`PerfectWorker`] for the noiseless setting and [`NoisyWorker`] /
-//! [`WorkerPool`] for the noisy-crowd experiments. Every answer can also be
-//! *attributed*: [`AnswerModel::vote_with_gap`] reports which member of the
-//! model produced it as a [`Vote`], the raw material the `ctk-quality`
-//! crate's per-worker accuracy estimation is built on.
+//! [`WorkerPool`] for the noisy-crowd experiments. [`WorkerId`] and
+//! [`Vote`] name one worker's raw verdict, the raw material the
+//! `ctk-quality` crate's per-worker accuracy estimation is built on.
 
 use crate::error::CrowdError;
 use crate::question::Question;
@@ -15,16 +14,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 
-/// Identifies one worker within an answer model (e.g. the index of a pool
-/// member). Single-worker models attribute everything to
-/// [`WorkerId::SOLO`].
+/// Identifies one worker within a roster (e.g. the index of a pool
+/// member).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WorkerId(pub u32);
-
-impl WorkerId {
-    /// The id single-worker models attribute their answers to.
-    pub const SOLO: WorkerId = WorkerId(0);
-}
 
 impl fmt::Display for WorkerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -62,19 +55,6 @@ pub trait AnswerModel: Send {
     /// calls override this; the default ignores the gap.
     fn answer_with_gap(&mut self, q: &Question, truth: bool, _gap: f64) -> bool {
         self.answer(q, truth)
-    }
-
-    /// Like [`AnswerModel::answer_with_gap`] but attributing the answer to
-    /// the worker that produced it. Single-worker models keep the default
-    /// ([`WorkerId::SOLO`]); pools override it to report the selected
-    /// member. The returned answer is drawn exactly as
-    /// [`AnswerModel::answer_with_gap`] would draw it, so attributed and
-    /// unattributed asks consume identical randomness.
-    fn vote_with_gap(&mut self, q: &Question, truth: bool, gap: f64) -> Vote {
-        Vote {
-            worker: WorkerId::SOLO,
-            yes: self.answer_with_gap(q, truth, gap),
-        }
     }
 }
 
@@ -222,14 +202,6 @@ impl<W: AnswerModel> AnswerModel for WorkerPool<W> {
         let idx = self.next_index();
         self.workers[idx].answer_with_gap(q, truth, gap)
     }
-
-    fn vote_with_gap(&mut self, q: &Question, truth: bool, gap: f64) -> Vote {
-        let idx = self.next_index();
-        Vote {
-            worker: WorkerId(idx as u32),
-            yes: self.workers[idx].answer_with_gap(q, truth, gap),
-        }
-    }
 }
 
 /// A worker whose accuracy depends on how close the compared scores are:
@@ -376,18 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_votes_are_attributed_round_robin() {
-        let mut pool = WorkerPool::new(&[1.0, 0.5, 0.9], 7).expect("non-empty");
-        let votes: Vec<Vote> = (0..5)
-            .map(|_| pool.vote_with_gap(&q(), true, 0.2))
-            .collect();
-        let ids: Vec<u32> = votes.iter().map(|v| v.worker.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 0, 1], "round-robin attribution");
-        // The accuracy-1.0 worker (w0) always answers truthfully.
-        assert!(votes[0].yes && votes[3].yes);
-    }
-
-    #[test]
     fn pool_forwards_gap_to_members() {
         // Regression: `answer_with_gap` on a pool used to drop the gap, so
         // difficulty-aware members behaved like their asymptotic selves.
@@ -417,14 +377,6 @@ mod tests {
             "ties ~ coin flip: {tie_rate}"
         );
         assert!(wide_rate > 0.92, "wide gaps ~ eta_max: {wide_rate}");
-        // And attribution carries the same gap-forwarding path.
-        let mut attr_pool = pool();
-        let mut plain_pool = pool();
-        for _ in 0..200 {
-            let v = attr_pool.vote_with_gap(&q(), true, 0.3);
-            let a = plain_pool.answer_with_gap(&q(), true, 0.3);
-            assert_eq!(v.yes, a, "vote_with_gap must draw like answer_with_gap");
-        }
     }
 
     #[test]
@@ -454,9 +406,6 @@ mod tests {
         let mut w = PerfectWorker;
         assert!(w.answer_with_gap(&q(), true, 0.0));
         assert!(!w.answer_with_gap(&q(), false, 0.0));
-        let v = w.vote_with_gap(&q(), true, 0.0);
-        assert_eq!(v.worker, WorkerId::SOLO);
-        assert!(v.yes);
     }
 
     #[test]
@@ -482,6 +431,5 @@ mod tests {
     #[test]
     fn worker_id_display() {
         assert_eq!(format!("{}", WorkerId(3)), "w3");
-        assert_eq!(WorkerId::SOLO, WorkerId(0));
     }
 }

@@ -12,9 +12,9 @@
 //! captures those knobs, [`generate`] materializes a table
 //! deterministically, and [`scenarios`] provides one named preset per
 //! figure/table of the paper (see DESIGN.md §6). The [`crowd`] module
-//! extends the same idea to worker populations: seeded presets for
-//! spammer-contaminated, churning and gold-calibrated rosters consumed
-//! by the `ctk-quality` experiments.
+//! extends the same idea to worker populations: seeded spammer-contaminated
+//! rosters and the gold questions that calibrate them, consumed by the
+//! `ctk-quality` experiments.
 //!
 //! ## Example
 //!
@@ -42,7 +42,7 @@ pub mod generator;
 pub mod scenarios;
 
 pub use config::{CenterLayout, DatasetSpec, PdfFamily, WidthSpec};
-pub use crowd::{churn_pool, gold_calibrated, gold_questions, spammer_pool};
+pub use crowd::{gold_questions, spammer_pool};
 pub use error::{DatagenError, Result};
 pub use generator::generate;
 pub use scenarios::{HeteroVariant, Scenario};

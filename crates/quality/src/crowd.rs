@@ -4,162 +4,46 @@
 //! This is the quality-layer counterpart of
 //! [`ctk_crowd::CrowdSimulator`]: same [`Crowd`] interface, same ground
 //! truth and budget ledger, but the roster is heterogeneous — each
-//! worker has a true (hidden) accuracy, a per-vote price, and an
-//! optional activity window — and every answer is fused from attributed
-//! votes using the *estimated* accuracies, never the hidden ones. In
-//! [`Grading::Nominal`] + [`Calibration::Frozen`] mode it degrades
-//! exactly to the plain majority simulator (bit-identical answers and
-//! grades over the same seeds), which is how the
-//! `majority_compat_replays_the_plain_pool_session` integration test
-//! keeps the legacy baseline honest.
+//! worker has a true (hidden) accuracy — and every answer is fused from
+//! attributed votes using the *estimated* accuracies, never the hidden
+//! ones. Estimates move online against the fused consensus and are
+//! re-estimated jointly by a Dawid–Skene EM pass every `EM_EVERY`
+//! questions. The plain-majority baseline is
+//! `CrowdSimulator<WorkerPool>` under `VotePolicy::Majority`.
 
 use crate::error::QualityError;
 use crate::estimator::{dawid_skene, PanelRecord, VoteLog};
 use crate::fusion::fuse_weighted;
-use crate::gates::{fleiss_kappa, GateConfig};
-use crate::posterior::BetaPosterior;
-use ctk_crowd::aggregate::majority_vote;
+use crate::gates::GateConfig;
+use crate::posterior::{BetaPosterior, PRIOR};
 use ctk_crowd::{
     Answer, AnswerModel, BudgetLedger, CostModel, Crowd, GroundTruth, NoisyWorker, Question, Vote,
     VotePolicy, WorkerId,
 };
 use std::collections::BTreeMap;
 
-/// One roster member's declared properties.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkerSpec {
-    accuracy: f64,
-    cost: usize,
-    window: Option<(u64, u64)>,
-}
+/// Questions between Dawid–Skene EM passes.
+const EM_EVERY: u64 = 32;
 
-impl WorkerSpec {
-    /// A unit-cost, always-active worker with the given true accuracy.
-    pub fn new(accuracy: f64) -> Self {
-        Self {
-            accuracy,
-            cost: 1,
-            window: None,
-        }
-    }
+/// EM iterations per pass.
+const EM_ITERS: usize = 8;
 
-    /// Sets the per-vote price (experts cost more).
-    pub fn with_cost(mut self, cost: usize) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Restricts the worker to the activity window `[join, leave)`,
-    /// measured in pool questions asked — the churn model.
-    pub fn with_window(mut self, join: u64, leave: u64) -> Self {
-        self.window = Some((join, leave));
-        self
-    }
-
-    /// The true accuracy (hidden from the estimation layer).
-    pub fn accuracy(&self) -> f64 {
-        self.accuracy
-    }
-
-    /// The per-vote price.
-    pub fn cost(&self) -> usize {
-        self.cost
-    }
-
-    /// The activity window `[join, leave)`, if the worker churns.
-    pub fn window(&self) -> Option<(u64, u64)> {
-        self.window
-    }
-
-    fn validate(&self) -> Result<(), QualityError> {
-        if !(self.accuracy.is_finite() && (0.0..=1.0).contains(&self.accuracy)) {
-            return Err(QualityError::InvalidAccuracy);
-        }
-        if self.cost == 0 {
-            return Err(QualityError::InvalidCost);
-        }
-        if let Some((join, leave)) = self.window {
-            if join >= leave {
-                return Err(QualityError::InvalidWindow);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// How worker accuracies are maintained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Calibration {
-    /// Posteriors never move (beyond explicit gold calibration): the
-    /// compatibility mode that keeps a uniform pool bit-identical to the
-    /// plain majority path.
-    Frozen,
-    /// Online Beta updates against the fused consensus, with a full
-    /// Dawid–Skene EM re-estimation every `em_every` questions
-    /// (0 disables the EM pass, keeping only the online updates).
-    Online {
-        /// Questions between EM passes (0 = never).
-        em_every: u64,
-    },
-}
-
-/// How the per-answer accuracy handed to the Bayesian update is graded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Grading {
-    /// Legacy grading: the vote-policy effective accuracy of the roster's
-    /// mean declared accuracy — exactly what `CrowdSimulator` reports
-    /// for a `WorkerPool` under the same panel size.
-    Nominal,
-    /// The fused log-odds posterior σ(|score|) — per-answer, weighted by
-    /// the estimated accuracy of whoever actually voted.
-    Posterior,
-}
-
-/// Full quality-layer configuration.
+/// Quality-layer configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityConfig {
     /// Votes per question (odd; 1 or >= 3).
     pub panel: usize,
     /// Quarantine policy.
     pub gates: GateConfig,
-    /// Accuracy maintenance mode.
-    pub calibration: Calibration,
-    /// Per-answer accuracy grading mode.
-    pub grading: Grading,
-    /// Beta prior pseudo-counts applied to every worker.
-    pub prior: (f64, f64),
-    /// EM iterations per re-estimation pass.
-    pub em_iters: usize,
-    /// Vote-log capacity (questions remembered for EM and kappa).
-    pub log_capacity: usize,
 }
 
 impl QualityConfig {
-    /// The full quality stack: online calibration with EM every 32
-    /// questions, posterior grading, the default spammer gate.
+    /// The quality stack over `panel`-vote panels with the default
+    /// spammer gate.
     pub fn weighted(panel: usize) -> Self {
         Self {
             panel,
             gates: GateConfig::spammer_default(),
-            calibration: Calibration::Online { em_every: 32 },
-            grading: Grading::Posterior,
-            prior: (3.0, 1.0),
-            em_iters: 8,
-            log_capacity: 512,
-        }
-    }
-
-    /// The compatibility mode: frozen posteriors, nominal grading, gates
-    /// off — emulates `CrowdSimulator<WorkerPool>` bit for bit.
-    pub fn majority_compat(panel: usize) -> Self {
-        Self {
-            panel,
-            gates: GateConfig::disabled(),
-            calibration: Calibration::Frozen,
-            grading: Grading::Nominal,
-            prior: (3.0, 1.0),
-            em_iters: 0,
-            log_capacity: 512,
         }
     }
 }
@@ -167,20 +51,9 @@ impl QualityConfig {
 #[derive(Debug, Clone)]
 struct RosterEntry {
     model: NoisyWorker,
-    cost: usize,
-    window: Option<(u64, u64)>,
     posterior: BetaPosterior,
     graded: u64,
     quarantined_until: Option<u64>,
-}
-
-impl RosterEntry {
-    fn active_at(&self, tick: u64) -> bool {
-        match self.window {
-            None => true,
-            Some((join, leave)) => tick >= join && tick < leave,
-        }
-    }
 }
 
 /// The quality-aware crowd backend.
@@ -189,30 +62,31 @@ pub struct QualityCrowd {
     truth: GroundTruth,
     roster: Vec<RosterEntry>,
     policy: VotePolicy,
-    config: QualityConfig,
+    gates: GateConfig,
     ledger: BudgetLedger,
     log: VoteLog,
     cursor: usize,
     asked: u64,
     last_accuracy: f64,
-    nominal_mean: f64,
-    min_panel_cost: usize,
+    /// Questions between EM passes (0 = never): `EM_EVERY` outside
+    /// this crate's tests.
+    em_every: u64,
 }
 
 impl QualityCrowd {
-    /// Creates a quality crowd over `specs`, with a **vote-denominated**
-    /// budget (a panel answer costs the sum of its members' per-vote
-    /// prices). Worker RNGs are seeded `seed.wrapping_add(index)`, the
-    /// same scheme `WorkerPool::new` uses, so equal-spec rosters replay
-    /// the same vote streams.
+    /// Creates a quality crowd over workers with the given true
+    /// `accuracies`, with a **vote-denominated** budget (a panel answer
+    /// costs one unit per vote). Worker RNGs are seeded
+    /// `seed.wrapping_add(index)`, the same scheme `WorkerPool::new`
+    /// uses, so equal rosters replay the same vote streams.
     pub fn new(
         truth: GroundTruth,
-        specs: &[WorkerSpec],
+        accuracies: &[f64],
         config: QualityConfig,
         budget: usize,
         seed: u64,
     ) -> Result<Self, QualityError> {
-        if specs.is_empty() {
+        if accuracies.is_empty() {
             return Err(QualityError::EmptyRoster);
         }
         let policy = match config.panel {
@@ -220,40 +94,32 @@ impl QualityCrowd {
             n if n >= 3 && n % 2 == 1 => VotePolicy::Majority(n),
             n => return Err(QualityError::InvalidPanel { size: n }),
         };
-        let prior = BetaPosterior::new(config.prior.0, config.prior.1)?;
-        let mut roster = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            spec.validate()?;
+        let mut roster = Vec::with_capacity(accuracies.len());
+        for (i, &accuracy) in accuracies.iter().enumerate() {
+            if !(accuracy.is_finite() && (0.0..=1.0).contains(&accuracy)) {
+                return Err(QualityError::InvalidAccuracy);
+            }
             roster.push(RosterEntry {
-                model: NoisyWorker::adversarial(spec.accuracy, seed.wrapping_add(i as u64)),
-                cost: spec.cost,
-                window: spec.window,
-                posterior: prior.clone(),
+                model: NoisyWorker::adversarial(accuracy, seed.wrapping_add(i as u64)),
+                posterior: BetaPosterior::nominal(),
                 graded: 0,
                 quarantined_until: None,
             });
         }
-        let log = VoteLog::new(config.log_capacity)?;
-        // Same fold order as `WorkerPool::accuracy()`: roster order sum,
-        // then one divide — keeps nominal grading bit-identical to the
-        // majority path.
-        let nominal_mean = specs.iter().map(|s| s.accuracy).sum::<f64>() / specs.len() as f64;
-        let mut costs: Vec<usize> = specs.iter().map(|s| s.cost).collect();
-        costs.sort_unstable();
-        let min_panel_cost: usize = (0..config.panel).map(|k| costs[k % costs.len()]).sum();
-        let last_accuracy = policy.effective_accuracy(nominal_mean);
+        // Before the first answer, grade like a plain pool of the same
+        // roster: the vote-policy accuracy of the mean true accuracy.
+        let nominal_mean = accuracies.iter().sum::<f64>() / accuracies.len() as f64;
         Ok(Self {
             truth,
             roster,
             policy,
-            config,
+            gates: config.gates,
             ledger: BudgetLedger::with_cost_model(budget, CostModel::PerVote),
-            log,
+            log: VoteLog::default(),
             cursor: 0,
             asked: 0,
-            last_accuracy,
-            nominal_mean,
-            min_panel_cost,
+            last_accuracy: policy.effective_accuracy(nominal_mean),
+            em_every: EM_EVERY,
         })
     }
 
@@ -287,12 +153,6 @@ impl QualityCrowd {
             .count()
     }
 
-    /// Fleiss' kappa over the logged vote window (`None` until multi-vote
-    /// panels exist).
-    pub fn kappa(&self) -> Option<f64> {
-        fleiss_kappa(&self.log.panel_counts())
-    }
-
     /// Runs a gold-question qualification round: every roster worker
     /// answers each question once and is graded against ground truth —
     /// the platform knows gold answers by construction, so this is
@@ -300,7 +160,19 @@ impl QualityCrowd {
     /// are financed outside the query budget (platform qualification
     /// rounds are priced separately from paid work); the ledger is not
     /// charged. Returns the number of graded votes.
-    pub fn calibrate_gold(&mut self, questions: &[Question]) -> u64 {
+    ///
+    /// Fails with [`QualityError::UnknownTuple`], naming the first
+    /// offending question, when a question names a tuple the ground
+    /// truth does not hold; the whole set is checked first, so a rejected
+    /// set grades nothing and draws no vote.
+    pub fn calibrate_gold(&mut self, questions: &[Question]) -> Result<u64, QualityError> {
+        let tuples = self.truth.scores().len();
+        if let Some(&question) = questions
+            .iter()
+            .find(|q| q.i as usize >= tuples || q.j as usize >= tuples)
+        {
+            return Err(QualityError::UnknownTuple { question, tuples });
+        }
         let mut graded = 0;
         for q in questions {
             let truth = self.truth.true_answer(q);
@@ -312,7 +184,7 @@ impl QualityCrowd {
                 graded += 1;
             }
         }
-        graded
+        Ok(graded)
     }
 
     /// Re-admits quarantined workers whose cooldown expired, resetting
@@ -329,26 +201,19 @@ impl QualityCrowd {
         }
     }
 
-    /// The candidate set for a panel: active un-quarantined workers,
-    /// falling back to active-but-quarantined (an all-quarantined pool
-    /// must still answer — degraded service beats none), then to the
-    /// whole roster (nobody active at this tick).
-    fn candidates(&self, tick: u64) -> Vec<usize> {
-        let active_free: Vec<usize> = (0..self.roster.len())
-            .filter(|&i| {
-                self.roster[i].active_at(tick) && self.roster[i].quarantined_until.is_none()
-            })
+    /// The candidate set for a panel: un-quarantined workers, falling
+    /// back to the whole roster when everyone is quarantined (an
+    /// all-quarantined pool must still answer — degraded service beats
+    /// none).
+    fn candidates(&self) -> Vec<usize> {
+        let free: Vec<usize> = (0..self.roster.len())
+            .filter(|&i| self.roster[i].quarantined_until.is_none())
             .collect();
-        if !active_free.is_empty() {
-            return active_free;
+        if free.is_empty() {
+            (0..self.roster.len()).collect()
+        } else {
+            free
         }
-        let active: Vec<usize> = (0..self.roster.len())
-            .filter(|&i| self.roster[i].active_at(tick))
-            .collect();
-        if !active.is_empty() {
-            return active;
-        }
-        (0..self.roster.len()).collect()
     }
 
     /// Selects the panel (indices into the roster, `panel` long, repeats
@@ -364,29 +229,19 @@ impl QualityCrowd {
         (picks, (self.cursor + n) % pool.len())
     }
 
-    /// Fuses the panel's votes into a verdict and a per-answer accuracy,
-    /// per the grading mode.
+    /// Fuses the panel's votes by estimated-accuracy log-odds into a
+    /// verdict and its fused posterior σ(|score|), the per-answer
+    /// accuracy.
     fn fuse(&self, votes: &[Vote]) -> (bool, f64) {
-        match self.config.grading {
-            Grading::Nominal => {
-                let bools: Vec<bool> = votes.iter().map(|v| v.yes).collect();
-                (
-                    majority_vote(&bools),
-                    self.policy.effective_accuracy(self.nominal_mean),
-                )
-            }
-            Grading::Posterior => {
-                let weighted: Vec<(bool, f64)> = votes
-                    .iter()
-                    .map(|v| (v.yes, self.roster[v.worker.0 as usize].posterior.log_odds()))
-                    .collect();
-                match fuse_weighted(&weighted) {
-                    Some(f) => (f.yes, f.posterior),
-                    // Unreachable (panels are non-empty), but degrade to
-                    // an uninformative coin call rather than panic.
-                    None => (false, 0.5),
-                }
-            }
+        let weighted: Vec<(bool, f64)> = votes
+            .iter()
+            .map(|v| (v.yes, self.roster[v.worker.0 as usize].posterior.log_odds()))
+            .collect();
+        match fuse_weighted(&weighted) {
+            Some(f) => (f.yes, f.posterior),
+            // Unreachable (panels are non-empty), but degrade to an
+            // uninformative coin call rather than panic.
+            None => (false, 0.5),
         }
     }
 
@@ -397,10 +252,6 @@ impl QualityCrowd {
             votes: votes.to_vec(),
             fused_yes,
         });
-        let em_every = match self.config.calibration {
-            Calibration::Frozen => return,
-            Calibration::Online { em_every } => em_every,
-        };
         for v in votes {
             let entry = &mut self.roster[v.worker.0 as usize];
             entry.posterior.observe(v.yes == fused_yes);
@@ -410,21 +261,20 @@ impl QualityCrowd {
             let entry = &mut self.roster[v.worker.0 as usize];
             if entry.quarantined_until.is_none()
                 && self
-                    .config
                     .gates
                     .should_quarantine(entry.graded, entry.posterior.mean())
             {
-                entry.quarantined_until = Some(tick + 1 + self.config.gates.cooldown);
+                entry.quarantined_until = Some(tick + 1 + self.gates.cooldown);
             }
         }
-        if em_every > 0 && (self.asked + 1).is_multiple_of(em_every) {
+        if self.em_every > 0 && (self.asked + 1).is_multiple_of(self.em_every) {
             let init: BTreeMap<WorkerId, f64> = self
                 .roster
                 .iter()
                 .enumerate()
                 .map(|(i, e)| (WorkerId(i as u32), e.posterior.mean()))
                 .collect();
-            let evidence = dawid_skene(&self.log, &init, self.config.prior, self.config.em_iters);
+            let evidence = dawid_skene(&self.log, &init, PRIOR, EM_ITERS);
             for (w, e) in &evidence {
                 if let Some(entry) = self.roster.get_mut(w.0 as usize) {
                     entry.posterior.set_evidence(e.correct, e.wrong());
@@ -438,9 +288,9 @@ impl Crowd for QualityCrowd {
     fn ask(&mut self, q: Question) -> Option<Answer> {
         let tick = self.asked;
         self.readmit_expired(tick);
-        let pool = self.candidates(tick);
+        let pool = self.candidates();
         let (panel, next_cursor) = self.select_panel(&pool);
-        let cost: usize = panel.iter().map(|&i| self.roster[i].cost).sum();
+        let cost = panel.len();
         if !self.ledger.can_afford(cost) {
             // Refused outright — no cursor movement, no RNG draws.
             return None;
@@ -466,7 +316,8 @@ impl Crowd for QualityCrowd {
     }
 
     fn remaining(&self) -> usize {
-        self.ledger.questions_affordable(self.min_panel_cost)
+        self.ledger
+            .questions_affordable(self.policy.votes_per_question())
     }
 
     fn answer_accuracy(&self) -> f64 {
@@ -481,104 +332,32 @@ impl Crowd for QualityCrowd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctk_crowd::{CrowdSimulator, WorkerPool};
+    use ctk_datagen::{gold_questions, spammer_pool};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn truth() -> GroundTruth {
         GroundTruth::from_scores(vec![0.1, 0.4, 0.7, 0.95])
     }
 
-    fn specs(accs: &[f64]) -> Vec<WorkerSpec> {
-        accs.iter().map(|&a| WorkerSpec::new(a)).collect()
-    }
-
     #[test]
     fn constructor_validation() {
         let cfg = QualityConfig::weighted(3);
-        let err = |specs: &[WorkerSpec], cfg: QualityConfig| {
-            QualityCrowd::new(truth(), specs, cfg, 100, 1)
+        let err = |accs: &[f64], cfg: QualityConfig| {
+            QualityCrowd::new(truth(), accs, cfg, 100, 1)
                 .map(|_| ())
                 .unwrap_err()
         };
         assert_eq!(err(&[], cfg.clone()), QualityError::EmptyRoster);
-        assert_eq!(
-            err(&specs(&[1.5]), cfg.clone()),
-            QualityError::InvalidAccuracy
-        );
-        assert_eq!(
-            err(&[WorkerSpec::new(0.8).with_cost(0)], cfg.clone()),
-            QualityError::InvalidCost
-        );
-        assert_eq!(
-            err(&[WorkerSpec::new(0.8).with_window(5, 5)], cfg.clone()),
-            QualityError::InvalidWindow
-        );
+        for bad in [1.5, -0.1, f64::NAN] {
+            assert_eq!(err(&[0.8, bad], cfg.clone()), QualityError::InvalidAccuracy);
+        }
         let mut even = cfg.clone();
         even.panel = 4;
-        assert_eq!(
-            err(&specs(&[0.8]), even),
-            QualityError::InvalidPanel { size: 4 }
-        );
-        let mut zero = cfg.clone();
+        assert_eq!(err(&[0.8], even), QualityError::InvalidPanel { size: 4 });
+        let mut zero = cfg;
         zero.panel = 0;
-        assert_eq!(
-            err(&specs(&[0.8]), zero),
-            QualityError::InvalidPanel { size: 0 }
-        );
-        let mut bad_prior = cfg;
-        bad_prior.prior = (0.0, 1.0);
-        assert_eq!(err(&specs(&[0.8]), bad_prior), QualityError::InvalidPrior);
-    }
-
-    #[test]
-    fn majority_compat_is_bit_identical_to_worker_pool() {
-        // Satellite edge case: a uniform-accuracy pool in compat mode
-        // must replay the plain majority simulator exactly — verdicts,
-        // per-answer accuracies, budget trajectory.
-        let accs = [0.85, 0.7, 0.9, 0.65, 0.8];
-        let seed: u64 = 42;
-        let budget = 60;
-        let pool = WorkerPool::from_workers(
-            accs.iter()
-                .enumerate()
-                .map(|(i, &a)| NoisyWorker::adversarial(a, seed.wrapping_add(i as u64)))
-                .collect(),
-        )
-        .expect("non-empty");
-        let mut legacy = CrowdSimulator::new(truth(), pool, VotePolicy::Majority(3), budget)
-            .expect("valid policy");
-        let mut quality = QualityCrowd::new(
-            truth(),
-            &specs(&accs),
-            QualityConfig::majority_compat(3),
-            budget,
-            seed,
-        )
-        .expect("valid config");
-        let questions: Vec<Question> = (0..4u32)
-            .flat_map(|i| {
-                (0..4u32)
-                    .filter(move |&j| i != j)
-                    .map(move |j| Question::new(i, j))
-            })
-            .collect();
-        for q in questions.iter().cycle().take(25) {
-            let a = legacy.ask(*q);
-            let b = quality.ask(*q);
-            match (a, b) {
-                (Some(x), Some(y)) => {
-                    assert_eq!(x, y, "verdicts diverged at {q:?}");
-                    assert_eq!(
-                        legacy.answer_accuracy().to_bits(),
-                        quality.answer_accuracy().to_bits(),
-                        "grades diverged at {q:?}"
-                    );
-                }
-                (None, None) => {}
-                (a, b) => panic!("affordability diverged: {a:?} vs {b:?}"),
-            }
-            assert_eq!(legacy.remaining(), quality.remaining());
-        }
-        assert_eq!(legacy.history(), quality.history());
+        assert_eq!(err(&[0.8], zero), QualityError::InvalidPanel { size: 0 });
     }
 
     #[test]
@@ -587,14 +366,8 @@ mod tests {
         // liars carry negative weight, so a panel they dominate by count
         // still fuses to the right answer.
         let accs = [0.95, 0.95, 0.95, 0.1, 0.1];
-        let mut crowd = QualityCrowd::new(
-            truth(),
-            &specs(&accs),
-            QualityConfig::weighted(5),
-            10_000,
-            7,
-        )
-        .expect("valid config");
+        let mut crowd = QualityCrowd::new(truth(), &accs, QualityConfig::weighted(5), 10_000, 7)
+            .expect("valid config");
         let gold: Vec<Question> = (0..4u32)
             .flat_map(|i| {
                 (0..4u32)
@@ -602,7 +375,9 @@ mod tests {
                     .map(move |j| Question::new(i, j))
             })
             .collect();
-        let graded = crowd.calibrate_gold(&gold);
+        let graded = crowd
+            .calibrate_gold(&gold)
+            .expect("gold names table tuples");
         assert_eq!(graded, 60, "5 workers x 12 gold questions");
         assert!(crowd.posterior_mean(WorkerId(0)).unwrap() > 0.8);
         assert!(crowd.posterior_mean(WorkerId(3)).unwrap() < 0.5);
@@ -632,9 +407,8 @@ mod tests {
         let accs = [0.9, 0.9, 0.9, 0.9, 0.5];
         let mut cfg = QualityConfig::weighted(5);
         cfg.gates = GateConfig::new(10, 0.62, 5).expect("valid gate");
-        cfg.calibration = Calibration::Online { em_every: 0 };
-        let mut crowd =
-            QualityCrowd::new(truth(), &specs(&accs), cfg, 100_000, 3).expect("valid config");
+        let mut crowd = QualityCrowd::new(truth(), &accs, cfg, 100_000, 3).expect("valid config");
+        crowd.em_every = 0;
         let mut quarantined_at = None;
         for n in 0..60u64 {
             let q = Question::new((n % 3) as u32 + 1, (n % 3) as u32);
@@ -666,9 +440,8 @@ mod tests {
         let accs = [0.5, 0.5, 0.5];
         let mut cfg = QualityConfig::weighted(3);
         cfg.gates = GateConfig::new(6, 0.85, 1_000_000).expect("valid gate");
-        cfg.calibration = Calibration::Online { em_every: 0 };
-        let mut crowd =
-            QualityCrowd::new(truth(), &specs(&accs), cfg, 100_000, 11).expect("valid config");
+        let mut crowd = QualityCrowd::new(truth(), &accs, cfg, 100_000, 11).expect("valid config");
+        crowd.em_every = 0;
         let mut served = 0;
         for n in 0..200u64 {
             let q = Question::new((n % 3) as u32 + 1, (n % 3) as u32);
@@ -681,34 +454,10 @@ mod tests {
     }
 
     #[test]
-    fn churned_workers_sit_out_their_window() {
-        // Worker 1 only active for ticks [0, 5); afterwards worker 0
-        // serves everything (panel 1, Any = round-robin over actives).
-        let specs = vec![WorkerSpec::new(1.0), WorkerSpec::new(0.0).with_window(0, 5)];
-        let mut cfg = QualityConfig::weighted(1);
-        cfg.calibration = Calibration::Frozen;
-        cfg.grading = Grading::Posterior;
-        let mut crowd = QualityCrowd::new(truth(), &specs, cfg, 1_000, 9).expect("valid config");
-        // First 5 ticks alternate including the always-wrong worker.
-        let q = Question::new(1, 0);
-        let early: Vec<bool> = (0..5).map(|_| crowd.ask(q).expect("served").yes).collect();
-        assert!(early.contains(&false), "the liar answered early: {early:?}");
-        // After the window closes only the perfect worker remains.
-        for _ in 0..10 {
-            assert!(crowd.ask(q).expect("served").yes);
-        }
-    }
-
-    #[test]
     fn unaffordable_ask_leaves_no_trace() {
-        let mut crowd = QualityCrowd::new(
-            truth(),
-            &specs(&[0.9, 0.9, 0.9]),
-            QualityConfig::weighted(3),
-            2,
-            1,
-        )
-        .expect("valid config");
+        let mut crowd =
+            QualityCrowd::new(truth(), &[0.9, 0.9, 0.9], QualityConfig::weighted(3), 2, 1)
+                .expect("valid config");
         assert_eq!(crowd.remaining(), 0, "2 votes cannot buy a 3-panel");
         assert!(crowd.ask(Question::new(1, 0)).is_none());
         assert!(crowd.history().is_empty());
@@ -716,54 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn kappa_surfaces_panel_agreement() {
-        let mut reliable = QualityCrowd::new(
-            truth(),
-            &specs(&[0.97, 0.97, 0.97]),
-            QualityConfig::weighted(3),
-            100_000,
-            13,
-        )
-        .expect("valid config");
-        let mut spammy = QualityCrowd::new(
-            truth(),
-            &specs(&[0.5, 0.5, 0.5]),
-            QualityConfig::weighted(3),
-            100_000,
-            13,
-        )
-        .expect("valid config");
-        // Alternate orientations so the true answers are half yes, half
-        // no: Fleiss' kappa degenerates when one category dominates.
-        for n in 0..300u64 {
-            let (i, j) = ((n % 3) as u32 + 1, (n % 3) as u32);
-            let q = if n % 2 == 0 {
-                Question::new(i, j)
-            } else {
-                Question::new(j, i)
-            };
-            reliable.ask(q).expect("served");
-            spammy.ask(q).expect("served");
-        }
-        let k_rel = reliable.kappa().expect("panels logged");
-        let k_spam = spammy.kappa().expect("panels logged");
-        assert!(k_rel > 0.7, "reliable kappa {k_rel}");
-        assert!(k_spam < 0.2, "spammer kappa {k_spam}");
-    }
-
-    #[test]
     fn em_pass_separates_workers_without_gold() {
         // No gold questions: the EM pass alone should rate the honest
         // bloc above the systematic liar.
         let accs = [0.9, 0.9, 0.9, 0.15, 0.9];
-        let mut crowd = QualityCrowd::new(
-            truth(),
-            &specs(&accs),
-            QualityConfig::weighted(5),
-            100_000,
-            21,
-        )
-        .expect("valid config");
+        let mut crowd = QualityCrowd::new(truth(), &accs, QualityConfig::weighted(5), 100_000, 21)
+            .expect("valid config");
         for n in 0..64u64 {
             let q = Question::new((n % 3) as u32 + 1, (n % 3) as u32);
             crowd.ask(q).expect("served");
@@ -774,5 +481,100 @@ mod tests {
             honest > liar + 0.2,
             "EM separation: honest {honest} vs liar {liar}"
         );
+    }
+
+    #[test]
+    fn calibrate_gold_rejects_unknown_tuples_untouched() {
+        let accs = [0.9, 0.6, 0.3];
+        let fresh = || {
+            QualityCrowd::new(truth(), &accs, QualityConfig::weighted(3), 1_000, 5)
+                .expect("valid config")
+        };
+        let mut crowd = fresh();
+        // The valid question comes first: nothing may be graded before
+        // the bad one is found.
+        let bad = [Question::new(1, 0), Question::new(9, 0)];
+        assert_eq!(
+            crowd.calibrate_gold(&bad),
+            Err(QualityError::UnknownTuple {
+                question: Question::new(9, 0),
+                tuples: 4,
+            })
+        );
+        assert_eq!(
+            crowd.calibrate_gold(&[Question::new(0, 4)]),
+            Err(QualityError::UnknownTuple {
+                question: Question::new(0, 4),
+                tuples: 4,
+            })
+        );
+        // A gold set built for a larger table is rejected too.
+        assert!(crowd.calibrate_gold(&gold_questions(5, 1)).is_err());
+        for w in 0..3 {
+            assert_eq!(crowd.posterior_mean(WorkerId(w)), Some(0.75));
+        }
+        // No vote was drawn: the next asks replay a fresh crowd's.
+        let mut reference = fresh();
+        for n in 0..20u32 {
+            let q = Question::new(n % 3 + 1, n % 3);
+            assert_eq!(crowd.ask(q), reference.ask(q));
+            assert_eq!(
+                crowd.answer_accuracy().to_bits(),
+                reference.answer_accuracy().to_bits()
+            );
+        }
+    }
+
+    /// Wrong fused answers over `asks` random questions on the
+    /// gold-calibrated roster `spammer_pool(9, 1/3, 7000 + rep)`, panel 3,
+    /// with EM every `em_every` questions (0 = never).
+    fn wrong_answers(rep: u64, asks: usize, em_every: u64) -> usize {
+        let n = 10u32;
+        let truth = GroundTruth::from_scores((0..n).map(|i| f64::from(i) / 10.0).collect());
+        let accs = spammer_pool(9, 1.0 / 3.0, 7000 + rep);
+        let mut crowd = QualityCrowd::new(
+            truth.clone(),
+            &accs,
+            QualityConfig::weighted(3),
+            3 * asks,
+            0xA5EED ^ rep,
+        )
+        .expect("valid roster");
+        crowd.em_every = em_every;
+        crowd
+            .calibrate_gold(&gold_questions(n, 1))
+            .expect("gold names table tuples");
+        let mut rng = StdRng::seed_from_u64(rep);
+        let mut wrong = 0;
+        for _ in 0..asks {
+            let i = rng.gen_range(0..n);
+            let j = (i + rng.gen_range(1..n)) % n;
+            let q = Question::new(i, j);
+            let answer = crowd.ask(q).expect("budget covers every ask");
+            if answer.yes != truth.true_answer(&q) {
+                wrong += 1;
+            }
+        }
+        wrong
+    }
+
+    #[test]
+    fn em_pass_earns_its_code_on_a_long_stream() {
+        // 336 asks (24 sessions' worth of T1-on at B = 14) fire the EM
+        // pass 10 times. In each of three blocks of 8 rosters, the crowd
+        // with EM must fuse fewer wrong answers than the same crowd with
+        // only the online updates.
+        const ASKS: usize = 336;
+        for block in 0..3u64 {
+            let (mut with_em, mut without) = (0, 0);
+            for rep in 8 * block..8 * (block + 1) {
+                with_em += wrong_answers(rep, ASKS, EM_EVERY);
+                without += wrong_answers(rep, ASKS, 0);
+            }
+            assert!(
+                with_em < without,
+                "block {block}: {with_em} wrong fused answers with EM vs {without} without"
+            );
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! Error type for quality-layer configuration.
+//! Error type for quality-layer configuration and input.
 
+use ctk_crowd::Question;
 use std::fmt;
 
 /// Errors surfaced by the quality layer instead of panicking.
@@ -13,18 +14,17 @@ pub enum QualityError {
         /// The rejected panel size.
         size: usize,
     },
-    /// A Beta prior with non-positive or non-finite pseudo-counts.
-    InvalidPrior,
-    /// A worker spec whose accuracy is outside `[0, 1]` or non-finite.
+    /// A worker accuracy outside `[0, 1]` or non-finite.
     InvalidAccuracy,
-    /// A worker spec with a zero per-vote cost (free workers would make
-    /// the cheapest-panel accounting degenerate).
-    InvalidCost,
-    /// An empty active window (`join >= leave`) or a zero-capacity vote
-    /// log.
-    InvalidWindow,
     /// A gate threshold outside `[0, 1]` or non-finite.
     InvalidThreshold,
+    /// A gold question naming a tuple the ground truth does not hold.
+    UnknownTuple {
+        /// The rejected question.
+        question: Question,
+        /// Tuples in the ground truth.
+        tuples: usize,
+    },
 }
 
 impl fmt::Display for QualityError {
@@ -34,19 +34,16 @@ impl fmt::Display for QualityError {
             QualityError::InvalidPanel { size } => {
                 write!(f, "vote panel must be an odd positive count, got {size}")
             }
-            QualityError::InvalidPrior => {
-                write!(f, "Beta prior pseudo-counts must be positive and finite")
-            }
             QualityError::InvalidAccuracy => {
                 write!(f, "worker accuracy must be a finite value in [0, 1]")
-            }
-            QualityError::InvalidCost => write!(f, "worker cost must be at least one unit"),
-            QualityError::InvalidWindow => {
-                write!(f, "active windows and log capacities must be non-empty")
             }
             QualityError::InvalidThreshold => {
                 write!(f, "thresholds must be finite and in [0, 1]")
             }
+            QualityError::UnknownTuple { question, tuples } => write!(
+                f,
+                "gold question {question} names a tuple outside the {tuples}-tuple ground truth"
+            ),
         }
     }
 }
@@ -62,10 +59,7 @@ mod tests {
         let msgs = [
             QualityError::EmptyRoster.to_string(),
             QualityError::InvalidPanel { size: 4 }.to_string(),
-            QualityError::InvalidPrior.to_string(),
             QualityError::InvalidAccuracy.to_string(),
-            QualityError::InvalidCost.to_string(),
-            QualityError::InvalidWindow.to_string(),
             QualityError::InvalidThreshold.to_string(),
         ];
         for m in msgs {
@@ -74,5 +68,11 @@ mod tests {
         assert!(QualityError::InvalidPanel { size: 4 }
             .to_string()
             .contains('4'));
+        let unknown = QualityError::UnknownTuple {
+            question: Question::new(9, 0),
+            tuples: 4,
+        }
+        .to_string();
+        assert!(unknown.contains('9') && unknown.contains('4'), "{unknown}");
     }
 }

@@ -18,7 +18,6 @@
 //! `BTreeMap` keyed by [`WorkerId`] — every fold order is fixed, so the
 //! same history always re-estimates to bit-identical accuracies.
 
-use crate::error::QualityError;
 use ctk_crowd::{Vote, WorkerId};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -29,87 +28,54 @@ use std::collections::VecDeque;
 /// (p = 1 would let a single vote decide every question it touches).
 const EM_CLAMP: f64 = 0.05;
 
+/// Panels a [`VoteLog`] remembers.
+const LOG_CAPACITY: usize = 512;
+
 /// One asked question's attributed votes plus the verdict fused at ask
 /// time.
 #[derive(Debug, Clone)]
-pub struct PanelRecord {
+pub(crate) struct PanelRecord {
     /// The raw votes, in collection order.
-    pub votes: Vec<Vote>,
+    pub(crate) votes: Vec<Vote>,
     /// The verdict the single-pass fusion produced.
-    pub fused_yes: bool,
+    pub(crate) fused_yes: bool,
 }
 
-/// Bounded FIFO of recent [`PanelRecord`]s — the evidence window the EM
-/// pass and the agreement statistics run over.
-#[derive(Debug, Clone)]
-pub struct VoteLog {
+/// Bounded FIFO of the most recent `LOG_CAPACITY` [`PanelRecord`]s —
+/// the evidence window the EM pass runs over.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct VoteLog {
     window: VecDeque<PanelRecord>,
-    capacity: usize,
 }
 
 impl VoteLog {
-    /// Creates a log keeping the most recent `capacity` panels.
-    ///
-    /// Fails with [`QualityError::InvalidWindow`] when `capacity` is 0.
-    pub fn new(capacity: usize) -> Result<Self, QualityError> {
-        if capacity == 0 {
-            return Err(QualityError::InvalidWindow);
-        }
-        Ok(Self {
-            window: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-        })
-    }
-
     /// Appends a record, evicting the oldest beyond capacity.
-    pub fn push(&mut self, record: PanelRecord) {
-        if self.window.len() == self.capacity {
+    pub(crate) fn push(&mut self, record: PanelRecord) {
+        if self.window.len() == LOG_CAPACITY {
             self.window.pop_front();
         }
         self.window.push_back(record);
     }
 
-    /// Panels currently remembered.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// True when nothing was logged yet.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
     /// The records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &PanelRecord> {
+    pub(crate) fn records(&self) -> impl Iterator<Item = &PanelRecord> {
         self.window.iter()
-    }
-
-    /// Per-panel `(yes, no)` vote counts, oldest first — the input shape
-    /// of [`crate::gates::fleiss_kappa`].
-    pub fn panel_counts(&self) -> Vec<(usize, usize)> {
-        self.window
-            .iter()
-            .map(|r| {
-                let yes = r.votes.iter().filter(|v| v.yes).count();
-                (yes, r.votes.len() - yes)
-            })
-            .collect()
     }
 }
 
 /// Soft evidence the EM pass accumulated for one worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EmEvidence {
+pub(crate) struct EmEvidence {
     /// Expected number of correct answers under the final consensus
     /// posteriors.
-    pub correct: f64,
+    pub(crate) correct: f64,
     /// Total answers graded (the worker's vote count in the window).
-    pub total: f64,
+    pub(crate) total: f64,
 }
 
 impl EmEvidence {
     /// Soft wrong count.
-    pub fn wrong(&self) -> f64 {
+    pub(crate) fn wrong(&self) -> f64 {
         self.total - self.correct
     }
 }
@@ -121,7 +87,7 @@ impl EmEvidence {
 /// are the Beta pseudo-counts mixed into every M-step. Returns the final
 /// soft evidence per worker; callers fold it back into their posteriors
 /// via [`crate::posterior::BetaPosterior::set_evidence`].
-pub fn dawid_skene(
+pub(crate) fn dawid_skene(
     log: &VoteLog,
     init: &BTreeMap<WorkerId, f64>,
     smoothing: (f64, f64),
@@ -215,7 +181,7 @@ mod tests {
     }
 
     fn log_from(panels: &[(&[(u32, bool)], bool)]) -> VoteLog {
-        let mut log = VoteLog::new(1024).expect("positive capacity");
+        let mut log = VoteLog::default();
         for (votes, fused) in panels {
             log.push(PanelRecord {
                 votes: votes.iter().map(|&(w, y)| vote(w, y)).collect(),
@@ -226,24 +192,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_is_rejected() {
-        assert_eq!(VoteLog::new(0).unwrap_err(), QualityError::InvalidWindow);
-    }
-
-    #[test]
     fn log_is_a_bounded_fifo() {
-        let mut log = VoteLog::new(2).expect("positive capacity");
-        assert!(log.is_empty());
-        for i in 0..5u32 {
+        let mut log = VoteLog::default();
+        for i in 0..LOG_CAPACITY as u32 + 3 {
             log.push(PanelRecord {
                 votes: vec![vote(i, true)],
                 fused_yes: true,
             });
         }
-        assert_eq!(log.len(), 2);
-        let workers: Vec<u32> = log.records().map(|r| r.votes[0].worker.0).collect();
-        assert_eq!(workers, vec![3, 4], "oldest evicted first");
-        assert_eq!(log.panel_counts(), vec![(1, 0), (1, 0)]);
+        assert_eq!(log.records().count(), LOG_CAPACITY);
+        let first = log.records().next().map(|r| r.votes[0].worker.0);
+        assert_eq!(first, Some(3), "oldest evicted first");
     }
 
     #[test]
@@ -313,7 +272,7 @@ mod tests {
 
     #[test]
     fn empty_log_yields_no_evidence() {
-        let log = VoteLog::new(8).expect("positive capacity");
+        let log = VoteLog::default();
         assert!(dawid_skene(&log, &BTreeMap::new(), (1.0, 1.0), 3).is_empty());
     }
 }

@@ -11,22 +11,21 @@
 //!
 //! With equal weights `w > 0` the score reduces to `w · (#yes − #no)`,
 //! whose sign is the plain majority — weighted fusion strictly
-//! generalizes `majority_vote`, and the
-//! `majority_compat_replays_the_plain_pool_session` integration test
-//! checks the reduction is bit-identical end to end.
+//! generalizes `majority_vote` (pinned by
+//! `equal_weights_reduce_to_exact_majority`).
 
 /// A fused verdict with its evidence mass.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FusedVerdict {
+pub(crate) struct FusedVerdict {
     /// The weighted-majority answer.
-    pub yes: bool,
+    pub(crate) yes: bool,
     /// The signed log-odds score `Σ ±w_v` (positive favors yes). Folded
     /// in vote order, so identical inputs fuse bit-identically.
-    pub score: f64,
+    pub(crate) score: f64,
     /// Posterior probability the verdict is correct: `σ(|score|)`. A
     /// zero-information panel (score 0) grades 0.5 — the Bayesian update
     /// downstream then treats the answer as worthless, which it is.
-    pub posterior: f64,
+    pub(crate) posterior: f64,
 }
 
 /// Fuses `(vote, weight)` pairs, where `weight` is the voter's accuracy
@@ -37,7 +36,7 @@ pub struct FusedVerdict {
 /// exactly opposed evidence) fall back to the unweighted vote count, and
 /// a tie there resolves to "no" deterministically; either way the
 /// posterior is 0.5, so downstream treats the answer as uninformative.
-pub fn fuse_weighted(votes: &[(bool, f64)]) -> Option<FusedVerdict> {
+pub(crate) fn fuse_weighted(votes: &[(bool, f64)]) -> Option<FusedVerdict> {
     if votes.is_empty() {
         return None;
     }

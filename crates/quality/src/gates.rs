@@ -1,29 +1,27 @@
-//! Worker gates: who is allowed to answer, and how panel agreement is
-//! monitored.
+//! Worker gates: who is allowed to answer.
 //!
 //! Real platforms gate workers on approval rate and minimum completed
 //! tasks before trusting them with paid work, and quarantine accounts
 //! whose quality collapses. [`GateConfig`] reproduces that policy over
-//! the [`crate::posterior::BetaPosterior`] estimates; [`fleiss_kappa`]
-//! gives the aggregate inter-worker agreement statistic quality
-//! dashboards watch — near 0 on a spammer-dominated pool even when every
-//! individual posterior still looks plausible.
+//! the per-worker posterior-mean accuracy estimates.
 
 use crate::error::QualityError;
 
-/// Quarantine policy over per-worker posteriors.
+/// Quarantine policy over per-worker posteriors. Built only through
+/// [`GateConfig::new`] or [`GateConfig::spammer_default`], so the
+/// approval floor is always a checked threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateConfig {
     /// Graded answers required before the gate judges a worker at all —
     /// the "minimum completed tasks" filter. Below this the worker is
     /// always eligible (everyone must be allowed to build a record).
-    pub min_answers: u64,
+    min_answers: u64,
     /// Posterior-mean approval floor: a judged worker whose mean drops
     /// below this is quarantined.
-    pub approval_floor: f64,
+    approval_floor: f64,
     /// Pool questions a quarantined worker sits out before deterministic
     /// re-admission (with a reset posterior — re-judged fresh).
-    pub cooldown: u64,
+    pub(crate) cooldown: u64,
 }
 
 impl GateConfig {
@@ -40,16 +38,6 @@ impl GateConfig {
             approval_floor,
             cooldown,
         })
-    }
-
-    /// A gate that never quarantines anyone (the compatibility mode for
-    /// plain-majority emulation).
-    pub fn disabled() -> Self {
-        Self {
-            min_answers: u64::MAX,
-            approval_floor: 0.0,
-            cooldown: 0,
-        }
     }
 
     /// The default spammer gate: judge after 12 graded answers,
@@ -71,56 +59,9 @@ impl GateConfig {
     }
 }
 
-/// Fleiss' kappa over binary vote panels: chance-corrected inter-worker
-/// agreement.
-///
-/// Input is one `(yes, no)` count pair per question; panels with fewer
-/// than two votes carry no pairwise agreement information and are
-/// skipped. Returns `None` when nothing is left to measure.
-///
-/// Edge cases follow the standard convention: when every vote in the
-/// window lands on one category, expected agreement Pₑ is 1 and the
-/// statistic degenerates — observed agreement is also perfect, so the
-/// result is 1.0. Independent coin-flip voters give kappa ≈ 0; a
-/// spammer-heavy pool is exactly the low-kappa regime the gate exists
-/// to flag.
-pub fn fleiss_kappa(panels: &[(usize, usize)]) -> Option<f64> {
-    let mut items = 0usize;
-    let mut p_bar_sum = 0.0;
-    let mut yes_total = 0usize;
-    let mut votes_total = 0usize;
-    for &(yes, no) in panels {
-        let n = yes + no;
-        if n < 2 {
-            continue;
-        }
-        items += 1;
-        yes_total += yes;
-        votes_total += n;
-        // Fraction of agreeing ordered pairs within the panel.
-        let agreeing = yes * yes.saturating_sub(1) + no * no.saturating_sub(1);
-        p_bar_sum += agreeing as f64 / (n * (n - 1)) as f64;
-    }
-    if items == 0 {
-        return None;
-    }
-    let p_bar = p_bar_sum / items as f64;
-    let p_yes = yes_total as f64 / votes_total as f64;
-    let p_e = p_yes * p_yes + (1.0 - p_yes) * (1.0 - p_yes);
-    let denom = 1.0 - p_e;
-    if denom.abs() < 1e-12 {
-        // Pₑ = 1 only when all votes are one category, where observed
-        // agreement is perfect too.
-        return Some(1.0);
-    }
-    Some((p_bar - p_e) / denom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn gate_thresholds_validated() {
@@ -140,65 +81,8 @@ mod tests {
         assert!(!g.should_quarantine(9, 0.1), "unjudged workers pass");
         assert!(g.should_quarantine(10, 0.59));
         assert!(!g.should_quarantine(10, 0.6), "floor is exclusive");
-        let off = GateConfig::disabled();
-        assert!(!off.should_quarantine(u64::MAX - 1, 0.0));
         let d = GateConfig::spammer_default();
         assert!(d.should_quarantine(12, 0.5));
         assert!(!d.should_quarantine(12, 0.75));
-    }
-
-    #[test]
-    fn kappa_unanimous_panels_is_one() {
-        // Satellite edge case: unanimous agreement — both the one-sided
-        // degenerate case and mixed-verdict unanimity — scores 1.0.
-        assert_eq!(fleiss_kappa(&[(5, 0), (5, 0), (5, 0)]), Some(1.0));
-        let k = fleiss_kappa(&[(5, 0), (0, 5), (5, 0)]).unwrap();
-        assert!((k - 1.0).abs() < 1e-12, "kappa = {k}");
-    }
-
-    #[test]
-    fn kappa_coin_flips_is_near_zero() {
-        // Satellite edge case: independent fair-coin voters agree only by
-        // chance; kappa concentrates near 0.
-        let mut rng = StdRng::seed_from_u64(17);
-        let panels: Vec<(usize, usize)> = (0..2000)
-            .map(|_| {
-                let yes = (0..5).filter(|_| rng.gen::<f64>() < 0.5).count();
-                (yes, 5 - yes)
-            })
-            .collect();
-        let k = fleiss_kappa(&panels).unwrap();
-        assert!(k.abs() < 0.05, "kappa = {k}");
-    }
-
-    #[test]
-    fn kappa_reliable_panels_score_high() {
-        // 90%-accurate voters on questions with a true answer: agreement
-        // well above chance.
-        let mut rng = StdRng::seed_from_u64(23);
-        let panels: Vec<(usize, usize)> = (0..2000)
-            .map(|i| {
-                let truth = i % 2 == 0;
-                let yes = (0..5)
-                    .filter(|_| {
-                        let correct = rng.gen::<f64>() < 0.9;
-                        correct == truth
-                    })
-                    .count();
-                (yes, 5 - yes)
-            })
-            .collect();
-        let k = fleiss_kappa(&panels).unwrap();
-        assert!(k > 0.5, "kappa = {k}");
-    }
-
-    #[test]
-    fn kappa_skips_degenerate_panels() {
-        assert_eq!(fleiss_kappa(&[]), None);
-        assert_eq!(fleiss_kappa(&[(1, 0), (0, 1)]), None, "singletons skipped");
-        // Singletons among real panels don't distort the statistic.
-        let with = fleiss_kappa(&[(3, 0), (1, 0), (0, 3)]).unwrap();
-        let without = fleiss_kappa(&[(3, 0), (0, 3)]).unwrap();
-        assert!((with - without).abs() < 1e-12);
     }
 }

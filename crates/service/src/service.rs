@@ -1420,20 +1420,13 @@ mod tests {
 
     #[test]
     fn service_completes_on_a_quality_crowd() {
-        use ctk_quality::{QualityConfig, QualityCrowd, WorkerSpec};
-        // End-to-end: a quality crowd (cheap spammers, pricey experts).
-        // The session must complete, spend live budget, and count its
-        // live asks as the backend does.
-        let specs = vec![
-            WorkerSpec::new(0.97).with_cost(5),
-            WorkerSpec::new(0.95).with_cost(5),
-            WorkerSpec::new(0.9).with_cost(5),
-            WorkerSpec::new(0.55),
-            WorkerSpec::new(0.55),
-            WorkerSpec::new(0.5),
-        ];
+        use ctk_quality::{QualityConfig, QualityCrowd};
+        // End-to-end: a quality crowd (experts and spammers). The
+        // session must complete, spend live budget, and count its live
+        // asks as the backend does.
+        let accuracies = [0.97, 0.95, 0.9, 0.55, 0.55, 0.5];
         let truth = GroundTruth::sample(&table(), 99);
-        let crowd = QualityCrowd::new(truth, &specs, QualityConfig::weighted(3), 10_000, 13)
+        let crowd = QualityCrowd::new(truth, &accuracies, QualityConfig::weighted(3), 10_000, 13)
             .expect("valid roster");
         let mut svc = TopKService::new(crowd);
         let id = svc
@@ -1451,20 +1444,16 @@ mod tests {
 
     #[test]
     fn quality_crowd_is_thread_count_invariant() {
-        use ctk_quality::{QualityConfig, QualityCrowd, WorkerSpec};
+        use ctk_quality::{QualityConfig, QualityCrowd};
         // A stateful crowd: every live ask moves the crowd's worker
         // posteriors, so any reordering of asks across worker threads
         // would show in the reports or the live-ask count.
-        let specs = [
-            WorkerSpec::new(0.97).with_cost(5),
-            WorkerSpec::new(0.9).with_cost(5),
-            WorkerSpec::new(0.55),
-            WorkerSpec::new(0.5),
-        ];
+        let accuracies = [0.97, 0.9, 0.55, 0.5];
         let run = |threads: usize| {
             let truth = GroundTruth::sample(&table(), 99);
-            let crowd = QualityCrowd::new(truth, &specs, QualityConfig::weighted(3), 10_000, 13)
-                .expect("valid roster");
+            let crowd =
+                QualityCrowd::new(truth, &accuracies, QualityConfig::weighted(3), 10_000, 13)
+                    .expect("valid roster");
             let mut svc = TopKService::new(crowd).with_fanout(3).with_threads(threads);
             let ids: Vec<_> = mixed_algorithms()
                 .into_iter()

@@ -2,9 +2,11 @@
 //! but real pools contain spammers. This example sweeps the spammer
 //! fraction and compares unweighted majority-of-3 voting against the
 //! quality layer (gold qualification, online Beta/Dawid–Skene accuracy
-//! estimation, log-odds-weighted fusion) at the same vote budget.
+//! estimation, spammer quarantine, log-odds-weighted fusion) at the same
+//! vote budget.
 //!
-//! Run with: `cargo run --example adversarial_crowd`
+//! Run with: `cargo run --example adversarial_crowd`. The output is
+//! deterministic; CI diffs it against `tests/golden/adversarial_crowd.txt`.
 
 use crowd_topk::datagen::{gold_questions, scenarios, spammer_pool, Scenario};
 use crowd_topk::prelude::*;
@@ -46,19 +48,16 @@ fn main() {
             let scenario = scenarios::noise(run);
             let truth = GroundTruth::sample(&scenario.table, 9000 + run);
             let top = truth.top_k(scenario.k);
-            // Strip the preset's expert pricing: both arms pay one vote
-            // per vote, so the comparison is at equal money.
-            let specs: Vec<WorkerSpec> = spammer_pool(ROSTER, fraction, 70 + run)
-                .iter()
-                .map(|s| WorkerSpec::new(s.accuracy()))
-                .collect();
+            // Both arms pay one unit per vote, so the comparison is at
+            // equal money.
+            let accuracies = spammer_pool(ROSTER, fraction, 70 + run);
             let seed = 31 * run + 7;
 
-            // Arm 1: the legacy pool — every vote counts the same.
-            let workers: Vec<NoisyWorker> = specs
+            // Arm 1: the plain pool — every vote counts the same.
+            let workers: Vec<NoisyWorker> = accuracies
                 .iter()
                 .enumerate()
-                .map(|(i, s)| NoisyWorker::adversarial(s.accuracy(), seed.wrapping_add(i as u64)))
+                .map(|(i, &a)| NoisyWorker::adversarial(a, seed.wrapping_add(i as u64)))
                 .collect();
             let mut majority = CrowdSimulator::new(
                 GroundTruth::sample(&scenario.table, 9000 + run),
@@ -72,13 +71,15 @@ fn main() {
             // a (budget-free) gold qualification round.
             let mut weighted = QualityCrowd::new(
                 GroundTruth::sample(&scenario.table, 9000 + run),
-                &specs,
+                &accuracies,
                 QualityConfig::weighted(PANEL),
                 BUDGET * PANEL,
                 seed,
             )
             .expect("valid roster");
-            weighted.calibrate_gold(&gold_questions(scenario.table.len() as u32, 1));
+            weighted
+                .calibrate_gold(&gold_questions(scenario.table.len() as u32, 1))
+                .expect("gold names table tuples");
 
             d_major += run_arm(&scenario, BUDGET, run, &top, &mut majority);
             d_weighted += run_arm(&scenario, BUDGET, run, &top, &mut weighted);

@@ -15,7 +15,7 @@
 //! | [`rank`] | rank lists, top-K Kendall distances, weighted tournaments, optimal rank aggregation |
 //! | [`tpo`] | the tree of possible orderings: construction engines, pruning, Bayesian updates |
 //! | [`crowd`] | questions, workers, vote aggregation, budget ledger, crowd simulator |
-//! | [`quality`] | per-worker accuracy estimation (Beta posteriors, Dawid–Skene EM), spammer gates, accuracy-weighted vote fusion |
+//! | [`quality`] | a quality-aware crowd: per-worker accuracy estimation (Beta posteriors, Dawid–Skene EM), spammer gates, accuracy-weighted vote fusion |
 //! | [`datagen`] | synthetic datasets, the paper's experiment scenarios, and crowd roster presets |
 //! | [`core`] | uncertainty measures, expected residual uncertainty, question-selection strategies, the sans-IO session driver, the UR session |
 //! | [`service`] | multi-session serving: one index-addressed session table, one phase-structured run loop (resume, plan, gather, purchase, feed), cross-session question batching with an answer cache |
@@ -60,7 +60,7 @@ pub use ctk_tpo as tpo;
 pub mod prelude {
     pub use ctk_core::prelude::*;
     pub use ctk_prob::{ScoreDist, TupleId, UncertainTable};
-    pub use ctk_quality::{QualityConfig, QualityCrowd, WorkerSpec};
+    pub use ctk_quality::{QualityConfig, QualityCrowd};
     pub use ctk_rank::RankList;
     pub use ctk_service::{SessionSpec, SessionState, TopKService};
     pub use ctk_tpo::{PathSet, Tpo};
