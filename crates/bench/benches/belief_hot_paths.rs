@@ -189,7 +189,7 @@ fn bench_belief_build(c: &mut Criterion) {
         seed: 3,
         uncertainty_target: None,
     };
-    let key = BeliefKey::of(&config).expect("Monte-Carlo incr is keyed");
+    let key = BeliefKey::of(&config);
     let pairwise = std::sync::Arc::new(PairwiseMatrix::compute(&stream));
     let stream_bounds = TopKBounds::from_matrix(&pairwise, 3).unwrap();
     let stored = Belief::build_with_worlds(&stream, &key, &stream_bounds).unwrap();
@@ -214,7 +214,7 @@ fn bench_belief_build(c: &mut Criterion) {
         algorithm: Algorithm::T1On,
         ..config.clone()
     };
-    let key = BeliefKey::of(&tree).expect("Monte-Carlo trees are keyed");
+    let key = BeliefKey::of(&tree);
     let tree_bounds = TopKBounds::from_matrix(&pairwise, 4).unwrap();
     let stored_tree = Belief::build(&stream, &key, &tree_bounds).unwrap();
     g.bench_function("tree_hit_n8_k4", |b| {
@@ -357,7 +357,7 @@ fn bench_session_start(c: &mut Criterion) {
         seed: 3,
         uncertainty_target: None,
     };
-    let key = BeliefKey::of(&config).expect("Monte-Carlo trees are keyed");
+    let key = BeliefKey::of(&config);
     let pairwise = std::sync::Arc::new(PairwiseMatrix::compute(&stream));
     let bounds = TopKBounds::from_matrix(&pairwise, 4).unwrap();
     let stored = Belief::build(&stream, &key, &bounds).unwrap();

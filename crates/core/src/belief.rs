@@ -15,12 +15,11 @@
 //! tree sessions of its configuration: its depth-`k` path set and report
 //! are the tree build's, bit for bit, and it additionally weighs the
 //! sampled worlds behind them, a [`WorldSample`] that sessions share
-//! behind an `Arc` ([`Belief::attach_worlds`]). An `incr` session on the
-//! exact engine has no key: it falls back to sampling worlds with its
-//! session seed, which no other session's build reads.
+//! behind an `Arc` ([`Belief::attach_worlds`]). `incr` needs those
+//! worlds, so [`SessionConfig::validate`] rejects it on the exact engine.
 
 use crate::error::{CoreError, Result};
-use crate::session::{Algorithm, SessionConfig};
+use crate::session::SessionConfig;
 use ctk_prob::{TopKBounds, UncertainTable};
 use ctk_tpo::build::{sample_adaptive, sample_fixed, AdaptiveSample, Engine, McConfig};
 use ctk_tpo::{PathSet, PrecisionReport, PrecisionTarget, StopReason, WorldSample};
@@ -35,15 +34,11 @@ pub struct BeliefKey {
 }
 
 impl BeliefKey {
-    /// The key of `config`'s initial belief; `None` for an `incr` session
-    /// on the exact engine, whose worlds follow the session seed.
-    pub fn of(config: &SessionConfig) -> Option<Self> {
-        match (&config.algorithm, &config.engine) {
-            (Algorithm::Incr { .. }, Engine::Exact(_)) => None,
-            _ => Some(Self {
-                engine: config.engine.clone(),
-                k: config.k,
-            }),
+    /// The key of `config`'s initial belief.
+    pub fn of(config: &SessionConfig) -> Self {
+        Self {
+            engine: config.engine.clone(),
+            k: config.k,
         }
     }
 
@@ -98,7 +93,14 @@ impl Belief {
     ) -> Result<Self> {
         let mc = key.monte_carlo()?;
         match mc.precision {
-            PrecisionTarget::FixedWorlds(m) => Self::sampled(table, key.k, m, mc.seed),
+            PrecisionTarget::FixedWorlds(m) => {
+                let (worlds, paths) = sample_fixed(table, key.k, m, mc.seed)?;
+                Ok(Self {
+                    paths,
+                    precision: PrecisionReport::fixed(m),
+                    worlds: Some(worlds),
+                })
+            }
             PrecisionTarget::Adaptive { epsilon, delta } => {
                 let (sample, precision) =
                     sample_adaptive(table, key.k, epsilon, delta, mc.seed, Some(bounds))?;
@@ -115,17 +117,6 @@ impl Belief {
                 })
             }
         }
-    }
-
-    /// `m` worlds sampled with `seed` and their depth-`k` path set, with a
-    /// fixed-budget report.
-    pub(crate) fn sampled(table: &UncertainTable, k: usize, m: usize, seed: u64) -> Result<Self> {
-        let (worlds, paths) = sample_fixed(table, k, m, seed)?;
-        Ok(Self {
-            paths,
-            precision: PrecisionReport::fixed(m),
-            worlds: Some(worlds),
-        })
     }
 
     /// Samples the worlds behind a belief of `key` built without them,
@@ -206,6 +197,7 @@ impl Belief {
 mod tests {
     use super::*;
     use crate::measures::MeasureKind;
+    use crate::session::Algorithm;
     use ctk_prob::compare::PairwiseMatrix;
     use ctk_prob::ScoreDist;
     use ctk_tpo::build::{build_exact, ExactConfig, McConfig};
@@ -239,9 +231,12 @@ mod tests {
         };
         let t1 = BeliefKey::of(&config(Algorithm::T1On, engine.clone()));
         assert_eq!(BeliefKey::of(&config(incr.clone(), engine.clone())), t1);
+        // incr needs sampled worlds: the exact engine has none to give.
         let exact = Engine::Exact(ExactConfig::default());
-        assert_eq!(BeliefKey::of(&config(incr, exact.clone())), None);
-        assert!(BeliefKey::of(&config(Algorithm::T1On, exact)).is_some());
+        assert!(matches!(
+            config(incr, exact).validate(),
+            Err(CoreError::InvalidConfig(_))
+        ));
         let mut other_seed = config(Algorithm::COff, engine);
         other_seed.seed = 99;
         // The session seed drives selectors, not the tree build.
@@ -268,7 +263,7 @@ mod tests {
                     Engine::MonteCarlo(McConfig::fixed(256, seed)),
                     Engine::MonteCarlo(McConfig::adaptive(0.1, 0.1, seed)),
                 ] {
-                    let key = BeliefKey::of(&config(Algorithm::T1On, engine)).unwrap();
+                    let key = BeliefKey::of(&config(Algorithm::T1On, engine));
                     let mut tree = Belief::build(&table, &key, &bounds).unwrap();
                     let incr = Belief::build_with_worlds(&table, &key, &bounds).unwrap();
                     assert!(tree.same_bits(&incr), "n = {n}, {key:?}");
@@ -297,7 +292,7 @@ mod tests {
         .unwrap();
         let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&decided), 3).unwrap();
         let engine = Engine::MonteCarlo(McConfig::adaptive(0.05, 0.05, 1));
-        let key = BeliefKey::of(&config(Algorithm::T1On, engine)).unwrap();
+        let key = BeliefKey::of(&config(Algorithm::T1On, engine));
         let mut tree = Belief::build(&decided, &key, &bounds).unwrap();
         let incr = Belief::build_with_worlds(&decided, &key, &bounds).unwrap();
         assert!(tree.same_bits(&incr) && incr.worlds().is_none());
@@ -306,8 +301,7 @@ mod tests {
         let exact = BeliefKey::of(&config(
             Algorithm::T1On,
             Engine::Exact(ExactConfig::default()),
-        ))
-        .unwrap();
+        ));
         assert!(Belief::build_with_worlds(&decided, &exact, &bounds).is_err());
     }
 
@@ -324,7 +318,7 @@ mod tests {
             Engine::MonteCarlo(McConfig::adaptive(0.1, 0.1, 1)),
             Engine::Exact(exact),
         ] {
-            let key = BeliefKey::of(&config(Algorithm::T1On, engine)).unwrap();
+            let key = BeliefKey::of(&config(Algorithm::T1On, engine));
             let a = Belief::build(&table, &key, &bounds).unwrap();
             let b = Belief::build(&table, &key, &bounds).unwrap();
             assert!(a.same_bits(&b));
@@ -334,12 +328,11 @@ mod tests {
             let key = BeliefKey::of(&config(
                 Algorithm::T1On,
                 Engine::MonteCarlo(McConfig::fixed(300, seed)),
-            ))
-            .unwrap();
+            ));
             Belief::build(&table, &key, &bounds).unwrap()
         };
         assert!(!fixed(1).same_bits(&fixed(2)), "the seed moves the sample");
-        let key = BeliefKey::of(&config(Algorithm::T1On, Engine::Exact(exact))).unwrap();
+        let key = BeliefKey::of(&config(Algorithm::T1On, Engine::Exact(exact)));
         let expected = Belief {
             paths: build_exact(&table, 3, &exact).unwrap(),
             precision: PrecisionReport::exact(),

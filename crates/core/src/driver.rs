@@ -59,7 +59,7 @@ use ctk_prob::{TopKBounds, UncertainTable};
 use ctk_rank::RankList;
 use ctk_tpo::prune::prune;
 use ctk_tpo::update::bayes_update;
-use ctk_tpo::{PathSet, PrecisionReport, StopReason, TpoError, WorldModel, DEFAULT_WORLDS};
+use ctk_tpo::{PathSet, PrecisionReport, StopReason, TpoError, WorldModel};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -284,9 +284,8 @@ impl SessionDriver {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for an invalid configuration, a
-    /// configuration without a belief key (`incr` on the exact engine),
-    /// or a belief of another depth than `config.k`.
+    /// [`CoreError::InvalidConfig`] for an invalid configuration or a
+    /// belief of another depth than `config.k`.
     pub fn from_belief(
         config: SessionConfig,
         table: &UncertainTable,
@@ -297,18 +296,15 @@ impl SessionDriver {
     ) -> Result<Self> {
         let started = Instant::now(); // ctk-allow(det-wall-clock): timing metric for the report only; never feeds a decision
         admit(&config, table, &pairwise)?;
-        let key = BeliefKey::of(&config).filter(|_| belief.paths.k() == config.k);
-        let Some(key) = key else {
+        if belief.paths.k() != config.k {
             return Err(CoreError::InvalidConfig(format!(
-                "a depth-{} belief cannot start a {} session on the {} engine at k = {}",
+                "a depth-{} belief cannot start a session at k = {}",
                 belief.paths.k(),
-                config.algorithm.name(),
-                config.engine.name(),
                 config.k
             )));
-        };
+        }
         if matches!(config.algorithm, Algorithm::Incr { .. }) {
-            belief.attach_worlds(table, &key)?;
+            belief.attach_worlds(table, &BeliefKey::of(&config))?;
         }
         let initial = Initial::new(&config, belief)?;
         let first_pick = first_pick
@@ -772,15 +768,7 @@ fn admit(config: &SessionConfig, table: &UncertainTable, pairwise: &PairwiseMatr
             table.len()
         )));
     }
-    config.validate()?;
-    if config.k > table.len() {
-        return Err(CoreError::InvalidConfig(format!(
-            "k = {} exceeds table size {}",
-            config.k,
-            table.len()
-        )));
-    }
-    Ok(())
+    config.validate_for(table)
 }
 
 /// A session's initial belief state, before its report baseline is read.
@@ -805,23 +793,18 @@ enum InitialBelief {
 }
 
 /// The initial belief `config` builds over `table`: the tree belief of
-/// its key, with the worlds kept for `incr`.
-///
-/// incr interleaves construction with pruning on a *sampled-worlds*
-/// belief (§III-D) — an exact engine cannot drive it. When an `incr`
-/// config asks for `Engine::Exact` we fall back to a generously sized
-/// world sample drawn with the session seed rather than erroring, trading
-/// exactness for incr's construction savings.
+/// its key, with the worlds kept for `incr`, which interleaves
+/// construction with pruning on a *sampled-worlds* belief (§III-D).
 fn initial_belief(
     config: &SessionConfig,
     table: &UncertainTable,
     bounds: &TopKBounds,
 ) -> Result<Belief> {
-    let incr = matches!(config.algorithm, Algorithm::Incr { .. });
-    match BeliefKey::of(config) {
-        Some(key) if incr => Belief::build_with_worlds(table, &key, bounds),
-        Some(key) => Belief::build(table, &key, bounds),
-        None => Belief::sampled(table, config.k, 2 * DEFAULT_WORLDS, config.seed),
+    let key = BeliefKey::of(config);
+    if matches!(config.algorithm, Algorithm::Incr { .. }) {
+        Belief::build_with_worlds(table, &key, bounds)
+    } else {
+        Belief::build(table, &key, bounds)
     }
 }
 
@@ -980,15 +963,13 @@ mod tests {
 
     #[test]
     fn incr_baseline_is_the_cached_grouping_of_its_worlds() {
-        // Fixed and exact engines both sample worlds for incr; the baseline
-        // path set comes from one counting pass and must equal grouping the
-        // same worlds at depth k.
+        // The baseline path set of incr's sampled worlds comes from one
+        // counting pass and must equal grouping the same worlds at depth k.
         let table = table();
         let bounds = TopKBounds::from_matrix(&PairwiseMatrix::compute(&table), 3).unwrap();
         for (engine, m, seed) in [
             (Engine::MonteCarlo(McConfig::fixed(3000, 7)), 3000, 7),
             (Engine::MonteCarlo(McConfig::fixed(1, 5)), 1, 5),
-            (Engine::Exact(Default::default()), 2 * DEFAULT_WORLDS, 11),
         ] {
             let mut cfg = config(
                 Algorithm::Incr {
@@ -1236,7 +1217,7 @@ mod tests {
         // over another allowance, or of another strategy, ignores it.
         let table = table();
         let cfg = config(Algorithm::COff, 6);
-        let key = BeliefKey::of(&cfg).unwrap();
+        let key = BeliefKey::of(&cfg);
         let pairwise = Arc::new(PairwiseMatrix::compute(&table));
         let bounds = TopKBounds::from_matrix(&pairwise, cfg.k).unwrap();
         let belief = Belief::build(&table, &key, &bounds).unwrap();
@@ -1384,5 +1365,19 @@ mod tests {
             None
         )
         .is_err());
+        // incr prunes sampled worlds: the exact engine is refused.
+        let incr_on_exact = SessionConfig {
+            engine: Engine::Exact(Default::default()),
+            ..config(
+                Algorithm::Incr {
+                    questions_per_round: 2,
+                },
+                4,
+            )
+        };
+        assert!(matches!(
+            SessionDriver::new(incr_on_exact, &table(), None),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 }

@@ -44,8 +44,8 @@ pub enum Algorithm {
     },
     /// Incremental hybrid: builds the TPO level by level, interleaving
     /// rounds of `questions_per_round` questions (§III-D). Requires a
-    /// sampled-worlds belief, so a configured [`Engine::Exact`] is
-    /// substituted with a 20 000-world Monte-Carlo sample. Report caveat:
+    /// sampled-worlds belief, so [`SessionConfig::validate`] rejects it on
+    /// [`Engine::Exact`]. Report caveat:
     /// intermediate [`StepRecord`]s are taken at the current construction
     /// depth; only `initial_*` and the final step are full-depth, so the
     /// per-step series is not depth-homogeneous like the other algorithms'.
@@ -102,7 +102,8 @@ pub struct SessionConfig {
 impl SessionConfig {
     /// Checks what a configuration must satisfy before any table is seen:
     /// a query depth of at least 1 and, for `incr`, at least one question
-    /// per round.
+    /// per round and the Monte-Carlo engine, whose sampled worlds `incr`
+    /// prunes.
     ///
     /// # Errors
     ///
@@ -112,12 +113,36 @@ impl SessionConfig {
             return Err(CoreError::InvalidConfig("k must be at least 1".into()));
         }
         if let Algorithm::Incr {
-            questions_per_round: 0,
+            questions_per_round,
         } = self.algorithm
         {
-            return Err(CoreError::InvalidConfig(
-                "incr needs questions_per_round >= 1".into(),
-            ));
+            if questions_per_round == 0 {
+                return Err(CoreError::InvalidConfig(
+                    "incr needs questions_per_round >= 1".into(),
+                ));
+            }
+            if let Engine::Exact(_) = self.engine {
+                return Err(CoreError::InvalidConfig(
+                    "incr needs the Monte-Carlo engine's sampled worlds".into(),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// [`SessionConfig::validate`], and a query depth within `table`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] naming the violated bound.
+    pub fn validate_for(&self, table: &UncertainTable) -> Result<()> {
+        self.validate()?;
+        if self.k > table.len() {
+            return Err(CoreError::InvalidConfig(format!(
+                "k = {} exceeds table size {}",
+                self.k,
+                table.len()
+            )));
         }
         Ok(())
     }

@@ -15,10 +15,9 @@
 //! * [`worker`] — answer models: perfect, fixed-accuracy (§III-C's noisy
 //!   workers), and heterogeneous round-robin pools;
 //! * [`aggregate`] — majority voting and its effective accuracy;
-//! * [`BudgetLedger`] — accounting for the paper's budget `B`, with an
-//!   explicit [`CostModel`]: vote-denominated (a majority-of-`n` answer
-//!   costs `n`, the paper's "triple the cost" pricing — the simulator's
-//!   default) or question-denominated;
+//! * [`BudgetLedger`] — accounting for the paper's budget `B` in worker
+//!   votes: a majority-of-`n` answer costs `n`, the paper's "triple the
+//!   cost" pricing;
 //! * [`Crowd`] / [`CrowdSimulator`] — the narrow interface the selection
 //!   engine sees, and its simulated implementation (a stand-in for a real
 //!   crowdsourcing market; see DESIGN.md §5 for the substitution argument).
@@ -57,7 +56,7 @@ pub mod worker;
 
 pub use aggregate::VotePolicy;
 pub use error::CrowdError;
-pub use ledger::{BudgetLedger, CostModel};
+pub use ledger::BudgetLedger;
 pub use oracle::GroundTruth;
 pub use question::{Answer, Question};
 pub use simulator::{Crowd, CrowdSimulator, RouteHint};

@@ -65,8 +65,22 @@ impl GroundTruth {
     }
 
     /// The correct answer to a question under `ω_r`.
+    ///
+    /// # Panics
+    ///
+    /// If the question names a tuple the truth does not hold; see
+    /// [`GroundTruth::judge`].
     pub fn true_answer(&self, q: &Question) -> bool {
         self.positions[q.i as usize] < self.positions[q.j as usize]
+    }
+
+    /// The correct answer to a question and the gap between the two true
+    /// scores, or `None` when the question names a tuple the truth does
+    /// not hold.
+    pub fn judge(&self, q: &Question) -> Option<(bool, f64)> {
+        let (i, j) = (q.i as usize, q.j as usize);
+        let (si, sj) = (self.scores.get(i)?, self.scores.get(j)?);
+        Some((self.positions[i] < self.positions[j], (si - sj).abs()))
     }
 }
 
@@ -92,6 +106,14 @@ mod tests {
         assert!(t.true_answer(&Question::new(1, 0)));
         assert!(!t.true_answer(&Question::new(0, 1)));
         assert!(t.true_answer(&Question::new(2, 0)));
+        for q in [(1, 0), (0, 1), (2, 0), (0, 2)].map(|(i, j)| Question::new(i, j)) {
+            let (yes, gap) = t.judge(&q).unwrap();
+            assert_eq!(yes, t.true_answer(&q), "{q:?}");
+            let scores = t.scores();
+            assert_eq!(gap, (scores[q.i as usize] - scores[q.j as usize]).abs());
+        }
+        assert_eq!(t.judge(&Question::new(3, 0)), None);
+        assert_eq!(t.judge(&Question::new(0, 3)), None);
     }
 
     #[test]

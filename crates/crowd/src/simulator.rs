@@ -9,7 +9,7 @@
 
 use crate::aggregate::{majority_vote, VotePolicy};
 use crate::error::CrowdError;
-use crate::ledger::{BudgetLedger, CostModel};
+use crate::ledger::BudgetLedger;
 use crate::oracle::GroundTruth;
 use crate::question::{Answer, Question};
 use crate::worker::AnswerModel;
@@ -36,7 +36,8 @@ pub enum RouteHint {
 /// `ctk-service` round loop and multi-service benches rely on it.
 pub trait Crowd: Send {
     /// Asks one question; returns `None` if the remaining budget cannot
-    /// cover it.
+    /// cover it, or if it names a tuple the crowd knows nothing about —
+    /// then before any vote is drawn or any budget spent.
     fn ask(&mut self, q: Question) -> Option<Answer>;
 
     /// Questions still affordable (under replicated voting this is the
@@ -72,8 +73,7 @@ impl<M: AnswerModel> CrowdSimulator<M> {
     /// Creates a simulator with budget `b` **worker votes** — the paper's
     /// monetary denomination, where a `Majority(n)` answer costs `n`
     /// units. (Under `VotePolicy::Single` this is identical to a budget
-    /// of `b` questions.) Use [`CrowdSimulator::with_cost_model`] to
-    /// price per aggregated answer instead.
+    /// of `b` questions.)
     ///
     /// Fails with [`CrowdError::InvalidVotePolicy`] if the policy is
     /// malformed (an even or too-small majority count).
@@ -83,26 +83,12 @@ impl<M: AnswerModel> CrowdSimulator<M> {
         policy: VotePolicy,
         b: usize,
     ) -> Result<Self, CrowdError> {
-        Self::with_cost_model(truth, model, policy, b, CostModel::PerVote)
-    }
-
-    /// Creates a simulator with an explicit budget denomination.
-    ///
-    /// Fails with [`CrowdError::InvalidVotePolicy`] if the policy is
-    /// malformed (an even or too-small majority count).
-    pub fn with_cost_model(
-        truth: GroundTruth,
-        model: M,
-        policy: VotePolicy,
-        b: usize,
-        cost_model: CostModel,
-    ) -> Result<Self, CrowdError> {
         policy.validate()?;
         Ok(Self {
             truth,
             model,
             policy,
-            ledger: BudgetLedger::with_cost_model(b, cost_model),
+            ledger: BudgetLedger::new(b),
         })
     }
 
@@ -124,14 +110,13 @@ impl<M: AnswerModel> Crowd for CrowdSimulator<M> {
     /// policy.
     fn ask(&mut self, q: Question) -> Option<Answer> {
         let cost = self.policy.votes_per_question();
+        let (truth, gap) = self.truth.judge(&q)?;
         if !self.ledger.can_afford(cost) {
             // Regression guard for the budget denomination mismatch: a
             // majority question the remaining budget cannot pay in full
             // is refused outright, not sold at a one-unit discount.
             return None;
         }
-        let truth = self.truth.true_answer(&q);
-        let gap = (self.truth.scores()[q.i as usize] - self.truth.scores()[q.j as usize]).abs();
         let votes: Vec<bool> = (0..cost)
             .map(|_| self.model.answer_with_gap(&q, truth, gap))
             .collect();
@@ -223,23 +208,37 @@ mod tests {
         );
         assert_eq!(c.ledger().votes(), 6);
         assert_eq!(c.ledger().asked(), 2);
+    }
 
-        // The explicit per-question denomination restores the old meaning:
-        // budget 7 buys 7 aggregated answers at 21 votes.
-        let mut q = CrowdSimulator::with_cost_model(
+    #[test]
+    fn unknown_tuples_are_refused_untouched() {
+        // A question naming a tuple outside the truth gets no answer, and
+        // draws no vote, spends nothing and records nothing.
+        let mut c = CrowdSimulator::new(
             truth(),
-            PerfectWorker,
+            NoisyWorker::new(0.7, 42),
             VotePolicy::Majority(3),
-            7,
-            CostModel::PerQuestion,
+            9,
         )
         .expect("valid vote policy");
-        assert_eq!(q.remaining(), 7);
-        for n in 0..7 {
-            assert!(q.ask(Question::new(1, 0)).is_some(), "question {n}");
+        let mut twin = c.clone();
+        for q in [
+            Question::new(9, 0),
+            Question::new(0, 3),
+            Question::new(5, 7),
+        ] {
+            assert!(c.ask(q).is_none(), "{q:?}");
         }
-        assert!(q.ask(Question::new(1, 0)).is_none());
-        assert_eq!(q.ledger().votes(), 21);
+        assert_eq!((c.ledger().votes(), c.ledger().asked()), (0, 0));
+        assert!(c.history().is_empty());
+        assert_eq!(c.remaining(), 3);
+        // The worker model's stream did not move either.
+        let answers = |c: &mut CrowdSimulator<NoisyWorker>| -> Vec<bool> {
+            (0..3)
+                .map(|_| c.ask(Question::new(1, 0)).unwrap().yes)
+                .collect()
+        };
+        assert_eq!(answers(&mut c), answers(&mut twin));
     }
 
     #[test]

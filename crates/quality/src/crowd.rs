@@ -17,8 +17,8 @@ use crate::fusion::fuse_weighted;
 use crate::gates::GateConfig;
 use crate::posterior::{BetaPosterior, PRIOR};
 use ctk_crowd::{
-    Answer, AnswerModel, BudgetLedger, CostModel, Crowd, GroundTruth, NoisyWorker, Question, Vote,
-    VotePolicy, WorkerId,
+    Answer, AnswerModel, BudgetLedger, Crowd, GroundTruth, NoisyWorker, Question, Vote, VotePolicy,
+    WorkerId,
 };
 use std::collections::BTreeMap;
 
@@ -114,7 +114,7 @@ impl QualityCrowd {
             roster,
             policy,
             gates: config.gates,
-            ledger: BudgetLedger::with_cost_model(budget, CostModel::PerVote),
+            ledger: BudgetLedger::new(budget),
             log: VoteLog::default(),
             cursor: 0,
             asked: 0,
@@ -166,17 +166,17 @@ impl QualityCrowd {
     /// truth does not hold; the whole set is checked first, so a rejected
     /// set grades nothing and draws no vote.
     pub fn calibrate_gold(&mut self, questions: &[Question]) -> Result<u64, QualityError> {
-        let tuples = self.truth.scores().len();
-        if let Some(&question) = questions
+        let judged = questions
             .iter()
-            .find(|q| q.i as usize >= tuples || q.j as usize >= tuples)
-        {
-            return Err(QualityError::UnknownTuple { question, tuples });
-        }
+            .map(|q| {
+                self.truth.judge(q).ok_or(QualityError::UnknownTuple {
+                    question: *q,
+                    tuples: self.truth.scores().len(),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let mut graded = 0;
-        for q in questions {
-            let truth = self.truth.true_answer(q);
-            let gap = (self.truth.scores()[q.i as usize] - self.truth.scores()[q.j as usize]).abs();
+        for (q, (truth, gap)) in questions.iter().zip(judged) {
             for entry in self.roster.iter_mut() {
                 let yes = entry.model.answer_with_gap(q, truth, gap);
                 entry.posterior.observe(yes == truth);
@@ -286,6 +286,9 @@ impl QualityCrowd {
 
 impl Crowd for QualityCrowd {
     fn ask(&mut self, q: Question) -> Option<Answer> {
+        // A question about a tuple the truth does not hold is refused
+        // before anything moves.
+        let (truth, gap) = self.truth.judge(&q)?;
         let tick = self.asked;
         self.readmit_expired(tick);
         let pool = self.candidates();
@@ -296,8 +299,6 @@ impl Crowd for QualityCrowd {
             return None;
         }
         self.cursor = next_cursor;
-        let truth = self.truth.true_answer(&q);
-        let gap = (self.truth.scores()[q.i as usize] - self.truth.scores()[q.j as usize]).abs();
         let votes: Vec<Vote> = panel
             .iter()
             .map(|&i| Vote {
@@ -514,6 +515,38 @@ mod tests {
             assert_eq!(crowd.posterior_mean(WorkerId(w)), Some(0.75));
         }
         // No vote was drawn: the next asks replay a fresh crowd's.
+        let mut reference = fresh();
+        for n in 0..20u32 {
+            let q = Question::new(n % 3 + 1, n % 3);
+            assert_eq!(crowd.ask(q), reference.ask(q));
+            assert_eq!(
+                crowd.answer_accuracy().to_bits(),
+                reference.answer_accuracy().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn ask_refuses_unknown_tuples_untouched() {
+        let accs = [0.9, 0.6, 0.3];
+        let fresh = || {
+            QualityCrowd::new(truth(), &accs, QualityConfig::weighted(3), 1_000, 5)
+                .expect("valid config")
+        };
+        let mut crowd = fresh();
+        for q in [
+            Question::new(9, 0),
+            Question::new(0, 4),
+            Question::new(4, 5),
+        ] {
+            assert_eq!(crowd.ask(q), None, "{q:?}");
+        }
+        assert_eq!(crowd.asked(), 0);
+        assert_eq!((crowd.ledger().votes(), crowd.ledger().asked()), (0, 0));
+        assert!(crowd.history().is_empty());
+        assert_eq!(crowd.remaining(), fresh().remaining());
+        // No vote was drawn and the panel cursor did not move: the next
+        // asks replay a fresh crowd's.
         let mut reference = fresh();
         for n in 0..20u32 {
             let q = Question::new(n % 3 + 1, n % 3);

@@ -27,35 +27,27 @@ use std::collections::BTreeMap;
 
 /// One remembered crowd verdict.
 #[derive(Debug, Clone, Copy)]
-pub struct CachedAnswer {
+struct CachedAnswer {
     /// Answer in the *canonical* orientation of the question.
-    pub yes: bool,
+    yes: bool,
     /// Nominal accuracy of the aggregated answer when it was bought.
-    pub accuracy: f64,
+    accuracy: f64,
 }
 
 /// Memo of every pairwise verdict the crowd has produced, shared by all
-/// sessions of a service.
+/// sessions of a service. Its hits are counted in
+/// [`ServiceMetrics::cache_hits`].
 #[derive(Debug, Clone, Default)]
-pub struct AnswerCache {
+pub(crate) struct AnswerCache {
     map: BTreeMap<Question, CachedAnswer>,
-    hits: u64,
-    lookups: u64,
 }
 
 impl AnswerCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Looks up the answer for `q`, re-oriented to `q`'s own orientation,
     /// together with the accuracy it was bought at.
-    pub fn get(&mut self, q: Question) -> Option<(Answer, f64)> {
-        self.lookups += 1;
+    pub(crate) fn get(&self, q: Question) -> Option<(Answer, f64)> {
         let canonical = q.canonical();
         let cached = self.map.get(&canonical)?;
-        self.hits += 1;
         Some((
             Answer {
                 question: q,
@@ -70,7 +62,7 @@ impl AnswerCache {
     }
 
     /// Stores a freshly bought answer (canonicalized).
-    pub fn insert(&mut self, answer: Answer, accuracy: f64) {
+    pub(crate) fn insert(&mut self, answer: Answer, accuracy: f64) {
         let canonical = answer.question.canonical();
         let yes = if answer.question == canonical {
             answer.yes
@@ -78,26 +70,6 @@ impl AnswerCache {
             !answer.yes
         };
         self.map.insert(canonical, CachedAnswer { yes, accuracy });
-    }
-
-    /// Distinct questions remembered.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no answer was cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total lookups.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 }
 
@@ -176,7 +148,7 @@ mod tests {
 
     #[test]
     fn cache_orients_answers() {
-        let mut cache = AnswerCache::new();
+        let mut cache = AnswerCache::default();
         // Truth: 2 ranks above 0, stored via the (2, 0) orientation.
         cache.insert(
             Answer {
@@ -185,16 +157,14 @@ mod tests {
             },
             1.0,
         );
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.map.len(), 1);
         let (a, acc) = cache.get(Question::new(2, 0)).unwrap();
         assert!(a.yes);
         assert_eq!(acc, 1.0, "purchase-time accuracy is preserved");
         let (b, _) = cache.get(Question::new(0, 2)).unwrap();
         assert!(!b.yes, "flipped orientation must flip the answer");
         assert_eq!(b.question, Question::new(0, 2));
-        assert_eq!(cache.hits(), 2);
         assert!(cache.get(Question::new(0, 1)).is_none());
-        assert_eq!(cache.lookups(), 3);
     }
 
     /// Resolves the questions of `batch` past the `served` prefix, as the
@@ -216,7 +186,7 @@ mod tests {
     #[test]
     fn duplicate_questions_cost_one_crowd_ask() {
         let mut c = crowd(10);
-        let mut cache = AnswerCache::new();
+        let mut cache = AnswerCache::default();
         let mut metrics = ServiceMetrics::default();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         let da = resolve(&[(1, 0), (2, 1)], &mut a, &mut cache, &mut c, &mut metrics);
@@ -235,7 +205,7 @@ mod tests {
     #[test]
     fn exhausted_crowd_yields_prefixes_but_serves_cache() {
         let mut c = crowd(1);
-        let mut cache = AnswerCache::new();
+        let mut cache = AnswerCache::default();
         let mut metrics = ServiceMetrics::default();
         // Session 0: first answered live, then the crowd is empty — it
         // parks with its prefix served; the tail is the rest of the batch.
@@ -290,7 +260,7 @@ mod tests {
     #[test]
     fn refusals_and_invalid_answers_cut_the_batch_uncached() {
         let mut c = Faulty(crowd(10));
-        let mut cache = AnswerCache::new();
+        let mut cache = AnswerCache::default();
         let mut metrics = ServiceMetrics::default();
         for (bad, invalid) in [((0, 2), 0), ((1, 2), 1), ((0, 1), 2)] {
             let mut served = Vec::new();
@@ -305,6 +275,6 @@ mod tests {
             assert!(served.is_empty(), "{bad:?}");
             assert_eq!(metrics.invalid_answers, invalid, "{bad:?}");
         }
-        assert!(cache.is_empty(), "nothing invalid may be cached");
+        assert!(cache.map.is_empty(), "nothing invalid may be cached");
     }
 }

@@ -18,16 +18,15 @@
 //!   its entry is its lifecycle ([`SessionState`]): live (queued or
 //!   awaiting budget, with its driver and answer mailbox), done (report
 //!   and latency only) or failed (error only);
-//! * `scheduler` — strict priority between classes, deficit round-robin
-//!   within per-class queues that sessions join and leave on their own
-//!   transitions, bounded fanout: every session of the top nonempty class
-//!   is served within `ceil(n / fanout)` rounds, churn-proof, and a plan
-//!   costs O(fanout + departures), not O(sessions queued);
-//! * [`batcher`] — cross-session question batching with an
-//!   [`AnswerCache`]: identical pairwise questions from different tenants
-//!   are answered once, then served from memory, before any crowd budget
-//!   is spent. Its purchase loop is also the crowd boundary that rejects
-//!   NaN accuracies and answers to the wrong pair;
+//! * `scheduler` — deficit round-robin over one queue that sessions join
+//!   and leave on their own transitions, bounded fanout: every runnable
+//!   session is served within `ceil(n / fanout)` rounds, churn-proof, and
+//!   a plan costs O(fanout + departures), not O(sessions queued);
+//! * `batcher` — cross-session question batching with an answer cache:
+//!   identical pairwise questions from different tenants are answered
+//!   once, then served from memory, before any crowd budget is spent. Its
+//!   purchase loop is also the crowd boundary that rejects NaN accuracies
+//!   and answers to the wrong pair;
 //! * [`service`] — [`TopKService`] and its one phase-structured round,
 //!   [`TopKService::tick`]: resume parked sessions, plan, gather in
 //!   parallel, purchase sequentially, feed in parallel, retire.
@@ -51,14 +50,13 @@
 //! that per-tenant reports are bit-identical at 1/2/4 worker threads. See
 //! DESIGN.md §7, §9 and §14 for the architecture discussion.
 
-pub mod batcher;
+mod batcher;
 pub mod metrics;
 pub mod registry;
 mod scheduler;
 pub mod service;
 mod tables;
 
-pub use batcher::AnswerCache;
 pub use ctk_tpo::{PrecisionTarget, StopReason};
 pub use metrics::ServiceMetrics;
 pub use registry::{SessionId, SessionSpec, SessionState};

@@ -43,10 +43,8 @@ pub struct ServiceMetrics {
     /// early stops draw zero).
     pub worlds_drawn: u64,
     /// Initial beliefs built at submit, `incr` world samples included: a
-    /// keyed submit that found no stored belief, or the first `incr`
-    /// submit over a belief stored without its worlds. Exact-engine
-    /// `incr` sessions, which have no belief key, count in neither this
-    /// nor `belief_hits`.
+    /// submit that found no stored belief, or the first `incr` submit over
+    /// a belief stored without its worlds.
     pub belief_builds: u64,
     /// Submits that started from a copy of a stored belief instead of
     /// building one (an `incr` hit shares the stored worlds). Their

@@ -46,29 +46,18 @@ pub enum SessionState {
     Failed,
 }
 
-/// What a tenant submits: a session configuration plus scheduling
-/// priority (higher runs first; equal priorities are served round-robin).
+/// What a tenant submits: a session configuration. Every session is
+/// scheduled alike (round-robin; see DESIGN.md §9).
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// The session configuration (query depth, budget, algorithm, …).
     pub config: SessionConfig,
-    /// Scheduling priority; higher is more urgent. Default 0.
-    pub priority: u8,
 }
 
 impl SessionSpec {
-    /// A spec at the default priority.
+    /// A spec for `config`.
     pub fn new(config: SessionConfig) -> Self {
-        Self {
-            config,
-            priority: 0,
-        }
-    }
-
-    /// Sets the scheduling priority.
-    pub fn with_priority(mut self, priority: u8) -> Self {
-        self.priority = priority;
-        self
+        Self { config }
     }
 }
 
@@ -83,11 +72,10 @@ pub(crate) struct LiveSession {
     /// The unresolved tail is the outstanding questions past its length;
     /// the feed phase empties it.
     pub(crate) served: Vec<(Answer, f64)>,
-    pub(crate) priority: u8,
     pub(crate) submitted_at: Instant,
     /// True while the session waits in the service's parked list for
-    /// crowd budget (`AwaitingBudget`); false while it is a member of its
-    /// scheduler class (`Queued`).
+    /// crowd budget (`AwaitingBudget`); false while it is a member of the
+    /// scheduler's queue (`Queued`).
     pub(crate) parked: bool,
 }
 
@@ -119,12 +107,11 @@ pub(crate) struct Registry {
 
 impl Registry {
     /// Registers a new live session and mints its id: the next free slot.
-    pub(crate) fn insert(&mut self, driver: SessionDriver, priority: u8) -> SessionId {
+    pub(crate) fn insert(&mut self, driver: SessionDriver) -> SessionId {
         let id = SessionId(self.entries.len() as u64);
         self.entries.push(SessionEntry::Live(Box::new(LiveSession {
             driver,
             served: Vec::new(),
-            priority,
             // ctk-allow(det-wall-clock): wall-clock latency metric only; never feeds scheduling or results
             submitted_at: Instant::now(),
             parked: false,
@@ -192,9 +179,9 @@ mod tests {
     use ctk_prob::{ScoreDist, UncertainTable};
     use ctk_tpo::build::{Engine, McConfig};
 
-    /// A registry of `n` sessions; session `i` has priority `i`, so a
-    /// session's priority names its slot.
-    fn registry(n: u8) -> Registry {
+    /// A registry of `n` sessions; session `i` has seed `i`, so a
+    /// session's seed names its slot.
+    fn registry(n: u64) -> Registry {
         let table = UncertainTable::new(
             (0..4)
                 .map(|i| ScoreDist::uniform_centered(f64::from(i) * 0.2, 0.5).unwrap())
@@ -211,9 +198,13 @@ mod tests {
             uncertainty_target: None,
         };
         let mut reg = Registry::default();
-        for priority in 0..n {
-            let driver = SessionDriver::new(config.clone(), &table, None).unwrap();
-            assert_eq!(reg.insert(driver, priority), SessionId(u64::from(priority)));
+        for seed in 0..n {
+            let config = SessionConfig {
+                seed,
+                ..config.clone()
+            };
+            let driver = SessionDriver::new(config, &table, None).unwrap();
+            assert_eq!(reg.insert(driver), SessionId(seed));
         }
         reg
     }
@@ -222,10 +213,10 @@ mod tests {
     fn entries_come_back_in_the_requested_order() {
         let mut reg = registry(4);
         let ids = [SessionId(3), SessionId(0), SessionId(2)];
-        let slots: Vec<u8> = reg
+        let slots: Vec<u64> = reg
             .live_mut_in_order(&ids)
             .iter()
-            .map(|s| s.priority)
+            .map(|s| s.driver.config().seed)
             .collect();
         assert_eq!(slots, [3, 0, 2]);
         assert!(reg.live_mut_in_order(&[]).is_empty());

@@ -5,15 +5,15 @@
 //!
 //! The service owns one session table (the registry, where a session's id
 //! is its slot and its entry is `Live`, `Done` or `Failed`), one
-//! scheduler, the list of sessions parked on crowd budget, and one
-//! [`AnswerCache`]. The crowd and the cache are the only state shared
+//! scheduler, the list of sessions parked on crowd budget, and one answer
+//! cache. The crowd and the cache are the only state shared
 //! across sessions, and only the sequential purchase phase touches them.
 //!
 //! One round runs six phases:
 //!
 //! 1. **resume** — take the parked list: sessions that met an empty crowd
 //!    in an earlier round retry their unresolved tail;
-//! 2. **plan** — the scheduler picks from its per-class queues, which
+//! 2. **plan** — the scheduler picks from its round-robin queue, which
 //!    sessions join and leave on their own transitions;
 //! 3. **gather** (parallel: the calling thread and scoped helpers claim
 //!    one session at a time, heaviest selector step first) — every
@@ -166,7 +166,7 @@ impl<C: Crowd> TopKService<C> {
         metrics.worker_threads = threads;
         Self {
             crowd,
-            cache: AnswerCache::new(),
+            cache: AnswerCache::default(),
             registry: Registry::default(),
             scheduler: Scheduler::default(),
             parked: Vec::new(),
@@ -222,8 +222,8 @@ impl<C: Crowd> TopKService<C> {
         let driver = self
             .tables
             .driver(table, spec.config, truth, &mut self.metrics)?;
-        let id = self.registry.insert(driver, spec.priority);
-        self.scheduler.join(id, spec.priority);
+        let id = self.registry.insert(driver);
+        self.scheduler.join(id);
         self.metrics.submitted += 1;
         Ok(id)
     }
@@ -337,7 +337,7 @@ impl<C: Crowd> TopKService<C> {
             match disposition {
                 Disposition::Parked => {
                     if !live.parked {
-                        scheduler.leave(id, live.priority);
+                        scheduler.leave(id);
                         live.parked = true;
                     }
                     parked.push(id);
@@ -383,11 +383,11 @@ impl<C: Crowd> TopKService<C> {
             }
             match status {
                 Ok(DriverStatus::Done) => ended.push((id, Ok(()))),
-                // A resumed session that stays active rejoins its class.
+                // A resumed session that stays active rejoins the queue.
                 Ok(DriverStatus::Active) => {
                     if live.parked {
                         live.parked = false;
-                        scheduler.join(id, live.priority);
+                        scheduler.join(id);
                     }
                 }
                 Err(err) => ended.push((id, Err(err))),
@@ -476,16 +476,11 @@ impl<C: Crowd> TopKService<C> {
     pub fn crowd(&self) -> &C {
         &self.crowd
     }
-
-    /// The shared answer cache.
-    pub fn cache(&self) -> &AnswerCache {
-        &self.cache
-    }
 }
 
 /// The entry a session that ended this round settles into: its report
 /// when the driver finished cleanly and `finish` succeeds, its error
-/// otherwise. A session still in its scheduler class leaves it.
+/// otherwise. A session still in the scheduler's queue leaves it.
 fn retire(
     id: SessionId,
     session: LiveSession,
@@ -494,7 +489,7 @@ fn retire(
     metrics: &mut ServiceMetrics,
 ) -> SessionEntry {
     if !session.parked {
-        scheduler.leave(id, session.priority);
+        scheduler.leave(id);
     }
     match result.and_then(|()| session.driver.finish()) {
         Ok(report) => {
@@ -699,6 +694,47 @@ mod tests {
     }
 
     #[test]
+    fn rejected_submits_touch_no_cache() {
+        // A config the driver refuses is refused before the table cache
+        // is consulted: no table entry, no belief build, nothing stored.
+        let mut svc = service(100);
+        let incr = |questions_per_round| Algorithm::Incr {
+            questions_per_round,
+        };
+        let rejected = [
+            config(incr(0), 0),
+            SessionConfig {
+                engine: Engine::Exact(ctk_tpo::build::ExactConfig {
+                    resolution: 256,
+                    ..Default::default()
+                }),
+                ..config(incr(2), 0)
+            },
+            SessionConfig {
+                k: 0,
+                ..config(Algorithm::T1On, 0)
+            },
+            SessionConfig {
+                k: 8,
+                ..config(Algorithm::T1On, 0)
+            },
+        ];
+        for cfg in rejected {
+            for _ in 0..2 {
+                match svc.submit(&table(), SessionSpec::new(cfg.clone())) {
+                    Err(CoreError::InvalidConfig(_)) => {}
+                    other => panic!("{cfg:?} must be refused, got {other:?}"),
+                }
+            }
+        }
+        let m = svc.metrics();
+        assert_eq!((m.submitted, m.belief_builds, m.belief_hits), (0, 0, 0));
+        assert_eq!(m.stored_belief_bytes, 0);
+        assert_eq!(svc.beliefs_cached(), 0);
+        assert_eq!(svc.tables.tables(), 0, "no table entry either");
+    }
+
+    #[test]
     fn oversized_fixed_world_budgets_fail_at_submit() {
         // (1 << 62) + 1 worlds overflow the m·k prefix and m·n score
         // buffers: the budget is refused before anything is sampled.
@@ -799,35 +835,6 @@ mod tests {
             .run(&table(), &mut own)
             .unwrap();
         assert!(rb.same_outcome(&standalone));
-    }
-
-    #[test]
-    fn priorities_finish_first_under_bounded_fanout() {
-        let mut svc = service(1000).with_fanout(1);
-        let low = svc
-            .submit(
-                &table(),
-                SessionSpec::new(config(Algorithm::T1On, 0)).with_priority(0),
-            )
-            .unwrap();
-        let high = svc
-            .submit(
-                &table(),
-                SessionSpec::new(config(Algorithm::T1On, 1)).with_priority(9),
-            )
-            .unwrap();
-        // Tick until one finishes: it must be the high-priority one.
-        loop {
-            svc.tick();
-            let done_high = svc.state(high) == Some(SessionState::Done);
-            let done_low = svc.state(low) == Some(SessionState::Done);
-            if done_high || done_low {
-                assert!(done_high, "high priority must finish first");
-                break;
-            }
-        }
-        svc.run_to_completion();
-        assert_eq!(svc.metrics().completed, 2);
     }
 
     #[test]
@@ -955,8 +962,8 @@ mod tests {
     #[test]
     fn reports_bit_identical_across_worker_threads() {
         // The worker thread count must be invisible in the results: the
-        // same mixed-tenant workload (bounded fanout, mixed priorities,
-        // every algorithm family) produces bit-identical per-tenant
+        // same mixed-tenant workload (bounded fanout, every algorithm
+        // family) produces bit-identical per-tenant
         // reports at 1, 2, 3 and 4 worker threads.
         let algorithms = mixed_algorithms();
         let run = |threads: usize| {
@@ -965,9 +972,8 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(t, alg)| {
-                    let spec = SessionSpec::new(config(alg.clone(), t as u64))
-                        .with_priority((t % 3) as u8);
-                    svc.submit(&table(), spec).unwrap()
+                    svc.submit(&table(), SessionSpec::new(config(alg.clone(), t as u64)))
+                        .unwrap()
                 })
                 .collect();
             svc.run_to_completion();
@@ -1271,7 +1277,7 @@ mod tests {
             svc.run_to_completion();
             let bad = svc.crowd().bad.expect("the crowd was asked");
             assert!(
-                svc.cache().clone().get(bad).is_none(),
+                svc.cache.get(bad).is_none(),
                 "the poisoned pair must not be cached (wrong_pair = {wrong_pair})"
             );
             for id in [a, b] {
@@ -1443,6 +1449,48 @@ mod tests {
     }
 
     #[test]
+    fn crowds_that_miss_tuples_end_every_session() {
+        use ctk_quality::{QualityConfig, QualityCrowd};
+        // A 6-tuple table served by crowds that know only tuples 0..4:
+        // a question about tuple 4 or 5 is refused, which cuts its batch
+        // like any refusal, and every session still ends.
+        let six = UncertainTable::new(
+            (0..6)
+                .map(|i| ScoreDist::uniform_centered(i as f64 * 0.12, 0.4).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let truth = || GroundTruth::from_scores(vec![0.1, 0.4, 0.3, 0.2]);
+        fn serve<C: Crowd>(crowd: C, table: &UncertainTable) -> TopKService<C> {
+            let mut svc = TopKService::new(crowd).with_fanout(3);
+            for (t, alg) in mixed_algorithms().into_iter().enumerate() {
+                svc.submit(table, SessionSpec::new(config(alg, t as u64)))
+                    .unwrap();
+            }
+            svc.run_to_completion();
+            svc
+        }
+        let plain = CrowdSimulator::new(truth(), PerfectWorker, VotePolicy::Single, 1000)
+            .expect("valid vote policy");
+        let quality = QualityCrowd::new(
+            truth(),
+            &[0.9, 0.8, 0.7],
+            QualityConfig::weighted(3),
+            10_000,
+            13,
+        )
+        .expect("valid roster");
+        let outcomes = [
+            serve(plain, &six).metrics().clone(),
+            serve(quality, &six).metrics().clone(),
+        ];
+        for m in outcomes {
+            assert_eq!(m.completed + m.failed, mixed_algorithms().len() as u64);
+            assert!(m.starved > 0, "some batch asked about an unknown tuple");
+        }
+    }
+
+    #[test]
     fn quality_crowd_is_thread_count_invariant() {
         use ctk_quality::{QualityConfig, QualityCrowd};
         // A stateful crowd: every live ask moves the crowd's worker
@@ -1584,11 +1632,16 @@ mod tests {
                         engine: engine.clone(),
                         ..config(alg.clone(), 0)
                     };
+                    let incr_on_exact =
+                        matches!(alg, Algorithm::Incr { .. }) && engine.name() == "exact";
                     for _ in 0..3 {
-                        // The exact engine's nested quadrature needs
+                        // incr needs the Monte-Carlo engine's worlds, and
+                        // the exact engine's nested quadrature needs
                         // continuous scores: it refuses point masses.
                         match svc.submit(&table, SessionSpec::new(cfg.clone())) {
-                            Ok(id) => ids.push(id),
+                            Err(CoreError::InvalidConfig(_)) if incr_on_exact => {}
+                            Ok(id) if !incr_on_exact => ids.push(id),
+                            Ok(_) => panic!("{name}: incr on the exact engine was admitted"),
                             Err(err) => assert!(
                                 matches!(err, CoreError::Tpo(_))
                                     && engine.name() == "exact"

@@ -40,6 +40,7 @@ use ctk_core::Result;
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{TopKBounds, UncertainTable};
 use ctk_rank::RankList;
+use ctk_tpo::TpoError;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -145,7 +146,8 @@ impl TableCache {
     /// pairwise matrix and bounds and, for a repeated key, its stored
     /// initial belief and the belief's first-pick slot for the session's
     /// algorithm, measure and budget. Counts belief builds and hits and
-    /// reports the stored bytes in `metrics`.
+    /// reports the stored bytes in `metrics`. An invalid configuration is
+    /// refused before anything is looked up, built or stored.
     pub(crate) fn driver(
         &mut self,
         table: &UncertainTable,
@@ -153,6 +155,7 @@ impl TableCache {
         truth: Option<&RankList>,
         metrics: &mut ServiceMetrics,
     ) -> Result<SessionDriver> {
+        config.validate_for(table)?;
         let driver = self.start(table, config, truth, metrics);
         metrics.stored_belief_bytes = self.belief_bytes;
         driver
@@ -169,12 +172,8 @@ impl TableCache {
         self.clock += 1;
         let entry = &mut self.entries[idx];
         let pairwise = Arc::clone(&entry.pairwise);
-        let bounds = entry.bounds_for(config.k);
-        // Bounds exist only for a valid depth; an invalid config takes
-        // the plain path and fails there with the driver's usual error.
-        let (Some(key), Some(b)) = (BeliefKey::of(&config), &bounds) else {
-            return SessionDriver::new_shared(config, table, truth, pairwise, bounds);
-        };
+        let b = &entry.bounds_for(config.k)?;
+        let key = BeliefKey::of(&config);
         let incr = matches!(config.algorithm, Algorithm::Incr { .. });
         let n = table.len();
         if let Some(pos) = entry.beliefs.iter().position(|s| s.key == key) {
@@ -320,17 +319,14 @@ impl TableCache {
 
 impl TableEntry {
     /// The certain/possible top-K bounds at depth `k`, computed on first
-    /// use. Bounds for an invalid depth are not computed (`None`).
-    fn bounds_for(&mut self, k: usize) -> Option<Arc<TopKBounds>> {
-        if k == 0 || k > self.table.len() {
-            return None;
-        }
+    /// use.
+    fn bounds_for(&mut self, k: usize) -> Result<Arc<TopKBounds>> {
         if let Some((_, b)) = self.bounds.iter().find(|(depth, _)| *depth == k) {
-            return Some(Arc::clone(b));
+            return Ok(Arc::clone(b));
         }
-        let b = Arc::new(TopKBounds::from_matrix(&self.pairwise, k).ok()?);
+        let b = Arc::new(TopKBounds::from_matrix(&self.pairwise, k).map_err(TpoError::from)?);
         self.bounds.push((k, Arc::clone(&b)));
-        Some(b)
+        Ok(b)
     }
 
     fn belief_bytes(&self) -> usize {
@@ -464,8 +460,7 @@ mod tests {
         // Tree and incr sessions interleaved over one key per engine: the
         // first incr submit meets a belief a tree build stored and
         // attaches its worlds, later ones hit. A pinned table's belief has
-        // no worlds to attach, and exact-engine incr has no key, so it
-        // never hits. Every report must equal its standalone run.
+        // no worlds to attach. Every report must equal its standalone run.
         let incr = Algorithm::Incr {
             questions_per_round: 2,
         };
@@ -501,7 +496,6 @@ mod tests {
                 Engine::MonteCarlo(McConfig::adaptive(0.05, 0.05, 7)),
                 (2, 6),
             ),
-            (table(0.0), exact(256), (2, 2)),
         ];
         for (table, engine, counts) in cases {
             let mut svc = TopKService::new(crowd(&table));
@@ -1055,7 +1049,7 @@ mod tests {
             cache.driver(&t, cfg(2), None, &mut m).unwrap();
         }
         assert_eq!(cache.beliefs(), 1);
-        assert_eq!(stored(&cache, 0).key, BeliefKey::of(&cfg(2)).unwrap());
+        assert_eq!(stored(&cache, 0).key, BeliefKey::of(&cfg(2)));
         assert_eq!(held(&cache), cache.belief_bytes);
         assert_eq!(stored(&cache, 0).first_picks.len(), 1);
     }

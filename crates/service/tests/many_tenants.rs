@@ -61,7 +61,7 @@ fn thirty_two_plus_tenants_match_standalone_runs() {
 
     let mut ids = Vec::new();
     for tenant in 0..TENANTS {
-        let spec = SessionSpec::new(tenant_config(tenant)).with_priority((tenant % 3) as u8);
+        let spec = SessionSpec::new(tenant_config(tenant));
         let id = service
             .submit_with_truth(&table, spec, Some(&top))
             .expect("valid tenant config");
@@ -122,10 +122,58 @@ fn thirty_two_plus_tenants_match_standalone_runs() {
     }
 }
 
-/// Mixed priorities under a *tight* fanout — the configuration whose
-/// low-priority sessions the cursor-arithmetic scheduler starved. Every
-/// tenant must complete, losslessly, and the high-priority class must
-/// still finish first.
+/// The thread count is invisible in the results: the full 36-tenant
+/// workload produces bit-identical per-tenant reports at 1, 2 and 4
+/// worker threads (the determinism half of the PR 4 acceptance bar).
+#[test]
+fn per_tenant_reports_identical_across_thread_counts() {
+    let table = table();
+    let truth = GroundTruth::sample(&table, 4242);
+    let top = truth.top_k(3);
+    let run = |threads: usize| {
+        let shared = CrowdSimulator::new(truth.clone(), PerfectWorker, VotePolicy::Single, 100_000)
+            .expect("valid vote policy");
+        let mut service = TopKService::new(shared)
+            .with_fanout(6)
+            .with_threads(threads);
+        let ids: Vec<_> = (0..TENANTS)
+            .map(|t| {
+                service
+                    .submit_with_truth(&table, SessionSpec::new(tenant_config(t)), Some(&top))
+                    .unwrap()
+            })
+            .collect();
+        let metrics = service.run_to_completion().clone();
+        assert_eq!(metrics.completed as usize, TENANTS, "threads={threads}");
+        (
+            ids.iter()
+                .map(|id| service.report(*id).unwrap().clone())
+                .collect::<Vec<_>>(),
+            metrics,
+        )
+    };
+    let (sequential, base_metrics) = run(1);
+    for threads in [2usize, 4] {
+        let (parallel, metrics) = run(threads);
+        for (tenant, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
+            assert!(
+                a.same_outcome(b),
+                "tenant {tenant} diverged between 1 and {threads} worker threads"
+            );
+        }
+        // Cross-session effects are also identical: same crowd spending,
+        // same cache economics, same round count.
+        assert_eq!(metrics.crowd_questions, base_metrics.crowd_questions);
+        assert_eq!(metrics.cache_hits, base_metrics.cache_hits);
+        assert_eq!(metrics.rounds, base_metrics.rounds);
+    }
+}
+
+/// A *tight* fanout of two over twelve tenants — the regime whose sessions
+/// the old cursor-arithmetic scheduler starved (a cursor that skipped
+/// sessions). The name dates from when tenants carried priorities; the
+/// scheduler now has one round-robin queue. Every tenant must complete,
+/// losslessly.
 #[test]
 fn mixed_priorities_with_bounded_fanout_complete_all_tenants() {
     let table = table();
@@ -133,19 +181,11 @@ fn mixed_priorities_with_bounded_fanout_complete_all_tenants() {
     let top = truth.top_k(3);
     let shared = CrowdSimulator::new(truth.clone(), PerfectWorker, VotePolicy::Single, 100_000)
         .expect("valid vote policy");
-    // Fanout 2 with one high-priority tenant pinning a slot every round:
-    // the low class lives off the single remaining slot, exactly the
-    // regime of the scheduler starvation bug.
     let mut service = TopKService::new(shared).with_fanout(2);
     let ids: Vec<_> = (0..12)
         .map(|t| {
-            let priority = if t == 1 { 9 } else { 0 };
             service
-                .submit_with_truth(
-                    &table,
-                    SessionSpec::new(tenant_config(t)).with_priority(priority),
-                    Some(&top),
-                )
+                .submit_with_truth(&table, SessionSpec::new(tenant_config(t)), Some(&top))
                 .unwrap()
         })
         .collect();
@@ -173,54 +213,8 @@ fn mixed_priorities_with_bounded_fanout_complete_all_tenants() {
             .unwrap();
         assert!(
             served.same_outcome(&standalone),
-            "tenant {tenant} diverged under mixed priorities + fanout 2"
+            "tenant {tenant} diverged under fanout 2"
         );
-    }
-}
-
-/// The thread count is invisible in the results: the full 36-tenant
-/// workload produces bit-identical per-tenant reports at 1, 2 and 4
-/// worker threads (the determinism half of the PR 4 acceptance bar).
-#[test]
-fn per_tenant_reports_identical_across_thread_counts() {
-    let table = table();
-    let truth = GroundTruth::sample(&table, 4242);
-    let top = truth.top_k(3);
-    let run = |threads: usize| {
-        let shared = CrowdSimulator::new(truth.clone(), PerfectWorker, VotePolicy::Single, 100_000)
-            .expect("valid vote policy");
-        let mut service = TopKService::new(shared)
-            .with_fanout(6)
-            .with_threads(threads);
-        let ids: Vec<_> = (0..TENANTS)
-            .map(|t| {
-                let spec = SessionSpec::new(tenant_config(t)).with_priority((t % 3) as u8);
-                service.submit_with_truth(&table, spec, Some(&top)).unwrap()
-            })
-            .collect();
-        let metrics = service.run_to_completion().clone();
-        assert_eq!(metrics.completed as usize, TENANTS, "threads={threads}");
-        (
-            ids.iter()
-                .map(|id| service.report(*id).unwrap().clone())
-                .collect::<Vec<_>>(),
-            metrics,
-        )
-    };
-    let (sequential, base_metrics) = run(1);
-    for threads in [2usize, 4] {
-        let (parallel, metrics) = run(threads);
-        for (tenant, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
-            assert!(
-                a.same_outcome(b),
-                "tenant {tenant} diverged between 1 and {threads} worker threads"
-            );
-        }
-        // Cross-session effects are also identical: same crowd spending,
-        // same cache economics, same round count.
-        assert_eq!(metrics.crowd_questions, base_metrics.crowd_questions);
-        assert_eq!(metrics.cache_hits, base_metrics.cache_hits);
-        assert_eq!(metrics.rounds, base_metrics.rounds);
     }
 }
 

@@ -37,7 +37,6 @@ struct Tenant {
     algorithm: u8,
     seed: u64,
     budget: usize,
-    priority: u8,
 }
 
 fn tenant_config(t: &Tenant) -> SessionConfig {
@@ -63,11 +62,10 @@ fn tenant_config(t: &Tenant) -> SessionConfig {
 }
 
 fn tenant_strategy() -> impl Strategy<Value = Tenant> {
-    (0u8..6, 0u64..4, 2usize..=5, 0u8..3).prop_map(|(algorithm, seed, budget, priority)| Tenant {
+    (0u8..6, 0u64..4, 2usize..=5).prop_map(|(algorithm, seed, budget)| Tenant {
         algorithm,
         seed,
         budget,
-        priority,
     })
 }
 
@@ -95,11 +93,8 @@ fn serve(
     let ids: Vec<_> = tenants
         .iter()
         .map(|t| {
-            svc.submit(
-                table,
-                SessionSpec::new(tenant_config(t)).with_priority(t.priority),
-            )
-            .expect("valid tenant config")
+            svc.submit(table, SessionSpec::new(tenant_config(t)))
+                .expect("valid tenant config")
         })
         .collect();
     let blocked = match svc.run_until_quiescent() {
@@ -216,7 +211,6 @@ fn topped_up_crowd_resumes_parked_sessions_unstarved() {
             algorithm: t,
             seed: u64::from(t),
             budget: 4,
-            priority: t % 2,
         })
         .collect();
     let ample = serve(&table, &tenants, 100_000, 1);
@@ -235,11 +229,8 @@ fn topped_up_crowd_resumes_parked_sessions_unstarved() {
     let ids: Vec<_> = tenants
         .iter()
         .map(|t| {
-            svc.submit(
-                &table,
-                SessionSpec::new(tenant_config(t)).with_priority(t.priority),
-            )
-            .expect("valid tenant config")
+            svc.submit(&table, SessionSpec::new(tenant_config(t)))
+                .expect("valid tenant config")
         })
         .collect();
     let Quiescence::BlockedOnCrowd { sessions } = svc.run_until_quiescent() else {

@@ -69,11 +69,7 @@ fn main() {
     let ids: Vec<_> = (0..TENANTS)
         .map(|t| {
             service
-                .submit_with_truth(
-                    &table,
-                    SessionSpec::new(tenant_config(t)).with_priority((t % 4) as u8),
-                    Some(&top),
-                )
+                .submit_with_truth(&table, SessionSpec::new(tenant_config(t)), Some(&top))
                 .expect("valid tenant config")
         })
         .collect();
