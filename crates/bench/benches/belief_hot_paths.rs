@@ -59,6 +59,13 @@
 //! `fixed_n20_k5` 404 → 385 µs (384 → 353 µs) and `adaptive_tree_n12_k3`
 //! 170 → 183 µs (164 → 150 µs) held within the host's noise.
 //!
+//! Minima of 8 alternating runs per side on a shared 2-core host, before
+//! → after the answer-kind table, the nested level runs and the
+//! branch-free member pass: `select_step/c_off/n20` 6.04 → 4.16 ms,
+//! `select_step/tb_off/n20` 1.62 → 1.18 ms and
+//! `select_step/estimate_pool/n20` 697 → 381 µs (medians 6.59 → 4.49 ms,
+//! 1.73 → 1.24 ms, 768 → 412 µs).
+//!
 //! The implementations these replaced survive only as test-only
 //! references; their reference-vs-fast timings are recorded in
 //! `docs/bench-history/BENCH_PR3.json` and `BENCH_PR5.json`. The sizes

@@ -7,8 +7,8 @@ use crate::measures::{Entropy, MeasureKind, UncertaintyMeasure, WeightedEntropy}
 use crate::residual::{
     expected_residual_set, expected_residual_set_bruteforce, AnswerPartition, ResidualCtx,
 };
-use crate::select::OnlineSelector;
 use crate::select::{all_tree_pairs, relevant_questions, COff, OfflineSelector, T1On, TbOff};
+use crate::select::{OnlineSelector, Scoring};
 use ctk_crowd::Question;
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{ScoreDist, UncertainTable};
@@ -17,7 +17,7 @@ use ctk_tpo::PathSet;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 // The module is declared `#[cfg(test)]` in lib.rs; the helpers repeat the
 // attribute because ctk-analyze reads one file at a time.
@@ -131,6 +131,37 @@ fn shuffled_pool(pw: &PairwiseMatrix, seed: u64) -> Vec<Question> {
         .collect();
     pool.shuffle(&mut StdRng::seed_from_u64(seed));
     pool
+}
+
+/// An arbitrary uniform path set: distinct orderings of `k` of `n`
+/// tuples (up to 48 draws) with arbitrary weights, and the pairwise
+/// matrix of an arbitrary overlapping table over the `n` tuples.
+#[cfg(test)]
+fn uniform_paths() -> impl Strategy<Value = (PairwiseMatrix, PathSet)> {
+    (2usize..8, 1usize..5, 1usize..48, any::<u64>()).prop_map(|(n, k, draws, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let table = UncertainTable::new(
+            (0..n)
+                .map(|_| {
+                    ScoreDist::uniform_centered(rng.gen_range(0.0..1.0), rng.gen_range(0.2..0.6))
+                        .unwrap()
+                })
+                .collect(),
+        )
+        .unwrap();
+        let k = k.min(n);
+        let mut tuples: Vec<u32> = (0..n as u32).collect();
+        let mut weighted: Vec<(Vec<u32>, f64)> = Vec::new();
+        for _ in 0..draws {
+            tuples.shuffle(&mut rng);
+            let items = tuples[..k].to_vec();
+            if weighted.iter().all(|(seen, _)| *seen != items) {
+                weighted.push((items, rng.gen_range(0.01..1.0)));
+            }
+        }
+        let pw = PairwiseMatrix::compute(&table);
+        (pw, PathSet::from_weighted(k, weighted).unwrap())
+    })
 }
 
 /// `TB-off`, `C-off` and `T1-on` re-implemented over the materializing
@@ -373,6 +404,64 @@ proptest! {
     }
 
     #[test]
+    fn nested_kernel_matches_the_flat_reference(
+        (pw, ps) in prop_oneof![
+            uniform_paths(),
+            degenerate(),
+            fixture(6).prop_map(|(_, pw, ps)| (pw, ps)),
+        ],
+        explicit in proptest::collection::vec(0.0..2.0f64, 1..5),
+        picks in proptest::collection::vec(any::<u64>(), 0..5),
+        shuffle in any::<u64>(),
+        keep in any::<u64>(),
+    ) {
+        // The answer-kind table, the nested runs and the branch-free
+        // member pass against the flat per-level kernel: after 0–4
+        // refines, over the whole pool, a candidate subset of it (the
+        // table read through a column map), and the empty batch.
+        let pool = shuffled_pool(&pw, shuffle);
+        let subset: Vec<Question> = pool
+            .iter()
+            .enumerate()
+            .filter(|&(c, _)| keep >> (c % 64) & 1 == 1)
+            .map(|(_, &q)| q)
+            .collect();
+        let tree = all_tree_pairs(&ps);
+        let (mut nested, mut flat) = (Vec::new(), Vec::new());
+        for m in entropy_measures(&explicit) {
+            let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
+            let mut part = AnswerPartition::root(&ps);
+            for step in 0..=picks.len() {
+                for batch in [&pool[..], &subset[..], &[]] {
+                    let estimated = part.estimate_with_questions(batch, &ctx, &mut nested);
+                    prop_assert_eq!(estimated,
+                        part.estimate_with_questions_reference(batch, &ctx, &mut flat));
+                    prop_assert_eq!(nested.len(), flat.len());
+                    for ((q, a), b) in batch.iter().zip(&nested).zip(&flat) {
+                        prop_assert!((a - b).abs() <= 1e-12,
+                            "{}: nested {} vs flat {} for {} at step {}", m.name(), a, b, q, step);
+                    }
+                }
+                if let Some(&pick) = picks.get(step) {
+                    if !tree.is_empty() {
+                        part.refine(&tree[pick as usize % tree.len()], &ctx);
+                    }
+                }
+            }
+            prop_assert_eq!(T1On::next_by(&ps, &ctx, Scoring::Decisive),
+                T1On::next_by(&ps, &ctx, Scoring::FlatReference), "T1-on, {}", m.name());
+            for budget in [1usize, 3, 6] {
+                prop_assert_eq!(TbOff::select_by(&ps, budget, &ctx, Scoring::Decisive),
+                    TbOff::select_by(&ps, budget, &ctx, Scoring::FlatReference),
+                    "TB-off B={}, {}", budget, m.name());
+                prop_assert_eq!(COff::select_by(&ps, budget, &ctx, Scoring::Decisive),
+                    COff::select_by(&ps, budget, &ctx, Scoring::FlatReference),
+                    "C-off B={}, {}", budget, m.name());
+            }
+        }
+    }
+
+    #[test]
     fn estimate_fallback_covers_the_whole_batch(
         (pw, ps) in prop_oneof![
             degenerate(),
@@ -430,12 +519,14 @@ proptest! {
         for m in measures {
             let ctx = ResidualCtx { measure: m.as_ref(), pairwise: &pw };
             prop_assert_eq!(T1On.next_question(&ps, 1, &ctx),
-                T1On::next_question_eager(&ps, &ctx), "T1-on, {}", m.name());
+                T1On::next_by(&ps, &ctx, Scoring::Eager), "T1-on, {}", m.name());
             for budget in [1usize, 3, 6] {
                 prop_assert_eq!(TbOff.select(&ps, budget, &ctx),
-                    TbOff::select_eager(&ps, budget, &ctx), "TB-off B={}, {}", budget, m.name());
+                    TbOff::select_by(&ps, budget, &ctx, Scoring::Eager),
+                    "TB-off B={}, {}", budget, m.name());
                 prop_assert_eq!(COff.select(&ps, budget, &ctx),
-                    COff::select_eager(&ps, budget, &ctx), "C-off B={}, {}", budget, m.name());
+                    COff::select_by(&ps, budget, &ctx, Scoring::Eager),
+                    "C-off B={}, {}", budget, m.name());
             }
         }
     }

@@ -50,19 +50,32 @@
 //! ([`UncertaintyMeasure::level_entropy_weights`]), the one-step lookahead
 //! is a conditional entropy: `H(X_ℓ | A) = H(X_ℓ) − h(p) + Σ_g P(g) ·
 //! h(P(yes | g))`. [`AnswerPartition::estimate_with_questions`] evaluates
-//! it for a whole batch of candidates in one pass per class. The pass
-//! visits the class's members once, in items order, where every level's
-//! prefix groups are contiguous runs. It derives each candidate's answer
-//! kind per member, and keeps per level one open run (group mass, and per
-//! candidate a yes-mass and a union of answer kinds) that is flushed when
-//! the level's group id changes. No class is split or sorted, no
-//! groups × candidates block is built, and only groups that mix answers
-//! take a logarithm. Each estimate depends only on its own question, so it
-//! is the same alone or in any batch. It agrees with
-//! [`AnswerPartition::expected_with_question`] to about 1e-13, not bit for
-//! bit, so the selectors use it only to rank candidates: they score
-//! exactly just the candidates whose estimate can decide the pick, and
-//! pick from those exact scores (DESIGN.md §4, §8).
+//! it for a whole batch of candidates in one pass per class:
+//!
+//! * A path's answer kind for a question (yes, no or open) depends only on
+//!   the root path and the question, so the partition keeps an answer-kind
+//!   table: one `u8` per root path and pool question, built on the first
+//!   batch and read by every later one. C-off's later steps score the pool
+//!   minus the questions already chosen and read the table through a
+//!   column map.
+//! * The pass visits the class's members once, in items order, where every
+//!   level's prefix groups are contiguous runs and a deeper level's groups
+//!   nest inside a shallower one's. The runs nest the same way: a member is
+//!   added (group mass, and per candidate a yes-mass and a union of answer
+//!   kinds) into the deepest weighted level's run only, and a level's run
+//!   is flushed when its group id changes and rolled into its parent level's
+//!   run. Runs keep unweighted sums, and a level's weight scales its group
+//!   terms at the flush.
+//! * The member pass selects each path's yes-share by bit masks, not by a
+//!   branch.
+//!
+//! No class is split or sorted, no groups × candidates block is built, and
+//! only groups that mix answers take a logarithm. Each estimate depends
+//! only on its own question, so it is the same alone or in any batch. It
+//! agrees with [`AnswerPartition::expected_with_question`] to about 1e-13,
+//! not bit for bit, so the selectors use it only to rank candidates: they
+//! score exactly just the candidates whose estimate can decide the pick,
+//! and pick from those exact scores (DESIGN.md §4, §8).
 
 use crate::measures::UncertaintyMeasure;
 use ctk_crowd::Question;
@@ -533,6 +546,10 @@ impl AnswerPartition {
     /// level whose groups are single paths adds
     /// `w_ℓ · (undetermined mass) · h(prior)`.
     ///
+    /// The first batch builds the partition's answer-kind table over its
+    /// questions; a later batch whose questions all have a column reuses
+    /// it, and any other batch rebuilds it.
+    ///
     /// Each estimate depends only on its own question: it is bit for bit
     /// the same whether `q` is scored alone or inside any batch, in any
     /// order. It equals the exact lookahead up to rounding and the
@@ -559,33 +576,50 @@ impl AnswerPartition {
         let Some(weights) = ctx.measure.level_entropy_weights(index.groups.depth()) else {
             return false;
         };
+        if qs.is_empty() {
+            return true;
+        }
         let weight_sum: f64 = weights.iter().sum();
         let single = estimate.plan(index, &weights, qs, ctx);
         out.resize(qs.len(), 0.0);
         for class in classes.iter() {
             let u = class.uncertainty(ctx.measure, index, buffers);
-            estimate.scan(index, class, qs);
+            estimate.scan(index, class);
             let EstimateBuffers {
                 h_priors,
-                class_yes,
                 class_open,
-                class_kinds,
+                run_yes,
+                run_kinds,
                 terms,
                 ..
             } = &*estimate;
+            // Run 0 holds the class's sums.
             for (c, acc) in out.iter_mut().enumerate() {
-                if class_kinds[c] & (YES | NO) == 0 {
+                if run_kinds[c] & (YES | NO) == 0 {
                     // `qs[c]` leaves the class whole.
                     *acc += class.mass * u;
                     continue;
                 }
                 let h_prior = h_priors[c];
-                *acc += class.mass * (u - binary_entropy(class_yes[c] / class.mass) * weight_sum)
+                *acc += class.mass * (u - binary_entropy(run_yes[c] / class.mass) * weight_sum)
                     + single * class_open[c] * h_prior
                     + (terms[c].mixed + terms[c].open_groups * h_prior);
             }
         }
         true
+    }
+
+    /// [`AnswerPartition::estimate_with_questions`] through the flat
+    /// per-level kernel it replaced: the test-only reference for the
+    /// nested kernel and the answer-kind table.
+    #[cfg(test)]
+    pub(crate) fn estimate_with_questions_reference(
+        &mut self,
+        qs: &[Question],
+        ctx: &ResidualCtx<'_>,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        flat::estimate(self, qs, ctx, out)
     }
 
     /// [`AnswerPartition::expected_with_question`] through the
@@ -634,40 +668,50 @@ fn binary_entropy(x: f64) -> f64 {
 /// Scratch of [`AnswerPartition::estimate_with_questions`], apart from the
 /// class evaluation's; reused across calls.
 ///
-/// A class is visited in items order (its members' ranks in
-/// `PrefixGroups`), where each level's prefix groups are contiguous runs.
-/// The members themselves keep root order, which fixes the bits of class
-/// masses and of the exact lookahead; the visit goes through a
-/// permutation instead. Each planned level keeps one open run: its group
-/// mass, and per candidate a yes-mass and a union of answer kinds. A
-/// level's run is flushed into the candidates' group terms when its group
-/// id changes, so a run never spans more than one group.
+/// Every answer kind is read from the answer-kind table ([`KindTable`]),
+/// built once per selection. A class is visited in items order (its
+/// members' ranks in `PrefixGroups`), where each level's prefix groups are
+/// contiguous runs and a deeper level's groups nest inside a shallower
+/// one's. The members themselves keep root order, which fixes the bits of
+/// class masses and of the exact lookahead; the visit goes through a
+/// permutation instead.
+///
+/// The runs nest the same way. Run 0 is the class, and run `i + 1` is the
+/// open group of the `i`-th planned level, shallowest first: its mass, and
+/// per candidate a yes-mass and a union of answer kinds. A member is added
+/// into the deepest run only. When a level's group id changes, its run is
+/// flushed into the candidates' group terms and rolled into its parent run,
+/// deepest level first. Runs keep unweighted sums and the level weight
+/// scales the group term at the flush: `h(y / m)` is the same for `w · y`
+/// and `w · m`.
 #[derive(Debug, Default)]
 struct EstimateBuffers {
-    /// Each weighted level that needs group sums, with its open run.
+    /// The answer kind of every root path for every pool question.
+    table: KindTable,
+    /// Per candidate: its column in `table`.
+    cols: Vec<u32>,
+    /// Whether `cols` is `0, 1, 2, …`: the candidates are the table's
+    /// columns, and a member's row is read as it is.
+    whole_rows: bool,
+    /// Each weighted level that needs group sums, shallowest first, with
+    /// its open run.
     levels: Vec<LevelRun>,
     /// Per candidate: its prior and `h(prior)`.
     priors: Vec<f64>,
     h_priors: Vec<f64>,
-    /// Per candidate, over the current class: yes-mass (determined yes,
-    /// plus the prior's share of open paths), undetermined mass, and the
-    /// union of the members' answer kinds.
-    class_yes: Vec<f64>,
+    /// Per candidate: the current class's undetermined mass.
     class_open: Vec<f64>,
-    class_kinds: Vec<u8>,
     /// Per candidate: the current class's flushed group terms.
     terms: Vec<GroupTerms>,
-    /// Per level and candidate (`level · candidates + candidate`): the open
-    /// run's weighted yes-mass and union of answer kinds; all zero outside
-    /// a run.
+    /// Per run and candidate (`run · candidates + candidate`): the run's
+    /// yes-mass (determined yes, plus the prior's share of open paths) and
+    /// union of answer kinds. Level runs are all zero outside a group; after
+    /// a scan, run 0 holds the class's sums.
     run_yes: Vec<f64>,
     run_kinds: Vec<u8>,
-    /// Per candidate: the current member's answer kind and yes-mass.
-    kinds: Vec<u8>,
-    ys: Vec<f64>,
-    /// `pos[t]`: rank of tuple `t` on the current member's ordering,
-    /// `ABSENT` off it (and between members).
-    pos: Vec<u32>,
+    /// Per candidate: the current member's answer kind, gathered from its
+    /// row when the candidates are not the table's columns.
+    gathered: Vec<u8>,
     /// Member index by items rank, and a bitset of the ranks present: a
     /// counting sort of the class into items order. Only `present` is
     /// clear between classes.
@@ -682,7 +726,7 @@ struct LevelRun {
     weight: f64,
     /// Group id of the open run, `NO_RUN` before a class's first member.
     group: usize,
-    /// Weighted mass of the open run.
+    /// Mass of the open run.
     mass: f64,
 }
 
@@ -691,9 +735,10 @@ const NO_RUN: usize = usize::MAX;
 /// One candidate's group terms over a class.
 #[derive(Debug, Default, Clone, Copy)]
 struct GroupTerms {
-    /// `Σ m_g · h(y_g / m_g)` over the flushed groups that mix answers.
+    /// `Σ w_ℓ · m_g · h(y_g / m_g)` over the flushed groups that mix
+    /// answers.
     mixed: f64,
-    /// Mass of the flushed groups whose paths are all open.
+    /// Weighted mass of the flushed groups whose paths are all open.
     open_groups: f64,
 }
 
@@ -706,11 +751,123 @@ const OPEN: u8 = 4;
 /// A tuple off the ordering: it ranks below every present one.
 const ABSENT: u32 = u32::MAX;
 
+/// The answer kind of a path that holds the question's tuples at ranks
+/// `a` and `b`: the membership semantics of `implication` (an absent
+/// tuple ranks below every present one, and both absent leave the
+/// question open), without a branch.
+#[inline]
+pub(crate) fn answer_kind(a: u32, b: u32) -> u8 {
+    u8::from(a < b) | u8::from(a > b) << 1 | u8::from(a == b) << 2
+}
+
+/// `P(yes | kind)`: 1 on yes, `prior` on open, 0 on no, selected by bit
+/// masks instead of a branch (the same bits).
+#[inline]
+pub(crate) fn yes_share(kind: u8, prior: f64) -> f64 {
+    f64::from_bits(mask(kind & YES) & 1f64.to_bits() | mask(kind & OPEN) & prior.to_bits())
+}
+
+/// All ones when `bit` is set, else zero.
+#[inline]
+fn mask(bit: u8) -> u64 {
+    u64::from(bit != 0).wrapping_neg()
+}
+
+/// The answer kind of every root path for every question of a batch, one
+/// `u8` per path and question, rows in items order. A kind depends only
+/// on the root path and the question, so one table serves every step of a
+/// selection: C-off's later steps score the pool minus the questions
+/// already chosen, and read their kinds through a column map.
+#[derive(Debug, Default)]
+struct KindTable {
+    /// `(question, column)` for each question the table was built for,
+    /// sorted: the column map's lookup.
+    columns: Vec<(Question, u32)>,
+    /// Row `r`, the kinds of the root path of items rank `r`, is
+    /// `kinds[r · w..(r + 1) · w]` with `w = columns.len()`.
+    kinds: Vec<u8>,
+}
+
+impl KindTable {
+    /// Fills `cols` with each question's column, first rebuilding the
+    /// table over `qs` when one of them has none. Returns whether the
+    /// columns are the table's own, in order.
+    fn columns_for(&mut self, index: &PrefixIndex, qs: &[Question], cols: &mut Vec<u32>) -> bool {
+        cols.clear();
+        for q in qs {
+            match self.columns.binary_search_by(|(c, _)| c.cmp(q)) {
+                Ok(at) => cols.push(self.columns[at].1),
+                Err(_) => {
+                    self.build(index, qs);
+                    cols.clear();
+                    cols.extend(0..qs.len() as u32);
+                    break;
+                }
+            }
+        }
+        cols.len() == self.columns.len() && cols.iter().zip(0..).all(|(&c, k)| c == k)
+    }
+
+    /// Fills the table for `qs`: one pass over the root paths, each
+    /// written into a tuple → rank map that answers every question with
+    /// two lookups.
+    fn build(&mut self, index: &PrefixIndex, qs: &[Question]) {
+        let width = qs.len();
+        self.columns.clear();
+        self.columns
+            .extend(qs.iter().zip(0..).map(|(&q, c)| (q, c)));
+        self.columns.sort_unstable();
+        self.kinds.clear();
+        self.kinds.resize(index.len() * width, 0);
+        let tuples = qs
+            .iter()
+            .map(|q| q.i.max(q.j) as usize + 1)
+            .fold(index.tuples, usize::max);
+        let mut pos = vec![ABSENT; tuples];
+        for p in 0..index.len() {
+            let items = index.items(p as u32);
+            for (r, &t) in items.iter().enumerate() {
+                pos[t as usize] = r as u32;
+            }
+            let row = index.groups.rank(p) as usize * width;
+            for (kind, q) in self.kinds[row..row + width].iter_mut().zip(qs) {
+                *kind = answer_kind(pos[q.i as usize], pos[q.j as usize]);
+            }
+            for &t in items {
+                pos[t as usize] = ABSENT;
+            }
+        }
+        #[cfg(feature = "debug-invariants")]
+        for p in 0..index.len() {
+            let items = index.items(p as u32);
+            for (&kind, q) in self.row(index.groups.rank(p) as usize).iter().zip(qs) {
+                let derived = match implication(items, q.i, q.j) {
+                    Implication::Yes => YES,
+                    Implication::No => NO,
+                    Implication::Undetermined => OPEN,
+                };
+                assert_eq!(
+                    kind, derived,
+                    "answer-kind table entry of {items:?} for {q} differs from its implication"
+                );
+            }
+        }
+    }
+
+    /// The kinds of the root path of items rank `r`.
+    #[inline]
+    fn row(&self, r: usize) -> &[u8] {
+        let width = self.columns.len();
+        &self.kinds[r * width..(r + 1) * width]
+    }
+}
+
 impl EstimateBuffers {
-    /// Sets up a batch: splits the weighted levels into those whose groups
-    /// are single root paths (returns their total weight: such a level
-    /// adds `w · (open mass) · h(prior)`) and those that need group sums
-    /// (stored in `levels`), and sizes every buffer.
+    /// Sets up a non-empty batch: maps the candidates to their table
+    /// columns, splits the weighted levels into those whose groups are
+    /// single root paths (returns their total weight: such a level adds
+    /// `w · (open mass) · h(prior)`) and those that need group sums
+    /// (stored in `levels`, shallowest first), and sizes every buffer.
     fn plan(
         &mut self,
         index: &PrefixIndex,
@@ -718,6 +875,7 @@ impl EstimateBuffers {
         qs: &[Question],
         ctx: &ResidualCtx<'_>,
     ) -> f64 {
+        self.whole_rows = self.table.columns_for(index, qs, &mut self.cols);
         self.levels.clear();
         let mut single = 0.0;
         for (l, &w) in weights.iter().enumerate() {
@@ -741,23 +899,14 @@ impl EstimateBuffers {
         self.h_priors
             .extend(self.priors.iter().map(|&prior| binary_entropy(prior)));
         let c = qs.len();
-        self.class_yes.resize(c, 0.0);
         self.class_open.resize(c, 0.0);
-        self.class_kinds.resize(c, 0);
         self.terms.resize(c, GroupTerms::default());
+        let runs = (self.levels.len() + 1) * c;
         self.run_yes.clear();
-        self.run_yes.resize(self.levels.len() * c, 0.0);
+        self.run_yes.resize(runs, 0.0);
         self.run_kinds.clear();
-        self.run_kinds.resize(self.levels.len() * c, 0);
-        self.kinds.resize(c, 0);
-        self.ys.resize(c, 0.0);
-        let tuples = qs
-            .iter()
-            .map(|q| q.i.max(q.j) as usize + 1)
-            .fold(index.tuples, usize::max);
-        if self.pos.len() < tuples {
-            self.pos.resize(tuples, ABSENT);
-        }
+        self.run_kinds.resize(runs, 0);
+        self.gathered.resize(c, 0);
         let n = index.len();
         if self.by_rank.len() < n {
             self.by_rank.resize(n, 0);
@@ -766,129 +915,146 @@ impl EstimateBuffers {
         single
     }
 
-    /// One pass over `class` in items order: each member's answer kind for
-    /// every candidate, its mass and yes-mass added to the candidates'
-    /// class sums and to every planned level's open run, and a run flushed
-    /// whenever its level's group id changes. Only groups that mix a
-    /// determined path with a path answered otherwise need a logarithm: a
-    /// group of open paths adds `m_g · h(prior)`, and a group of paths
-    /// answered alike adds 0.
-    fn scan(&mut self, index: &PrefixIndex, class: &Class, qs: &[Question]) {
+    /// One pass over `class` in items order. Each member's answer kinds
+    /// come from its table row; its yes-mass and kinds go into the deepest
+    /// run, and its open mass into the class sums. Before a member is
+    /// added, the runs of the levels whose group changes are closed. Only
+    /// groups that mix a determined path with a path answered otherwise
+    /// need a logarithm: a group of open paths adds `w · m_g · h(prior)`,
+    /// and a group of paths answered alike adds 0.
+    fn scan(&mut self, index: &PrefixIndex, class: &Class) {
         let Self {
+            table,
+            cols,
+            whole_rows,
             levels,
             priors,
-            class_yes,
             class_open,
-            class_kinds,
             terms,
             run_yes,
             run_kinds,
-            kinds,
-            ys,
-            pos,
+            gathered,
             by_rank,
             present,
             ..
         } = self;
-        class_yes.fill(0.0);
+        let c = cols.len();
         class_open.fill(0.0);
-        class_kinds.fill(0);
         terms.fill(GroupTerms::default());
+        run_yes[..c].fill(0.0);
+        run_kinds[..c].fill(0);
         for (k, m) in class.members.iter().enumerate() {
             let r = index.groups.rank(m.path as usize) as usize;
             by_rank[r] = k as u32;
             present[r / 64] |= 1 << (r % 64);
         }
-        // One chunk of `run_yes`/`run_kinds` per level.
-        let chunk = qs.len().max(1);
+        let deepest = levels.len() * c;
         for (w, word) in present.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
-                let m = class.members[by_rank[w * 64 + bits.trailing_zeros() as usize] as usize];
+                let r = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let items = index.items(m.path);
-                for (r, &t) in items.iter().enumerate() {
-                    pos[t as usize] = r as u32;
+                let m = class.members[by_rank[r] as usize];
+                // Groups nest: once a level keeps its group, every
+                // shallower level does too.
+                for l in (0..levels.len()).rev() {
+                    let g = index.groups.id(m.path as usize, levels[l].level);
+                    if g == levels[l].group {
+                        break;
+                    }
+                    if levels[l].group != NO_RUN {
+                        close(levels, l, run_yes, run_kinds, terms, c);
+                    }
+                    levels[l].group = g;
                 }
-                // Membership semantics of `implication`: an absent tuple
-                // ranks below every present one; both absent leaves `q`
-                // open.
-                for (kind, q) in kinds.iter_mut().zip(qs) {
-                    *kind = match pos[q.i as usize].cmp(&pos[q.j as usize]) {
-                        std::cmp::Ordering::Less => YES,
-                        std::cmp::Ordering::Greater => NO,
-                        std::cmp::Ordering::Equal => OPEN,
-                    };
-                }
-                for &t in items {
-                    pos[t as usize] = ABSENT;
-                }
-                for (((y, &kind), &prior), (yes, open)) in ys
+                let row = table.row(r);
+                let kinds: &[u8] = if *whole_rows {
+                    row
+                } else {
+                    for (kind, &col) in gathered.iter_mut().zip(cols.iter()) {
+                        *kind = row[col as usize];
+                    }
+                    gathered
+                };
+                for ((((yes, seen), open), &kind), &prior) in run_yes[deepest..]
                     .iter_mut()
-                    .zip(kinds.iter())
+                    .zip(run_kinds[deepest..].iter_mut())
+                    .zip(class_open.iter_mut())
+                    .zip(kinds)
                     .zip(priors.iter())
-                    .zip(class_yes.iter_mut().zip(class_open.iter_mut()))
                 {
-                    // `m.prob · P(yes | kind)`.
-                    *y = m.prob
-                        * match kind {
-                            YES => 1.0,
-                            OPEN => prior,
-                            _ => 0.0,
-                        };
-                    *yes += *y;
-                    *open += if kind == OPEN { m.prob } else { 0.0 };
-                }
-                for (seen, &kind) in class_kinds.iter_mut().zip(kinds.iter()) {
+                    *yes += m.prob * yes_share(kind, prior);
+                    // The member's mass when it leaves the question open,
+                    // else 0.
+                    *open += f64::from_bits(mask(kind & OPEN) & m.prob.to_bits());
                     *seen |= kind;
                 }
-                for ((lv, run_yes), run_kinds) in levels
-                    .iter_mut()
-                    .zip(run_yes.chunks_exact_mut(chunk))
-                    .zip(run_kinds.chunks_exact_mut(chunk))
-                {
-                    let g = index.groups.id(m.path as usize, lv.level);
-                    if g != lv.group {
-                        if lv.group != NO_RUN {
-                            flush(lv, run_yes, run_kinds, terms);
-                        }
-                        lv.group = g;
-                    }
-                    lv.mass += lv.weight * m.prob;
-                    for (s, &y) in run_yes.iter_mut().zip(ys.iter()) {
-                        *s += lv.weight * y;
-                    }
-                    for (s, &kind) in run_kinds.iter_mut().zip(kinds.iter()) {
-                        *s |= kind;
-                    }
+                if let Some(lv) = levels.last_mut() {
+                    lv.mass += m.prob;
                 }
             }
         }
-        for ((lv, run_yes), run_kinds) in levels
-            .iter_mut()
-            .zip(run_yes.chunks_exact_mut(chunk))
-            .zip(run_kinds.chunks_exact_mut(chunk))
-        {
-            if lv.group != NO_RUN {
-                flush(lv, run_yes, run_kinds, terms);
-                lv.group = NO_RUN;
+        for l in (0..levels.len()).rev() {
+            if levels[l].group != NO_RUN {
+                close(levels, l, run_yes, run_kinds, terms, c);
+                levels[l].group = NO_RUN;
             }
         }
     }
 }
 
-/// Closes a level's open run: each candidate's group term goes into its
-/// class terms, and the run's sums return to zero.
-fn flush(lv: &mut LevelRun, run_yes: &mut [f64], run_kinds: &mut [u8], terms: &mut [GroupTerms]) {
-    let mass = std::mem::take(&mut lv.mass);
-    for ((yes, kinds), terms) in run_yes.iter_mut().zip(run_kinds.iter_mut()).zip(terms) {
+/// Closes level `l`'s open run (run `l + 1`): each candidate's weighted
+/// group term goes into its class terms, the run's sums roll into its
+/// parent run (level `l − 1`'s, or the class's), and the run returns to
+/// zero.
+fn close(
+    levels: &mut [LevelRun],
+    l: usize,
+    run_yes: &mut [f64],
+    run_kinds: &mut [u8],
+    terms: &mut [GroupTerms],
+    c: usize,
+) {
+    let mass = std::mem::take(&mut levels[l].mass);
+    if l > 0 {
+        levels[l - 1].mass += mass;
+    }
+    let weight = levels[l].weight;
+    let weighted = weight * mass;
+    let mut mass_ln_mass = None;
+    let (parent_yes, yes) = run_yes[l * c..(l + 2) * c].split_at_mut(c);
+    let (parent_kinds, kinds) = run_kinds[l * c..(l + 2) * c].split_at_mut(c);
+    for ((((parent_yes, parent_kinds), yes), kinds), terms) in parent_yes
+        .iter_mut()
+        .zip(parent_kinds.iter_mut())
+        .zip(yes)
+        .zip(kinds)
+        .zip(terms)
+    {
         let yes = std::mem::take(yes);
-        match std::mem::take(kinds) {
+        let kinds = std::mem::take(kinds);
+        *parent_yes += yes;
+        *parent_kinds |= kinds;
+        match kinds {
             YES | NO => {}
-            OPEN => terms.open_groups += mass,
-            _ => terms.mixed += mass * binary_entropy(yes / mass),
+            OPEN => terms.open_groups += weighted,
+            _ => {
+                let m_ln_m = *mass_ln_mass.get_or_insert_with(|| mass * mass.ln());
+                terms.mixed += weight * group_entropy(mass, m_ln_m, yes);
+            }
         }
     }
+}
+
+/// `m · h(y / m)`, as `m ln m − y ln y − (m − y) ln(m − y)` from a given
+/// `m ln m`: one division fewer per pair; 0 unless `0 < y < m`.
+#[inline]
+fn group_entropy(mass: f64, mass_ln_mass: f64, yes: f64) -> f64 {
+    let no = mass - yes;
+    if yes <= 0.0 || no <= 0.0 {
+        return 0.0;
+    }
+    mass_ln_mass - yes * yes.ln() - no * no.ln()
 }
 
 /// `Σ_class P(class) · U(class)` after splitting every class by `q`, with
@@ -962,6 +1128,294 @@ fn split_class(
         (mass > MASS_EPS).then_some(Class::new(members, mass))
     };
     (wrap(yes), wrap(no), true)
+}
+
+/// The flat per-level kernel that the nested one replaced: every planned
+/// level's run takes every member, with weighted sums, and each member's
+/// answer kinds come from a tuple → rank map. The test-only reference the
+/// nested kernel's estimates are pinned against (within rounding), and
+/// through which the selectors must make the same picks.
+#[cfg(test)]
+mod flat {
+    use super::{
+        binary_entropy, AnswerPartition, Class, GroupTerms, LevelRun, PrefixIndex, ResidualCtx,
+        ABSENT, NO, NO_RUN, OPEN, YES,
+    };
+    use ctk_crowd::Question;
+
+    /// [`AnswerPartition::estimate_with_questions`] through the flat kernel.
+    pub(super) fn estimate(
+        partition: &mut AnswerPartition,
+        qs: &[Question],
+        ctx: &ResidualCtx<'_>,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        out.clear();
+        let AnswerPartition {
+            index,
+            classes,
+            buffers,
+            ..
+        } = partition;
+        if !index.uniform {
+            return false;
+        }
+        let Some(weights) = ctx.measure.level_entropy_weights(index.groups.depth()) else {
+            return false;
+        };
+        let weight_sum: f64 = weights.iter().sum();
+        let mut estimate = FlatBuffers::default();
+        let single = estimate.plan(index, &weights, qs, ctx);
+        out.resize(qs.len(), 0.0);
+        for class in classes.iter() {
+            let u = class.uncertainty(ctx.measure, index, buffers);
+            estimate.scan(index, class, qs);
+            let FlatBuffers {
+                h_priors,
+                class_yes,
+                class_open,
+                class_kinds,
+                terms,
+                ..
+            } = &estimate;
+            for (c, acc) in out.iter_mut().enumerate() {
+                if class_kinds[c] & (YES | NO) == 0 {
+                    *acc += class.mass * u;
+                    continue;
+                }
+                let h_prior = h_priors[c];
+                *acc += class.mass * (u - binary_entropy(class_yes[c] / class.mass) * weight_sum)
+                    + single * class_open[c] * h_prior
+                    + (terms[c].mixed + terms[c].open_groups * h_prior);
+            }
+        }
+        true
+    }
+
+    /// The flat kernel's scratch.
+    #[derive(Debug, Default)]
+    struct FlatBuffers {
+        /// Each weighted level that needs group sums, with its open run.
+        levels: Vec<LevelRun>,
+        /// Per candidate: its prior and `h(prior)`.
+        priors: Vec<f64>,
+        h_priors: Vec<f64>,
+        /// Per candidate, over the current class: yes-mass (determined yes,
+        /// plus the prior's share of open paths), undetermined mass, and the
+        /// union of the members' answer kinds.
+        class_yes: Vec<f64>,
+        class_open: Vec<f64>,
+        class_kinds: Vec<u8>,
+        /// Per candidate: the current class's flushed group terms.
+        terms: Vec<GroupTerms>,
+        /// Per level and candidate (`level · candidates + candidate`): the open
+        /// run's weighted yes-mass and union of answer kinds; all zero outside
+        /// a run.
+        run_yes: Vec<f64>,
+        run_kinds: Vec<u8>,
+        /// Per candidate: the current member's answer kind and yes-mass.
+        kinds: Vec<u8>,
+        ys: Vec<f64>,
+        /// `pos[t]`: rank of tuple `t` on the current member's ordering,
+        /// `ABSENT` off it (and between members).
+        pos: Vec<u32>,
+        /// Member index by items rank, and a bitset of the ranks present: a
+        /// counting sort of the class into items order. Only `present` is
+        /// clear between classes.
+        by_rank: Vec<u32>,
+        present: Vec<u64>,
+    }
+
+    impl FlatBuffers {
+        /// Sets up a batch: splits the weighted levels into those whose groups
+        /// are single root paths (returns their total weight: such a level
+        /// adds `w · (open mass) · h(prior)`) and those that need group sums
+        /// (stored in `levels`), and sizes every buffer.
+        fn plan(
+            &mut self,
+            index: &PrefixIndex,
+            weights: &[f64],
+            qs: &[Question],
+            ctx: &ResidualCtx<'_>,
+        ) -> f64 {
+            self.levels.clear();
+            let mut single = 0.0;
+            for (l, &w) in weights.iter().enumerate() {
+                if w <= 0.0 {
+                    continue;
+                }
+                if index.groups.count(l) == index.len() {
+                    single += w;
+                } else {
+                    self.levels.push(LevelRun {
+                        level: l,
+                        weight: w,
+                        group: NO_RUN,
+                        mass: 0.0,
+                    });
+                }
+            }
+            self.priors.clear();
+            self.priors.extend(qs.iter().map(|q| ctx.prior(q.i, q.j)));
+            self.h_priors.clear();
+            self.h_priors
+                .extend(self.priors.iter().map(|&prior| binary_entropy(prior)));
+            let c = qs.len();
+            self.class_yes.resize(c, 0.0);
+            self.class_open.resize(c, 0.0);
+            self.class_kinds.resize(c, 0);
+            self.terms.resize(c, GroupTerms::default());
+            self.run_yes.clear();
+            self.run_yes.resize(self.levels.len() * c, 0.0);
+            self.run_kinds.clear();
+            self.run_kinds.resize(self.levels.len() * c, 0);
+            self.kinds.resize(c, 0);
+            self.ys.resize(c, 0.0);
+            let tuples = qs
+                .iter()
+                .map(|q| q.i.max(q.j) as usize + 1)
+                .fold(index.tuples, usize::max);
+            if self.pos.len() < tuples {
+                self.pos.resize(tuples, ABSENT);
+            }
+            let n = index.len();
+            if self.by_rank.len() < n {
+                self.by_rank.resize(n, 0);
+                self.present.resize(n.div_ceil(64), 0);
+            }
+            single
+        }
+
+        /// One pass over `class` in items order: each member's answer kind for
+        /// every candidate, its mass and yes-mass added to the candidates'
+        /// class sums and to every planned level's open run, and a run flushed
+        /// whenever its level's group id changes. Only groups that mix a
+        /// determined path with a path answered otherwise need a logarithm: a
+        /// group of open paths adds `m_g · h(prior)`, and a group of paths
+        /// answered alike adds 0.
+        fn scan(&mut self, index: &PrefixIndex, class: &Class, qs: &[Question]) {
+            let Self {
+                levels,
+                priors,
+                class_yes,
+                class_open,
+                class_kinds,
+                terms,
+                run_yes,
+                run_kinds,
+                kinds,
+                ys,
+                pos,
+                by_rank,
+                present,
+                ..
+            } = self;
+            class_yes.fill(0.0);
+            class_open.fill(0.0);
+            class_kinds.fill(0);
+            terms.fill(GroupTerms::default());
+            for (k, m) in class.members.iter().enumerate() {
+                let r = index.groups.rank(m.path as usize) as usize;
+                by_rank[r] = k as u32;
+                present[r / 64] |= 1 << (r % 64);
+            }
+            // One chunk of `run_yes`/`run_kinds` per level.
+            let chunk = qs.len().max(1);
+            for (w, word) in present.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let m =
+                        class.members[by_rank[w * 64 + bits.trailing_zeros() as usize] as usize];
+                    bits &= bits - 1;
+                    let items = index.items(m.path);
+                    for (r, &t) in items.iter().enumerate() {
+                        pos[t as usize] = r as u32;
+                    }
+                    // Membership semantics of `implication`: an absent tuple
+                    // ranks below every present one; both absent leaves `q`
+                    // open.
+                    for (kind, q) in kinds.iter_mut().zip(qs) {
+                        *kind = match pos[q.i as usize].cmp(&pos[q.j as usize]) {
+                            std::cmp::Ordering::Less => YES,
+                            std::cmp::Ordering::Greater => NO,
+                            std::cmp::Ordering::Equal => OPEN,
+                        };
+                    }
+                    for &t in items {
+                        pos[t as usize] = ABSENT;
+                    }
+                    for (((y, &kind), &prior), (yes, open)) in ys
+                        .iter_mut()
+                        .zip(kinds.iter())
+                        .zip(priors.iter())
+                        .zip(class_yes.iter_mut().zip(class_open.iter_mut()))
+                    {
+                        // `m.prob · P(yes | kind)`.
+                        *y = m.prob
+                            * match kind {
+                                YES => 1.0,
+                                OPEN => prior,
+                                _ => 0.0,
+                            };
+                        *yes += *y;
+                        *open += if kind == OPEN { m.prob } else { 0.0 };
+                    }
+                    for (seen, &kind) in class_kinds.iter_mut().zip(kinds.iter()) {
+                        *seen |= kind;
+                    }
+                    for ((lv, run_yes), run_kinds) in levels
+                        .iter_mut()
+                        .zip(run_yes.chunks_exact_mut(chunk))
+                        .zip(run_kinds.chunks_exact_mut(chunk))
+                    {
+                        let g = index.groups.id(m.path as usize, lv.level);
+                        if g != lv.group {
+                            if lv.group != NO_RUN {
+                                flush(lv, run_yes, run_kinds, terms);
+                            }
+                            lv.group = g;
+                        }
+                        lv.mass += lv.weight * m.prob;
+                        for (s, &y) in run_yes.iter_mut().zip(ys.iter()) {
+                            *s += lv.weight * y;
+                        }
+                        for (s, &kind) in run_kinds.iter_mut().zip(kinds.iter()) {
+                            *s |= kind;
+                        }
+                    }
+                }
+            }
+            for ((lv, run_yes), run_kinds) in levels
+                .iter_mut()
+                .zip(run_yes.chunks_exact_mut(chunk))
+                .zip(run_kinds.chunks_exact_mut(chunk))
+            {
+                if lv.group != NO_RUN {
+                    flush(lv, run_yes, run_kinds, terms);
+                    lv.group = NO_RUN;
+                }
+            }
+        }
+    }
+
+    /// Closes a level's open run: each candidate's group term goes into its
+    /// class terms, and the run's sums return to zero.
+    fn flush(
+        lv: &mut LevelRun,
+        run_yes: &mut [f64],
+        run_kinds: &mut [u8],
+        terms: &mut [GroupTerms],
+    ) {
+        let mass = std::mem::take(&mut lv.mass);
+        for ((yes, kinds), terms) in run_yes.iter_mut().zip(run_kinds.iter_mut()).zip(terms) {
+            let yes = std::mem::take(yes);
+            match std::mem::take(kinds) {
+                YES | NO => {}
+                OPEN => terms.open_groups += mass,
+                _ => terms.mixed += mass * binary_entropy(yes / mass),
+            }
+        }
+    }
 }
 
 /// Expected residual uncertainty after asking a single question.

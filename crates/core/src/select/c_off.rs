@@ -22,7 +22,8 @@ use ctk_tpo::PathSet;
 pub struct COff;
 
 impl COff {
-    fn select_by(
+    /// The selection, with candidates scored as `scoring` says.
+    pub(crate) fn select_by(
         ps: &PathSet,
         budget: usize,
         ctx: &ResidualCtx<'_>,
@@ -64,17 +65,6 @@ impl COff {
             chosen.push(q);
         }
         chosen
-    }
-
-    /// [`OfflineSelector::select`] with every candidate scored exactly: the
-    /// test-only reference for the decisive scan.
-    #[cfg(test)]
-    pub(crate) fn select_eager(
-        ps: &PathSet,
-        budget: usize,
-        ctx: &ResidualCtx<'_>,
-    ) -> Vec<Question> {
-        Self::select_by(ps, budget, ctx, Scoring::Eager)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The relevant-question set `Q_K`, the unrestricted comparison pool, and
 //! the decisive scan that scores candidates for the entropy selectors.
 
-use crate::residual::{AnswerPartition, ResidualCtx};
+use crate::residual::{answer_kind, yes_share, AnswerPartition, ResidualCtx};
 use ctk_crowd::Question;
 use ctk_tpo::PathSet;
 
@@ -53,6 +53,10 @@ pub(crate) enum Scoring {
     /// Score every candidate exactly: the test-only reference scan.
     #[cfg(test)]
     Eager,
+    /// [`Scoring::Decisive`] with the estimates of the flat per-level
+    /// kernel: the test-only reference for the nested one.
+    #[cfg(test)]
+    FlatReference,
 }
 
 /// Applies `pick` to the candidates' exact scores `(score, question)`, in
@@ -79,12 +83,14 @@ pub(crate) fn pick_scored<R: PartialEq + std::fmt::Debug>(
     let mut estimates = Vec::new();
     let estimated = match scoring {
         // Nothing to skip when the pick needs every score.
-        Scoring::Decisive if matches!(decides, Decides::Smallest(b) if b >= candidates.len()) => {
-            false
-        }
+        _ if matches!(decides, Decides::Smallest(b) if b >= candidates.len()) => false,
         Scoring::Decisive => partition.estimate_with_questions(candidates, ctx, &mut estimates),
         #[cfg(test)]
         Scoring::Eager => false,
+        #[cfg(test)]
+        Scoring::FlatReference => {
+            partition.estimate_with_questions_reference(candidates, ctx, &mut estimates)
+        }
     };
     if !estimated {
         return pick(exact_scores(partition, candidates, ctx));
@@ -161,23 +167,26 @@ pub fn relevant_questions(ps: &PathSet, ctx: &ResidualCtx<'_>) -> Vec<Question> 
     // `pos[a]`: rank of `tuples[a]` on the current path; absent tuples
     // rank below every present one, which is the membership semantics of
     // `ctk_tpo::answers::implication`.
-    const ABSENT: usize = usize::MAX;
+    const ABSENT: u32 = u32::MAX;
     let mut pos = vec![ABSENT; m];
     let mut acc = vec![0.0f64; pairs.len()];
     for path in ps.paths() {
         for (r, &t) in path.items.iter().enumerate() {
-            pos[slot[t as usize]] = r;
+            pos[slot[t as usize]] = r as u32;
         }
-        for ((&(a, b), &prior), p) in pairs.iter().zip(&priors).zip(acc.iter_mut()) {
-            let (ra, rb) = (pos[a], pos[b]);
-            *p += path.prob
-                * if ra == rb {
-                    prior // both absent: undetermined
-                } else if ra < rb {
-                    1.0
-                } else {
-                    0.0
-                };
+        // `pairs` runs `a` outer and `b > a` inner: `a`'s pairs are the
+        // next `m - a - 1` entries.
+        let mut at = 0;
+        for (a, &ra) in pos.iter().enumerate() {
+            let row = at..at + m - a - 1;
+            at = row.end;
+            for ((p, &prior), &rb) in acc[row.clone()]
+                .iter_mut()
+                .zip(&priors[row])
+                .zip(&pos[a + 1..])
+            {
+                *p += path.prob * yes_share(answer_kind(ra, rb), prior);
+            }
         }
         for &t in &path.items {
             pos[slot[t as usize]] = ABSENT;

@@ -25,6 +25,8 @@ mod tb_off;
 
 pub use astar::{AStarOff, AStarOn};
 pub use c_off::COff;
+#[cfg(test)]
+pub(crate) use common::Scoring;
 pub use common::{all_tree_pairs, relevant_questions};
 pub use naive::NaiveSelector;
 pub use random::RandomSelector;

@@ -15,7 +15,12 @@ use ctk_tpo::PathSet;
 pub struct T1On;
 
 impl T1On {
-    fn next_by(ps: &PathSet, ctx: &ResidualCtx<'_>, scoring: Scoring) -> Option<Question> {
+    /// The next question, with candidates scored as `scoring` says.
+    pub(crate) fn next_by(
+        ps: &PathSet,
+        ctx: &ResidualCtx<'_>,
+        scoring: Scoring,
+    ) -> Option<Question> {
         if ps.is_resolved() {
             return None;
         }
@@ -28,13 +33,6 @@ impl T1On {
                 .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
                 .map(|(_, q)| q)
         })
-    }
-
-    /// [`OnlineSelector::next_question`] with every candidate scored
-    /// exactly: the test-only reference for the decisive scan.
-    #[cfg(test)]
-    pub(crate) fn next_question_eager(ps: &PathSet, ctx: &ResidualCtx<'_>) -> Option<Question> {
-        Self::next_by(ps, ctx, Scoring::Eager)
     }
 }
 

@@ -22,7 +22,8 @@ use ctk_tpo::PathSet;
 pub struct TbOff;
 
 impl TbOff {
-    fn select_by(
+    /// The selection, with candidates scored as `scoring` says.
+    pub(crate) fn select_by(
         ps: &PathSet,
         budget: usize,
         ctx: &ResidualCtx<'_>,
@@ -39,17 +40,6 @@ impl TbOff {
             scored.truncate(budget);
             scored.into_iter().map(|(_, q)| q).collect()
         })
-    }
-
-    /// [`OfflineSelector::select`] with every candidate scored exactly: the
-    /// test-only reference for the decisive scan.
-    #[cfg(test)]
-    pub(crate) fn select_eager(
-        ps: &PathSet,
-        budget: usize,
-        ctx: &ResidualCtx<'_>,
-    ) -> Vec<Question> {
-        Self::select_by(ps, budget, ctx, Scoring::Eager)
     }
 }
 

@@ -756,6 +756,44 @@ mod tests {
     }
 
     #[test]
+    fn refused_builds_evict_nothing() {
+        // 32 tables are held, the least recently used one with a stored
+        // belief. A submit on a 33rd table passes validation, but the
+        // engine refuses its build: no table and no belief may leave.
+        let mut svc = service(100);
+        let shifted = |s: usize| {
+            UncertainTable::new(
+                (0..7)
+                    .map(|i| ScoreDist::uniform_centered(i as f64 * 0.12 + s as f64 * 0.01, 0.4))
+                    .collect::<std::result::Result<_, _>>()
+                    .unwrap(),
+            )
+            .unwrap()
+        };
+        let submit = |svc: &mut TopKService<_>, s, cfg: SessionConfig| {
+            svc.submit(&shifted(s), SessionSpec::new(cfg))
+        };
+        for _ in 0..2 {
+            submit(&mut svc, 0, config(Algorithm::T1On, 0)).unwrap();
+        }
+        for s in 1..crate::tables::MAX_TABLES {
+            submit(&mut svc, s, config(Algorithm::T1On, 0)).unwrap();
+        }
+        assert_eq!(svc.beliefs_cached(), 1);
+        let oversized = SessionConfig {
+            engine: Engine::MonteCarlo(McConfig::fixed((1 << 62) + 1, 1)),
+            ..config(Algorithm::T1On, 0)
+        };
+        match submit(&mut svc, crate::tables::MAX_TABLES, oversized) {
+            Err(CoreError::Tpo(ctk_tpo::TpoError::InvalidWorlds)) => {}
+            other => panic!("the engine must refuse the build, got {other:?}"),
+        }
+        assert_eq!(svc.beliefs_cached(), 1, "the stored belief stays");
+        assert_eq!(svc.tables.tables(), crate::tables::MAX_TABLES);
+        assert_eq!(svc.metrics().belief_builds, 33);
+    }
+
+    #[test]
     fn identical_tenants_share_crowd_answers() {
         let mut svc = service(1000);
         let a = svc

@@ -168,14 +168,26 @@ impl TableCache {
         truth: Option<&RankList>,
         metrics: &mut ServiceMetrics,
     ) -> Result<SessionDriver> {
-        let idx = self.entry_index(table);
         self.clock += 1;
-        let entry = &mut self.entries[idx];
-        let pairwise = Arc::clone(&entry.pairwise);
-        let b = &entry.bounds_for(config.k)?;
         let key = BeliefKey::of(&config);
         let incr = matches!(config.algorithm, Algorithm::Incr { .. });
         let n = table.len();
+        let Some(idx) = self.touch(table) else {
+            // A new table's entry goes in only once its first belief is
+            // built: a submit the engine refuses evicts no table and no
+            // stored belief.
+            let mut entry = TableEntry::new(table);
+            let b = entry.bounds_for(config.k)?;
+            let belief = build(table, &key, &b, incr)?;
+            metrics.belief_builds += 1;
+            entry.unrepeated.push_back(key);
+            let pairwise = Arc::clone(&entry.pairwise);
+            self.insert(entry);
+            return SessionDriver::from_belief(config, table, truth, pairwise, belief, None);
+        };
+        let entry = &mut self.entries[idx];
+        let pairwise = Arc::clone(&entry.pairwise);
+        let b = &entry.bounds_for(config.k)?;
         if let Some(pos) = entry.beliefs.iter().position(|s| s.key == key) {
             let stored = &mut entry.beliefs[pos];
             stored.last_used = self.clock;
@@ -190,11 +202,7 @@ impl TableCache {
             } else {
                 #[cfg(feature = "debug-invariants")]
                 {
-                    let fresh = if incr {
-                        Belief::build_with_worlds(table, &key, b)
-                    } else {
-                        Belief::build(table, &key, b)
-                    };
+                    let fresh = build(table, &key, b, incr);
                     assert!(
                         fresh.is_ok_and(|fresh| fresh.same_bits(&stored.belief)
                             && (!incr || fresh.worlds() == stored.belief.worlds())),
@@ -214,11 +222,7 @@ impl TableCache {
             }
             return SessionDriver::from_belief(config, table, truth, pairwise, belief, slot);
         }
-        let belief = if incr {
-            Belief::build_with_worlds(table, &key, b)?
-        } else {
-            Belief::build(table, &key, b)?
-        };
+        let belief = build(table, &key, b, incr)?;
         metrics.belief_builds += 1;
         let slot = match entry.unrepeated.iter().position(|k| *k == key) {
             Some(pos) => {
@@ -239,29 +243,24 @@ impl TableCache {
         SessionDriver::from_belief(config, table, truth, pairwise, belief, slot)
     }
 
-    /// The index of `table`'s entry, moved to the most recently used end,
-    /// computing the pairwise matrix on first use.
-    fn entry_index(&mut self, table: &UncertainTable) -> usize {
-        match self.entries.iter().position(|e| &e.table == table) {
-            Some(idx) => {
-                let entry = self.entries.remove(idx);
-                self.entries.push(entry);
-            }
-            None => {
-                if self.entries.len() >= MAX_TABLES {
-                    let evicted = self.entries.remove(0);
-                    self.belief_bytes -= evicted.belief_bytes();
-                }
-                self.entries.push(TableEntry {
-                    table: table.clone(),
-                    pairwise: Arc::new(PairwiseMatrix::compute(table)),
-                    bounds: Vec::new(),
-                    beliefs: Vec::new(),
-                    unrepeated: VecDeque::new(),
-                });
-            }
+    /// The index of `table`'s entry, moved to the most recently used end;
+    /// `None` when the table has none.
+    fn touch(&mut self, table: &UncertainTable) -> Option<usize> {
+        let idx = self.entries.iter().position(|e| &e.table == table)?;
+        let entry = self.entries.remove(idx);
+        self.entries.push(entry);
+        Some(self.entries.len() - 1)
+    }
+
+    /// Adds a new table's entry at the most recently used end, evicting the
+    /// least recently used table, with its stored beliefs, when
+    /// [`MAX_TABLES`] are held.
+    fn insert(&mut self, entry: TableEntry) {
+        if self.entries.len() >= MAX_TABLES {
+            let evicted = self.entries.remove(0);
+            self.belief_bytes -= evicted.belief_bytes();
         }
-        self.entries.len() - 1
+        self.entries.push(entry);
     }
 
     /// Stores `stored` beside entry `idx`, evicting least recently used
@@ -318,6 +317,18 @@ impl TableCache {
 }
 
 impl TableEntry {
+    /// A table's entry before any submit has used it: its pairwise matrix,
+    /// and nothing else yet.
+    fn new(table: &UncertainTable) -> Self {
+        Self {
+            table: table.clone(),
+            pairwise: Arc::new(PairwiseMatrix::compute(table)),
+            bounds: Vec::new(),
+            beliefs: Vec::new(),
+            unrepeated: VecDeque::new(),
+        }
+    }
+
     /// The certain/possible top-K bounds at depth `k`, computed on first
     /// use.
     fn bounds_for(&mut self, k: usize) -> Result<Arc<TopKBounds>> {
@@ -331,6 +342,16 @@ impl TableEntry {
 
     fn belief_bytes(&self) -> usize {
         self.beliefs.iter().map(|s| s.bytes).sum()
+    }
+}
+
+/// The initial belief of `key` over `table`; an `incr` session's also
+/// keeps its sampled worlds.
+fn build(table: &UncertainTable, key: &BeliefKey, b: &TopKBounds, incr: bool) -> Result<Belief> {
+    if incr {
+        Belief::build_with_worlds(table, key, b)
+    } else {
+        Belief::build(table, key, b)
     }
 }
 
